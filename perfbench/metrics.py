@@ -89,30 +89,36 @@ def _median(values) -> float:
     return statistics.median(values) if values else 0.0
 
 
-def fastest_run_s(runs) -> float:
-    """The sum, over the laps of a stage's passes, of each lap's fastest
-    time. Every pass of a stage does the same work lap by lap, and other
-    tenants of a shared host only ever add time, so this keeps the quiet
-    moments of every pass; the median of a few whole passes kept run-long
-    slowdowns of up to 40%."""
+def fastest_run_s(runs, k: int) -> float:
+    """A stage's run time with the other tenants' slowdowns taken out: the
+    sum, over the laps, of each lap's fastest time across k of the stage's
+    passes, spread evenly from its first pass to its last.
+
+    Every pass of a stage does the same work lap by lap, and other tenants of
+    a shared host only ever add time. The minimum is taken over a fixed k
+    passes, never over all of them: a faster program fits more passes into a
+    run, and a minimum over more samples reads lower, which would overstate
+    the change. A run with k or fewer passes uses them all."""
+    if len(runs) > k:
+        runs = [runs[round(i * (len(runs) - 1) / (k - 1))] for i in range(k)]
     return sum(min(lap) for lap in zip(*(r.laps for r in runs)))
 
 
 def end_to_end(stage_list, passes) -> dict:
-    """From the untraced passes. A mode's rate is its work over the sum of
-    its stages' fastest run times. setup_s is the sum, over every stage, of
+    """From the untraced passes. A mode's rate is its work over its stage's
+    fastest run time. setup_s is the sum, over every stage, of
     its median set-up time; the `import` stage times the teesim import."""
     out = {}
     for m in (*MODES, "campaign"):
         work = run_s = 0.0
         for s in stage_list:
-            runs = passes[(s.label, 0)]
+            runs = passes[(s.name, 0)]
             if s.name == m and runs:
                 work += runs[0].work
-                run_s += fastest_run_s(runs)
+                run_s += fastest_run_s(runs, s.sample_passes)
         name = "trials_per_s" if m == "campaign" else f"lines_per_s.{m}"
         out[name] = work / run_s if run_s else 0.0
-    out["setup_s"] = sum(_median([r.setup_s for r in passes[(s.label, 0)]])
+    out["setup_s"] = sum(_median([r.setup_s for r in passes[(s.name, 0)]])
                          for s in stage_list)
     out["peak_rss_mb"] = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
     return out
@@ -123,16 +129,16 @@ def per_layer(stage_list, passes, tracers) -> dict:
     counts: dict[str, float] = {}
     traced_wall = untraced_wall = 0.0
     for s in stage_list:
-        traced = passes[(s.label, 1)]
+        traced = passes[(s.name, 1)]
         if not traced:
             continue
         n = len(traced)
-        tr.merge(tracers[s.label], 1 / n)
+        tr.merge(tracers[s.name], 1 / n)
         for r in traced:
             for k, v in r.counts.items():
                 counts[k] = counts.get(k, 0) + v / n
         traced_wall += _median([r.setup_s + r.run_s for r in traced])
-        untraced_wall += _median([r.setup_s + r.run_s for r in passes[(s.label, 0)]])
+        untraced_wall += _median([r.setup_s + r.run_s for r in passes[(s.name, 0)]])
 
     c = lambda k: counts.get(k, 0)
     ratio = lambda a, b: a / b if b else 0.0
@@ -199,8 +205,7 @@ def per_layer(stage_list, passes, tracers) -> dict:
 
     out["workloads.self_s"] = tr.layer_self["workloads"]
     out["workloads.trace_gen_s"] = sum(
-        tr.total_s(n) for n in ("workloads.gen_adam_trace", "workloads.gen_fuzz_trace",
-                                "workloads.adam_layouts"))
+        tr.total_s(n) for n in ("workloads.gen_fuzz_trace", "workloads.adam_layouts"))
     out["cli.run_attack_campaign.self_s"] = tr.layer_self["cli"]
     for m in MODES:
         out[f"sim.total_ticks.{m}"] = c(f"sim.total_ticks.{m}")

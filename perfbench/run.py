@@ -11,7 +11,9 @@ one JSON object: {"correct", "attempted", "failed", "metrics"}. With
 
 The program is imported from `src/` of the checkout this file sits in, never
 from an installed copy; without it the benchmark exits with code 2 and prints
-no result. See perfbench/README.md for the workloads and metrics.
+no result. If a method that the zero-offload laps hook is gone, it exits with
+code 3, again with no result. See perfbench/README.md for the workloads and
+metrics.
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 SEED_ENV_VAR = "TENSORTEE_SEED"
 EXIT_NO_PROGRAM = 2
+EXIT_MISSING_HOOK = 3
 
 
 def import_program() -> None:
@@ -62,7 +65,7 @@ def schedule(units: list, seconds: float, run_unit) -> None:
 def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     p.add_argument("--workload", required=True,
-                   choices=("zero-offload", "adam-light", "fuzz-attack"))
+                   choices=("zero-offload", "fuzz-attack"))
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--seconds", type=float, required=True)
     p.add_argument("--trace", type=int, choices=(0, 1), default=0)
@@ -78,61 +81,65 @@ def main(argv=None) -> int:
     import stages
     from tracer import Tracer
 
+    try:
+        stage_list = stages.make_stages(args.workload, args.seed)
+    except stages.MissingHook as e:
+        print(f"perfbench: {e}", file=sys.stderr)
+        return EXIT_MISSING_HOOK
     print(f"workload {args.workload} seed {args.seed} seconds {args.seconds:g} "
           f"trace {args.trace}")
     if dropped is not None:
         print(f"note: ignored {SEED_ENV_VAR}={dropped}; using --seed {args.seed}")
 
-    stage_list = stages.make_stages(args.workload, args.seed)
     if args.trace:  # a fresh interpreter's import has no spans to trace
         stage_list = [s for s in stage_list if s.name != "import"]
-    by_label = {s.label: s for s in stage_list}
-    passes = {(s.label, traced): [] for s in stage_list
+    by_name = {s.name: s for s in stage_list}
+    passes = {(s.name, traced): [] for s in stage_list
               for traced in ((0, 1) if args.trace else (0,))}
-    tracers = {s.label: Tracer() for s in stage_list}
+    tracers = {s.name: Tracer() for s in stage_list}
     totals = {"ops": 0, "failed": 0}
     errors: list[str] = []
 
     def run_unit(unit):
-        (label, traced), _ = unit
-        stage = by_label[label]
+        (name, traced), _ = unit
+        stage = by_name[name]
         gc.collect()  # garbage of the previous pass must not be timed here
         try:
             if traced:
-                with tracers[label]:
+                with tracers[name]:
                     res = stage.run()
             else:
                 res = stage.run()
         except Exception as e:  # a program failure fails one operation; go on
             totals["ops"] += 1
             totals["failed"] += 1
-            errors.append(f"{label}: {type(e).__name__}: {e}")
+            errors.append(f"{name}: {type(e).__name__}: {e}")
             traceback.print_exc(file=sys.stderr)
             return
         totals["ops"] += res.ops
         totals["failed"] += res.failed
         errors.extend(res.errors)
-        passes[(label, traced)].append(res)
+        passes[(name, traced)].append(res)
 
-    units = [(key, by_label[key[0]].weight) for key in passes]
+    units = [(key, by_name[key[0]].weight) for key in passes]
     schedule(units, args.seconds, run_unit)
 
     # every pass of a stage, traced or not, must simulate the same thing
     for s in stage_list:
-        runs = [r for key in passes if key[0] == s.label for r in passes[key]]
+        runs = [r for key in passes if key[0] == s.name for r in passes[key]]
         digests = [stages.digest(r.fingerprint) for r in runs]
         for d in digests[1:]:
             totals["ops"] += 1
             if d != digests[0]:
                 totals["failed"] += 1
-                errors.append(f"{s.label}: simulated outputs differ between passes")
+                errors.append(f"{s.name}: simulated outputs differ between passes")
         if runs:
-            print(f"fingerprint {args.workload} {s.label} {digests[0]} "
+            print(f"fingerprint {args.workload} {s.name} {digests[0]} "
                   f"{json.dumps(runs[0].fingerprint, sort_keys=True)}")
         for key in passes:
-            if key[0] == s.label:
+            if key[0] == s.name:
                 rs = passes[key]
-                print(f"passes {s.label} traced={key[1]} n={len(rs)} work={rs[0].work if rs else 0} "
+                print(f"passes {s.name} traced={key[1]} n={len(rs)} work={rs[0].work if rs else 0} "
                       f"setup_s={sum(r.setup_s for r in rs):.3f} "
                       f"run_s={sum(r.run_s for r in rs):.3f} "
                       f"each={','.join(f'{r.run_s:.4f}' for r in rs)}")

@@ -6,7 +6,7 @@ set-up), runs it (timed as the measured run), then checks its outputs
 the deterministic simulated outputs and the counters the program keeps, read
 from public state.
 
-Program entry points that the tracer rebinds (`gen_*`, `explicit_adam_layouts`,
+Program functions that the tracer rebinds (`gen_fuzz_trace`,
 `run_attack_campaign`) are called through their modules, never imported by
 name here, so traced passes go through the wrappers.
 """
@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import random
 import subprocess
 import sys
 import time
@@ -28,12 +27,12 @@ import teesim.workloads as tw
 from teesim.baseline import PlainMemory, ProtectedMemory
 from teesim.config import SimConfig
 from teesim.crypto import LINE_BYTES, KeyMaterial
+from teesim.engine import Engine
+from teesim.nputee import NpuDevice
 from teesim.tenanalyzer import TenAnalyzer
 from teesim.transfer import MSG_WIRE_BYTES
 
 KiB = 1024
-MiB = 1024 * KiB
-REGION_BASE = 0x1000_0000
 FUZZ_BASE = 0x3000_0000
 
 # zero-offload: the paper's end-to-end experiment at desk scale
@@ -41,15 +40,6 @@ ZERO_TENSORS = 4
 ZERO_TENSOR_BYTES = 64 * KiB
 ZERO_THREADS = 8
 ZERO_ITERATIONS = 2
-
-# adam-light: CPU optimizer streams, crypto.functional = false
-ADAM_THREADS = 8
-ADAM_BURST_LINES = 32
-ADAM_ITERATIONS = 3
-POW2_SIZES = [64 * KiB] * 12 + [128 * KiB] * 2 + [256 * KiB, 1 * MiB]
-DRAWN_TENSORS = 16
-DRAWN_MIN = 32 * KiB
-DRAWN_MAX = 192 * KiB
 
 # fuzz-attack: low-reuse mixed reads and writes, then tamper trials
 FUZZ_OPS = 60_000
@@ -61,6 +51,13 @@ ENGINE_RESOURCES = ("link", "trusted_channel", "npu_gddr", "npu_aes", "npu_mac",
                     "npu_compute", "cpu_dram0", "cpu_aes0", "cpu_mac")
 
 REPLAY_LAP_RECORDS = 2000
+
+# Passes each lap's fastest time is taken over. A protected pass costs
+# seconds, and a 60 s run fits 3 to 8 of them. NonSecure and campaign passes
+# are ~50x cheaper and repeat dozens of times, so a larger sample of them
+# finds the quiet stretches of a busy host.
+PROTECTED_SAMPLE_PASSES = 3
+CHEAP_SAMPLE_PASSES = 15
 
 perf = time.perf_counter
 
@@ -114,13 +111,9 @@ class PassResult:
 @dataclass
 class Stage:
     name: str                      # a mode name, "campaign" or "import"
-    part: str                      # the share of the mode's work this stage runs
     run: Callable[[], PassResult]
     weight: float                  # share of the run's time, relative
-
-    @property
-    def label(self) -> str:
-        return f"{self.name}/{self.part}" if self.part else self.name
+    sample_passes: int = PROTECTED_SAMPLE_PASSES
 
 
 def digest(fingerprint: dict) -> str:
@@ -128,17 +121,11 @@ def digest(fingerprint: dict) -> str:
     return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
 
-def drawn_sizes(seed: int) -> list[int]:
-    """Line-granular tensor sizes for the adam-light `drawn` phase."""
-    rng = random.Random(seed)
-    return [rng.randrange(DRAWN_MIN // LINE_BYTES, DRAWN_MAX // LINE_BYTES + 1)
-            * LINE_BYTES for _ in range(DRAWN_TENSORS)]
-
-
-def sim_config(seed: int, functional: bool) -> SimConfig:
+def sim_config(seed: int) -> SimConfig:
+    """The default configuration, with functional crypto, keyed by `seed`."""
     cfg = SimConfig()
     cfg.crypto.seed = seed
-    cfg.crypto.functional = functional
+    cfg.crypto.functional = True
     return cfg
 
 
@@ -209,13 +196,13 @@ def _cpu_side(mode: str, cfg: SimConfig, n_lines: int, base: int):
     return mem, ta, ta.on_read, ta.on_write
 
 
-def replay(read, write, pairs, first_serial: int, timer: LapTimer) -> list:
+def replay(read, write, pairs, timer: LapTimer) -> list:
     """The measured loop: drive (is_read, va) pairs through one memory path
-    and keep every read's plaintext for the oracle check. A lap ends every
-    REPLAY_LAP_RECORDS records."""
+    and keep every read's plaintext for the oracle check. Record i (from 1)
+    writes (i << 32) | va. A lap ends every REPLAY_LAP_RECORDS records."""
     got = []
     keep = got.append
-    serial = first_serial
+    serial = 1
     for lo in range(0, len(pairs), REPLAY_LAP_RECORDS):
         for is_read, va in pairs[lo:lo + REPLAY_LAP_RECORDS]:
             if is_read:
@@ -228,30 +215,25 @@ def replay(read, write, pairs, first_serial: int, timer: LapTimer) -> list:
     return got
 
 
-def check_reads(res: PassResult, pairs, runs, label: str) -> None:
-    """Compare every read with the last value written to its line (zero for
-    a line never written). `runs` holds (first_serial, plaintexts) per
-    replay of `pairs` against the same memory, in order."""
+def check_reads(res: PassResult, pairs, got, label: str) -> None:
+    """Compare every read plaintext `got` from replaying `pairs` with the
+    last value written to its line (zero for a line never written)."""
     oracle: dict[int, int] = {}
     checked = mismatched = 0
-    for first_serial, got in runs:
-        k = 0
-        serial = first_serial
-        for is_read, va in pairs:
-            if is_read:
-                v = got[k]
-                k += 1
-                if isinstance(v, bytes):
-                    v = int.from_bytes(v, "little")
-                checked += 1
-                if v != oracle.get(va, 0):
-                    mismatched += 1
-            else:
-                oracle[va] = (serial << 32) | va
-            serial += 1
-        # writes succeed unless they raise, which the caller counts
-        res.ops += len(pairs) - len(got)
-    res.ops += checked
+    reads = iter(got)
+    for serial, (is_read, va) in enumerate(pairs, start=1):
+        if is_read:
+            v = next(reads)
+            if isinstance(v, bytes):
+                v = int.from_bytes(v, "little")
+            checked += 1
+            if v != oracle.get(va, 0):
+                mismatched += 1
+        else:
+            oracle[va] = (serial << 32) | va
+    # every record is one operation; a write fails only by raising, which the
+    # caller counts
+    res.ops += len(pairs)
     res.failed += mismatched
     if mismatched:
         res.errors.append(f"{label}: {mismatched}/{checked} reads differ from "
@@ -272,7 +254,7 @@ def _check_invariants(res: PassResult, ta, label: str) -> None:
 def zero_offload_pass(mode: str, seed: int, ctx: dict) -> PassResult:
     res = PassResult()
     t0 = perf()
-    cfg = sim_config(seed, functional=True)
+    cfg = sim_config(seed)
     cfg.mode = mode
     wl = cfg.workload
     wl.zero_tensors, wl.zero_tensor_bytes = ZERO_TENSORS, ZERO_TENSOR_BYTES
@@ -281,7 +263,7 @@ def zero_offload_pass(mode: str, seed: int, ctx: dict) -> PassResult:
     # laps end after the initial weight writes, after each NPU tensor stream,
     # after each tensor's CPU optimizer step (which ends by charging its
     # traffic to the engine) and after each iteration, where run() advances
-    # the engine clock
+    # the engine clock (the hooks are LAP_HOOKS, looked up before the run)
     timer = LapTimer()
     runner.setup_state = timer.after(runner.setup_state)
     runner.engine.advance = timer.after(runner.engine.advance)
@@ -332,69 +314,22 @@ def zero_offload_pass(mode: str, seed: int, ctx: dict) -> PassResult:
     return res
 
 
-# -- adam-light -------------------------------------------------------------------
-
-def adam_light_pass(mode: str, phase: str, seed: int, ctx: dict) -> PassResult:
-    """One phase from fresh memory: `pow2` (the acceptance size mix at quarter
-    scale) or `drawn` (seeded line-granular sizes)."""
-    res = PassResult()
-    cfg = sim_config(seed, functional=False)
-    sizes = POW2_SIZES if phase == "pow2" else ctx["drawn_sizes"]
-    t0 = perf()
-    layouts = tw.explicit_adam_layouts(sizes, REGION_BASE)
-    records = tw.gen_adam_trace_from_layouts(layouts, ADAM_THREADS,
-                                             ADAM_BURST_LINES, 1)
-    pairs = [(r.kind == "R", r.va) for r in records]
-    n_lines = tw.adam_region_lines(layouts, REGION_BASE)
-    mem, ta, read, write = _cpu_side(mode, cfg, n_lines, REGION_BASE)
-    timer = LapTimer()
-    runs = []
-    rows = []
-    for it in range(ADAM_ITERATIONS):
-        before = dict(ta.stats) if ta is not None else None
-        first = 1 + it * len(pairs)
-        runs.append((first, replay(read, write, pairs, first, timer)))
-        if ta is not None:
-            rows.append(_iteration_row(before, ta.stats))
-    res.setup_s = timer.marks[0] - t0
-    res.laps = timer.laps()
-    res.run_s = sum(res.laps)
-    res.work = len(pairs) * ADAM_ITERATIONS
-    check_reads(res, pairs, runs, f"adam-light {mode} {phase}")
-    if ta is not None:
-        _check_invariants(res, ta, f"adam-light {mode} {phase}")
-    res.fingerprint = {"cpu_totals": dict(mem.totals),
-                       "analyzer_stats": dict(ta.stats) if ta else None,
-                       "iteration_rows": rows}
-    _count_memory(res, mem)
-    _count_analyzer(res, ta)
-    return res
-
-
-def _iteration_row(before: dict, after: dict) -> dict:
-    d = {k: after[k] - before.get(k, 0) for k in after}
-    reads = d["r_hit_in"] + d["r_hit_boundary"] + d["r_miss"]
-    return {"hit_in": round(d["r_hit_in"] / max(1, reads), 6),
-            "hit_all": round((d["r_hit_in"] + d["r_hit_boundary"]) / max(1, reads), 6),
-            "evictions": d["evictions"], "invalidations": d["w_invalidate"]}
-
-
 # -- fuzz-attack --------------------------------------------------------------------
 
 def fuzz_pass(mode: str, seed: int) -> PassResult:
     res = PassResult()
     t0 = perf()
-    cfg = sim_config(seed, functional=True)
+    cfg = sim_config(seed)
     records = tw.gen_fuzz_trace(FUZZ_OPS, FUZZ_LINES, seed, base=FUZZ_BASE)
     pairs = [(r.kind == "R", r.va) for r in records]
     mem, ta, read, write = _cpu_side(mode, cfg, FUZZ_LINES, FUZZ_BASE)
     timer = LapTimer()
-    got = replay(read, write, pairs, 1, timer)
+    got = replay(read, write, pairs, timer)
     res.setup_s = timer.marks[0] - t0
     res.laps = timer.laps()
     res.run_s = sum(res.laps)
     res.work = len(pairs)
-    check_reads(res, pairs, [(1, got)], f"fuzz {mode}")
+    check_reads(res, pairs, got, f"fuzz {mode}")
     if ta is not None:
         _check_invariants(res, ta, f"fuzz {mode}")
     res.fingerprint = {"cpu_totals": dict(mem.totals),
@@ -407,7 +342,7 @@ def fuzz_pass(mode: str, seed: int) -> PassResult:
 def campaign_pass(seed: int) -> PassResult:
     """The CLI's mixed tamper campaign: every trial must be detected."""
     res = PassResult()
-    cfg = sim_config(seed, functional=True)
+    cfg = sim_config(seed)
     t0 = perf()
     out = tcli.run_attack_campaign(cfg, "mixed", CAMPAIGN_TRIALS)
     res.run_s = perf() - t0
@@ -438,30 +373,41 @@ def import_pass() -> PassResult:
 
 # -- workloads ------------------------------------------------------------------------
 
-ADAM_PHASES = ("pow2", "drawn")
+# The zero-offload laps hook these methods; one that is gone would fail every
+# pass, so they are looked up before the run.
+LAP_HOOKS = (
+    (tw.ZeroOffloadRunner, "setup_state"),
+    (tw.ZeroOffloadRunner, "_reserve_cpu_phase"),
+    (Engine, "advance"),
+    (NpuDevice, "load_tensor_stream"),
+    (NpuDevice, "store_tensor_stream"),
+)
+
+
+class MissingHook(RuntimeError):
+    """The program no longer has a method the benchmark laps on."""
 
 
 def make_stages(workload: str, seed: int) -> list[Stage]:
-    """One stage per mode, except adam-light, whose two phases are separate
-    stages so that each mode's work is spread across the run. NonSecure comes
-    first: its final weights are the zero-offload reference the other modes
-    are checked against. Every workload also runs the tamper campaign and
-    times the teesim import."""
-    ctx: dict = {"drawn_sizes": drawn_sizes(seed)}
+    """One stage per mode, then the tamper campaign and the teesim import.
+    NonSecure comes first: its final weights are the zero-offload reference
+    the other modes are checked against."""
+    if workload == "zero-offload":
+        for owner, attr in LAP_HOOKS:
+            if not callable(getattr(owner, attr, None)):
+                raise MissingHook(f"{owner.__name__}.{attr} is gone; update the "
+                                  f"lap hooks in zero_offload_pass")
+    ctx: dict = {}
     stages = []
     for m in MODES:
-        # NonSecure passes are cheap and steady: half a share is enough
-        weight = 0.5 if m == "nonsecure" else 1.0
-        if workload == "zero-offload":
-            stages.append(Stage(m, "", lambda m=m: zero_offload_pass(m, seed, ctx),
-                                weight))
-        elif workload == "fuzz-attack":
-            stages.append(Stage(m, "", lambda m=m: fuzz_pass(m, seed), weight))
+        run = ((lambda m=m: zero_offload_pass(m, seed, ctx)) if workload == "zero-offload"
+               else (lambda m=m: fuzz_pass(m, seed)))
+        if m == "nonsecure":  # a quarter share still repeats it dozens of times
+            stages.append(Stage(m, run, 0.25, CHEAP_SAMPLE_PASSES))
         else:
-            stages += [Stage(m, ph, lambda m=m, ph=ph: adam_light_pass(m, ph, seed, ctx),
-                             weight) for ph in ADAM_PHASES]
+            stages.append(Stage(m, run, 1.0))
     campaign_weight = 0.5 if workload == "fuzz-attack" else 0.2
-    stages.append(Stage("campaign", "", lambda: campaign_pass(seed),
-                        campaign_weight))
-    stages.append(Stage("import", "", import_pass, 0.1))
+    stages.append(Stage("campaign", lambda: campaign_pass(seed), campaign_weight,
+                        CHEAP_SAMPLE_PASSES))
+    stages.append(Stage("import", import_pass, 0.1))
     return stages

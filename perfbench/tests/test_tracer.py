@@ -10,6 +10,7 @@ import sys
 import time
 from pathlib import Path
 
+import pytest
 import teesim
 import teesim.baseline
 import teesim.nputee
@@ -85,21 +86,23 @@ def test_self_time_subtracts_child_spans():
     with tr:
         Toy().outer()
     assert tr.calls("toy.outer") == tr.calls("toy.inner") == 1
-    assert tr.total_s("toy.outer") >= 0.05
-    assert 0.018 <= tr.layer_self["crypto"] < 0.03
-    assert 0.028 <= tr.layer_self["baseline"] < 0.04
+    outer_self, inner = tr.layer_self["crypto"], tr.total_s("toy.inner")
+    # sleeps only ever overrun on a busy host, so no upper bounds
+    assert abs(outer_self + inner - tr.total_s("toy.outer")) < 1e-3
+    assert outer_self >= 0.02 and inner >= 0.03
+    assert tr.layer_self["baseline"] == inner
     assert Toy.outer.__name__ == "outer" and not hasattr(Toy.outer, "__wrapped__")
 
 
 def test_span_counts_equal_program_counters_on_the_cpu_paths():
-    cfg = stages.sim_config(3, functional=True)
+    cfg = stages.sim_config(3)
     pairs = [(r.kind == "R", r.va) for r in
              gen_fuzz_trace(3000, 1024, 3, base=stages.FUZZ_BASE)]
     for mode in ("sgx_mgx", "tensortee"):
         tr = Tracer()
         with tr:
             mem, ta, read, write = stages._cpu_side(mode, cfg, 1024, stages.FUZZ_BASE)
-            stages.replay(read, write, pairs, 1, stages.LapTimer())
+            stages.replay(read, write, pairs, stages.LapTimer())
         assert tr.calls("baseline.write_line") == mem.totals["writes"]
         if ta is None:
             assert tr.calls("baseline.read_line") == mem.totals["reads"]
@@ -131,30 +134,13 @@ def test_span_counts_equal_engine_grants_and_traced_run_simulates_the_same():
         assert tr.layer_self["workloads"] > 0 and tr.layer_self["crypto"] > 0
 
 
-def test_light_mode_replay_calls_no_crypto_function():
-    cfg = stages.sim_config(1, functional=False)
-    layouts = teesim.workloads.explicit_adam_layouts([4096] * 2, stages.REGION_BASE)
-    pairs = [(r.kind == "R", r.va) for r in
-             teesim.workloads.gen_adam_trace_from_layouts(layouts, 2, 8, 2)]
-    n = teesim.workloads.adam_region_lines(layouts, stages.REGION_BASE)
-    tr = Tracer()
-    with tr:
-        for mode in stages.MODES:
-            _, _, read, write = stages._cpu_side(mode, cfg, n, stages.REGION_BASE)
-            stages.replay(read, write, pairs, 1, stages.LapTimer())
-    assert tr.layer_self["crypto"] == 0
-    assert all(tr.calls(f"crypto.{f}") == 0 for f in
-               ("keystream", "mac_block", "encrypt_block", "decrypt_block"))
-    assert tr.calls("tenanalyzer.on_read") > 0
-
-
 def test_read_oracle_counts_stale_reads_as_failed():
     pairs = [(False, 0x40), (True, 0x40), (True, 0x80)]
     good = stages.PassResult()
-    stages.check_reads(good, pairs, [(1, [(1 << 32) | 0x40, b"\x00" * 64])], "t")
+    stages.check_reads(good, pairs, [(1 << 32) | 0x40, b"\x00" * 64], "t")
     assert (good.ops, good.failed) == (3, 0)
     stale = stages.PassResult()
-    stages.check_reads(stale, pairs, [(1, [0, 0])], "t")
+    stages.check_reads(stale, pairs, [0, 0], "t")
     assert (stale.ops, stale.failed) == (3, 1) and stale.errors
 
 
@@ -162,19 +148,37 @@ def test_benchmark_refuses_to_run_without_the_program(tmp_path):
     shutil.copytree(BENCH, tmp_path / "perfbench",
                     ignore=shutil.ignore_patterns("__pycache__", "tests"))
     out = subprocess.run([sys.executable, "perfbench/run.py", "--workload",
-                          "adam-light", "--seed", "1", "--seconds", "1",
+                          "zero-offload", "--seed", "1", "--seconds", "1",
                           "--trace", "0"], cwd=tmp_path, capture_output=True,
                          text=True, timeout=60)
     assert out.returncode == 2
     assert out.stdout == ""
 
 
-def test_fastest_run_takes_each_laps_minimum_across_passes():
-    runs = [stages.PassResult(laps=[1.0, 5.0]), stages.PassResult(laps=[3.0, 2.0])]
-    assert metrics.fastest_run_s(runs) == 3.0
+def test_a_missing_lap_hook_stops_the_run_before_any_pass(monkeypatch, capsys):
+    import run
+    monkeypatch.delattr(ZeroOffloadRunner, "_reserve_cpu_phase")
+    with pytest.raises(stages.MissingHook, match="_reserve_cpu_phase"):
+        stages.make_stages("zero-offload", 1)
+    assert run.main(["--workload", "zero-offload", "--seed", "1", "--seconds", "1",
+                     "--trace", "0"]) == run.EXIT_MISSING_HOOK
+    assert capsys.readouterr().out == ""
+    assert stages.make_stages("fuzz-attack", 1)
+
+
+def test_fastest_run_takes_lap_minima_over_a_fixed_number_of_passes():
+    laps = [[1.0, 5.0], [3.0, 2.0], [4.0, 4.0], [2.0, 1.0], [0.5, 9.0]]
+    runs = [stages.PassResult(laps=l) for l in laps]
+    # k or fewer passes: all of them
+    assert metrics.fastest_run_s(runs[:2], 3) == 1.0 + 2.0
+    assert metrics.fastest_run_s(runs[:3], 3) == 1.0 + 2.0
+    # more: k passes spread from the first to the last, here 1, 3 and 5,
+    # so the fast second lap of pass 4 is not sampled
+    assert metrics.fastest_run_s(runs, 3) == 0.5 + 4.0
+    assert metrics.fastest_run_s(runs, 5) == 0.5 + 1.0
     timer = stages.LapTimer()
     pairs = [(False, 0x40 * i) for i in range(1, 2 * stages.REPLAY_LAP_RECORDS + 2)]
-    stages.replay(lambda va: (0, None), lambda va, d: None, pairs, 1, timer)
+    stages.replay(lambda va: (0, None), lambda va, d: None, pairs, timer)
     assert len(timer.laps()) == 3
 
 

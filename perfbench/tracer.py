@@ -49,9 +49,8 @@ TRACED = (
     ("transfer", "transfer.attest_and_exchange", "teesim.transfer", "attest_and_exchange", False),
     ("engine", "engine.reserve", "teesim.engine:Engine", "reserve", True),
     ("workloads", "workloads.run", "teesim.workloads:ZeroOffloadRunner", "run", False),
-    ("workloads", "workloads.gen_adam_trace", "teesim.workloads", "gen_adam_trace_from_layouts", False),
     ("workloads", "workloads.gen_fuzz_trace", "teesim.workloads", "gen_fuzz_trace", False),
-    ("workloads", "workloads.adam_layouts", "teesim.workloads", "explicit_adam_layouts", False),
+    ("workloads", "workloads.adam_layouts", "teesim.workloads", "adam_layouts", False),
     ("cli", "cli.run_attack_campaign", "teesim.cli", "run_attack_campaign", False),
 )
 
