@@ -1,6 +1,7 @@
 """End-to-end and per-layer metrics from the passes of one run.
 
-End-to-end metrics are host time and host memory, from untraced passes.
+End-to-end metrics are host time, in reference seconds, and host memory,
+from untraced passes.
 Per-layer metrics come from traced passes: host times from the tracer's
 spans, counts from the program's own counters. A stage that ran n traced
 passes contributes one average pass (its sums divided by n), so counts read
@@ -89,25 +90,11 @@ def _median(values) -> float:
     return statistics.median(values) if values else 0.0
 
 
-def fastest_run_s(runs, k: int) -> float:
-    """A stage's run time with the other tenants' slowdowns taken out: the
-    sum, over the laps, of each lap's fastest time across k of the stage's
-    passes, spread evenly from its first pass to its last.
-
-    Every pass of a stage does the same work lap by lap, and other tenants of
-    a shared host only ever add time. The minimum is taken over a fixed k
-    passes, never over all of them: a faster program fits more passes into a
-    run, and a minimum over more samples reads lower, which would overstate
-    the change. A run with k or fewer passes uses them all."""
-    if len(runs) > k:
-        runs = [runs[round(i * (len(runs) - 1) / (k - 1))] for i in range(k)]
-    return sum(min(lap) for lap in zip(*(r.laps for r in runs)))
-
-
 def end_to_end(stage_list, passes) -> dict:
-    """From the untraced passes. A mode's rate is its work over its stage's
-    fastest run time. setup_s is the sum, over every stage, of
-    its median set-up time; the `import` stage times the teesim import."""
+    """From the untraced passes, in reference seconds (stages.LapTimer). A
+    mode's rate is its work over its stage's median run time. setup_s is the
+    sum, over every stage, of its median set-up time; the `import` stage
+    times the teesim import, in host seconds."""
     out = {}
     for m in (*MODES, "campaign"):
         work = run_s = 0.0
@@ -115,7 +102,7 @@ def end_to_end(stage_list, passes) -> dict:
             runs = passes[(s.name, 0)]
             if s.name == m and runs:
                 work += runs[0].work
-                run_s += fastest_run_s(runs, s.sample_passes)
+                run_s += _median([r.run_s for r in runs])
         name = "trials_per_s" if m == "campaign" else f"lines_per_s.{m}"
         out[name] = work / run_s if run_s else 0.0
     out["setup_s"] = sum(_median([r.setup_s for r in passes[(s.name, 0)]])

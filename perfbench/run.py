@@ -1,6 +1,6 @@
 """teesim host-time benchmark.
 
-    python3 perfbench/run.py --workload zero-offload --seed 1 --seconds 25 --trace 0
+    python3 perfbench/run.py --workload zero-offload --seed 1 --seconds 40 --trace 0
 
 Runs one workload in this process, one simulation at a time (a closed loop
 with one client), for about `--seconds` seconds, checks the simulated outputs
@@ -142,7 +142,8 @@ def main(argv=None) -> int:
                 print(f"passes {s.name} traced={key[1]} n={len(rs)} work={rs[0].work if rs else 0} "
                       f"setup_s={sum(r.setup_s for r in rs):.3f} "
                       f"run_s={sum(r.run_s for r in rs):.3f} "
-                      f"each={','.join(f'{r.run_s:.4f}' for r in rs)}")
+                      f"each={','.join(f'{r.run_s:.4f}' for r in rs)} "
+                      f"host_each={','.join(f'{r.host_run_s:.4f}' for r in rs)}")
 
     for e in errors[:20]:
         print(f"FAILED {e}")

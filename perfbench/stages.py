@@ -52,28 +52,64 @@ ENGINE_RESOURCES = ("link", "trusted_channel", "npu_gddr", "npu_aes", "npu_mac",
 
 REPLAY_LAP_RECORDS = 2000
 
-# Passes each lap's fastest time is taken over. A protected pass costs
-# seconds, and a 60 s run fits 3 to 8 of them. NonSecure and campaign passes
-# are ~50x cheaper and repeat dozens of times, so a larger sample of them
-# finds the quiet stretches of a busy host.
-PROTECTED_SAMPLE_PASSES = 3
-CHEAP_SAMPLE_PASSES = 15
+# The reference clock. A probe is a fixed pure-Python loop in the style of
+# the program's own work: 64-bit integer mixing, wide integers and dict
+# stores. It is timed between laps, as the fastest of PROBE_REPEATS runs so
+# that an interrupt does not count. PROBE_REF_S is its time on the machine
+# in perfbench/README.md, at that machine's usual speed; it fixes the scale
+# of a reference second.
+PROBE_ROUNDS = 1000
+PROBE_REPEATS = 3
+PROBE_REF_S = 0.0006
+MIN_LAP_S = 0.05                   # a lap closes at a mark only after this
+MASK64 = (1 << 64) - 1
 
 perf = time.perf_counter
 
 
+def _probe_loop() -> int:
+    x, d = 0x9E3779B97F4A7C15, {}
+    for i in range(PROBE_ROUNDS):
+        x = ((x ^ (x >> 31)) * 0xBF58476D1CE4E5B9 + i) & MASK64
+        d[x & 255] = d.get(i & 255, 0) ^ (x << 448)
+    return x
+
+
+def probe_s() -> float:
+    """Host time of one probe: the fastest of PROBE_REPEATS runs."""
+    best = float("inf")
+    for _ in range(PROBE_REPEATS):
+        t = perf()
+        _probe_loop()
+        best = min(best, perf() - t)
+    return best
+
+
 class LapTimer:
-    """Splits a timed run at fixed points of its work. The points fall at the
-    same work in every pass of a stage, so laps compare across passes."""
+    """Times a pass in reference seconds, host seconds at a fixed host speed.
+
+    Other tenants of a shared host slow the program and the probe largely
+    alike, for stretches from under a second to a whole run. So each lap is
+    scaled by the probes on either side of it. A lap ends at a mark, a fixed
+    point of the work, once it has lasted MIN_LAP_S, and at `close()`. The
+    probes are not timed into any lap."""
 
     def __init__(self):
-        self.marks = [perf()]
+        self.host: list[float] = []
+        self.probes = [probe_s()]
+        self.start = perf()
 
     def mark(self) -> None:
-        self.marks.append(perf())
+        if perf() - self.start >= MIN_LAP_S:
+            self.close()
+
+    def close(self) -> None:
+        self.host.append(perf() - self.start)
+        self.probes.append(probe_s())
+        self.start = perf()
 
     def after(self, fn):
-        """`fn`, marking a lap each time it returns."""
+        """`fn`, marking each time it returns."""
         def marked(*args, **kwargs):
             out = fn(*args, **kwargs)
             self.mark()
@@ -81,16 +117,20 @@ class LapTimer:
         return marked
 
     def laps(self) -> list:
-        return [b - a for a, b in zip(self.marks, self.marks[1:])]
+        """Each lap in reference seconds: its host time scaled by
+        PROBE_REF_S over the mean of the probes just before and after it."""
+        return [h * 2 * PROBE_REF_S / (a + b)
+                for h, a, b in zip(self.host, self.probes, self.probes[1:])]
 
 
 @dataclass
 class PassResult:
-    """One stage pass: timings, work done, checks and outputs."""
+    """One stage pass: timings, work done, checks and outputs. Times are in
+    reference seconds (LapTimer), except `host_run_s`."""
 
     setup_s: float = 0.0
     run_s: float = 0.0
-    laps: list = field(default_factory=list)   # run_s split at fixed points
+    host_run_s: float = 0.0
     work: int = 0                  # cacheline operations, or tamper trials
     ops: int = 0
     failed: int = 0
@@ -113,7 +153,6 @@ class Stage:
     name: str                      # a mode name, "campaign" or "import"
     run: Callable[[], PassResult]
     weight: float                  # share of the run's time, relative
-    sample_passes: int = PROTECTED_SAMPLE_PASSES
 
 
 def digest(fingerprint: dict) -> str:
@@ -199,7 +238,7 @@ def _cpu_side(mode: str, cfg: SimConfig, n_lines: int, base: int):
 def replay(read, write, pairs, timer: LapTimer) -> list:
     """The measured loop: drive (is_read, va) pairs through one memory path
     and keep every read's plaintext for the oracle check. Record i (from 1)
-    writes (i << 32) | va. A lap ends every REPLAY_LAP_RECORDS records."""
+    writes (i << 32) | va. It marks a lap every REPLAY_LAP_RECORDS records."""
     got = []
     keep = got.append
     serial = 1
@@ -240,6 +279,13 @@ def check_reads(res: PassResult, pairs, got, label: str) -> None:
                           f"the last value written")
 
 
+def _take_times(res: PassResult, timer: LapTimer) -> None:
+    """The first lap is the set-up; the others are the measured run."""
+    laps = timer.laps()
+    res.setup_s, res.run_s = laps[0], sum(laps[1:])
+    res.host_run_s = sum(timer.host[1:])
+
+
 def _check_invariants(res: PassResult, ta, label: str) -> None:
     for check in (ta.check_vn_consistency, ta.check_disjoint):
         try:
@@ -253,18 +299,18 @@ def _check_invariants(res: PassResult, ta, label: str) -> None:
 
 def zero_offload_pass(mode: str, seed: int, ctx: dict) -> PassResult:
     res = PassResult()
-    t0 = perf()
+    timer = LapTimer()
     cfg = sim_config(seed)
     cfg.mode = mode
     wl = cfg.workload
     wl.zero_tensors, wl.zero_tensor_bytes = ZERO_TENSORS, ZERO_TENSOR_BYTES
     wl.threads, wl.iterations = ZERO_THREADS, ZERO_ITERATIONS
     runner = tw.ZeroOffloadRunner(cfg, mode)
-    # laps end after the initial weight writes, after each NPU tensor stream,
-    # after each tensor's CPU optimizer step (which ends by charging its
-    # traffic to the engine) and after each iteration, where run() advances
-    # the engine clock (the hooks are LAP_HOOKS, looked up before the run)
-    timer = LapTimer()
+    # marks fall after the initial weight writes, after each NPU tensor
+    # stream, after each tensor's CPU optimizer step (which ends by charging
+    # its traffic to the engine) and after each iteration, where run()
+    # advances the engine clock (the hooks are LAP_HOOKS, looked up before
+    # the run)
     runner.setup_state = timer.after(runner.setup_state)
     runner.engine.advance = timer.after(runner.engine.advance)
     runner._reserve_cpu_phase = timer.after(runner._reserve_cpu_phase)
@@ -272,12 +318,11 @@ def zero_offload_pass(mode: str, seed: int, ctx: dict) -> PassResult:
         npu = runner.npu
         npu.load_tensor_stream = timer.after(npu.load_tensor_stream)
         npu.store_tensor_stream = timer.after(npu.store_tensor_stream)
+    timer.close()
     rep = runner.run()
-    timer.mark()
+    timer.close()
     n_lines = ZERO_TENSOR_BYTES // LINE_BYTES
-    res.setup_s = timer.marks[0] - t0
-    res.laps = timer.laps()
-    res.run_s = sum(res.laps)
+    _take_times(res, timer)
     res.work = ZERO_TENSORS * n_lines * ZERO_ITERATIONS
 
     weights = b"".join(w.tobytes() for w in rep.weights)
@@ -318,16 +363,15 @@ def zero_offload_pass(mode: str, seed: int, ctx: dict) -> PassResult:
 
 def fuzz_pass(mode: str, seed: int) -> PassResult:
     res = PassResult()
-    t0 = perf()
+    timer = LapTimer()
     cfg = sim_config(seed)
     records = tw.gen_fuzz_trace(FUZZ_OPS, FUZZ_LINES, seed, base=FUZZ_BASE)
     pairs = [(r.kind == "R", r.va) for r in records]
     mem, ta, read, write = _cpu_side(mode, cfg, FUZZ_LINES, FUZZ_BASE)
-    timer = LapTimer()
+    timer.close()
     got = replay(read, write, pairs, timer)
-    res.setup_s = timer.marks[0] - t0
-    res.laps = timer.laps()
-    res.run_s = sum(res.laps)
+    timer.close()
+    _take_times(res, timer)
     res.work = len(pairs)
     check_reads(res, pairs, got, f"fuzz {mode}")
     if ta is not None:
@@ -343,10 +387,10 @@ def campaign_pass(seed: int) -> PassResult:
     """The CLI's mixed tamper campaign: every trial must be detected."""
     res = PassResult()
     cfg = sim_config(seed)
-    t0 = perf()
+    timer = LapTimer()
     out = tcli.run_attack_campaign(cfg, "mixed", CAMPAIGN_TRIALS)
-    res.run_s = perf() - t0
-    res.laps = [res.run_s]
+    timer.close()
+    res.run_s, res.host_run_s = timer.laps()[0], timer.host[0]
     res.work = out["trials"]
     res.ops = out["trials"]
     res.failed = out["trials"] - out["detected"]
@@ -361,9 +405,13 @@ def campaign_pass(seed: int) -> PassResult:
 
 def import_pass() -> PassResult:
     """Time `import teesim.cli` in a fresh interpreter: the import share of
-    set-up, sampled across the run like the other set-up steps."""
+    set-up, sampled across the run like the other set-up steps. numpy is
+    imported first, untimed: it is a fixed third-party cost that no change
+    to teesim moves, and about 60% of the whole import. The time stays in
+    host seconds, because the import did not follow the probe
+    (perfbench/README.md)."""
     src = str(Path(tcli.__file__).resolve().parents[1])
-    code = ("import sys, time; sys.path.insert(0, sys.argv[1]); "
+    code = ("import sys, time; sys.path.insert(0, sys.argv[1]); import numpy; "
             "t = time.perf_counter(); import teesim.cli; "
             "print(time.perf_counter() - t)")
     out = subprocess.run([sys.executable, "-c", code, src], capture_output=True,
@@ -402,12 +450,9 @@ def make_stages(workload: str, seed: int) -> list[Stage]:
     for m in MODES:
         run = ((lambda m=m: zero_offload_pass(m, seed, ctx)) if workload == "zero-offload"
                else (lambda m=m: fuzz_pass(m, seed)))
-        if m == "nonsecure":  # a quarter share still repeats it dozens of times
-            stages.append(Stage(m, run, 0.25, CHEAP_SAMPLE_PASSES))
-        else:
-            stages.append(Stage(m, run, 1.0))
+        # a quarter share still repeats NonSecure dozens of times
+        stages.append(Stage(m, run, 0.25 if m == "nonsecure" else 1.0))
     campaign_weight = 0.5 if workload == "fuzz-attack" else 0.2
-    stages.append(Stage("campaign", lambda: campaign_pass(seed), campaign_weight,
-                        CHEAP_SAMPLE_PASSES))
-    stages.append(Stage("import", import_pass, 0.1))
+    stages.append(Stage("campaign", lambda: campaign_pass(seed), campaign_weight))
+    stages.append(Stage("import", import_pass, 0.2))
     return stages

@@ -166,20 +166,44 @@ def test_a_missing_lap_hook_stops_the_run_before_any_pass(monkeypatch, capsys):
     assert stages.make_stages("fuzz-attack", 1)
 
 
-def test_fastest_run_takes_lap_minima_over_a_fixed_number_of_passes():
-    laps = [[1.0, 5.0], [3.0, 2.0], [4.0, 4.0], [2.0, 1.0], [0.5, 9.0]]
-    runs = [stages.PassResult(laps=l) for l in laps]
-    # k or fewer passes: all of them
-    assert metrics.fastest_run_s(runs[:2], 3) == 1.0 + 2.0
-    assert metrics.fastest_run_s(runs[:3], 3) == 1.0 + 2.0
-    # more: k passes spread from the first to the last, here 1, 3 and 5,
-    # so the fast second lap of pass 4 is not sampled
-    assert metrics.fastest_run_s(runs, 3) == 0.5 + 4.0
-    assert metrics.fastest_run_s(runs, 5) == 0.5 + 1.0
+def test_lap_timer_scales_each_lap_by_the_probes_either_side(monkeypatch):
+    clock = iter([0.0,          # start
+                  0.01,         # a mark too soon after the start: no lap
+                  0.10, 0.10,   # a mark that closes a lap, then its probe
+                  0.11,         # the next lap starts after the probe
+                  0.31, 0.32])  # close()
+    probes = iter([1e-3, 2e-3, 1e-3])
+    monkeypatch.setattr(stages, "perf", lambda: next(clock))
+    monkeypatch.setattr(stages, "probe_s", lambda: next(probes))
     timer = stages.LapTimer()
+    timer.mark()
+    timer.mark()
+    timer.close()
+    assert timer.host == pytest.approx([0.10, 0.20])
+    ref = stages.PROBE_REF_S
+    assert timer.laps() == pytest.approx([0.10 * ref / 1.5e-3, 0.20 * ref / 1.5e-3])
+
+
+def test_replay_marks_every_lap_of_records():
+    class Counting(stages.LapTimer):
+        marks = 0
+
+        def mark(self):
+            self.marks += 1
+
+    timer = Counting()
     pairs = [(False, 0x40 * i) for i in range(1, 2 * stages.REPLAY_LAP_RECORDS + 2)]
     stages.replay(lambda va: (0, None), lambda va, d: None, pairs, timer)
-    assert len(timer.laps()) == 3
+    assert timer.marks == 3
+
+
+def test_rates_use_the_median_pass():
+    runs = [stages.PassResult(run_s=t, setup_s=t / 10, work=100)
+            for t in (1.0, 4.0, 2.0)]
+    stage_list = [stages.Stage("sgx_mgx", None, 1.0)]
+    out = metrics.end_to_end(stage_list, {("sgx_mgx", 0): runs})
+    assert out["lines_per_s.sgx_mgx"] == 100 / 2.0
+    assert out["setup_s"] == pytest.approx(0.2)
 
 
 def test_benchmark_json_lists_the_metrics_the_benchmark_prints():
