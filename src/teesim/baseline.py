@@ -160,9 +160,10 @@ class ProtectedMemory:
         self.macs: list[int] = [0] * n_lines
         n_vn_lines = -(-n_lines // VNS_PER_LINE)
         self.vn_lines: list[list[int]] = [[0] * VNS_PER_LINE for _ in range(n_vn_lines)]
-        self.tree = VnTree(n_vn_lines, key) if crypto_on else _LightTree(n_vn_lines)
-        self.tree.build(self.vn_lines)
         self.cache = MetadataCache(metadata_cache_bytes)
+        self.tree = (VnTree(n_vn_lines, key, on_flush=self._refresh_cached_nodes)
+                     if crypto_on else _LightTree(n_vn_lines))
+        self.tree.build(self.vn_lines)
         self.bindings: dict[int, CounterBinding] = {}
         # *_wr counters track state updates (what the op touched); *_wb track
         # the coalesced DRAM drain of dirty metadata; rebuild_bytes covers
@@ -201,6 +202,13 @@ class ProtectedMemory:
 
     def _tree_cache_lookup(self, level: int, j: int):
         return self.cache.peek(("tn", level, j))
+
+    def _refresh_cached_nodes(self, lines: dict) -> None:
+        """VnTree flush hook: each recomputed node-line replaces its verified
+        cached copy, if one is cached."""
+        update = self.cache.update_if_present
+        for (level, j), line in lines.items():
+            update(("tn", level, j), line)
 
     def resolve_vn(self, pa: int, t: dict) -> tuple[int, bool]:
         """Serve the line's VN from the metadata cache, else fetch the VN-line
@@ -325,8 +333,10 @@ class ProtectedMemory:
         written = self.tree.update_path(li, tuple(self.vn_lines[li]))
         t["tree_wr"] += LINE_BYTES * len(written)
         t["cycles"] += HASH_CYCLES * (len(written) + 1)
-        for key, line in written.items():
-            self._charge_drain(self.cache.put(("tn",) + key, line, dirty=True))
+        # a dirtied node-line is cached with empty contents; the tree's next
+        # flush, which precedes any walk that could read it, fills them in
+        for key in written:
+            self._charge_drain(self.cache.put(("tn",) + key, (), dirty=True))
         self._charge_drain(self.cache.put(("vn", li), True, dirty=True))
         if collect:
             return CostReport(

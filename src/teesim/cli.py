@@ -2,8 +2,9 @@
 campaigns, trace dumping, and figure-style CSV/JSON reporting.
 
 Exit codes: 0 ok, 2 config error, 3 integrity fault (unless --expect-fault),
-4 attestation failure. TENSORTEE_SEED in the environment overrides the
-configured seed.
+4 attestation failure, 5 NPU halt (fault threshold exceeded), 6 transfer
+protocol error, 7 internal simulator error. TENSORTEE_SEED in the environment
+overrides the configured seed.
 """
 
 from __future__ import annotations
@@ -20,9 +21,10 @@ from .config import (
     load_config_file,
 )
 from .crypto import IntegrityFault, KeyMaterial, LINE_BYTES
-from .nputee import NpuDevice, StreamReport, VerifyMode
+from .engine import SimError
+from .nputee import HaltError, NpuDevice, StreamReport, VerifyMode
 from .tenanalyzer import TenAnalyzer
-from .transfer import AttestationFailure, TransferReport
+from .transfer import AttestationFailure, ProtocolError, TransferReport
 from .workloads import (
     adam_layouts, adam_region_lines, gen_adam_trace, gen_fuzz_trace,
     gen_gemm_trace, gemm_region_lines, run_zero_offload, write_trace,
@@ -32,6 +34,9 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_INTEGRITY = 3
 EXIT_ATTESTATION = 4
+EXIT_HALT = 5
+EXIT_PROTOCOL = 6
+EXIT_SIM = 7
 
 COST_SAMPLE_LIMIT = 1000
 
@@ -538,6 +543,15 @@ def main(argv=None) -> int:
     except AttestationFailure as e:
         print(f"attestation failure: {e}", file=sys.stderr)
         return EXIT_ATTESTATION
+    except HaltError as e:
+        print(f"npu halt: {e}", file=sys.stderr)
+        return EXIT_HALT
+    except ProtocolError as e:
+        print(f"protocol error: {e}", file=sys.stderr)
+        return EXIT_PROTOCOL
+    except SimError as e:
+        print(f"simulator error: {e}", file=sys.stderr)
+        return EXIT_SIM
 
 
 if __name__ == "__main__":

@@ -15,19 +15,23 @@ XOR en/decryption is a single big-int op.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import struct
+from dataclasses import dataclass, field
 from enum import IntEnum
-from typing import Iterable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 LINE_BYTES = 64
 LINE_BITS = LINE_BYTES * 8
 MASK56 = (1 << 56) - 1
 MASK64 = (1 << 64) - 1
+_MASK512 = (1 << LINE_BITS) - 1
 TREE_ARITY = 8
 
 _GOLDEN = 0x9E3779B97F4A7C15
 _M1 = 0xBF58476D1CE4E5B9
 _M2 = 0x94D049BB133111EB
+_LANES = tuple(i * _GOLDEN & MASK64 for i in range(8))
+_WORDS8 = struct.Struct("<8Q")   # a 64 B line as eight little-endian words
 
 
 class BindingMode(IntEnum):
@@ -54,7 +58,7 @@ def mix64(x: int) -> int:
     return x ^ (x >> 31)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CounterBinding:
     """Address half of the encryption counter.
 
@@ -67,14 +71,18 @@ class CounterBinding:
     mode: BindingMode
     pa_or_tensor_id: int
     offset_bytes: int = 0
+    _code: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.mode == BindingMode.TENSOR_LOGICAL and self.offset_bytes % LINE_BYTES:
             raise ValueError("tensor-logical offset must be 64-byte aligned")
+        # injective 64-bit encoding used by keystream/mac folding; a binding
+        # is immutable, so it is computed once
+        object.__setattr__(self, "_code", mix64(
+            (self.pa_or_tensor_id ^ mix64(self.offset_bytes)) ^ (int(self.mode) << 62)))
 
     def code(self) -> int:
-        # injective 64-bit encoding used by keystream/mac folding
-        return mix64((self.pa_or_tensor_id ^ mix64(self.offset_bytes)) ^ (int(self.mode) << 62))
+        return self._code
 
 
 @dataclass(frozen=True)
@@ -109,16 +117,31 @@ class CipherBlock:
 
 
 def keystream(key: KeyMaterial, binding: CounterBinding, vn: int) -> int:
-    """64-byte pad as a 512-bit int, a pure function of (key, binding, vn)."""
-    k0 = key.enc_key >> 64
-    k1 = key.enc_key & MASK64
-    base = mix64(k0 ^ binding.code())
-    base = mix64(base ^ (vn & MASK56))
-    base = mix64(base ^ k1)
-    pad = 0
-    for i in range(8):
-        pad |= mix64(base ^ (i * _GOLDEN & MASK64)) << (64 * i)
-    return pad
+    """64-byte pad as a 512-bit int, a pure function of (key, binding, vn):
+    base = mix(mix(mix(k0 ^ code) ^ vn) ^ k1), and word i of the pad is
+    mix(base ^ i * golden).
+
+    Here and in the other per-line kernels below, the splitmix64 finalizer
+    (`mix64`) is written out inline, because a Python call per mix would
+    cost more than the mix itself."""
+    ek = key.enc_key
+    x = (ek >> 64) ^ binding._code
+    for v in (vn & MASK56, ek & MASK64):
+        x = (x + _GOLDEN) & MASK64
+        x = ((x ^ (x >> 30)) * _M1) & MASK64
+        x = ((x ^ (x >> 27)) * _M2) & MASK64
+        x ^= (x >> 31) ^ v
+    x = (x + _GOLDEN) & MASK64
+    x = ((x ^ (x >> 30)) * _M1) & MASK64
+    x = ((x ^ (x >> 27)) * _M2) & MASK64
+    base = x ^ (x >> 31)
+    words = []
+    for lane in _LANES:
+        x = ((base ^ lane) + _GOLDEN) & MASK64
+        x = ((x ^ (x >> 30)) * _M1) & MASK64
+        x = ((x ^ (x >> 27)) * _M2) & MASK64
+        words.append(x ^ (x >> 31))
+    return int.from_bytes(_WORDS8.pack(*words), "little")
 
 
 def encrypt_block(plain: bytes | int, binding: CounterBinding, vn: int,
@@ -137,17 +160,20 @@ def decrypt_block(block: CipherBlock, key: KeyMaterial,
 
 
 def mac_block(block: CipherBlock, key: KeyMaterial) -> int:
-    """56-bit tag over (ciphertext, binding, vn)."""
-    k0 = key.mac_key >> 64
-    k1 = key.mac_key & MASK64
-    acc = mix64(k0 ^ block.binding.code())
-    c = block.data
-    for _ in range(8):
-        acc = mix64(acc ^ (c & MASK64))
-        c >>= 64
-    acc = mix64(acc ^ (block.vn & MASK56))
-    acc = mix64(acc ^ k1)
-    return acc & MASK56
+    """56-bit tag over (ciphertext, binding, vn): acc = mix(k0 ^ code), then
+    acc = mix(acc ^ v) for v in the eight ciphertext words, the vn and k1."""
+    mk = key.mac_key
+    x = (mk >> 64) ^ block.binding._code
+    data = _WORDS8.unpack((block.data & _MASK512).to_bytes(LINE_BYTES, "little"))
+    for v in (*data, block.vn & MASK56, mk & MASK64):
+        x = (x + _GOLDEN) & MASK64
+        x = ((x ^ (x >> 30)) * _M1) & MASK64
+        x = ((x ^ (x >> 27)) * _M2) & MASK64
+        x ^= (x >> 31) ^ v
+    x = (x + _GOLDEN) & MASK64
+    x = ((x ^ (x >> 30)) * _M1) & MASK64
+    x = ((x ^ (x >> 27)) * _M2) & MASK64
+    return (x ^ (x >> 31)) & MASK56
 
 
 def mac_xor_aggregate(tags: Iterable[int]) -> int:
@@ -161,17 +187,29 @@ def mac_xor_aggregate(tags: Iterable[int]) -> int:
 
 
 def _leaf_hash(key: KeyMaterial, index: int, vns: Sequence[int]) -> int:
-    acc = mix64((key.mac_key & MASK64) ^ 0x6C656166 ^ index)
+    x = (key.mac_key & MASK64) ^ 0x6C656166 ^ index
     for v in vns:
-        acc = mix64(acc ^ (v & MASK56))
-    return acc
+        x = (x + _GOLDEN) & MASK64
+        x = ((x ^ (x >> 30)) * _M1) & MASK64
+        x = ((x ^ (x >> 27)) * _M2) & MASK64
+        x ^= (x >> 31) ^ (v & MASK56)
+    x = (x + _GOLDEN) & MASK64
+    x = ((x ^ (x >> 30)) * _M1) & MASK64
+    x = ((x ^ (x >> 27)) * _M2) & MASK64
+    return x ^ (x >> 31)
 
 
 def _node_hash(key: KeyMaterial, level: int, index: int, children: Sequence[int]) -> int:
-    acc = mix64((key.mac_key >> 64) ^ (level << 32) ^ index)
+    x = (key.mac_key >> 64) ^ (level << 32) ^ index
     for h in children:
-        acc = mix64(acc ^ h)
-    return acc
+        x = (x + _GOLDEN) & MASK64
+        x = ((x ^ (x >> 30)) * _M1) & MASK64
+        x = ((x ^ (x >> 27)) * _M2) & MASK64
+        x ^= (x >> 31) ^ h
+    x = (x + _GOLDEN) & MASK64
+    x = ((x ^ (x >> 30)) * _M1) & MASK64
+    x = ((x ^ (x >> 27)) * _M2) & MASK64
+    return x ^ (x >> 31)
 
 
 class VnTree:
@@ -182,9 +220,22 @@ class VnTree:
     on-chip. A verification walk fetches one 64 B node-line (8 sibling
     hashes) per stored level, or stops early at a node-line the caller has
     already verified and cached.
+
+    Rehashing is deferred to verification points, the observation behind
+    Bonsai Merkle Trees (Rogers et al., MICRO 2007): `update_path` only
+    records the leaf's new VN-line as pending and returns the node-lines the
+    write dirties, so per-write byte and cycle accounting is unchanged.
+    `flush()` rehashes the union of pending paths bottom-up, each node once,
+    and passes the recomputed node-lines to `on_flush` so that verified
+    cached copies can be refreshed. Invariant: nothing observes stored or
+    on-chip state while updates are pending, because every observer flushes
+    first: `verify_path`, `node_line`, and the `levels` and `root`
+    properties. So a reader, or an adversary tampering with `levels`, sees
+    exactly the tree that eager per-write rehashing would have left.
     """
 
-    def __init__(self, n_leaves: int, key: KeyMaterial):
+    def __init__(self, n_leaves: int, key: KeyMaterial,
+                 on_flush: Optional[Callable[[dict], None]] = None):
         if n_leaves < 1:
             raise ValueError("tree needs at least one leaf")
         self.key = key
@@ -193,17 +244,31 @@ class VnTree:
             depth += 1
         self.depth = depth
         self.n_leaves = TREE_ARITY ** depth
-        self.levels: list[list[int]] = []
-        self.root: int = 0
+        self.on_flush = on_flush
+        self._levels: list[list[int]] = []
+        self._root: int = 0
+        self._pending: dict[int, tuple[int, ...]] = {}   # leaf -> VN-line
+
+    @property
+    def levels(self) -> list[list[int]]:
+        self.flush()
+        return self._levels
+
+    @property
+    def root(self) -> int:
+        self.flush()
+        return self._root
 
     def build(self, leaf_lines: Sequence[Sequence[int]]) -> int:
-        """Hash every level from the given VN-lines; returns (and stores) the
-        on-chip root. Missing leaves hash as all-zero lines."""
+        """Hash every level from the given VN-lines, dropping any pending
+        updates; returns (and stores) the on-chip root. Missing leaves hash
+        as all-zero lines."""
+        self._pending.clear()
         hashes = []
         for i in range(self.n_leaves):
             vns = leaf_lines[i] if i < len(leaf_lines) else (0,) * TREE_ARITY
             hashes.append(_leaf_hash(self.key, i, vns))
-        self.levels = [hashes]
+        self._levels = [hashes]
         level = 0
         while len(hashes) > TREE_ARITY:
             level += 1
@@ -211,14 +276,15 @@ class VnTree:
             for j in range(0, len(hashes), TREE_ARITY):
                 parents.append(_node_hash(self.key, level, j // TREE_ARITY,
                                           hashes[j:j + TREE_ARITY]))
-            self.levels.append(parents)
+            self._levels.append(parents)
             hashes = parents
-        self.root = _node_hash(self.key, self.depth, 0, hashes)
-        return self.root
+        self._root = _node_hash(self.key, self.depth, 0, hashes)
+        return self._root
 
     def node_line(self, level: int, line_idx: int) -> tuple[int, ...]:
+        self.flush()
         lo = line_idx * TREE_ARITY
-        return tuple(self.levels[level][lo:lo + TREE_ARITY])
+        return tuple(self._levels[level][lo:lo + TREE_ARITY])
 
     def verify_path(self, leaf_index: int, leaf_vns: Sequence[int],
                     cache_lookup=None) -> list[tuple[int, int]]:
@@ -226,6 +292,7 @@ class VnTree:
         cached verified node-line. Returns the (level, line) node-lines that
         had to be fetched from off-chip storage; raises IntegrityFault on any
         mismatch (replayed or tampered VN state)."""
+        self.flush()
         h = _leaf_hash(self.key, leaf_index, leaf_vns)
         idx = leaf_index
         fetched: list[tuple[int, int]] = []
@@ -238,28 +305,54 @@ class VnTree:
                                          f"leaf {leaf_index} vs cached node L{level}/{j}")
                 return fetched
             fetched.append((level, j))
-            stored = list(self.node_line(level, j))
+            lo = j * TREE_ARITY
+            stored = self._levels[level][lo:lo + TREE_ARITY]
             stored[slot] = h
             h = _node_hash(self.key, level + 1, j, stored)
             idx = j
-        if h != self.root:
+        if h != self._root:
             raise IntegrityFault("replay_or_tamper", f"leaf {leaf_index} vs root")
         return fetched
 
     def update_path(self, leaf_index: int, leaf_vns: Sequence[int]
-                    ) -> dict[tuple[int, int], tuple[int, ...]]:
-        """Recompute the path after a VN-line change; rewrites `depth`
-        node-lines plus the on-chip root. Returns the new node-line contents
-        so callers can refresh verified cached copies."""
-        h = _leaf_hash(self.key, leaf_index, leaf_vns)
+                    ) -> list[tuple[int, int]]:
+        """Record a VN-line change. Returns the (level, line) keys of the
+        `depth` node-lines the write dirties, leaf level first; their new
+        contents and the new root are computed at the next flush."""
+        self._pending[leaf_index] = tuple(leaf_vns)
+        written = []
         idx = leaf_index
-        written: dict[tuple[int, int], tuple[int, ...]] = {}
         for level in range(self.depth):
-            j, slot = divmod(idx, TREE_ARITY)
-            self.levels[level][idx] = h
-            line = self.node_line(level, j)
-            written[(level, j)] = line
-            h = _node_hash(self.key, level + 1, j, line)
-            idx = j
-        self.root = h
+            idx //= TREE_ARITY
+            written.append((level, idx))
         return written
+
+    def flush(self) -> None:
+        """Rehash the pending paths bottom-up, each node once, and report the
+        recomputed node-lines to `on_flush` as {(level, line): contents}."""
+        pending = self._pending
+        if not pending:
+            return
+        key = self.key
+        levels = self._levels
+        leaves = levels[0]
+        for i, vns in pending.items():
+            leaves[i] = _leaf_hash(key, i, vns)
+        touched = set(pending)
+        pending.clear()
+        recomputed: dict[tuple[int, int], tuple[int, ...]] = {}
+        for level in range(self.depth):
+            cur = levels[level]
+            above = levels[level + 1] if level + 1 < self.depth else None
+            touched = {i // TREE_ARITY for i in touched}
+            for j in touched:
+                lo = j * TREE_ARITY
+                line = tuple(cur[lo:lo + TREE_ARITY])
+                recomputed[(level, j)] = line
+                h = _node_hash(key, level + 1, j, line)
+                if above is None:
+                    self._root = h
+                else:
+                    above[j] = h
+        if self.on_flush is not None:
+            self.on_flush(recomputed)

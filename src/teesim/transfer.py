@@ -420,9 +420,10 @@ def _install_on_cpu(msg: MetadataMessage, lines, analyzer: TenAnalyzer,
                                 else pipeline_from)
     verify_done = max(at, mac_end)
     if mem.crypto_on:
+        tags = [mac_block(blk, key) for blk in lines]
         acc = 0
-        for blk in lines:
-            acc ^= mac_block(blk, key)
+        for tag in tags:
+            acc ^= tag
         if acc != msg.mac:
             rep.faults += 1
             raise IntegrityFault("tensor_mac",
@@ -434,13 +435,13 @@ def _install_on_cpu(msg: MetadataMessage, lines, analyzer: TenAnalyzer,
         idx = mem.line_index(pa)
         mem.blocks[idx] = blk
         mem.bindings[idx] = blk.binding
-        mem.macs[idx] = mac_block(blk, key) if mem.crypto_on else \
+        mem.macs[idx] = tags[i] if mem.crypto_on else \
             mix64(blk.binding.code() ^ msg.vn) & MASK56
         li, slot = divmod(idx, 8)
         mem.vn_lines[li][slot] = msg.vn
+        # cached copies of the dirtied node-lines are refreshed when the
+        # tree flushes
         written = mem.tree.update_path(li, tuple(mem.vn_lines[li]))
-        for k, line in written.items():
-            mem.cache.update_if_present(("tn",) + k, line)
         mem.totals["data_wr"] += LINE_BYTES
         mem.totals["vn_wr"] += LINE_BYTES
         mem.totals["mac_wr"] += LINE_BYTES

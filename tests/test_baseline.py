@@ -126,6 +126,22 @@ def test_streaming_scan_amortized_metadata_traffic():
     assert extra_lines < 0.15
 
 
+def test_cached_node_lines_match_tree_after_deferred_rehash():
+    # two write sweeps (the second hits every VN-line in the metadata cache,
+    # so nothing verifies and the tree's rehashing stays pending), then a
+    # cold read whose walk flushes: every cached node-line copy is current
+    mem = make_mem(4096)
+    for _ in range(2):
+        for i in range(256):
+            mem.write_line(BASE + i * LINE_BYTES, bytes([i % 251]) * LINE_BYTES)
+    assert mem.tree._pending
+    mem.read_line(BASE + 4000 * LINE_BYTES)
+    cached = [(k, v) for k, v in mem.cache._d.items() if k[0] == "tn"]
+    assert len(cached) > mem.tree.depth
+    for (_, level, j), (line, _) in cached:
+        assert line == mem.tree.node_line(level, j)
+
+
 def test_cold_metadata_ratio_at_least_two_lines():
     mem = make_mem(4096)
     _, rep = mem.read_line(BASE + 2048 * LINE_BYTES, collect=True)

@@ -3,7 +3,13 @@ campaigns, reporting."""
 
 import json
 
+import pytest
+
+from teesim import cli
 from teesim.cli import main
+from teesim.engine import SimError
+from teesim.nputee import HaltError
+from teesim.transfer import ProtocolError
 
 SMALL_ADAM = {
     "mode": "tensortee",
@@ -110,6 +116,21 @@ def test_report_empty_dir_exits_2(tmp_path):
     empty = tmp_path / "empty"
     empty.mkdir()
     assert main(["report", str(empty)]) == 2
+
+
+@pytest.mark.parametrize("exc,code,label", [
+    (HaltError("verification failures exceeded threshold"), 5, "npu halt"),
+    (ProtocolError("tensor is mid-update"), 6, "protocol error"),
+    (SimError("resource link: capacity must be positive"), 7, "simulator error"),
+])
+def test_run_error_exit_codes(tmp_path, capsys, monkeypatch, exc, code, label):
+    def failing_runner(cfg):
+        raise exc
+
+    monkeypatch.setitem(cli.RUNNERS, "adam", failing_runner)
+    cfg = write_cfg(tmp_path, SMALL_ADAM)
+    assert main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == code
+    assert label in capsys.readouterr().err
 
 
 def test_trace_dump_stdout_and_file(tmp_path, capsys):

@@ -1,6 +1,7 @@
 """Crypto-model unit and property tests: keystream determinism and golden
 vectors, XOR round-trips, MAC bit-flip detection, tag aggregation algebra,
-and the VN tree replay harness."""
+the VN tree replay harness, and the fused kernels and deferred-rehash tree
+against call-per-mix and eager reference implementations."""
 
 import json
 import random
@@ -11,9 +12,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from teesim.crypto import (
-    LINE_BYTES, MASK56, BindingMode, CipherBlock, CounterBinding,
-    IntegrityFault, KeyMaterial, VnTree, decrypt_block, encrypt_block,
-    keystream, mac_block, mac_xor_aggregate,
+    LINE_BYTES, MASK56, MASK64, TREE_ARITY, BindingMode, CipherBlock,
+    CounterBinding, IntegrityFault, KeyMaterial, VnTree, _leaf_hash, _node_hash,
+    decrypt_block, encrypt_block, keystream, mac_block, mac_xor_aggregate,
+    mix64,
 )
 
 KEY = KeyMaterial.from_seed(0x5EED)
@@ -176,3 +178,226 @@ def test_tree_update_writes_depth_node_lines():
     lines[300][1] = 5
     written = tree.update_path(300, lines[300])
     assert len(written) == tree.depth
+
+
+# -- reference implementations --------------------------------------------------
+# The production kernels inline the splitmix64 finalizer and the tree defers
+# its rehashing; these are the call-per-mix kernels and the eager per-write
+# tree they must stay bit-identical to.
+
+_GOLDEN_RATIO = 0x9E3779B97F4A7C15
+
+
+def _ref_code(b: CounterBinding) -> int:
+    return mix64((b.pa_or_tensor_id ^ mix64(b.offset_bytes)) ^ (int(b.mode) << 62))
+
+
+def _ref_keystream(key, binding, vn):
+    base = mix64((key.enc_key >> 64) ^ _ref_code(binding))
+    base = mix64(base ^ (vn & MASK56))
+    base = mix64(base ^ (key.enc_key & MASK64))
+    pad = 0
+    for i in range(8):
+        pad |= mix64(base ^ (i * _GOLDEN_RATIO & MASK64)) << (64 * i)
+    return pad
+
+
+def _ref_mac(block, key):
+    acc = mix64((key.mac_key >> 64) ^ _ref_code(block.binding))
+    c = block.data
+    for _ in range(8):
+        acc = mix64(acc ^ (c & MASK64))
+        c >>= 64
+    acc = mix64(acc ^ (block.vn & MASK56))
+    acc = mix64(acc ^ (key.mac_key & MASK64))
+    return acc & MASK56
+
+
+def _ref_leaf_hash(key, index, vns):
+    acc = mix64((key.mac_key & MASK64) ^ 0x6C656166 ^ index)
+    for v in vns:
+        acc = mix64(acc ^ (v & MASK56))
+    return acc
+
+
+def _ref_node_hash(key, level, index, children):
+    acc = mix64((key.mac_key >> 64) ^ (level << 32) ^ index)
+    for h in children:
+        acc = mix64(acc ^ h)
+    return acc
+
+
+class EagerVnTree:
+    """The tree as it was before deferred rehashing: every update_path
+    rewrites its leaf, its `depth` node-lines and the root at once."""
+
+    def __init__(self, n_leaves, key):
+        self.key = key
+        self.depth = 1
+        while TREE_ARITY ** self.depth < n_leaves:
+            self.depth += 1
+        self.n_leaves = TREE_ARITY ** self.depth
+        self.levels, self.root = [], 0
+
+    def build(self, leaf_lines):
+        hashes = [_ref_leaf_hash(self.key, i, leaf_lines[i] if i < len(leaf_lines)
+                                 else (0,) * TREE_ARITY)
+                  for i in range(self.n_leaves)]
+        self.levels = [hashes]
+        level = 0
+        while len(hashes) > TREE_ARITY:
+            level += 1
+            hashes = [_ref_node_hash(self.key, level, j // TREE_ARITY,
+                                     hashes[j:j + TREE_ARITY])
+                      for j in range(0, len(hashes), TREE_ARITY)]
+            self.levels.append(hashes)
+        self.root = _ref_node_hash(self.key, self.depth, 0, hashes)
+        return self.root
+
+    def node_line(self, level, j):
+        return tuple(self.levels[level][j * TREE_ARITY:(j + 1) * TREE_ARITY])
+
+    def verify_path(self, leaf_index, leaf_vns, cache_lookup=None):
+        h = _ref_leaf_hash(self.key, leaf_index, leaf_vns)
+        idx = leaf_index
+        fetched = []
+        for level in range(self.depth):
+            j, slot = divmod(idx, TREE_ARITY)
+            cached = cache_lookup(level, j) if cache_lookup is not None else None
+            if cached is not None:
+                if cached[slot] != h:
+                    raise IntegrityFault("replay_or_tamper",
+                                         f"leaf {leaf_index} vs cached node L{level}/{j}")
+                return fetched
+            fetched.append((level, j))
+            stored = list(self.node_line(level, j))
+            stored[slot] = h
+            h = _ref_node_hash(self.key, level + 1, j, stored)
+            idx = j
+        if h != self.root:
+            raise IntegrityFault("replay_or_tamper", f"leaf {leaf_index} vs root")
+        return fetched
+
+    def update_path(self, leaf_index, leaf_vns):
+        h = _ref_leaf_hash(self.key, leaf_index, leaf_vns)
+        idx = leaf_index
+        written = {}
+        for level in range(self.depth):
+            j = idx // TREE_ARITY
+            self.levels[level][idx] = h
+            written[(level, j)] = self.node_line(level, j)
+            h = _ref_node_hash(self.key, level + 1, j, written[(level, j)])
+            idx = j
+        self.root = h
+        return written
+
+
+_BINDINGS = st.builds(
+    CounterBinding, st.sampled_from(list(BindingMode)),
+    st.integers(min_value=0, max_value=(1 << 64) - 1),
+    st.integers(min_value=0, max_value=1 << 40).map(lambda n: n * LINE_BYTES))
+
+
+@given(_BINDINGS, st.integers(min_value=0, max_value=(1 << 600) - 1),
+       st.integers(min_value=0, max_value=(1 << 64) - 1),
+       st.integers(min_value=0, max_value=(1 << 64) - 1))
+@settings(max_examples=200)
+def test_fused_kernels_match_reference(binding, data, vn, seed):
+    key = KeyMaterial.from_seed(seed)
+    assert binding.code() == _ref_code(binding)
+    assert keystream(key, binding, vn) == _ref_keystream(key, binding, vn)
+    blk = CipherBlock(data, binding, vn)
+    assert mac_block(blk, key) == _ref_mac(blk, key)
+    vns = [(data >> (64 * i)) & MASK64 for i in range(8)]
+    assert _leaf_hash(key, seed & 0xFFFF, vns) == _ref_leaf_hash(key, seed & 0xFFFF, vns)
+    assert _node_hash(key, 2, vn & 0xFF, vns) == _ref_node_hash(key, 2, vn & 0xFF, vns)
+
+
+def test_counter_binding_code_not_compared():
+    a = CounterBinding(BindingMode.TENSOR_LOGICAL, 7, 128)
+    assert a == CounterBinding(BindingMode.TENSOR_LOGICAL, 7, 128)
+    assert hash(a) == hash(CounterBinding(BindingMode.TENSOR_LOGICAL, 7, 128))
+    assert "_code" not in repr(a)
+    assert not hasattr(a, "__dict__")
+
+
+_N_TREE_LEAVES = 70          # depth 3 (512 leaf slots); ops touch 0..79
+_TREE_OPS = st.lists(st.one_of(
+    st.tuples(st.just("update"), st.integers(0, 79), st.integers(0, 7),
+              st.integers(0, MASK56)),
+    st.tuples(st.just("verify"), st.integers(0, 79), st.booleans(),
+              st.sampled_from([0, 0, 0, 1])),
+    st.tuples(st.just("node_line"), st.integers(0, 2), st.integers(0, 63)),
+    st.tuples(st.just("root"),),
+    st.tuples(st.just("tamper"), st.integers(0, 2), st.integers(0, 79),
+              st.integers(0, 63)),
+), max_size=60)
+
+
+@given(_TREE_OPS)
+@settings(max_examples=150, deadline=None)
+def test_lazy_tree_matches_eager_reference(ops):
+    lines = [[0] * TREE_ARITY for _ in range(80)]
+    # verified node-line copies, as ProtectedMemory's metadata cache keeps
+    # them: the eager tree refreshes a copy from update_path's result, the
+    # lazy one from its flush hook
+    lazy_cache, eager_cache = {}, {}
+
+    def refresh(recomputed):
+        for k, line in recomputed.items():
+            if k in lazy_cache:
+                lazy_cache[k] = line
+
+    lazy = VnTree(_N_TREE_LEAVES, KEY, on_flush=refresh)
+    eager = EagerVnTree(_N_TREE_LEAVES, KEY)
+    assert lazy.build(lines) == eager.build(lines)
+    for op in ops:
+        if op[0] == "update":
+            _, leaf, slot, vn = op
+            lines[leaf][slot] = vn
+            written = lazy.update_path(leaf, lines[leaf])
+            eager_written = eager.update_path(leaf, lines[leaf])
+            assert written == list(eager_written)
+            for k in written:
+                lazy_cache[k] = ()
+            eager_cache.update(eager_written)
+        elif op[0] == "verify":
+            _, leaf, use_cache, delta = op
+            vns = list(lines[leaf])
+            vns[0] = (vns[0] + delta) & MASK56
+            outcomes = []
+            for tree, cache in ((lazy, lazy_cache), (eager, eager_cache)):
+                lookup = (lambda lvl, j, c=cache: c.get((lvl, j))) if use_cache else None
+                try:
+                    fetched = tree.verify_path(leaf, vns, lookup)
+                except IntegrityFault as e:
+                    outcomes.append(("fault", str(e)))
+                    continue
+                outcomes.append(("ok", fetched))
+                for k in fetched:
+                    cache[k] = tree.node_line(*k)
+            assert outcomes[0] == outcomes[1]
+            assert lazy_cache == eager_cache
+        elif op[0] == "node_line":
+            _, level, j = op
+            j %= len(eager.levels[level]) // TREE_ARITY
+            assert lazy.node_line(level, j) == eager.node_line(level, j)
+        elif op[0] == "root":
+            assert lazy.root == eager.root
+        else:
+            _, level, idx, bit = op
+            idx %= len(eager.levels[level])
+            lazy.levels[level][idx] ^= 1 << bit
+            eager.levels[level][idx] ^= 1 << bit
+    assert lazy.levels == eager.levels
+    assert lazy.root == eager.root
+
+
+def test_update_path_defers_hashing_until_observed():
+    tree, lines = _fresh_tree()
+    root0, leaf0 = tree.root, tree.levels[0][300]
+    lines[300][1] = 5
+    tree.update_path(300, lines[300])
+    assert tree._root == root0 and tree._levels[0][300] == leaf0
+    assert tree.root != root0
+    assert tree.levels[0][300] == _ref_leaf_hash(KEY, 300, lines[300])
