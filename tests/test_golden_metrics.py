@@ -10,13 +10,19 @@ says why:
 
 import hashlib
 import json
+import random
 import sys
 from pathlib import Path
 
 from teesim.baseline import ProtectedMemory
-from teesim.config import SimConfig
-from teesim.crypto import KeyMaterial
+from teesim.cli import run_npu_stream
+from teesim.config import SimConfig, build_engine
+from teesim.crypto import LINE_BYTES, KeyMaterial
+from teesim.nputee import NpuDevice, VerifyMode
 from teesim.tenanalyzer import TenAnalyzer
+from teesim.transfer import (
+    Enclave, attest_and_exchange, baseline_transfer, direct_transfer,
+)
 from teesim.workloads import ZeroOffloadRunner, gen_fuzz_trace
 
 GOLDEN_DIR = Path(__file__).parent / "data" / "golden_metrics"
@@ -25,8 +31,14 @@ FUZZ_OPS = 2000
 FUZZ_LINES = 1024
 FUZZ_BASE = 0x3000_0000
 
+NPU_LINES = 96
+XFER_LINES = 80
+CPU_BASE = 0x1000_0000
+
 RUNS = [("zero_offload", "nonsecure"), ("zero_offload", "sgx_mgx"),
-        ("zero_offload", "tensortee"), ("fuzz", "sgx_mgx"), ("fuzz", "tensortee")]
+        ("zero_offload", "tensortee"), ("fuzz", "sgx_mgx"), ("fuzz", "tensortee"),
+        ("npu_stream", "512"), ("npu_stream", "4096"),
+        ("transfer", "relay"), ("transfer", "direct")]
 
 
 def _config(mode: str) -> SimConfig:
@@ -49,6 +61,16 @@ def _sha256(chunks) -> str:
     return h.hexdigest()
 
 
+def _lines(n: int, seed: int) -> list:
+    rng = random.Random(seed)
+    return [rng.randbytes(LINE_BYTES) for _ in range(n)]
+
+
+def _resources(engine) -> dict:
+    return {name: [r.busy_ticks, r.wait_ticks]
+            for name, r in sorted(engine.resources.items())}
+
+
 def zero_offload_snapshot(mode: str) -> dict:
     runner = ZeroOffloadRunner(_config(mode), mode)
     rep = runner.run()
@@ -57,8 +79,7 @@ def zero_offload_snapshot(mode: str) -> dict:
         "phases": rep.phases,
         "cpu_totals": rep.cpu_totals,
         "analyzer_stats": rep.analyzer_stats,
-        "resources": {name: [r.busy_ticks, r.wait_ticks]
-                      for name, r in sorted(runner.engine.resources.items())},
+        "resources": _resources(runner.engine),
         "transfer_rows": [t.csv_row() for t in rep.transfers],
         "npu_rows": rep.npu_rows,
         "weights_sha256": _sha256(w.tobytes() for w in rep.weights),
@@ -89,9 +110,98 @@ def fuzz_snapshot(mode: str) -> dict:
     }
 
 
+def _ciphertext_sha256(dev: NpuDevice, rec) -> str:
+    return _sha256(dev.gddr[rec.base + i * LINE_BYTES].to_bytes()
+                   for i in range(rec.n_lines))
+
+
+def npu_stream_snapshot(granularity: str) -> dict:
+    """The CLI's npu_stream workload at one blocking granularity, then a
+    functional store of random lines, loaded blocking and delayed."""
+    cfg = _config("tensortee")
+    cfg.npu.mac_granularity = int(granularity)
+    ticks = run_npu_stream(cfg)
+    dev = NpuDevice(KeyMaterial.from_seed(SEED), build_engine(cfg))
+    rec = dev.register_tensor(7, 0x4000_0000, NPU_LINES)
+    order = list(range(NPU_LINES))
+    random.Random(SEED).shuffle(order)
+    dev.store_tensor_stream(rec, _lines(NPU_LINES, 1), order=order)
+    dev.seal_block_macs(rec, int(granularity))
+    blocking, _ = dev.load_tensor_stream(rec, VerifyMode("blocking", int(granularity)))
+    delayed, _ = dev.load_tensor_stream(rec, VerifyMode("delayed"))
+    return {
+        "npu_stream": ticks,
+        "stored_mac": rec.stored_mac,
+        "ciphertext_sha256": _ciphertext_sha256(dev, rec),
+        "plaintext_sha256": _sha256(blocking + delayed),
+        "npu_rows": [r.csv_row() for r in dev.reports],
+        "resources": _resources(dev.engine),
+    }
+
+
+def transfer_snapshot(protocol: str) -> dict:
+    """A CPU tensor to the NPU and an NPU tensor back, by the relay (separate
+    enclave keys, as SGX+MGX) or the direct protocol (the shared key, with the
+    Meta Table), then every moved line read back on the receiving side."""
+    cpu_enc = Enclave.create(1, SEED ^ 0xC0DE, b"cpu", b"cpu-data")
+    npu_enc = Enclave.create(2, SEED ^ 0x417, b"npu", b"npu-data")
+    session = attest_and_exchange(cpu_enc, npu_enc, {1: cpu_enc.report(),
+                                                     2: npu_enc.report()})
+    eng = build_engine(_config("tensortee"))
+    n = XFER_LINES
+    cpu_key, npu_key = ((cpu_enc.key, npu_enc.key) if protocol == "relay"
+                        else (session.shared_key, session.shared_key))
+    mem = ProtectedMemory(CPU_BASE, 4 * n, cpu_key, metadata_cache_bytes=2048)
+    dev = NpuDevice(npu_key, eng)
+    back_base = CPU_BASE + 2 * n * LINE_BYTES
+    grad = dev.register_tensor(9, 0x5000_0000, n)
+    dev.store_tensor_stream(grad, _lines(n, 3))
+    if protocol == "relay":
+        ta = None
+        for i, line in enumerate(_lines(n, 2)):
+            mem.write_line(CPU_BASE + i * LINE_BYTES, line)
+        reps = [baseline_transfer(session, eng, tensor_id=5, direction="cpu_to_npu",
+                                  cpu_mem=mem, npu=dev, cpu_base=CPU_BASE,
+                                  n_lines=n),
+                baseline_transfer(session, eng, tensor_id=9, direction="npu_to_cpu",
+                                  cpu_mem=mem, npu=dev, cpu_base=back_base,
+                                  n_lines=n)]
+        read = mem.read_line
+    else:
+        ta = TenAnalyzer(mem)
+        ta.install_hint(CPU_BASE, n, tensor_id=5)
+        for i, line in enumerate(_lines(n, 2)):
+            ta.on_write(CPU_BASE + i * LINE_BYTES, line)
+        reps = [direct_transfer(session, eng, tensor_id=5, direction="cpu_to_npu",
+                                analyzer=ta, npu=dev, cpu_base=CPU_BASE)]
+        dev.load_tensor_stream(grad, VerifyMode("delayed"))
+        eng.advance(grad.verify_done_tick)
+        reps.append(direct_transfer(session, eng, tensor_id=9,
+                                    direction="npu_to_cpu", analyzer=ta, npu=dev,
+                                    cpu_base=back_base))
+        read = ta.on_read
+    sent = dev.records[5]
+    on_npu, _ = dev.load_tensor_stream(sent, VerifyMode("delayed"))
+    on_cpu = [read(back_base + i * LINE_BYTES)[0] for i in range(n)]
+    return {
+        "transfer_rows": [r.csv_row() for r in reps],
+        "ticks": [[r.start_tick, r.done_tick] for r in reps],
+        "cpu_totals": dict(mem.totals),
+        "analyzer_stats": dict(ta.stats) if ta else None,
+        "npu_rows": [r.csv_row() for r in dev.reports],
+        "sent": [sent.vn, sent.stored_mac],
+        "ciphertext_sha256": _ciphertext_sha256(dev, sent),
+        "plaintext_sha256": _sha256(on_npu + on_cpu),
+        "resources": _resources(eng),
+    }
+
+
+SNAPSHOTS = {"zero_offload": zero_offload_snapshot, "fuzz": fuzz_snapshot,
+             "npu_stream": npu_stream_snapshot, "transfer": transfer_snapshot}
+
+
 def snapshot(workload: str, mode: str) -> dict:
-    fn = zero_offload_snapshot if workload == "zero_offload" else fuzz_snapshot
-    return fn(mode)
+    return SNAPSHOTS[workload](mode)
 
 
 def test_golden_metrics_unchanged():
