@@ -9,6 +9,10 @@ baseline is meant to expose.
 
 The byte/cycle books are kept in `totals`; passing collect=True to an
 operation additionally returns an itemized CostReport row.
+
+With functional crypto, a write's encryption and MAC are deferred until the
+line is next observed, so that a run of writes is sealed in one batch (see
+`ProtectedMemory`).
 """
 
 from __future__ import annotations
@@ -20,12 +24,16 @@ from typing import Optional
 from .crypto import (
     LINE_BYTES, MASK56, BindingMode, CipherBlock, CounterBinding, IntegrityFault,
     KeyMaterial, VnTree, decrypt_block, encrypt_block, mac_block, mix64,
+    seal_lines,
 )
 
 VNS_PER_LINE = 8
 AES_CYCLES = 40
 MAC_CYCLES = 40
 HASH_CYCLES = 40
+# below this many pending lines, seal() runs the scalar kernels: numpy's
+# fixed cost per batch exceeds the per-line saving on short write bursts
+SEAL_BATCH_MIN = 16
 
 COST_FIELDS = ("op", "pa", "data_bytes", "vn_bytes", "mac_bytes", "tree_bytes", "cycles")
 
@@ -146,7 +154,18 @@ def _stub_mac(code: int, vn: int) -> int:
 
 
 class ProtectedMemory:
-    """One enclave's protected DRAM region at cacheline granularity."""
+    """One enclave's protected DRAM region at cacheline granularity.
+
+    Deferred sealing (functional crypto only): `write_line` does its per-line
+    accounting, VN update and tree update at once, but only records the
+    plaintext, binding and VN as unsealed. `seal()` encrypts and MACs every
+    pending line in one batch. Invariant: no reader and no adversary ever
+    sees an unsealed line, because every observer of ciphertext or MACs
+    seals first: the `blocks` and `macs` properties, `read_line`,
+    `line_mac`, `snapshot_triple`, `inject_attack` and `plaintext_view`. So
+    each sees exactly the state that sealing at every write would have left,
+    and reads still decrypt and verify each line before returning it.
+    """
 
     def __init__(self, base_pa: int, n_lines: int, key: KeyMaterial, *,
                  metadata_cache_bytes: int = 32 * 1024, crypto_on: bool = True):
@@ -156,8 +175,10 @@ class ProtectedMemory:
         self.n_lines = n_lines
         self.key = key
         self.crypto_on = crypto_on
-        self.blocks: list[Optional[CipherBlock]] = [None] * n_lines
-        self.macs: list[int] = [0] * n_lines
+        self._blocks: list[Optional[CipherBlock]] = [None] * n_lines
+        self._macs: list[int] = [0] * n_lines
+        # idx -> (plaintext, binding, vn) written but not yet sealed
+        self._unsealed: dict[int, tuple[bytes, CounterBinding, int]] = {}
         n_vn_lines = -(-n_lines // VNS_PER_LINE)
         self.vn_lines: list[list[int]] = [[0] * VNS_PER_LINE for _ in range(n_vn_lines)]
         self.cache = MetadataCache(metadata_cache_bytes)
@@ -174,6 +195,50 @@ class ProtectedMemory:
             "tree_rd": 0, "tree_wr": 0, "cycles": 0,
             "vn_wb": 0, "tree_wb": 0, "mac_wb": 0, "rebuild_bytes": 0,
         }
+
+    # -- sealing ------------------------------------------------------------
+
+    @property
+    def blocks(self) -> list[Optional[CipherBlock]]:
+        self.seal()
+        return self._blocks
+
+    @property
+    def macs(self) -> list[int]:
+        self.seal()
+        return self._macs
+
+    def seal(self) -> None:
+        """Encrypt and MAC every line written since the last seal."""
+        pending = self._unsealed
+        if not pending:
+            return
+        key = self.key
+        if len(pending) < SEAL_BATCH_MIN:
+            sealed = []
+            for plain, binding, vn in pending.values():
+                nb = encrypt_block(plain, binding, vn, key)
+                sealed.append((nb.data, mac_block(nb, key)))
+        else:
+            plains, bindings, vns = zip(*pending.values())
+            sealed = zip(*seal_lines(key, plains, bindings, vns))
+        blocks, macs = self._blocks, self._macs
+        for (idx, (_, binding, vn)), (data, tag) in zip(pending.items(), sealed):
+            blk = blocks[idx]
+            if blk is None:
+                blocks[idx] = CipherBlock(data, binding, vn)
+            else:
+                blk.data, blk.binding, blk.vn = data, binding, vn
+            macs[idx] = tag
+        pending.clear()
+
+    def install_sealed(self, idx: int, blk: CipherBlock, mac: int) -> None:
+        """Store a line sealed elsewhere verbatim; a pending seal of the line
+        is dropped, since the write it recorded is overwritten."""
+        self._unsealed.pop(idx, None)
+        self._blocks[idx] = blk
+        self._macs[idx] = mac
+        self.bindings[idx] = blk.binding
 
     # -- addressing --------------------------------------------------------
 
@@ -253,6 +318,7 @@ class ProtectedMemory:
     def read_line(self, pa: int, collect: bool = False):
         """Fetch + decrypt one line, verifying MAC and (when the VN came from
         off-chip) the VN tree. Returns (plaintext, CostReport|None)."""
+        self.seal()
         t = self.totals
         t["reads"] += 1
         t0 = (t["data_rd"], t["vn_rd"], t["mac_rd"], t["tree_rd"], t["cycles"]) \
@@ -260,7 +326,7 @@ class ProtectedMemory:
         idx = self.line_index(pa)
         t["data_rd"] += LINE_BYTES
         vn, cold = self.resolve_vn(pa, t)
-        blk = self.blocks[idx]
+        blk = self._blocks[idx]
         if blk is None:
             blk = self._zero_block(idx, pa, vn)
         t["cycles"] += AES_CYCLES
@@ -268,7 +334,7 @@ class ProtectedMemory:
         t["cycles"] += MAC_CYCLES
         if self.crypto_on:
             plain = decrypt_block(blk, self.key, vn)
-            if mac_block(CipherBlock(blk.data, blk.binding, vn), self.key) != self.macs[idx]:
+            if mac_block(CipherBlock(blk.data, blk.binding, vn), self.key) != self._macs[idx]:
                 raise IntegrityFault("mac_mismatch", f"pa={pa:#x}")
         else:
             plain = blk.data
@@ -289,7 +355,8 @@ class ProtectedMemory:
         MAC, store all three off-chip, and update the tree path. VN-line and
         tree-node drain coalesces through the metadata cache; the MAC region
         is uncached and drains per write, except for tensor-covered writes
-        whose integrity root is the entry's aggregate MAC."""
+        whose integrity root is the entry's aggregate MAC. With functional
+        crypto the encryption and MAC wait for the next `seal()`."""
         t = self.totals
         t["writes"] += 1
         t0 = (t["data_wr"], t["vn_wr"], t["mac_wr"], t["tree_wr"], t["cycles"],
@@ -303,10 +370,12 @@ class ProtectedMemory:
             new_vn = (old_vn + 1) & MASK56
         else:
             new_vn = vn & MASK56
-        blk = self.blocks[idx]
+        blk = self._blocks[idx]
         if binding is None:
             # a line's binding is sticky; reuse the stored one when present
-            binding = blk.binding if blk is not None else self.binding_for(idx, pa)
+            pending = self._unsealed.get(idx)
+            binding = pending[1] if pending is not None else \
+                blk.binding if blk is not None else self.binding_for(idx, pa)
         else:
             self.bindings[idx] = binding
         t["cycles"] += AES_CYCLES + MAC_CYCLES
@@ -316,19 +385,18 @@ class ProtectedMemory:
         if not covered:
             t["mac_wb"] += LINE_BYTES
         if self.crypto_on:
-            nb = encrypt_block(plain, binding, new_vn, self.key)
-            if blk is None:
-                self.blocks[idx] = nb
-            else:
-                blk.data, blk.binding, blk.vn = nb.data, nb.binding, nb.vn
-            self.macs[idx] = mac_block(nb, self.key)
+            if isinstance(plain, int):
+                plain = plain.to_bytes(LINE_BYTES, "little")
+            elif len(plain) != LINE_BYTES:
+                raise ValueError(f"a line is {LINE_BYTES} bytes, got {len(plain)}")
+            self._unsealed[idx] = (plain, binding, new_vn)
         else:
             if blk is None:
-                self.blocks[idx] = CipherBlock(plain, binding, new_vn)
+                self._blocks[idx] = CipherBlock(plain, binding, new_vn)
             else:
                 blk.data, blk.binding, blk.vn = plain, binding, new_vn
             code = pa if binding.mode == BindingMode.PHYSICAL_ADDR else binding.code()
-            self.macs[idx] = _stub_mac(code, new_vn)
+            self._macs[idx] = _stub_mac(code, new_vn)
         self.vn_lines[li][slot] = new_vn
         written = self.tree.update_path(li, tuple(self.vn_lines[li]))
         t["tree_wr"] += LINE_BYTES * len(written)
@@ -352,15 +420,17 @@ class ProtectedMemory:
         return self.macs[self.line_index(pa)]
 
     def _zero_block(self, idx: int, pa: int, vn: int) -> CipherBlock:
+        """Materialize a never-written line; the caller has sealed, so the
+        line has no pending write."""
         binding = self.binding_for(idx, pa)
         if self.crypto_on:
             blk = encrypt_block(b"\x00" * LINE_BYTES, binding, vn, self.key)
-            self.macs[idx] = mac_block(blk, self.key)
+            self._macs[idx] = mac_block(blk, self.key)
         else:
             blk = CipherBlock(0, binding, vn)
             code = pa if binding.mode == BindingMode.PHYSICAL_ADDR else binding.code()
-            self.macs[idx] = _stub_mac(code, vn)
-        self.blocks[idx] = blk
+            self._macs[idx] = _stub_mac(code, vn)
+        self._blocks[idx] = blk
         return blk
 
     # -- adversary harness ---------------------------------------------------
@@ -378,6 +448,7 @@ class ProtectedMemory:
         metadata are inside the TCB and stay intact."""
         if not self.crypto_on:
             raise RuntimeError("attacks need crypto_on=True to be observable")
+        self.seal()
         idx = self.line_index(pa)
         li, slot = divmod(idx, VNS_PER_LINE)
         if kind == "bitflip":

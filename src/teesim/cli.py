@@ -40,6 +40,16 @@ EXIT_SIM = 7
 
 COST_SAMPLE_LIMIT = 1000
 
+# (seed, binding mode, pa or tensor id, offset, vn): the inputs of the frozen
+# keystream vectors in tests/data/golden_vectors.json, which selftest runs
+# through both the scalar and the batch kernels
+GOLDEN_VECTOR_INPUTS = (
+    (0x5EED, 0, 0x1000, 0, 1), (0x5EED, 0, 0x1000, 0, 2),
+    (0x5EED, 0, 0x2000, 0, 1), (0x5EED, 1, 7, 0, 1), (0x5EED, 1, 7, 64, 1),
+    (0xDEADBEEF, 0, 64, 0, 123456789), (0, 0, 0, 0, 0),
+    ((1 << 64) - 1, 1, (1 << 32) - 1, 65472, (1 << 56) - 1),
+)
+
 
 def _build_cpu_side(cfg: SimConfig, n_lines: int, base: int):
     key = KeyMaterial.from_seed(cfg.crypto.seed)
@@ -188,13 +198,12 @@ def run_npu_stream(cfg: SimConfig) -> dict:
 
     def run_mode(vm: VerifyMode):
         e = build_engine(cfg)
-        dev = NpuDevice(key, e, crypto_on=cfg.crypto.functional)
+        dev = NpuDevice(key, e, crypto_on=cfg.crypto.functional,
+                        mac_granularity=cfg.npu.mac_granularity)
         rec = dev.register_tensor(1, 0x4000_0000, n)
         data = [bytes([i & 0xFF]) * LINE_BYTES for i in range(n)] \
             if cfg.crypto.functional else list(range(n))
-        dev.store_tensor_stream(rec, data)
-        if vm.mode == "blocking":
-            dev.seal_block_macs(rec, vm.granularity)
+        dev.store_tensor_stream(rec, data)   # seals the block MACs too
         for r in e.resources.values():   # staging must not occupy the ledger
             r.busy_until = 0
         _, rep = dev.load_tensor_stream(rec, vm, at_tick=0)
@@ -442,21 +451,37 @@ def cmd_trace_dump(args) -> int:
 def cmd_selftest(args) -> int:
     """Quick internal checks; a thin sanity layer under the full pytest
     suite."""
+    ran = []
     failures = []
 
     def check(label, ok):
         print(f"  [{'PASS' if ok else 'FAIL'}] {label}")
+        ran.append(label)
         if not ok:
             failures.append(label)
 
-    from .crypto import (CounterBinding, BindingMode, encrypt_block,
-                         decrypt_block, mac_xor_aggregate)
+    from .crypto import (
+        BindingMode, CipherBlock, CounterBinding, binding_codes, decrypt_block,
+        encrypt_block, keystream, keystream_lines, line_words, mac_block,
+        mac_lines, mac_xor_aggregate, words_to_ints,
+    )
     key = KeyMaterial.from_seed(0x5EED)
     binding = CounterBinding(BindingMode.PHYSICAL_ADDR, 0x1000)
     blk = encrypt_block(b"\xa5" * LINE_BYTES, binding, 1, key)
     check("counter-mode round trip", decrypt_block(blk, key) == b"\xa5" * LINE_BYTES)
     check("xor aggregate permutation",
           mac_xor_aggregate([1, 2, 3]) == mac_xor_aggregate([3, 1, 2]))
+
+    agree = True
+    for seed, mode, ident, offset, vn in GOLDEN_VECTOR_INPUTS:
+        k = KeyMaterial.from_seed(seed)
+        b = CounterBinding(BindingMode(mode), ident, offset)
+        codes = binding_codes([b])
+        pad = words_to_ints(keystream_lines(k, codes, [vn]))[0]
+        tag = int(mac_lines(k, codes, line_words([pad]), [vn])[0])
+        agree &= pad == keystream(k, b, vn) and \
+            tag == mac_block(CipherBlock(pad, b, vn), k)
+    check("batch kernels match scalar on the golden vectors", agree)
 
     cfg = load_config({})
     cfg.workload.tensors = 1
@@ -484,7 +509,7 @@ def cmd_selftest(args) -> int:
     check("mode transparency (identical weights)",
           w["nonsecure"] == w["sgx_mgx"] == w["tensortee"])
 
-    print(f"selftest: {5 - len(failures)}/5 checks passed")
+    print(f"selftest: {len(ran) - len(failures)}/{len(ran)} checks passed")
     return EXIT_OK if not failures else EXIT_INTEGRITY
 
 

@@ -110,6 +110,18 @@ class SimConfig:
     def __post_init__(self):
         if self.mode not in MODES:
             raise ConfigError(f"mode must be one of {MODES}, got {self.mode!r}")
+        # rates, clocks and counts the engine divides by: a bad one would
+        # otherwise surface as a simulator error from build_engine
+        for section in ("cpu", "npu", "link"):
+            for f in dataclasses.fields(getattr(self, section)):
+                name = f.name
+                if not (name.endswith(("bytes_per_s", "_hz"))
+                        or name in ("dram_channels", "compute_cycles_per_line")):
+                    continue
+                v = getattr(getattr(self, section), name)
+                if type(v) is not int or v <= 0:
+                    raise ConfigError(f"{section}.{name} must be a positive "
+                                      f"integer, got {v!r}")
         if self.npu.verify_mode not in ("delayed", "blocking"):
             raise ConfigError(f"npu.verify_mode must be delayed|blocking")
         g = self.npu.mac_granularity

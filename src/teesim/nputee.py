@@ -7,7 +7,11 @@ immediately while a running XOR of per-line MACs accumulates; the single
 comparison against the stored tensor MAC happens after the last line, so a
 clean stream has no verification stalls. Blocking(G) holds compute on any
 line until its whole G-byte block is fetched and its block MAC verified,
-which is the pipeline-bubble baseline.
+which is the pipeline-bubble baseline. A block with no sealed MAC at G fails
+verification.
+
+Tensor streams encrypt, MAC and decrypt the whole tensor in one batch; the
+engine reservations stay per line and in line order.
 
 Tampered bytes are tracked out-of-band as provenance taint (ground truth for
 the escape-proofing checks); the poison-bit machinery is the mechanism under
@@ -21,8 +25,8 @@ from typing import Iterable, Optional, Sequence
 
 from .crypto import (
     LINE_BYTES, MASK56, BindingMode, CipherBlock, CounterBinding,
-    IntegrityFault, KeyMaterial, decrypt_block, encrypt_block, mac_block,
-    mix64,
+    IntegrityFault, KeyMaterial, decrypt_block, encrypt_block, mac_block, mix64,
+    open_blocks, seal_lines,
 )
 from .engine import Engine
 
@@ -104,18 +108,34 @@ class StreamReport:
         return "tensor_id,mode,lines,stall_cycles,verify_cycles,faults"
 
 
+def _fold_blocks(tags: list[int], granularity: int) -> list[int]:
+    """XOR-fold per-line tags into one tag per `granularity`-byte block."""
+    per = max(1, granularity // LINE_BYTES)
+    out = []
+    for b0 in range(0, len(tags), per):
+        acc = 0
+        for t in tags[b0:b0 + per]:
+            acc ^= t
+        out.append(acc)
+    return out
+
+
 class NpuDevice:
-    """Modeled GDDR plus the protection engine in front of it."""
+    """Modeled GDDR plus the protection engine in front of it. Stores seal
+    one block MAC per `mac_granularity` bytes for blocking-mode loads."""
 
     def __init__(self, key: KeyMaterial, engine: Engine, *,
-                 fault_threshold: int = 3, crypto_on: bool = True):
+                 fault_threshold: int = 3, crypto_on: bool = True,
+                 mac_granularity: int = 512):
         self.key = key
         self.engine = engine
         self.crypto_on = crypto_on
+        self.mac_granularity = mac_granularity
         self.records: dict[int, TensorRecord] = {}
         self.gddr: dict[int, CipherBlock] = {}        # addr -> line
         self.taint: set[int] = set()                   # addrs with tampered bytes
-        self.block_macs: dict[tuple[int, int], int] = {}   # (base, blk) -> tag
+        # tensor base -> (granularity, one tag per block); one layout at a time
+        self.block_macs: dict[int, tuple[int, list[int]]] = {}
         self.code: dict[int, tuple[CipherBlock, int]] = {}  # pa -> (line, mac)
         self.faults = FaultCounter(threshold=fault_threshold)
         self.retransfer_requests: list[int] = []
@@ -159,35 +179,37 @@ class NpuDevice:
                             order: Optional[Sequence[int]] = None) -> StreamReport:
         """Write back one tensor: VN+1 once, every line encrypted under the
         tensor-logical binding at the new VN, stored MAC = XOR of line MACs
-        (so any tile-permuted write order yields the same tag)."""
+        (so any tile-permuted write order yields the same tag), and block
+        MACs resealed at the device's MAC granularity."""
         eng = self.engine
         t0 = eng.now if at_tick is None else at_tick
-        record.vn = (record.vn + 1) & MASK56
+        vn = record.vn = (record.vn + 1) & MASK56
+        n = len(plain_lines)
+        bindings = [CounterBinding(BindingMode.TENSOR_LOGICAL, record.tensor_id,
+                                   i * LINE_BYTES) for i in range(n)]
+        if self.crypto_on:
+            data, tags = seal_lines(self.key, plain_lines, bindings, vn)
+        else:
+            data = list(plain_lines)
+            tags = [mix64(b.code() ^ vn) & MASK56 for b in bindings]
         acc = 0
         done = t0
-        sequence = order if order is not None else range(len(plain_lines))
+        sequence = order if order is not None else range(n)
         for i in sequence:
-            plain = plain_lines[i]
             addr = record.base + i * LINE_BYTES
-            binding = CounterBinding(BindingMode.TENSOR_LOGICAL,
-                                     record.tensor_id, i * LINE_BYTES)
-            if self.crypto_on:
-                blk = encrypt_block(plain, binding, record.vn, self.key)
-                tag = mac_block(blk, self.key)
-            else:
-                blk = CipherBlock(plain, binding, record.vn)
-                tag = mix64(binding.code() ^ record.vn) & MASK56
-            self.gddr[addr] = blk
+            self.gddr[addr] = CipherBlock(data[i], bindings[i], vn)
             if tainted:
                 self.taint.add(addr)
             else:
                 self.taint.discard(addr)
-            acc ^= tag
+            acc ^= tags[i]
             _, aes_done = eng.reserve("npu_aes", LINE_BYTES, at_tick=t0)
             _, wr_done = eng.reserve("npu_gddr", LINE_BYTES, at_tick=aes_done)
             _, mac_done = eng.reserve("npu_mac", LINE_BYTES, at_tick=aes_done)
             done = max(done, wr_done, mac_done)
         record.stored_mac = acc
+        self.block_macs[record.base] = (self.mac_granularity,
+                                        _fold_blocks(tags, self.mac_granularity))
         record.tainted = tainted
         record.poison = 0          # freshly produced on-chip data is verified
         record.failed = False
@@ -222,28 +244,30 @@ class NpuDevice:
             self.gddr[addr] = blk
         return addr, blk
 
-    def _line_tag(self, blk: CipherBlock, record: TensorRecord) -> int:
-        if self.crypto_on:
-            return mac_block(CipherBlock(blk.data, blk.binding, record.vn), self.key)
-        return mix64(blk.binding.code() ^ record.vn) & MASK56
+    def _fetch_lines(self, record: TensorRecord) -> list[tuple[int, CipherBlock]]:
+        return [self._fetch_line(record, i) for i in range(record.n_lines)]
 
-    def _decrypt(self, blk: CipherBlock, record: TensorRecord):
+    def _open_lines(self, record: TensorRecord, blks: Sequence[CipherBlock],
+                    decrypt: bool = True):
+        """Per-line tags of a tensor's lines under its VN, and (if `decrypt`)
+        their plaintexts, computed for the whole tensor in one batch."""
+        vn = record.vn
         if self.crypto_on:
-            return decrypt_block(blk, self.key, record.vn)
-        return blk.data
+            return open_blocks(self.key, blks, vn, decrypt=decrypt)
+        tags = [mix64(b.binding.code() ^ vn) & MASK56 for b in blks]
+        return tags, [b.data for b in blks] if decrypt else None
 
     def _load_delayed(self, record: TensorRecord, at_tick):
         eng = self.engine
         t0 = eng.now if at_tick is None else at_tick
         record.poison = 1
-        record.running_xor = 0
         record.pending = "verify"
-        plains = []
+        lines = self._fetch_lines(record)
+        tags, plains = self._open_lines(record, [blk for _, blk in lines])
         compute_done = t0
         mac_done = t0
-        tainted = False
-        for i in range(record.n_lines):
-            addr, blk = self._fetch_line(record, i)
+        running_xor = 0
+        for (addr, _), tag in zip(lines, tags):
             self.delayed_queue_log.append((addr, False))
             _, fetch_done = eng.reserve("npu_gddr", LINE_BYTES, at_tick=t0)
             _, aes_done = eng.reserve("npu_aes", LINE_BYTES, at_tick=fetch_done)
@@ -251,9 +275,9 @@ class NpuDevice:
             start = max(aes_done, compute_done)
             _, compute_done = eng.reserve("npu_compute", LINE_BYTES, at_tick=start)
             _, mac_done = eng.reserve("npu_mac", LINE_BYTES, at_tick=aes_done)
-            record.running_xor ^= self._line_tag(blk, record)
-            tainted |= addr in self.taint
-            plains.append(self._decrypt(blk, record))
+            running_xor ^= tag
+        record.running_xor = running_xor
+        tainted = any(addr in self.taint for addr, _ in lines)
         verify_done = mac_done  # final compare is a few cycles, folded in
         done = max(compute_done, verify_done)
         rep = StreamReport(record.tensor_id, "delayed", record.n_lines,
@@ -288,40 +312,45 @@ class NpuDevice:
         stall = 0
         faults = 0
         n = record.n_lines
+        tags, plain_lines = self._open_lines(
+            record, [blk for _, blk in self._fetch_lines(record)])
+        g, sealed = self.block_macs.get(record.base, (None, ()))
+        if g != granularity:
+            sealed = ()
         for b0 in range(0, n, lines_per_block):
             blk_lines = range(b0, min(b0 + lines_per_block, n))
             acc = 0
             aes_done = t0
             first_line_ready = None
             mac_done = t0
-            blks = []
             for i in blk_lines:
-                addr, blk = self._fetch_line(record, i)
                 _, fetch_done = eng.reserve("npu_gddr", LINE_BYTES, at_tick=t0)
                 _, aes_done = eng.reserve("npu_aes", LINE_BYTES, at_tick=fetch_done)
                 _, mac_done = eng.reserve("npu_mac", LINE_BYTES, at_tick=aes_done)
                 if first_line_ready is None:
                     first_line_ready = aes_done
-                acc ^= self._line_tag(blk, record)
-                blks.append((addr, blk))
+                acc ^= tags[i]
             verify_done = mac_done  # block compare folds into the last line tag
-            key = (record.base, b0 // lines_per_block)
-            stored = self.block_macs.get(key)
-            if self.crypto_on and stored is not None and stored != acc:
+            k = b0 // lines_per_block
+            # fail closed: a block with no MAC sealed at this granularity
+            # cannot verify
+            if self.crypto_on and (k >= len(sealed) or sealed[k] != acc):
                 faults += 1
                 record.failed = True
                 self.faults.record_failure()
-                raise IntegrityFault("mac_mismatch",
-                                     f"tensor {record.tensor_id} block {key[1]}")
+                raise IntegrityFault(
+                    "mac_mismatch", f"tensor {record.tensor_id} block {k}"
+                    + ("" if k < len(sealed) else
+                       f": no block MAC sealed at {granularity} B"))
             # compute on any line of the block stalls until the whole block is
             # fetched and its MAC verified: the bubble is the wait past the
             # point the first line was already decrypted and compute was free
             stall += max(0, verify_done - max(compute_done, first_line_ready))
-            for addr, blk in blks:
+            for i in blk_lines:
                 start = max(verify_done, compute_done)
                 _, compute_done = eng.reserve("npu_compute", LINE_BYTES,
                                               at_tick=start)
-                plains.append(self._decrypt(blk, record))
+                plains.append(plain_lines[i])
         rep = StreamReport(record.tensor_id, f"blocking{granularity}", n,
                            start_tick=t0, done_tick=compute_done,
                            compute_done_tick=compute_done,
@@ -339,14 +368,12 @@ class NpuDevice:
             self.taint.discard(addr)
 
     def seal_block_macs(self, record: TensorRecord, granularity: int) -> None:
-        """Blocking-mode layout: one stored MAC per G-byte block."""
-        lines_per_block = max(1, granularity // LINE_BYTES)
-        for b0 in range(0, record.n_lines, lines_per_block):
-            acc = 0
-            for i in range(b0, min(b0 + lines_per_block, record.n_lines)):
-                _, blk = self._fetch_line(record, i)
-                acc ^= self._line_tag(blk, record)
-            self.block_macs[(record.base, b0 // lines_per_block)] = acc
+        """Blocking-mode layout: one stored MAC per G-byte block, computed
+        from the lines now in GDDR; replaces the tensor's previous layout."""
+        tags, _ = self._open_lines(
+            record, [blk for _, blk in self._fetch_lines(record)], decrypt=False)
+        self.block_macs[record.base] = (granularity,
+                                        _fold_blocks(tags, granularity))
 
     def mac_storage_bytes(self, mode: VerifyMode) -> int:
         """Off-chip MAC footprint: 7 B per tensor (delayed) versus 7 B per

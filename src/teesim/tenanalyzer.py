@@ -12,9 +12,9 @@ protection.
 
 Entries also carry the tensor's XOR-aggregate MAC: it is born at promotion
 from the per-line MACs observed on the miss path, folded forward on boundary
-extensions, rebuilt by complete write sweeps, and checked (for free) whenever
-sequential reads cover the whole entry. Out-of-order covered reads fall back
-to per-line MAC fetch+verify.
+extensions, refolded from the fresh line MACs when a complete write sweep
+finishes, and checked (for free) whenever sequential reads cover the whole
+entry. Out-of-order covered reads fall back to per-line MAC fetch+verify.
 """
 
 from __future__ import annotations
@@ -64,7 +64,7 @@ class MetaTableEntry:
 
     __slots__ = ("base", "nx", "ny", "planes", "stride", "vn", "mac",
                  "uf", "bs", "valid", "tensor_id", "last_addr",
-                 "update_count", "write_acc", "runs", "runs_by_next",
+                 "update_count", "runs", "runs_by_next",
                  "lru", "touched")
 
     def __init__(self, base, nx, ny, stride, vn, mac, tensor_id=None):
@@ -81,7 +81,6 @@ class MetaTableEntry:
         self.tensor_id = tensor_id
         self.last_addr = base + (ny - 1) * stride + (nx - 1) * LINE_BYTES
         self.update_count = 0
-        self.write_acc = 0
         self.runs: dict[int, list] = {}       # run_start -> [next_ordinal, acc]
         self.runs_by_next: dict[int, int] = {}
         self.lru = 0
@@ -490,12 +489,15 @@ class TenAnalyzer:
         self.stats["promotions"] += 1
         return self.try_merge(inserted)
 
-    def filter_refresh(self, va: int, vn: int, mac: int) -> None:
-        """Keep collected (va, vn) pairs honest across intervening writes."""
+    def filter_refresh(self, va: int) -> None:
+        """Keep collected (va, vn, mac) triples honest across intervening
+        writes. The line's MAC is read only if the filter holds `va`, so a
+        write the filter never collected leaves its seal deferred."""
+        mem = self.mem
         for f in self.filter:
             for i, (a, _, _) in enumerate(f.addrs):
                 if a == va:
-                    f.addrs[i] = (a, vn, mac)
+                    f.addrs[i] = (a, mem.vn_of(va), mem.line_mac(va))
 
     # -- entry merging -----------------------------------------------------------
 
@@ -574,8 +576,7 @@ class TenAnalyzer:
         if e is None:
             mem.write_line(va, plain)
             self.stats["w_miss"] += 1
-            idx = mem.line_index(va)
-            self.filter_refresh(va, mem.vn_of(va), mem.macs[idx])
+            self.filter_refresh(va)
             return WriteOutcome(MISS)
 
         first = va == e.base
@@ -595,7 +596,6 @@ class TenAnalyzer:
                 return WriteOutcome(INVALIDATE, reason="dirty_range")
             e.uf = 1
             e.update_count = 0
-            e.write_acc = 0
             e.reset_sweep()
             self._write_covered(e, va, plain)
             if e.line_count == 1:
@@ -632,13 +632,19 @@ class TenAnalyzer:
         else:
             binding = None
         mem.write_line(va, plain, vn=new_vn, binding=binding, covered=True)
-        e.write_acc ^= mem.macs[mem.line_index(va)]
 
     def _finish_update(self, e: MetaTableEntry) -> WriteOutcome:
+        # Assert2 held, so every covered line was written exactly once in
+        # this update: the entry MAC is the fold of their fresh line MACs,
+        # sealed here in one batch
+        macs, index = self.mem.macs, self.mem.line_index
+        acc = 0
+        for va in e.addresses():
+            acc ^= macs[index(va)]
         e.vn = (e.vn + 1) & MASK56
         e.bs ^= 1
         e.uf = 0
-        e.mac = e.write_acc
+        e.mac = acc
         e.update_count = 0
         e.reset_sweep()
         e.touched = e.lru = self._tick()

@@ -19,8 +19,8 @@ from typing import Optional, Sequence
 from .baseline import ProtectedMemory
 from .crypto import (
     LINE_BYTES, MASK56, BindingMode, CipherBlock, CounterBinding,
-    IntegrityFault, KeyMaterial, decrypt_block, encrypt_block, mac_block,
-    mix64,
+    IntegrityFault, KeyMaterial, decrypt_block, encrypt_block, mac_block, mix64,
+    open_blocks, seal_lines,
 )
 from .engine import Engine
 from .nputee import NpuDevice
@@ -252,13 +252,14 @@ def baseline_transfer(session: SessionState, engine: Engine, *,
         rep.done_tick = srep.done_tick
     elif direction == "npu_to_cpu":
         rec = npu.records[tensor_id]
-        plains = []
+        addrs = [rec.base + i * LINE_BYTES for i in range(n_lines)]
+        blks = [npu.gddr[addr] for addr in addrs]
+        if npu.crypto_on:
+            _, plains = open_blocks(npu.key, blks, rec.vn)
+        else:
+            plains = [b.data for b in blks]
         stage_done = t0
-        for i in range(n_lines):
-            addr = rec.base + i * LINE_BYTES
-            blk = npu.gddr[addr]
-            plains.append(decrypt_block(blk, npu.key, rec.vn)
-                          if npu.crypto_on else blk.data)
+        for addr in addrs:
             npu.link_log.append({"tensor_id": tensor_id,
                                  "tainted": addr in npu.taint,
                                  "protocol": "baseline"})
@@ -294,26 +295,22 @@ def baseline_transfer(session: SessionState, engine: Engine, *,
 
 def _seal_staging(staging: StagingRegion, plains: Sequence, tensor_id: int,
                   session: SessionState) -> None:
-    staging.blocks = []
-    staging.macs = []
-    for i, plain in enumerate(plains):
-        binding = CounterBinding(BindingMode.TENSOR_LOGICAL, tensor_id,
-                                 i * LINE_BYTES)
-        blk = encrypt_block(plain if isinstance(plain, (bytes, int)) else bytes(plain),
-                            binding, 0, session.shared_key)
-        staging.blocks.append(blk)
-        staging.macs.append(mac_block(blk, session.shared_key))
+    """Session-encrypt and MAC the whole tensor into the staging region."""
+    bindings = [CounterBinding(BindingMode.TENSOR_LOGICAL, tensor_id,
+                               i * LINE_BYTES) for i in range(len(plains))]
+    data, staging.macs = seal_lines(session.shared_key, plains, bindings, 0)
+    staging.blocks = [CipherBlock(d, b, 0) for d, b in zip(data, bindings)]
 
 
 def _open_staging(staging: StagingRegion, tensor_id: int,
                   session: SessionState, rep: TransferReport):
-    plains = []
-    for i, blk in enumerate(staging.blocks):
-        if mac_block(blk, session.shared_key) != staging.macs[i]:
+    """Check every staged line's session MAC, then decrypt the tensor."""
+    tags, plains = open_blocks(session.shared_key, staging.blocks)
+    for i, (tag, stored) in enumerate(zip(tags, staging.macs)):
+        if tag != stored:
             rep.faults += 1
             raise IntegrityFault("staging_tamper",
                                  f"tensor {tensor_id} staged line {i}")
-        plains.append(decrypt_block(blk, session.shared_key))
     return plains
 
 
@@ -420,7 +417,7 @@ def _install_on_cpu(msg: MetadataMessage, lines, analyzer: TenAnalyzer,
                                 else pipeline_from)
     verify_done = max(at, mac_end)
     if mem.crypto_on:
-        tags = [mac_block(blk, key) for blk in lines]
+        tags, _ = open_blocks(key, lines, decrypt=False)
         acc = 0
         for tag in tags:
             acc ^= tag
@@ -433,10 +430,9 @@ def _install_on_cpu(msg: MetadataMessage, lines, analyzer: TenAnalyzer,
     for i, blk in enumerate(lines):
         pa = msg.base + i * LINE_BYTES
         idx = mem.line_index(pa)
-        mem.blocks[idx] = blk
-        mem.bindings[idx] = blk.binding
-        mem.macs[idx] = tags[i] if mem.crypto_on else \
-            mix64(blk.binding.code() ^ msg.vn) & MASK56
+        # the received line replaces any write still waiting to be sealed
+        mem.install_sealed(idx, blk, tags[i] if mem.crypto_on else
+                           mix64(blk.binding.code() ^ msg.vn) & MASK56)
         li, slot = divmod(idx, 8)
         mem.vn_lines[li][slot] = msg.vn
         # cached copies of the dirtied node-lines are refreshed when the

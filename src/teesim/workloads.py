@@ -385,7 +385,8 @@ class ZeroOffloadRunner:
                 crypto_on=crypto_on)
             self.npu = NpuDevice(npu_enc.key, self.engine,
                                  fault_threshold=cfg.npu.fault_threshold,
-                                 crypto_on=crypto_on)
+                                 crypto_on=crypto_on,
+                                 mac_granularity=cfg.npu.mac_granularity)
         else:
             self.cpu_mem = ProtectedMemory(
                 self.region_base, total_lines, self.session.shared_key,
@@ -400,7 +401,8 @@ class ZeroOffloadRunner:
                 bitmap_cache_bytes=cfg.cpu.bitmap_cache_bytes)
             self.npu = NpuDevice(self.session.shared_key, self.engine,
                                  fault_threshold=cfg.npu.fault_threshold,
-                                 crypto_on=crypto_on)
+                                 crypto_on=crypto_on,
+                                 mac_granularity=cfg.npu.mac_granularity)
 
         n_floats = self.n_lines * FLOATS_PER_LINE
         rng = np.random.Generator(np.random.Philox(key=cfg.crypto.seed))

@@ -1,13 +1,17 @@
 """Baseline (SGX-like) protected-memory tests: itemized cost accounting,
-metadata-cache behavior, attack detection, and functional equivalence against
-a plain dict oracle."""
+metadata-cache behavior, attack detection, functional equivalence against a
+plain dict oracle, and deferred sealing against an eager reference."""
 
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from teesim.baseline import ProtectedMemory, CostReport
-from teesim.crypto import IntegrityFault, KeyMaterial, LINE_BYTES
+from teesim.baseline import SEAL_BATCH_MIN, CostReport, ProtectedMemory
+from teesim.crypto import (
+    CipherBlock, IntegrityFault, KeyMaterial, LINE_BYTES, keystream, mac_block,
+)
 
 KEY = KeyMaterial.from_seed(0xBA5E)
 BASE = 0x10000
@@ -209,3 +213,140 @@ def test_light_mode_same_metadata_traffic():
                          if m.crypto_on else 0)
     for k in ("vn_rd", "tree_rd", "mac_rd", "data_rd", "vn_wr", "tree_wr"):
         assert full.totals[k] == light.totals[k], k
+
+
+# -- deferred sealing ----------------------------------------------------------
+
+class EagerProtectedMemory(ProtectedMemory):
+    """The reference: ProtectedMemory as it was before sealing was deferred,
+    every write encrypted and MACed at once by the scalar kernels."""
+
+    def write_line(self, pa, plain, **kwargs):
+        out = super().write_line(pa, plain, **kwargs)
+        (idx, (p, binding, vn)), = self._unsealed.items()
+        self._unsealed.clear()
+        data = int.from_bytes(p, "little") ^ keystream(self.key, binding, vn)
+        blk = self._blocks[idx]
+        if blk is None:
+            blk = self._blocks[idx] = CipherBlock(data, binding, vn)
+        else:
+            blk.data, blk.binding, blk.vn = data, binding, vn
+        self._macs[idx] = mac_block(blk, self.key)
+        return out
+
+
+_SEAL_LINES = 64
+_SEAL_OPS = st.lists(st.one_of(
+    st.tuples(st.just("write"), st.integers(0, _SEAL_LINES - 1), st.integers(0, 255)),
+    st.tuples(st.just("burst"), st.integers(0, _SEAL_LINES - 1),
+              st.integers(1, 2 * SEAL_BATCH_MIN + 8), st.integers(0, 255)),
+    st.tuples(st.just("read"), st.integers(0, _SEAL_LINES - 1)),
+    st.tuples(st.just("snapshot"), st.integers(0, _SEAL_LINES - 1)),
+    st.tuples(st.just("line_mac"), st.integers(0, _SEAL_LINES - 1)),
+    st.tuples(st.just("view"),),
+    st.tuples(st.just("tamper"),
+              st.sampled_from(["bitflip", "mac_tamper", "vn_tamper", "replay"]),
+              st.integers(0, _SEAL_LINES - 1), st.integers(0, 511)),
+), max_size=30)
+
+
+def _try_read(mem, pa):
+    try:
+        return mem.read_line(pa)[0]
+    except IntegrityFault as e:
+        return ("fault", e.kind)
+
+
+def _observables(mem):
+    return (dict(mem.totals), mem.cache.hits, mem.cache.misses,
+            [None if b is None else (b.data, b.binding, b.vn) for b in mem.blocks],
+            list(mem.macs), mem.plaintext_view(), mem.vn_lines, mem.tree.root)
+
+
+@given(_SEAL_OPS)
+@settings(max_examples=120, deadline=None)
+def test_deferred_sealing_matches_eager_reference(ops):
+    mems = [ProtectedMemory(BASE, _SEAL_LINES, KEY, metadata_cache_bytes=512),
+            EagerProtectedMemory(BASE, _SEAL_LINES, KEY, metadata_cache_bytes=512)]
+    deferred, eager = mems
+    serial = 0
+    written = set()
+
+    def both(fn):
+        return [fn(m) for m in mems]
+
+    def write(line):
+        nonlocal serial
+        serial += 1
+        written.add(line)
+        data = (serial.to_bytes(4, "little") + line.to_bytes(4, "little")) * 8
+        both(lambda m: m.write_line(BASE + line * LINE_BYTES, data))
+
+    for op in ops:
+        kind = op[0]
+        if kind == "write":
+            write(op[1])
+        elif kind == "burst":
+            for j in range(op[2]):
+                write((op[1] + j) % _SEAL_LINES)
+        elif kind == "read":
+            a, b = both(lambda m: _try_read(m, BASE + op[1] * LINE_BYTES))
+            assert a == b
+        elif kind == "snapshot":
+            a, b = both(lambda m: m.snapshot_triple(BASE + op[1] * LINE_BYTES))
+            assert a == b
+        elif kind == "line_mac":
+            a, b = both(lambda m: m.line_mac(BASE + op[1] * LINE_BYTES))
+            assert a == b
+        elif kind == "view":
+            a, b = both(lambda m: m.plaintext_view())
+            assert a == b
+        else:
+            _, attack, line, bit = op
+            pa = BASE + line * LINE_BYTES
+            if line not in written:
+                # a never-written line has no MAC yet: the first read
+                # materializes one, so only a written line can be tampered
+                write(line)
+            heal = None
+            if attack == "replay":
+                snaps = both(lambda m: m.snapshot_triple(pa))
+                write(line)
+                heal = both(lambda m: m.snapshot_triple(pa))
+                for m, snap in zip(mems, snaps):
+                    m.inject_attack("replay", pa, snapshot=snap)
+            else:
+                both(lambda m: m.inject_attack(attack, pa, bit=bit))
+            both(lambda m: m.flush_metadata_cache())
+            # detected on the next read, even if the line was written and
+            # never read before the tamper
+            assert both(lambda m: _try_read(m, pa)[0]) == ["fault", "fault"]
+            if attack == "replay":
+                for m, snap in zip(mems, heal):
+                    m.inject_attack("replay", pa, snapshot=snap)
+            elif attack == "vn_tamper":
+                both(lambda m: m.inject_attack("vn_tamper", pa, delta=-1))
+            else:
+                both(lambda m: m.inject_attack(attack, pa, bit=bit))
+            both(lambda m: m.flush_metadata_cache())
+    assert _observables(deferred) == _observables(eager)
+
+
+def test_writes_wait_for_one_batch_seal():
+    mem = make_mem(256)
+    n = 2 * SEAL_BATCH_MIN
+    data = [bytes([i]) * LINE_BYTES for i in range(n)]
+    for i in range(n):
+        mem.write_line(BASE + i * LINE_BYTES, data[i])
+    assert len(mem._unsealed) == n and mem._blocks[0] is None
+    plain, _ = mem.read_line(BASE + 5 * LINE_BYTES)
+    assert plain == data[5] and not mem._unsealed
+    assert [mem.read_line(BASE + i * LINE_BYTES)[0] for i in range(n)] == data
+
+
+def test_write_rejects_a_plaintext_that_is_not_one_line():
+    mem = make_mem(16)
+    with pytest.raises(ValueError, match="64 bytes"):
+        mem.write_line(BASE, b"\x01" * 32)
+    with pytest.raises(OverflowError):
+        mem.write_line(BASE, 1 << 512)

@@ -47,6 +47,19 @@ def test_run_bad_json_exits_2(tmp_path):
     assert main(["run", "--config", str(p), "--out", str(tmp_path / "o")]) == 2
 
 
+@pytest.mark.parametrize("section,field,value", [
+    ("link", "bytes_per_s", 0),
+    ("cpu", "dram_channels", -1),
+    ("npu", "freq_hz", 1.5e9),
+    ("npu", "compute_cycles_per_line", 0),
+])
+def test_run_non_positive_rate_exits_2(tmp_path, capsys, section, field, value):
+    cfg = write_cfg(tmp_path, {**SMALL_ADAM, section: {field: value}})
+    assert main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    assert f"config error: {section}.{field} must be a positive integer" in \
+        capsys.readouterr().err
+
+
 def test_run_unknown_workload_field_exits_2(tmp_path):
     cfg = write_cfg(tmp_path, {"workload": {"name": "adam", "nope": 1}})
     assert main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
@@ -149,5 +162,6 @@ def test_trace_dump_stdout_and_file(tmp_path, capsys):
 def test_selftest_passes(capsys):
     assert main(["selftest"]) == 0
     out = capsys.readouterr().out
-    assert "5/5 checks passed" in out
+    ran = out.count("[PASS]")
+    assert ran >= 6 and f"{ran}/{ran} checks passed" in out
     assert "FAIL" not in out

@@ -1,7 +1,8 @@
 """Crypto-model unit and property tests: keystream determinism and golden
 vectors, XOR round-trips, MAC bit-flip detection, tag aggregation algebra,
-the VN tree replay harness, and the fused kernels and deferred-rehash tree
-against call-per-mix and eager reference implementations."""
+the VN tree replay harness, and the fused and batch kernels and the
+deferred-rehash tree against call-per-mix, scalar and eager reference
+implementations."""
 
 import json
 import random
@@ -11,11 +12,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from teesim.cli import GOLDEN_VECTOR_INPUTS
 from teesim.crypto import (
     LINE_BYTES, MASK56, MASK64, TREE_ARITY, BindingMode, CipherBlock,
     CounterBinding, IntegrityFault, KeyMaterial, VnTree, _leaf_hash, _node_hash,
-    decrypt_block, encrypt_block, keystream, mac_block, mac_xor_aggregate,
-    mix64,
+    binding_codes, decrypt_block, encrypt_block, keystream, keystream_lines,
+    line_words, mac_block, mac_lines, mac_xor_aggregate, mix64, words_to_bytes,
+    words_to_ints,
 )
 
 KEY = KeyMaterial.from_seed(0x5EED)
@@ -30,6 +33,20 @@ def test_keystream_golden_vectors_frozen():
         b = CounterBinding(BindingMode(v["mode"]), v["pa_or_tensor_id"], v["offset_bytes"])
         pad = keystream(k, b, v["vn"])
         assert pad.to_bytes(LINE_BYTES, "little").hex() == v["pad_hex"]
+
+
+def test_batch_keystream_golden_vectors_frozen():
+    for v in GOLDEN:
+        k = KeyMaterial.from_seed(v["seed"])
+        b = CounterBinding(BindingMode(v["mode"]), v["pa_or_tensor_id"], v["offset_bytes"])
+        pads = keystream_lines(k, binding_codes([b, b]), [v["vn"], v["vn"]])
+        assert [p.hex() for p in words_to_bytes(pads)] == [v["pad_hex"]] * 2
+
+
+def test_selftest_runs_the_golden_vector_inputs():
+    assert list(GOLDEN_VECTOR_INPUTS) == [
+        (v["seed"], v["mode"], v["pa_or_tensor_id"], v["offset_bytes"], v["vn"])
+        for v in GOLDEN]
 
 
 def test_keystream_deterministic():
@@ -401,3 +418,56 @@ def test_update_path_defers_hashing_until_observed():
     assert tree._root == root0 and tree._levels[0][300] == leaf0
     assert tree.root != root0
     assert tree.levels[0][300] == _ref_leaf_hash(KEY, 300, lines[300])
+
+
+# -- batch kernels against the scalar ones -------------------------------------
+
+_VNS = st.one_of(st.integers(min_value=0, max_value=MASK64),
+                 st.sampled_from([MASK56 - 1, MASK56, 1 << 56, (1 << 56) + 1, MASK64]))
+
+
+def _assert_batch_matches_scalar(key, bindings, vns, data):
+    codes = binding_codes(bindings)
+    pads = keystream_lines(key, codes, vns)
+    assert pads.shape == (len(bindings), 8)
+    assert words_to_ints(pads) == [keystream(key, b, v) for b, v in zip(bindings, vns)]
+    tags = mac_lines(key, codes, line_words(data), vns)
+    ints = [d if isinstance(d, int) else int.from_bytes(d, "little") for d in data]
+    assert tags.tolist() == [mac_block(CipherBlock(d, b, v), key)
+                             for d, b, v in zip(ints, bindings, vns)]
+
+
+@given(st.lists(st.tuples(_BINDINGS, _VNS,
+                          st.integers(min_value=0, max_value=(1 << 512) - 1)),
+                max_size=40),
+       st.integers(min_value=0, max_value=MASK64))
+@settings(max_examples=150, deadline=None)
+def test_batch_kernels_match_scalar(lines, seed):
+    key = KeyMaterial.from_seed(seed)
+    bindings = [b for b, _, _ in lines]
+    vns = [v for _, v, _ in lines]
+    _assert_batch_matches_scalar(key, bindings, vns, [d for _, _, d in lines])
+    # one VN for the whole batch, as a tensor stream passes it
+    if lines:
+        vn = vns[0]
+        assert words_to_ints(keystream_lines(key, binding_codes(bindings), vn)) == \
+            [keystream(key, b, vn) for b in bindings]
+
+
+@pytest.mark.parametrize("n", [0, 1, 1200])
+def test_batch_kernels_match_scalar_by_size(n):
+    rng = random.Random(n)
+    key = KeyMaterial.from_seed(rng.randrange(1 << 64))
+    bindings = [CounterBinding(BindingMode(i % 2), rng.randrange(1 << 40),
+                               rng.randrange(1 << 20) * LINE_BYTES) for i in range(n)]
+    vns = [rng.choice([rng.randrange(1 << 56), (1 << 56) + i, MASK64]) for i in range(n)]
+    data = [rng.randbytes(LINE_BYTES) if i % 3 else rng.randrange(1 << 512)
+            for i in range(n)]
+    _assert_batch_matches_scalar(key, bindings, vns, data)
+    assert words_to_bytes(line_words(data)) == \
+        [d if isinstance(d, bytes) else d.to_bytes(LINE_BYTES, "little") for d in data]
+
+
+def test_line_words_rejects_a_short_line():
+    with pytest.raises(ValueError, match="64 bytes"):
+        line_words([b"\x00" * 63])

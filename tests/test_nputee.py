@@ -251,3 +251,36 @@ def test_blocking_detects_tampered_block():
     dev.gddr[rec.base + 9 * LINE_BYTES].data ^= 1 << 7
     with pytest.raises(IntegrityFault):
         dev.load_tensor_stream(rec, VerifyMode("blocking", 512))
+
+
+def test_blocking_verifies_the_block_macs_the_store_sealed():
+    dev, _ = make_dev()
+    rec, data = stored_tensor(dev, n=64)       # no seal_block_macs call
+    plains, _ = dev.load_tensor_stream(rec, VerifyMode("blocking", 512))
+    assert plains == data
+    dev.gddr[rec.base + 40 * LINE_BYTES].data ^= 1 << 100
+    with pytest.raises(IntegrityFault) as ei:
+        dev.load_tensor_stream(rec, VerifyMode("blocking", 512))
+    assert ei.value.kind == "mac_mismatch" and rec.failed
+    assert dev.faults.count == 1
+
+
+def test_blocking_load_without_a_sealed_block_mac_fails_closed():
+    dev, _ = make_dev()
+    rec, _ = stored_tensor(dev, n=64)          # sealed at the device's 512 B
+    with pytest.raises(IntegrityFault, match="no block MAC sealed at 4096 B"):
+        dev.load_tensor_stream(rec, VerifyMode("blocking", 4096))
+    never_stored = dev.register_tensor(2, DEV_BASE + 0x200000, 8)
+    with pytest.raises(IntegrityFault, match="no block MAC sealed at 512 B"):
+        dev.load_tensor_stream(never_stored, VerifyMode("blocking", 512))
+
+
+def test_store_seals_block_macs_at_the_device_granularity():
+    dev = NpuDevice(KEY, build_engine(SimConfig()), mac_granularity=4096)
+    rec = dev.register_tensor(1, DEV_BASE, 128)
+    data = lines(128, 4)
+    dev.store_tensor_stream(rec, data)
+    plains, _ = dev.load_tensor_stream(rec, VerifyMode("blocking", 4096))
+    assert plains == data
+    with pytest.raises(IntegrityFault):
+        dev.load_tensor_stream(rec, VerifyMode("blocking", 512))

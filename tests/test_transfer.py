@@ -192,6 +192,24 @@ def test_direct_roundtrip_back_to_cpu():
         assert plain == data[i]
 
 
+def test_direct_install_overrides_writes_still_waiting_to_be_sealed():
+    session, eng, mem, ta, dev = rig()
+    n = 32
+    grad_base = CPU_BASE + 0x20000
+    for i in range(n):
+        mem.write_line(grad_base + i * LINE_BYTES, b"\xee" * LINE_BYTES)
+    assert mem._unsealed
+    rec = dev.register_tensor(6, 0x50000000, n)
+    data = lines(n, 9)
+    dev.store_tensor_stream(rec, data)
+    dev.load_tensor_stream(rec, VerifyMode("delayed"))
+    eng.advance(rec.verify_done_tick)
+    direct_transfer(session, eng, tensor_id=6, direction="npu_to_cpu",
+                    analyzer=ta, npu=dev, cpu_base=grad_base)
+    assert not mem._unsealed
+    assert [mem.read_line(grad_base + i * LINE_BYTES)[0] for i in range(n)] == data
+
+
 def test_direct_requires_tensor_logical_binding():
     session, eng, mem, ta, dev = rig()
     n = 16

@@ -2,14 +2,15 @@
 hit-rate trajectories on replay, and cross-mode functional equivalence."""
 
 import numpy as np
+import pytest
 
 from teesim.baseline import ProtectedMemory
 from teesim.config import SimConfig, WorkloadConfig
-from teesim.crypto import KeyMaterial, LINE_BYTES
+from teesim.crypto import IntegrityFault, KeyMaterial, LINE_BYTES
 from teesim.tenanalyzer import TenAnalyzer
 from teesim.workloads import (
-    adam_layouts, adam_region_lines, gen_adam_trace, gen_fuzz_trace,
-    gen_gemm_trace, gemm_region_lines, read_trace, replay_trace,
+    ZeroOffloadRunner, adam_layouts, adam_region_lines, gen_adam_trace,
+    gen_fuzz_trace, gen_gemm_trace, gemm_region_lines, read_trace, replay_trace,
     run_zero_offload, write_trace,
 )
 
@@ -202,3 +203,16 @@ def test_zero_offload_direct_transfers_have_no_payload_aes():
     baselines = run_zero_offload(zcfg("sgx_mgx")).transfers
     assert baselines
     assert all(t.bytes_aes == 4 * (t.bytes_link) for t in baselines)
+
+
+def test_zero_offload_sgx_mgx_verifies_npu_blocks():
+    cfg = zcfg("sgx_mgx", iterations=1)
+    cfg.npu.mac_granularity = 1024
+    runner = ZeroOffloadRunner(cfg)
+    runner.run()
+    npu = runner.npu
+    assert npu.mac_granularity == 1024
+    rec = npu.records[runner.WEIGHT_TID]
+    npu.gddr[rec.base + 3 * LINE_BYTES].data ^= 1 << 9
+    with pytest.raises(IntegrityFault):
+        npu.load_tensor_stream(rec, runner.verify_mode)
