@@ -31,9 +31,10 @@ VNS_PER_LINE = 8
 AES_CYCLES = 40
 MAC_CYCLES = 40
 HASH_CYCLES = 40
-# below this many pending lines, seal() runs the scalar kernels: numpy's
-# fixed cost per batch exceeds the per-line saving on short write bursts
-SEAL_BATCH_MIN = 16
+# below this many pending lines, seal() runs the scalar kernels: a numpy
+# batch has a fixed cost of about 8 scalar line seals, and most seals in the
+# tamper campaign and in fuzz replays cover a single line
+SEAL_BATCH_MIN = 8
 
 COST_FIELDS = ("op", "pa", "data_bytes", "vn_bytes", "mac_bytes", "tree_bytes", "cycles")
 
@@ -164,7 +165,10 @@ class ProtectedMemory:
     seals first: the `blocks` and `macs` properties, `read_line`,
     `line_mac`, `snapshot_triple`, `inject_attack` and `plaintext_view`. So
     each sees exactly the state that sealing at every write would have left,
-    and reads still decrypt and verify each line before returning it.
+    and reads still decrypt and verify each line before returning it. A
+    write may name a tag sink, to which its seal appends the fresh tag: an
+    on-chip copy that a later tamper of the MAC region cannot reach. A
+    pending write that feeds a sink is sealed before its line is overwritten.
     """
 
     def __init__(self, base_pa: int, n_lines: int, key: KeyMaterial, *,
@@ -177,8 +181,9 @@ class ProtectedMemory:
         self.crypto_on = crypto_on
         self._blocks: list[Optional[CipherBlock]] = [None] * n_lines
         self._macs: list[int] = [0] * n_lines
-        # idx -> (plaintext, binding, vn) written but not yet sealed
-        self._unsealed: dict[int, tuple[bytes, CounterBinding, int]] = {}
+        # idx -> (plaintext, binding, vn, tag sink) written but not yet sealed
+        self._unsealed: dict[int, tuple[bytes, CounterBinding, int,
+                                        Optional[list]]] = {}
         n_vn_lines = -(-n_lines // VNS_PER_LINE)
         self.vn_lines: list[list[int]] = [[0] * VNS_PER_LINE for _ in range(n_vn_lines)]
         self.cache = MetadataCache(metadata_cache_bytes)
@@ -209,32 +214,44 @@ class ProtectedMemory:
         return self._macs
 
     def seal(self) -> None:
-        """Encrypt and MAC every line written since the last seal."""
+        """Encrypt and MAC every line written since the last seal. A write
+        that named a tag sink has its fresh tag appended to it: that copy is
+        computed on-chip, unlike the off-chip MAC an adversary may alter."""
         pending = self._unsealed
         if not pending:
             return
         key = self.key
         if len(pending) < SEAL_BATCH_MIN:
             sealed = []
-            for plain, binding, vn in pending.values():
+            for plain, binding, vn, _ in pending.values():
                 nb = encrypt_block(plain, binding, vn, key)
                 sealed.append((nb.data, mac_block(nb, key)))
         else:
-            plains, bindings, vns = zip(*pending.values())
+            plains, bindings, vns, _ = zip(*pending.values())
             sealed = zip(*seal_lines(key, plains, bindings, vns))
         blocks, macs = self._blocks, self._macs
-        for (idx, (_, binding, vn)), (data, tag) in zip(pending.items(), sealed):
+        for (idx, (_, binding, vn, sink)), (data, tag) in zip(pending.items(), sealed):
             blk = blocks[idx]
             if blk is None:
                 blocks[idx] = CipherBlock(data, binding, vn)
             else:
                 blk.data, blk.binding, blk.vn = data, binding, vn
             macs[idx] = tag
+            if sink is not None:
+                sink.append(tag)
         pending.clear()
+
+    def _settle(self, idx: int) -> None:
+        """Before line `idx` is overwritten: a pending write of it that feeds
+        a tag sink is sealed now, so the sink still receives its tag."""
+        pending = self._unsealed.get(idx)
+        if pending is not None and pending[3] is not None:
+            self.seal()
 
     def install_sealed(self, idx: int, blk: CipherBlock, mac: int) -> None:
         """Store a line sealed elsewhere verbatim; a pending seal of the line
         is dropped, since the write it recorded is overwritten."""
+        self._settle(idx)
         self._unsealed.pop(idx, None)
         self._blocks[idx] = blk
         self._macs[idx] = mac
@@ -350,13 +367,15 @@ class ProtectedMemory:
 
     def write_line(self, pa: int, plain, *, vn: Optional[int] = None,
                    binding: Optional[CounterBinding] = None,
-                   covered: bool = False, collect: bool = False):
+                   covered: bool = False, tag_sink: Optional[list] = None,
+                   collect: bool = False):
         """Re-encrypt under VN+1 (or an explicit supplied VN), recompute the
         MAC, store all three off-chip, and update the tree path. VN-line and
         tree-node drain coalesces through the metadata cache; the MAC region
         is uncached and drains per write, except for tensor-covered writes
         whose integrity root is the entry's aggregate MAC. With functional
-        crypto the encryption and MAC wait for the next `seal()`."""
+        crypto the encryption and MAC wait for the next `seal()`, which
+        appends the line's fresh tag to `tag_sink` if one is given."""
         t = self.totals
         t["writes"] += 1
         t0 = (t["data_wr"], t["vn_wr"], t["mac_wr"], t["tree_wr"], t["cycles"],
@@ -370,10 +389,11 @@ class ProtectedMemory:
             new_vn = (old_vn + 1) & MASK56
         else:
             new_vn = vn & MASK56
+        self._settle(idx)
+        pending = self._unsealed.get(idx)
         blk = self._blocks[idx]
         if binding is None:
             # a line's binding is sticky; reuse the stored one when present
-            pending = self._unsealed.get(idx)
             binding = pending[1] if pending is not None else \
                 blk.binding if blk is not None else self.binding_for(idx, pa)
         else:
@@ -389,14 +409,16 @@ class ProtectedMemory:
                 plain = plain.to_bytes(LINE_BYTES, "little")
             elif len(plain) != LINE_BYTES:
                 raise ValueError(f"a line is {LINE_BYTES} bytes, got {len(plain)}")
-            self._unsealed[idx] = (plain, binding, new_vn)
+            self._unsealed[idx] = (plain, binding, new_vn, tag_sink)
         else:
             if blk is None:
                 self._blocks[idx] = CipherBlock(plain, binding, new_vn)
             else:
                 blk.data, blk.binding, blk.vn = plain, binding, new_vn
             code = pa if binding.mode == BindingMode.PHYSICAL_ADDR else binding.code()
-            self._macs[idx] = _stub_mac(code, new_vn)
+            self._macs[idx] = tag = _stub_mac(code, new_vn)
+            if tag_sink is not None:
+                tag_sink.append(tag)
         self.vn_lines[li][slot] = new_vn
         written = self.tree.update_path(li, tuple(self.vn_lines[li]))
         t["tree_wr"] += LINE_BYTES * len(written)

@@ -26,7 +26,7 @@ from typing import Iterable, Optional, Sequence
 from .crypto import (
     LINE_BYTES, MASK56, BindingMode, CipherBlock, CounterBinding,
     IntegrityFault, KeyMaterial, decrypt_block, encrypt_block, mac_block, mix64,
-    open_blocks, seal_lines,
+    mac_xor_aggregate, open_blocks, seal_lines,
 )
 from .engine import Engine
 
@@ -111,13 +111,7 @@ class StreamReport:
 def _fold_blocks(tags: list[int], granularity: int) -> list[int]:
     """XOR-fold per-line tags into one tag per `granularity`-byte block."""
     per = max(1, granularity // LINE_BYTES)
-    out = []
-    for b0 in range(0, len(tags), per):
-        acc = 0
-        for t in tags[b0:b0 + per]:
-            acc ^= t
-        out.append(acc)
-    return out
+    return [mac_xor_aggregate(tags[b0:b0 + per]) for b0 in range(0, len(tags), per)]
 
 
 class NpuDevice:
@@ -366,14 +360,6 @@ class NpuDevice:
             addr = record.base + i * LINE_BYTES
             self.gddr.pop(addr, None)
             self.taint.discard(addr)
-
-    def seal_block_macs(self, record: TensorRecord, granularity: int) -> None:
-        """Blocking-mode layout: one stored MAC per G-byte block, computed
-        from the lines now in GDDR; replaces the tensor's previous layout."""
-        tags, _ = self._open_lines(
-            record, [blk for _, blk in self._fetch_lines(record)], decrypt=False)
-        self.block_macs[record.base] = (granularity,
-                                        _fold_blocks(tags, granularity))
 
     def mac_storage_bytes(self, mode: VerifyMode) -> int:
         """Off-chip MAC footprint: 7 B per tensor (delayed) versus 7 B per

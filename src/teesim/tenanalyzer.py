@@ -12,9 +12,10 @@ protection.
 
 Entries also carry the tensor's XOR-aggregate MAC: it is born at promotion
 from the per-line MACs observed on the miss path, folded forward on boundary
-extensions, refolded from the fresh line MACs when a complete write sweep
-finishes, and checked (for free) whenever sequential reads cover the whole
-entry. Out-of-order covered reads fall back to per-line MAC fetch+verify.
+extensions, refolded from the fresh line tags that sealing hands back on-chip
+when a complete write sweep finishes, and checked (for free) whenever
+sequential reads cover the whole entry. Out-of-order covered reads fall back
+to per-line MAC fetch+verify.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from typing import Optional
 from .baseline import AES_CYCLES, MAC_CYCLES, MetadataCache, ProtectedMemory
 from .crypto import (
     LINE_BYTES, MASK56, BindingMode, CipherBlock, CounterBinding,
-    IntegrityFault, keystream, mac_block,
+    IntegrityFault, keystream, mac_block, mac_xor_aggregate,
 )
 
 MAX_STRIDE_BYTES = 1024 * LINE_BYTES   # 10-bit line-stride semantics, stored wider
@@ -64,7 +65,7 @@ class MetaTableEntry:
 
     __slots__ = ("base", "nx", "ny", "planes", "stride", "vn", "mac",
                  "uf", "bs", "valid", "tensor_id", "last_addr",
-                 "update_count", "runs", "runs_by_next",
+                 "update_count", "write_tags", "runs", "runs_by_next",
                  "lru", "touched")
 
     def __init__(self, base, nx, ny, stride, vn, mac, tensor_id=None):
@@ -81,6 +82,9 @@ class MetaTableEntry:
         self.tensor_id = tensor_id
         self.last_addr = base + (ny - 1) * stride + (nx - 1) * LINE_BYTES
         self.update_count = 0
+        # fresh tags of the lines written in the current update, appended
+        # on-chip as they are sealed
+        self.write_tags: list[int] = []
         self.runs: dict[int, list] = {}       # run_start -> [next_ordinal, acc]
         self.runs_by_next: dict[int, int] = {}
         self.lru = 0
@@ -596,6 +600,7 @@ class TenAnalyzer:
                 return WriteOutcome(INVALIDATE, reason="dirty_range")
             e.uf = 1
             e.update_count = 0
+            e.write_tags = []
             e.reset_sweep()
             self._write_covered(e, va, plain)
             if e.line_count == 1:
@@ -631,20 +636,19 @@ class TenAnalyzer:
                                      e.ordinal(va) * LINE_BYTES)
         else:
             binding = None
-        mem.write_line(va, plain, vn=new_vn, binding=binding, covered=True)
+        mem.write_line(va, plain, vn=new_vn, binding=binding, covered=True,
+                       tag_sink=e.write_tags)
 
     def _finish_update(self, e: MetaTableEntry) -> WriteOutcome:
         # Assert2 held, so every covered line was written exactly once in
-        # this update: the entry MAC is the fold of their fresh line MACs,
-        # sealed here in one batch
-        macs, index = self.mem.macs, self.mem.line_index
-        acc = 0
-        for va in e.addresses():
-            acc ^= macs[index(va)]
+        # this update: the entry MAC is the fold of their fresh tags, which
+        # the batch seal delivers to the entry's on-chip sink
+        self.mem.seal()
         e.vn = (e.vn + 1) & MASK56
         e.bs ^= 1
         e.uf = 0
-        e.mac = acc
+        e.mac = mac_xor_aggregate(e.write_tags)
+        e.write_tags = []
         e.update_count = 0
         e.reset_sweep()
         e.touched = e.lru = self._tick()

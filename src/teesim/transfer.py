@@ -20,7 +20,7 @@ from .baseline import ProtectedMemory
 from .crypto import (
     LINE_BYTES, MASK56, BindingMode, CipherBlock, CounterBinding,
     IntegrityFault, KeyMaterial, decrypt_block, encrypt_block, mac_block, mix64,
-    open_blocks, seal_lines,
+    mac_xor_aggregate, open_blocks, seal_lines,
 )
 from .engine import Engine
 from .nputee import NpuDevice
@@ -418,10 +418,7 @@ def _install_on_cpu(msg: MetadataMessage, lines, analyzer: TenAnalyzer,
     verify_done = max(at, mac_end)
     if mem.crypto_on:
         tags, _ = open_blocks(key, lines, decrypt=False)
-        acc = 0
-        for tag in tags:
-            acc ^= tag
-        if acc != msg.mac:
+        if mac_xor_aggregate(tags) != msg.mac:
             rep.faults += 1
             raise IntegrityFault("tensor_mac",
                                  f"direct transfer tensor {msg.tensor_id}")

@@ -281,11 +281,9 @@ def _npu_stream_ticks(vm: VerifyMode | None, n: int = 1024) -> int:
             _, c = eng.reserve("npu_compute", LINE_BYTES, at_tick=f)
             done = max(done, c)
         return done
-    dev = NpuDevice(KEY, eng, crypto_on=False)
+    dev = NpuDevice(KEY, eng, crypto_on=False, mac_granularity=vm.granularity)
     rec = dev.register_tensor(1, 0x4000_0000, n)
     dev.store_tensor_stream(rec, list(range(n)))
-    if vm.mode == "blocking":
-        dev.seal_block_macs(rec, vm.granularity)
     for r in eng.resources.values():   # staging must not occupy the ledger
         r.busy_until = 0
     _, rep = dev.load_tensor_stream(rec, vm, at_tick=0)

@@ -121,12 +121,12 @@ def npu_stream_snapshot(granularity: str) -> dict:
     cfg = _config("tensortee")
     cfg.npu.mac_granularity = int(granularity)
     ticks = run_npu_stream(cfg)
-    dev = NpuDevice(KeyMaterial.from_seed(SEED), build_engine(cfg))
+    dev = NpuDevice(KeyMaterial.from_seed(SEED), build_engine(cfg),
+                    mac_granularity=cfg.npu.mac_granularity)
     rec = dev.register_tensor(7, 0x4000_0000, NPU_LINES)
     order = list(range(NPU_LINES))
     random.Random(SEED).shuffle(order)
     dev.store_tensor_stream(rec, _lines(NPU_LINES, 1), order=order)
-    dev.seal_block_macs(rec, int(granularity))
     blocking, _ = dev.load_tensor_stream(rec, VerifyMode("blocking", int(granularity)))
     delayed, _ = dev.load_tensor_stream(rec, VerifyMode("delayed"))
     return {

@@ -14,9 +14,10 @@ KEY = KeyMaterial.from_seed(0x0909)
 DEV_BASE = 0x4000_0000
 
 
-def make_dev(threshold=3):
+def make_dev(threshold=3, granularity=512):
     eng = build_engine(SimConfig())
-    return NpuDevice(KEY, eng, fault_threshold=threshold), eng
+    return NpuDevice(KEY, eng, fault_threshold=threshold,
+                     mac_granularity=granularity), eng
 
 
 def lines(n, seed=0):
@@ -43,9 +44,8 @@ def test_clean_delayed_stream_no_verification_stalls():
 
 
 def test_blocking_4k_stalls_first_line_of_each_block():
-    dev, _ = make_dev()
+    dev, _ = make_dev(granularity=4096)
     rec, _ = stored_tensor(dev, n=256)
-    dev.seal_block_macs(rec, 4096)
     _, rep = dev.load_tensor_stream(rec, VerifyMode("blocking", 4096))
     assert rep.stall_ticks > 0
     # when compute outpaces the AES stream, every 64-line block bubbles for
@@ -53,10 +53,9 @@ def test_blocking_4k_stalls_first_line_of_each_block():
     cfg = SimConfig()
     cfg.npu.compute_cycles_per_line = 4
     eng = build_engine(cfg)
-    dev2 = NpuDevice(KEY, eng)
+    dev2 = NpuDevice(KEY, eng, mac_granularity=4096)
     rec2 = dev2.register_tensor(1, DEV_BASE, 256)
     dev2.store_tensor_stream(rec2, lines(256))
-    dev2.seal_block_macs(rec2, 4096)
     _, rep_b = dev2.load_tensor_stream(rec2, VerifyMode("blocking", 4096))
     # analytic schedule: AES streams a line per 56 ticks, compute eats one per
     # 28, so each steady block bubbles 64*(56-28) and block 0 pays its fill
@@ -67,11 +66,9 @@ def test_blocking_4k_stalls_first_line_of_each_block():
 
 
 def _fresh_load_span(n, vm, seed=0):
-    dev, eng = make_dev()
+    dev, eng = make_dev(granularity=vm.granularity)
     rec = dev.register_tensor(1, DEV_BASE, n)
     dev.store_tensor_stream(rec, lines(n, seed))
-    if vm.mode == "blocking":
-        dev.seal_block_macs(rec, vm.granularity)
     for r in eng.resources.values():
         r.busy_until = 0  # staging must not occupy the ledger
     _, rep = dev.load_tensor_stream(rec, vm, at_tick=0)
@@ -245,17 +242,9 @@ def test_mac_storage_accounting():
 
 
 def test_blocking_detects_tampered_block():
+    # the block MACs checked are the ones the store sealed
     dev, _ = make_dev()
-    rec, _ = stored_tensor(dev, n=64)
-    dev.seal_block_macs(rec, 512)
-    dev.gddr[rec.base + 9 * LINE_BYTES].data ^= 1 << 7
-    with pytest.raises(IntegrityFault):
-        dev.load_tensor_stream(rec, VerifyMode("blocking", 512))
-
-
-def test_blocking_verifies_the_block_macs_the_store_sealed():
-    dev, _ = make_dev()
-    rec, data = stored_tensor(dev, n=64)       # no seal_block_macs call
+    rec, data = stored_tensor(dev, n=64)
     plains, _ = dev.load_tensor_stream(rec, VerifyMode("blocking", 512))
     assert plains == data
     dev.gddr[rec.base + 40 * LINE_BYTES].data ^= 1 << 100
