@@ -8,15 +8,19 @@ says why:
     PYTHONPATH=src python tests/test_golden_metrics.py --write
 """
 
+import dataclasses
 import hashlib
 import json
+import os
 import random
 import sys
+import tempfile
 from pathlib import Path
+from unittest import mock
 
 from teesim.baseline import ProtectedMemory
-from teesim.cli import run_npu_stream
-from teesim.config import SimConfig, build_engine
+from teesim.cli import main, run_npu_stream
+from teesim.config import SEED_ENV_VAR, SimConfig, build_engine
 from teesim.crypto import LINE_BYTES, KeyMaterial
 from teesim.nputee import NpuDevice, VerifyMode
 from teesim.tenanalyzer import TenAnalyzer
@@ -38,7 +42,9 @@ CPU_BASE = 0x1000_0000
 RUNS = [("zero_offload", "nonsecure"), ("zero_offload", "sgx_mgx"),
         ("zero_offload", "tensortee"), ("fuzz", "sgx_mgx"), ("fuzz", "tensortee"),
         ("npu_stream", "512"), ("npu_stream", "4096"),
-        ("transfer", "relay"), ("transfer", "direct")]
+        ("transfer", "relay"), ("transfer", "direct"),
+        ("adam", "nonsecure"), ("adam", "sgx_mgx"), ("adam", "tensortee"),
+        ("gemm", "nonsecure"), ("gemm", "sgx_mgx"), ("gemm", "tensortee")]
 
 
 def _config(mode: str) -> SimConfig:
@@ -196,8 +202,31 @@ def transfer_snapshot(protocol: str) -> dict:
     }
 
 
+def cli_snapshot(workload: str, mode: str) -> dict:
+    """The metrics.json that `teesim run` writes for a small adam or gemm
+    config: three tensors of drawn sizes, or a 64x64x128 GEMM in 16-wide
+    tiles. Per-iteration hit rates, cost samples and the Meta Table are all
+    part of it. The adam config is one where summing the hit_in and
+    hit_boundary shares differs in the last bit from dividing the summed
+    counts, both for the whole run and for one iteration."""
+    cfg = _config(mode)
+    wl = cfg.workload
+    wl.name = workload
+    wl.tensors, wl.tensor_bytes_min, wl.tensor_bytes_max = 3, 1024, 8192
+    wl.threads, wl.iterations, wl.burst_lines = 4, 3, 4
+    wl.gemm_m, wl.gemm_n, wl.gemm_k, wl.gemm_tile = 64, 64, 128, 16
+    with tempfile.TemporaryDirectory() as tmp, mock.patch.dict(os.environ):
+        os.environ.pop(SEED_ENV_VAR, None)
+        cfg_path, out = Path(tmp) / "cfg.json", Path(tmp) / "out"
+        cfg_path.write_text(json.dumps(dataclasses.asdict(cfg)))
+        assert main(["run", "--config", str(cfg_path), "--out", str(out)]) == 0
+        return json.loads((out / "metrics.json").read_text())
+
+
 SNAPSHOTS = {"zero_offload": zero_offload_snapshot, "fuzz": fuzz_snapshot,
-             "npu_stream": npu_stream_snapshot, "transfer": transfer_snapshot}
+             "npu_stream": npu_stream_snapshot, "transfer": transfer_snapshot,
+             "adam": lambda mode: cli_snapshot("adam", mode),
+             "gemm": lambda mode: cli_snapshot("gemm", mode)}
 
 
 def snapshot(workload: str, mode: str) -> dict:
