@@ -1,4 +1,4 @@
-"""teesim: discrete-event simulator of tensor-granularity trusted-execution
+"""teesim: integer-tick simulator of tensor-granularity trusted-execution
 memory protection for CPU+NPU collaborative computing."""
 
 __version__ = "0.1.0"
@@ -13,7 +13,7 @@ from .config import (
     ConfigError, CpuConfig, CryptoConfig, LinkConfig, NpuConfig, SimConfig,
     WorkloadConfig, build_engine, load_config, load_config_file,
 )
-from .engine import Engine, Metrics, Resource, SimError, SimEvent
+from .engine import Engine, Resource, SimError
 from .nputee import FaultCounter, HaltError, NpuDevice, TensorRecord, VerifyMode
 from .tenanalyzer import MetaTableEntry, ReadOutcome, TenAnalyzer, WriteOutcome
 from .transfer import (
@@ -31,9 +31,9 @@ __all__ = [
     "CostReport", "CounterBinding", "CpuConfig", "CryptoConfig", "Enclave",
     "Engine", "FaultCounter", "HaltError", "IntegrityFault", "KeyMaterial",
     "LinkConfig", "MetaTableEntry", "MetadataCache", "MetadataMessage",
-    "Metrics", "NpuConfig", "NpuDevice", "PlainMemory", "ProtectedMemory",
+    "NpuConfig", "NpuDevice", "PlainMemory", "ProtectedMemory",
     "ProtocolError", "ReadOutcome", "Resource", "SessionState", "SimConfig",
-    "SimError", "SimEvent", "TenAnalyzer", "TensorRecord", "TraceRecord",
+    "SimError", "TenAnalyzer", "TensorRecord", "TraceRecord",
     "TransferReport", "VerifyMode", "VnTree", "WorkloadConfig",
     "WriteOutcome", "ZeroOffloadReport", "attest_and_exchange",
     "baseline_transfer", "build_engine", "decode_metadata", "decrypt_block",

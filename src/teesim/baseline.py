@@ -31,12 +31,15 @@ VNS_PER_LINE = 8
 AES_CYCLES = 40
 MAC_CYCLES = 40
 HASH_CYCLES = 40
-# below this many pending lines, seal() runs the scalar kernels: a numpy
-# batch has a fixed cost of about 8 scalar line seals, and most seals in the
-# tamper campaign and in fuzz replays cover a single line
-SEAL_BATCH_MIN = 8
 
 COST_FIELDS = ("op", "pa", "data_bytes", "vn_bytes", "mac_bytes", "tree_bytes", "cycles")
+# the byte/cycle books of a CPU memory: *_wr counters track state updates
+# (what the op touched); *_wb track the coalesced DRAM drain of dirty
+# metadata; rebuild_bytes covers per-line MAC regeneration sweeps after entry
+# invalidations
+TOTALS_KEYS = ("reads", "writes", "data_rd", "data_wr", "vn_rd", "vn_wr",
+               "mac_rd", "mac_wr", "tree_rd", "tree_wr", "cycles", "vn_wb",
+               "tree_wb", "mac_wb", "rebuild_bytes")
 
 
 @dataclass
@@ -191,15 +194,7 @@ class ProtectedMemory:
                      if crypto_on else _LightTree(n_vn_lines))
         self.tree.build(self.vn_lines)
         self.bindings: dict[int, CounterBinding] = {}
-        # *_wr counters track state updates (what the op touched); *_wb track
-        # the coalesced DRAM drain of dirty metadata; rebuild_bytes covers
-        # per-line MAC regeneration sweeps after entry invalidations
-        self.totals: dict[str, int] = {
-            "reads": 0, "writes": 0, "data_rd": 0, "data_wr": 0,
-            "vn_rd": 0, "vn_wr": 0, "mac_rd": 0, "mac_wr": 0,
-            "tree_rd": 0, "tree_wr": 0, "cycles": 0,
-            "vn_wb": 0, "tree_wb": 0, "mac_wb": 0, "rebuild_bytes": 0,
-        }
+        self.totals: dict[str, int] = dict.fromkeys(TOTALS_KEYS, 0)
 
     # -- sealing ------------------------------------------------------------
 
@@ -220,15 +215,8 @@ class ProtectedMemory:
         pending = self._unsealed
         if not pending:
             return
-        key = self.key
-        if len(pending) < SEAL_BATCH_MIN:
-            sealed = []
-            for plain, binding, vn, _ in pending.values():
-                nb = encrypt_block(plain, binding, vn, key)
-                sealed.append((nb.data, mac_block(nb, key)))
-        else:
-            plains, bindings, vns, _ = zip(*pending.values())
-            sealed = zip(*seal_lines(key, plains, bindings, vns))
+        plains, bindings, vns, _ = zip(*pending.values())
+        sealed = zip(*seal_lines(self.key, plains, bindings, vns))
         blocks, macs = self._blocks, self._macs
         for (idx, (_, binding, vn, sink)), (data, tag) in zip(pending.items(), sealed):
             blk = blocks[idx]
@@ -442,8 +430,8 @@ class ProtectedMemory:
         return self.macs[self.line_index(pa)]
 
     def _zero_block(self, idx: int, pa: int, vn: int) -> CipherBlock:
-        """Materialize a never-written line; the caller has sealed, so the
-        line has no pending write."""
+        """Materialize a never-written line, with a fresh MAC; the caller has
+        sealed, so the line has no pending write."""
         binding = self.binding_for(idx, pa)
         if self.crypto_on:
             blk = encrypt_block(b"\x00" * LINE_BYTES, binding, vn, self.key)
@@ -457,12 +445,22 @@ class ProtectedMemory:
 
     # -- adversary harness ---------------------------------------------------
 
+    def _materialized(self, pa: int) -> tuple[int, CipherBlock]:
+        """Seal, then return line `pa`'s index and block, materializing a
+        never-written line first. The adversary harness goes through here,
+        so a tamper of a never-written line is not undone by a later first
+        read."""
+        self.seal()
+        idx = self.line_index(pa)
+        blk = self._blocks[idx]
+        if blk is None:
+            blk = self._zero_block(idx, pa, self.vn_of(pa))
+        return idx, blk
+
     def snapshot_triple(self, pa: int):
         """Capture (ciphertext, VN, MAC) for a later replay injection."""
-        idx = self.line_index(pa)
-        blk = self.blocks[idx]
-        data = None if blk is None else (blk.data, blk.binding, blk.vn)
-        return (data, self.vn_of(pa), self.macs[idx])
+        idx, blk = self._materialized(pa)
+        return (blk.data, blk.binding, blk.vn), self.vn_of(pa), self._macs[idx]
 
     def inject_attack(self, kind: str, pa: int, *, bit: int = 0,
                       snapshot=None, delta: int = 1) -> None:
@@ -470,27 +468,21 @@ class ProtectedMemory:
         metadata are inside the TCB and stay intact."""
         if not self.crypto_on:
             raise RuntimeError("attacks need crypto_on=True to be observable")
-        self.seal()
-        idx = self.line_index(pa)
+        idx, blk = self._materialized(pa)
         li, slot = divmod(idx, VNS_PER_LINE)
         if kind == "bitflip":
-            blk = self.blocks[idx]
-            if blk is None:
-                blk = self._zero_block(idx, pa, self.vn_of(pa))
             blk.data ^= 1 << (bit % (LINE_BYTES * 8))
         elif kind == "mac_tamper":
-            self.macs[idx] ^= 1 << (bit % 56)
+            self._macs[idx] ^= 1 << (bit % 56)
         elif kind == "vn_tamper":
             self.vn_lines[li][slot] = (self.vn_lines[li][slot] + delta) & MASK56
         elif kind == "replay":
             if snapshot is None:
                 raise ValueError("replay needs a snapshot_triple()")
             data, vn, mac = snapshot
-            if data is not None:
-                blk = self.blocks[idx]
-                blk.data, blk.binding, blk.vn = data
+            blk.data, blk.binding, blk.vn = data
             self.vn_lines[li][slot] = vn
-            self.macs[idx] = mac
+            self._macs[idx] = mac
         else:
             raise ValueError(f"unknown attack kind: {kind}")
 
@@ -521,10 +513,7 @@ class PlainMemory:
         self.base_pa = base_pa
         self.n_lines = n_lines
         self.blocks: list = [None] * n_lines
-        self.totals = {"reads": 0, "writes": 0, "data_rd": 0, "data_wr": 0,
-                       "vn_rd": 0, "vn_wr": 0, "mac_rd": 0, "mac_wr": 0,
-                       "tree_rd": 0, "tree_wr": 0, "cycles": 0,
-                       "vn_wb": 0, "tree_wb": 0, "mac_wb": 0, "rebuild_bytes": 0}
+        self.totals: dict[str, int] = dict.fromkeys(TOTALS_KEYS, 0)
 
     def line_index(self, pa: int) -> int:
         off = pa - self.base_pa
@@ -542,7 +531,7 @@ class PlainMemory:
         rep = CostReport("R", pa, data_bytes=LINE_BYTES) if collect else None
         return plain, rep
 
-    def write_line(self, pa: int, plain, collect: bool = False):
+    def write_line(self, pa: int, plain, *, collect: bool = False):
         t = self.totals
         t["writes"] += 1
         t["data_wr"] += LINE_BYTES

@@ -15,7 +15,7 @@ import random
 import sys
 from pathlib import Path
 
-from .baseline import CostReport, PlainMemory, ProtectedMemory
+from .baseline import CostReport, ProtectedMemory
 from .config import (
     MODE_LABELS, MODES, ConfigError, SimConfig, build_engine, load_config,
     load_config_file,
@@ -23,11 +23,11 @@ from .config import (
 from .crypto import IntegrityFault, KeyMaterial, LINE_BYTES
 from .engine import SimError
 from .nputee import HaltError, NpuDevice, StreamReport, VerifyMode
-from .tenanalyzer import TenAnalyzer
 from .transfer import AttestationFailure, ProtocolError, TransferReport
 from .workloads import (
-    adam_layouts, adam_region_lines, gen_adam_trace, gen_fuzz_trace,
-    gen_gemm_trace, gemm_region_lines, run_zero_offload, write_trace,
+    adam_layouts, adam_region_lines, build_cpu_side, gen_adam_trace,
+    gen_fuzz_trace, gen_gemm_trace, gemm_region_lines, iter_adam_trace,
+    replay_trace, run_zero_offload, write_trace,
 )
 
 EXIT_OK = 0
@@ -37,8 +37,6 @@ EXIT_ATTESTATION = 4
 EXIT_HALT = 5
 EXIT_PROTOCOL = 6
 EXIT_SIM = 7
-
-COST_SAMPLE_LIMIT = 1000
 
 # (seed, binding mode, pa or tensor id, offset, vn): the inputs of the frozen
 # keystream vectors in tests/data/golden_vectors.json, which selftest runs
@@ -51,47 +49,11 @@ GOLDEN_VECTOR_INPUTS = (
 )
 
 
-def _build_cpu_side(cfg: SimConfig, n_lines: int, base: int):
-    key = KeyMaterial.from_seed(cfg.crypto.seed)
-    if cfg.mode == "nonsecure":
-        return PlainMemory(base, n_lines), None
-    mem = ProtectedMemory(base, n_lines, key,
-                          metadata_cache_bytes=cfg.cpu.metadata_cache_bytes,
-                          crypto_on=cfg.crypto.functional)
-    if cfg.mode == "sgx_mgx":
-        return mem, None
-    ta = TenAnalyzer(mem, en_tmf=cfg.cpu.en_tmf,
-                     table_entries=cfg.cpu.meta_table_entries,
-                     filter_entries=cfg.cpu.filter_entries,
-                     collect_limit=cfg.cpu.filter_collect_limit,
-                     merge_window=cfg.cpu.merge_window,
-                     bitmap_cache_bytes=cfg.cpu.bitmap_cache_bytes)
-    return mem, ta
-
-
-def _replay_with_mode(mem, analyzer, records, cost_sample: list):
-    crypto_on = getattr(mem, "crypto_on", False)
-    for r in records:
-        if r.kind == "R":
-            if analyzer is not None:
-                analyzer.on_read(r.va)
-            else:
-                collect = len(cost_sample) < COST_SAMPLE_LIMIT
-                _, rep = mem.read_line(r.va, collect=collect)
-                if rep is not None:
-                    cost_sample.append(rep)
-        elif r.kind == "W":
-            data = ((r.va & 0xFF).to_bytes(1, "little") * LINE_BYTES
-                    if crypto_on else (r.va & ((1 << 512) - 1)))
-            if analyzer is not None:
-                analyzer.on_write(r.va, data)
-            else:
-                collect = len(cost_sample) < COST_SAMPLE_LIMIT
-                rep = mem.write_line(r.va, data, collect=collect) \
-                    if not isinstance(mem, PlainMemory) \
-                    else mem.write_line(r.va, data, collect)
-                if isinstance(rep, CostReport):
-                    cost_sample.append(rep)
+def _cpu_side(cfg: SimConfig, n_lines: int, base: int):
+    """(memory, analyzer or None, CPU front door) of the configured mode."""
+    mem, analyzer = build_cpu_side(cfg, cfg.mode, n_lines, base,
+                                   KeyMaterial.from_seed(cfg.crypto.seed))
+    return mem, analyzer, mem if analyzer is None else analyzer
 
 
 def run_adam(cfg: SimConfig) -> dict:
@@ -99,27 +61,17 @@ def run_adam(cfg: SimConfig) -> dict:
     base = 0x1000_0000
     layouts = adam_layouts(wl.tensors, wl.tensor_bytes_min,
                            wl.tensor_bytes_max, base)
-    n_lines = adam_region_lines(layouts, base)
-    mem, analyzer = _build_cpu_side(cfg, n_lines, base)
+    mem, analyzer, front = _cpu_side(cfg, adam_region_lines(layouts, base), base)
     cost_sample: list = []
     per_iter = []
-    one_iter_cfg = type(wl)(**{**wl.__dict__, "iterations": 1})
-    trace = gen_adam_trace(one_iter_cfg, region_base=base)
     for it in range(wl.iterations):
+        before = dict(analyzer.stats) if analyzer is not None else None
+        # one iteration's records, generated as they are replayed
+        replay_trace(front, iter_adam_trace(layouts, wl.threads,
+                                            wl.burst_lines, 1), cost_sample)
         if analyzer is not None:
-            before = dict(analyzer.stats)
-        _replay_with_mode(mem, analyzer, trace, cost_sample)
-        if analyzer is not None:
-            s = analyzer.stats
-            reads = sum(s[k] - before[k] for k in
-                        ("r_hit_in", "r_hit_boundary", "r_miss"))
-            row = {"iteration": it + 1,
-                   "hit_in": (s["r_hit_in"] - before["r_hit_in"]) / max(1, reads),
-                   "hit_boundary": (s["r_hit_boundary"] - before["r_hit_boundary"])
-                   / max(1, reads),
-                   "miss": (s["r_miss"] - before["r_miss"]) / max(1, reads)}
-            row["hit_all"] = row["hit_in"] + row["hit_boundary"]
-            per_iter.append(row)
+            per_iter.append({"iteration": it + 1,
+                             **analyzer.hit_rates(since=before)})
     metrics = {
         "workload": "adam", "mode": cfg.mode,
         "cpu_totals": dict(mem.totals),
@@ -137,23 +89,18 @@ def run_adam(cfg: SimConfig) -> dict:
 def run_gemm(cfg: SimConfig) -> dict:
     wl = cfg.workload
     base = 0x2000_0000
-    n_lines = gemm_region_lines(wl.gemm_m, wl.gemm_n, wl.gemm_k)
-    mem, analyzer = _build_cpu_side(cfg, n_lines, base)
+    mem, analyzer, front = _cpu_side(
+        cfg, gemm_region_lines(wl.gemm_m, wl.gemm_n, wl.gemm_k), base)
     trace = gen_gemm_trace(wl.gemm_m, wl.gemm_n, wl.gemm_k, wl.gemm_tile,
                            a_base=base)
     cost_sample: list = []
     passes = []
     for p in range(2):
+        before = dict(analyzer.stats) if analyzer is not None else None
+        replay_trace(front, trace, cost_sample)
         if analyzer is not None:
-            before = dict(analyzer.stats)
-        _replay_with_mode(mem, analyzer, trace, cost_sample)
-        if analyzer is not None:
-            s = analyzer.stats
-            reads = sum(s[k] - before[k] for k in
-                        ("r_hit_in", "r_hit_boundary", "r_miss"))
             passes.append({"pass": p + 1,
-                           "hit_in": (s["r_hit_in"] - before["r_hit_in"])
-                           / max(1, reads)})
+                           "hit_in": analyzer.hit_rates(since=before)["hit_in"]})
     metrics = {"workload": "gemm", "mode": cfg.mode,
                "cpu_totals": dict(mem.totals), "passes": passes,
                "cost_sample": [r.csv_row() for r in cost_sample]}

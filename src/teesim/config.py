@@ -187,10 +187,10 @@ def _per_tick(bytes_per_s: int, tick_hz: int) -> tuple[int, int]:
     return bytes_per_s // g, tick_hz // g
 
 
-def build_engine(cfg: SimConfig, debug: bool = False) -> Engine:
+def build_engine(cfg: SimConfig) -> Engine:
     """Engine with the standard resource set for one CPU+NPU system."""
     tick_hz = make_tick_hz(cfg.cpu.freq_hz, cfg.npu.freq_hz)
-    eng = Engine(tick_hz=tick_hz, debug=debug)
+    eng = Engine(tick_hz=tick_hz)
     cpu_tpc = eng.ticks_per_cycle(cfg.cpu.freq_hz)
     npu_tpc = eng.ticks_per_cycle(cfg.npu.freq_hz)
 

@@ -37,6 +37,10 @@ _M1 = 0xBF58476D1CE4E5B9
 _M2 = 0x94D049BB133111EB
 _LANES = tuple(i * _GOLDEN & MASK64 for i in range(8))
 _WORDS8 = struct.Struct("<8Q")   # a 64 B line as eight little-endian words
+# below this many lines, seal_lines and open_blocks run the per-line kernels:
+# a numpy batch costs about 90 ufunc dispatches whatever its size, as much as
+# about 8 per-line seals
+SEAL_BATCH_MIN = 8
 
 
 class BindingMode(IntEnum):
@@ -253,6 +257,13 @@ def _line_bytes(x) -> bytes:
     return bytes(x)
 
 
+def _line_int(x) -> int:
+    raw = _line_bytes(x)
+    if len(raw) != LINE_BYTES:
+        raise ValueError("every line must be 64 bytes")
+    return int.from_bytes(raw, "little")
+
+
 def line_words(lines: Iterable) -> np.ndarray:
     """(n, 8) uint64 words of n 64 B lines, each given as bytes or as an int
     (an int is read modulo 2^512, as `mac_block` reads ciphertext)."""
@@ -276,7 +287,14 @@ def seal_lines(key: KeyMaterial, plains: Sequence, bindings: Sequence[CounterBin
                vns) -> tuple[list[int], list[int]]:
     """Ciphertexts (512-bit ints) and tags of n plaintext lines, in one
     batch: line i as `encrypt_block` then `mac_block` would seal it under
-    binding i and VN i (one int VN applies to every line)."""
+    binding i and VN i (one int VN applies to every line). Fewer than
+    `SEAL_BATCH_MIN` lines go through those per-line kernels instead."""
+    n = len(bindings)
+    if n < SEAL_BATCH_MIN:
+        vns = [vns] * n if isinstance(vns, int) else vns
+        blocks = [encrypt_block(_line_int(p), b, v, key)
+                  for p, b, v in zip(plains, bindings, vns)]
+        return [blk.data for blk in blocks], [mac_block(blk, key) for blk in blocks]
     codes = binding_codes(bindings)
     ct = line_words(plains) ^ keystream_lines(key, codes, vns)
     return words_to_ints(ct), mac_lines(key, codes, ct, vns).tolist()
@@ -286,7 +304,16 @@ def open_blocks(key: KeyMaterial, blocks: Sequence[CipherBlock], vn=None, *,
                 decrypt: bool = True) -> tuple[list[int], Optional[list[bytes]]]:
     """Tags and (if `decrypt`) plaintexts of n sealed lines, in one batch:
     what `mac_block` and `decrypt_block` give line by line, under `vn` when
-    given, else under each block's own VN."""
+    given, else under each block's own VN. Fewer than `SEAL_BATCH_MIN`
+    lines go through those per-line kernels instead."""
+    n = len(blocks)
+    if n < SEAL_BATCH_MIN:
+        vns = [b.vn for b in blocks] if vn is None else [vn] * n
+        tags = [mac_block(CipherBlock(b.data, b.binding, v), key)
+                for b, v in zip(blocks, vns)]
+        if not decrypt:
+            return tags, None
+        return tags, [decrypt_block(b, key, v) for b, v in zip(blocks, vns)]
     codes = binding_codes(b.binding for b in blocks)
     ct = line_words(b.data for b in blocks)
     vns = [b.vn for b in blocks] if vn is None else vn

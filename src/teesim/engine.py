@@ -1,25 +1,25 @@
-"""Discrete-event core: integer tick clock, event queue, and shared resources
-with FCFS bandwidth reservations.
+"""Timing core: an integer tick clock and a reservation ledger of shared
+resources with FCFS bandwidth grants.
 
 All timing flows through here. The global clock ticks at lcm(cpu_hz, npu_hz)
 so both clock domains map to exact integer tick counts (fixed-point, no
-floating time). Resources (DRAM channels, AES engines, MAC units, the
-inter-chip link) grant reservations first-come-first-served; throughput
-occupies the resource, fixed pipeline latency is charged on completion only,
-so back-to-back streams pipeline.
+floating time). There is no event queue: callers compute their own schedules
+by reserving resources at explicit ticks and move the clock forward with
+`advance`. Resources (DRAM channels, AES engines, MAC units, the inter-chip
+link) grant reservations first-come-first-served; throughput occupies the
+resource, fixed pipeline latency is charged on completion only, so
+back-to-back streams pipeline.
 """
 
 from __future__ import annotations
 
-import heapq
-import json
 import math
-from dataclasses import dataclass
-from typing import Any, Callable, Optional
+from typing import Optional
 
 
 class SimError(Exception):
-    """Internal scheduling bug trap (event in the past, unknown resource)."""
+    """Internal scheduling bug trap (clock moved backwards, unknown
+    resource)."""
 
 
 class Resource:
@@ -46,60 +46,13 @@ class Resource:
         return -(-amount * self.den // self.num)
 
 
-@dataclass
-class SimEvent:
-    event_id: int
-    fire_tick: int
-    kind: str
-    payload: Any = None
-    parent: Optional[int] = None
-    action: Optional[Callable[["Engine", "SimEvent"], None]] = None
-
-
-class Metrics:
-    """Flat counter set aggregated across modules; deterministic dumps."""
-
-    def __init__(self):
-        self.counters: dict[str, int] = {}
-        self.tables: dict[str, list] = {}
-
-    def add(self, name: str, n: int = 1) -> None:
-        self.counters[name] = self.counters.get(name, 0) + n
-
-    def put(self, name: str, value: int) -> None:
-        self.counters[name] = value
-
-    def get(self, name: str) -> int:
-        return self.counters.get(name, 0)
-
-    def append_row(self, table: str, row) -> None:
-        self.tables.setdefault(table, []).append(row)
-
-    def merge(self, other: "Metrics") -> None:
-        for k, v in other.counters.items():
-            self.add(k, v)
-        for t, rows in other.tables.items():
-            self.tables.setdefault(t, []).extend(rows)
-
-    def to_json(self) -> str:
-        return json.dumps({"counters": dict(sorted(self.counters.items())),
-                           "tables": {k: self.tables[k] for k in sorted(self.tables)}},
-                          sort_keys=True)
-
-
 class Engine:
-    """Single-threaded event loop owning all module state."""
+    """The clock and the resource ledger of one simulated system."""
 
-    def __init__(self, tick_hz: int = 1, debug: bool = False):
+    def __init__(self, tick_hz: int = 1):
         self.tick_hz = tick_hz
         self.now = 0
-        self.debug = debug
         self.resources: dict[str, Resource] = {}
-        self.metrics = Metrics()
-        self._queue: list[tuple[int, int, int]] = []
-        self._events: dict[int, SimEvent] = {}
-        self._next_id = 0
-        self._fired: dict[int, int] = {}
 
     # -- resources ---------------------------------------------------------
 
@@ -128,64 +81,18 @@ class Engine:
         r.wait_ticks += start - want
         return start, start + dur + r.latency_ticks
 
-    # -- events ------------------------------------------------------------
-
-    def schedule(self, fire_tick: int, kind: str, action=None, payload=None,
-                 parent: Optional[int] = None) -> int:
-        if fire_tick < self.now:
-            raise SimError(f"event {kind!r} scheduled in the past "
-                           f"({fire_tick} < {self.now})")
-        if self.debug and parent is not None and parent not in self._events:
-            raise SimError(f"event {kind!r} has unknown parent {parent}")
-        eid = self._next_id
-        self._next_id += 1
-        ev = SimEvent(eid, fire_tick, kind, payload, parent, action)
-        self._events[eid] = ev
-        heapq.heappush(self._queue, (fire_tick, eid, eid))
-        return eid
-
-    def run_until(self, tick: Optional[int] = None) -> Metrics:
-        """Drain events up to `tick` (or until quiescent). Fires in
-        nondecreasing tick order, ties broken by scheduling sequence."""
-        while self._queue:
-            fire, _, eid = self._queue[0]
-            if tick is not None and fire > tick:
-                break
-            heapq.heappop(self._queue)
-            ev = self._events[eid]
-            if self.debug and ev.parent is not None:
-                pf = self._fired.get(ev.parent)
-                if pf is None or pf > ev.fire_tick:
-                    raise SimError(f"causality: event {ev.kind!r} fires at "
-                                   f"{ev.fire_tick} before parent completion {pf}")
-            self.now = fire
-            if ev.action is not None:
-                ev.action(self, ev)
-            self._fired[eid] = fire
-        if tick is not None and tick > self.now:
-            self.now = tick
-        return self.metrics
+    # -- clock ------------------------------------------------------------
 
     def advance(self, tick: int) -> None:
         if tick < self.now:
             raise SimError("cannot move the clock backwards")
         self.now = tick
 
-    # -- clock helpers -----------------------------------------------------
-
     def ticks_per_cycle(self, freq_hz: int) -> int:
         tpc, rem = divmod(self.tick_hz, freq_hz)
         if rem:
             raise SimError(f"clock {freq_hz} Hz does not divide tick rate")
         return tpc
-
-    def finalize_resource_stats(self) -> None:
-        for name in sorted(self.resources):
-            r = self.resources[name]
-            self.metrics.put(f"res.{name}.bytes", r.total_amount)
-            self.metrics.put(f"res.{name}.busy_ticks", r.busy_ticks)
-            self.metrics.put(f"res.{name}.grants", r.grants)
-            self.metrics.put(f"res.{name}.wait_ticks", r.wait_ticks)
 
 
 def make_tick_hz(*freqs_hz: int) -> int:

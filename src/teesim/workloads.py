@@ -18,13 +18,13 @@ from __future__ import annotations
 import gzip
 import random
 from dataclasses import dataclass, field
-from typing import Iterator, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
 from .baseline import PlainMemory, ProtectedMemory
 from .config import SimConfig, build_engine
-from .crypto import LINE_BYTES, decrypt_block
+from .crypto import LINE_BYTES, KeyMaterial, decrypt_block
 from .nputee import NpuDevice, VerifyMode
 from .tenanalyzer import TenAnalyzer
 from .transfer import (
@@ -38,6 +38,9 @@ ADAM_LR = np.float32(1e-3)
 ADAM_EPS = np.float32(1e-8)
 
 FLOATS_PER_LINE = LINE_BYTES // 4
+
+# a replay keeps the cost reports of at most this many memory accesses
+COST_SAMPLE_LIMIT = 1000
 
 
 @dataclass
@@ -88,26 +91,31 @@ class AdamLayout:
                 ("m", self.m_base), ("v", self.v_base))
 
 
-def adam_layouts(tensors: int, bytes_min: int, bytes_max: int,
-                 region_base: int) -> list[AdamLayout]:
-    """Pack w/g/m/v regions back to back (one guard line apart) for each
-    parameter tensor; sizes are drawn deterministically from the range."""
-    rng = random.Random(0xADA0)
+def explicit_adam_layouts(sizes_bytes: Sequence[int], region_base: int
+                          ) -> list[AdamLayout]:
+    """Pack w/g/m/v regions back to back (one guard line apart), with one
+    explicit size per parameter tensor."""
     layouts = []
     cursor = region_base
-    for t in range(tensors):
-        if bytes_min == bytes_max:
-            size = bytes_min
-        else:
-            size = rng.randrange(bytes_min // LINE_BYTES,
-                                 bytes_max // LINE_BYTES + 1) * LINE_BYTES
+    for t, size in enumerate(sizes_bytes):
         n = size // LINE_BYTES
         bases = []
         for _ in range(4):
             bases.append(cursor)
-            cursor += (n + 1) * LINE_BYTES  # one guard line between regions
+            cursor += (n + 1) * LINE_BYTES
         layouts.append(AdamLayout(t, n, *bases))
     return layouts
+
+
+def adam_layouts(tensors: int, bytes_min: int, bytes_max: int,
+                 region_base: int) -> list[AdamLayout]:
+    """`explicit_adam_layouts` with sizes drawn deterministically from the
+    range."""
+    rng = random.Random(0xADA0)
+    lo, hi = bytes_min // LINE_BYTES, bytes_max // LINE_BYTES
+    sizes = [bytes_min if bytes_min == bytes_max
+             else rng.randrange(lo, hi + 1) * LINE_BYTES for _ in range(tensors)]
+    return explicit_adam_layouts(sizes, region_base)
 
 
 def adam_region_lines(layouts: Sequence[AdamLayout], region_base: int) -> int:
@@ -156,36 +164,24 @@ def adam_access_sequence(layout: AdamLayout, threads: int, burst_lines: int
                 yield ("W", stream, ci, j)
 
 
-def gen_adam_trace_from_layouts(layouts: Sequence[AdamLayout], threads: int,
-                                burst_lines: int, iterations: int
-                                ) -> list[TraceRecord]:
-    records: list[TraceRecord] = []
+def iter_adam_trace(layouts: Sequence[AdamLayout], threads: int,
+                    burst_lines: int, iterations: int) -> Iterator[TraceRecord]:
+    """The records of `gen_adam_trace_from_layouts`, one at a time."""
     cycle = 0
     for _ in range(iterations):
         for lay in layouts:
             bases = dict(lay.stream_bases())
             for phase, stream, core, j in adam_access_sequence(
                     lay, threads, burst_lines):
-                records.append(TraceRecord(cycle, core, phase,
-                                           bases[stream] + j * LINE_BYTES,
-                                           lay.tensor_index))
+                yield TraceRecord(cycle, core, phase,
+                                  bases[stream] + j * LINE_BYTES, lay.tensor_index)
                 cycle += 1
-    return records
 
 
-def explicit_adam_layouts(sizes_bytes: Sequence[int], region_base: int
-                          ) -> list[AdamLayout]:
-    """Layouts with one explicit size per parameter tensor."""
-    layouts = []
-    cursor = region_base
-    for t, size in enumerate(sizes_bytes):
-        n = size // LINE_BYTES
-        bases = []
-        for _ in range(4):
-            bases.append(cursor)
-            cursor += (n + 1) * LINE_BYTES
-        layouts.append(AdamLayout(t, n, *bases))
-    return layouts
+def gen_adam_trace_from_layouts(layouts: Sequence[AdamLayout], threads: int,
+                                burst_lines: int, iterations: int
+                                ) -> list[TraceRecord]:
+    return list(iter_adam_trace(layouts, threads, burst_lines, iterations))
 
 
 def gen_adam_trace(cfg, region_base: int = 0x1000_0000,
@@ -287,22 +283,55 @@ def gen_fuzz_trace(n_ops: int, n_lines: int, seed: int,
     return records[:n_ops]
 
 
-def replay_trace(analyzer: TenAnalyzer, records: Sequence[TraceRecord],
-                 payload=None) -> None:
-    """Drive R/W records through the tensor engine. `payload(record)` supplies
-    write data; defaults to a cheap deterministic pattern."""
-    crypto_on = analyzer.mem.crypto_on
+def build_cpu_side(cfg: SimConfig, mode: str, n_lines: int, base: int,
+                   key: KeyMaterial):
+    """The CPU memory of one mode and its TenAnalyzer (None outside
+    TensorTEE): plain DRAM, the per-line baseline, or that baseline behind a
+    Meta Table."""
+    if mode == "nonsecure":
+        return PlainMemory(base, n_lines), None
+    c = cfg.cpu
+    mem = ProtectedMemory(base, n_lines, key,
+                          metadata_cache_bytes=c.metadata_cache_bytes,
+                          crypto_on=cfg.crypto.functional)
+    if mode == "sgx_mgx":
+        return mem, None
+    return mem, TenAnalyzer(mem, en_tmf=c.en_tmf,
+                            table_entries=c.meta_table_entries,
+                            filter_entries=c.filter_entries,
+                            collect_limit=c.filter_collect_limit,
+                            merge_window=c.merge_window,
+                            bitmap_cache_bytes=c.bitmap_cache_bytes)
+
+
+def replay_trace(front, records: Iterable[TraceRecord],
+                 cost_sample: Optional[list] = None) -> None:
+    """Drive R/W records through a CPU front door: a TenAnalyzer, a
+    ProtectedMemory or a PlainMemory. Write data is a cheap deterministic
+    pattern. A memory's (not a TenAnalyzer's) accesses append their
+    CostReports to `cost_sample` while it holds fewer than
+    COST_SAMPLE_LIMIT."""
+    if isinstance(front, TenAnalyzer):
+        read, write = front.on_read, front.on_write
+        crypto_on = front.mem.crypto_on
+        cost_sample = None
+    else:
+        read, write = front.read_line, front.write_line
+        crypto_on = getattr(front, "crypto_on", False)
     for r in records:
+        sample = cost_sample is not None and len(cost_sample) < COST_SAMPLE_LIMIT
         if r.kind == "R":
-            analyzer.on_read(r.va)
-        elif r.kind == "W":
-            if payload is not None:
-                data = payload(r)
-            elif crypto_on:
-                data = (r.va & 0xFF).to_bytes(1, "little") * LINE_BYTES
+            if sample:
+                cost_sample.append(read(r.va, collect=True)[1])
             else:
-                data = r.va & ((1 << 512) - 1)
-            analyzer.on_write(r.va, data)
+                read(r.va)
+        elif r.kind == "W":
+            data = ((r.va & 0xFF).to_bytes(1, "little") * LINE_BYTES
+                    if crypto_on else r.va & ((1 << 512) - 1))
+            if sample:
+                cost_sample.append(write(r.va, data, collect=True))
+            else:
+                write(r.va, data)
 
 
 # -- offloaded training loop -----------------------------------------------------------
@@ -366,42 +395,22 @@ class ZeroOffloadRunner:
         self.layouts = adam_layouts(self.n_tensors, wl.zero_tensor_bytes,
                                     wl.zero_tensor_bytes, self.region_base)
         total_lines = adam_region_lines(self.layouts, self.region_base)
-        crypto_on = cfg.crypto.functional
 
         cpu_enc = Enclave.create(1, cfg.crypto.seed ^ 0xC0DE, b"cpu", b"cpu-data")
         npu_enc = Enclave.create(2, cfg.crypto.seed ^ 0x417, b"npu", b"npu-data")
         expected = {1: cpu_enc.report(), 2: npu_enc.report()}
         self.session = attest_and_exchange(cpu_enc, npu_enc, expected)
 
-        self.analyzer: Optional[TenAnalyzer] = None
+        # pre-unification (SGX+MGX), CPU and NPU keep distinct enclave keys
+        cpu_key, npu_key = ((cpu_enc.key, npu_enc.key) if self.mode == "sgx_mgx"
+                            else (self.session.shared_key,) * 2)
+        self.cpu_mem, self.analyzer = build_cpu_side(
+            cfg, self.mode, total_lines, self.region_base, cpu_key)
         self.npu: Optional[NpuDevice] = None
-        if self.mode == "nonsecure":
-            self.cpu_mem = PlainMemory(self.region_base, total_lines)
-        elif self.mode == "sgx_mgx":
-            # pre-unification: CPU and NPU keep distinct enclave keys
-            self.cpu_mem = ProtectedMemory(
-                self.region_base, total_lines, cpu_enc.key,
-                metadata_cache_bytes=cfg.cpu.metadata_cache_bytes,
-                crypto_on=crypto_on)
-            self.npu = NpuDevice(npu_enc.key, self.engine,
+        if self.mode != "nonsecure":
+            self.npu = NpuDevice(npu_key, self.engine,
                                  fault_threshold=cfg.npu.fault_threshold,
-                                 crypto_on=crypto_on,
-                                 mac_granularity=cfg.npu.mac_granularity)
-        else:
-            self.cpu_mem = ProtectedMemory(
-                self.region_base, total_lines, self.session.shared_key,
-                metadata_cache_bytes=cfg.cpu.metadata_cache_bytes,
-                crypto_on=crypto_on)
-            self.analyzer = TenAnalyzer(
-                self.cpu_mem, en_tmf=cfg.cpu.en_tmf,
-                table_entries=cfg.cpu.meta_table_entries,
-                filter_entries=cfg.cpu.filter_entries,
-                collect_limit=cfg.cpu.filter_collect_limit,
-                merge_window=cfg.cpu.merge_window,
-                bitmap_cache_bytes=cfg.cpu.bitmap_cache_bytes)
-            self.npu = NpuDevice(self.session.shared_key, self.engine,
-                                 fault_threshold=cfg.npu.fault_threshold,
-                                 crypto_on=crypto_on,
+                                 crypto_on=cfg.crypto.functional,
                                  mac_granularity=cfg.npu.mac_granularity)
 
         n_floats = self.n_lines * FLOATS_PER_LINE
@@ -660,7 +669,6 @@ class ZeroOffloadRunner:
         self.report.cpu_totals = dict(self.cpu_mem.totals)
         if self.npu is not None:
             self.report.npu_rows = [r.csv_row() for r in self.npu.reports]
-        eng.finalize_resource_stats()
         return self.report
 
     def _final_weights(self) -> list[np.ndarray]:

@@ -8,10 +8,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from teesim.baseline import SEAL_BATCH_MIN, CostReport, ProtectedMemory
+from teesim.baseline import CostReport, ProtectedMemory
 from teesim.crypto import (
-    BindingMode, CipherBlock, CounterBinding, IntegrityFault, KeyMaterial,
-    LINE_BYTES, keystream, mac_block,
+    SEAL_BATCH_MIN, BindingMode, CipherBlock, CounterBinding, IntegrityFault,
+    KeyMaterial, LINE_BYTES, keystream, mac_block,
 )
 from teesim.tenanalyzer import HIT_IN, TenAnalyzer
 
@@ -112,6 +112,16 @@ def test_mac_region_tamper_detected():
     mem.flush_metadata_cache()
     with pytest.raises(IntegrityFault):
         mem.read_line(pa)
+
+
+def test_mac_tamper_of_a_never_written_line_detected():
+    # the tamper materializes the line first, so its first read does not
+    # overwrite the tampered MAC with a fresh one
+    mem = ProtectedMemory(0x1000, 64, KEY)
+    mem.inject_attack("mac_tamper", 0x10C0)
+    mem.flush_metadata_cache()
+    with pytest.raises(IntegrityFault):
+        mem.read_line(0x10C0)
 
 
 def test_streaming_scan_amortized_metadata_traffic():
@@ -274,7 +284,6 @@ def test_deferred_sealing_matches_eager_reference(ops):
             EagerProtectedMemory(BASE, _SEAL_LINES, KEY, metadata_cache_bytes=512)]
     deferred, eager = mems
     serial = 0
-    written = set()
 
     def both(fn):
         return [fn(m) for m in mems]
@@ -282,7 +291,6 @@ def test_deferred_sealing_matches_eager_reference(ops):
     def write(line):
         nonlocal serial
         serial += 1
-        written.add(line)
         data = (serial.to_bytes(4, "little") + line.to_bytes(4, "little")) * 8
         both(lambda m: m.write_line(BASE + line * LINE_BYTES, data))
 
@@ -308,10 +316,6 @@ def test_deferred_sealing_matches_eager_reference(ops):
         else:
             _, attack, line, bit = op
             pa = BASE + line * LINE_BYTES
-            if line not in written:
-                # a never-written line has no MAC yet: the first read
-                # materializes one, so only a written line can be tampered
-                write(line)
             heal = None
             if attack == "replay":
                 snaps = both(lambda m: m.snapshot_triple(pa))
@@ -322,8 +326,8 @@ def test_deferred_sealing_matches_eager_reference(ops):
             else:
                 both(lambda m: m.inject_attack(attack, pa, bit=bit))
             both(lambda m: m.flush_metadata_cache())
-            # detected on the next read, even if the line was written and
-            # never read before the tamper
+            # detected on the next read, even if the line was never written,
+            # or written and never read, before the tamper
             assert both(lambda m: _try_read(m, pa)[0]) == ["fault", "fault"]
             if attack == "replay":
                 for m, snap in zip(mems, heal):

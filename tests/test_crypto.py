@@ -14,11 +14,11 @@ from hypothesis import strategies as st
 
 from teesim.cli import GOLDEN_VECTOR_INPUTS
 from teesim.crypto import (
-    LINE_BYTES, MASK56, MASK64, TREE_ARITY, BindingMode, CipherBlock,
-    CounterBinding, IntegrityFault, KeyMaterial, VnTree, _leaf_hash, _node_hash,
-    binding_codes, decrypt_block, encrypt_block, keystream, keystream_lines,
-    line_words, mac_block, mac_lines, mac_xor_aggregate, mix64, words_to_bytes,
-    words_to_ints,
+    LINE_BYTES, MASK56, MASK64, SEAL_BATCH_MIN, TREE_ARITY, BindingMode,
+    CipherBlock, CounterBinding, IntegrityFault, KeyMaterial, VnTree, _leaf_hash,
+    _node_hash, binding_codes, decrypt_block, encrypt_block, keystream,
+    keystream_lines, line_words, mac_block, mac_lines, mac_xor_aggregate, mix64,
+    open_blocks, seal_lines, words_to_bytes, words_to_ints,
 )
 
 KEY = KeyMaterial.from_seed(0x5EED)
@@ -454,7 +454,7 @@ def test_batch_kernels_match_scalar(lines, seed):
             [keystream(key, b, vn) for b in bindings]
 
 
-@pytest.mark.parametrize("n", [0, 1, 1200])
+@pytest.mark.parametrize("n", [0, 1, SEAL_BATCH_MIN - 1, SEAL_BATCH_MIN, 1200])
 def test_batch_kernels_match_scalar_by_size(n):
     rng = random.Random(n)
     key = KeyMaterial.from_seed(rng.randrange(1 << 64))
@@ -466,6 +466,19 @@ def test_batch_kernels_match_scalar_by_size(n):
     _assert_batch_matches_scalar(key, bindings, vns, data)
     assert words_to_bytes(line_words(data)) == \
         [d if isinstance(d, bytes) else d.to_bytes(LINE_BYTES, "little") for d in data]
+    # seal_lines and open_blocks take the per-line kernels below
+    # SEAL_BATCH_MIN lines and numpy from there on; both give these results
+    blocks = [encrypt_block(d, b, v, key) for d, b, v in zip(data, bindings, vns)]
+    tags = [mac_block(blk, key) for blk in blocks]
+    assert seal_lines(key, data, bindings, vns) == ([blk.data for blk in blocks], tags)
+    plains = [decrypt_block(blk, key) for blk in blocks]
+    assert open_blocks(key, blocks) == (tags, plains)
+    assert open_blocks(key, blocks, decrypt=False) == (tags, None)
+    if n:
+        one = [encrypt_block(d, b, vns[0], key) for d, b in zip(data, bindings)]
+        assert seal_lines(key, data, bindings, vns[0]) == \
+            ([blk.data for blk in one], [mac_block(blk, key) for blk in one])
+        assert open_blocks(key, one, vns[0])[1] == [decrypt_block(blk, key) for blk in one]
 
 
 def test_line_words_rejects_a_short_line():

@@ -1,5 +1,5 @@
-"""Event-loop and resource-ledger tests: ordering, FCFS serialization,
-reservation arithmetic, determinism, work conservation, causality trap."""
+"""Resource-ledger tests: FCFS serialization, reservation arithmetic,
+determinism, work conservation, the clock."""
 
 import pytest
 
@@ -7,30 +7,18 @@ from teesim.config import SimConfig, build_engine
 from teesim.engine import Engine, SimError, make_tick_hz
 
 
-def test_empty_queue_returns_immediately():
-    eng = Engine()
-    eng.run_until()
-    assert eng.now == 0
-
-
 def test_two_events_on_distinct_resources_finish_parallel():
     eng = Engine()
     eng.add_resource("a", 1, 1, 0)
     eng.add_resource("b", 1, 1, 0)
-    done = []
-    eng.schedule(0, "x", lambda e, ev: done.append(e.reserve("a", 100)[1]))
-    eng.schedule(0, "y", lambda e, ev: done.append(e.reserve("b", 100)[1]))
-    eng.run_until()
+    done = [eng.reserve("a", 100, at_tick=0)[1], eng.reserve("b", 100, at_tick=0)[1]]
     assert done == [100, 100]
 
 
 def test_two_events_on_one_resource_serialize():
     eng = Engine()
     eng.add_resource("a", 1, 1, 0)
-    done = []
-    eng.schedule(0, "x", lambda e, ev: done.append(e.reserve("a", 100)[1]))
-    eng.schedule(0, "y", lambda e, ev: done.append(e.reserve("a", 100)[1]))
-    eng.run_until()
+    done = [eng.reserve("a", 100, at_tick=0)[1], eng.reserve("a", 100, at_tick=0)[1]]
     assert done == [100, 200]
 
 
@@ -57,13 +45,14 @@ def test_unknown_resource_is_config_error():
         eng.reserve("nope", 1)
 
 
-def test_event_in_past_is_bug_trap():
+def test_advance_moves_the_clock_forward_only():
     eng = Engine()
-    eng.schedule(10, "later")
-    eng.run_until()
+    eng.add_resource("r", 1, 1, 0)
+    eng.advance(10)
     assert eng.now == 10
-    with pytest.raises(SimError, match="in the past"):
-        eng.schedule(5, "too-late")
+    assert eng.reserve("r", 5) == (10, 15)   # no at_tick: starts at the clock
+    with pytest.raises(SimError, match="backwards"):
+        eng.advance(5)
 
 
 def test_saturated_resource_queue_grows():
@@ -110,36 +99,11 @@ def test_work_conservation():
 def test_determinism_same_seed_same_metrics():
     def run():
         eng = Engine(tick_hz=7)
-        eng.add_resource("x", 2, 1, 3)
-        for i in range(50):
-            eng.schedule(i * 3, "op",
-                         lambda e, ev: e.metrics.add("done", e.reserve("x", 10)[1]))
-        eng.run_until()
-        eng.finalize_resource_stats()
-        return eng.metrics.to_json()
+        r = eng.add_resource("x", 2, 1, 3)
+        done = [eng.reserve("x", 10, at_tick=i * 3)[1] for i in range(50)]
+        return done, (r.total_amount, r.busy_ticks, r.grants, r.wait_ticks)
 
     assert run() == run()
-
-
-def test_causality_debug_trap():
-    eng = Engine(debug=True)
-    pid = eng.schedule(10, "parent")
-    eng.schedule(20, "child", parent=pid)  # fine: after parent
-    eng.run_until()
-    with pytest.raises(SimError):
-        bad_parent = eng.schedule(100, "p2")
-        eng.schedule(50, "too-early-child", parent=bad_parent)
-        eng.run_until()
-
-
-def test_tie_break_by_insertion_order():
-    eng = Engine()
-    seen = []
-    eng.schedule(5, "a", lambda e, ev: seen.append("a"))
-    eng.schedule(5, "b", lambda e, ev: seen.append("b"))
-    eng.schedule(5, "c", lambda e, ev: seen.append("c"))
-    eng.run_until()
-    assert seen == ["a", "b", "c"]
 
 
 def test_tick_hz_lcm_of_clock_domains():

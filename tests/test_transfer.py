@@ -180,7 +180,7 @@ def test_direct_roundtrip_back_to_cpu():
     data = lines(n, 9)
     dev.store_tensor_stream(rec, data)
     dev.load_tensor_stream(rec, VerifyMode("delayed"))
-    eng.run_until(rec.verify_done_tick)
+    eng.advance(rec.verify_done_tick)
     grad_base = CPU_BASE + 0x20000
     rep = direct_transfer(session, eng, tensor_id=6, direction="npu_to_cpu",
                           analyzer=ta, npu=dev, cpu_base=grad_base)
