@@ -71,7 +71,7 @@ def run_adam(cfg: SimConfig) -> dict:
                                             wl.burst_lines, 1), cost_sample)
         if analyzer is not None:
             per_iter.append({"iteration": it + 1,
-                             **analyzer.hit_rates(since=before)})
+                             **analyzer.hit_rates_since(before)})
     metrics = {
         "workload": "adam", "mode": cfg.mode,
         "cpu_totals": dict(mem.totals),
@@ -100,7 +100,7 @@ def run_gemm(cfg: SimConfig) -> dict:
         replay_trace(front, trace, cost_sample)
         if analyzer is not None:
             passes.append({"pass": p + 1,
-                           "hit_in": analyzer.hit_rates(since=before)["hit_in"]})
+                           "hit_in": analyzer.hit_rates_since(before)["hit_in"]})
     metrics = {"workload": "gemm", "mode": cfg.mode,
                "cpu_totals": dict(mem.totals), "passes": passes,
                "cost_sample": [r.csv_row() for r in cost_sample]}

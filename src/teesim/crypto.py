@@ -37,9 +37,9 @@ _M1 = 0xBF58476D1CE4E5B9
 _M2 = 0x94D049BB133111EB
 _LANES = tuple(i * _GOLDEN & MASK64 for i in range(8))
 _WORDS8 = struct.Struct("<8Q")   # a 64 B line as eight little-endian words
-# below this many lines, seal_lines and open_blocks run the per-line kernels:
-# a numpy batch costs about 90 ufunc dispatches whatever its size, as much as
-# about 8 per-line seals
+# below this many lines, seal_lines runs the per-line kernels: a numpy batch
+# costs about 90 ufunc dispatches whatever its size, as much as about 8
+# per-line seals
 SEAL_BATCH_MIN = 8
 
 
@@ -304,16 +304,7 @@ def open_blocks(key: KeyMaterial, blocks: Sequence[CipherBlock], vn=None, *,
                 decrypt: bool = True) -> tuple[list[int], Optional[list[bytes]]]:
     """Tags and (if `decrypt`) plaintexts of n sealed lines, in one batch:
     what `mac_block` and `decrypt_block` give line by line, under `vn` when
-    given, else under each block's own VN. Fewer than `SEAL_BATCH_MIN`
-    lines go through those per-line kernels instead."""
-    n = len(blocks)
-    if n < SEAL_BATCH_MIN:
-        vns = [b.vn for b in blocks] if vn is None else [vn] * n
-        tags = [mac_block(CipherBlock(b.data, b.binding, v), key)
-                for b, v in zip(blocks, vns)]
-        if not decrypt:
-            return tags, None
-        return tags, [decrypt_block(b, key, v) for b, v in zip(blocks, vns)]
+    given, else under each block's own VN."""
     codes = binding_codes(b.binding for b in blocks)
     ct = line_words(b.data for b in blocks)
     vns = [b.vn for b in blocks] if vn is None else vn

@@ -704,9 +704,7 @@ class TenAnalyzer:
             t["mac_rd"] += LINE_BYTES * (-(-n_lines // 8))
             mac = 0
             for va in probe.addresses():
-                idx = self.mem.line_index(va)
-                if self.mem.blocks[idx] is None:
-                    self.mem._zero_block(idx, va, self.mem.vn_of(va))
+                idx, _ = self.mem._materialized(va)
                 mac ^= self.mem.macs[idx]
         for o in overlapped:
             self._unindex_entry(o)
@@ -788,21 +786,26 @@ class TenAnalyzer:
                         f"entry base={e.base:#x} vn={e.vn} but line {va:#x} "
                         f"has off-chip vn={off}")
 
-    def hit_rates(self, since: Optional[dict] = None) -> dict[str, float]:
-        """Read outcome shares over every read so far: hit_in, hit_boundary,
-        hit_all and the read count. Given an earlier copy of `stats`, the
-        shares over the reads since then: hit_in, hit_boundary, miss and
-        hit_all, where hit_all is the sum of the two hit shares (it can
-        differ in the last bit from the summed counts over the reads)."""
+    def hit_rates(self) -> dict[str, float]:
         s = self.stats
-        hit_in, boundary, miss = (s[k] - (since[k] if since is not None else 0)
+        reads = s["r_hit_in"] + s["r_hit_boundary"] + s["r_miss"]
+        if reads == 0:
+            return {"hit_in": 0.0, "hit_boundary": 0.0, "hit_all": 0.0, "reads": 0}
+        return {"hit_in": s["r_hit_in"] / reads,
+                "hit_boundary": s["r_hit_boundary"] / reads,
+                "hit_all": (s["r_hit_in"] + s["r_hit_boundary"]) / reads,
+                "reads": reads}
+
+    def hit_rates_since(self, before: dict) -> dict[str, float]:
+        """Read outcome shares over the reads since `before`, an earlier copy
+        of `stats`: hit_in, hit_boundary, miss, and hit_all as the sum of
+        the two hit shares (it can differ in the last bit from the summed
+        counts over the reads that `hit_rates` divides)."""
+        hit_in, boundary, miss = (self.stats[k] - before[k]
                                   for k in ("r_hit_in", "r_hit_boundary", "r_miss"))
-        reads = hit_in + boundary + miss
-        n = max(1, reads)
-        rates = {"hit_in": hit_in / n, "hit_boundary": boundary / n}
-        if since is None:
-            return {**rates, "hit_all": (hit_in + boundary) / n, "reads": reads}
-        rates["miss"] = miss / n
+        n = max(1, hit_in + boundary + miss)
+        rates = {"hit_in": hit_in / n, "hit_boundary": boundary / n,
+                 "miss": miss / n}
         rates["hit_all"] = rates["hit_in"] + rates["hit_boundary"]
         return rates
 

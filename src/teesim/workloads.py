@@ -166,7 +166,9 @@ def adam_access_sequence(layout: AdamLayout, threads: int, burst_lines: int
 
 def iter_adam_trace(layouts: Sequence[AdamLayout], threads: int,
                     burst_lines: int, iterations: int) -> Iterator[TraceRecord]:
-    """The records of `gen_adam_trace_from_layouts`, one at a time."""
+    """Streaming reads of w, g, m, v and deferred write-backs of w, m, v,
+    chunk-partitioned across threads, per tensor, per iteration, one record
+    at a time."""
     cycle = 0
     for _ in range(iterations):
         for lay in layouts:
@@ -178,21 +180,14 @@ def iter_adam_trace(layouts: Sequence[AdamLayout], threads: int,
                 cycle += 1
 
 
-def gen_adam_trace_from_layouts(layouts: Sequence[AdamLayout], threads: int,
-                                burst_lines: int, iterations: int
-                                ) -> list[TraceRecord]:
-    return list(iter_adam_trace(layouts, threads, burst_lines, iterations))
-
-
 def gen_adam_trace(cfg, region_base: int = 0x1000_0000,
                    iterations: Optional[int] = None) -> list[TraceRecord]:
-    """Streaming reads of w, g, m, v and deferred write-backs of w, m, v,
-    chunk-partitioned across threads, per tensor, per iteration."""
+    """The records of `iter_adam_trace` over `cfg`'s drawn layouts, as a
+    list."""
     layouts = adam_layouts(cfg.tensors, cfg.tensor_bytes_min,
                            cfg.tensor_bytes_max, region_base)
     iters = cfg.iterations if iterations is None else iterations
-    return gen_adam_trace_from_layouts(layouts, cfg.threads, cfg.burst_lines,
-                                       iters)
+    return list(iter_adam_trace(layouts, cfg.threads, cfg.burst_lines, iters))
 
 
 # -- tiled GEMM -------------------------------------------------------------------

@@ -27,7 +27,7 @@ from teesim.nputee import NpuDevice, VerifyMode
 from teesim.tenanalyzer import TenAnalyzer
 from teesim.transfer import MSG_WIRE_BYTES, direct_transfer
 from teesim.workloads import (
-    explicit_adam_layouts, adam_region_lines, gen_adam_trace_from_layouts,
+    explicit_adam_layouts, adam_region_lines, iter_adam_trace,
     gen_fuzz_trace, gen_gemm_trace, gemm_region_lines, replay_trace,
     run_zero_offload,
 )
@@ -186,8 +186,8 @@ def test_criterion_4_adam_convergence_shape():
     mem = ProtectedMemory(base, adam_region_lines(layouts, base), KEY,
                           crypto_on=False)
     ta = TenAnalyzer(mem)
-    one_iter = gen_adam_trace_from_layouts(layouts, threads=8, burst_lines=32,
-                                           iterations=1)
+    one_iter = list(iter_adam_trace(layouts, threads=8, burst_lines=32,
+                                    iterations=1))
     rates = {}
     for it in range(1, 21):
         before = dict(ta.stats)

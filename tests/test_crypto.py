@@ -466,8 +466,8 @@ def test_batch_kernels_match_scalar_by_size(n):
     _assert_batch_matches_scalar(key, bindings, vns, data)
     assert words_to_bytes(line_words(data)) == \
         [d if isinstance(d, bytes) else d.to_bytes(LINE_BYTES, "little") for d in data]
-    # seal_lines and open_blocks take the per-line kernels below
-    # SEAL_BATCH_MIN lines and numpy from there on; both give these results
+    # seal_lines takes the per-line kernels below SEAL_BATCH_MIN lines and
+    # numpy from there on; both give these results
     blocks = [encrypt_block(d, b, v, key) for d, b, v in zip(data, bindings, vns)]
     tags = [mac_block(blk, key) for blk in blocks]
     assert seal_lines(key, data, bindings, vns) == ([blk.data for blk in blocks], tags)
