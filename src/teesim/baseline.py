@@ -457,6 +457,27 @@ class ProtectedMemory:
             blk = self._zero_block(idx, pa, self.vn_of(pa))
         return idx, blk
 
+    def materialize(self, pas: list[int]) -> list[int]:
+        """Seal, then materialize every never-written line among `pas` as
+        `_materialized` would, sealing them in one batch. Returns the
+        indices of the lines `pas`."""
+        self.seal()
+        idxs = [self.line_index(pa) for pa in pas]
+        blocks = self._blocks
+        fresh = [(idx, pa) for idx, pa in zip(idxs, pas) if blocks[idx] is None]
+        if not self.crypto_on:
+            for idx, pa in fresh:
+                self._zero_block(idx, pa, self.vn_of(pa))
+            return idxs
+        bindings = [self.binding_for(idx, pa) for idx, pa in fresh]
+        vns = [self.vn_of(pa) for _, pa in fresh]
+        zero = bytes(LINE_BYTES)
+        sealed = zip(*seal_lines(self.key, [zero] * len(fresh), bindings, vns))
+        for (idx, _), binding, vn, (data, tag) in zip(fresh, bindings, vns, sealed):
+            blocks[idx] = CipherBlock(data, binding, vn)
+            self._macs[idx] = tag
+        return idxs
+
     def snapshot_triple(self, pa: int):
         """Capture (ciphertext, VN, MAC) for a later replay injection."""
         idx, blk = self._materialized(pa)

@@ -14,8 +14,17 @@ Entries also carry the tensor's XOR-aggregate MAC: it is born at promotion
 from the per-line MACs observed on the miss path, folded forward on boundary
 extensions, refolded from the fresh line tags that sealing hands back on-chip
 when a complete write sweep finishes, and checked (for free) whenever
-sequential reads cover the whole entry. Out-of-order covered reads fall back
-to per-line MAC fetch+verify.
+sequential reads cover the whole entry. Out-of-order covered reads, and reads
+of an entry mid-update, fall back to per-line MAC fetch+verify.
+
+A covered read's pad and its place in a sweep depend only on on-chip state
+(the entry's VN and geometry), so the host does that crypto per tensor, not
+per line. The first covered read of an entry at its VN computes every line's
+pad in one batch; a line whose VN or binding differs from what the batch
+assumed gets its own. A sweep keeps the ciphertext each read consumed and
+MACs all of it in one batch when the sweep reaches the tensor-MAC check.
+Bytes, cycles, stats and faults are those of doing it line by line, at the
+same reads.
 """
 
 from __future__ import annotations
@@ -26,8 +35,9 @@ from typing import Optional
 
 from .baseline import AES_CYCLES, MAC_CYCLES, MetadataCache, ProtectedMemory
 from .crypto import (
-    LINE_BYTES, MASK56, BindingMode, CipherBlock, CounterBinding,
-    IntegrityFault, keystream, mac_block, mac_xor_aggregate,
+    KEYSTREAM_BATCH_MIN, LINE_BYTES, MASK56, BindingMode, CipherBlock,
+    CounterBinding, IntegrityFault, keystream, keystream_lines, mac_block,
+    mac_xor_aggregate, open_blocks,
 )
 
 MAX_STRIDE_BYTES = 1024 * LINE_BYTES   # 10-bit line-stride semantics, stored wider
@@ -66,7 +76,7 @@ class MetaTableEntry:
     __slots__ = ("base", "nx", "ny", "planes", "stride", "vn", "mac",
                  "uf", "bs", "valid", "tensor_id", "last_addr",
                  "update_count", "write_tags", "runs", "runs_by_next",
-                 "lru", "touched")
+                 "pads", "pad_codes", "lru", "touched")
 
     def __init__(self, base, nx, ny, stride, vn, mac, tensor_id=None):
         self.base = base
@@ -85,8 +95,14 @@ class MetaTableEntry:
         # fresh tags of the lines written in the current update, appended
         # on-chip as they are sealed
         self.write_tags: list[int] = []
-        self.runs: dict[int, list] = {}       # run_start -> [next_ordinal, acc]
+        # run_start -> [next_ordinal, acc, consumed CipherBlocks not yet
+        # folded into acc]
+        self.runs: dict[int, list] = {}
         self.runs_by_next: dict[int, int] = {}
+        # pads of every line under `vn`, 64 B per ordinal, and the binding
+        # codes they were made for; None until the first covered read
+        self.pads: Optional[bytes] = None
+        self.pad_codes: list[int] = []
         self.lru = 0
         self.touched = 0
 
@@ -132,6 +148,11 @@ class MetaTableEntry:
     def reset_sweep(self) -> None:
         self.runs.clear()
         self.runs_by_next.clear()
+        self.drop_pads()
+
+    def drop_pads(self) -> None:
+        self.pads = None
+        self.pad_codes = []
 
     def dump(self) -> dict:
         return {"base": self.base, "dims": [self.nx, self.ny, self.planes],
@@ -220,6 +241,8 @@ class TenAnalyzer:
         }
         self._enclaves: dict[int, ProtectedMemory] = {}
         self._saved: dict[int, dict] = {}
+        # (tensor id, byte offset) -> the tensor-logical binding of that line
+        self._tensor_bindings: dict[tuple[int, int], CounterBinding] = {}
 
     # -- small helpers -------------------------------------------------------
 
@@ -327,34 +350,61 @@ class TenAnalyzer:
         blk = mem.blocks[idx]
         if blk is None:
             blk = mem._zero_block(idx, va, vn_eff)
+        k = e.ordinal(va)
         if mem.crypto_on:
-            plain = (blk.data ^ keystream(mem.key, blk.binding, vn_eff)
+            plain = (blk.data ^ self._pad(e, k, blk, vn_eff)
                      ).to_bytes(LINE_BYTES, "little")
         else:
             plain = blk.data
-        self._hit_in_mac(e, va, idx, blk, vn_eff, t)
+        self._hit_in_mac(e, k, idx, blk, vn_eff, t)
         return plain, ReadOutcome(HIT_IN, vn=vn_eff)
 
-    def _hit_in_mac(self, e, va, idx, blk, vn_eff, t) -> None:
+    def _pad(self, e: MetaTableEntry, k: int, blk: CipherBlock, vn: int) -> int:
+        """`keystream(key, blk.binding, vn)` for covered line `k`. The pads
+        depend on on-chip state only, so the first read of an entry at its
+        VN computes every line's pad in one batch; a line whose VN or
+        binding differs from what the batch assumed, or that the entry
+        gained since, gets its own."""
+        if vn == e.vn:
+            if e.pads is None and e.line_count >= KEYSTREAM_BATCH_MIN:
+                self._fill_pads(e)
+            if k < len(e.pad_codes) and e.pad_codes[k] == blk.binding._code:
+                return int.from_bytes(e.pads[k * LINE_BYTES:(k + 1) * LINE_BYTES],
+                                      "little")
+        return keystream(self.mem.key, blk.binding, vn)
+
+    def _fill_pads(self, e: MetaTableEntry) -> None:
+        mem = self.mem
+        blocks = mem.blocks
+        codes = []
+        for va in e.addresses():
+            idx = mem.line_index(va)
+            blk = blocks[idx]
+            # a never-written line materializes under this same binding
+            codes.append((blk.binding if blk is not None
+                          else mem.binding_for(idx, va))._code)
+        e.pads = keystream_lines(mem.key, codes, e.vn).tobytes()
+        e.pad_codes = codes
+
+    def _hit_in_mac(self, e, k, idx, blk, vn_eff, t) -> None:
         """Sequential covered reads accumulate toward a free whole-tensor MAC
         check; anything else verifies the line against its off-chip MAC."""
-        mem = self.mem
         if e.uf:
             self._per_line_mac(idx, blk, vn_eff, t)
             return
-        k = e.ordinal(va)
         run_start = e.runs_by_next.pop(k, None)
         if run_start is not None:
             run = e.runs[run_start]
         elif self._ordinal_unclaimed(e, k) and len(e.runs) < MAX_SWEEP_RUNS:
-            run = e.runs[k] = [k, 0]
+            run = e.runs[k] = [k, 0, []]
             run_start = k
         else:
             self._per_line_mac(idx, blk, vn_eff, t)
             return
         t["cycles"] += MAC_CYCLES
+        mem = self.mem
         if mem.crypto_on:
-            run[1] ^= mac_block(CipherBlock(blk.data, blk.binding, vn_eff), mem.key)
+            self._sweep_take(run, blk, vn_eff)
         else:
             run[1] ^= mem.macs[idx]
         run[0] = k + 1
@@ -363,18 +413,27 @@ class TenAnalyzer:
         if nxt is not None:
             run[0] = nxt[0]
             run[1] ^= nxt[1]
+            run[2] += nxt[2]
             e.runs_by_next.pop(nxt[0], None)
         e.runs_by_next[run[0]] = run_start
         if run_start == 0 and run[0] == e.line_count:
-            if run[1] != e.mac:
-                e.reset_sweep()
+            acc = run[1]
+            if run[2]:
+                acc ^= mac_xor_aggregate(open_blocks(mem.key, run[2], decrypt=False)[0])
+            e.reset_sweep()
+            if acc != e.mac:
                 raise IntegrityFault("tensor_mac", f"entry base={e.base:#x}")
             self.stats["sweep_verifies"] += 1
-            e.reset_sweep()
+
+    def _sweep_take(self, run: list, blk: CipherBlock, vn: int) -> None:
+        """Add a line the core consumed to a sweep run. Its tag is computed
+        when the run closes, in one batch with the run's other lines, from
+        the ciphertext the core consumed, not from what is stored by then."""
+        run[2].append(CipherBlock(blk.data, blk.binding, vn))
 
     def _ordinal_unclaimed(self, e, k: int) -> bool:
-        for start, (nxt, _) in e.runs.items():
-            if start <= k < nxt:
+        for start, run in e.runs.items():
+            if start <= k < run[0]:
                 return False
         return True
 
@@ -435,7 +494,8 @@ class TenAnalyzer:
         if nxt not in self.cover:
             self.boundary[nxt] = e
         e.touched = self._tick()
-        # fold the verified line into an adjacent sweep run if one ends here
+        # fold the verified line's stored tag into an adjacent sweep run if
+        # one ends here
         run_start = e.runs_by_next.pop(new_ordinal, None)
         if run_start is not None:
             run = e.runs[run_start]
@@ -632,8 +692,11 @@ class TenAnalyzer:
         e.update_count += 1
         new_vn = (e.vn + 1) & MASK56
         if e.tensor_id is not None:
-            binding = CounterBinding(BindingMode.TENSOR_LOGICAL, e.tensor_id,
-                                     e.ordinal(va) * LINE_BYTES)
+            where = (e.tensor_id, e.ordinal(va) * LINE_BYTES)
+            binding = self._tensor_bindings.get(where)
+            if binding is None:
+                binding = self._tensor_bindings[where] = CounterBinding(
+                    BindingMode.TENSOR_LOGICAL, *where)
         else:
             binding = None
         mem.write_line(va, plain, vn=new_vn, binding=binding, covered=True,
@@ -702,10 +765,11 @@ class TenAnalyzer:
             # untouched lines materialize first so the fold matches what
             # subsequent reads will accumulate
             t["mac_rd"] += LINE_BYTES * (-(-n_lines // 8))
+            lines = self.mem.materialize(list(probe.addresses()))
+            macs = self.mem.macs
             mac = 0
-            for va in probe.addresses():
-                idx, _ = self.mem._materialized(va)
-                mac ^= self.mem.macs[idx]
+            for idx in lines:
+                mac ^= macs[idx]
         for o in overlapped:
             self._unindex_entry(o)
             o.valid = False
@@ -732,6 +796,8 @@ class TenAnalyzer:
         """Save/restore the table, filter and bitmap to modeled secure storage
         keyed by enclave id; each enclave uses its own key/memory. Restoring
         an unknown id yields an empty table."""
+        for e in self.entries:
+            e.drop_pads()    # computed under the outgoing enclave's key
         if action == "save":
             self._saved[enclave_id] = {
                 "entries": self.entries, "cover": self.cover,

@@ -124,6 +124,29 @@ def test_mac_tamper_of_a_never_written_line_detected():
         mem.read_line(0x10C0)
 
 
+@pytest.mark.parametrize("crypto_on", [True, False])
+@pytest.mark.parametrize("n", [3, 2 * SEAL_BATCH_MIN])
+def test_materialize_matches_per_line_materialized(n, crypto_on):
+    def build():
+        mem = make_mem(64, crypto_on=crypto_on)
+        mem.write_line(BASE + LINE_BYTES, b"\x07" * LINE_BYTES)   # pending seal
+        mem.write_line(BASE + 2 * LINE_BYTES, b"\x08" * LINE_BYTES, binding=
+                       CounterBinding(BindingMode.TENSOR_LOGICAL, 9, 0))
+        mem.seal()
+        mem.write_line(BASE + 2 * LINE_BYTES, b"\x09" * LINE_BYTES)
+        mem.vn_lines[0][0] = 5        # a never-written line with a VN
+        return mem
+
+    pas = [BASE + i * LINE_BYTES for i in range(n)]
+    batch, per_line = build(), build()
+    assert batch.materialize(pas) == [per_line._materialized(pa)[0] for pa in pas]
+    def lines(mem):
+        return [blk and (blk.data, blk.binding, blk.vn) for blk in mem.blocks]
+
+    assert lines(batch) == lines(per_line) and batch.macs == per_line.macs
+    assert lines(batch)[n - 1] is not None and lines(batch)[n] is None
+
+
 def test_streaming_scan_amortized_metadata_traffic():
     # warm steady state of a forward scan: 1/8 VN-line + 1 MAC-line per read,
     # tree lines amortize to the node-line count over the region

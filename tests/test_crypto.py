@@ -14,7 +14,8 @@ from hypothesis import strategies as st
 
 from teesim.cli import GOLDEN_VECTOR_INPUTS
 from teesim.crypto import (
-    LINE_BYTES, MASK56, MASK64, SEAL_BATCH_MIN, TREE_ARITY, BindingMode,
+    KEYSTREAM_BATCH_MIN, LINE_BYTES, MAC_BATCH_MIN, MASK56, MASK64,
+    SEAL_BATCH_MIN, TREE_ARITY, BindingMode,
     CipherBlock, CounterBinding, IntegrityFault, KeyMaterial, VnTree, _leaf_hash,
     _node_hash, binding_codes, decrypt_block, encrypt_block, keystream,
     keystream_lines, line_words, mac_block, mac_lines, mac_xor_aggregate, mix64,
@@ -454,7 +455,9 @@ def test_batch_kernels_match_scalar(lines, seed):
             [keystream(key, b, vn) for b in bindings]
 
 
-@pytest.mark.parametrize("n", [0, 1, SEAL_BATCH_MIN - 1, SEAL_BATCH_MIN, 1200])
+@pytest.mark.parametrize("n", sorted({
+    0, 1, 1200, *(m + d for m in (KEYSTREAM_BATCH_MIN, SEAL_BATCH_MIN, MAC_BATCH_MIN)
+                  for d in (-1, 0))}))
 def test_batch_kernels_match_scalar_by_size(n):
     rng = random.Random(n)
     key = KeyMaterial.from_seed(rng.randrange(1 << 64))
@@ -466,8 +469,9 @@ def test_batch_kernels_match_scalar_by_size(n):
     _assert_batch_matches_scalar(key, bindings, vns, data)
     assert words_to_bytes(line_words(data)) == \
         [d if isinstance(d, bytes) else d.to_bytes(LINE_BYTES, "little") for d in data]
-    # seal_lines takes the per-line kernels below SEAL_BATCH_MIN lines and
-    # numpy from there on; both give these results
+    # seal_lines and open_blocks take the per-line kernels below their
+    # cutoffs (SEAL_BATCH_MIN, or MAC_BATCH_MIN for an open without
+    # decryption) and numpy from there on; both give these results
     blocks = [encrypt_block(d, b, v, key) for d, b, v in zip(data, bindings, vns)]
     tags = [mac_block(blk, key) for blk in blocks]
     assert seal_lines(key, data, bindings, vns) == ([blk.data for blk in blocks], tags)
@@ -478,7 +482,12 @@ def test_batch_kernels_match_scalar_by_size(n):
         one = [encrypt_block(d, b, vns[0], key) for d, b in zip(data, bindings)]
         assert seal_lines(key, data, bindings, vns[0]) == \
             ([blk.data for blk in one], [mac_block(blk, key) for blk in one])
-        assert open_blocks(key, one, vns[0])[1] == [decrypt_block(blk, key) for blk in one]
+        # an open under one VN overrides each block's own
+        at_vn = [CipherBlock(blk.data, blk.binding, vns[0]) for blk in blocks]
+        at_vn_tags = [mac_block(blk, key) for blk in at_vn]
+        assert open_blocks(key, blocks, vns[0]) == \
+            (at_vn_tags, [decrypt_block(blk, key) for blk in at_vn])
+        assert open_blocks(key, blocks, vns[0], decrypt=False) == (at_vn_tags, None)
 
 
 def test_line_words_rejects_a_short_line():

@@ -1,13 +1,18 @@
 """Meta Table / Tensor Filter / update-bitmap protocol tests, including the
-spec'd read and write dataflow cases, merging, hints, context switching, and
-the consistency/transparency invariants."""
+spec'd read and write dataflow cases, merging, hints, context switching, the
+consistency/transparency invariants, and the batched covered-read path
+against a per-line reference."""
 
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from teesim.baseline import ProtectedMemory
-from teesim.crypto import IntegrityFault, KeyMaterial, LINE_BYTES
+from teesim.crypto import (
+    CipherBlock, IntegrityFault, KeyMaterial, LINE_BYTES, keystream, mac_block,
+)
 from teesim.tenanalyzer import (
     EDGE_FINISH, EDGE_START, HIT_BOUNDARY, HIT_IN, INVALIDATE, MISS,
     WRITE_HIT_IN, MetaTableEntry, TenAnalyzer,
@@ -470,3 +475,145 @@ def test_quiescent_vn_consistency_after_mixed_ops():
                 ta.on_write(va, rng.randbytes(LINE_BYTES))
     ta.check_vn_consistency()
     ta.check_disjoint()
+
+
+# -- batched covered reads against the per-line reference --------------------------
+
+
+class ScalarTenAnalyzer(TenAnalyzer):
+    """The reference: covered reads as they were before they were batched per
+    tensor, each pad from `keystream` and each sweep line's tag from
+    `mac_block` at the moment it is read."""
+
+    def _pad(self, e, k, blk, vn):
+        return keystream(self.mem.key, blk.binding, vn)
+
+    def _sweep_take(self, run, blk, vn):
+        run[1] ^= mac_block(CipherBlock(blk.data, blk.binding, vn), self.mem.key)
+
+
+_DIFF_LINES = 48
+_LINE = st.integers(0, _DIFF_LINES - 1)
+# a range of lines: (first line, count), or ("entry", i), every line of the
+# i-th Meta Table entry by base address, in address order
+_LINES = st.one_of(
+    st.tuples(st.one_of(st.sampled_from([0, 16, 32]), _LINE),
+              st.one_of(st.just(16), st.integers(1, 24))),
+    st.tuples(st.just("entry"), st.integers(0, 7)))
+_ATTACK = st.sampled_from(["bitflip", "mac_tamper", "replay"])
+# after read `after` of a sweep, tamper the line at position `at` of the
+# range: one already read or one still ahead. A replay puts the ciphertext,
+# binding, VN and MAC of line `src` there.
+_MID_TAMPER = st.one_of(st.none(), st.tuples(
+    st.integers(0, 23), _ATTACK, st.integers(0, 23), _LINE, st.integers(0, 511)))
+# every op but "switch" names its lines second; an update reads the range's
+# last line after its write number `peek`
+_DIFF_OP = {
+    "sweep": st.tuples(st.just("sweep"), _LINES, _MID_TAMPER),
+    "update": st.tuples(st.just("update"), _LINES,
+                        st.one_of(st.none(), st.integers(0, 23))),
+    "hint": st.tuples(st.just("hint"), _LINES, st.sampled_from([None, "offchip", 3]),
+                      st.sampled_from([None, 7])),
+    "read": st.tuples(st.just("read"), _LINE),
+    "switch": st.just(("switch",)),
+    "tamper": st.tuples(st.just("tamper"), _LINE, _ATTACK, _LINE, st.integers(0, 511)),
+}
+_DIFF_OPS = st.lists(st.sampled_from(
+    ["sweep"] * 4 + ["update"] * 3 + ["hint"] * 2 + ["read", "switch", "tamper"]
+).flatmap(_DIFF_OP.get), min_size=4, max_size=30)
+
+
+def _attempt(fn, *args):
+    try:
+        return "ok", fn(*args)
+    except IntegrityFault as f:
+        return "fault", f.kind
+
+
+def _lines(ta: TenAnalyzer, where) -> list[int]:
+    if where[0] == "entry":
+        entries = sorted((e for e in ta.entries if e.valid), key=lambda e: e.base)
+        return sorted(entries[where[1] % len(entries)].addresses()) if entries else []
+    first, n = where
+    return [BASE + (first + i) * LINE_BYTES for i in range(min(n, _DIFF_LINES - first))]
+
+
+def _tamper(mem: ProtectedMemory, pa: int, attack: str, src: int, bit: int) -> None:
+    snap = mem.snapshot_triple(BASE + src * LINE_BYTES)
+    mem.inject_attack(attack, pa, bit=bit, snapshot=snap)
+
+
+def _diff_op(ta: TenAnalyzer, op, serial: int, active: int, attacks: bool):
+    """Apply one op; returns what the core saw, stopping a sweep or an update
+    at its first fault."""
+    kind = op[0]
+    if kind == "switch":
+        ta.context_switch("save", active)
+        ta.context_switch("restore", 3 - active)
+        return None
+    if kind == "read":
+        return _attempt(ta.on_read, BASE + op[1] * LINE_BYTES)
+    if kind == "tamper":
+        if attacks:
+            _tamper(ta.mem, BASE + op[1] * LINE_BYTES, *op[2:])
+        return None
+    pas = _lines(ta, op[1])
+    if not pas:
+        return None
+    if kind == "hint":
+        vn = ta.mem.vn_of(pas[0]) if op[2] == "offchip" else op[2]
+        return _attempt(lambda: ta.install_hint(pas[0], len(pas), vn=vn,
+                                                tensor_id=op[3]))
+    out = []
+    for i, pa in enumerate(pas):
+        if kind == "sweep":
+            out.append(_attempt(ta.on_read, pa))
+            if op[2] is not None and op[2][0] == i and attacks:
+                _, attack, at, src, bit = op[2]
+                _tamper(ta.mem, pas[at % len(pas)], attack, src, bit)
+        else:
+            out.append(_attempt(ta.on_write, pa, (serial + i).to_bytes(8, "little") * 8))
+            if i == op[2]:
+                out.append(_attempt(ta.on_read, pas[-1]))
+        if out[-1][0] == "fault":
+            break
+    return out
+
+
+@given(_DIFF_OPS, st.booleans())
+@settings(max_examples=200, deadline=None)
+# a tamper of a line the open sweep already consumed
+@example([("hint", (0, 16), None, 7), ("update", ("entry", 0), None),
+          ("sweep", (0, 16), (7, "bitflip", 3, 0, 9))], True)
+# a replay of another line's ciphertext and binding before it is read
+@example([("hint", (0, 16), None, 7), ("update", ("entry", 0), None),
+          ("sweep", (0, 16), (7, "replay", 10, 20, 0))], True)
+# a pad computed during an update, at the entry's old VN, then the finish
+@example([("hint", (0, 16), None, None), ("update", ("entry", 0), 0),
+          ("read", 15)], True)
+# a boundary extension folded into an open sweep, across a context switch
+@example([("sweep", (16, 16), None), ("sweep", (24, 9), None), ("switch",),
+          ("sweep", (0, 4), None), ("switch",), ("sweep", (16, 8), None)], True)
+def test_batched_covered_reads_match_per_line_reference(ops, crypto_on):
+    keys = {1: KeyMaterial.from_seed(1), 2: KeyMaterial.from_seed(2)}
+    sides = []
+    for cls in (TenAnalyzer, ScalarTenAnalyzer):
+        mems = {eid: ProtectedMemory(BASE, _DIFF_LINES, key, crypto_on=crypto_on)
+                for eid, key in keys.items()}
+        ta = cls(mems[1])
+        for eid, mem in mems.items():
+            ta.attach_enclave(eid, mem)
+        sides.append((ta, mems))
+    (ta, mems), (ref, ref_mems) = sides
+    active, serial = 1, 0
+    for op in ops:
+        # attacks need functional crypto
+        seen = [_diff_op(t, op, serial, active, crypto_on) for t in (ta, ref)]
+        assert seen[0] == seen[1], op
+        assert ta.stats == ref.stats and ta.dump_table() == ref.dump_table()
+        for eid in keys:
+            assert mems[eid].totals == ref_mems[eid].totals
+        if op[0] == "switch":
+            active = 3 - active
+        elif op[0] == "update":
+            serial += _DIFF_LINES
