@@ -450,21 +450,19 @@ class ProtectedMemory:
         never-written line first. The adversary harness goes through here,
         so a tamper of a never-written line is not undone by a later first
         read."""
-        self.seal()
-        idx = self.line_index(pa)
-        blk = self._blocks[idx]
-        if blk is None:
-            blk = self._zero_block(idx, pa, self.vn_of(pa))
-        return idx, blk
+        idx, = self.materialize([pa])
+        return idx, self._blocks[idx]
 
     def materialize(self, pas: list[int]) -> list[int]:
-        """Seal, then materialize every never-written line among `pas` as
-        `_materialized` would, sealing them in one batch. Returns the
-        indices of the lines `pas`."""
+        """Seal, then give every never-written line among `pas` its zero
+        ciphertext and MAC under its current VN, sealing them in one batch.
+        Returns the indices of the lines `pas`."""
         self.seal()
         idxs = [self.line_index(pa) for pa in pas]
         blocks = self._blocks
         fresh = [(idx, pa) for idx, pa in zip(idxs, pas) if blocks[idx] is None]
+        if not fresh:
+            return idxs
         if not self.crypto_on:
             for idx, pa in fresh:
                 self._zero_block(idx, pa, self.vn_of(pa))

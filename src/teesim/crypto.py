@@ -41,7 +41,8 @@ _WORDS8 = struct.Struct("<8Q")   # a 64 B line as eight little-endian words
 # ufunc dispatches cost the same whatever its size (about 30 for pads, 60 for
 # tags). Crossovers measured with numpy 2.4 on a 2-core x86 host: pads
 # (`keystream_lines`, then one int per line) 5-6 lines; tags (`mac_lines`)
-# 11-14; both, as in a seal or a decrypting open, 7-8.
+# 11-14; both, as in a seal, 7-8. A decrypting open has no cutoff: no
+# workload opens fewer than 8 lines with decryption.
 KEYSTREAM_BATCH_MIN = 6
 MAC_BATCH_MIN = 14
 SEAL_BATCH_MIN = 8
@@ -308,14 +309,12 @@ def open_blocks(key: KeyMaterial, blocks: Sequence[CipherBlock], vn=None, *,
                 decrypt: bool = True) -> tuple[list[int], Optional[list[bytes]]]:
     """Tags and (if `decrypt`) plaintexts of n sealed lines, in one batch:
     what `mac_block` and `decrypt_block` give line by line, under `vn` when
-    given, else under each block's own VN. Fewer than `SEAL_BATCH_MIN`
-    lines (`MAC_BATCH_MIN` without `decrypt`) go through those per-line
-    kernels instead."""
-    if len(blocks) < (SEAL_BATCH_MIN if decrypt else MAC_BATCH_MIN):
+    given, else under each block's own VN. Without `decrypt`, fewer than
+    `MAC_BATCH_MIN` lines go through `mac_block` instead."""
+    if not decrypt and len(blocks) < MAC_BATCH_MIN:
         if vn is not None:
             blocks = [CipherBlock(b.data, b.binding, vn) for b in blocks]
-        tags = [mac_block(b, key) for b in blocks]
-        return tags, [decrypt_block(b, key) for b in blocks] if decrypt else None
+        return [mac_block(b, key) for b in blocks], None
     codes = binding_codes(b.binding for b in blocks)
     ct = line_words(b.data for b in blocks)
     vns = [b.vn for b in blocks] if vn is None else vn

@@ -22,7 +22,8 @@ A covered read's pad and its place in a sweep depend only on on-chip state
 per line. The first covered read of an entry at its VN computes every line's
 pad in one batch; a line whose VN or binding differs from what the batch
 assumed gets its own. A sweep keeps the ciphertext each read consumed and
-MACs all of it in one batch when the sweep reaches the tensor-MAC check.
+MACs it in batches of up to `SWEEP_FOLD_LINES` lines, the last when the
+sweep reaches the tensor-MAC check.
 Bytes, cycles, stats and faults are those of doing it line by line, at the
 same reads.
 """
@@ -44,6 +45,7 @@ MAX_STRIDE_BYTES = 1024 * LINE_BYTES   # 10-bit line-stride semantics, stored wi
 FILTER_WINDOW_BYTES = 4096             # max delta the filter will chain across;
                                        # larger strides come from entry merging
 MAX_SWEEP_RUNS = 16                    # concurrent sequential read cursors per entry
+SWEEP_FOLD_LINES = 1024                # consumed lines a sweep run keeps before MACing them
 
 HIT_IN = "hit_in"
 HIT_BOUNDARY = "hit_boundary"
@@ -148,9 +150,6 @@ class MetaTableEntry:
     def reset_sweep(self) -> None:
         self.runs.clear()
         self.runs_by_next.clear()
-        self.drop_pads()
-
-    def drop_pads(self) -> None:
         self.pads = None
         self.pad_codes = []
 
@@ -417,9 +416,8 @@ class TenAnalyzer:
             e.runs_by_next.pop(nxt[0], None)
         e.runs_by_next[run[0]] = run_start
         if run_start == 0 and run[0] == e.line_count:
+            self._sweep_fold(run)
             acc = run[1]
-            if run[2]:
-                acc ^= mac_xor_aggregate(open_blocks(mem.key, run[2], decrypt=False)[0])
             e.reset_sweep()
             if acc != e.mac:
                 raise IntegrityFault("tensor_mac", f"entry base={e.base:#x}")
@@ -427,9 +425,18 @@ class TenAnalyzer:
 
     def _sweep_take(self, run: list, blk: CipherBlock, vn: int) -> None:
         """Add a line the core consumed to a sweep run. Its tag is computed
-        when the run closes, in one batch with the run's other lines, from
-        the ciphertext the core consumed, not from what is stored by then."""
+        in one batch with the run's other lines, when the run closes or has
+        kept `SWEEP_FOLD_LINES` lines, from the ciphertext the core consumed,
+        not from what is stored by then."""
         run[2].append(CipherBlock(blk.data, blk.binding, vn))
+        if len(run[2]) >= SWEEP_FOLD_LINES:
+            self._sweep_fold(run)
+
+    def _sweep_fold(self, run: list) -> None:
+        if run[2]:
+            tags, _ = open_blocks(self.mem.key, run[2], decrypt=False)
+            run[1] ^= mac_xor_aggregate(tags)
+            run[2] = []
 
     def _ordinal_unclaimed(self, e, k: int) -> bool:
         for start, run in e.runs.items():
@@ -796,8 +803,6 @@ class TenAnalyzer:
         """Save/restore the table, filter and bitmap to modeled secure storage
         keyed by enclave id; each enclave uses its own key/memory. Restoring
         an unknown id yields an empty table."""
-        for e in self.entries:
-            e.drop_pads()    # computed under the outgoing enclave's key
         if action == "save":
             self._saved[enclave_id] = {
                 "entries": self.entries, "cover": self.cover,

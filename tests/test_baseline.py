@@ -126,7 +126,7 @@ def test_mac_tamper_of_a_never_written_line_detected():
 
 @pytest.mark.parametrize("crypto_on", [True, False])
 @pytest.mark.parametrize("n", [3, 2 * SEAL_BATCH_MIN])
-def test_materialize_matches_per_line_materialized(n, crypto_on):
+def test_materialize_matches_per_line_zero_blocks(n, crypto_on):
     def build():
         mem = make_mem(64, crypto_on=crypto_on)
         mem.write_line(BASE + LINE_BYTES, b"\x07" * LINE_BYTES)   # pending seal
@@ -139,7 +139,13 @@ def test_materialize_matches_per_line_materialized(n, crypto_on):
 
     pas = [BASE + i * LINE_BYTES for i in range(n)]
     batch, per_line = build(), build()
-    assert batch.materialize(pas) == [per_line._materialized(pa)[0] for pa in pas]
+    assert batch.materialize(pas) == [per_line.line_index(pa) for pa in pas]
+    # the reference: seal, then encrypt and MAC each never-written line alone
+    per_line.seal()
+    for pa in pas:
+        idx = per_line.line_index(pa)
+        if per_line.blocks[idx] is None:
+            per_line._zero_block(idx, pa, per_line.vn_of(pa))
     def lines(mem):
         return [blk and (blk.data, blk.binding, blk.vn) for blk in mem.blocks]
 

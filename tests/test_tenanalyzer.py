@@ -4,18 +4,20 @@ consistency/transparency invariants, and the batched covered-read path
 against a per-line reference."""
 
 import random
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from teesim import tenanalyzer
 from teesim.baseline import ProtectedMemory
 from teesim.crypto import (
     CipherBlock, IntegrityFault, KeyMaterial, LINE_BYTES, keystream, mac_block,
 )
 from teesim.tenanalyzer import (
     EDGE_FINISH, EDGE_START, HIT_BOUNDARY, HIT_IN, INVALIDATE, MISS,
-    WRITE_HIT_IN, MetaTableEntry, TenAnalyzer,
+    SWEEP_FOLD_LINES, WRITE_HIT_IN, MetaTableEntry, TenAnalyzer,
 )
 
 KEY = KeyMaterial.from_seed(0x7E57)
@@ -580,21 +582,33 @@ def _diff_op(ta: TenAnalyzer, op, serial: int, active: int, attacks: bool):
     return out
 
 
-@given(_DIFF_OPS, st.booleans())
+# the second argument turns functional crypto on; the third is the number
+# of consumed lines a sweep run keeps before MACing them, small enough in
+# some examples for a 16-line sweep to fold more than once
+@given(_DIFF_OPS, st.booleans(), st.sampled_from([SWEEP_FOLD_LINES, 5]))
 @settings(max_examples=200, deadline=None)
 # a tamper of a line the open sweep already consumed
 @example([("hint", (0, 16), None, 7), ("update", ("entry", 0), None),
-          ("sweep", (0, 16), (7, "bitflip", 3, 0, 9))], True)
+          ("sweep", (0, 16), (7, "bitflip", 3, 0, 9))], True, SWEEP_FOLD_LINES)
+# the same, of a consumed line not yet folded, after an earlier fold
+@example([("hint", (0, 16), None, 7), ("update", ("entry", 0), None),
+          ("sweep", (0, 16), (7, "bitflip", 6, 0, 9))], True, 5)
 # a replay of another line's ciphertext and binding before it is read
 @example([("hint", (0, 16), None, 7), ("update", ("entry", 0), None),
-          ("sweep", (0, 16), (7, "replay", 10, 20, 0))], True)
+          ("sweep", (0, 16), (7, "replay", 10, 20, 0))], True, SWEEP_FOLD_LINES)
 # a pad computed during an update, at the entry's old VN, then the finish
 @example([("hint", (0, 16), None, None), ("update", ("entry", 0), 0),
-          ("read", 15)], True)
+          ("read", 15)], True, SWEEP_FOLD_LINES)
 # a boundary extension folded into an open sweep, across a context switch
 @example([("sweep", (16, 16), None), ("sweep", (24, 9), None), ("switch",),
-          ("sweep", (0, 4), None), ("switch",), ("sweep", (16, 8), None)], True)
-def test_batched_covered_reads_match_per_line_reference(ops, crypto_on):
+          ("sweep", (0, 4), None), ("switch",), ("sweep", (16, 8), None)], True,
+         SWEEP_FOLD_LINES)
+def test_batched_covered_reads_match_per_line_reference(ops, crypto_on, fold):
+    with mock.patch.object(tenanalyzer, "SWEEP_FOLD_LINES", fold):
+        _diff_run(ops, crypto_on)
+
+
+def _diff_run(ops, crypto_on):
     keys = {1: KeyMaterial.from_seed(1), 2: KeyMaterial.from_seed(2)}
     sides = []
     for cls in (TenAnalyzer, ScalarTenAnalyzer):
