@@ -11,8 +11,8 @@ The byte/cycle books are kept in `totals`; passing collect=True to an
 operation additionally returns an itemized CostReport row.
 
 With functional crypto, a write's encryption and MAC are deferred until the
-line is next observed, so that a run of writes is sealed in one batch (see
-`ProtectedMemory`).
+line is next observed, so that a run of writes is sealed in one batch, and a
+run of reads opens its lines in one batch (see `ProtectedMemory`).
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from typing import Optional
 from .crypto import (
     LINE_BYTES, MASK56, BindingMode, CipherBlock, CounterBinding, IntegrityFault,
     KeyMaterial, VnTree, decrypt_block, encrypt_block, mac_block, mix64,
-    seal_lines,
+    open_blocks, seal_lines,
 )
 
 VNS_PER_LINE = 8
@@ -65,15 +65,23 @@ class MetadataCache:
     """LRU over 64 B entries; holds VN-lines and tree node-lines, all tagged
     verified. A hit on a tree node-line terminates an upward walk. Writes
     dirty their cached lines; the DRAM drain happens at eviction (write-back),
-    which is what coalesces the per-write VN/tree traffic."""
+    which is what coalesces the per-write VN/tree traffic.
+
+    `last_write` is the VN-line key whose write made the cache's last
+    operation (`ProtectedMemory.write_line` sets it), or None. Any other
+    operation except a `get` of that same key clears it. While it is set,
+    that write's keys sit at the MRU end, dirty and in write order."""
 
     def __init__(self, capacity_bytes: int):
         self.capacity = max(1, capacity_bytes // LINE_BYTES)
         self._d: OrderedDict = OrderedDict()   # key -> [value, dirty]
         self.hits = 0
         self.misses = 0
+        self.last_write = None
 
     def get(self, key):
+        if self.last_write is not None and key != self.last_write:
+            self.last_write = None
         slot = self._d.get(key)
         if slot is None:
             self.misses += 1
@@ -88,6 +96,7 @@ class MetadataCache:
 
     def put(self, key, value, dirty: bool = False) -> list:
         """Insert/refresh; returns the dirty keys evicted to make room."""
+        self.last_write = None
         slot = self._d.get(key)
         if slot is not None:
             slot[0] = value
@@ -103,15 +112,19 @@ class MetadataCache:
         return evicted
 
     def update_if_present(self, key, value) -> None:
+        # a write that skipped its puts would not reset this value to ()
+        self.last_write = None
         slot = self._d.get(key)
         if slot is not None:
             slot[0] = value
 
     def invalidate(self, key) -> None:
+        self.last_write = None
         self._d.pop(key, None)
 
     def flush(self) -> list:
         """Drop everything; returns the dirty keys that had to drain."""
+        self.last_write = None
         dirty = [k for k, (v, d) in self._d.items() if d]
         self._d.clear()
         return dirty
@@ -165,7 +178,7 @@ class ProtectedMemory:
     plaintext, binding and VN as unsealed. `seal()` encrypts and MACs every
     pending line in one batch. Invariant: no reader and no adversary ever
     sees an unsealed line, because every observer of ciphertext or MACs
-    seals first: the `blocks` and `macs` properties, `read_line`,
+    seals first: the `blocks` and `macs` properties, `read_lines`,
     `line_mac`, `snapshot_triple`, `inject_attack` and `plaintext_view`. So
     each sees exactly the state that sealing at every write would have left,
     and reads still decrypt and verify each line before returning it. A
@@ -322,36 +335,67 @@ class ProtectedMemory:
 
     def read_line(self, pa: int, collect: bool = False):
         """Fetch + decrypt one line, verifying MAC and (when the VN came from
-        off-chip) the VN tree. Returns (plaintext, CostReport|None)."""
-        self.seal()
+        off-chip) the VN tree: `read_lines([pa])`. Returns (plaintext,
+        CostReport|None)."""
+        if not collect:
+            return self.read_lines([pa])[0], None
         t = self.totals
-        t["reads"] += 1
-        t0 = (t["data_rd"], t["vn_rd"], t["mac_rd"], t["tree_rd"], t["cycles"]) \
-            if collect else None
-        idx = self.line_index(pa)
-        t["data_rd"] += LINE_BYTES
-        vn, cold = self.resolve_vn(pa, t)
-        blk = self._blocks[idx]
-        if blk is None:
-            blk = self._zero_block(idx, pa, vn)
-        t["cycles"] += AES_CYCLES
-        t["mac_rd"] += LINE_BYTES
-        t["cycles"] += MAC_CYCLES
+        t0 = (t["data_rd"], t["vn_rd"], t["mac_rd"], t["tree_rd"], t["cycles"])
+        plain, = self.read_lines([pa])
+        return plain, CostReport(
+            "R", pa,
+            data_bytes=t["data_rd"] - t0[0], vn_bytes=t["vn_rd"] - t0[1],
+            mac_bytes=t["mac_rd"] - t0[2], tree_bytes=t["tree_rd"] - t0[3],
+            cycles=t["cycles"] - t0[4])
+
+    def read_lines(self, pas) -> list:
+        """Read the lines `pas` in order, exactly as that many `read_line`
+        calls would, and return their plaintexts. With functional crypto the
+        tags and plaintexts of the lines already written are computed first,
+        in one batch, each under the VN its VN-line holds; nothing a read
+        does changes a line's ciphertext, binding, MAC or VN. Then each read
+        in turn does its accounting, resolves its VN, compares its tag and
+        walks the tree on a cold VN fetch. A never-written line is
+        materialized only when its read comes, so a fault leaves the totals,
+        cache, blocks, MACs and tree that the per-line reads would have."""
+        self.seal()
+        idxs = [self.line_index(pa) for pa in pas]
+        blocks, macs, vn_lines = self._blocks, self._macs, self.vn_lines
+        opened = {}     # position in `pas` -> (tag, plaintext)
         if self.crypto_on:
-            plain = decrypt_block(blk, self.key, vn)
-            if mac_block(CipherBlock(blk.data, blk.binding, vn), self.key) != self._macs[idx]:
-                raise IntegrityFault("mac_mismatch", f"pa={pa:#x}")
-        else:
-            plain = blk.data
-        if cold:
-            self.walk_tree(pa, t)
-        if collect:
-            return plain, CostReport(
-                "R", pa,
-                data_bytes=t["data_rd"] - t0[0], vn_bytes=t["vn_rd"] - t0[1],
-                mac_bytes=t["mac_rd"] - t0[2], tree_bytes=t["tree_rd"] - t0[3],
-                cycles=t["cycles"] - t0[4])
-        return plain, None
+            written, vns = {}, []
+            for k, idx in enumerate(idxs):
+                if blocks[idx] is not None:
+                    written[k] = blocks[idx]
+                    vns.append(vn_lines[idx // VNS_PER_LINE][idx % VNS_PER_LINE])
+            if written:
+                tags, plains = open_blocks(self.key, list(written.values()), vns)
+                opened = dict(zip(written, zip(tags, plains)))
+        zero = bytes(LINE_BYTES) if self.crypto_on else None
+        t = self.totals
+        out = []
+        for k, (pa, idx) in enumerate(zip(pas, idxs)):
+            t["reads"] += 1
+            t["data_rd"] += LINE_BYTES
+            vn, cold = self.resolve_vn(pa, t)
+            t["cycles"] += AES_CYCLES + MAC_CYCLES
+            t["mac_rd"] += LINE_BYTES
+            got = opened.get(k)
+            if got is not None:
+                tag, plain = got
+                if tag != macs[idx]:
+                    raise IntegrityFault("mac_mismatch", f"pa={pa:#x}")
+            else:
+                blk = blocks[idx]
+                if blk is None:
+                    blk = self._zero_block(idx, pa, vn)
+                # materialized by this call, so it opens to zeros under the
+                # tag just made (light mode keeps the stored data)
+                plain = blk.data if zero is None else zero
+            if cold:
+                self.walk_tree(pa, t)
+            out.append(plain)
+        return out
 
     def write_line(self, pa: int, plain, *, vn: Optional[int] = None,
                    binding: Optional[CounterBinding] = None,
@@ -412,10 +456,19 @@ class ProtectedMemory:
         t["tree_wr"] += LINE_BYTES * len(written)
         t["cycles"] += HASH_CYCLES * (len(written) + 1)
         # a dirtied node-line is cached with empty contents; the tree's next
-        # flush, which precedes any walk that could read it, fills them in
-        for key in written:
-            self._charge_drain(self.cache.put(("tn",) + key, (), dirty=True))
-        self._charge_drain(self.cache.put(("vn", li), True, dirty=True))
+        # flush, which precedes any walk that could read it, fills them in.
+        # When the cache's last operation was a write of this same VN-line,
+        # these puts would hit keys already at the MRU end, dirty and in
+        # this order, and evict nothing, so they are skipped
+        cache = self.cache
+        vkey = ("vn", li)
+        if cache.last_write != vkey:
+            for key in written:
+                self._charge_drain(cache.put(("tn",) + key, (), dirty=True))
+            self._charge_drain(cache.put(vkey, True, dirty=True))
+            # a write whose keys do not all fit may have evicted its own
+            if cache.capacity > len(written):
+                cache.last_write = vkey
         if collect:
             return CostReport(
                 "W", pa,
@@ -539,6 +592,9 @@ class PlainMemory:
         if off % LINE_BYTES or not (0 <= off < self.n_lines * LINE_BYTES):
             raise ValueError(f"pa {pa:#x} outside region or unaligned")
         return off // LINE_BYTES
+
+    def read_lines(self, pas) -> list:
+        return [self.read_line(pa)[0] for pa in pas]
 
     def read_line(self, pa: int, collect: bool = False):
         t = self.totals

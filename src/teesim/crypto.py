@@ -41,11 +41,13 @@ _WORDS8 = struct.Struct("<8Q")   # a 64 B line as eight little-endian words
 # ufunc dispatches cost the same whatever its size (about 30 for pads, 60 for
 # tags). Crossovers measured with numpy 2.4 on a 2-core x86 host: pads
 # (`keystream_lines`, then one int per line) 5-6 lines; tags (`mac_lines`)
-# 11-14; both, as in a seal, 7-8. A decrypting open has no cutoff: no
-# workload opens fewer than 8 lines with decryption.
+# 11-14; both, as in a seal, 7-8; both, as in a decrypting open, 8-9 (the
+# per-line open of one line takes about 17 us, the batch about 120 us at
+# any size up to 13 lines).
 KEYSTREAM_BATCH_MIN = 6
 MAC_BATCH_MIN = 14
 SEAL_BATCH_MIN = 8
+OPEN_BATCH_MIN = 9
 
 
 class BindingMode(IntEnum):
@@ -305,19 +307,28 @@ def seal_lines(key: KeyMaterial, plains: Sequence, bindings: Sequence[CounterBin
     return words_to_ints(ct), mac_lines(key, codes, ct, vns).tolist()
 
 
-def open_blocks(key: KeyMaterial, blocks: Sequence[CipherBlock], vn=None, *,
+def open_blocks(key: KeyMaterial, blocks: Sequence[CipherBlock], vns=None, *,
                 decrypt: bool = True) -> tuple[list[int], Optional[list[bytes]]]:
     """Tags and (if `decrypt`) plaintexts of n sealed lines, in one batch:
-    what `mac_block` and `decrypt_block` give line by line, under `vn` when
-    given, else under each block's own VN. Without `decrypt`, fewer than
-    `MAC_BATCH_MIN` lines go through `mac_block` instead."""
-    if not decrypt and len(blocks) < MAC_BATCH_MIN:
-        if vn is not None:
-            blocks = [CipherBlock(b.data, b.binding, vn) for b in blocks]
-        return [mac_block(b, key) for b in blocks], None
+    what `mac_block` and `decrypt_block` give line by line, under `vns` when
+    given (one int VN applies to every line, a sequence gives one per line),
+    else under each block's own VN. Fewer than `OPEN_BATCH_MIN` lines with
+    decryption, or `MAC_BATCH_MIN` without, go through those per-line kernels
+    instead."""
+    if vns is None:
+        vns = [b.vn for b in blocks]
+    if len(blocks) < (OPEN_BATCH_MIN if decrypt else MAC_BATCH_MIN):
+        if isinstance(vns, int):
+            vns = [vns] * len(blocks)
+        tags, plains = [], []
+        for b, v in zip(blocks, vns):
+            b = CipherBlock(b.data, b.binding, v)
+            tags.append(mac_block(b, key))
+            if decrypt:
+                plains.append(decrypt_block(b, key))
+        return tags, plains if decrypt else None
     codes = binding_codes(b.binding for b in blocks)
     ct = line_words(b.data for b in blocks)
-    vns = [b.vn for b in blocks] if vn is None else vn
     tags = mac_lines(key, codes, ct, vns).tolist()
     if not decrypt:
         return tags, None

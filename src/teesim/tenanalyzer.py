@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Optional
 
 from .baseline import AES_CYCLES, MAC_CYCLES, MetadataCache, ProtectedMemory
@@ -46,6 +47,7 @@ FILTER_WINDOW_BYTES = 4096             # max delta the filter will chain across;
                                        # larger strides come from entry merging
 MAX_SWEEP_RUNS = 16                    # concurrent sequential read cursors per entry
 SWEEP_FOLD_LINES = 1024                # consumed lines a sweep run keeps before MACing them
+_TOUCHED = attrgetter("touched")
 
 HIT_IN = "hit_in"
 HIT_BOUNDARY = "hit_boundary"
@@ -185,6 +187,17 @@ class UpdateBitmap:
             self.rd_bytes += LINE_BYTES
             self.cache.put(("bm", line), True)
 
+    def _touch_runs(self, addrs: list) -> None:
+        """`_touch` each run of consecutive addresses in one bitmap line
+        once: a repeat touch would only hit the line just made MRU, so
+        `rd_bytes` and the LRU order are the same, with fewer cache hits."""
+        last = None
+        for va in addrs:
+            line = va // self.SPAN
+            if line != last:
+                self._touch(va)
+                last = line
+
     def get(self, va: int) -> int:
         self._touch(va)
         return self.bits.get(va, 0)
@@ -194,17 +207,15 @@ class UpdateBitmap:
         self.bits[va] = self.bits.get(va, 0) ^ 1
 
     def set_range(self, addrs, value: int) -> None:
-        for va in addrs:
-            self._touch(va)
-            self.bits[va] = value
+        addrs = list(addrs)
+        self._touch_runs(addrs)
+        self.bits.update(dict.fromkeys(addrs, value))
 
     def range_equals(self, addrs, value: int) -> bool:
-        ok = True
-        for va in addrs:
-            self._touch(va)
-            if self.bits.get(va, 0) != value:
-                ok = False
-        return ok
+        addrs = list(addrs)
+        self._touch_runs(addrs)
+        bits = self.bits
+        return all(bits.get(va, 0) == value for va in addrs)
 
 
 class TenAnalyzer:
@@ -578,9 +589,11 @@ class TenAnalyzer:
         merged = True
         while merged:
             merged = False
-            recent = sorted((c for c in self.entries
-                             if c is not e and c.valid and c.uf == 0),
-                            key=lambda c: -c.touched)[: self.merge_window]
+            # the table is nearly in `touched` order, which a stable sort
+            # takes in linear time and `heapq.nlargest` in its slowest case
+            recent = sorted([c for c in self.entries
+                             if c is not e and c.valid and c.uf == 0],
+                            key=_TOUCHED, reverse=True)[: self.merge_window]
             for c in recent:
                 if c.vn != e.vn or c.tensor_id != e.tensor_id or c.bs != e.bs:
                     continue

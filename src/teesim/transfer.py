@@ -226,12 +226,12 @@ def baseline_transfer(session: SessionState, engine: Engine, *,
     size = n_lines * LINE_BYTES
 
     if direction == "cpu_to_npu":
+        # the sender reads the whole tensor in one run; after a fault the
+        # run aborts, so its engine reservations need not precede the reads
+        pas = [cpu_base + i * LINE_BYTES for i in range(n_lines)]
+        plains = cpu_mem.read_lines(pas)
         stage_done = t0
-        plains = []
-        for i in range(n_lines):
-            pa = cpu_base + i * LINE_BYTES
-            plain, _ = cpu_mem.read_line(pa)
-            plains.append(plain)
+        for pa in pas:
             ch = (pa // LINE_BYTES) % nch
             _, rd = engine.reserve(f"cpu_dram{ch}", LINE_BYTES, at_tick=t0)
             _, dec = engine.reserve(f"cpu_aes{ch}", LINE_BYTES, at_tick=rd)

@@ -1,6 +1,7 @@
 """Baseline (SGX-like) protected-memory tests: itemized cost accounting,
 metadata-cache behavior, attack detection, functional equivalence against a
-plain dict oracle, and deferred sealing against an eager reference."""
+plain dict oracle, deferred sealing against an eager reference, and run
+reads and the write fast path against a per-line reference."""
 
 import random
 
@@ -8,10 +9,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from teesim.baseline import CostReport, ProtectedMemory
+from teesim.baseline import (
+    AES_CYCLES, MAC_CYCLES, CostReport, MetadataCache, ProtectedMemory,
+)
 from teesim.crypto import (
-    SEAL_BATCH_MIN, BindingMode, CipherBlock, CounterBinding, IntegrityFault,
-    KeyMaterial, LINE_BYTES, keystream, mac_block,
+    OPEN_BATCH_MIN, SEAL_BATCH_MIN, BindingMode, CipherBlock, CounterBinding,
+    IntegrityFault, KeyMaterial, LINE_BYTES, decrypt_block, keystream, mac_block,
 )
 from teesim.tenanalyzer import HIT_IN, TenAnalyzer
 
@@ -442,3 +445,158 @@ def test_tamper_during_a_tensor_update_matches_eager_sealing(attack, k):
         assert sweeps == 1 and seen[9] == ("fault", "mac_mismatch")
     else:
         assert sweeps == 0 and ("fault", "tensor_mac") in seen
+
+
+# -- run reads and the write fast path -------------------------------------------
+
+class _EveryPutCache(MetadataCache):
+    """A metadata cache that never offers the write fast path."""
+
+    @property
+    def last_write(self):
+        return None
+
+    @last_write.setter
+    def last_write(self, key):
+        pass
+
+
+class PerLineProtectedMemory(ProtectedMemory):
+    """The reference: every read decrypted and verified alone by the scalar
+    kernels, as `read_line` was before `read_lines`, and every write making
+    all of its metadata-cache puts."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.cache = _EveryPutCache(self.cache.capacity * LINE_BYTES)
+
+    def read_line(self, pa, collect=False):
+        self.seal()
+        t = self.totals
+        t["reads"] += 1
+        idx = self.line_index(pa)
+        t["data_rd"] += LINE_BYTES
+        vn, cold = self.resolve_vn(pa, t)
+        blk = self._blocks[idx]
+        if blk is None:
+            blk = self._zero_block(idx, pa, vn)
+        t["cycles"] += AES_CYCLES + MAC_CYCLES
+        t["mac_rd"] += LINE_BYTES
+        if self.crypto_on:
+            plain = decrypt_block(blk, self.key, vn)
+            if mac_block(CipherBlock(blk.data, blk.binding, vn), self.key) \
+                    != self._macs[idx]:
+                raise IntegrityFault("mac_mismatch", f"pa={pa:#x}")
+        else:
+            plain = blk.data
+        if cold:
+            self.walk_tree(pa, t)
+        return plain, None
+
+    def read_lines(self, pas):
+        return [self.read_line(pa)[0] for pa in pas]
+
+
+def _run_ops(n_lines):
+    # mostly the first two VN-lines, so that ops meet the same lines often
+    line = st.integers(0, 15) | st.integers(0, n_lines - 1)
+    return st.lists(st.one_of(
+        st.tuples(st.just("write"), line),
+        st.tuples(st.just("burst"), line, st.integers(1, 20)),
+        # a write run with a read of one other line after each write
+        st.tuples(st.just("interleave"), line, st.integers(1, 6), line),
+        st.tuples(st.just("read"), line),
+        st.tuples(st.just("read_lines"), st.lists(line, max_size=2 * OPEN_BATCH_MIN + 4)),
+        st.tuples(st.just("read_run"), line, st.integers(1, 3 * OPEN_BATCH_MIN)),
+        st.tuples(st.just("flush"),),
+        st.tuples(st.just("tamper"),
+                  st.sampled_from(["bitflip", "mac_tamper", "vn_tamper", "replay"]),
+                  line, st.integers(0, 511)),
+    ), max_size=25)
+
+
+def _cache_state(mem):
+    return (list(mem.cache._d.items()), mem.cache.hits, mem.cache.misses,
+            dict(mem.totals))
+
+
+def _drive(mems, ops, n_lines):
+    """Apply `ops` to every memory of `mems` alike. After each call, what it
+    returned (plaintexts, or a fault's kind and detail), the cache and the
+    totals must be equal."""
+    serial = 0
+
+    def both(fn):
+        out = []
+        for m in mems:
+            try:
+                out.append(fn(m))
+            except IntegrityFault as e:
+                out.append(("fault", e.kind, e.detail))
+        assert out[0] == out[1], op
+        a, b = (_cache_state(m) for m in mems)
+        assert a == b, op
+        return out
+
+    def write(line):
+        nonlocal serial
+        serial += 1
+        data = (serial.to_bytes(4, "little") + line.to_bytes(4, "little")) * 8
+        pa = BASE + line * LINE_BYTES
+        both(lambda m: m.write_line(pa, data if m.crypto_on else
+                                    int.from_bytes(data, "little")))
+
+    def read(line):
+        both(lambda m: m.read_line(BASE + line * LINE_BYTES)[0])
+
+    for op in ops:
+        kind = op[0]
+        if kind == "write":
+            write(op[1])
+        elif kind == "burst":
+            for j in range(op[2]):
+                write((op[1] + j) % n_lines)
+        elif kind == "interleave":
+            for j in range(op[2]):
+                write((op[1] + j) % n_lines)
+                read(op[3])
+        elif kind == "read":
+            read(op[1])
+        elif kind in ("read_lines", "read_run"):
+            lines = op[1] if kind == "read_lines" else \
+                [(op[1] + j) % n_lines for j in range(op[2])]
+            both(lambda m: m.read_lines([BASE + i * LINE_BYTES for i in lines]))
+        elif kind == "flush":
+            both(lambda m: m.flush_metadata_cache())
+        elif mems[0].crypto_on:
+            _, attack, line, bit = op
+            pa = BASE + line * LINE_BYTES
+            if attack == "replay":
+                snaps = both(lambda m: m.snapshot_triple(pa))
+                write(line)
+                for m, snap in zip(mems, snaps):
+                    m.inject_attack("replay", pa, snapshot=snap)
+            else:
+                both(lambda m: m.inject_attack(attack, pa, bit=bit))
+
+
+@pytest.mark.parametrize("crypto_on", [True, False])
+@pytest.mark.parametrize("n_lines, cache_bytes", [
+    (64, 512),     # a one-level tree
+    (512, 192),    # a two-level tree; the cache holds just one write's keys
+    (512, 128),    # a write's keys do not fit: no fast path
+])
+@given(data=st.data())
+@settings(max_examples=100, deadline=None)
+def test_run_reads_and_write_fast_path_match_per_line_reference(
+        crypto_on, n_lines, cache_bytes, data):
+    mems = [cls(BASE, n_lines, KEY, metadata_cache_bytes=cache_bytes,
+                crypto_on=crypto_on)
+            for cls in (ProtectedMemory, PerLineProtectedMemory)]
+    _drive(mems, data.draw(_run_ops(n_lines)), n_lines)
+    fast, ref = mems
+    assert [blk and (blk.data, blk.binding, blk.vn) for blk in fast.blocks] == \
+        [blk and (blk.data, blk.binding, blk.vn) for blk in ref.blocks]
+    assert fast.macs == ref.macs and fast.vn_lines == ref.vn_lines
+    if crypto_on:
+        assert fast.tree.root == ref.tree.root

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from teesim.cli import GOLDEN_VECTOR_INPUTS
 from teesim.crypto import (
     KEYSTREAM_BATCH_MIN, LINE_BYTES, MAC_BATCH_MIN, MASK56, MASK64,
-    SEAL_BATCH_MIN, TREE_ARITY, BindingMode,
+    OPEN_BATCH_MIN, SEAL_BATCH_MIN, TREE_ARITY, BindingMode,
     CipherBlock, CounterBinding, IntegrityFault, KeyMaterial, VnTree, _leaf_hash,
     _node_hash, binding_codes, decrypt_block, encrypt_block, keystream,
     keystream_lines, line_words, mac_block, mac_lines, mac_xor_aggregate, mix64,
@@ -456,7 +456,8 @@ def test_batch_kernels_match_scalar(lines, seed):
 
 
 @pytest.mark.parametrize("n", sorted({
-    0, 1, 1200, *(m + d for m in (KEYSTREAM_BATCH_MIN, SEAL_BATCH_MIN, MAC_BATCH_MIN)
+    0, 1, 1200, *(m + d for m in (KEYSTREAM_BATCH_MIN, SEAL_BATCH_MIN, MAC_BATCH_MIN,
+                                  OPEN_BATCH_MIN)
                   for d in (-1, 0))}))
 def test_batch_kernels_match_scalar_by_size(n):
     rng = random.Random(n)
@@ -469,9 +470,9 @@ def test_batch_kernels_match_scalar_by_size(n):
     _assert_batch_matches_scalar(key, bindings, vns, data)
     assert words_to_bytes(line_words(data)) == \
         [d if isinstance(d, bytes) else d.to_bytes(LINE_BYTES, "little") for d in data]
-    # seal_lines below SEAL_BATCH_MIN and open_blocks without decryption
-    # below MAC_BATCH_MIN take the per-line kernels, and numpy from there
-    # on; both give these results
+    # seal_lines below SEAL_BATCH_MIN, and open_blocks below OPEN_BATCH_MIN
+    # (MAC_BATCH_MIN without decryption), take the per-line kernels, and
+    # numpy from there on; both give these results
     blocks = [encrypt_block(d, b, v, key) for d, b, v in zip(data, bindings, vns)]
     tags = [mac_block(blk, key) for blk in blocks]
     assert seal_lines(key, data, bindings, vns) == ([blk.data for blk in blocks], tags)
@@ -488,6 +489,11 @@ def test_batch_kernels_match_scalar_by_size(n):
         assert open_blocks(key, blocks, vns[0]) == \
             (at_vn_tags, [decrypt_block(blk, key) for blk in at_vn])
         assert open_blocks(key, blocks, vns[0], decrypt=False) == (at_vn_tags, None)
+        # and one VN per line overrides each block's own
+        shifted = [CipherBlock(blk.data, blk.binding, v + 1)
+                   for blk, v in zip(blocks, vns)]
+        assert open_blocks(key, shifted, vns) == (tags, plains)
+        assert open_blocks(key, shifted, vns, decrypt=False) == (tags, None)
 
 
 def test_line_words_rejects_a_short_line():
