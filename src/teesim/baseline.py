@@ -361,29 +361,27 @@ class ProtectedMemory:
         self.seal()
         idxs = [self.line_index(pa) for pa in pas]
         blocks, macs, vn_lines = self._blocks, self._macs, self.vn_lines
-        opened = {}     # position in `pas` -> (tag, plaintext)
+        # the tag and plaintext at each position whose line is written
+        tags, plains = [None] * len(idxs), [None] * len(idxs)
         if self.crypto_on:
-            written, vns = {}, []
-            for k, idx in enumerate(idxs):
-                if blocks[idx] is not None:
-                    written[k] = blocks[idx]
-                    vns.append(vn_lines[idx // VNS_PER_LINE][idx % VNS_PER_LINE])
+            written = [k for k, idx in enumerate(idxs) if blocks[idx] is not None]
             if written:
-                tags, plains = open_blocks(self.key, list(written.values()), vns)
-                opened = dict(zip(written, zip(tags, plains)))
+                opened = open_blocks(
+                    self.key, [blocks[idxs[k]] for k in written],
+                    [vn_lines[idxs[k] // VNS_PER_LINE][idxs[k] % VNS_PER_LINE]
+                     for k in written])
+                for k, tag, plain in zip(written, *opened):
+                    tags[k], plains[k] = tag, plain
         zero = bytes(LINE_BYTES) if self.crypto_on else None
         t = self.totals
-        out = []
         for k, (pa, idx) in enumerate(zip(pas, idxs)):
             t["reads"] += 1
             t["data_rd"] += LINE_BYTES
             vn, cold = self.resolve_vn(pa, t)
             t["cycles"] += AES_CYCLES + MAC_CYCLES
             t["mac_rd"] += LINE_BYTES
-            got = opened.get(k)
-            if got is not None:
-                tag, plain = got
-                if tag != macs[idx]:
+            if plains[k] is not None:
+                if tags[k] != macs[idx]:
                     raise IntegrityFault("mac_mismatch", f"pa={pa:#x}")
             else:
                 blk = blocks[idx]
@@ -391,11 +389,10 @@ class ProtectedMemory:
                     blk = self._zero_block(idx, pa, vn)
                 # materialized by this call, so it opens to zeros under the
                 # tag just made (light mode keeps the stored data)
-                plain = blk.data if zero is None else zero
+                plains[k] = blk.data if zero is None else zero
             if cold:
                 self.walk_tree(pa, t)
-            out.append(plain)
-        return out
+        return plains
 
     def write_line(self, pa: int, plain, *, vn: Optional[int] = None,
                    binding: Optional[CounterBinding] = None,

@@ -18,6 +18,8 @@ from __future__ import annotations
 import gzip
 import random
 from dataclasses import dataclass, field
+from itertools import groupby
+from operator import itemgetter
 from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
@@ -47,6 +49,8 @@ FLOATS_PER_LINE = LINE_BYTES // 4
 
 # a replay keeps the cost reports of at most this many memory accesses
 COST_SAMPLE_LIMIT = 1000
+
+_PHASE = itemgetter(0)   # of an adam access: 'R' or 'W'
 
 
 @dataclass
@@ -588,22 +592,23 @@ class ZeroOffloadRunner:
             data_keys = ("data_rd", "data_wr")
             snap_meta = sum(t_totals[k] for k in meta_keys)
             snap_data = sum(t_totals[k] for k in data_keys)
-            # every read of the tensor comes before its first write
-            reads, writes = [], []
-            for phase, stream, _, j in adam_access_sequence(
-                    lay, self.threads, self.burst):
-                (reads if phase == "R" else writes).append(
-                    (stream, j, bases[stream] + j * LINE_BYTES))
-            vas = [va for _, _, va in reads]
-            if self.analyzer is None:
-                plains = self.cpu_mem.read_lines(vas)
-            else:
-                plains = [self.analyzer.on_read(va)[0] for va in vas]
-            for (stream, j, _), plain in zip(reads, plains):
-                bufs[stream][j] = plain
-            new = self._adam_math(bufs, it)
-            for stream, j, va in writes:
-                self._cpu_write(va, new[stream][j])
+            # each run of reads is one read run of the memory; the writes
+            # that follow store the step computed from what was read
+            for phase, recs in groupby(adam_access_sequence(
+                    lay, self.threads, self.burst), key=_PHASE):
+                if phase == "R":
+                    recs = list(recs)
+                    vas = [bases[s] + j * LINE_BYTES for _, s, _, j in recs]
+                    if self.analyzer is None:
+                        plains = self.cpu_mem.read_lines(vas)
+                    else:
+                        plains = [self.analyzer.on_read(va)[0] for va in vas]
+                    for (_, s, _, j), plain in zip(recs, plains):
+                        bufs[s][j] = plain
+                else:
+                    new = self._adam_math(bufs, it)
+                    for _, s, _, j in recs:
+                        self._cpu_write(bases[s] + j * LINE_BYTES, new[s][j])
             meta = sum(t_totals[k] for k in meta_keys) - snap_meta
             data = sum(t_totals[k] for k in data_keys) - snap_data
             done = max(done, self._reserve_cpu_phase(data, meta, at))
