@@ -591,7 +591,16 @@ class PlainMemory:
         return off // LINE_BYTES
 
     def read_lines(self, pas) -> list:
-        return [self.read_line(pa)[0] for pa in pas]
+        """`read_line` of each of `pas` in order, without the per-line call."""
+        t = self.totals
+        blocks = self.blocks
+        out = []
+        for pa in pas:
+            t["reads"] += 1
+            t["data_rd"] += LINE_BYTES
+            plain = blocks[self.line_index(pa)]
+            out.append(b"\x00" * LINE_BYTES if plain is None else plain)
+        return out
 
     def read_line(self, pa: int, collect: bool = False):
         t = self.totals

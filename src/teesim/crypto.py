@@ -332,7 +332,9 @@ def open_blocks(key: KeyMaterial, blocks: Sequence[CipherBlock], vns=None, *,
     tags = mac_lines(key, codes, ct, vns).tolist()
     if not decrypt:
         return tags, None
-    return tags, words_to_bytes(ct ^ keystream_lines(key, codes, vns))
+    pads = keystream_lines(key, codes, vns)
+    pads ^= ct
+    return tags, words_to_bytes(pads)
 
 
 def mac_xor_aggregate(tags: Iterable[int]) -> int:
