@@ -463,8 +463,8 @@ class _EveryPutCache(MetadataCache):
 
 class PerLineProtectedMemory(ProtectedMemory):
     """The reference: every read decrypted and verified alone by the scalar
-    kernels, as `read_line` was before `read_lines`, and every write making
-    all of its metadata-cache puts."""
+    kernels, with no batch, and every write making all of its
+    metadata-cache puts."""
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
