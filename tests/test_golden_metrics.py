@@ -18,6 +18,7 @@ import tempfile
 from pathlib import Path
 from unittest import mock
 
+import pytest
 from teesim.baseline import ProtectedMemory
 from teesim.cli import main, run_npu_stream
 from teesim.config import SEED_ENV_VAR, SimConfig, build_engine
@@ -47,10 +48,15 @@ RUNS = [("zero_offload", "nonsecure"), ("zero_offload", "sgx_mgx"),
         ("gemm", "nonsecure"), ("gemm", "sgx_mgx"), ("gemm", "tensortee")]
 
 
-def _config(mode: str) -> SimConfig:
+# fields that hold tag or ciphertext values, the only outputs that light mode
+# (`crypto.functional: false`) may change; "sent" holds (VN, tensor MAC)
+CIPHER_FIELDS = ("ciphertext_sha256", "stored_mac")
+
+
+def _config(mode: str, functional: bool = True) -> SimConfig:
     cfg = SimConfig(mode=mode)
     cfg.crypto.seed = SEED
-    cfg.crypto.functional = True
+    cfg.crypto.functional = functional
     # a metadata cache smaller than the working set, so that evictions and
     # write-back drains are part of the lock
     cfg.cpu.metadata_cache_bytes = 8 * 1024
@@ -77,8 +83,8 @@ def _resources(engine) -> dict:
             for name, r in sorted(engine.resources.items())}
 
 
-def zero_offload_snapshot(mode: str) -> dict:
-    runner = ZeroOffloadRunner(_config(mode), mode)
+def zero_offload_snapshot(mode: str, functional: bool = True) -> dict:
+    runner = ZeroOffloadRunner(_config(mode, functional), mode)
     rep = runner.run()
     return {
         "total_ticks": rep.total_ticks,
@@ -92,13 +98,14 @@ def zero_offload_snapshot(mode: str) -> dict:
     }
 
 
-def fuzz_snapshot(mode: str) -> dict:
+def fuzz_snapshot(mode: str, functional: bool = True) -> dict:
     """Replay a fuzz trace; write data is unique per record, every read's
     plaintext goes into the digest."""
     records = gen_fuzz_trace(FUZZ_OPS, FUZZ_LINES, SEED, base=FUZZ_BASE)
     cfg = _config(mode)
     mem = ProtectedMemory(FUZZ_BASE, FUZZ_LINES, KeyMaterial.from_seed(SEED),
-                          metadata_cache_bytes=cfg.cpu.metadata_cache_bytes)
+                          metadata_cache_bytes=cfg.cpu.metadata_cache_bytes,
+                          crypto_on=functional)
     ta = TenAnalyzer(mem) if mode == "tensortee" else None
     read = ta.on_read if ta else mem.read_line
     write = ta.on_write if ta else mem.write_line
@@ -121,14 +128,15 @@ def _ciphertext_sha256(dev: NpuDevice, rec) -> str:
                    for i in range(rec.n_lines))
 
 
-def npu_stream_snapshot(granularity: str) -> dict:
+def npu_stream_snapshot(granularity: str, functional: bool = True) -> dict:
     """The CLI's npu_stream workload at one blocking granularity, then a
-    functional store of random lines, loaded blocking and delayed."""
-    cfg = _config("tensortee")
+    store of random lines, loaded blocking and delayed."""
+    cfg = _config("tensortee", functional)
     cfg.npu.mac_granularity = int(granularity)
     ticks = run_npu_stream(cfg)
     dev = NpuDevice(KeyMaterial.from_seed(SEED), build_engine(cfg),
-                    mac_granularity=cfg.npu.mac_granularity)
+                    mac_granularity=cfg.npu.mac_granularity,
+                    crypto_on=functional)
     rec = dev.register_tensor(7, 0x4000_0000, NPU_LINES)
     order = list(range(NPU_LINES))
     random.Random(SEED).shuffle(order)
@@ -145,7 +153,7 @@ def npu_stream_snapshot(granularity: str) -> dict:
     }
 
 
-def transfer_snapshot(protocol: str) -> dict:
+def transfer_snapshot(protocol: str, functional: bool = True) -> dict:
     """A CPU tensor to the NPU and an NPU tensor back, by the relay (separate
     enclave keys, as SGX+MGX) or the direct protocol (the shared key, with the
     Meta Table), then every moved line read back on the receiving side."""
@@ -157,8 +165,9 @@ def transfer_snapshot(protocol: str) -> dict:
     n = XFER_LINES
     cpu_key, npu_key = ((cpu_enc.key, npu_enc.key) if protocol == "relay"
                         else (session.shared_key, session.shared_key))
-    mem = ProtectedMemory(CPU_BASE, 4 * n, cpu_key, metadata_cache_bytes=2048)
-    dev = NpuDevice(npu_key, eng)
+    mem = ProtectedMemory(CPU_BASE, 4 * n, cpu_key, metadata_cache_bytes=2048,
+                          crypto_on=functional)
+    dev = NpuDevice(npu_key, eng, crypto_on=functional)
     back_base = CPU_BASE + 2 * n * LINE_BYTES
     grad = dev.register_tensor(9, 0x5000_0000, n)
     dev.store_tensor_stream(grad, _lines(n, 3))
@@ -202,14 +211,14 @@ def transfer_snapshot(protocol: str) -> dict:
     }
 
 
-def cli_snapshot(workload: str, mode: str) -> dict:
+def cli_snapshot(workload: str, mode: str, functional: bool = True) -> dict:
     """The metrics.json that `teesim run` writes for a small adam or gemm
     config: three tensors of drawn sizes, or a 64x64x128 GEMM in 16-wide
     tiles. Per-iteration hit rates, cost samples and the Meta Table are all
     part of it. The adam config is one where summing the hit_in and
     hit_boundary shares differs in the last bit from dividing the summed
     counts, both for the whole run and for one iteration."""
-    cfg = _config(mode)
+    cfg = _config(mode, functional)
     wl = cfg.workload
     wl.name = workload
     wl.tensors, wl.tensor_bytes_min, wl.tensor_bytes_max = 3, 1024, 8192
@@ -225,12 +234,19 @@ def cli_snapshot(workload: str, mode: str) -> dict:
 
 SNAPSHOTS = {"zero_offload": zero_offload_snapshot, "fuzz": fuzz_snapshot,
              "npu_stream": npu_stream_snapshot, "transfer": transfer_snapshot,
-             "adam": lambda mode: cli_snapshot("adam", mode),
-             "gemm": lambda mode: cli_snapshot("gemm", mode)}
+             "adam": lambda *args: cli_snapshot("adam", *args),
+             "gemm": lambda *args: cli_snapshot("gemm", *args)}
 
 
-def snapshot(workload: str, mode: str) -> dict:
-    return SNAPSHOTS[workload](mode)
+def snapshot(workload: str, mode: str, functional: bool = True) -> dict:
+    return SNAPSHOTS[workload](mode, functional)
+
+
+def _without_cipher_values(snap: dict) -> dict:
+    out = {k: v for k, v in snap.items() if k not in CIPHER_FIELDS}
+    if "sent" in out:
+        out["sent"] = out["sent"][:1]
+    return out
 
 
 def test_golden_metrics_unchanged():
@@ -244,6 +260,22 @@ def test_golden_metrics_unchanged():
         if changed:
             diffs[f"{workload}_{mode}"] = changed
     assert not diffs, f"simulated outputs moved: {diffs}"
+
+
+# the fuzz, npu_stream and transfer runs cannot run in light mode yet: a
+# never-written line reads back as the int 0, and a light-mode block holds
+# whatever was written, so a bytes line has no ciphertext int
+LIGHT_RUNS = [run for run in RUNS
+              if run[0] not in ("fuzz", "npu_stream", "transfer")]
+
+
+@pytest.mark.parametrize("workload, mode", LIGHT_RUNS)
+def test_light_mode_matches_golden_metrics(workload, mode):
+    """With functional crypto off, every golden run simulates the same: only
+    the fields that hold tag or ciphertext values may differ."""
+    expected = json.loads((GOLDEN_DIR / f"{workload}_{mode}.json").read_text())
+    got = json.loads(json.dumps(snapshot(workload, mode, functional=False)))
+    assert _without_cipher_values(got) == _without_cipher_values(expected)
 
 
 if __name__ == "__main__":
