@@ -10,9 +10,9 @@ baseline is meant to expose.
 The byte/cycle books are kept in `totals`; passing collect=True to an
 operation additionally returns an itemized CostReport row.
 
-With functional crypto, a write's encryption and MAC are deferred until the
-line is next observed, so that a run of writes is sealed in one batch, and a
-run of reads opens its lines in one batch (see `ProtectedMemory`).
+A write's encryption and MAC are deferred until the line is next observed,
+so that a run of writes is sealed in one batch, and a run of reads opens its
+lines in one batch (see `ProtectedMemory`).
 """
 
 from __future__ import annotations
@@ -22,8 +22,8 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .crypto import (
-    LINE_BYTES, MASK56, BindingMode, CipherBlock, CounterBinding, IntegrityFault,
-    KeyMaterial, VnTree, decrypt_block, encrypt_block, mac_block, mix64,
+    LINE_BYTES, MASK56, NULL_KEY, BindingMode, CipherBlock, CounterBinding,
+    IntegrityFault, KeyMaterial, VnTree, decrypt_block, encrypt_block, mac_block,
     open_blocks, seal_lines,
 )
 
@@ -130,53 +130,16 @@ class MetadataCache:
         return dirty
 
 
-class _LightTree:
-    """Traffic-geometry stand-in for VnTree when crypto is off: identical walk
-    and update footprints, no hashing, never faults."""
-
-    def __init__(self, n_leaves: int):
-        depth = 1
-        while 8 ** depth < n_leaves:
-            depth += 1
-        self.depth = depth
-        self.n_leaves = 8 ** depth
-
-    def build(self, leaf_lines) -> int:
-        return 0
-
-    def verify_path(self, leaf_index, leaf_vns, cache_lookup=None):
-        idx = leaf_index
-        fetched = []
-        for level in range(self.depth):
-            j = idx // 8
-            if cache_lookup is not None and cache_lookup(level, j) is not None:
-                return fetched
-            fetched.append((level, j))
-            idx = j
-        return fetched
-
-    def update_path(self, leaf_index, leaf_vns):
-        idx = leaf_index
-        written = {}
-        for level in range(self.depth):
-            j = idx // 8
-            written[(level, j)] = ()
-            idx = j
-        return written
-
-
-def _stub_mac(code: int, vn: int) -> int:
-    # light-mode tag: deterministic in (binding, vn) only
-    return mix64(code ^ (vn * 0x10001)) & MASK56
-
-
 class ProtectedMemory:
     """One enclave's protected DRAM region at cacheline granularity.
 
-    Deferred sealing (functional crypto only): `write_line` does its per-line
-    accounting, VN update and tree update at once, but only records the
-    plaintext, binding and VN as unsealed. `seal()` encrypts and MACs every
-    pending line in one batch. Invariant: no reader and no adversary ever
+    Without functional crypto the memory runs under the null cipher
+    (`crypto.NULL_KEY`): the same protocol and checks, with data-independent
+    tags, so `inject_attack` refuses.
+
+    Deferred sealing: `write_line` does its per-line accounting, VN update
+    and tree update at once, but only records the plaintext, binding and VN
+    as unsealed. `seal()` encrypts and MACs every pending line in one batch. Invariant: no reader and no adversary ever
     sees an unsealed line, because every observer of ciphertext or MACs
     seals first: the `blocks` and `macs` properties, `read_lines`,
     `line_mac`, `snapshot_triple`, `inject_attack` and `plaintext_view`. So
@@ -193,8 +156,7 @@ class ProtectedMemory:
             raise ValueError("base_pa must be cacheline-aligned")
         self.base_pa = base_pa
         self.n_lines = n_lines
-        self.key = key
-        self.crypto_on = crypto_on
+        self.key = key if crypto_on else NULL_KEY
         self._blocks: list[Optional[CipherBlock]] = [None] * n_lines
         self._macs: list[int] = [0] * n_lines
         # idx -> (plaintext, binding, vn, tag sink) written but not yet sealed
@@ -203,8 +165,7 @@ class ProtectedMemory:
         n_vn_lines = -(-n_lines // VNS_PER_LINE)
         self.vn_lines: list[list[int]] = [[0] * VNS_PER_LINE for _ in range(n_vn_lines)]
         self.cache = MetadataCache(metadata_cache_bytes)
-        self.tree = (VnTree(n_vn_lines, key, on_flush=self._refresh_cached_nodes)
-                     if crypto_on else _LightTree(n_vn_lines))
+        self.tree = VnTree(n_vn_lines, self.key, on_flush=self._refresh_cached_nodes)
         self.tree.build(self.vn_lines)
         self.bindings: dict[int, CounterBinding] = {}
         self.totals: dict[str, int] = dict.fromkeys(TOTALS_KEYS, 0)
@@ -326,9 +287,8 @@ class ProtectedMemory:
         t["tree_rd"] += LINE_BYTES * len(fetched)
         t["cycles"] += HASH_CYCLES * (len(fetched) + 1)
         for (level, j) in fetched:
-            self._charge_drain(self.cache.put(
-                ("tn", level, j),
-                self.tree.node_line(level, j) if self.crypto_on else ()))
+            self._charge_drain(self.cache.put(("tn", level, j),
+                                              self.tree.node_line(level, j)))
         self._charge_drain(self.cache.put(("vn", li), True))
 
     # -- data path ----------------------------------------------------------
@@ -350,9 +310,9 @@ class ProtectedMemory:
 
     def read_lines(self, pas) -> list:
         """Read the lines `pas` in order, exactly as that many `read_line`
-        calls would, and return their plaintexts. With functional crypto the
-        tags and plaintexts of the lines already written are computed first,
-        in one batch, each under the VN its VN-line holds; nothing a read
+        calls would, and return their plaintexts. The tags and plaintexts of
+        the lines already written are computed first, in one batch, each
+        under the VN its VN-line holds; nothing a read
         does changes a line's ciphertext, binding, MAC or VN. Then each read
         in turn does its accounting, resolves its VN, compares its tag and
         walks the tree on a cold VN fetch. A never-written line is
@@ -363,16 +323,14 @@ class ProtectedMemory:
         blocks, macs, vn_lines = self._blocks, self._macs, self.vn_lines
         # the tag and plaintext at each position whose line is written
         tags, plains = [None] * len(idxs), [None] * len(idxs)
-        if self.crypto_on:
-            written = [k for k, idx in enumerate(idxs) if blocks[idx] is not None]
-            if written:
-                opened = open_blocks(
-                    self.key, [blocks[idxs[k]] for k in written],
-                    [vn_lines[idxs[k] // VNS_PER_LINE][idxs[k] % VNS_PER_LINE]
-                     for k in written])
-                for k, tag, plain in zip(written, *opened):
-                    tags[k], plains[k] = tag, plain
-        zero = bytes(LINE_BYTES) if self.crypto_on else None
+        written = [k for k, idx in enumerate(idxs) if blocks[idx] is not None]
+        if written:
+            opened = open_blocks(
+                self.key, [blocks[idxs[k]] for k in written],
+                [vn_lines[idxs[k] // VNS_PER_LINE][idxs[k] % VNS_PER_LINE]
+                 for k in written])
+            for k, tag, plain in zip(written, *opened):
+                tags[k], plains[k] = tag, plain
         t = self.totals
         for k, (pa, idx) in enumerate(zip(pas, idxs)):
             t["reads"] += 1
@@ -384,12 +342,11 @@ class ProtectedMemory:
                 if tags[k] != macs[idx]:
                     raise IntegrityFault("mac_mismatch", f"pa={pa:#x}")
             else:
-                blk = blocks[idx]
-                if blk is None:
-                    blk = self._zero_block(idx, pa, vn)
+                if blocks[idx] is None:
+                    self._zero_block(idx, pa, vn)
                 # materialized by this call, so it opens to zeros under the
-                # tag just made (light mode keeps the stored data)
-                plains[k] = blk.data if zero is None else zero
+                # tag just made
+                plains[k] = bytes(LINE_BYTES)
             if cold:
                 self.walk_tree(pa, t)
         return plains
@@ -402,9 +359,9 @@ class ProtectedMemory:
         MAC, store all three off-chip, and update the tree path. VN-line and
         tree-node drain coalesces through the metadata cache; the MAC region
         is uncached and drains per write, except for tensor-covered writes
-        whose integrity root is the entry's aggregate MAC. With functional
-        crypto the encryption and MAC wait for the next `seal()`, which
-        appends the line's fresh tag to `tag_sink` if one is given."""
+        whose integrity root is the entry's aggregate MAC. The encryption and
+        MAC wait for the next `seal()`, which appends the line's fresh tag to
+        `tag_sink` if one is given."""
         t = self.totals
         t["writes"] += 1
         t0 = (t["data_wr"], t["vn_wr"], t["mac_wr"], t["tree_wr"], t["cycles"],
@@ -433,21 +390,21 @@ class ProtectedMemory:
         t["vn_wr"] += LINE_BYTES
         if not covered:
             t["mac_wb"] += LINE_BYTES
-        if self.crypto_on:
-            if isinstance(plain, int):
-                plain = plain.to_bytes(LINE_BYTES, "little")
-            elif len(plain) != LINE_BYTES:
-                raise ValueError(f"a line is {LINE_BYTES} bytes, got {len(plain)}")
-            self._unsealed[idx] = (plain, binding, new_vn, tag_sink)
-        else:
+        if isinstance(plain, int):
+            plain = plain.to_bytes(LINE_BYTES, "little")
+        elif len(plain) != LINE_BYTES:
+            raise ValueError(f"a line is {LINE_BYTES} bytes, got {len(plain)}")
+        if self.key.null:
+            # stored at once: deferring made a light criterion-4 iteration 6-10% slower
             if blk is None:
-                self._blocks[idx] = CipherBlock(plain, binding, new_vn)
-            else:
-                blk.data, blk.binding, blk.vn = plain, binding, new_vn
-            code = pa if binding.mode == BindingMode.PHYSICAL_ADDR else binding.code()
-            self._macs[idx] = tag = _stub_mac(code, new_vn)
+                blk = self._blocks[idx] = CipherBlock(0, binding, new_vn)
+            blk.data, blk.binding, blk.vn = \
+                int.from_bytes(plain, "little"), binding, new_vn
+            self._macs[idx] = tag = mac_block(blk, self.key)
             if tag_sink is not None:
                 tag_sink.append(tag)
+        else:
+            self._unsealed[idx] = (plain, binding, new_vn, tag_sink)
         self.vn_lines[li][slot] = new_vn
         written = self.tree.update_path(li, tuple(self.vn_lines[li]))
         t["tree_wr"] += LINE_BYTES * len(written)
@@ -482,14 +439,9 @@ class ProtectedMemory:
     def _zero_block(self, idx: int, pa: int, vn: int) -> CipherBlock:
         """Materialize a never-written line, with a fresh MAC; the caller has
         sealed, so the line has no pending write."""
-        binding = self.binding_for(idx, pa)
-        if self.crypto_on:
-            blk = encrypt_block(b"\x00" * LINE_BYTES, binding, vn, self.key)
-            self._macs[idx] = mac_block(blk, self.key)
-        else:
-            blk = CipherBlock(0, binding, vn)
-            code = pa if binding.mode == BindingMode.PHYSICAL_ADDR else binding.code()
-            self._macs[idx] = _stub_mac(code, vn)
+        blk = encrypt_block(bytes(LINE_BYTES), self.binding_for(idx, pa), vn,
+                            self.key)
+        self._macs[idx] = mac_block(blk, self.key)
         self._blocks[idx] = blk
         return blk
 
@@ -513,10 +465,6 @@ class ProtectedMemory:
         fresh = [(idx, pa) for idx, pa in zip(idxs, pas) if blocks[idx] is None]
         if not fresh:
             return idxs
-        if not self.crypto_on:
-            for idx, pa in fresh:
-                self._zero_block(idx, pa, self.vn_of(pa))
-            return idxs
         bindings = [self.binding_for(idx, pa) for idx, pa in fresh]
         vns = [self.vn_of(pa) for _, pa in fresh]
         zero = bytes(LINE_BYTES)
@@ -535,7 +483,7 @@ class ProtectedMemory:
                       snapshot=None, delta: int = 1) -> None:
         """Mutate off-chip state only; on-chip root and cached verified
         metadata are inside the TCB and stay intact."""
-        if not self.crypto_on:
+        if self.key.null:
             raise RuntimeError("attacks need crypto_on=True to be observable")
         idx, blk = self._materialized(pa)
         li, slot = divmod(idx, VNS_PER_LINE)
@@ -567,11 +515,7 @@ class ProtectedMemory:
             if blk is None:
                 continue
             pa = self.base_pa + idx * LINE_BYTES
-            vn = self.vn_of(pa)
-            if self.crypto_on:
-                out[pa] = decrypt_block(blk, self.key, vn)
-            else:
-                out[pa] = blk.data
+            out[pa] = decrypt_block(blk, self.key, self.vn_of(pa))
         return out
 
 

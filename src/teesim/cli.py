@@ -148,8 +148,7 @@ def run_npu_stream(cfg: SimConfig) -> dict:
         dev = NpuDevice(key, e, crypto_on=cfg.crypto.functional,
                         mac_granularity=cfg.npu.mac_granularity)
         rec = dev.register_tensor(1, 0x4000_0000, n)
-        data = [bytes([i & 0xFF]) * LINE_BYTES for i in range(n)] \
-            if cfg.crypto.functional else list(range(n))
+        data = [bytes([i & 0xFF]) * LINE_BYTES for i in range(n)]
         dev.store_tensor_stream(rec, data)   # seals the block MACs too
         for r in e.resources.values():   # staging must not occupy the ledger
             r.busy_until = 0
@@ -178,7 +177,7 @@ def run_attack_campaign(cfg: SimConfig, kind: str, trials: int) -> dict:
     key = KeyMaterial.from_seed(cfg.crypto.seed)
     n = 512
     base = 0x1000_0000
-    mem = ProtectedMemory(base, n, key, crypto_on=True)
+    mem = ProtectedMemory(base, n, key)
     for i in range(n):
         mem.write_line(base + i * LINE_BYTES, rng.randbytes(LINE_BYTES))
     kinds = ([kind] if kind != "mixed"

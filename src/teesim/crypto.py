@@ -9,6 +9,13 @@ Everything here is a toy keyed mixer, not real cryptography: the simulator
 tests protocol and architecture logic and must run fast inside property
 tests. Determinism and avalanche behavior are what matter.
 
+Light mode (`crypto.functional: false`) is the null cipher, selected by the
+key `NULL_KEY`: every pad is zero, so ciphertext is the plaintext; every tag
+is `mix64(binding code ^ vn)`, which does not depend on the data; and a
+`VnTree` under it records and hashes nothing. Every caller runs the same
+protocol and the same checks under either key. Under the null key those
+checks pass on honest runs and cannot see a tamper.
+
 Cachelines are 64 bytes and are handled internally as 512-bit ints so that
 XOR en/decryption is a single big-int op. Paths that seal or open a whole
 tensor at once use the numpy batch kernels `keystream_lines` and
@@ -21,7 +28,7 @@ from __future__ import annotations
 import struct
 from dataclasses import dataclass, field
 from enum import IntEnum
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, ClassVar, Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -109,6 +116,7 @@ class KeyMaterial:
     enc_key: int
     mac_key: int
     seed: int
+    null: ClassVar[bool] = False
 
     @classmethod
     def from_seed(cls, seed: int) -> "KeyMaterial":
@@ -118,6 +126,15 @@ class KeyMaterial:
         m0 = mix64(s ^ 0x6D6163)
         m1 = mix64(m0 ^ s)
         return cls(enc_key=(e0 << 64) | e1, mac_key=(m0 << 64) | m1, seed=s)
+
+
+class NullKey(KeyMaterial):
+    """The null cipher's key: zero pads, data-independent tags."""
+
+    null = True
+
+
+NULL_KEY = NullKey(0, 0, 0)
 
 
 @dataclass
@@ -140,6 +157,8 @@ def keystream(key: KeyMaterial, binding: CounterBinding, vn: int) -> int:
     Here and in the other per-line kernels below, the splitmix64 finalizer
     (`mix64`) is written out inline, because a Python call per mix would
     cost more than the mix itself."""
+    if key.null:
+        return 0
     ek = key.enc_key
     x = (ek >> 64) ^ binding._code
     for v in (vn & MASK56, ek & MASK64):
@@ -177,7 +196,13 @@ def decrypt_block(block: CipherBlock, key: KeyMaterial,
 
 def mac_block(block: CipherBlock, key: KeyMaterial) -> int:
     """56-bit tag over (ciphertext, binding, vn): acc = mix(k0 ^ code), then
-    acc = mix(acc ^ v) for v in the eight ciphertext words, the vn and k1."""
+    acc = mix(acc ^ v) for v in the eight ciphertext words, the vn and k1.
+    Under the null key: mix(code ^ vn), the one stub tag."""
+    if key.null:
+        x = ((block.binding._code ^ (block.vn & MASK56)) + _GOLDEN) & MASK64
+        x = ((x ^ (x >> 30)) * _M1) & MASK64
+        x = ((x ^ (x >> 27)) * _M2) & MASK64
+        return (x ^ (x >> 31)) & MASK56
     mk = key.mac_key
     x = (mk >> 64) ^ block.binding._code
     data = _WORDS8.unpack((block.data & _MASK512).to_bytes(LINE_BYTES, "little"))
@@ -231,6 +256,8 @@ def keystream_lines(key: KeyMaterial, codes, vns) -> np.ndarray:
     """(n, 8) uint64 pads for n lines with the given binding codes and VNs
     (one int VN applies to every line); row i equals
     `keystream(key, binding_i, vn_i)` as eight little-endian words."""
+    if key.null:
+        return np.zeros((np.broadcast(codes, vns).size, 8), dtype=np.uint64)
     ek = key.enc_key
     x = np.uint64(ek >> 64) ^ _u64s(codes, MASK64)
     x = _mix_lines(x)
@@ -244,6 +271,11 @@ def keystream_lines(key: KeyMaterial, codes, vns) -> np.ndarray:
 def mac_lines(key: KeyMaterial, codes, words: np.ndarray, vns) -> np.ndarray:
     """(n,) 56-bit tags of n ciphertext lines given as (n, 8) uint64 words;
     tag i equals `mac_block` of line i under binding code i and VN i."""
+    if key.null:
+        x = np.zeros(len(words), dtype=np.uint64)
+        x ^= _u64s(codes, MASK64)
+        x ^= _u64s(vns, MASK56)
+        return _mix_lines(x) & np.uint64(MASK56)
     mk = key.mac_key
     x = np.uint64(mk >> 64) ^ _u64s(codes, MASK64)
     for i in range(8):
@@ -393,6 +425,10 @@ class VnTree:
     first: `verify_path`, `node_line`, and the `levels` and `root`
     properties. So a reader, or an adversary tampering with `levels`, sees
     exactly the tree that eager per-write rehashing would have left.
+
+    Under the null key the tree holds no hashes: a walk and an update return
+    the same node-lines, a walk stops at the same cached node-line, and
+    nothing faults.
     """
 
     def __init__(self, n_leaves: int, key: KeyMaterial,
@@ -405,6 +441,8 @@ class VnTree:
             depth += 1
         self.depth = depth
         self.n_leaves = TREE_ARITY ** depth
+        # (level, leaves per node-line at that level), leaf level first
+        self._divisors = [(level, TREE_ARITY ** (level + 1)) for level in range(depth)]
         self.on_flush = on_flush
         self._levels: list[list[int]] = []
         self._root: int = 0
@@ -425,6 +463,8 @@ class VnTree:
         updates; returns (and stores) the on-chip root. Missing leaves hash
         as all-zero lines."""
         self._pending.clear()
+        if self.key.null:
+            return 0
         hashes = []
         for i in range(self.n_leaves):
             vns = leaf_lines[i] if i < len(leaf_lines) else (0,) * TREE_ARITY
@@ -443,6 +483,8 @@ class VnTree:
         return self._root
 
     def node_line(self, level: int, line_idx: int) -> tuple[int, ...]:
+        if self.key.null:
+            return ()
         self.flush()
         lo = line_idx * TREE_ARITY
         return tuple(self._levels[level][lo:lo + TREE_ARITY])
@@ -454,22 +496,25 @@ class VnTree:
         had to be fetched from off-chip storage; raises IntegrityFault on any
         mismatch (replayed or tampered VN state)."""
         self.flush()
-        h = _leaf_hash(self.key, leaf_index, leaf_vns)
+        null = self.key.null
+        # under the null key h stays 0, the root's value
+        h = 0 if null else _leaf_hash(self.key, leaf_index, leaf_vns)
         idx = leaf_index
         fetched: list[tuple[int, int]] = []
         for level in range(self.depth):
             j, slot = divmod(idx, TREE_ARITY)
             cached = cache_lookup(level, j) if cache_lookup is not None else None
             if cached is not None:
-                if cached[slot] != h:
+                if not null and cached[slot] != h:
                     raise IntegrityFault("replay_or_tamper",
                                          f"leaf {leaf_index} vs cached node L{level}/{j}")
                 return fetched
             fetched.append((level, j))
-            lo = j * TREE_ARITY
-            stored = self._levels[level][lo:lo + TREE_ARITY]
-            stored[slot] = h
-            h = _node_hash(self.key, level + 1, j, stored)
+            if not null:
+                lo = j * TREE_ARITY
+                stored = self._levels[level][lo:lo + TREE_ARITY]
+                stored[slot] = h
+                h = _node_hash(self.key, level + 1, j, stored)
             idx = j
         if h != self._root:
             raise IntegrityFault("replay_or_tamper", f"leaf {leaf_index} vs root")
@@ -480,13 +525,9 @@ class VnTree:
         """Record a VN-line change. Returns the (level, line) keys of the
         `depth` node-lines the write dirties, leaf level first; their new
         contents and the new root are computed at the next flush."""
-        self._pending[leaf_index] = tuple(leaf_vns)
-        written = []
-        idx = leaf_index
-        for level in range(self.depth):
-            idx //= TREE_ARITY
-            written.append((level, idx))
-        return written
+        if not self.key.null:
+            self._pending[leaf_index] = tuple(leaf_vns)
+        return [(level, leaf_index // d) for level, d in self._divisors]
 
     def flush(self) -> None:
         """Rehash the pending paths bottom-up, each node once, and report the

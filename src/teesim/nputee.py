@@ -11,7 +11,9 @@ which is the pipeline-bubble baseline. A block with no sealed MAC at G fails
 verification.
 
 Tensor streams encrypt, MAC and decrypt the whole tensor in one batch; the
-engine reservations stay per line and in line order.
+engine reservations stay per line and in line order. A device built without
+functional crypto runs the same dataflow under the null cipher
+(`crypto.NULL_KEY`).
 
 Tampered bytes are tracked out-of-band as provenance taint (ground truth for
 the escape-proofing checks); the poison-bit machinery is the mechanism under
@@ -24,8 +26,8 @@ from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
 from .crypto import (
-    LINE_BYTES, MASK56, BindingMode, CipherBlock, CounterBinding,
-    IntegrityFault, KeyMaterial, decrypt_block, encrypt_block, mac_block, mix64,
+    LINE_BYTES, MASK56, NULL_KEY, BindingMode, CipherBlock, CounterBinding,
+    IntegrityFault, KeyMaterial, decrypt_block, encrypt_block, mac_block,
     mac_xor_aggregate, open_blocks, seal_lines,
 )
 from .engine import Engine
@@ -121,9 +123,8 @@ class NpuDevice:
     def __init__(self, key: KeyMaterial, engine: Engine, *,
                  fault_threshold: int = 3, crypto_on: bool = True,
                  mac_granularity: int = 512):
-        self.key = key
+        self.key = key if crypto_on else NULL_KEY
         self.engine = engine
-        self.crypto_on = crypto_on
         self.mac_granularity = mac_granularity
         self.records: dict[int, TensorRecord] = {}
         self.gddr: dict[int, CipherBlock] = {}        # addr -> line
@@ -181,11 +182,7 @@ class NpuDevice:
         n = len(plain_lines)
         bindings = [CounterBinding(BindingMode.TENSOR_LOGICAL, record.tensor_id,
                                    i * LINE_BYTES) for i in range(n)]
-        if self.crypto_on:
-            data, tags = seal_lines(self.key, plain_lines, bindings, vn)
-        else:
-            data = list(plain_lines)
-            tags = [mix64(b.code() ^ vn) & MASK56 for b in bindings]
+        data, tags = seal_lines(self.key, plain_lines, bindings, vn)
         acc = 0
         done = t0
         sequence = order if order is not None else range(n)
@@ -231,25 +228,12 @@ class NpuDevice:
         if blk is None:
             binding = CounterBinding(BindingMode.TENSOR_LOGICAL,
                                      record.tensor_id, i * LINE_BYTES)
-            if self.crypto_on:
-                blk = encrypt_block(b"\x00" * LINE_BYTES, binding, record.vn, self.key)
-            else:
-                blk = CipherBlock(0, binding, record.vn)
-            self.gddr[addr] = blk
+            blk = self.gddr[addr] = encrypt_block(bytes(LINE_BYTES), binding,
+                                                  record.vn, self.key)
         return addr, blk
 
     def _fetch_lines(self, record: TensorRecord) -> list[tuple[int, CipherBlock]]:
         return [self._fetch_line(record, i) for i in range(record.n_lines)]
-
-    def _open_lines(self, record: TensorRecord, blks: Sequence[CipherBlock],
-                    decrypt: bool = True):
-        """Per-line tags of a tensor's lines under its VN, and (if `decrypt`)
-        their plaintexts, computed for the whole tensor in one batch."""
-        vn = record.vn
-        if self.crypto_on:
-            return open_blocks(self.key, blks, vn, decrypt=decrypt)
-        tags = [mix64(b.binding.code() ^ vn) & MASK56 for b in blks]
-        return tags, [b.data for b in blks] if decrypt else None
 
     def _load_delayed(self, record: TensorRecord, at_tick):
         eng = self.engine
@@ -257,7 +241,8 @@ class NpuDevice:
         record.poison = 1
         record.pending = "verify"
         lines = self._fetch_lines(record)
-        tags, plains = self._open_lines(record, [blk for _, blk in lines])
+        # every line's tag and plaintext under the tensor's VN, in one batch
+        tags, plains = open_blocks(self.key, [blk for _, blk in lines], record.vn)
         compute_done = t0
         mac_done = t0
         running_xor = 0
@@ -281,8 +266,7 @@ class NpuDevice:
                            verify_cycles=record.n_lines)
         record.verify_done_tick = verify_done
         record.pending = None
-        ok = (record.running_xor == record.stored_mac) if self.crypto_on else True
-        if ok:
+        if record.running_xor == record.stored_mac:
             record.poison = 0
             record.failed = False
             record.tainted = tainted or record.tainted
@@ -306,8 +290,8 @@ class NpuDevice:
         stall = 0
         faults = 0
         n = record.n_lines
-        tags, plain_lines = self._open_lines(
-            record, [blk for _, blk in self._fetch_lines(record)])
+        tags, plain_lines = open_blocks(
+            self.key, [blk for _, blk in self._fetch_lines(record)], record.vn)
         g, sealed = self.block_macs.get(record.base, (None, ()))
         if g != granularity:
             sealed = ()
@@ -328,7 +312,7 @@ class NpuDevice:
             k = b0 // lines_per_block
             # fail closed: a block with no MAC sealed at this granularity
             # cannot verify
-            if self.crypto_on and (k >= len(sealed) or sealed[k] != acc):
+            if k >= len(sealed) or sealed[k] != acc:
                 faults += 1
                 record.failed = True
                 self.faults.record_failure()
@@ -430,14 +414,9 @@ class NpuDevice:
     # -- code path -------------------------------------------------------------------
 
     def install_code_line(self, pa: int, plain: bytes | int) -> None:
-        binding = CounterBinding(BindingMode.PHYSICAL_ADDR, pa)
-        if self.crypto_on:
-            blk = encrypt_block(plain, binding, 1, self.key)
-            tag = mac_block(blk, self.key)
-        else:
-            blk = CipherBlock(plain, binding, 1)
-            tag = mix64(pa ^ 1) & MASK56
-        self.code[pa] = (blk, tag)
+        blk = encrypt_block(plain, CounterBinding(BindingMode.PHYSICAL_ADDR, pa),
+                            1, self.key)
+        self.code[pa] = (blk, mac_block(blk, self.key))
 
     def tamper_code_line(self, pa: int, bit: int = 0) -> None:
         blk, tag = self.code[pa]
@@ -453,8 +432,6 @@ class NpuDevice:
         _, fetch_done = eng.reserve("npu_gddr", LINE_BYTES, at_tick=t0)
         _, aes_done = eng.reserve("npu_aes", LINE_BYTES, at_tick=fetch_done)
         _, mac_done = eng.reserve("npu_mac", LINE_BYTES, at_tick=fetch_done)
-        if self.crypto_on and mac_block(blk, self.key) != stored:
+        if mac_block(blk, self.key) != stored:
             raise IntegrityFault("code_tamper", f"pa={pa:#x}")
-        if self.crypto_on:
-            return decrypt_block(blk, self.key), max(aes_done, mac_done)
-        return blk.data, max(aes_done, mac_done)
+        return decrypt_block(blk, self.key), max(aes_done, mac_done)

@@ -253,11 +253,7 @@ def baseline_transfer(session: SessionState, engine: Engine, *,
     elif direction == "npu_to_cpu":
         rec = npu.records[tensor_id]
         addrs = [rec.base + i * LINE_BYTES for i in range(n_lines)]
-        blks = [npu.gddr[addr] for addr in addrs]
-        if npu.crypto_on:
-            _, plains = open_blocks(npu.key, blks, rec.vn)
-        else:
-            plains = [b.data for b in blks]
+        _, plains = open_blocks(npu.key, [npu.gddr[addr] for addr in addrs], rec.vn)
         stage_done = t0
         for addr in addrs:
             npu.link_log.append({"tensor_id": tensor_id,
@@ -410,26 +406,23 @@ def _install_on_cpu(msg: MetadataMessage, lines, analyzer: TenAnalyzer,
     """Eager aggregate-MAC verification (pipelined behind the link DMA), then
     verbatim ciphertext install and the Meta Table structure hint."""
     mem = analyzer.mem
-    key = mem.key
     size = msg.n_lines * LINE_BYTES
     _, mac_end = engine.reserve("cpu_mac", size,
                                 at_tick=at if pipeline_from is None
                                 else pipeline_from)
     verify_done = max(at, mac_end)
-    if mem.crypto_on:
-        tags, _ = open_blocks(key, lines, decrypt=False)
-        if mac_xor_aggregate(tags) != msg.mac:
-            rep.faults += 1
-            raise IntegrityFault("tensor_mac",
-                                 f"direct transfer tensor {msg.tensor_id}")
+    tags, _ = open_blocks(mem.key, lines, decrypt=False)
+    if mac_xor_aggregate(tags) != msg.mac:
+        rep.faults += 1
+        raise IntegrityFault("tensor_mac",
+                             f"direct transfer tensor {msg.tensor_id}")
     nch = _cpu_channels(engine)
     done = verify_done
     for i, blk in enumerate(lines):
         pa = msg.base + i * LINE_BYTES
         idx = mem.line_index(pa)
         # the received line replaces any write still waiting to be sealed
-        mem.install_sealed(idx, blk, tags[i] if mem.crypto_on else
-                           mix64(blk.binding.code() ^ msg.vn) & MASK56)
+        mem.install_sealed(idx, blk, tags[i])
         li, slot = divmod(idx, 8)
         mem.vn_lines[li][slot] = msg.vn
         # cached copies of the dirtied node-lines are refreshed when the

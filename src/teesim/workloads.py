@@ -313,16 +313,14 @@ def replay_trace(front, records: Iterable[TraceRecord],
                  cost_sample: Optional[list] = None) -> None:
     """Drive R/W records through a CPU front door: a TenAnalyzer, a
     ProtectedMemory or a PlainMemory. Write data is a cheap deterministic
-    pattern. A memory's (not a TenAnalyzer's) accesses append their
-    CostReports to `cost_sample` while it holds fewer than
-    COST_SAMPLE_LIMIT."""
+    pattern: the address's low byte in every byte of the line. A memory's
+    (not a TenAnalyzer's) accesses append their CostReports to
+    `cost_sample` while it holds fewer than COST_SAMPLE_LIMIT."""
     if isinstance(front, TenAnalyzer):
         read, write = front.on_read, front.on_write
-        crypto_on = front.mem.crypto_on
         cost_sample = None
     else:
         read, write = front.read_line, front.write_line
-        crypto_on = getattr(front, "crypto_on", False)
     for r in records:
         sample = cost_sample is not None and len(cost_sample) < COST_SAMPLE_LIMIT
         if r.kind == "R":
@@ -331,8 +329,7 @@ def replay_trace(front, records: Iterable[TraceRecord],
             else:
                 read(r.va)
         elif r.kind == "W":
-            data = ((r.va & 0xFF).to_bytes(1, "little") * LINE_BYTES
-                    if crypto_on else r.va & ((1 << 512) - 1))
+            data = (r.va & 0xFF).to_bytes(1, "little") * LINE_BYTES
             if sample:
                 cost_sample.append(write(r.va, data, collect=True))
             else:
@@ -366,15 +363,12 @@ class ZeroOffloadReport:
     npu_rows: list = field(default_factory=list)
 
 
-def _to_line(arr: np.ndarray, j: int, as_bytes: bool):
-    raw = arr[j * FLOATS_PER_LINE:(j + 1) * FLOATS_PER_LINE].tobytes()
-    return raw if as_bytes else int.from_bytes(raw, "little")
+def _to_line(arr: np.ndarray, j: int) -> bytes:
+    return arr[j * FLOATS_PER_LINE:(j + 1) * FLOATS_PER_LINE].tobytes()
 
 
-def _lines_to_array(lines: list) -> np.ndarray:
-    raw = b"".join(x if isinstance(x, bytes) else x.to_bytes(LINE_BYTES, "little")
-                   for x in lines)
-    return np.frombuffer(raw, dtype=np.float32).copy()
+def _lines_to_array(lines: list[bytes]) -> np.ndarray:
+    return np.frombuffer(b"".join(lines), dtype=np.float32).copy()
 
 
 class ZeroOffloadRunner:
@@ -426,9 +420,6 @@ class ZeroOffloadRunner:
         self.verify_mode = (VerifyMode("delayed") if self.mode == "tensortee"
                             else VerifyMode("blocking", cfg.npu.mac_granularity))
         self._nch = cfg.cpu.dram_channels
-        self._burst_counter = 0
-        self._bytes_mode = isinstance(self.cpu_mem, PlainMemory) or \
-            getattr(self.cpu_mem, "crypto_on", True)
 
     # -- CPU data plane -----------------------------------------------------------
 
@@ -511,7 +502,6 @@ class ZeroOffloadRunner:
         eng = self.engine
         grad_ready = []
         seg_start = at
-        as_bytes = self.npu is None or self.npu.crypto_on
         for t, lay in enumerate(self.layouts):
             _, seg_end = eng.reserve("npu_compute", 2 * lay.n_lines * LINE_BYTES,
                                      at_tick=seg_start)
@@ -525,8 +515,7 @@ class ZeroOffloadRunner:
                     self.npu.register_tensor(self.GRAD_TID + t,
                                              0x5000_0000 + t * 0x0100_0000,
                                              lay.n_lines)
-                lines = [_to_line(gvals, j, as_bytes)
-                         for j in range(lay.n_lines)]
+                lines = [_to_line(gvals, j) for j in range(lay.n_lines)]
                 srep = self.npu.store_tensor_stream(rec, lines, at_tick=seg_end)
                 grad_ready.append((t, srep.done_tick, gvals))
             seg_start = seg_end
@@ -535,7 +524,6 @@ class ZeroOffloadRunner:
     def _grads_to_cpu(self, grad_ready):
         eng = self.engine
         installs = []
-        as_bytes = self._bytes_mode
         for t, ready, gvals in grad_ready:
             lay = self.layouts[t]
             tid = self.GRAD_TID + t
@@ -544,7 +532,7 @@ class ZeroOffloadRunner:
                                      at_tick=ready)
                 for j in range(lay.n_lines):
                     self.cpu_mem.write_line(lay.g_base + j * LINE_BYTES,
-                                            _to_line(gvals, j, True))
+                                            _to_line(gvals, j))
             elif self.mode == "sgx_mgx":
                 rep = baseline_transfer(self.session, eng, tensor_id=tid,
                                         direction="npu_to_cpu",
@@ -576,8 +564,7 @@ class ZeroOffloadRunner:
         mhat = m / (np.float32(1) - ADAM_BETA1 ** tstep)
         vhat = v / (np.float32(1) - ADAM_BETA2 ** tstep)
         w = (w - ADAM_LR * mhat / (np.sqrt(vhat) + ADAM_EPS)).astype(np.float32)
-        as_bytes = self._bytes_mode
-        return {s: [_to_line(arr, j, as_bytes) for j in range(len(w) // FLOATS_PER_LINE)]
+        return {s: [_to_line(arr, j) for j in range(len(w) // FLOATS_PER_LINE)]
                 for s, arr in (("w", w), ("m", m), ("v", v))}
 
     def _cpu_adam(self, at: int, it: int) -> int:
@@ -624,16 +611,13 @@ class ZeroOffloadRunner:
             for t, lay in enumerate(self.layouts):
                 self.analyzer.install_hint(lay.w_base, lay.n_lines,
                                            tensor_id=self.WEIGHT_TID + t)
-        as_bytes = self._bytes_mode
         zero = np.zeros(self.n_lines * FLOATS_PER_LINE, dtype=np.float32)
         for t, lay in enumerate(self.layouts):
             for j in range(lay.n_lines):
                 self._cpu_write(lay.w_base + j * LINE_BYTES,
-                                _to_line(self.init_weights[t], j, as_bytes))
-                self._cpu_write(lay.m_base + j * LINE_BYTES,
-                                _to_line(zero, j, as_bytes))
-                self._cpu_write(lay.v_base + j * LINE_BYTES,
-                                _to_line(zero, j, as_bytes))
+                                _to_line(self.init_weights[t], j))
+                self._cpu_write(lay.m_base + j * LINE_BYTES, _to_line(zero, j))
+                self._cpu_write(lay.v_base + j * LINE_BYTES, _to_line(zero, j))
 
     def run(self) -> ZeroOffloadReport:
         self.setup_state()
@@ -689,9 +673,6 @@ class ZeroOffloadRunner:
                 continue
             stored = mem.blocks
             blocks = [stored[mem.line_index(va)] for va in vas]
-            if not mem.crypto_on:
-                out.append(_lines_to_array([blk.data for blk in blocks]))
-                continue
             pads = keystream_lines(mem.key, binding_codes(b.binding for b in blocks),
                                    [mem.vn_of(va) for va in vas])
             out.append(_lines_to_array(words_to_bytes(

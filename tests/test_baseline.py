@@ -253,8 +253,7 @@ def test_light_mode_same_metadata_traffic():
         for i in range(512):
             m.read_line(BASE + i * LINE_BYTES)
         for i in range(0, 512, 3):
-            m.write_line(BASE + i * LINE_BYTES, b"\x00" * LINE_BYTES
-                         if m.crypto_on else 0)
+            m.write_line(BASE + i * LINE_BYTES, b"\x00" * LINE_BYTES)
     for k in ("vn_rd", "tree_rd", "mac_rd", "data_rd", "vn_wr", "tree_wr"):
         assert full.totals[k] == light.totals[k], k
 
@@ -482,13 +481,10 @@ class PerLineProtectedMemory(ProtectedMemory):
             blk = self._zero_block(idx, pa, vn)
         t["cycles"] += AES_CYCLES + MAC_CYCLES
         t["mac_rd"] += LINE_BYTES
-        if self.crypto_on:
-            plain = decrypt_block(blk, self.key, vn)
-            if mac_block(CipherBlock(blk.data, blk.binding, vn), self.key) \
-                    != self._macs[idx]:
-                raise IntegrityFault("mac_mismatch", f"pa={pa:#x}")
-        else:
-            plain = blk.data
+        plain = decrypt_block(blk, self.key, vn)
+        if mac_block(CipherBlock(blk.data, blk.binding, vn), self.key) \
+                != self._macs[idx]:
+            raise IntegrityFault("mac_mismatch", f"pa={pa:#x}")
         if cold:
             self.walk_tree(pa, t)
         return plain, None
@@ -543,8 +539,7 @@ def _drive(mems, ops, n_lines):
         serial += 1
         data = (serial.to_bytes(4, "little") + line.to_bytes(4, "little")) * 8
         pa = BASE + line * LINE_BYTES
-        both(lambda m: m.write_line(pa, data if m.crypto_on else
-                                    int.from_bytes(data, "little")))
+        both(lambda m: m.write_line(pa, data))
 
     def read(line):
         both(lambda m: m.read_line(BASE + line * LINE_BYTES)[0])
@@ -568,7 +563,7 @@ def _drive(mems, ops, n_lines):
             both(lambda m: m.read_lines([BASE + i * LINE_BYTES for i in lines]))
         elif kind == "flush":
             both(lambda m: m.flush_metadata_cache())
-        elif mems[0].crypto_on:
+        elif not mems[0].key.null:   # the null cipher cannot see a tamper
             _, attack, line, bit = op
             pa = BASE + line * LINE_BYTES
             if attack == "replay":

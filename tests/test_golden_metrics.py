@@ -262,14 +262,7 @@ def test_golden_metrics_unchanged():
     assert not diffs, f"simulated outputs moved: {diffs}"
 
 
-# the fuzz, npu_stream and transfer runs cannot run in light mode yet: a
-# never-written line reads back as the int 0, and a light-mode block holds
-# whatever was written, so a bytes line has no ciphertext int
-LIGHT_RUNS = [run for run in RUNS
-              if run[0] not in ("fuzz", "npu_stream", "transfer")]
-
-
-@pytest.mark.parametrize("workload, mode", LIGHT_RUNS)
+@pytest.mark.parametrize("workload, mode", RUNS)
 def test_light_mode_matches_golden_metrics(workload, mode):
     """With functional crypto off, every golden run simulates the same: only
     the fields that hold tag or ciphertext values may differ."""
