@@ -227,10 +227,6 @@ class ProtectedMemory:
             raise ValueError(f"pa {pa:#x} outside protected region or unaligned")
         return off // LINE_BYTES
 
-    def contains(self, pa: int) -> bool:
-        off = pa - self.base_pa
-        return off % LINE_BYTES == 0 and 0 <= off < self.n_lines * LINE_BYTES
-
     def binding_for(self, idx: int, pa: int) -> CounterBinding:
         b = self.bindings.get(idx)
         if b is None:

@@ -1,10 +1,13 @@
 """Simulation configuration: dataclass sections with hardware defaults, JSON
 loading with strict unknown-key rejection, and the engine/resource builder.
 
-Defaults model a 3.5 GHz 8-core CPU with 2-channel DDR4-2400 (~38.4 GB/s) and
-a 32 KB metadata cache, a 1 GHz NPU with a 512x512 PE array, 32 MB scratchpad
-and 128 GB/s GDDR, one dedicated 8 GB/s AES engine per memory channel with a
-40-cycle pipeline, and a PCIe 4.0 x16 (~32 GB/s) inter-chip link.
+Defaults model a 3.5 GHz CPU with 2-channel DDR4-2400 (~38.4 GB/s), a 32 KB
+metadata cache and one AES engine per channel at channel line rate; a 1 GHz
+NPU with 128 GB/s GDDR, one 8 GB/s AES engine and one 8 GB/s MAC engine, all
+with 40-cycle pipelines, whose compute takes 24 cycles per 64 B line; and a
+PCIe 4.0 x16 (~32 GB/s) inter-chip link. The NPU's verify mode is not
+configured: zero-offload streams delayed for TensorTEE and blocking at
+`npu.mac_granularity` for SGX+MGX.
 """
 
 from __future__ import annotations
@@ -30,7 +33,6 @@ class ConfigError(Exception):
 @dataclass
 class CpuConfig:
     freq_hz: int = 3_500_000_000
-    cores: int = 8
     dram_bytes_per_s: int = 38_400_000_000  # DDR4-2400, 2 channels
     dram_channels: int = 2
     dram_latency_cycles: int = 100
@@ -52,18 +54,13 @@ class CpuConfig:
 @dataclass
 class NpuConfig:
     freq_hz: int = 1_000_000_000
-    pe_rows: int = 512
-    pe_cols: int = 512
-    scratchpad_bytes: int = 32 * 1024 * 1024
     gddr_bytes_per_s: int = 128_000_000_000
-    gddr_bytes: int = 40 * 1024 ** 3
     gddr_latency_cycles: int = 40
     aes_bytes_per_s: int = 8_000_000_000
     aes_latency_cycles: int = 40
     mac_bytes_per_s: int = 8_000_000_000
     mac_latency_cycles: int = 40
     compute_cycles_per_line: int = 24
-    verify_mode: str = "delayed"            # "delayed" | "blocking"
     mac_granularity: int = 512              # bytes, blocking mode only
     fault_threshold: int = 3
 
@@ -78,7 +75,7 @@ class LinkConfig:
 @dataclass
 class CryptoConfig:
     seed: int = 0x5EED
-    functional: bool = True                 # False: plaintext payloads + MAC stubs
+    functional: bool = True                 # False: the null cipher (crypto.NULL_KEY)
 
 
 @dataclass
@@ -122,8 +119,6 @@ class SimConfig:
                 if type(v) is not int or v <= 0:
                     raise ConfigError(f"{section}.{name} must be a positive "
                                       f"integer, got {v!r}")
-        if self.npu.verify_mode not in ("delayed", "blocking"):
-            raise ConfigError(f"npu.verify_mode must be delayed|blocking")
         g = self.npu.mac_granularity
         if not (64 <= g <= 4096 and g & (g - 1) == 0):
             raise ConfigError("npu.mac_granularity must be a power of two in [64, 4096]")

@@ -42,9 +42,6 @@ class Resource:
         self.grants = 0
         self.wait_ticks = 0
 
-    def duration_ticks(self, amount: int) -> int:
-        return -(-amount * self.den // self.num)
-
 
 class Engine:
     """The clock and the resource ledger of one simulated system."""

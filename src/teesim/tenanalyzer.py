@@ -131,10 +131,6 @@ class MetaTableEntry:
         c = rem // LINE_BYTES
         return r * self.nx + c if c < self.nx else -1
 
-    def addr_of(self, ordinal: int) -> int:
-        r, c = divmod(ordinal, self.nx)
-        return self.base + r * self.stride + c * LINE_BYTES
-
     def addresses(self):
         base, nx, stride = self.base, self.nx, self.stride
         for r in range(self.ny):
@@ -225,8 +221,7 @@ class TenAnalyzer:
     def __init__(self, mem: ProtectedMemory, *, en_tmf: bool = True,
                  table_entries: int = 512, filter_entries: int = 10,
                  collect_limit: int = 4, merge_window: int = 8,
-                 bitmap_cache_bytes: int = 6 * 1024,
-                 filter_window_bytes: int = FILTER_WINDOW_BYTES):
+                 bitmap_cache_bytes: int = 6 * 1024):
         self.mem = mem
         self.en_tmf = en_tmf
         self.table_entries = table_entries
@@ -234,7 +229,6 @@ class TenAnalyzer:
         self.collect_limit = collect_limit
         self.merge_window = merge_window
         self.bitmap_cache_bytes = bitmap_cache_bytes
-        self.filter_window = filter_window_bytes
 
         self.entries: list[MetaTableEntry] = []
         self.cover: dict[int, MetaTableEntry] = {}
@@ -528,7 +522,7 @@ class TenAnalyzer:
         for f in self.filter:
             last = f.addrs[-1][0]
             gap = va - last
-            if gap <= 0 or gap > self.filter_window or gap % LINE_BYTES:
+            if gap <= 0 or gap > FILTER_WINDOW_BYTES or gap % LINE_BYTES:
                 continue
             if f.delta is not None and gap != f.delta:
                 continue

@@ -36,9 +36,12 @@ def test_run_adam_writes_metrics(tmp_path):
     assert (out / "meta_table.json").exists()
 
 
-def test_run_bad_config_exits_2(tmp_path):
-    cfg = write_cfg(tmp_path, {"mode": "tensortee", "bogus_section": {}})
-    assert main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+def test_run_bad_config_exits_2(tmp_path, capsys):
+    # an unknown section, and a field that no simulated hardware reads
+    for bad in ({"bogus_section": {}}, {"npu": {"verify_mode": "delayed"}}):
+        cfg = write_cfg(tmp_path, {"mode": "tensortee", **bad})
+        assert main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        assert "config error: unknown" in capsys.readouterr().err
 
 
 def test_run_bad_json_exits_2(tmp_path):
