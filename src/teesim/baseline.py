@@ -137,17 +137,18 @@ class ProtectedMemory:
     (`crypto.NULL_KEY`): the same protocol and checks, with data-independent
     tags, so `inject_attack` refuses.
 
-    Deferred sealing: `write_line` does its per-line accounting, VN update
-    and tree update at once, but only records the plaintext, binding and VN
-    as unsealed. `seal()` encrypts and MACs every pending line in one batch. Invariant: no reader and no adversary ever
-    sees an unsealed line, because every observer of ciphertext or MACs
-    seals first: the `blocks` and `macs` properties, `read_lines`,
-    `line_mac`, `snapshot_triple`, `inject_attack` and `plaintext_view`. So
-    each sees exactly the state that sealing at every write would have left,
-    and reads still decrypt and verify each line before returning it. A
-    write may name a tag sink, to which its seal appends the fresh tag: an
-    on-chip copy that a later tamper of the MAC region cannot reach. A
-    pending write that feeds a sink is sealed before its line is overwritten.
+    Deferred sealing: `write_line` does its per-line accounting, VN update and
+    tree update at once, but only records the plaintext, binding and VN as
+    unsealed. `seal()` encrypts and MACs every pending line in one batch.
+    Invariant: no reader and no adversary ever sees an unsealed line, because
+    every observer of ciphertext or MACs seals first: the `blocks` and `macs`
+    properties, `read_lines`, `line_mac`, `snapshot_triple`, `inject_attack`
+    and `plaintext_view`. So each sees exactly the state that sealing at every
+    write would have left, and reads still decrypt and verify each line before
+    returning it. A write may name a tag sink, to which its seal appends the
+    fresh tag: an on-chip copy that a later tamper of the MAC region cannot
+    reach. A pending write that feeds a sink is sealed before its line is
+    overwritten.
     """
 
     def __init__(self, base_pa: int, n_lines: int, key: KeyMaterial, *,
@@ -307,13 +308,13 @@ class ProtectedMemory:
     def read_lines(self, pas) -> list:
         """Read the lines `pas` in order, exactly as that many `read_line`
         calls would, and return their plaintexts. The tags and plaintexts of
-        the lines already written are computed first, in one batch, each
-        under the VN its VN-line holds; nothing a read
-        does changes a line's ciphertext, binding, MAC or VN. Then each read
-        in turn does its accounting, resolves its VN, compares its tag and
-        walks the tree on a cold VN fetch. A never-written line is
-        materialized only when its read comes, so a fault leaves the totals,
-        cache, blocks, MACs and tree that the per-line reads would have."""
+        the lines already written are computed first, in one batch, each under
+        the VN its VN-line holds; nothing a read does changes a line's
+        ciphertext, binding, MAC or VN. Then each read in turn does its
+        accounting, resolves its VN, compares its tag and walks the tree on a
+        cold VN fetch. A never-written line is materialized only when its read
+        comes, so a fault leaves the totals, cache, blocks, MACs and tree that
+        the per-line reads would have."""
         self.seal()
         idxs = [self.line_index(pa) for pa in pas]
         blocks, macs, vn_lines = self._blocks, self._macs, self.vn_lines
