@@ -17,20 +17,28 @@ lines in one batch (see `ProtectedMemory`).
 
 from __future__ import annotations
 
+from array import array
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Sequence
+
+import numpy as np
 
 from .crypto import (
-    LINE_BYTES, MASK56, NULL_KEY, BindingMode, CipherBlock, CounterBinding,
-    IntegrityFault, KeyMaterial, VnTree, decrypt_block, encrypt_block, mac_block,
-    open_blocks, seal_lines,
+    LINE_BYTES, MASK56, NULL_KEY, SEAL_BATCH_MIN, BindingMode, CipherBlock,
+    CounterBinding, IntegrityFault, KeyMaterial, VnTree, keystream_lines,
+    line_pad, line_tag, mac_lines, open_lines, words_to_bytes,
 )
+# unused here since the store seals and opens through the code-level kernels,
+# but the tracer's tests in perfbench/tests look these names up in every
+# module that held them
+from .crypto import decrypt_block, encrypt_block, mac_block  # noqa: F401
 
 VNS_PER_LINE = 8
 AES_CYCLES = 40
 MAC_CYCLES = 40
 HASH_CYCLES = 40
+_ZERO_LINE = bytes(LINE_BYTES)
 
 COST_FIELDS = ("op", "pa", "data_bytes", "vn_bytes", "mac_bytes", "tree_bytes", "cycles")
 # the byte/cycle books of a CPU memory: *_wr counters track state updates
@@ -133,22 +141,32 @@ class MetadataCache:
 class ProtectedMemory:
     """One enclave's protected DRAM region at cacheline granularity.
 
+    The off-chip state is one flat array per field, indexed by line: the
+    ciphertext (`_ct`, 64 bytes a line, with `_words` its (n, 8) uint64 view
+    for batches), the MACs, the VNs (eight to a VN-line, the tree's leaves),
+    the binding codes and a written mask. A never-written line is zero in
+    every array. Its first read, or the adversary harness, materializes it:
+    zeros sealed under its default physical-address binding. No other module
+    knows this format; they go through `line`, `codes`, `export_lines`,
+    `install_lines` and `plaintexts`.
+
     Without functional crypto the memory runs under the null cipher
     (`crypto.NULL_KEY`): the same protocol and checks, with data-independent
     tags, so `inject_attack` refuses.
 
     Deferred sealing: `write_line` does its per-line accounting, VN update and
-    tree update at once, but only records the plaintext, binding and VN as
-    unsealed. `seal()` encrypts and MACs every pending line in one batch.
+    tree update at once, stores the plaintext in the ciphertext array and the
+    binding code in its array, and records the line as pending. `seal()`
+    encrypts and MACs every pending line in place, in one batch.
     Invariant: no reader and no adversary ever sees an unsealed line, because
-    every observer of ciphertext or MACs seals first: the `blocks` and `macs`
-    properties, `read_lines`, `line_mac`, `snapshot_triple`, `inject_attack`
-    and `plaintext_view`. So each sees exactly the state that sealing at every
-    write would have left, and reads still decrypt and verify each line before
-    returning it. A write may name a tag sink, to which its seal appends the
-    fresh tag: an on-chip copy that a later tamper of the MAC region cannot
-    reach. A pending write that feeds a sink is sealed before its line is
-    overwritten.
+    every observer of ciphertext or MACs seals first: `macs`, `line`,
+    `read_lines`, `line_mac`, `export_lines`, `plaintexts`, `materialize`,
+    `snapshot_triple` and `inject_attack`. So each sees exactly the state
+    that sealing at every write would have left, and reads still decrypt and
+    verify each line before returning it. A write may name a tag sink, to
+    which its seal appends the fresh tag: an on-chip copy that a later tamper
+    of the MAC region cannot reach. A pending write that feeds a sink is
+    sealed before its line is overwritten.
     """
 
     def __init__(self, base_pa: int, n_lines: int, key: KeyMaterial, *,
@@ -158,48 +176,59 @@ class ProtectedMemory:
         self.base_pa = base_pa
         self.n_lines = n_lines
         self.key = key if crypto_on else NULL_KEY
-        self._blocks: list[Optional[CipherBlock]] = [None] * n_lines
-        self._macs: list[int] = [0] * n_lines
-        # idx -> (plaintext, binding, vn, tag sink) written but not yet sealed
-        self._unsealed: dict[int, tuple[bytes, CounterBinding, int,
-                                        Optional[list]]] = {}
-        n_vn_lines = -(-n_lines // VNS_PER_LINE)
-        self.vn_lines: list[list[int]] = [[0] * VNS_PER_LINE for _ in range(n_vn_lines)]
+        self._ct = bytearray(n_lines * LINE_BYTES)
+        self._words = np.frombuffer(self._ct, dtype="<u8").reshape(n_lines, 8)
+        zeros = bytes(8 * n_lines)
+        self._macs = array("Q", zeros)
+        self._vns = array("Q", zeros)
+        self._codes = array("Q", zeros)
+        self._written = bytearray(n_lines)
+        # idx -> tag sink (or None) of a line written but not yet sealed
+        self._pending: dict[int, Optional[list]] = {}
         self.cache = MetadataCache(metadata_cache_bytes)
-        self.tree = VnTree(n_vn_lines, self.key, on_flush=self._refresh_cached_nodes)
-        self.tree.build(self.vn_lines)
-        self.bindings: dict[int, CounterBinding] = {}
+        self.tree = VnTree(-(-n_lines // VNS_PER_LINE), self.key,
+                           on_flush=self._refresh_cached_nodes)
+        self.tree.build(())
         self.totals: dict[str, int] = dict.fromkeys(TOTALS_KEYS, 0)
 
     # -- sealing ------------------------------------------------------------
 
     @property
-    def blocks(self) -> list[Optional[CipherBlock]]:
-        self.seal()
-        return self._blocks
-
-    @property
-    def macs(self) -> list[int]:
+    def macs(self) -> array:
         self.seal()
         return self._macs
 
     def seal(self) -> None:
-        """Encrypt and MAC every line written since the last seal. A write
-        that named a tag sink has its fresh tag appended to it: that copy is
-        computed on-chip, unlike the off-chip MAC an adversary may alter."""
-        pending = self._unsealed
+        """Encrypt and MAC, in place, every line written since the last seal.
+        A write that named a tag sink has its fresh tag appended to it: that
+        copy is computed on-chip, unlike the off-chip MAC an adversary may
+        alter."""
+        pending = self._pending
         if not pending:
             return
-        plains, bindings, vns, _ = zip(*pending.values())
-        sealed = zip(*seal_lines(self.key, plains, bindings, vns))
-        blocks, macs = self._blocks, self._macs
-        for (idx, (_, binding, vn, sink)), (data, tag) in zip(pending.items(), sealed):
-            blk = blocks[idx]
-            if blk is None:
-                blocks[idx] = CipherBlock(data, binding, vn)
-            else:
-                blk.data, blk.binding, blk.vn = data, binding, vn
-            macs[idx] = tag
+        key, codes, vns, macs = self.key, self._codes, self._vns, self._macs
+        if len(pending) < SEAL_BATCH_MIN:
+            ct = self._ct
+            tags = []
+            for idx in pending:
+                o = idx * LINE_BYTES
+                code, vn = codes[idx], vns[idx]
+                data = int.from_bytes(ct[o:o + LINE_BYTES], "little") ^ \
+                    line_pad(key, code, vn)
+                ct[o:o + LINE_BYTES] = data.to_bytes(LINE_BYTES, "little")
+                tag = macs[idx] = line_tag(key, code, vn, ct, o)
+                tags.append(tag)
+        else:
+            at = np.fromiter(pending, dtype=np.intp, count=len(pending))
+            batch_codes = np.frombuffer(codes, dtype=np.uint64)[at]
+            batch_vns = np.frombuffer(vns, dtype=np.uint64)[at]
+            words = self._words[at]
+            words ^= keystream_lines(key, batch_codes, batch_vns)
+            self._words[at] = words
+            tags = mac_lines(key, batch_codes, words, batch_vns)
+            np.frombuffer(macs, dtype=np.uint64)[at] = tags
+            tags = tags.tolist()
+        for sink, tag in zip(pending.values(), tags):
             if sink is not None:
                 sink.append(tag)
         pending.clear()
@@ -207,18 +236,8 @@ class ProtectedMemory:
     def _settle(self, idx: int) -> None:
         """Before line `idx` is overwritten: a pending write of it that feeds
         a tag sink is sealed now, so the sink still receives its tag."""
-        pending = self._unsealed.get(idx)
-        if pending is not None and pending[3] is not None:
+        if self._pending.get(idx) is not None:
             self.seal()
-
-    def install_sealed(self, idx: int, blk: CipherBlock, mac: int) -> None:
-        """Store a line sealed elsewhere verbatim; a pending seal of the line
-        is dropped, since the write it recorded is overwritten."""
-        self._settle(idx)
-        self._unsealed.pop(idx, None)
-        self._blocks[idx] = blk
-        self._macs[idx] = mac
-        self.bindings[idx] = blk.binding
 
     # -- addressing --------------------------------------------------------
 
@@ -228,16 +247,97 @@ class ProtectedMemory:
             raise ValueError(f"pa {pa:#x} outside protected region or unaligned")
         return off // LINE_BYTES
 
-    def binding_for(self, idx: int, pa: int) -> CounterBinding:
-        b = self.bindings.get(idx)
-        if b is None:
-            b = CounterBinding(BindingMode.PHYSICAL_ADDR, pa)
-        return b
+    def _default_code(self, idx: int) -> int:
+        """The code of line `idx`'s binding until a write names another: its
+        physical address."""
+        return CounterBinding(BindingMode.PHYSICAL_ADDR,
+                              self.base_pa + idx * LINE_BYTES)._code
 
     def vn_of(self, pa: int) -> int:
         """Oracle view of the off-chip VN; no cost accounting."""
-        idx = self.line_index(pa)
-        return self.vn_lines[idx // VNS_PER_LINE][idx % VNS_PER_LINE]
+        return self._vns[self.line_index(pa)]
+
+    # -- the store, for the other modules ---------------------------------------
+
+    def line(self, idx: int, vn: int) -> tuple[bytes, int]:
+        """Line `idx`'s ciphertext and binding code, with no cost accounting.
+        A never-written line is materialized first, under `vn`."""
+        self.seal()
+        if not self._written[idx]:
+            self._materialize(idx, vn)
+        o = idx * LINE_BYTES
+        return bytes(self._ct[o:o + LINE_BYTES]), self._codes[idx]
+
+    def codes(self, pas) -> list[int]:
+        """The binding code of each line of `pas`; a never-written line's is
+        the one it would be materialized under."""
+        codes, written = self._codes, self._written
+        out = []
+        for pa in pas:
+            idx = self.line_index(pa)
+            out.append(codes[idx] if written[idx] else self._default_code(idx))
+        return out
+
+    def export_lines(self, pas) -> list[tuple[int, int, int]]:
+        """(ciphertext as a 512-bit int, binding code, VN) of each line of
+        `pas`, for a verbatim move to another device. A never-written line is
+        not materialized: its ciphertext is 0 and its code the default one."""
+        self.seal()
+        ct, vns = self._ct, self._vns
+        out = []
+        for pa, code in zip(pas, self.codes(pas)):
+            idx = self.line_index(pa)
+            o = idx * LINE_BYTES
+            out.append((int.from_bytes(ct[o:o + LINE_BYTES], "little"), code,
+                        vns[idx]))
+        return out
+
+    def install_lines(self, base_pa: int, blocks: Sequence[CipherBlock],
+                      tags: Sequence[int], vn: int) -> None:
+        """Store lines sealed elsewhere verbatim, with their tags, as the
+        lines from `base_pa` on, each under VN `vn`. A received line replaces
+        any write of it still waiting to be sealed. Each line costs a data,
+        VN and MAC write and a tree-path update, with no metadata-cache
+        traffic: the cached node-lines are refreshed when the tree flushes."""
+        n = len(blocks)
+        lo = self.line_index(base_pa)
+        hi = self.line_index(base_pa + (n - 1) * LINE_BYTES) + 1
+        pending = self._pending
+        if any(pending.get(idx) is not None for idx in range(lo, hi)):
+            self.seal()
+        for idx in range(lo, hi):
+            pending.pop(idx, None)
+        self._ct[lo * LINE_BYTES:hi * LINE_BYTES] = \
+            b"".join([blk.to_bytes() for blk in blocks])
+        self._written[lo:hi] = b"\x01" * n
+        codes, macs, vns = self._codes, self._macs, self._vns
+        for idx, blk, tag in zip(range(lo, hi), blocks, tags):
+            codes[idx] = blk.binding._code
+            macs[idx] = tag
+            vns[idx] = vn
+        for li in range(lo // VNS_PER_LINE, (hi - 1) // VNS_PER_LINE + 1):
+            s = li * VNS_PER_LINE
+            # every line's update dirties the same number of node-lines
+            dirtied = self.tree.update_path(li, vns[s:s + VNS_PER_LINE])
+        t = self.totals
+        t["data_wr"] += LINE_BYTES * n
+        t["vn_wr"] += LINE_BYTES * n
+        t["mac_wr"] += LINE_BYTES * n
+        t["tree_wr"] += LINE_BYTES * len(dirtied) * n
+
+    def plaintexts(self, pas) -> list[bytes]:
+        """Oracle: the plaintext of each line of `pas` under its stored
+        binding and VN, with no cost accounting and no check. A never-written
+        line reads as zeros."""
+        self.seal()
+        idxs = [self.line_index(pa) for pa in pas]
+        at = np.fromiter(idxs, dtype=np.intp, count=len(idxs))
+        pads = keystream_lines(self.key, np.frombuffer(self._codes, dtype=np.uint64)[at],
+                               np.frombuffer(self._vns, dtype=np.uint64)[at])
+        pads ^= self._words[at]
+        written = self._written
+        return [p if written[idx] else _ZERO_LINE
+                for idx, p in zip(idxs, words_to_bytes(pads))]
 
     # -- VN resolution with tree verification ------------------------------
 
@@ -256,12 +356,11 @@ class ProtectedMemory:
         from DRAM. Returns (vn, fetched_cold); a cold fetch still owes a tree
         walk (walk_tree) before the VN-line may be cached as verified."""
         idx = self.line_index(pa)
-        li, slot = divmod(idx, VNS_PER_LINE)
-        cached = self.cache.get(("vn", li))
+        cached = self.cache.get(("vn", idx // VNS_PER_LINE))
         if cached is not None:
-            return self.vn_lines[li][slot], False
+            return self._vns[idx], False
         t["vn_rd"] += LINE_BYTES
-        return self.vn_lines[li][slot], True
+        return self._vns[idx], True
 
     def _charge_drain(self, keys) -> None:
         t = self.totals
@@ -277,9 +376,9 @@ class ProtectedMemory:
     def walk_tree(self, pa: int, t: dict) -> None:
         """Verify the (cold-fetched) VN-line against the on-chip root, then
         cache the line and every node-line the walk touched."""
-        idx = self.line_index(pa)
-        li = idx // VNS_PER_LINE
-        fetched = self.tree.verify_path(li, tuple(self.vn_lines[li]),
+        li = self.line_index(pa) // VNS_PER_LINE
+        s = li * VNS_PER_LINE
+        fetched = self.tree.verify_path(li, self._vns[s:s + VNS_PER_LINE],
                                         self._tree_cache_lookup)
         t["tree_rd"] += LINE_BYTES * len(fetched)
         t["cycles"] += HASH_CYCLES * (len(fetched) + 1)
@@ -313,22 +412,25 @@ class ProtectedMemory:
         ciphertext, binding, MAC or VN. Then each read in turn does its
         accounting, resolves its VN, compares its tag and walks the tree on a
         cold VN fetch. A never-written line is materialized only when its read
-        comes, so a fault leaves the totals, cache, blocks, MACs and tree that
-        the per-line reads would have."""
+        comes, so a fault leaves the totals, cache, store and tree that the
+        per-line reads would have."""
         self.seal()
         idxs = [self.line_index(pa) for pa in pas]
-        blocks, macs, vn_lines = self._blocks, self._macs, self.vn_lines
+        codes, vns, written = self._codes, self._vns, self._written
         # the tag and plaintext at each position whose line is written
         tags, plains = [None] * len(idxs), [None] * len(idxs)
-        written = [k for k, idx in enumerate(idxs) if blocks[idx] is not None]
-        if written:
-            opened = open_blocks(
-                self.key, [blocks[idxs[k]] for k in written],
-                [vn_lines[idxs[k] // VNS_PER_LINE][idxs[k] % VNS_PER_LINE]
-                 for k in written])
-            for k, tag, plain in zip(written, *opened):
+        ks = [k for k, idx in enumerate(idxs) if written[idx]]
+        if ks:
+            ct = self._ct
+            opened = open_lines(
+                self.key, [codes[idxs[k]] for k in ks],
+                b"".join([ct[idxs[k] * LINE_BYTES:(idxs[k] + 1) * LINE_BYTES]
+                          for k in ks]),
+                [vns[idxs[k]] for k in ks])
+            for k, tag, plain in zip(ks, *opened):
                 tags[k], plains[k] = tag, plain
         t = self.totals
+        macs = self._macs
         for k, (pa, idx) in enumerate(zip(pas, idxs)):
             t["reads"] += 1
             t["data_rd"] += LINE_BYTES
@@ -339,11 +441,11 @@ class ProtectedMemory:
                 if tags[k] != macs[idx]:
                     raise IntegrityFault("mac_mismatch", f"pa={pa:#x}")
             else:
-                if blocks[idx] is None:
-                    self._zero_block(idx, pa, vn)
+                if not written[idx]:
+                    self._materialize(idx, vn)
                 # materialized by this call, so it opens to zeros under the
                 # tag just made
-                plains[k] = bytes(LINE_BYTES)
+                plains[k] = _ZERO_LINE
             if cold:
                 self.walk_tree(pa, t)
         return plains
@@ -364,7 +466,6 @@ class ProtectedMemory:
         t0 = (t["data_wr"], t["vn_wr"], t["mac_wr"], t["tree_wr"], t["cycles"],
               t["vn_rd"], t["tree_rd"]) if collect else None
         idx = self.line_index(pa)
-        li, slot = divmod(idx, VNS_PER_LINE)
         if vn is None:
             old_vn, cold = self.resolve_vn(pa, t)
             if cold:
@@ -373,14 +474,12 @@ class ProtectedMemory:
         else:
             new_vn = vn & MASK56
         self._settle(idx)
-        pending = self._unsealed.get(idx)
-        blk = self._blocks[idx]
-        if binding is None:
-            # a line's binding is sticky; reuse the stored one when present
-            binding = pending[1] if pending is not None else \
-                blk.binding if blk is not None else self.binding_for(idx, pa)
-        else:
-            self.bindings[idx] = binding
+        codes = self._codes
+        if binding is not None:
+            codes[idx] = binding._code
+        elif not self._written[idx]:
+            # a line's binding is sticky; a first write takes the default
+            codes[idx] = self._default_code(idx)
         t["cycles"] += AES_CYCLES + MAC_CYCLES
         t["data_wr"] += LINE_BYTES
         t["mac_wr"] += LINE_BYTES
@@ -391,19 +490,21 @@ class ProtectedMemory:
             plain = plain.to_bytes(LINE_BYTES, "little")
         elif len(plain) != LINE_BYTES:
             raise ValueError(f"a line is {LINE_BYTES} bytes, got {len(plain)}")
+        o = idx * LINE_BYTES
+        self._ct[o:o + LINE_BYTES] = plain
+        self._written[idx] = 1
+        vns = self._vns
+        vns[idx] = new_vn
         if self.key.null:
             # stored at once: deferring made a light criterion-4 iteration 6-10% slower
-            if blk is None:
-                blk = self._blocks[idx] = CipherBlock(0, binding, new_vn)
-            blk.data, blk.binding, blk.vn = \
-                int.from_bytes(plain, "little"), binding, new_vn
-            self._macs[idx] = tag = mac_block(blk, self.key)
+            tag = self._macs[idx] = line_tag(self.key, codes[idx], new_vn, plain)
             if tag_sink is not None:
                 tag_sink.append(tag)
         else:
-            self._unsealed[idx] = (plain, binding, new_vn, tag_sink)
-        self.vn_lines[li][slot] = new_vn
-        written = self.tree.update_path(li, tuple(self.vn_lines[li]))
+            self._pending[idx] = tag_sink
+        li = idx // VNS_PER_LINE
+        s = li * VNS_PER_LINE
+        written = self.tree.update_path(li, vns[s:s + VNS_PER_LINE])
         t["tree_wr"] += LINE_BYTES * len(written)
         t["cycles"] += HASH_CYCLES * (len(written) + 1)
         # a dirtied node-line is cached with empty contents; the tree's next
@@ -433,48 +534,43 @@ class ProtectedMemory:
     def line_mac(self, pa: int) -> int:
         return self.macs[self.line_index(pa)]
 
-    def _zero_block(self, idx: int, pa: int, vn: int) -> CipherBlock:
-        """Materialize a never-written line, with a fresh MAC; the caller has
-        sealed, so the line has no pending write."""
-        blk = encrypt_block(bytes(LINE_BYTES), self.binding_for(idx, pa), vn,
-                            self.key)
-        self._macs[idx] = mac_block(blk, self.key)
-        self._blocks[idx] = blk
-        return blk
+    def _materialize(self, idx: int, vn: int) -> None:
+        """Give never-written line `idx` its zero plaintext sealed under `vn`
+        and its default binding, with a fresh MAC; the caller has sealed."""
+        code = self._codes[idx] = self._default_code(idx)
+        o = idx * LINE_BYTES
+        self._ct[o:o + LINE_BYTES] = line_pad(self.key, code, vn).to_bytes(
+            LINE_BYTES, "little")
+        self._macs[idx] = line_tag(self.key, code, vn, self._ct, o)
+        self._written[idx] = 1
 
     # -- adversary harness ---------------------------------------------------
-
-    def _materialized(self, pa: int) -> tuple[int, CipherBlock]:
-        """Seal, then return line `pa`'s index and block, materializing a
-        never-written line first. The adversary harness goes through here,
-        so a tamper of a never-written line is not undone by a later first
-        read."""
-        idx, = self.materialize([pa])
-        return idx, self._blocks[idx]
 
     def materialize(self, pas: list[int]) -> list[int]:
         """Seal, then give every never-written line among `pas` its zero
         ciphertext and MAC under its current VN, sealing them in one batch.
-        Returns the indices of the lines `pas`."""
+        Returns the indices of the lines `pas`. The adversary harness goes
+        through here, so a tamper of a never-written line is not undone by a
+        later first read."""
         self.seal()
         idxs = [self.line_index(pa) for pa in pas]
-        blocks = self._blocks
-        fresh = [(idx, pa) for idx, pa in zip(idxs, pas) if blocks[idx] is None]
-        if not fresh:
-            return idxs
-        bindings = [self.binding_for(idx, pa) for idx, pa in fresh]
-        vns = [self.vn_of(pa) for _, pa in fresh]
-        zero = bytes(LINE_BYTES)
-        sealed = zip(*seal_lines(self.key, [zero] * len(fresh), bindings, vns))
-        for (idx, _), binding, vn, (data, tag) in zip(fresh, bindings, vns, sealed):
-            blocks[idx] = CipherBlock(data, binding, vn)
-            self._macs[idx] = tag
+        written, pending = self._written, self._pending
+        for idx in idxs:
+            if not written[idx]:
+                # its zero plaintext waits in the ciphertext array
+                self._codes[idx] = self._default_code(idx)
+                written[idx] = 1
+                pending[idx] = None
+        self.seal()
         return idxs
 
     def snapshot_triple(self, pa: int):
-        """Capture (ciphertext, VN, MAC) for a later replay injection."""
-        idx, blk = self._materialized(pa)
-        return (blk.data, blk.binding, blk.vn), self.vn_of(pa), self._macs[idx]
+        """Capture ((ciphertext, binding code), VN, MAC) for a later replay
+        injection."""
+        idx, = self.materialize([pa])
+        o = idx * LINE_BYTES
+        return ((bytes(self._ct[o:o + LINE_BYTES]), self._codes[idx]),
+                self._vns[idx], self._macs[idx])
 
     def inject_attack(self, kind: str, pa: int, *, bit: int = 0,
                       snapshot=None, delta: int = 1) -> None:
@@ -482,20 +578,22 @@ class ProtectedMemory:
         metadata are inside the TCB and stay intact."""
         if self.key.null:
             raise RuntimeError("attacks need crypto_on=True to be observable")
-        idx, blk = self._materialized(pa)
-        li, slot = divmod(idx, VNS_PER_LINE)
+        idx, = self.materialize([pa])
+        o = idx * LINE_BYTES
         if kind == "bitflip":
-            blk.data ^= 1 << (bit % (LINE_BYTES * 8))
+            bit %= LINE_BYTES * 8
+            self._ct[o + bit // 8] ^= 1 << (bit % 8)
         elif kind == "mac_tamper":
             self._macs[idx] ^= 1 << (bit % 56)
         elif kind == "vn_tamper":
-            self.vn_lines[li][slot] = (self.vn_lines[li][slot] + delta) & MASK56
+            self._vns[idx] = (self._vns[idx] + delta) & MASK56
         elif kind == "replay":
             if snapshot is None:
                 raise ValueError("replay needs a snapshot_triple()")
-            data, vn, mac = snapshot
-            blk.data, blk.binding, blk.vn = data
-            self.vn_lines[li][slot] = vn
+            (data, code), vn, mac = snapshot
+            self._ct[o:o + LINE_BYTES] = data
+            self._codes[idx] = code
+            self._vns[idx] = vn
             self._macs[idx] = mac
         else:
             raise ValueError(f"unknown attack kind: {kind}")
@@ -507,13 +605,9 @@ class ProtectedMemory:
 
     def plaintext_view(self) -> dict[int, bytes]:
         """Honest decryption of every present line (test oracle)."""
-        out = {}
-        for idx, blk in enumerate(self.blocks):
-            if blk is None:
-                continue
-            pa = self.base_pa + idx * LINE_BYTES
-            out[pa] = decrypt_block(blk, self.key, self.vn_of(pa))
-        return out
+        pas = [self.base_pa + idx * LINE_BYTES
+               for idx in range(self.n_lines) if self._written[idx]]
+        return dict(zip(pas, self.plaintexts(pas)))
 
 
 class PlainMemory:

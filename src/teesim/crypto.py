@@ -16,11 +16,13 @@ is `mix64(binding code ^ vn)`, which does not depend on the data; and a
 protocol and the same checks under either key. Under the null key those
 checks pass on honest runs and cannot see a tamper.
 
-Cachelines are 64 bytes and are handled internally as 512-bit ints so that
-XOR en/decryption is a single big-int op. Paths that seal or open a whole
-tensor at once use the numpy batch kernels `keystream_lines` and
-`mac_lines`, which compute the same pads and tags as `keystream` and
-`mac_block` over an (n, 8) array of 64-bit words.
+Cachelines are 64 bytes. The per-line kernels `line_pad` and `line_tag` take
+a binding code and a VN; a pad is a 512-bit int, so that XOR en/decryption is
+a single big-int op, and a tag reads its ciphertext from any 64-byte buffer.
+`keystream`, `mac_block` and `CipherBlock` (ciphertext as a 512-bit int) wrap
+them for the NPU and the transfers. Paths that seal or open a whole tensor
+at once use the numpy batch kernels `keystream_lines` and `mac_lines`, which
+compute the same pads and tags over an (n, 8) array of 64-bit words.
 """
 
 from __future__ import annotations
@@ -149,9 +151,9 @@ class CipherBlock:
         return self.data.to_bytes(LINE_BYTES, "little")
 
 
-def keystream(key: KeyMaterial, binding: CounterBinding, vn: int) -> int:
-    """64-byte pad as a 512-bit int, a pure function of (key, binding, vn):
-    base = mix(mix(mix(k0 ^ code) ^ vn) ^ k1), and word i of the pad is
+def line_pad(key: KeyMaterial, code: int, vn: int) -> int:
+    """64-byte pad as a 512-bit int, a pure function of (key, binding code,
+    vn): base = mix(mix(mix(k0 ^ code) ^ vn) ^ k1), and word i of the pad is
     mix(base ^ i * golden).
 
     Here and in the other per-line kernels below, the splitmix64 finalizer
@@ -160,7 +162,7 @@ def keystream(key: KeyMaterial, binding: CounterBinding, vn: int) -> int:
     if key.null:
         return 0
     ek = key.enc_key
-    x = (ek >> 64) ^ binding._code
+    x = (ek >> 64) ^ code
     for v in (vn & MASK56, ek & MASK64):
         x = (x + _GOLDEN) & MASK64
         x = ((x ^ (x >> 30)) * _M1) & MASK64
@@ -179,6 +181,34 @@ def keystream(key: KeyMaterial, binding: CounterBinding, vn: int) -> int:
     return int.from_bytes(_WORDS8.pack(*words), "little")
 
 
+def line_tag(key: KeyMaterial, code: int, vn: int, buf, offset: int = 0) -> int:
+    """56-bit tag over (ciphertext, binding code, vn), the ciphertext being
+    the 64 bytes of `buf` at `offset`: acc = mix(k0 ^ code), then
+    acc = mix(acc ^ v) for v in the eight ciphertext words, the vn and k1.
+    Under the null key: mix(code ^ vn), the one stub tag."""
+    if key.null:
+        x = ((code ^ (vn & MASK56)) + _GOLDEN) & MASK64
+        x = ((x ^ (x >> 30)) * _M1) & MASK64
+        x = ((x ^ (x >> 27)) * _M2) & MASK64
+        return (x ^ (x >> 31)) & MASK56
+    mk = key.mac_key
+    x = (mk >> 64) ^ code
+    for v in (*_WORDS8.unpack_from(buf, offset), vn & MASK56, mk & MASK64):
+        x = (x + _GOLDEN) & MASK64
+        x = ((x ^ (x >> 30)) * _M1) & MASK64
+        x = ((x ^ (x >> 27)) * _M2) & MASK64
+        x ^= (x >> 31) ^ v
+    x = (x + _GOLDEN) & MASK64
+    x = ((x ^ (x >> 30)) * _M1) & MASK64
+    x = ((x ^ (x >> 27)) * _M2) & MASK64
+    return (x ^ (x >> 31)) & MASK56
+
+
+def keystream(key: KeyMaterial, binding: CounterBinding, vn: int) -> int:
+    """`line_pad` under the binding's code."""
+    return line_pad(key, binding._code, vn)
+
+
 def encrypt_block(plain: bytes | int, binding: CounterBinding, vn: int,
                   key: KeyMaterial) -> CipherBlock:
     p = int.from_bytes(plain, "little") if isinstance(plain, bytes) else plain
@@ -195,26 +225,9 @@ def decrypt_block(block: CipherBlock, key: KeyMaterial,
 
 
 def mac_block(block: CipherBlock, key: KeyMaterial) -> int:
-    """56-bit tag over (ciphertext, binding, vn): acc = mix(k0 ^ code), then
-    acc = mix(acc ^ v) for v in the eight ciphertext words, the vn and k1.
-    Under the null key: mix(code ^ vn), the one stub tag."""
-    if key.null:
-        x = ((block.binding._code ^ (block.vn & MASK56)) + _GOLDEN) & MASK64
-        x = ((x ^ (x >> 30)) * _M1) & MASK64
-        x = ((x ^ (x >> 27)) * _M2) & MASK64
-        return (x ^ (x >> 31)) & MASK56
-    mk = key.mac_key
-    x = (mk >> 64) ^ block.binding._code
-    data = _WORDS8.unpack((block.data & _MASK512).to_bytes(LINE_BYTES, "little"))
-    for v in (*data, block.vn & MASK56, mk & MASK64):
-        x = (x + _GOLDEN) & MASK64
-        x = ((x ^ (x >> 30)) * _M1) & MASK64
-        x = ((x ^ (x >> 27)) * _M2) & MASK64
-        x ^= (x >> 31) ^ v
-    x = (x + _GOLDEN) & MASK64
-    x = ((x ^ (x >> 30)) * _M1) & MASK64
-    x = ((x ^ (x >> 27)) * _M2) & MASK64
-    return (x ^ (x >> 31)) & MASK56
+    """`line_tag` of the block's ciphertext under its binding and VN."""
+    return line_tag(key, block.binding._code, block.vn,
+                    (block.data & _MASK512).to_bytes(LINE_BYTES, "little"))
 
 
 # -- batch kernels ---------------------------------------------------------------
@@ -339,34 +352,44 @@ def seal_lines(key: KeyMaterial, plains: Sequence, bindings: Sequence[CounterBin
     return words_to_ints(ct), mac_lines(key, codes, ct, vns).tolist()
 
 
-def open_blocks(key: KeyMaterial, blocks: Sequence[CipherBlock], vns=None, *,
-                decrypt: bool = True) -> tuple[list[int], Optional[list[bytes]]]:
-    """Tags and (if `decrypt`) plaintexts of n sealed lines, in one batch:
-    what `mac_block` and `decrypt_block` give line by line, under `vns` when
-    given (one int VN applies to every line, a sequence gives one per line),
-    else under each block's own VN. Fewer than `OPEN_BATCH_MIN` lines with
-    decryption, or `MAC_BATCH_MIN` without, go through those per-line kernels
-    instead."""
-    if vns is None:
-        vns = [b.vn for b in blocks]
-    if len(blocks) < (OPEN_BATCH_MIN if decrypt else MAC_BATCH_MIN):
+def open_lines(key: KeyMaterial, codes: Sequence[int], cts, vns, *,
+               decrypt: bool = True) -> tuple[list[int], Optional[list[bytes]]]:
+    """Tags and (if `decrypt`) plaintexts of n sealed lines, given by their
+    binding codes and their ciphertexts, the n * 64 bytes of `cts`, under
+    `vns` (one int VN applies to every line, a sequence gives one per line):
+    what `line_tag` and `line_pad` give line by line. Fewer than
+    `OPEN_BATCH_MIN` lines with decryption, or `MAC_BATCH_MIN` without, go
+    through those per-line kernels, the rest through one batch."""
+    n = len(codes)
+    if n < (OPEN_BATCH_MIN if decrypt else MAC_BATCH_MIN):
         if isinstance(vns, int):
-            vns = [vns] * len(blocks)
+            vns = [vns] * n
         tags, plains = [], []
-        for b, v in zip(blocks, vns):
-            b = CipherBlock(b.data, b.binding, v)
-            tags.append(mac_block(b, key))
+        for o, c, v in zip(range(0, n * LINE_BYTES, LINE_BYTES), codes, vns):
+            tags.append(line_tag(key, c, v, cts, o))
             if decrypt:
-                plains.append(decrypt_block(b, key))
+                p = int.from_bytes(cts[o:o + LINE_BYTES], "little") ^ line_pad(key, c, v)
+                plains.append(p.to_bytes(LINE_BYTES, "little"))
         return tags, plains if decrypt else None
-    codes = binding_codes(b.binding for b in blocks)
-    ct = line_words(b.data for b in blocks)
+    codes = np.fromiter(codes, dtype=np.uint64, count=n)
+    ct = np.frombuffer(cts, dtype=_U64).reshape(n, 8)
     tags = mac_lines(key, codes, ct, vns).tolist()
     if not decrypt:
         return tags, None
     pads = keystream_lines(key, codes, vns)
     pads ^= ct
     return tags, words_to_bytes(pads)
+
+
+def open_blocks(key: KeyMaterial, blocks: Sequence[CipherBlock], vns=None, *,
+                decrypt: bool = True) -> tuple[list[int], Optional[list[bytes]]]:
+    """`open_lines` of sealed blocks, under `vns` when given, else under each
+    block's own VN."""
+    if vns is None:
+        vns = [b.vn for b in blocks]
+    return open_lines(key, [b.binding._code for b in blocks],
+                      b"".join([_line_bytes(b.data) for b in blocks]), vns,
+                      decrypt=decrypt)
 
 
 def mac_xor_aggregate(tags: Iterable[int]) -> int:

@@ -38,10 +38,13 @@ from typing import Optional
 
 from .baseline import AES_CYCLES, MAC_CYCLES, MetadataCache, ProtectedMemory
 from .crypto import (
-    KEYSTREAM_BATCH_MIN, LINE_BYTES, MASK56, BindingMode, CipherBlock,
-    CounterBinding, IntegrityFault, keystream, keystream_lines, mac_block,
-    mac_xor_aggregate, open_blocks,
+    KEYSTREAM_BATCH_MIN, LINE_BYTES, MASK56, BindingMode, CounterBinding,
+    IntegrityFault, keystream_lines, line_pad, line_tag, mac_xor_aggregate,
+    open_lines,
 )
+# unused here since covered reads work on binding codes, but the tracer's
+# tests in perfbench/tests look these names up in every module that held them
+from .crypto import keystream, mac_block  # noqa: F401
 
 MAX_STRIDE_BYTES = 1024 * LINE_BYTES   # 10-bit line-stride semantics, stored wider
 FILTER_WINDOW_BYTES = 4096             # max delta the filter will chain across;
@@ -100,8 +103,8 @@ class MetaTableEntry:
         # fresh tags of the lines written in the current update, appended
         # on-chip as they are sealed
         self.write_tags: list[int] = []
-        # run_start -> [next_ordinal, acc, consumed CipherBlocks not yet
-        # folded into acc]
+        # run_start -> [next_ordinal, acc, consumed (ciphertext, binding
+        # code, VN) not yet folded into acc]
         self.runs: dict[int, list] = {}
         self.runs_by_next: dict[int, int] = {}
         # pads of every line under `vn`, 64 B per ordinal, and the binding
@@ -352,48 +355,43 @@ class TenAnalyzer:
         else:
             vn_eff = e.vn
         idx = mem.line_index(va)
-        blk = mem.blocks[idx]
-        if blk is None:
-            blk = mem._zero_block(idx, va, vn_eff)
+        ct, code = mem.line(idx, vn_eff)
         k = e.ordinal(va)
-        # the null pad is 0; its batch made a light criterion-4 iteration 8-16% slower
-        pad = 0 if mem.key.null else self._pad(e, k, blk, vn_eff)
-        plain = (blk.data ^ pad).to_bytes(LINE_BYTES, "little")
-        self._hit_in_mac(e, k, idx, blk, vn_eff, t)
+        if mem.key.null:
+            # the null pad is 0; its batch made a light criterion-4 iteration 8-16% slower
+            plain = ct
+        else:
+            plain = (int.from_bytes(ct, "little") ^ self._pad(e, k, code, vn_eff)
+                     ).to_bytes(LINE_BYTES, "little")
+        self._hit_in_mac(e, k, idx, ct, code, vn_eff, t)
         return plain, ReadOutcome(HIT_IN, vn=vn_eff)
 
-    def _pad(self, e: MetaTableEntry, k: int, blk: CipherBlock, vn: int) -> int:
-        """`keystream(key, blk.binding, vn)` for covered line `k`. The pads
-        depend on on-chip state only, so the first read of an entry at its
-        VN computes every line's pad in one batch; a line whose VN or
-        binding differs from what the batch assumed, or that the entry
-        gained since, gets its own."""
+    def _pad(self, e: MetaTableEntry, k: int, code: int, vn: int) -> int:
+        """`line_pad(key, code, vn)` for covered line `k`. The pads depend on
+        on-chip state only, so the first read of an entry at its VN computes
+        every line's pad in one batch; a line whose VN or binding differs
+        from what the batch assumed, or that the entry gained since, gets its
+        own."""
         if vn == e.vn:
             if e.pads is None and e.line_count >= KEYSTREAM_BATCH_MIN:
                 self._fill_pads(e)
-            if k < len(e.pad_codes) and e.pad_codes[k] == blk.binding._code:
+            if k < len(e.pad_codes) and e.pad_codes[k] == code:
                 return int.from_bytes(e.pads[k * LINE_BYTES:(k + 1) * LINE_BYTES],
                                       "little")
-        return keystream(self.mem.key, blk.binding, vn)
+        return line_pad(self.mem.key, code, vn)
 
     def _fill_pads(self, e: MetaTableEntry) -> None:
         mem = self.mem
-        blocks = mem.blocks
-        codes = []
-        for va in e.addresses():
-            idx = mem.line_index(va)
-            blk = blocks[idx]
-            # a never-written line materializes under this same binding
-            codes.append((blk.binding if blk is not None
-                          else mem.binding_for(idx, va))._code)
+        # a never-written line materializes under the code given for it
+        codes = mem.codes(e.addresses())
         e.pads = keystream_lines(mem.key, codes, e.vn).tobytes()
         e.pad_codes = codes
 
-    def _hit_in_mac(self, e, k, idx, blk, vn_eff, t) -> None:
+    def _hit_in_mac(self, e, k, idx, ct, code, vn_eff, t) -> None:
         """Sequential covered reads accumulate toward a free whole-tensor MAC
         check; anything else verifies the line against its off-chip MAC."""
         if e.uf:
-            self._per_line_mac(idx, blk, vn_eff, t)
+            self._per_line_mac(idx, ct, code, vn_eff, t)
             return
         run_start = e.runs_by_next.pop(k, None)
         if run_start is not None:
@@ -402,7 +400,7 @@ class TenAnalyzer:
             run = e.runs[k] = [k, 0, []]
             run_start = k
         else:
-            self._per_line_mac(idx, blk, vn_eff, t)
+            self._per_line_mac(idx, ct, code, vn_eff, t)
             return
         t["cycles"] += MAC_CYCLES
         mem = self.mem
@@ -410,7 +408,7 @@ class TenAnalyzer:
             # the null tag is the stored MAC; MACing made criterion 4 16-18% slower
             run[1] ^= mem.macs[idx]
         else:
-            self._sweep_take(run, blk, vn_eff)
+            self._sweep_take(run, ct, code, vn_eff)
         run[0] = k + 1
         # coalesce with a run starting right after
         nxt = e.runs.pop(k + 1, None)
@@ -428,18 +426,20 @@ class TenAnalyzer:
                 raise IntegrityFault("tensor_mac", f"entry base={e.base:#x}")
             self.stats["sweep_verifies"] += 1
 
-    def _sweep_take(self, run: list, blk: CipherBlock, vn: int) -> None:
+    def _sweep_take(self, run: list, ct: bytes, code: int, vn: int) -> None:
         """Add a line the core consumed to a sweep run. Its tag is computed
         in one batch with the run's other lines, when the run closes or has
         kept `SWEEP_FOLD_LINES` lines, from the ciphertext the core consumed,
         not from what is stored by then."""
-        run[2].append(CipherBlock(blk.data, blk.binding, vn))
+        run[2].append((ct, code, vn))
         if len(run[2]) >= SWEEP_FOLD_LINES:
             self._sweep_fold(run)
 
     def _sweep_fold(self, run: list) -> None:
         if run[2]:
-            tags, _ = open_blocks(self.mem.key, run[2], decrypt=False)
+            cts, codes, vns = zip(*run[2])
+            tags, _ = open_lines(self.mem.key, codes, b"".join(cts), vns,
+                                 decrypt=False)
             run[1] ^= mac_xor_aggregate(tags)
             run[2] = []
 
@@ -449,12 +449,11 @@ class TenAnalyzer:
                 return False
         return True
 
-    def _per_line_mac(self, idx, blk, vn_eff, t) -> None:
+    def _per_line_mac(self, idx, ct, code, vn_eff, t) -> None:
         mem = self.mem
         t["mac_rd"] += LINE_BYTES
         t["cycles"] += MAC_CYCLES
-        if mac_block(CipherBlock(blk.data, blk.binding, vn_eff), mem.key) \
-                != mem.macs[idx]:
+        if line_tag(mem.key, code, vn_eff, ct) != mem.macs[idx]:
             raise IntegrityFault("mac_mismatch", f"line {idx}")
 
     def _read_hit_boundary(self, e: MetaTableEntry, va: int):
@@ -470,12 +469,10 @@ class TenAnalyzer:
         if cold:
             mem.walk_tree(va, t)
         idx = mem.line_index(va)
-        blk = mem.blocks[idx]
-        if blk is None:
-            blk = mem._zero_block(idx, va, vn_true)
+        ct, code = mem.line(idx, vn_true)
         # the line's stored MAC rides along with the VN confirmation
-        self._per_line_mac(idx, blk, vn_true, t)
-        plain = (blk.data ^ keystream(mem.key, blk.binding, vn_true)
+        self._per_line_mac(idx, ct, code, vn_true, t)
+        plain = (int.from_bytes(ct, "little") ^ line_pad(mem.key, code, vn_true)
                  ).to_bytes(LINE_BYTES, "little")
         if vn_true == e.vn:
             self._extend(e, va, mem.macs[idx])

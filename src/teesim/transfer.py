@@ -340,17 +340,17 @@ def direct_transfer(session: SessionState, engine: Engine, *,
         rep = TransferReport("direct", tensor_id, start_tick=t0, done_tick=t0)
         if n == 0:
             return rep
-        mem = analyzer.mem
+        vas = sorted(e.addresses())
         lines = []
-        tainted = []
-        for i, va in enumerate(sorted(e.addresses())):
-            idx = mem.line_index(va)
-            blk = mem.blocks[idx] or mem._zero_block(idx, va, e.vn)
-            if blk.binding.mode != BindingMode.TENSOR_LOGICAL:
-                raise ProtocolError(f"line {va:#x} is PA-bound; direct transfer "
-                                    f"needs tensor-logical ciphertext")
-            lines.append(CipherBlock(blk.data, blk.binding, blk.vn))
-            tainted.append(False)
+        for i, (va, (data, code, vn)) in enumerate(
+                zip(vas, analyzer.mem.export_lines(vas))):
+            binding = CounterBinding(BindingMode.TENSOR_LOGICAL, tensor_id,
+                                     i * LINE_BYTES)
+            if code != binding._code:
+                raise ProtocolError(f"line {va:#x} is not bound to tensor "
+                                    f"{tensor_id}; direct transfer needs "
+                                    f"tensor-logical ciphertext")
+            lines.append(CipherBlock(data, binding, vn))
         base_rx = npu_base if npu_base is not None else \
             0x4000_0000 + tensor_id * 0x100_0000
         msg = MetadataMessage(tensor_id, base_rx, n, e.stride, e.vn, e.mac)
@@ -359,7 +359,7 @@ def direct_transfer(session: SessionState, engine: Engine, *,
         _, link_done = engine.reserve("link", n * LINE_BYTES, at_tick=t0)
         rx = decode_metadata(wire, session)
         npu.install_transferred(rx.tensor_id, rx.base, rx.n_lines, rx.vn,
-                                rx.mac, lines, tainted)
+                                rx.mac, lines, [False] * n)
         rep.bytes_link = n * LINE_BYTES + MSG_WIRE_BYTES
         rep.done_tick = max(chan_done, link_done) + SYNC_TICKS
     elif direction == "npu_to_cpu":
@@ -416,22 +416,11 @@ def _install_on_cpu(msg: MetadataMessage, lines, analyzer: TenAnalyzer,
         rep.faults += 1
         raise IntegrityFault("tensor_mac",
                              f"direct transfer tensor {msg.tensor_id}")
+    mem.install_lines(msg.base, lines, tags, msg.vn)
     nch = _cpu_channels(engine)
     done = verify_done
-    for i, blk in enumerate(lines):
+    for i in range(len(lines)):
         pa = msg.base + i * LINE_BYTES
-        idx = mem.line_index(pa)
-        # the received line replaces any write still waiting to be sealed
-        mem.install_sealed(idx, blk, tags[i])
-        li, slot = divmod(idx, 8)
-        mem.vn_lines[li][slot] = msg.vn
-        # cached copies of the dirtied node-lines are refreshed when the
-        # tree flushes
-        written = mem.tree.update_path(li, tuple(mem.vn_lines[li]))
-        mem.totals["data_wr"] += LINE_BYTES
-        mem.totals["vn_wr"] += LINE_BYTES
-        mem.totals["mac_wr"] += LINE_BYTES
-        mem.totals["tree_wr"] += LINE_BYTES * len(written)
         ch = (pa // LINE_BYTES) % nch
         # the DMA drain runs in parallel with the aggregate verification
         _, wr = engine.reserve(f"cpu_dram{ch}", LINE_BYTES, at_tick=at)

@@ -26,10 +26,7 @@ import numpy as np
 
 from .baseline import PlainMemory, ProtectedMemory
 from .config import SimConfig, build_engine
-from .crypto import (
-    LINE_BYTES, KeyMaterial, binding_codes, keystream_lines, line_words,
-    words_to_bytes,
-)
+from .crypto import LINE_BYTES, KeyMaterial
 # unused here since `_final_weights` decrypts in one batch, but the tracer's
 # tests in perfbench/tests look this name up in every module that held it
 from .crypto import decrypt_block  # noqa: F401
@@ -662,22 +659,12 @@ class ZeroOffloadRunner:
 
     def _final_weights(self) -> list[np.ndarray]:
         """Each weight tensor's plaintext. A protected tensor is read as an
-        oracle, without cost accounting, and decrypted under one batch of
-        pads."""
+        oracle, without cost accounting."""
         mem = self.cpu_mem
-        out = []
-        for lay in self.layouts:
-            vas = [lay.w_base + j * LINE_BYTES for j in range(lay.n_lines)]
-            if isinstance(mem, PlainMemory):
-                out.append(_lines_to_array(mem.read_lines(vas)))
-                continue
-            stored = mem.blocks
-            blocks = [stored[mem.line_index(va)] for va in vas]
-            pads = keystream_lines(mem.key, binding_codes(b.binding for b in blocks),
-                                   [mem.vn_of(va) for va in vas])
-            out.append(_lines_to_array(words_to_bytes(
-                line_words(blk.data for blk in blocks) ^ pads)))
-        return out
+        read = mem.read_lines if isinstance(mem, PlainMemory) else mem.plaintexts
+        return [_lines_to_array(read([lay.w_base + j * LINE_BYTES
+                                      for j in range(lay.n_lines)]))
+                for lay in self.layouts]
 
 
 def run_zero_offload(cfg: SimConfig, mode: Optional[str] = None

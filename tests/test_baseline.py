@@ -4,6 +4,7 @@ plain dict oracle, deferred sealing against an eager reference, and run
 reads and the write fast path against a per-line reference."""
 
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -14,7 +15,7 @@ from teesim.baseline import (
 )
 from teesim.crypto import (
     OPEN_BATCH_MIN, SEAL_BATCH_MIN, BindingMode, CipherBlock, CounterBinding,
-    IntegrityFault, KeyMaterial, LINE_BYTES, decrypt_block, keystream, mac_block,
+    IntegrityFault, KeyMaterial, LINE_BYTES, line_pad, line_tag,
 )
 from teesim.tenanalyzer import HIT_IN, TenAnalyzer
 
@@ -25,6 +26,14 @@ BASE = 0x10000
 def make_mem(n_lines=4096, cache_bytes=32 * 1024, crypto_on=True):
     return ProtectedMemory(BASE, n_lines, KEY,
                            metadata_cache_bytes=cache_bytes, crypto_on=crypto_on)
+
+
+def _store(mem):
+    """Every field the store keeps, sealed: ciphertexts, MACs, VNs, binding
+    codes and the written mask."""
+    macs = list(mem.macs)
+    return (bytes(mem._ct), macs, list(mem._vns), list(mem._codes),
+            bytes(mem._written))
 
 
 def test_cold_read_cost_with_three_level_tree():
@@ -137,7 +146,7 @@ def test_materialize_matches_per_line_zero_blocks(n, crypto_on):
                        CounterBinding(BindingMode.TENSOR_LOGICAL, 9, 0))
         mem.seal()
         mem.write_line(BASE + 2 * LINE_BYTES, b"\x09" * LINE_BYTES)
-        mem.vn_lines[0][0] = 5        # a never-written line with a VN
+        mem._vns[0] = 5        # a never-written line with a VN
         return mem
 
     pas = [BASE + i * LINE_BYTES for i in range(n)]
@@ -146,14 +155,9 @@ def test_materialize_matches_per_line_zero_blocks(n, crypto_on):
     # the reference: seal, then encrypt and MAC each never-written line alone
     per_line.seal()
     for pa in pas:
-        idx = per_line.line_index(pa)
-        if per_line.blocks[idx] is None:
-            per_line._zero_block(idx, pa, per_line.vn_of(pa))
-    def lines(mem):
-        return [blk and (blk.data, blk.binding, blk.vn) for blk in mem.blocks]
-
-    assert lines(batch) == lines(per_line) and batch.macs == per_line.macs
-    assert lines(batch)[n - 1] is not None and lines(batch)[n] is None
+        per_line.line(per_line.line_index(pa), per_line.vn_of(pa))
+    assert _store(batch) == _store(per_line)
+    assert batch._written[n - 1] and not batch._written[n]
 
 
 def test_streaming_scan_amortized_metadata_traffic():
@@ -258,6 +262,28 @@ def test_light_mode_same_metadata_traffic():
         assert full.totals[k] == light.totals[k], k
 
 
+@pytest.mark.parametrize("crypto_on", [True, False])
+def test_written_and_sealed_store_holds_at_most_128_bytes_a_line(crypto_on):
+    # the flat store is 89 B a line (64 ciphertext, three 8 B fields, one
+    # written byte); the rest is the tree, its pending leaves and the cache
+    n = 1 << 16
+    line = bytes(range(LINE_BYTES))
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        mem = make_mem(n, crypto_on=crypto_on)
+        for i in range(n):
+            mem.write_line(BASE + i * LINE_BYTES, line)
+        tracemalloc.reset_peak()
+        mem.seal()
+        live, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert not mem._pending
+    live, peak = (live - start) / n, (peak - start) / n
+    assert live <= 128, f"{live:.1f} B/line live, seal peak {peak:.1f} B/line"
+
+
 # -- deferred sealing ----------------------------------------------------------
 
 class EagerProtectedMemory(ProtectedMemory):
@@ -266,15 +292,13 @@ class EagerProtectedMemory(ProtectedMemory):
 
     def write_line(self, pa, plain, **kwargs):
         out = super().write_line(pa, plain, **kwargs)
-        (idx, (p, binding, vn, sink)), = self._unsealed.items()
-        self._unsealed.clear()
-        data = int.from_bytes(p, "little") ^ keystream(self.key, binding, vn)
-        blk = self._blocks[idx]
-        if blk is None:
-            blk = self._blocks[idx] = CipherBlock(data, binding, vn)
-        else:
-            blk.data, blk.binding, blk.vn = data, binding, vn
-        self._macs[idx] = mac_block(blk, self.key)
+        (idx, sink), = self._pending.items()
+        self._pending.clear()
+        code, vn, o = self._codes[idx], self._vns[idx], idx * LINE_BYTES
+        data = int.from_bytes(self._ct[o:o + LINE_BYTES], "little") ^ \
+            line_pad(self.key, code, vn)
+        self._ct[o:o + LINE_BYTES] = data.to_bytes(LINE_BYTES, "little")
+        self._macs[idx] = line_tag(self.key, code, vn, self._ct, o)
         if sink is not None:
             sink.append(self._macs[idx])
         return out
@@ -303,9 +327,8 @@ def _try_read(mem, pa):
 
 
 def _observables(mem):
-    return (dict(mem.totals), mem.cache.hits, mem.cache.misses,
-            [None if b is None else (b.data, b.binding, b.vn) for b in mem.blocks],
-            list(mem.macs), mem.plaintext_view(), mem.vn_lines, mem.tree.root)
+    return (dict(mem.totals), mem.cache.hits, mem.cache.misses, _store(mem),
+            mem.plaintext_view(), mem.tree.root)
 
 
 @given(_SEAL_OPS)
@@ -377,9 +400,12 @@ def test_writes_wait_for_one_batch_seal():
     data = [bytes([i]) * LINE_BYTES for i in range(n)]
     for i in range(n):
         mem.write_line(BASE + i * LINE_BYTES, data[i])
-    assert len(mem._unsealed) == n and mem._blocks[0] is None
+    # each plaintext waits in the ciphertext array, with no MAC yet
+    assert list(mem._pending) == list(range(n)) and not any(mem._macs[:n])
+    assert bytes(mem._ct[:n * LINE_BYTES]) == b"".join(data)
     plain, _ = mem.read_line(BASE + 5 * LINE_BYTES)
-    assert plain == data[5] and not mem._unsealed
+    assert plain == data[5] and not mem._pending and all(mem._macs[:n])
+    assert bytes(mem._ct[:LINE_BYTES]) != data[0]
     assert [mem.read_line(BASE + i * LINE_BYTES)[0] for i in range(n)] == data
 
 
@@ -398,8 +424,9 @@ def test_overwritten_pending_write_still_feeds_its_tag_sink():
         mem.write_line(BASE, b"\x01" * LINE_BYTES, tag_sink=sink)
         mem.write_line(BASE, b"\x02" * LINE_BYTES)
         mem.write_line(BASE + LINE_BYTES, b"\x03" * LINE_BYTES, tag_sink=sink)
-        mem.install_sealed(1, CipherBlock(
-            0, CounterBinding(BindingMode.PHYSICAL_ADDR, BASE + LINE_BYTES), 7), 0)
+        mem.install_lines(BASE + LINE_BYTES, [CipherBlock(
+            0, CounterBinding(BindingMode.PHYSICAL_ADDR, BASE + LINE_BYTES), 7)],
+            [0], 7)
         mem.seal()
         sinks.append(sink)
     assert len(sinks[0]) == 2 and sinks[0] == sinks[1]
@@ -476,14 +503,12 @@ class PerLineProtectedMemory(ProtectedMemory):
         idx = self.line_index(pa)
         t["data_rd"] += LINE_BYTES
         vn, cold = self.resolve_vn(pa, t)
-        blk = self._blocks[idx]
-        if blk is None:
-            blk = self._zero_block(idx, pa, vn)
+        ct, code = self.line(idx, vn)
         t["cycles"] += AES_CYCLES + MAC_CYCLES
         t["mac_rd"] += LINE_BYTES
-        plain = decrypt_block(blk, self.key, vn)
-        if mac_block(CipherBlock(blk.data, blk.binding, vn), self.key) \
-                != self._macs[idx]:
+        plain = (int.from_bytes(ct, "little") ^ line_pad(self.key, code, vn)
+                 ).to_bytes(LINE_BYTES, "little")
+        if line_tag(self.key, code, vn, ct) != self._macs[idx]:
             raise IntegrityFault("mac_mismatch", f"pa={pa:#x}")
         if cold:
             self.walk_tree(pa, t)
@@ -590,8 +615,6 @@ def test_run_reads_and_write_fast_path_match_per_line_reference(
             for cls in (ProtectedMemory, PerLineProtectedMemory)]
     _drive(mems, data.draw(_run_ops(n_lines)), n_lines)
     fast, ref = mems
-    assert [blk and (blk.data, blk.binding, blk.vn) for blk in fast.blocks] == \
-        [blk and (blk.data, blk.binding, blk.vn) for blk in ref.blocks]
-    assert fast.macs == ref.macs and fast.vn_lines == ref.vn_lines
+    assert _store(fast) == _store(ref)
     if crypto_on:
         assert fast.tree.root == ref.tree.root

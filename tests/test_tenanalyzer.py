@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from teesim import tenanalyzer
 from teesim.baseline import ProtectedMemory
 from teesim.crypto import (
-    CipherBlock, IntegrityFault, KeyMaterial, LINE_BYTES, keystream, mac_block,
+    IntegrityFault, KeyMaterial, LINE_BYTES, line_pad, line_tag,
 )
 from teesim.tenanalyzer import (
     EDGE_FINISH, EDGE_START, HIT_BOUNDARY, HIT_IN, INVALIDATE, MISS,
@@ -33,13 +33,15 @@ def seed_entry(ta, base, nx, ny=1, stride=LINE_BYTES, vn=0):
     """Plant a table entry directly (unit-test shortcut)."""
     mac = 0
     probe = MetaTableEntry(base, nx, ny, stride, vn, 0)
+    mem = ta.mem
     for va in probe.addresses():
-        idx = ta.mem.line_index(va)
-        li, slot = divmod(idx, 8)
-        ta.mem.vn_lines[li][slot] = vn
-        ta.mem.tree.update_path(li, tuple(ta.mem.vn_lines[li]))
-        blk = ta.mem._zero_block(idx, va, vn)
-        mac ^= ta.mem.macs[idx]
+        idx = mem.line_index(va)
+        li = idx // 8
+        mem._vns[idx] = vn
+        mem.tree.update_path(li, mem._vns[li * 8:li * 8 + 8])
+        mem._written[idx] = 0
+        mem.line(idx, vn)      # zeros, sealed under vn
+        mac ^= mem.macs[idx]
     e = MetaTableEntry(base, nx, ny, stride, vn, mac)
     assert ta._insert_entry(e) is not None
     return e
@@ -484,14 +486,14 @@ def test_quiescent_vn_consistency_after_mixed_ops():
 
 class ScalarTenAnalyzer(TenAnalyzer):
     """The reference: covered reads as they were before they were batched per
-    tensor, each pad from `keystream` and each sweep line's tag from
-    `mac_block` at the moment it is read."""
+    tensor, each pad from `line_pad` and each sweep line's tag from
+    `line_tag` at the moment it is read."""
 
-    def _pad(self, e, k, blk, vn):
-        return keystream(self.mem.key, blk.binding, vn)
+    def _pad(self, e, k, code, vn):
+        return line_pad(self.mem.key, code, vn)
 
-    def _sweep_take(self, run, blk, vn):
-        run[1] ^= mac_block(CipherBlock(blk.data, blk.binding, vn), self.mem.key)
+    def _sweep_take(self, run, ct, code, vn):
+        run[1] ^= line_tag(self.mem.key, code, vn, ct)
 
 
 _DIFF_LINES = 48

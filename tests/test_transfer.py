@@ -198,7 +198,7 @@ def test_direct_install_overrides_writes_still_waiting_to_be_sealed():
     grad_base = CPU_BASE + 0x20000
     for i in range(n):
         mem.write_line(grad_base + i * LINE_BYTES, b"\xee" * LINE_BYTES)
-    assert mem._unsealed
+    assert mem._pending
     rec = dev.register_tensor(6, 0x50000000, n)
     data = lines(n, 9)
     dev.store_tensor_stream(rec, data)
@@ -206,7 +206,7 @@ def test_direct_install_overrides_writes_still_waiting_to_be_sealed():
     eng.advance(rec.verify_done_tick)
     direct_transfer(session, eng, tensor_id=6, direction="npu_to_cpu",
                     analyzer=ta, npu=dev, cpu_base=grad_base)
-    assert not mem._unsealed
+    assert not mem._pending
     assert [mem.read_line(grad_base + i * LINE_BYTES)[0] for i in range(n)] == data
 
 
@@ -263,8 +263,8 @@ def test_secrecy_no_plaintext_in_staging_or_link():
                       staging=staging)
     for blk in staging.blocks:
         assert marker not in blk.to_bytes()
-    for idx, blk in enumerate(mem.blocks[:n]):
-        assert marker not in blk.to_bytes()
+    for data, _, _ in mem.export_lines([CPU_BASE + i * LINE_BYTES for i in range(n)]):
+        assert marker not in data.to_bytes(LINE_BYTES, "little")
 
 
 def test_direct_overlaps_compute_where_baseline_cannot():
