@@ -25,13 +25,11 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .crypto import (
-    LINE_BYTES, MASK56, NULL_KEY, SEAL_BATCH_MIN, BindingMode, CipherBlock,
-    CounterBinding, IntegrityFault, KeyMaterial, VnTree, keystream_lines,
-    line_pad, line_tag, mac_lines, open_lines, words_to_bytes,
+    LINE_BYTES, MASK56, NULL_KEY, SEAL_BATCH_MIN, CipherBlock, CounterBinding,
+    IntegrityFault, KeyMaterial, VnTree, keystream_lines, line_pad, line_tag,
+    mac_lines, open_lines, pa_binding_codes,
 )
-# unused here since the store seals and opens through the code-level kernels,
-# but the tracer's tests in perfbench/tests look these names up in every
-# module that held them
+# unused, but perfbench/tests' tracer test looks these names up here
 from .crypto import decrypt_block, encrypt_block, mac_block  # noqa: F401
 
 VNS_PER_LINE = 8
@@ -142,31 +140,26 @@ class ProtectedMemory:
     """One enclave's protected DRAM region at cacheline granularity.
 
     The off-chip state is one flat array per field, indexed by line: the
-    ciphertext (`_ct`, 64 bytes a line, with `_words` its (n, 8) uint64 view
-    for batches), the MACs, the VNs (eight to a VN-line, the tree's leaves),
-    the binding codes and a written mask. A never-written line is zero in
-    every array. Its first read, or the adversary harness, materializes it:
-    zeros sealed under its default physical-address binding. No other module
-    knows this format; they go through `line`, `codes`, `export_lines`,
-    `install_lines` and `plaintexts`.
+    ciphertext (`_ct`, with `_words` its (n, 8) uint64 view for batches), the
+    MACs, the VNs (eight to a VN-line, the tree's leaves), the binding codes
+    and a written mask. A line's binding is its physical address until a
+    write names another. A never-written line holds zeros until a read or
+    the adversary harness materializes it: zeros sealed under its VN. Other
+    modules go through `line`, `codes`, `install_lines` and `plaintexts`.
 
     Without functional crypto the memory runs under the null cipher
     (`crypto.NULL_KEY`): the same protocol and checks, with data-independent
     tags, so `inject_attack` refuses.
 
-    Deferred sealing: `write_line` does its per-line accounting, VN update and
-    tree update at once, stores the plaintext in the ciphertext array and the
-    binding code in its array, and records the line as pending. `seal()`
-    encrypts and MACs every pending line in place, in one batch.
-    Invariant: no reader and no adversary ever sees an unsealed line, because
-    every observer of ciphertext or MACs seals first: `macs`, `line`,
-    `read_lines`, `line_mac`, `export_lines`, `plaintexts`, `materialize`,
-    `snapshot_triple` and `inject_attack`. So each sees exactly the state
-    that sealing at every write would have left, and reads still decrypt and
-    verify each line before returning it. A write may name a tag sink, to
-    which its seal appends the fresh tag: an on-chip copy that a later tamper
-    of the MAC region cannot reach. A pending write that feeds a sink is
-    sealed before its line is overwritten.
+    Deferred sealing: `write_line` does its accounting, VN and tree updates
+    at once, but leaves the plaintext in the ciphertext array, pending, until
+    `seal()` encrypts and MACs every pending line in place, in one batch. No
+    reader and no adversary ever sees an unsealed line, because every
+    observer of ciphertext or MACs seals first, so each sees exactly the
+    state that sealing at every write would have left. A write may name a
+    tag sink, to which its seal appends the fresh tag: an on-chip copy that a
+    later tamper of the MAC region cannot reach. A pending write that feeds a
+    sink is sealed before its line is overwritten.
     """
 
     def __init__(self, base_pa: int, n_lines: int, key: KeyMaterial, *,
@@ -181,7 +174,7 @@ class ProtectedMemory:
         zeros = bytes(8 * n_lines)
         self._macs = array("Q", zeros)
         self._vns = array("Q", zeros)
-        self._codes = array("Q", zeros)
+        self._codes = array("Q", pa_binding_codes(base_pa, n_lines).tobytes())
         self._written = bytearray(n_lines)
         # idx -> tag sink (or None) of a line written but not yet sealed
         self._pending: dict[int, Optional[list]] = {}
@@ -206,38 +199,38 @@ class ProtectedMemory:
         pending = self._pending
         if not pending:
             return
-        key, codes, vns, macs = self.key, self._codes, self._vns, self._macs
         if len(pending) < SEAL_BATCH_MIN:
-            ct = self._ct
-            tags = []
+            key, ct, tags = self.key, self._ct, []
             for idx in pending:
-                o = idx * LINE_BYTES
-                code, vn = codes[idx], vns[idx]
+                code, vn, o = self._codes[idx], self._vns[idx], idx * LINE_BYTES
                 data = int.from_bytes(ct[o:o + LINE_BYTES], "little") ^ \
                     line_pad(key, code, vn)
                 ct[o:o + LINE_BYTES] = data.to_bytes(LINE_BYTES, "little")
-                tag = macs[idx] = line_tag(key, code, vn, ct, o)
+                tag = self._macs[idx] = line_tag(key, code, vn, ct, o)
                 tags.append(tag)
         else:
             at = np.fromiter(pending, dtype=np.intp, count=len(pending))
-            batch_codes = np.frombuffer(codes, dtype=np.uint64)[at]
-            batch_vns = np.frombuffer(vns, dtype=np.uint64)[at]
-            words = self._words[at]
-            words ^= keystream_lines(key, batch_codes, batch_vns)
+            codes = np.frombuffer(self._codes, dtype=np.uint64)[at]
+            vns = np.frombuffer(self._vns, dtype=np.uint64)[at]
+            words = self._words[at] ^ keystream_lines(self.key, codes, vns)
             self._words[at] = words
-            tags = mac_lines(key, batch_codes, words, batch_vns)
-            np.frombuffer(macs, dtype=np.uint64)[at] = tags
+            tags = mac_lines(self.key, codes, words, vns)
+            np.frombuffer(self._macs, dtype=np.uint64)[at] = tags
             tags = tags.tolist()
         for sink, tag in zip(pending.values(), tags):
             if sink is not None:
                 sink.append(tag)
         pending.clear()
 
-    def _settle(self, idx: int) -> None:
-        """Before line `idx` is overwritten: a pending write of it that feeds
-        a tag sink is sealed now, so the sink still receives its tag."""
-        if self._pending.get(idx) is not None:
-            self.seal()
+    def _materialize(self, idxs) -> None:
+        """Seal, with every never-written line of `idxs` given its zero
+        plaintext (already in place) to seal under its VN."""
+        written, pending = self._written, self._pending
+        for idx in idxs:
+            if not written[idx]:
+                written[idx] = 1
+                pending[idx] = None
+        self.seal()
 
     # -- addressing --------------------------------------------------------
 
@@ -247,83 +240,47 @@ class ProtectedMemory:
             raise ValueError(f"pa {pa:#x} outside protected region or unaligned")
         return off // LINE_BYTES
 
-    def _default_code(self, idx: int) -> int:
-        """The code of line `idx`'s binding until a write names another: its
-        physical address."""
-        return CounterBinding(BindingMode.PHYSICAL_ADDR,
-                              self.base_pa + idx * LINE_BYTES)._code
-
     def vn_of(self, pa: int) -> int:
         """Oracle view of the off-chip VN; no cost accounting."""
         return self._vns[self.line_index(pa)]
 
     # -- the store, for the other modules ---------------------------------------
 
-    def line(self, idx: int, vn: int) -> tuple[bytes, int]:
-        """Line `idx`'s ciphertext and binding code, with no cost accounting.
-        A never-written line is materialized first, under `vn`."""
+    def line(self, idx: int) -> tuple[bytes, int]:
+        """Line `idx`'s ciphertext and binding code, with no cost accounting;
+        a never-written line is materialized first."""
         self.seal()
         if not self._written[idx]:
-            self._materialize(idx, vn)
+            self._materialize((idx,))
         o = idx * LINE_BYTES
         return bytes(self._ct[o:o + LINE_BYTES]), self._codes[idx]
 
     def codes(self, pas) -> list[int]:
-        """The binding code of each line of `pas`; a never-written line's is
-        the one it would be materialized under."""
-        codes, written = self._codes, self._written
-        out = []
-        for pa in pas:
-            idx = self.line_index(pa)
-            out.append(codes[idx] if written[idx] else self._default_code(idx))
-        return out
-
-    def export_lines(self, pas) -> list[tuple[int, int, int]]:
-        """(ciphertext as a 512-bit int, binding code, VN) of each line of
-        `pas`, for a verbatim move to another device. A never-written line is
-        not materialized: its ciphertext is 0 and its code the default one."""
-        self.seal()
-        ct, vns = self._ct, self._vns
-        out = []
-        for pa, code in zip(pas, self.codes(pas)):
-            idx = self.line_index(pa)
-            o = idx * LINE_BYTES
-            out.append((int.from_bytes(ct[o:o + LINE_BYTES], "little"), code,
-                        vns[idx]))
-        return out
+        """The binding code of each line of `pas`."""
+        return [self._codes[idx] for idx in map(self.line_index, pas)]
 
     def install_lines(self, base_pa: int, blocks: Sequence[CipherBlock],
                       tags: Sequence[int], vn: int) -> None:
         """Store lines sealed elsewhere verbatim, with their tags, as the
-        lines from `base_pa` on, each under VN `vn`. A received line replaces
-        any write of it still waiting to be sealed. Each line costs a data,
-        VN and MAC write and a tree-path update, with no metadata-cache
-        traffic: the cached node-lines are refreshed when the tree flushes."""
+        lines from `base_pa` on, each under VN `vn`, once every pending write
+        is sealed. Each line costs a data, VN and MAC write and a tree-path
+        update, with no metadata-cache traffic: the cached node-lines are
+        refreshed when the tree flushes."""
         n = len(blocks)
         lo = self.line_index(base_pa)
         hi = self.line_index(base_pa + (n - 1) * LINE_BYTES) + 1
-        pending = self._pending
-        if any(pending.get(idx) is not None for idx in range(lo, hi)):
-            self.seal()
-        for idx in range(lo, hi):
-            pending.pop(idx, None)
+        self.seal()
         self._ct[lo * LINE_BYTES:hi * LINE_BYTES] = \
             b"".join([blk.to_bytes() for blk in blocks])
         self._written[lo:hi] = b"\x01" * n
-        codes, macs, vns = self._codes, self._macs, self._vns
-        for idx, blk, tag in zip(range(lo, hi), blocks, tags):
-            codes[idx] = blk.binding._code
-            macs[idx] = tag
-            vns[idx] = vn
-        for li in range(lo // VNS_PER_LINE, (hi - 1) // VNS_PER_LINE + 1):
-            s = li * VNS_PER_LINE
-            # every line's update dirties the same number of node-lines
-            dirtied = self.tree.update_path(li, vns[s:s + VNS_PER_LINE])
         t = self.totals
-        t["data_wr"] += LINE_BYTES * n
-        t["vn_wr"] += LINE_BYTES * n
-        t["mac_wr"] += LINE_BYTES * n
-        t["tree_wr"] += LINE_BYTES * len(dirtied) * n
+        for idx, blk, tag in zip(range(lo, hi), blocks, tags):
+            self._codes[idx], self._macs[idx], self._vns[idx] = \
+                blk.binding._code, tag, vn
+            li = idx // VNS_PER_LINE
+            t["tree_wr"] += LINE_BYTES * len(self.tree.update_path(li, self._vn_line(li)))
+        for k in ("data_wr", "vn_wr", "mac_wr"):
+            t[k] += LINE_BYTES * n
 
     def plaintexts(self, pas) -> list[bytes]:
         """Oracle: the plaintext of each line of `pas` under its stored
@@ -331,13 +288,20 @@ class ProtectedMemory:
         line reads as zeros."""
         self.seal()
         idxs = [self.line_index(pa) for pa in pas]
-        at = np.fromiter(idxs, dtype=np.intp, count=len(idxs))
-        pads = keystream_lines(self.key, np.frombuffer(self._codes, dtype=np.uint64)[at],
-                               np.frombuffer(self._vns, dtype=np.uint64)[at])
-        pads ^= self._words[at]
-        written = self._written
-        return [p if written[idx] else _ZERO_LINE
-                for idx, p in zip(idxs, words_to_bytes(pads))]
+        return [p if self._written[idx] else _ZERO_LINE
+                for idx, p in zip(idxs, self._open(idxs)[1])]
+
+    def _open(self, idxs) -> tuple[list[int], list[bytes]]:
+        """Tags and plaintexts of the sealed lines `idxs`, each under its
+        stored binding and VN."""
+        ct, codes, vns = self._ct, self._codes, self._vns
+        return open_lines(
+            self.key, [codes[i] for i in idxs],
+            b"".join([ct[i * LINE_BYTES:(i + 1) * LINE_BYTES] for i in idxs]),
+            [vns[i] for i in idxs])
+
+    def _vn_line(self, li: int) -> array:
+        return self._vns[li * VNS_PER_LINE:(li + 1) * VNS_PER_LINE]
 
     # -- VN resolution with tree verification ------------------------------
 
@@ -377,8 +341,7 @@ class ProtectedMemory:
         """Verify the (cold-fetched) VN-line against the on-chip root, then
         cache the line and every node-line the walk touched."""
         li = self.line_index(pa) // VNS_PER_LINE
-        s = li * VNS_PER_LINE
-        fetched = self.tree.verify_path(li, self._vns[s:s + VNS_PER_LINE],
+        fetched = self.tree.verify_path(li, self._vn_line(li),
                                         self._tree_cache_lookup)
         t["tree_rd"] += LINE_BYTES * len(fetched)
         t["cycles"] += HASH_CYCLES * (len(fetched) + 1)
@@ -416,19 +379,12 @@ class ProtectedMemory:
         per-line reads would have."""
         self.seal()
         idxs = [self.line_index(pa) for pa in pas]
-        codes, vns, written = self._codes, self._vns, self._written
+        written = self._written
         # the tag and plaintext at each position whose line is written
         tags, plains = [None] * len(idxs), [None] * len(idxs)
         ks = [k for k, idx in enumerate(idxs) if written[idx]]
-        if ks:
-            ct = self._ct
-            opened = open_lines(
-                self.key, [codes[idxs[k]] for k in ks],
-                b"".join([ct[idxs[k] * LINE_BYTES:(idxs[k] + 1) * LINE_BYTES]
-                          for k in ks]),
-                [vns[idxs[k]] for k in ks])
-            for k, tag, plain in zip(ks, *opened):
-                tags[k], plains[k] = tag, plain
+        for k, tag, plain in zip(ks, *self._open([idxs[k] for k in ks])):
+            tags[k], plains[k] = tag, plain
         t = self.totals
         macs = self._macs
         for k, (pa, idx) in enumerate(zip(pas, idxs)):
@@ -442,7 +398,7 @@ class ProtectedMemory:
                     raise IntegrityFault("mac_mismatch", f"pa={pa:#x}")
             else:
                 if not written[idx]:
-                    self._materialize(idx, vn)
+                    self._materialize((idx,))
                 # materialized by this call, so it opens to zeros under the
                 # tag just made
                 plains[k] = _ZERO_LINE
@@ -473,13 +429,12 @@ class ProtectedMemory:
             new_vn = (old_vn + 1) & MASK56
         else:
             new_vn = vn & MASK56
-        self._settle(idx)
-        codes = self._codes
+        if self._pending.get(idx) is not None:
+            # a pending write that feeds a tag sink is sealed before its
+            # line is overwritten, so the sink still receives its tag
+            self.seal()
         if binding is not None:
-            codes[idx] = binding._code
-        elif not self._written[idx]:
-            # a line's binding is sticky; a first write takes the default
-            codes[idx] = self._default_code(idx)
+            self._codes[idx] = binding._code
         t["cycles"] += AES_CYCLES + MAC_CYCLES
         t["data_wr"] += LINE_BYTES
         t["mac_wr"] += LINE_BYTES
@@ -493,18 +448,16 @@ class ProtectedMemory:
         o = idx * LINE_BYTES
         self._ct[o:o + LINE_BYTES] = plain
         self._written[idx] = 1
-        vns = self._vns
-        vns[idx] = new_vn
+        self._vns[idx] = new_vn
         if self.key.null:
             # stored at once: deferring made a light criterion-4 iteration 6-10% slower
-            tag = self._macs[idx] = line_tag(self.key, codes[idx], new_vn, plain)
+            tag = self._macs[idx] = line_tag(self.key, self._codes[idx], new_vn, plain)
             if tag_sink is not None:
                 tag_sink.append(tag)
         else:
             self._pending[idx] = tag_sink
         li = idx // VNS_PER_LINE
-        s = li * VNS_PER_LINE
-        written = self.tree.update_path(li, vns[s:s + VNS_PER_LINE])
+        written = self.tree.update_path(li, self._vn_line(li))
         t["tree_wr"] += LINE_BYTES * len(written)
         t["cycles"] += HASH_CYCLES * (len(written) + 1)
         # a dirtied node-line is cached with empty contents; the tree's next
@@ -534,16 +487,6 @@ class ProtectedMemory:
     def line_mac(self, pa: int) -> int:
         return self.macs[self.line_index(pa)]
 
-    def _materialize(self, idx: int, vn: int) -> None:
-        """Give never-written line `idx` its zero plaintext sealed under `vn`
-        and its default binding, with a fresh MAC; the caller has sealed."""
-        code = self._codes[idx] = self._default_code(idx)
-        o = idx * LINE_BYTES
-        self._ct[o:o + LINE_BYTES] = line_pad(self.key, code, vn).to_bytes(
-            LINE_BYTES, "little")
-        self._macs[idx] = line_tag(self.key, code, vn, self._ct, o)
-        self._written[idx] = 1
-
     # -- adversary harness ---------------------------------------------------
 
     def materialize(self, pas: list[int]) -> list[int]:
@@ -552,25 +495,15 @@ class ProtectedMemory:
         Returns the indices of the lines `pas`. The adversary harness goes
         through here, so a tamper of a never-written line is not undone by a
         later first read."""
-        self.seal()
         idxs = [self.line_index(pa) for pa in pas]
-        written, pending = self._written, self._pending
-        for idx in idxs:
-            if not written[idx]:
-                # its zero plaintext waits in the ciphertext array
-                self._codes[idx] = self._default_code(idx)
-                written[idx] = 1
-                pending[idx] = None
-        self.seal()
+        self._materialize(idxs)
         return idxs
 
     def snapshot_triple(self, pa: int):
         """Capture ((ciphertext, binding code), VN, MAC) for a later replay
         injection."""
-        idx, = self.materialize([pa])
-        o = idx * LINE_BYTES
-        return ((bytes(self._ct[o:o + LINE_BYTES]), self._codes[idx]),
-                self._vns[idx], self._macs[idx])
+        idx = self.line_index(pa)
+        return self.line(idx), self._vns[idx], self._macs[idx]
 
     def inject_attack(self, kind: str, pa: int, *, bit: int = 0,
                       snapshot=None, delta: int = 1) -> None:
@@ -600,14 +533,6 @@ class ProtectedMemory:
 
     def flush_metadata_cache(self) -> None:
         self._charge_drain(self.cache.flush())
-
-    # -- oracle ---------------------------------------------------------------
-
-    def plaintext_view(self) -> dict[int, bytes]:
-        """Honest decryption of every present line (test oracle)."""
-        pas = [self.base_pa + idx * LINE_BYTES
-               for idx in range(self.n_lines) if self._written[idx]]
-        return dict(zip(pas, self.plaintexts(pas)))
 
 
 class PlainMemory:

@@ -22,7 +22,9 @@ from .config import (
 )
 from .crypto import IntegrityFault, KeyMaterial, LINE_BYTES
 from .engine import SimError
-from .nputee import HaltError, NpuDevice, StreamReport, VerifyMode
+from .nputee import (
+    HaltError, NpuDevice, StreamReport, VerifyMode, unprotected_stream,
+)
 from .transfer import AttestationFailure, ProtocolError, TransferReport
 from .workloads import (
     adam_layouts, adam_region_lines, build_cpu_side, gen_adam_trace,
@@ -135,13 +137,7 @@ def run_npu_stream(cfg: SimConfig) -> dict:
     key = KeyMaterial.from_seed(cfg.crypto.seed)
     results = {}
 
-    eng = build_engine(cfg)
-    done = 0
-    for _ in range(n):
-        _, f = eng.reserve("npu_gddr", LINE_BYTES)
-        _, c = eng.reserve("npu_compute", LINE_BYTES, at_tick=f)
-        done = max(done, c)
-    results["noprotect_ticks"] = done
+    results["noprotect_ticks"] = unprotected_stream(build_engine(cfg), n, 0)
 
     def run_mode(vm: VerifyMode):
         e = build_engine(cfg)
@@ -252,14 +248,27 @@ def _write_outputs(outdir: Path, metrics: dict) -> None:
             json.dumps(metrics["meta_table"], indent=1))
 
 
-def cmd_run(args) -> int:
+def _run_config(args) -> SimConfig:
+    """The config file (or the defaults) with `--mode` and `--workload`
+    applied."""
     cfg = load_config_file(args.config) if args.config else load_config({})
     if args.mode:
-        if args.mode not in MODES:
-            raise ConfigError(f"--mode must be one of {MODES}")
         cfg.mode = args.mode
     if args.workload:
         cfg.workload.name = args.workload
+    return cfg
+
+
+def _run_workload(cfg: SimConfig) -> dict:
+    name = cfg.workload.name
+    if name not in RUNNERS:
+        raise ConfigError(f"unknown workload {name!r} (choose from "
+                          f"{sorted(RUNNERS)})")
+    return RUNNERS[name](cfg)
+
+
+def cmd_run(args) -> int:
+    cfg = _run_config(args)
     outdir = Path(args.out)
 
     if args.attack:
@@ -278,17 +287,9 @@ def cmd_run(args) -> int:
         cast = SWEEP_AXES[axis][2]
         rows = []
         for raw in values.split(","):
-            point_cfg = load_config_file(args.config) if args.config \
-                else load_config({})
-            if args.mode:
-                point_cfg.mode = args.mode
-            if args.workload:
-                point_cfg.workload.name = args.workload
+            point_cfg = _run_config(args)
             _apply_axis(point_cfg, axis, cast(raw))
-            name = point_cfg.workload.name
-            if name not in RUNNERS:
-                raise ConfigError(f"unknown workload {name!r}")
-            metrics = RUNNERS[name](point_cfg)
+            metrics = _run_workload(point_cfg)
             metrics[axis] = cast(raw)
             rows.append(metrics)
             _write_outputs(outdir / f"{axis}_{raw}", metrics)
@@ -303,13 +304,9 @@ def cmd_run(args) -> int:
         print(f"sweep over {axis}: {len(rows)} points -> {outdir / 'sweep.csv'}")
         return EXIT_OK
 
-    name = cfg.workload.name
-    if name not in RUNNERS:
-        raise ConfigError(f"unknown workload {name!r} (choose from "
-                          f"{sorted(RUNNERS)})")
-    metrics = RUNNERS[name](cfg)
+    metrics = _run_workload(cfg)
     _write_outputs(outdir, metrics)
-    print(f"{name} [{MODE_LABELS[cfg.mode]}] -> {outdir / 'metrics.json'}")
+    print(f"{cfg.workload.name} [{MODE_LABELS[cfg.mode]}] -> {outdir / 'metrics.json'}")
     if metrics.get("hit_rates"):
         hr = metrics["hit_rates"]
         print(f"  hit_in={hr['hit_in']:.4f} hit_all={hr['hit_all']:.4f} "

@@ -265,6 +265,13 @@ def binding_codes(bindings: Iterable[CounterBinding]) -> np.ndarray:
     return np.fromiter((b._code for b in bindings), dtype=np.uint64)
 
 
+def pa_binding_codes(base_pa: int, n: int) -> np.ndarray:
+    """The codes of the physical-address bindings of the n lines from
+    `base_pa` on, as `CounterBinding.__post_init__` computes them."""
+    pas = np.arange(n, dtype=np.uint64) * np.uint64(LINE_BYTES) + np.uint64(base_pa)
+    return _mix_lines(pas ^ np.uint64(mix64(0)))
+
+
 def keystream_lines(key: KeyMaterial, codes, vns) -> np.ndarray:
     """(n, 8) uint64 pads for n lines with the given binding codes and VNs
     (one int VN applies to every line); row i equals

@@ -110,6 +110,17 @@ class StreamReport:
         return "tensor_id,mode,lines,stall_cycles,verify_cycles,faults"
 
 
+def unprotected_stream(engine: Engine, n_lines: int, at: int) -> int:
+    """Stream `n_lines` lines from GDDR to compute with no protection;
+    returns the tick the last line's compute is done."""
+    done = at
+    for _ in range(n_lines):
+        _, fetched = engine.reserve("npu_gddr", LINE_BYTES, at_tick=at)
+        _, computed = engine.reserve("npu_compute", LINE_BYTES, at_tick=fetched)
+        done = max(done, computed)
+    return done
+
+
 def _fold_blocks(tags: list[int], granularity: int) -> list[int]:
     """XOR-fold per-line tags into one tag per `granularity`-byte block."""
     per = max(1, granularity // LINE_BYTES)

@@ -42,8 +42,7 @@ from .crypto import (
     IntegrityFault, keystream_lines, line_pad, line_tag, mac_xor_aggregate,
     open_lines,
 )
-# unused here since covered reads work on binding codes, but the tracer's
-# tests in perfbench/tests look these names up in every module that held them
+# unused, but perfbench/tests' tracer test looks these names up here
 from .crypto import keystream, mac_block  # noqa: F401
 
 MAX_STRIDE_BYTES = 1024 * LINE_BYTES   # 10-bit line-stride semantics, stored wider
@@ -355,7 +354,7 @@ class TenAnalyzer:
         else:
             vn_eff = e.vn
         idx = mem.line_index(va)
-        ct, code = mem.line(idx, vn_eff)
+        ct, code = mem.line(idx)
         k = e.ordinal(va)
         if mem.key.null:
             # the null pad is 0; its batch made a light criterion-4 iteration 8-16% slower
@@ -382,7 +381,6 @@ class TenAnalyzer:
 
     def _fill_pads(self, e: MetaTableEntry) -> None:
         mem = self.mem
-        # a never-written line materializes under the code given for it
         codes = mem.codes(e.addresses())
         e.pads = keystream_lines(mem.key, codes, e.vn).tobytes()
         e.pad_codes = codes
@@ -469,7 +467,7 @@ class TenAnalyzer:
         if cold:
             mem.walk_tree(va, t)
         idx = mem.line_index(va)
-        ct, code = mem.line(idx, vn_true)
+        ct, code = mem.line(idx)
         # the line's stored MAC rides along with the VN confirmation
         self._per_line_mac(idx, ct, code, vn_true, t)
         plain = (int.from_bytes(ct, "little") ^ line_pad(mem.key, code, vn_true)

@@ -340,17 +340,17 @@ def direct_transfer(session: SessionState, engine: Engine, *,
         rep = TransferReport("direct", tensor_id, start_tick=t0, done_tick=t0)
         if n == 0:
             return rep
-        vas = sorted(e.addresses())
+        mem = analyzer.mem
         lines = []
-        for i, (va, (data, code, vn)) in enumerate(
-                zip(vas, analyzer.mem.export_lines(vas))):
+        for i, va in enumerate(sorted(e.addresses())):
+            ct, code = mem.line(mem.line_index(va))
             binding = CounterBinding(BindingMode.TENSOR_LOGICAL, tensor_id,
                                      i * LINE_BYTES)
             if code != binding._code:
                 raise ProtocolError(f"line {va:#x} is not bound to tensor "
                                     f"{tensor_id}; direct transfer needs "
                                     f"tensor-logical ciphertext")
-            lines.append(CipherBlock(data, binding, vn))
+            lines.append(CipherBlock(int.from_bytes(ct, "little"), binding, e.vn))
         base_rx = npu_base if npu_base is not None else \
             0x4000_0000 + tensor_id * 0x100_0000
         msg = MetadataMessage(tensor_id, base_rx, n, e.stride, e.vn, e.mac)

@@ -30,7 +30,7 @@ from .crypto import LINE_BYTES, KeyMaterial
 # unused here since `_final_weights` decrypts in one batch, but the tracer's
 # tests in perfbench/tests look this name up in every module that held it
 from .crypto import decrypt_block  # noqa: F401
-from .nputee import NpuDevice, VerifyMode
+from .nputee import NpuDevice, VerifyMode, unprotected_stream
 from .tenanalyzer import TenAnalyzer
 from .transfer import (
     Enclave, TransferReport, attest_and_exchange, baseline_transfer,
@@ -443,14 +443,6 @@ class ZeroOffloadRunner:
 
     # -- NPU phases ----------------------------------------------------------------
 
-    def _npu_plain_stream(self, n_lines: int, at: int) -> int:
-        done = at
-        for _ in range(n_lines):
-            _, f = self.engine.reserve("npu_gddr", LINE_BYTES, at_tick=at)
-            _, c = self.engine.reserve("npu_compute", LINE_BYTES, at_tick=f)
-            done = max(done, c)
-        return done
-
     def _weights_to_npu(self, at: int) -> int:
         done = at
         if self.mode == "nonsecure":
@@ -478,7 +470,7 @@ class ZeroOffloadRunner:
         done = at
         for t, lay in enumerate(self.layouts):
             if self.mode == "nonsecure":
-                done = max(done, self._npu_plain_stream(lay.n_lines, at))
+                done = max(done, unprotected_stream(self.engine, lay.n_lines, at))
             else:
                 rec = self.npu.records[self.WEIGHT_TID + t]
                 _, rep = self.npu.load_tensor_stream(rec, self.verify_mode,

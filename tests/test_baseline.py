@@ -28,6 +28,10 @@ def make_mem(n_lines=4096, cache_bytes=32 * 1024, crypto_on=True):
                            metadata_cache_bytes=cache_bytes, crypto_on=crypto_on)
 
 
+def _plaintexts(mem):
+    return mem.plaintexts([BASE + i * LINE_BYTES for i in range(mem.n_lines)])
+
+
 def _store(mem):
     """Every field the store keeps, sealed: ciphertexts, MACs, VNs, binding
     codes and the written mask."""
@@ -155,7 +159,7 @@ def test_materialize_matches_per_line_zero_blocks(n, crypto_on):
     # the reference: seal, then encrypt and MAC each never-written line alone
     per_line.seal()
     for pa in pas:
-        per_line.line(per_line.line_index(pa), per_line.vn_of(pa))
+        per_line.line(per_line.line_index(pa))
     assert _store(batch) == _store(per_line)
     assert batch._written[n - 1] and not batch._written[n]
 
@@ -238,9 +242,9 @@ def test_functional_equivalence_against_dict_oracle():
         else:
             plain, _ = mem.read_line(pa)
             assert plain == oracle.get(pa, b"\x00" * LINE_BYTES)
-    view = mem.plaintext_view()
+    view = _plaintexts(mem)
     for pa, data in oracle.items():
-        assert view[pa] == data
+        assert view[mem.line_index(pa)] == data
 
 
 def test_cost_report_csv_shape():
@@ -328,7 +332,7 @@ def _try_read(mem, pa):
 
 def _observables(mem):
     return (dict(mem.totals), mem.cache.hits, mem.cache.misses, _store(mem),
-            mem.plaintext_view(), mem.tree.root)
+            _plaintexts(mem), mem.tree.root)
 
 
 @given(_SEAL_OPS)
@@ -365,7 +369,7 @@ def test_deferred_sealing_matches_eager_reference(ops):
             a, b = both(lambda m: m.line_mac(BASE + op[1] * LINE_BYTES))
             assert a == b
         elif kind == "view":
-            a, b = both(lambda m: m.plaintext_view())
+            a, b = both(_plaintexts)
             assert a == b
         else:
             _, attack, line, bit = op
@@ -503,7 +507,7 @@ class PerLineProtectedMemory(ProtectedMemory):
         idx = self.line_index(pa)
         t["data_rd"] += LINE_BYTES
         vn, cold = self.resolve_vn(pa, t)
-        ct, code = self.line(idx, vn)
+        ct, code = self.line(idx)
         t["cycles"] += AES_CYCLES + MAC_CYCLES
         t["mac_rd"] += LINE_BYTES
         plain = (int.from_bytes(ct, "little") ^ line_pad(self.key, code, vn)

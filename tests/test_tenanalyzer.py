@@ -40,7 +40,7 @@ def seed_entry(ta, base, nx, ny=1, stride=LINE_BYTES, vn=0):
         mem._vns[idx] = vn
         mem.tree.update_path(li, mem._vns[li * 8:li * 8 + 8])
         mem._written[idx] = 0
-        mem.line(idx, vn)      # zeros, sealed under vn
+        mem.line(idx)      # zeros, sealed under vn
         mac ^= mem.macs[idx]
     e = MetaTableEntry(base, nx, ny, stride, vn, mac)
     assert ta._insert_entry(e) is not None

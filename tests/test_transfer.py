@@ -263,8 +263,9 @@ def test_secrecy_no_plaintext_in_staging_or_link():
                       staging=staging)
     for blk in staging.blocks:
         assert marker not in blk.to_bytes()
-    for data, _, _ in mem.export_lines([CPU_BASE + i * LINE_BYTES for i in range(n)]):
-        assert marker not in data.to_bytes(LINE_BYTES, "little")
+    for i in range(n):
+        ct, _ = mem.line(mem.line_index(CPU_BASE + i * LINE_BYTES))
+        assert marker not in ct
 
 
 def test_direct_overlaps_compute_where_baseline_cannot():
