@@ -124,10 +124,6 @@ class MetadataCache:
         if slot is not None:
             slot[0] = value
 
-    def invalidate(self, key) -> None:
-        self.last_write = None
-        self._d.pop(key, None)
-
     def flush(self) -> list:
         """Drop everything; returns the dirty keys that had to drain."""
         self.last_write = None
@@ -142,24 +138,21 @@ class ProtectedMemory:
     The off-chip state is one flat array per field, indexed by line: the
     ciphertext (`_ct`, with `_words` its (n, 8) uint64 view for batches), the
     MACs, the VNs (eight to a VN-line, the tree's leaves), the binding codes
-    and a written mask. A line's binding is its physical address until a
-    write names another. A never-written line holds zeros until a read or
-    the adversary harness materializes it: zeros sealed under its VN. Other
-    modules go through `line`, `codes`, `install_lines` and `plaintexts`.
+    (a line's physical address until a write names another binding) and a
+    written mask. A never-written line holds zeros until a read or the
+    adversary harness materializes it. Other modules go through `line`,
+    `codes`, `install_lines` and `plaintexts`.
 
     Without functional crypto the memory runs under the null cipher
     (`crypto.NULL_KEY`): the same protocol and checks, with data-independent
     tags, so `inject_attack` refuses.
 
-    Deferred sealing: `write_line` does its accounting, VN and tree updates
-    at once, but leaves the plaintext in the ciphertext array, pending, until
-    `seal()` encrypts and MACs every pending line in place, in one batch. No
-    reader and no adversary ever sees an unsealed line, because every
-    observer of ciphertext or MACs seals first, so each sees exactly the
-    state that sealing at every write would have left. A write may name a
-    tag sink, to which its seal appends the fresh tag: an on-chip copy that a
-    later tamper of the MAC region cannot reach. A pending write that feeds a
-    sink is sealed before its line is overwritten.
+    Deferred sealing: a write's plaintext waits in the ciphertext array until
+    `seal()` encrypts and MACs every pending line in place, in one batch.
+    Every observer of ciphertext or MACs seals first, so each sees exactly
+    the state that sealing at every write would have left. A write may name
+    a tag sink, to which its seal appends the fresh tag: an on-chip copy that
+    a later tamper of the MAC region cannot reach.
     """
 
     def __init__(self, base_pa: int, n_lines: int, key: KeyMaterial, *,
@@ -206,25 +199,22 @@ class ProtectedMemory:
                 data = int.from_bytes(ct[o:o + LINE_BYTES], "little") ^ \
                     line_pad(key, code, vn)
                 ct[o:o + LINE_BYTES] = data.to_bytes(LINE_BYTES, "little")
-                tag = self._macs[idx] = line_tag(key, code, vn, ct, o)
-                tags.append(tag)
+                tags.append(line_tag(key, code, vn, ct, o))
         else:
             at = np.fromiter(pending, dtype=np.intp, count=len(pending))
             codes = np.frombuffer(self._codes, dtype=np.uint64)[at]
             vns = np.frombuffer(self._vns, dtype=np.uint64)[at]
             words = self._words[at] ^ keystream_lines(self.key, codes, vns)
             self._words[at] = words
-            tags = mac_lines(self.key, codes, words, vns)
-            np.frombuffer(self._macs, dtype=np.uint64)[at] = tags
-            tags = tags.tolist()
-        for sink, tag in zip(pending.values(), tags):
+            tags = mac_lines(self.key, codes, words, vns).tolist()
+        for (idx, sink), tag in zip(pending.items(), tags):
+            self._macs[idx] = tag
             if sink is not None:
                 sink.append(tag)
         pending.clear()
 
     def _materialize(self, idxs) -> None:
-        """Seal, with every never-written line of `idxs` given its zero
-        plaintext (already in place) to seal under its VN."""
+        """Seal, with the never-written lines of `idxs` (zeros) pending."""
         written, pending = self._written, self._pending
         for idx in idxs:
             if not written[idx]:
@@ -261,11 +251,10 @@ class ProtectedMemory:
 
     def install_lines(self, base_pa: int, blocks: Sequence[CipherBlock],
                       tags: Sequence[int], vn: int) -> None:
-        """Store lines sealed elsewhere verbatim, with their tags, as the
-        lines from `base_pa` on, each under VN `vn`, once every pending write
-        is sealed. Each line costs a data, VN and MAC write and a tree-path
-        update, with no metadata-cache traffic: the cached node-lines are
-        refreshed when the tree flushes."""
+        """Seal, then store lines sealed elsewhere verbatim, with their tags,
+        as the lines from `base_pa` on, each under VN `vn`. Each costs a data,
+        VN and MAC write and a tree-path update, with no metadata-cache
+        traffic: cached node-lines are refreshed when the tree flushes."""
         n = len(blocks)
         lo = self.line_index(base_pa)
         hi = self.line_index(base_pa + (n - 1) * LINE_BYTES) + 1
@@ -292,8 +281,7 @@ class ProtectedMemory:
                 for idx, p in zip(idxs, self._open(idxs)[1])]
 
     def _open(self, idxs) -> tuple[list[int], list[bytes]]:
-        """Tags and plaintexts of the sealed lines `idxs`, each under its
-        stored binding and VN."""
+        """Tags and plaintexts of sealed lines under their stored state."""
         ct, codes, vns = self._ct, self._codes, self._vns
         return open_lines(
             self.key, [codes[i] for i in idxs],
@@ -328,14 +316,8 @@ class ProtectedMemory:
 
     def _charge_drain(self, keys) -> None:
         t = self.totals
-        for k in keys:
-            kind = k[0]
-            if kind == "vn":
-                t["vn_wb"] += LINE_BYTES
-            elif kind == "tn":
-                t["tree_wb"] += LINE_BYTES
-            elif kind == "mac":
-                t["mac_wb"] += LINE_BYTES
+        for k in keys:   # VN-lines and tree node-lines; MACs are never cached
+            t["vn_wb" if k[0] == "vn" else "tree_wb"] += LINE_BYTES
 
     def walk_tree(self, pa: int, t: dict) -> None:
         """Verify the (cold-fetched) VN-line against the on-chip root, then

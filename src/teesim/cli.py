@@ -249,8 +249,7 @@ def _write_outputs(outdir: Path, metrics: dict) -> None:
 
 
 def _run_config(args) -> SimConfig:
-    """The config file (or the defaults) with `--mode` and `--workload`
-    applied."""
+    """The config file, or the defaults, with `--mode` and `--workload`."""
     cfg = load_config_file(args.config) if args.config else load_config({})
     if args.mode:
         cfg.mode = args.mode

@@ -111,8 +111,7 @@ class StreamReport:
 
 
 def unprotected_stream(engine: Engine, n_lines: int, at: int) -> int:
-    """Stream `n_lines` lines from GDDR to compute with no protection;
-    returns the tick the last line's compute is done."""
+    """Stream lines from GDDR to compute unprotected; returns the done tick."""
     done = at
     for _ in range(n_lines):
         _, fetched = engine.reserve("npu_gddr", LINE_BYTES, at_tick=at)

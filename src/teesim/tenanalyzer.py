@@ -380,10 +380,8 @@ class TenAnalyzer:
         return line_pad(self.mem.key, code, vn)
 
     def _fill_pads(self, e: MetaTableEntry) -> None:
-        mem = self.mem
-        codes = mem.codes(e.addresses())
-        e.pads = keystream_lines(mem.key, codes, e.vn).tobytes()
-        e.pad_codes = codes
+        e.pad_codes = self.mem.codes(e.addresses())
+        e.pads = keystream_lines(self.mem.key, e.pad_codes, e.vn).tobytes()
 
     def _hit_in_mac(self, e, k, idx, ct, code, vn_eff, t) -> None:
         """Sequential covered reads accumulate toward a free whole-tensor MAC

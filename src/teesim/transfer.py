@@ -359,7 +359,7 @@ def direct_transfer(session: SessionState, engine: Engine, *,
         _, link_done = engine.reserve("link", n * LINE_BYTES, at_tick=t0)
         rx = decode_metadata(wire, session)
         npu.install_transferred(rx.tensor_id, rx.base, rx.n_lines, rx.vn,
-                                rx.mac, lines, [False] * n)
+                                rx.mac, lines)
         rep.bytes_link = n * LINE_BYTES + MSG_WIRE_BYTES
         rep.done_tick = max(chan_done, link_done) + SYNC_TICKS
     elif direction == "npu_to_cpu":
