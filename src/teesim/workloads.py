@@ -27,8 +27,7 @@ import numpy as np
 from .baseline import PlainMemory, ProtectedMemory
 from .config import SimConfig, build_engine
 from .crypto import LINE_BYTES, KeyMaterial
-# unused here since `_final_weights` decrypts in one batch, but the tracer's
-# tests in perfbench/tests look this name up in every module that held it
+# unused, but perfbench/tests' tracer test looks this name up here
 from .crypto import decrypt_block  # noqa: F401
 from .nputee import NpuDevice, VerifyMode, unprotected_stream
 from .tenanalyzer import TenAnalyzer
