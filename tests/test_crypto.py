@@ -19,7 +19,7 @@ from teesim.crypto import (
     CipherBlock, CounterBinding, IntegrityFault, KeyMaterial, VnTree, _leaf_hash,
     _node_hash, binding_codes, decrypt_block, encrypt_block, keystream,
     keystream_lines, line_words, mac_block, mac_lines, mac_xor_aggregate, mix64,
-    open_blocks, seal_lines, words_to_bytes, words_to_ints,
+    open_blocks, pa_binding_codes, seal_lines, words_to_bytes, words_to_ints,
 )
 
 KEY = KeyMaterial.from_seed(0x5EED)
@@ -329,6 +329,14 @@ def test_fused_kernels_match_reference(binding, data, vn, seed):
     vns = [(data >> (64 * i)) & MASK64 for i in range(8)]
     assert _leaf_hash(key, seed & 0xFFFF, vns) == _ref_leaf_hash(key, seed & 0xFFFF, vns)
     assert _node_hash(key, 2, vn & 0xFF, vns) == _ref_node_hash(key, 2, vn & 0xFF, vns)
+
+
+@given(st.integers(min_value=0, max_value=(1 << 50) - 1), st.integers(1, 20))
+def test_pa_binding_codes_are_the_physical_bindings_codes(line, n):
+    base = line * LINE_BYTES
+    assert pa_binding_codes(base, n).tolist() == [
+        CounterBinding(BindingMode.PHYSICAL_ADDR, base + i * LINE_BYTES).code()
+        for i in range(n)]
 
 
 def test_counter_binding_code_not_compared():
