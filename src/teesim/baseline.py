@@ -25,9 +25,9 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .crypto import (
-    LINE_BYTES, MASK56, NULL_KEY, SEAL_BATCH_MIN, CipherBlock, CounterBinding,
-    IntegrityFault, KeyMaterial, VnTree, keystream_lines, line_pad, line_tag,
-    mac_lines, open_lines, pa_binding_codes,
+    LINE_BYTES, MASK56, NULL_KEY, CipherBlock, CounterBinding,
+    IntegrityFault, KeyMaterial, VnTree, keystream_lines, line_tag, open_lines,
+    pa_binding_codes, seal_into, words_to_bytes,
 )
 # unused, but perfbench/tests' tracer test looks these names up here
 from .crypto import decrypt_block, encrypt_block, mac_block  # noqa: F401
@@ -164,15 +164,16 @@ class ProtectedMemory:
         self.key = key if crypto_on else NULL_KEY
         self._ct = bytearray(n_lines * LINE_BYTES)
         self._words = np.frombuffer(self._ct, dtype="<u8").reshape(n_lines, 8)
-        zeros = bytes(8 * n_lines)
-        self._macs = array("Q", zeros)
-        self._vns = array("Q", zeros)
+        n_vn_lines = -(-n_lines // VNS_PER_LINE)
+        self._macs = array("Q", bytes(8 * n_lines))
+        # padded to whole VN-lines: every tree leaf hashes eight VNs
+        self._vns = array("Q", bytes(8 * VNS_PER_LINE * n_vn_lines))
         self._codes = array("Q", pa_binding_codes(base_pa, n_lines).tobytes())
         self._written = bytearray(n_lines)
         # idx -> tag sink (or None) of a line written but not yet sealed
         self._pending: dict[int, Optional[list]] = {}
         self.cache = MetadataCache(metadata_cache_bytes)
-        self.tree = VnTree(-(-n_lines // VNS_PER_LINE), self.key,
+        self.tree = VnTree(n_vn_lines, self.key,
                            on_flush=self._refresh_cached_nodes)
         self.tree.build(())
         self.totals: dict[str, int] = dict.fromkeys(TOTALS_KEYS, 0)
@@ -192,21 +193,7 @@ class ProtectedMemory:
         pending = self._pending
         if not pending:
             return
-        if len(pending) < SEAL_BATCH_MIN:
-            key, ct, tags = self.key, self._ct, []
-            for idx in pending:
-                code, vn, o = self._codes[idx], self._vns[idx], idx * LINE_BYTES
-                data = int.from_bytes(ct[o:o + LINE_BYTES], "little") ^ \
-                    line_pad(key, code, vn)
-                ct[o:o + LINE_BYTES] = data.to_bytes(LINE_BYTES, "little")
-                tags.append(line_tag(key, code, vn, ct, o))
-        else:
-            at = np.fromiter(pending, dtype=np.intp, count=len(pending))
-            codes = np.frombuffer(self._codes, dtype=np.uint64)[at]
-            vns = np.frombuffer(self._vns, dtype=np.uint64)[at]
-            words = self._words[at] ^ keystream_lines(self.key, codes, vns)
-            self._words[at] = words
-            tags = mac_lines(self.key, codes, words, vns).tolist()
+        tags = seal_into(self.key, self._ct, pending, self._codes, self._vns)
         for (idx, sink), tag in zip(pending.items(), tags):
             self._macs[idx] = tag
             if sink is not None:
@@ -227,7 +214,7 @@ class ProtectedMemory:
     def line_index(self, pa: int) -> int:
         off = pa - self.base_pa
         if off % LINE_BYTES or not (0 <= off < self.n_lines * LINE_BYTES):
-            raise ValueError(f"pa {pa:#x} outside protected region or unaligned")
+            raise ValueError(f"pa {pa:#x} outside the region or unaligned")
         return off // LINE_BYTES
 
     def vn_of(self, pa: int) -> int:
@@ -276,9 +263,12 @@ class ProtectedMemory:
         binding and VN, with no cost accounting and no check. A never-written
         line reads as zeros."""
         self.seal()
-        idxs = [self.line_index(pa) for pa in pas]
-        return [p if self._written[idx] else _ZERO_LINE
-                for idx, p in zip(idxs, self._open(idxs)[1])]
+        at = np.array([self.line_index(pa) for pa in pas], dtype=np.intp)
+        words = keystream_lines(self.key, np.asarray(self._codes)[at],
+                                np.asarray(self._vns)[at])
+        words ^= self._words[at]
+        words[np.frombuffer(self._written, dtype=np.uint8)[at] == 0] = 0
+        return words_to_bytes(words)
 
     def _open(self, idxs) -> tuple[list[int], list[bytes]]:
         """Tags and plaintexts of sealed lines under their stored state."""
@@ -526,11 +516,7 @@ class PlainMemory:
         self.blocks: list = [None] * n_lines
         self.totals: dict[str, int] = dict.fromkeys(TOTALS_KEYS, 0)
 
-    def line_index(self, pa: int) -> int:
-        off = pa - self.base_pa
-        if off % LINE_BYTES or not (0 <= off < self.n_lines * LINE_BYTES):
-            raise ValueError(f"pa {pa:#x} outside region or unaligned")
-        return off // LINE_BYTES
+    line_index = ProtectedMemory.line_index
 
     def read_lines(self, pas) -> list:
         """`read_line` of each of `pas` in order, without the per-line call."""

@@ -316,13 +316,6 @@ def _line_bytes(x) -> bytes:
     return bytes(x)
 
 
-def _line_int(x) -> int:
-    raw = _line_bytes(x)
-    if len(raw) != LINE_BYTES:
-        raise ValueError("every line must be 64 bytes")
-    return int.from_bytes(raw, "little")
-
-
 def line_words(lines: Iterable) -> np.ndarray:
     """(n, 8) uint64 words of n 64 B lines, each given as bytes or as an int
     (an int is read modulo 2^512, as `mac_block` reads ciphertext)."""
@@ -342,21 +335,43 @@ def words_to_ints(words: np.ndarray) -> list[int]:
     return [int.from_bytes(b, "little") for b in words_to_bytes(words)]
 
 
+def seal_into(key: KeyMaterial, buf: bytearray, idxs: Sequence[int],
+              codes: Sequence[int], vns: Sequence[int]) -> list[int]:
+    """Encrypt in place the plaintext lines `idxs` of `buf` (line i being
+    its bytes i * 64 to i * 64 + 64), line i under binding code `codes[i]`
+    and VN `vns[i]`, and return their tags, in the order of `idxs`: what
+    `line_pad` then `line_tag` give line by line. Fewer than
+    `SEAL_BATCH_MIN` lines go through those per-line kernels, the rest
+    through one batch."""
+    n = len(idxs)
+    if n < SEAL_BATCH_MIN:
+        tags = []
+        for i in idxs:
+            c, v, o = codes[i], vns[i], i * LINE_BYTES
+            p = int.from_bytes(buf[o:o + LINE_BYTES], "little") ^ line_pad(key, c, v)
+            buf[o:o + LINE_BYTES] = p.to_bytes(LINE_BYTES, "little")
+            tags.append(line_tag(key, c, v, buf, o))
+        return tags
+    at = np.fromiter(idxs, dtype=np.intp, count=n)
+    codes = np.asarray(codes, dtype=np.uint64)[at]
+    vns = np.asarray(vns, dtype=np.uint64)[at]
+    words = np.frombuffer(buf, dtype=_U64).reshape(-1, 8)
+    ct = words[at] ^ keystream_lines(key, codes, vns)
+    words[at] = ct
+    return mac_lines(key, codes, ct, vns).tolist()
+
+
 def seal_lines(key: KeyMaterial, plains: Sequence, bindings: Sequence[CounterBinding],
                vns) -> tuple[list[int], list[int]]:
-    """Ciphertexts (512-bit ints) and tags of n plaintext lines, in one
-    batch: line i as `encrypt_block` then `mac_block` would seal it under
-    binding i and VN i (one int VN applies to every line). Fewer than
-    `SEAL_BATCH_MIN` lines go through those per-line kernels instead."""
+    """Ciphertexts (512-bit ints) and tags of n plaintext lines: `seal_into`
+    of line i under binding i and VN i (one int VN applies to every line)."""
     n = len(bindings)
-    if n < SEAL_BATCH_MIN:
-        vns = [vns] * n if isinstance(vns, int) else vns
-        blocks = [encrypt_block(_line_int(p), b, v, key)
-                  for p, b, v in zip(plains, bindings, vns)]
-        return [blk.data for blk in blocks], [mac_block(blk, key) for blk in blocks]
-    codes = binding_codes(bindings)
-    ct = line_words(plains) ^ keystream_lines(key, codes, vns)
-    return words_to_ints(ct), mac_lines(key, codes, ct, vns).tolist()
+    buf = bytearray(b"".join(map(_line_bytes, plains)))
+    if len(buf) != LINE_BYTES * n:
+        raise ValueError("every line must be 64 bytes")
+    tags = seal_into(key, buf, range(n), [b._code for b in bindings],
+                     [vns] * n if isinstance(vns, int) else vns)
+    return words_to_ints(np.frombuffer(buf, dtype=_U64).reshape(n, 8)), tags
 
 
 def open_lines(key: KeyMaterial, codes: Sequence[int], cts, vns, *,

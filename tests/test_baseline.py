@@ -15,7 +15,7 @@ from teesim.baseline import (
 )
 from teesim.crypto import (
     OPEN_BATCH_MIN, SEAL_BATCH_MIN, BindingMode, CipherBlock, CounterBinding,
-    IntegrityFault, KeyMaterial, LINE_BYTES, line_pad, line_tag,
+    IntegrityFault, KeyMaterial, LINE_BYTES, VnTree, line_pad, line_tag,
 )
 from teesim.tenanalyzer import HIT_IN, TenAnalyzer
 
@@ -162,6 +162,24 @@ def test_materialize_matches_per_line_zero_blocks(n, crypto_on):
         per_line.line(per_line.line_index(pa))
     assert _store(batch) == _store(per_line)
     assert batch._written[n - 1] and not batch._written[n]
+
+
+@pytest.mark.parametrize("crypto_on", [True, False])
+def test_a_partial_last_vn_line_reads_and_writes(crypto_on):
+    """12 lines end in a VN-line that holds four: its tree leaf still hashes
+    eight VNs, as the tree was built."""
+    mem = make_mem(12, crypto_on=crypto_on)
+    last = BASE + 11 * LINE_BYTES
+    assert mem.read_line(last)[0] == bytes(LINE_BYTES)   # a cold tree walk
+    mem.flush_metadata_cache()
+    mem.write_line(last, b"\x5a" * LINE_BYTES)          # a cold VN fetch
+    mem.flush_metadata_cache()
+    assert mem.read_line(last)[0] == b"\x5a" * LINE_BYTES
+    assert mem.vn_of(last) == 1
+    if crypto_on:
+        ref = VnTree(2, KEY)
+        ref.build([(0,) * 8, (0, 0, 0, 1, 0, 0, 0, 0)])
+        assert mem.tree.root == ref.root
 
 
 def test_streaming_scan_amortized_metadata_traffic():
@@ -609,6 +627,7 @@ def _drive(mems, ops, n_lines):
     (64, 512),     # a one-level tree
     (512, 192),    # a two-level tree; the cache holds just one write's keys
     (512, 128),    # a write's keys do not fit: no fast path
+    (68, 512),     # the last VN-line holds four lines
 ])
 @given(data=st.data())
 @settings(max_examples=100, deadline=None)

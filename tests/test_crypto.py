@@ -6,6 +6,7 @@ implementations."""
 
 import json
 import random
+from array import array
 from pathlib import Path
 
 import pytest
@@ -18,8 +19,9 @@ from teesim.crypto import (
     OPEN_BATCH_MIN, SEAL_BATCH_MIN, TREE_ARITY, BindingMode,
     CipherBlock, CounterBinding, IntegrityFault, KeyMaterial, VnTree, _leaf_hash,
     _node_hash, binding_codes, decrypt_block, encrypt_block, keystream,
-    keystream_lines, line_words, mac_block, mac_lines, mac_xor_aggregate, mix64,
-    open_blocks, pa_binding_codes, seal_lines, words_to_bytes, words_to_ints,
+    keystream_lines, line_pad, line_tag, line_words, mac_block, mac_lines,
+    mac_xor_aggregate, mix64, open_blocks, pa_binding_codes, seal_into, seal_lines,
+    words_to_bytes, words_to_ints,
 )
 
 KEY = KeyMaterial.from_seed(0x5EED)
@@ -502,6 +504,27 @@ def test_batch_kernels_match_scalar_by_size(n):
                    for blk, v in zip(blocks, vns)]
         assert open_blocks(key, shifted, vns) == (tags, plains)
         assert open_blocks(key, shifted, vns, decrypt=False) == (tags, None)
+
+
+@pytest.mark.parametrize("n", [1, SEAL_BATCH_MIN - 1, SEAL_BATCH_MIN, 40])
+def test_seal_into_seals_only_the_given_lines_in_place(n):
+    rng = random.Random(n)
+    key = KeyMaterial.from_seed(n)
+    total = 2 * n + 3
+    raw = rng.randbytes(total * LINE_BYTES)
+    codes = [rng.randrange(1 << 64) for _ in range(total)]
+    vns = [rng.randrange(1 << 56) for _ in range(total)]
+    idxs = rng.sample(range(total), n)
+    buf = bytearray(raw)
+    tags = seal_into(key, buf, idxs, array("Q", codes), array("Q", vns))
+    want = bytearray(raw)
+    for i in idxs:
+        o = i * LINE_BYTES
+        pad = line_pad(key, codes[i], vns[i])
+        want[o:o + LINE_BYTES] = (int.from_bytes(raw[o:o + LINE_BYTES], "little")
+                                  ^ pad).to_bytes(LINE_BYTES, "little")
+    assert buf == want
+    assert tags == [line_tag(key, codes[i], vns[i], want, i * LINE_BYTES) for i in idxs]
 
 
 def test_line_words_rejects_a_short_line():

@@ -38,7 +38,7 @@ def seed_entry(ta, base, nx, ny=1, stride=LINE_BYTES, vn=0):
         idx = mem.line_index(va)
         li = idx // 8
         mem._vns[idx] = vn
-        mem.tree.update_path(li, mem._vns[li * 8:li * 8 + 8])
+        mem.tree.update_path(li, mem._vn_line(li))
         mem._written[idx] = 0
         mem.line(idx)      # zeros, sealed under vn
         mac ^= mem.macs[idx]
