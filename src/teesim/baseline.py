@@ -173,7 +173,7 @@ class ProtectedMemory:
         # idx -> tag sink (or None) of a line written but not yet sealed
         self._pending: dict[int, Optional[list]] = {}
         self.cache = MetadataCache(metadata_cache_bytes)
-        self.tree = VnTree(n_vn_lines, self.key,
+        self.tree = VnTree(n_vn_lines, self.key, self._vn_line,
                            on_flush=self._refresh_cached_nodes)
         self.tree.build(())
         self.totals: dict[str, int] = dict.fromkeys(TOTALS_KEYS, 0)
@@ -254,7 +254,7 @@ class ProtectedMemory:
             self._codes[idx], self._macs[idx], self._vns[idx] = \
                 blk.binding._code, tag, vn
             li = idx // VNS_PER_LINE
-            t["tree_wr"] += LINE_BYTES * len(self.tree.update_path(li, self._vn_line(li)))
+            t["tree_wr"] += LINE_BYTES * len(self.tree.update_path(li))
         for k in ("data_wr", "vn_wr", "mac_wr"):
             t[k] += LINE_BYTES * n
 
@@ -429,7 +429,7 @@ class ProtectedMemory:
         else:
             self._pending[idx] = tag_sink
         li = idx // VNS_PER_LINE
-        written = self.tree.update_path(li, self._vn_line(li))
+        written = self.tree.update_path(li)
         t["tree_wr"] += LINE_BYTES * len(written)
         t["cycles"] += HASH_CYCLES * (len(written) + 1)
         # a dirtied node-line is cached with empty contents; the tree's next
@@ -484,6 +484,9 @@ class ProtectedMemory:
         if self.key.null:
             raise RuntimeError("attacks need crypto_on=True to be observable")
         idx, = self.materialize([pa])
+        # the tree reads pending leaves from `_vns` when it flushes, so it
+        # hashes them now, before an attack can change them
+        self.tree.flush()
         o = idx * LINE_BYTES
         if kind == "bitflip":
             bit %= LINE_BYTES * 8

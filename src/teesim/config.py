@@ -47,7 +47,7 @@ class CpuConfig:
     filter_entries: int = 10
     filter_collect_limit: int = 4
     merge_window: int = 8
-    bitmap_cache_bytes: int = 6 * 1024
+    bitmap_cache_bytes: int = 6 * 1024   # unused: bitmap traffic is not modeled
     en_tmf: bool = True
 
 

@@ -28,6 +28,7 @@ compute the same pads and tags over an (n, 8) array of 64-bit words.
 from __future__ import annotations
 
 import struct
+from array import array
 from dataclasses import dataclass, field
 from enum import IntEnum
 from typing import Callable, ClassVar, Iterable, Optional, Sequence
@@ -461,15 +462,18 @@ class VnTree:
 
     Rehashing is deferred to verification points, the observation behind
     Bonsai Merkle Trees (Rogers et al., MICRO 2007): `update_path` only
-    records the leaf's new VN-line as pending and returns the node-lines the
-    write dirties, so per-write byte and cycle accounting is unchanged.
-    `flush()` rehashes the union of pending paths bottom-up, each node once,
-    and passes the recomputed node-lines to `on_flush` so that verified
-    cached copies can be refreshed. Invariant: nothing observes stored or
-    on-chip state while updates are pending, because every observer flushes
-    first: `verify_path`, `node_line`, and the `levels` and `root`
-    properties. So a reader, or an adversary tampering with `levels`, sees
-    exactly the tree that eager per-write rehashing would have left.
+    records the leaf as pending and returns the node-lines the write
+    dirties, so per-write byte and cycle accounting is unchanged. `flush()`
+    reads each pending leaf's VN-line through `read_leaf`, rehashes the union
+    of pending paths bottom-up, each node once, and passes the recomputed
+    node-lines to `on_flush` so that verified cached copies can be
+    refreshed. Invariants: nothing observes stored or on-chip state while
+    updates are pending, because every observer flushes first:
+    `verify_path`, `node_line`, and the `levels` and `root` properties; and
+    a pending leaf's VN-line changes only by writes that update its path, so
+    whoever changes VNs otherwise (an adversary) flushes first. So a reader,
+    or an adversary tampering with `levels` or the VNs, sees exactly the tree
+    that eager per-write rehashing would have left.
 
     Under the null key the tree holds no hashes: a walk and an update return
     the same node-lines, a walk stops at the same cached node-line, and
@@ -477,6 +481,7 @@ class VnTree:
     """
 
     def __init__(self, n_leaves: int, key: KeyMaterial,
+                 read_leaf: Callable[[int], Sequence[int]],
                  on_flush: Optional[Callable[[dict], None]] = None):
         if n_leaves < 1:
             raise ValueError("tree needs at least one leaf")
@@ -488,10 +493,14 @@ class VnTree:
         self.n_leaves = TREE_ARITY ** depth
         # (level, leaves per node-line at that level), leaf level first
         self._divisors = [(level, TREE_ARITY ** (level + 1)) for level in range(depth)]
+        self.read_leaf = read_leaf
         self.on_flush = on_flush
         self._levels: list[list[int]] = []
         self._root: int = 0
-        self._pending: dict[int, tuple[int, ...]] = {}   # leaf -> VN-line
+        # leaves updated since the last flush, each once, in an array rather
+        # than a set so that pending leaves hold no int objects
+        self._pending = array("L")
+        self._is_pending = bytearray(self.n_leaves)
 
     @property
     def levels(self) -> list[list[int]]:
@@ -507,7 +516,8 @@ class VnTree:
         """Hash every level from the given VN-lines, dropping any pending
         updates; returns (and stores) the on-chip root. Missing leaves hash
         as all-zero lines."""
-        self._pending.clear()
+        del self._pending[:]
+        self._is_pending = bytearray(self.n_leaves)
         if self.key.null:
             return 0
         hashes = []
@@ -565,13 +575,14 @@ class VnTree:
             raise IntegrityFault("replay_or_tamper", f"leaf {leaf_index} vs root")
         return fetched
 
-    def update_path(self, leaf_index: int, leaf_vns: Sequence[int]
-                    ) -> list[tuple[int, int]]:
-        """Record a VN-line change. Returns the (level, line) keys of the
-        `depth` node-lines the write dirties, leaf level first; their new
-        contents and the new root are computed at the next flush."""
-        if not self.key.null:
-            self._pending[leaf_index] = tuple(leaf_vns)
+    def update_path(self, leaf_index: int) -> list[tuple[int, int]]:
+        """Record a change of leaf `leaf_index`'s VN-line. Returns the (level,
+        line) keys of the `depth` node-lines the write dirties, leaf level
+        first; their new contents and the new root are computed at the next
+        flush, from the VN-line `read_leaf` gives then."""
+        if not self.key.null and not self._is_pending[leaf_index]:
+            self._is_pending[leaf_index] = 1
+            self._pending.append(leaf_index)
         return [(level, leaf_index // d) for level, d in self._divisors]
 
     def flush(self) -> None:
@@ -583,10 +594,12 @@ class VnTree:
         key = self.key
         levels = self._levels
         leaves = levels[0]
-        for i, vns in pending.items():
-            leaves[i] = _leaf_hash(key, i, vns)
+        read_leaf, is_pending = self.read_leaf, self._is_pending
+        for i in pending:
+            leaves[i] = _leaf_hash(key, i, read_leaf(i))
+            is_pending[i] = 0
         touched = set(pending)
-        pending.clear()
+        del pending[:]
         recomputed: dict[tuple[int, int], tuple[int, ...]] = {}
         for level in range(self.depth):
             cur = levels[level]

@@ -5,10 +5,14 @@ version numbers from an on-chip table so steady-state reads touch no off-chip
 metadata. Three read outcomes: hit-in (inside a known range), hit-boundary
 (exactly one stride past a range end; the VN is used speculatively while the
 off-chip VN is fetched for confirmation), miss (baseline path + the address
-goes to the pattern filter). Writes run a bitmap-guarded protocol that admits
-any tile order but insists every covered line is written exactly once per
-tensor update; violations invalidate the entry and fall back to per-line
-protection.
+goes to the pattern filter). Writes run an update protocol that admits any
+tile order but insists every covered line is written exactly once per tensor
+update; violations invalidate the entry and fall back to per-line protection.
+Each entry keeps its own update state: the updating flag, the bit-state and,
+while an update runs, one written flag per covered line. The off-chip update
+bitmap of the paper and its on-chip cache are not modeled: between updates
+every line's bit equals its entry's bit-state, so the bitmap adds nothing
+that the entry does not hold, and its traffic is not charged.
 
 Entries also carry the tensor's XOR-aggregate MAC: it is born at promotion
 from the per-line MACs observed on the miss path, folded forward on boundary
@@ -36,7 +40,7 @@ from dataclasses import dataclass
 from operator import attrgetter
 from typing import Optional
 
-from .baseline import AES_CYCLES, MAC_CYCLES, MetadataCache, ProtectedMemory
+from .baseline import AES_CYCLES, MAC_CYCLES, ProtectedMemory
 from .crypto import (
     KEYSTREAM_BATCH_MIN, LINE_BYTES, MASK56, BindingMode, CounterBinding,
     IntegrityFault, keystream_lines, line_pad, line_tag, mac_xor_aggregate,
@@ -51,6 +55,8 @@ FILTER_WINDOW_BYTES = 4096             # max delta the filter will chain across;
 MAX_SWEEP_RUNS = 16                    # concurrent sequential read cursors per entry
 SWEEP_FOLD_LINES = 1024                # consumed lines a sweep run keeps before MACing them
 _TOUCHED = attrgetter("touched")
+# what `context_switch` saves and restores per enclave
+_PER_ENCLAVE = ("entries", "_cover", "boundary", "filter", "pending_hints")
 
 HIT_IN = "hit_in"
 HIT_BOUNDARY = "hit_boundary"
@@ -78,11 +84,15 @@ class WriteOutcome:
 class MetaTableEntry:
     """One on-chip tensor descriptor: address range as (lines-per-row, rows)
     with a byte stride between rows, shared VN and aggregate MAC, the
-    updating flag / bit-state pair, and the last covered address."""
+    updating flag / bit-state pair, and the last covered address.
+
+    While an update runs (`uf` = 1), `written` holds one flag per covered
+    line, by ordinal, set when the line is written in this update (where the
+    paper's bitmap bit would differ from `bs`). It is None between updates."""
 
     __slots__ = ("base", "nx", "ny", "planes", "stride", "vn", "mac",
                  "uf", "bs", "valid", "tensor_id", "last_addr",
-                 "update_count", "write_tags", "runs", "runs_by_next",
+                 "update_count", "written", "write_tags", "runs", "runs_by_next",
                  "pads", "pad_codes", "lru", "touched")
 
     def __init__(self, base, nx, ny, stride, vn, mac, tensor_id=None):
@@ -99,6 +109,7 @@ class MetaTableEntry:
         self.tensor_id = tensor_id
         self.last_addr = base + (ny - 1) * stride + (nx - 1) * LINE_BYTES
         self.update_count = 0
+        self.written: Optional[bytearray] = None
         # fresh tags of the lines written in the current update, appended
         # on-chip as they are sealed
         self.write_tags: list[int] = []
@@ -169,56 +180,11 @@ class _FilterEntry:
         self.stamp = stamp
 
 
-class UpdateBitmap:
-    """One bit per covered cacheline, in a modeled off-chip region behind a
-    small on-chip cache. Each 64 B bitmap line covers 512 cachelines."""
-
-    SPAN = 512 * LINE_BYTES  # data bytes covered by one bitmap line
-
-    def __init__(self, cache_bytes: int = 6 * 1024):
-        self.bits: dict[int, int] = {}
-        self.cache = MetadataCache(cache_bytes)
-        self.rd_bytes = 0
-
-    def _touch(self, va: int) -> None:
-        line = va // self.SPAN
-        if self.cache.get(("bm", line)) is None:
-            self.rd_bytes += LINE_BYTES
-            self.cache.put(("bm", line), True)
-
-    def _touch_runs(self, addrs: list) -> None:
-        """`_touch` each run of consecutive addresses in one bitmap line
-        once: a repeat touch would only hit the line just made MRU, so
-        `rd_bytes` and the LRU order are the same, with fewer cache hits."""
-        last = None
-        for va in addrs:
-            line = va // self.SPAN
-            if line != last:
-                self._touch(va)
-                last = line
-
-    def get(self, va: int) -> int:
-        self._touch(va)
-        return self.bits.get(va, 0)
-
-    def flip(self, va: int) -> None:
-        self._touch(va)
-        self.bits[va] = self.bits.get(va, 0) ^ 1
-
-    def set_range(self, addrs, value: int) -> None:
-        addrs = list(addrs)
-        self._touch_runs(addrs)
-        self.bits.update(dict.fromkeys(addrs, value))
-
-    def range_equals(self, addrs, value: int) -> bool:
-        addrs = list(addrs)
-        self._touch_runs(addrs)
-        bits = self.bits
-        return all(bits.get(va, 0) == value for va in addrs)
-
-
 class TenAnalyzer:
-    """Meta Table + Tensor Filter in front of one enclave's ProtectedMemory."""
+    """Meta Table + Tensor Filter in front of one enclave's ProtectedMemory.
+
+    `bitmap_cache_bytes` is accepted and unused: update-bitmap traffic is not
+    modeled (module docstring)."""
 
     def __init__(self, mem: ProtectedMemory, *, en_tmf: bool = True,
                  table_entries: int = 512, filter_entries: int = 10,
@@ -230,13 +196,13 @@ class TenAnalyzer:
         self.filter_entries = filter_entries
         self.collect_limit = collect_limit
         self.merge_window = merge_window
-        self.bitmap_cache_bytes = bitmap_cache_bytes
 
         self.entries: list[MetaTableEntry] = []
-        self.cover: dict[int, MetaTableEntry] = {}
+        # the entry covering each line of the region, by line index; read
+        # through `entry_at`
+        self._cover: list[Optional[MetaTableEntry]] = [None] * mem.n_lines
         self.boundary: dict[int, MetaTableEntry] = {}
         self.filter: list[_FilterEntry] = []
-        self.bitmap = UpdateBitmap(bitmap_cache_bytes)
         self.pending_hints: list[dict] = []
         self._stamp = 0
         self.stats: dict[str, int] = {
@@ -257,17 +223,33 @@ class TenAnalyzer:
         self._stamp += 1
         return self._stamp
 
+    def entry_at(self, va: int) -> Optional[MetaTableEntry]:
+        """The entry covering line `va`, or None, also for an unaligned `va`
+        or one outside the region."""
+        k, rem = divmod(va - self.mem.base_pa, LINE_BYTES)
+        cover = self._cover
+        return cover[k] if not rem and 0 <= k < len(cover) else None
+
+    def _rows(self, e: MetaTableEntry):
+        """The line-index slice of each of `e`'s rows."""
+        first = (e.base - self.mem.base_pa) // LINE_BYTES
+        step = e.stride // LINE_BYTES
+        for r in range(e.ny):
+            lo = first + r * step
+            yield slice(lo, lo + e.nx)
+
     def _index_entry(self, e: MetaTableEntry) -> None:
-        for va in e.addresses():
-            self.cover[va] = e
+        row = [e] * e.nx
+        for rows in self._rows(e):
+            self._cover[rows] = row
         step = e.run_step()
         if step is not None:
             self.boundary[e.last_addr + step] = e
 
     def _unindex_entry(self, e: MetaTableEntry) -> None:
-        for va in e.addresses():
-            if self.cover.get(va) is e:
-                del self.cover[va]
+        row = [None] * e.nx
+        for rows in self._rows(e):
+            self._cover[rows] = row
         step = e.run_step()
         if step is not None and self.boundary.get(e.last_addr + step) is e:
             del self.boundary[e.last_addr + step]
@@ -276,6 +258,7 @@ class TenAnalyzer:
         self._unindex_entry(e)
         e.valid = False
         e.uf = 0
+        e.written = None
         e.reset_sweep()
         if e in self.entries:
             self.entries.remove(e)
@@ -304,15 +287,13 @@ class TenAnalyzer:
         return True
 
     def _insert_entry(self, e: MetaTableEntry) -> Optional[MetaTableEntry]:
-        for va in e.addresses():
-            if va in self.cover:
-                return None  # range disjointness: refuse overlapping insert
+        if any(any(self._cover[rows]) for rows in self._rows(e)):
+            return None  # range disjointness: refuse overlapping insert
         if not self._evict_for_space():
             return None
         e.lru = e.touched = self._tick()
         self.entries.append(e)
         self._index_entry(e)
-        self.bitmap.set_range(e.addresses(), 0)
         e.bs = 0
         return e
 
@@ -326,7 +307,7 @@ class TenAnalyzer:
             self.stats["r_miss"] += 1
             return plain, ReadOutcome(MISS)
 
-        e = self.cover.get(va)
+        e = self.entry_at(va)
         if e is not None:
             return self._read_hit_in(e, va)
 
@@ -349,13 +330,13 @@ class TenAnalyzer:
         t["reads"] += 1
         t["data_rd"] += LINE_BYTES
         t["cycles"] += AES_CYCLES
-        if e.uf and self.bitmap.get(va) != e.bs:
+        k = e.ordinal(va)
+        if e.uf and e.written[k]:
             vn_eff = (e.vn + 1) & MASK56
         else:
             vn_eff = e.vn
         idx = mem.line_index(va)
         ct, code = mem.line(idx)
-        k = e.ordinal(va)
         if mem.key.null:
             # the null pad is 0; its batch made a light criterion-4 iteration 8-16% slower
             plain = ct
@@ -489,10 +470,9 @@ class TenAnalyzer:
             e.ny += 1
         e.last_addr = va
         e.mac ^= line_mac
-        self.cover[va] = e
-        self.bitmap.set_range([va], e.bs)
+        self._cover[self.mem.line_index(va)] = e
         nxt = va + step
-        if nxt not in self.cover:
+        if self.entry_at(nxt) is None:
             self.boundary[nxt] = e
         e.touched = self._tick()
         # fold the verified line's stored tag into an adjacent sweep run if
@@ -631,7 +611,7 @@ class TenAnalyzer:
     # -- write dataflow -------------------------------------------------------------
 
     def on_write(self, va: int, plain) -> WriteOutcome:
-        """LLC-filtered write-back. Covered writes run the bitmap protocol and
+        """LLC-filtered write-back. Covered writes run the update protocol and
         are encrypted under the entry's next VN; misses update off-chip state
         only."""
         mem = self.mem
@@ -639,7 +619,7 @@ class TenAnalyzer:
             mem.write_line(va, plain)
             self.stats["w_miss"] += 1
             return WriteOutcome(MISS)
-        e = self.cover.get(va)
+        e = self.entry_at(va)
         if e is None:
             mem.write_line(va, plain)
             self.stats["w_miss"] += 1
@@ -656,32 +636,30 @@ class TenAnalyzer:
                 mem.write_line(va, plain)
                 self._retry_pending_hints()
                 return WriteOutcome(INVALIDATE, reason="early_update")
-            if not self.bitmap.range_equals(e.addresses(), e.bs):
-                self._invalidate(e, "dirty_range")
-                mem.write_line(va, plain)
-                self._retry_pending_hints()
-                return WriteOutcome(INVALIDATE, reason="dirty_range")
             e.uf = 1
             e.update_count = 0
+            e.written = bytearray(e.line_count)
             e.write_tags = []
             e.reset_sweep()
-            self._write_covered(e, va, plain)
+            self._write_covered(e, va, plain, 0)
             if e.line_count == 1:
                 return self._finish_update(e)
             self.stats["w_edge_start"] += 1
             e.touched = self._tick()
             return WriteOutcome(EDGE_START)
 
-        if self.bitmap.get(va) != e.bs:
+        k = e.ordinal(va)
+        if e.written[k]:
             self._invalidate(e, "double_update")
             mem.write_line(va, plain)
             self._retry_pending_hints()
             return WriteOutcome(INVALIDATE, reason="double_update")
-        self._write_covered(e, va, plain)
+        self._write_covered(e, va, plain, k)
         if last:
-            # Assert2: every covered line updated exactly once by finish time
-            if e.update_count == e.line_count and \
-                    self.bitmap.range_equals(e.addresses(), e.bs ^ 1):
+            # Assert2: every covered line updated exactly once by finish time;
+            # a line written twice invalidated the entry, so a count of
+            # every line means each was written once
+            if e.update_count == e.line_count:
                 return self._finish_update(e)
             self._invalidate(e, "incomplete_update")
             self._retry_pending_hints()
@@ -689,13 +667,13 @@ class TenAnalyzer:
         self.stats["w_hit_in"] += 1
         return WriteOutcome(WRITE_HIT_IN)
 
-    def _write_covered(self, e: MetaTableEntry, va: int, plain) -> None:
+    def _write_covered(self, e: MetaTableEntry, va: int, plain, k: int) -> None:
         mem = self.mem
-        self.bitmap.flip(va)
+        e.written[k] = 1
         e.update_count += 1
         new_vn = (e.vn + 1) & MASK56
         if e.tensor_id is not None:
-            where = (e.tensor_id, e.ordinal(va) * LINE_BYTES)
+            where = (e.tensor_id, k * LINE_BYTES)
             binding = self._tensor_bindings.get(where)
             if binding is None:
                 binding = self._tensor_bindings[where] = CounterBinding(
@@ -713,6 +691,7 @@ class TenAnalyzer:
         e.vn = (e.vn + 1) & MASK56
         e.bs ^= 1
         e.uf = 0
+        e.written = None
         e.mac = mac_xor_aggregate(e.write_tags)
         e.write_tags = []
         e.update_count = 0
@@ -729,17 +708,25 @@ class TenAnalyzer:
                      mac: Optional[int] = None, tensor_id: Optional[int] = None) -> str:
         """Create or widen an entry from tensor structure carried by transfer
         requests. Overlapping smaller entries are absorbed; a descriptor that
-        overlaps a mid-update entry is deferred until that update completes."""
+        overlaps a mid-update entry is deferred until that update completes.
+        Raises ValueError, before any state change, for a descriptor that is
+        unaligned, empty, has rows that overlap, or reaches outside the
+        region."""
         if row_lines is None or stride is None or row_lines == n_lines:
             nx, ny, stride_b = n_lines, 1, LINE_BYTES
         else:
-            nx, ny, stride_b = row_lines, n_lines // row_lines, stride
+            nx, ny, stride_b = row_lines, n_lines // (row_lines or 1), stride
         probe = MetaTableEntry(base, nx, ny, stride_b, 0, 0)
-        overlapped: list[MetaTableEntry] = []
-        for va in probe.addresses():
-            o = self.cover.get(va)
-            if o is not None and o not in overlapped:
-                overlapped.append(o)
+        mem = self.mem
+        if base % LINE_BYTES or nx < 1 or ny < 1 or stride_b % LINE_BYTES \
+                or (ny > 1 and stride_b < nx * LINE_BYTES) or base < mem.base_pa \
+                or probe.last_addr >= mem.base_pa + mem.n_lines * LINE_BYTES:
+            raise ValueError(f"hint of {n_lines} lines at {base:#x} (rows of {nx}, "
+                             f"stride {stride_b}) is unaligned, empty or outside "
+                             f"the region")
+        overlapped = [o for o in dict.fromkeys(
+            o for rows in self._rows(probe) for o in self._cover[rows])
+            if o is not None]
         for o in overlapped:
             if o.uf == 1:
                 self.pending_hints.append(dict(base=base, n_lines=n_lines,
@@ -758,18 +745,18 @@ class TenAnalyzer:
                     o.mac = mac
                 self.stats["hint_noop"] += 1
                 return "noop"
-        t = self.mem.totals
+        t = mem.totals
         if vn is None:
-            vn, cold = self.mem.resolve_vn(base, t)
+            vn, cold = mem.resolve_vn(base, t)
             if cold:
-                self.mem.walk_tree(base, t)
+                mem.walk_tree(base, t)
         if mac is None:
             # aggregate the stored per-line MACs once (8 tags per 64 B line);
             # untouched lines materialize first so the fold matches what
             # subsequent reads will accumulate
             t["mac_rd"] += LINE_BYTES * (-(-n_lines // 8))
-            lines = self.mem.materialize(list(probe.addresses()))
-            macs = self.mem.macs
+            lines = mem.materialize(list(probe.addresses()))
+            macs = mem.macs
             mac = 0
             for idx in lines:
                 mac ^= macs[idx]
@@ -796,49 +783,41 @@ class TenAnalyzer:
         self._enclaves[enclave_id] = mem
 
     def context_switch(self, action: str, enclave_id: int) -> None:
-        """Save/restore the table, filter and bitmap to modeled secure storage
-        keyed by enclave id; each enclave uses its own key/memory. Restoring
-        an unknown id yields an empty table."""
+        """Save/restore the table, its coverage index and the filter to
+        modeled secure storage keyed by enclave id; each enclave uses its own
+        key/memory. Restoring an unknown id yields an empty table."""
         if action == "save":
-            self._saved[enclave_id] = {
-                "entries": self.entries, "cover": self.cover,
-                "boundary": self.boundary, "filter": self.filter,
-                "bitmap": self.bitmap, "pending": self.pending_hints,
-            }
+            self._saved[enclave_id] = {k: getattr(self, k) for k in _PER_ENCLAVE}
             return
         if action != "restore":
             raise ValueError("action must be 'save' or 'restore'")
         if enclave_id in self._enclaves:
             self.mem = self._enclaves[enclave_id]
-        snap = self._saved.get(enclave_id)
-        if snap is None:
-            self.entries = []
-            self.cover = {}
-            self.boundary = {}
-            self.filter = []
-            self.bitmap = UpdateBitmap(self.bitmap_cache_bytes)
-            self.pending_hints = []
-        else:
-            self.entries = snap["entries"]
-            self.cover = snap["cover"]
-            self.boundary = snap["boundary"]
-            self.filter = snap["filter"]
-            self.bitmap = snap["bitmap"]
-            self.pending_hints = snap["pending"]
+        snap = self._saved.get(enclave_id) or {
+            "entries": [], "_cover": [None] * self.mem.n_lines, "boundary": {},
+            "filter": [], "pending_hints": []}
+        for k in _PER_ENCLAVE:
+            setattr(self, k, snap[k])
 
     # -- invariants and debugging -----------------------------------------------
 
     def check_disjoint(self) -> None:
-        seen: dict[int, MetaTableEntry] = {}
+        """Valid entries cover disjoint lines of the region, and the coverage
+        index maps exactly those lines, each to its entry."""
+        want: list[Optional[MetaTableEntry]] = [None] * self.mem.n_lines
         for e in self.entries:
-            if not e.valid:
-                continue
-            for va in e.addresses():
-                if va in seen:
+            for va in e.addresses() if e.valid else ():
+                k = self.mem.line_index(va)
+                if want[k] is not None:
                     raise AssertionError(
-                        f"entries at {seen[va].base:#x} and {e.base:#x} both "
+                        f"entries at {want[k].base:#x} and {e.base:#x} both "
                         f"cover {va:#x}")
-                seen[va] = e
+                want[k] = e
+        if want != self._cover:
+            k = next((k for k, (w, c) in enumerate(zip(want, self._cover))
+                      if w is not c), len(want))
+            raise AssertionError(f"coverage index is wrong at line {k} "
+                                 f"({len(self._cover)} slots, {len(want)} lines)")
 
     def check_vn_consistency(self) -> None:
         """At quiescent points every covered line's off-chip VN must equal the

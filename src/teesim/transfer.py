@@ -330,7 +330,7 @@ def direct_transfer(session: SessionState, engine: Engine, *,
     if direction == "cpu_to_npu":
         if analyzer is None:
             raise ProtocolError("cpu_to_npu direct transfer needs the Meta Table")
-        e = analyzer.cover.get(cpu_base)
+        e = analyzer.entry_at(cpu_base)
         if e is None or e.tensor_id != tensor_id or e.base != cpu_base:
             raise ProtocolError(f"no Meta Table entry for tensor {tensor_id} "
                                 f"at {cpu_base:#x}")

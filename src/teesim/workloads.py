@@ -301,8 +301,7 @@ def build_cpu_side(cfg: SimConfig, mode: str, n_lines: int, base: int,
                             table_entries=c.meta_table_entries,
                             filter_entries=c.filter_entries,
                             collect_limit=c.filter_collect_limit,
-                            merge_window=c.merge_window,
-                            bitmap_cache_bytes=c.bitmap_cache_bytes)
+                            merge_window=c.merge_window)
 
 
 def replay_trace(front, records: Iterable[TraceRecord],

@@ -120,6 +120,29 @@ def test_full_triple_replay_faults_tree_walk():
     assert ei.value.kind == "replay_or_tamper"
 
 
+@pytest.mark.parametrize("attack", ["replay", "vn_tamper"])
+def test_attack_on_a_pending_tree_leaf_faults_the_tree_walk(attack):
+    # explicit-VN writes, as covered writes are, walk no tree path, so their
+    # leaf is still pending when the attack rolls its VN back to 1. A replay
+    # restores a matching MAC, so only the walk of the next read can fault;
+    # after a VN tamper a read faults on the MAC first, so a write, whose VN
+    # fetch has no MAC check, takes the walk
+    mem = make_mem(64)
+    pa = BASE + 3 * LINE_BYTES
+    mem.write_line(pa, b"\x01" * LINE_BYTES, vn=1)
+    snap = mem.snapshot_triple(pa)
+    mem.write_line(pa, b"\x02" * LINE_BYTES, vn=2)
+    assert mem.tree._pending
+    mem.inject_attack(attack, pa, snapshot=snap, delta=-1)
+    mem.flush_metadata_cache()
+    with pytest.raises(IntegrityFault) as ei:
+        if attack == "replay":
+            mem.read_line(pa)
+        else:
+            mem.write_line(pa, b"\x03" * LINE_BYTES)
+    assert ei.value.kind == "replay_or_tamper"
+
+
 def test_mac_region_tamper_detected():
     mem = make_mem()
     pa = BASE + 11 * LINE_BYTES
@@ -177,8 +200,9 @@ def test_a_partial_last_vn_line_reads_and_writes(crypto_on):
     assert mem.read_line(last)[0] == b"\x5a" * LINE_BYTES
     assert mem.vn_of(last) == 1
     if crypto_on:
-        ref = VnTree(2, KEY)
-        ref.build([(0,) * 8, (0, 0, 0, 1, 0, 0, 0, 0)])
+        leaves = [(0,) * 8, (0, 0, 0, 1, 0, 0, 0, 0)]
+        ref = VnTree(2, KEY, leaves.__getitem__)
+        ref.build(leaves)
         assert mem.tree.root == ref.root
 
 
@@ -284,10 +308,14 @@ def test_light_mode_same_metadata_traffic():
         assert full.totals[k] == light.totals[k], k
 
 
-@pytest.mark.parametrize("crypto_on", [True, False])
-def test_written_and_sealed_store_holds_at_most_128_bytes_a_line(crypto_on):
+@pytest.mark.parametrize("crypto_on, vn", [(True, None), (False, None),
+                                           (True, 1), (False, 1)],
+                         ids=["True", "False", "True-vn1", "False-vn1"])
+def test_written_and_sealed_store_holds_at_most_128_bytes_a_line(crypto_on, vn):
     # the flat store is 89 B a line (64 ciphertext, three 8 B fields, one
-    # written byte); the rest is the tree, its pending leaves and the cache
+    # written byte); the rest is the tree, its pending leaves and the cache.
+    # Explicit-VN writes, as covered writes are, walk no tree path, so every
+    # leaf they dirty stays pending
     n = 1 << 16
     line = bytes(range(LINE_BYTES))
     tracemalloc.start()
@@ -295,7 +323,7 @@ def test_written_and_sealed_store_holds_at_most_128_bytes_a_line(crypto_on):
         start = tracemalloc.get_traced_memory()[0]
         mem = make_mem(n, crypto_on=crypto_on)
         for i in range(n):
-            mem.write_line(BASE + i * LINE_BYTES, line)
+            mem.write_line(BASE + i * LINE_BYTES, line, vn=vn)
         tracemalloc.reset_peak()
         mem.seal()
         live, peak = tracemalloc.get_traced_memory()

@@ -145,8 +145,8 @@ def test_xor_aggregate_empty_rejected():
 # -- VN tree ----------------------------------------------------------------
 
 def _fresh_tree(n_leaves=512):
-    tree = VnTree(n_leaves, KEY)
     lines = [[0] * 8 for _ in range(n_leaves)]
+    tree = VnTree(n_leaves, KEY, lines.__getitem__)
     tree.build(lines)
     return tree, lines
 
@@ -159,7 +159,7 @@ def test_tree_depth_512_leaves_is_3():
 def test_tree_verify_after_update():
     tree, lines = _fresh_tree()
     lines[17][3] = 42
-    tree.update_path(17, lines[17])
+    tree.update_path(17)
     assert tree.verify_path(17, lines[17]) is not None
 
 
@@ -167,7 +167,7 @@ def test_tree_detects_vn_restore_replay():
     tree, lines = _fresh_tree()
     old = list(lines[5])
     lines[5][2] = 7
-    tree.update_path(5, lines[5])
+    tree.update_path(5)
     # adversary restores the old VN line without the path update
     with pytest.raises(IntegrityFault) as ei:
         tree.verify_path(5, old)
@@ -177,7 +177,7 @@ def test_tree_detects_vn_restore_replay():
 def test_tree_detects_tampered_stored_nodes():
     tree, lines = _fresh_tree()
     lines[9][0] = 1
-    tree.update_path(9, lines[9])
+    tree.update_path(9)
     tree.levels[1][0] ^= 0xFF  # off-chip node tamper
     with pytest.raises(IntegrityFault):
         tree.verify_path(9, lines[9])
@@ -196,7 +196,7 @@ def test_tree_cached_node_terminates_walk():
 def test_tree_update_writes_depth_node_lines():
     tree, lines = _fresh_tree()
     lines[300][1] = 5
-    written = tree.update_path(300, lines[300])
+    written = tree.update_path(300)
     assert len(written) == tree.depth
 
 
@@ -376,14 +376,14 @@ def test_lazy_tree_matches_eager_reference(ops):
             if k in lazy_cache:
                 lazy_cache[k] = line
 
-    lazy = VnTree(_N_TREE_LEAVES, KEY, on_flush=refresh)
+    lazy = VnTree(_N_TREE_LEAVES, KEY, lines.__getitem__, on_flush=refresh)
     eager = EagerVnTree(_N_TREE_LEAVES, KEY)
     assert lazy.build(lines) == eager.build(lines)
     for op in ops:
         if op[0] == "update":
             _, leaf, slot, vn = op
             lines[leaf][slot] = vn
-            written = lazy.update_path(leaf, lines[leaf])
+            written = lazy.update_path(leaf)
             eager_written = eager.update_path(leaf, lines[leaf])
             assert written == list(eager_written)
             for k in written:
@@ -425,7 +425,7 @@ def test_update_path_defers_hashing_until_observed():
     tree, lines = _fresh_tree()
     root0, leaf0 = tree.root, tree.levels[0][300]
     lines[300][1] = 5
-    tree.update_path(300, lines[300])
+    tree.update_path(300)
     assert tree._root == root0 and tree._levels[0][300] == leaf0
     assert tree.root != root0
     assert tree.levels[0][300] == _ref_leaf_hash(KEY, 300, lines[300])

@@ -1,9 +1,10 @@
-"""Meta Table / Tensor Filter / update-bitmap protocol tests, including the
-spec'd read and write dataflow cases, merging, hints, context switching, the
-consistency/transparency invariants, and the batched covered-read path
-against a per-line reference."""
+"""Meta Table / Tensor Filter / update protocol tests, including the spec'd
+read and write dataflow cases, merging, hints, context switching, the
+consistency/transparency invariants, the analyzer's footprint, and the
+batched covered-read path against a per-line reference."""
 
 import random
+import tracemalloc
 from unittest import mock
 
 import pytest
@@ -38,7 +39,7 @@ def seed_entry(ta, base, nx, ny=1, stride=LINE_BYTES, vn=0):
         idx = mem.line_index(va)
         li = idx // 8
         mem._vns[idx] = vn
-        mem.tree.update_path(li, mem._vn_line(li))
+        mem.tree.update_path(li)
         mem._written[idx] = 0
         mem.line(idx)      # zeros, sealed under vn
         mac ^= mem.macs[idx]
@@ -106,7 +107,7 @@ def test_miss_collects_and_promotes_after_four_strided():
         _, out = ta.on_read(start + i * LINE_BYTES)
         assert out.kind == MISS
     assert ta.stats["promotions"] == 1
-    e = ta.cover[start]
+    e = ta.entry_at(start)
     assert (e.base, e.nx, e.ny, e.stride) == (start, 4, 1, LINE_BYTES)
     # the promoted entry immediately serves hits / boundary growth
     _, out = ta.on_read(start + 4 * LINE_BYTES)
@@ -135,7 +136,7 @@ def test_column_pattern_promotes_strided_entry():
     start = BASE
     for i in range(4):
         ta.on_read(start + i * 0x400)
-    e = ta.cover[start]
+    e = ta.entry_at(start)
     assert (e.nx, e.ny, e.stride) == (1, 4, 0x400)
     # boundary step for a column is the stride
     _, out = ta.on_read(start + 4 * 0x400)
@@ -202,11 +203,13 @@ def payload(i: int) -> bytes:
 def test_complete_in_order_update():
     ta, mem = make()
     e = seed_entry(ta, BASE, 4, vn=5)
-    kinds = [ta.on_write(BASE + i * LINE_BYTES, payload(i)).kind for i in range(4)]
-    assert kinds == [EDGE_START, WRITE_HIT_IN, WRITE_HIT_IN, EDGE_FINISH]
-    assert e.vn == 6 and e.uf == 0 and e.bs == 1
-    for i in range(4):
-        assert mem.vn_of(BASE + i * LINE_BYTES) == 6
+    # twice, since each update must start with no line written
+    for vn, bs in ((6, 1), (7, 0)):
+        kinds = [ta.on_write(BASE + i * LINE_BYTES, payload(i)).kind for i in range(4)]
+        assert kinds == [EDGE_START, WRITE_HIT_IN, WRITE_HIT_IN, EDGE_FINISH]
+        assert e.vn == vn and e.uf == 0 and e.bs == bs and e.written is None
+        for i in range(4):
+            assert mem.vn_of(BASE + i * LINE_BYTES) == vn
     ta.check_vn_consistency()
 
 
@@ -361,6 +364,75 @@ def test_install_hint_defers_during_update():
         ta.on_write(BASE + i * LINE_BYTES, payload(i))
     # finish applied the pending hint
     assert any(x.valid and x.line_count == 64 for x in ta.entries)
+
+
+_N_HINT = 64
+
+
+@pytest.mark.parametrize("base, n_lines, kw", [
+    (BASE - 4 * LINE_BYTES, 8, {}),                      # starts below the region
+    (BASE + (_N_HINT - 4) * LINE_BYTES, 8, {}),         # ends past it
+    (BASE + 8, 8, {}),                                  # unaligned
+    (BASE, 0, {}),                                      # empty
+    (BASE, 16, {"row_lines": 4, "stride": 0x108}),      # stride not in lines
+    (BASE, 16, {"row_lines": 8, "stride": 0x100}),      # rows overlap
+    (BASE, 20, {"row_lines": 4, "stride": 0x400}),      # last row past the end
+], ids=["below", "past", "unaligned", "empty", "stride_unaligned",
+        "stride_short", "rows_past"])
+def test_install_hint_rejects_a_bad_range_before_any_change(base, n_lines, kw):
+    ta, mem = make(n_lines=_N_HINT)
+    # entries on the region's first and last lines, which a range that
+    # wrapped around the coverage index would alias
+    seed_entry(ta, BASE, 4, vn=2)
+    seed_entry(ta, BASE + (_N_HINT - 4) * LINE_BYTES, 4, vn=3)
+    before = (ta.dump_table(), dict(ta.stats), dict(mem.totals))
+    with pytest.raises(ValueError, match="outside the region"):
+        ta.install_hint(base, n_lines, vn=0, mac=0, **kw)
+    assert (ta.dump_table(), ta.stats, mem.totals) == before
+    assert not ta.pending_hints
+    ta.check_disjoint()
+
+
+@pytest.mark.parametrize("va", [BASE - LINE_BYTES, BASE + 8,
+                                BASE + _N_HINT * LINE_BYTES])
+def test_access_off_the_region_reaches_no_entry(va):
+    ta, mem = make(n_lines=_N_HINT)
+    seed_entry(ta, BASE, 4, vn=2)
+    seed_entry(ta, BASE + (_N_HINT - 4) * LINE_BYTES, 4, vn=3)
+    table = ta.dump_table()
+    assert ta.entry_at(va) is None
+    with pytest.raises(ValueError):
+        ta.on_read(va)
+    with pytest.raises(ValueError):
+        ta.on_write(va, payload(1))
+    assert ta.dump_table() == table
+    assert ta.stats["r_hit_in"] == ta.stats["w_invalidate"] == 0
+
+
+@pytest.mark.parametrize("crypto_on", [True, False])
+def test_analyzer_holds_at_most_24_bytes_a_covered_line(crypto_on):
+    # one hinted entry over the whole region, one full update and one full
+    # sweep: what the analyzer keeps per line is its coverage index slot
+    n = 1 << 16
+    ta_file = tenanalyzer.__file__
+    _, mem = make(n_lines=n, crypto_on=crypto_on)
+    tracemalloc.start()
+    try:
+        start = tracemalloc.take_snapshot()
+        ta = TenAnalyzer(mem)
+        assert ta.install_hint(BASE, n) == "installed"
+        for i in range(n):
+            ta.on_write(BASE + i * LINE_BYTES, payload(i))
+        for i in range(n):
+            ta.on_read(BASE + i * LINE_BYTES)
+        end = tracemalloc.take_snapshot()
+    finally:
+        tracemalloc.stop()
+    assert ta.stats["w_edge_finish"] == 1 and ta.stats["sweep_verifies"] == 1
+    only = [tracemalloc.Filter(True, ta_file)]
+    live = sum(d.size_diff for d in end.filter_traces(only).compare_to(
+        start.filter_traces(only), "filename")) / n
+    assert live <= 24, f"{live:.1f} B/line live"
 
 
 def test_context_switch_save_restore_roundtrip():
@@ -605,6 +677,10 @@ def _diff_op(ta: TenAnalyzer, op, serial: int, active: int, attacks: bool):
 @example([("sweep", (16, 16), None), ("sweep", (24, 9), None), ("switch",),
           ("sweep", (0, 4), None), ("switch",), ("sweep", (16, 8), None)], True,
          SWEEP_FOLD_LINES)
+# a two-row entry merged from two runs, invalidated by a write to its
+# second row, whose lines must leave the coverage index too
+@example([("sweep", (0, 4), None), ("sweep", (8, 4), None),
+          ("update", (8, 4), None), ("read", 9)], False, SWEEP_FOLD_LINES)
 def test_batched_covered_reads_match_per_line_reference(ops, crypto_on, fold):
     with mock.patch.object(tenanalyzer, "SWEEP_FOLD_LINES", fold):
         _diff_run(ops, crypto_on)
@@ -627,6 +703,7 @@ def _diff_run(ops, crypto_on):
         seen = [_diff_op(t, op, serial, active, crypto_on) for t in (ta, ref)]
         assert seen[0] == seen[1], op
         assert ta.stats == ref.stats and ta.dump_table() == ref.dump_table()
+        ta.check_disjoint()
         for eid in keys:
             assert mems[eid].totals == ref_mems[eid].totals
         if op[0] == "switch":
