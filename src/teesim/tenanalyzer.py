@@ -722,8 +722,8 @@ class TenAnalyzer:
                 or (ny > 1 and stride_b < nx * LINE_BYTES) or base < mem.base_pa \
                 or probe.last_addr >= mem.base_pa + mem.n_lines * LINE_BYTES:
             raise ValueError(f"hint of {n_lines} lines at {base:#x} (rows of {nx}, "
-                             f"stride {stride_b}) is unaligned, empty or outside "
-                             f"the region")
+                             f"stride {stride_b}) is unaligned, empty, overlaps "
+                             f"itself or reaches outside the region")
         overlapped = [o for o in dict.fromkeys(
             o for rows in self._rows(probe) for o in self._cover[rows])
             if o is not None]
