@@ -12,7 +12,8 @@ operation additionally returns an itemized CostReport row.
 
 A write's encryption and MAC are deferred until the line is next observed,
 so that a run of writes is sealed in one batch, and a run of reads opens its
-lines in one batch (see `ProtectedMemory`).
+lines in batches (see `ProtectedMemory`); `read_lines` and `write_lines`
+take a run of accesses with the result of the per-line calls.
 """
 
 from __future__ import annotations
@@ -20,13 +21,14 @@ from __future__ import annotations
 from array import array
 from collections import OrderedDict
 from dataclasses import dataclass
+from itertools import islice
 from typing import Optional, Sequence
 
 import numpy as np
 
 from .crypto import (
-    LINE_BYTES, MASK56, NULL_KEY, CipherBlock, CounterBinding,
-    IntegrityFault, KeyMaterial, VnTree, keystream_lines, line_tag, open_lines,
+    LINE_BYTES, MASK56, NULL_KEY, OPEN_BATCH_MIN, CipherBlock, IntegrityFault,
+    KeyMaterial, VnTree, keystream_lines, line_tag, open_lines,
     pa_binding_codes, seal_into, words_to_bytes,
 )
 # unused, but perfbench/tests' tracer test looks these names up here
@@ -36,6 +38,9 @@ VNS_PER_LINE = 8
 AES_CYCLES = 40
 MAC_CYCLES = 40
 HASH_CYCLES = 40
+# a read run opens at most this many lines in one batch, which bounds its
+# transient arrays
+OPEN_CHUNK_LINES = 1024
 _ZERO_LINE = bytes(LINE_BYTES)
 
 COST_FIELDS = ("op", "pa", "data_bytes", "vn_bytes", "mac_bytes", "tree_bytes", "cycles")
@@ -270,13 +275,28 @@ class ProtectedMemory:
         words[np.frombuffer(self._written, dtype=np.uint8)[at] == 0] = 0
         return words_to_bytes(words)
 
-    def _open(self, idxs) -> tuple[list[int], list[bytes]]:
-        """Tags and plaintexts of sealed lines under their stored state."""
-        ct, codes, vns = self._ct, self._codes, self._vns
-        return open_lines(
-            self.key, [codes[i] for i in idxs],
-            b"".join([ct[i * LINE_BYTES:(i + 1) * LINE_BYTES] for i in idxs]),
-            [vns[i] for i in idxs])
+    def opened(self, idxs) -> tuple[list, list, list]:
+        """Seal; then, at each position of `idxs` whose line is written, the
+        line's tag, plaintext and VN under the binding and VN it holds, all
+        opened in one batch, and None at the other positions. No cost
+        accounting and no check."""
+        self.seal()
+        n = len(idxs)
+        written = self._written
+        ks = [k for k, idx in enumerate(idxs) if written[idx]]
+        at = idxs if len(ks) == n else [idxs[k] for k in ks]
+        vns = [self._vns[i] for i in at]
+        ct = self._ct
+        cts = (b"".join([ct[i * LINE_BYTES:(i + 1) * LINE_BYTES] for i in at])
+               if len(at) < OPEN_BATCH_MIN
+               else self._words[np.array(at, dtype=np.intp)].tobytes())
+        tags, plains = open_lines(self.key, [self._codes[i] for i in at], cts, vns)
+        if len(ks) == n:
+            return tags, plains, vns
+        out = [None] * n, [None] * n, [None] * n
+        for k, tag, plain, vn in zip(ks, tags, plains, vns):
+            out[0][k], out[1][k], out[2][k] = tag, plain, vn
+        return out
 
     def _vn_line(self, li: int) -> array:
         return self._vns[li * VNS_PER_LINE:(li + 1) * VNS_PER_LINE]
@@ -342,50 +362,56 @@ class ProtectedMemory:
     def read_lines(self, pas) -> list:
         """Read the lines `pas` in order, exactly as that many `read_line`
         calls would, and return their plaintexts. The tags and plaintexts of
-        the lines already written are computed first, in one batch, each under
-        the VN its VN-line holds; nothing a read does changes a line's
-        ciphertext, binding, MAC or VN. Then each read in turn does its
-        accounting, resolves its VN, compares its tag and walks the tree on a
-        cold VN fetch. A never-written line is materialized only when its read
-        comes, so a fault leaves the totals, cache, store and tree that the
-        per-line reads would have."""
-        self.seal()
-        idxs = [self.line_index(pa) for pa in pas]
-        written = self._written
-        # the tag and plaintext at each position whose line is written
-        tags, plains = [None] * len(idxs), [None] * len(idxs)
-        ks = [k for k, idx in enumerate(idxs) if written[idx]]
-        for k, tag, plain in zip(ks, *self._open([idxs[k] for k in ks])):
-            tags[k], plains[k] = tag, plain
+        the lines already written are opened in batches of at most
+        `OPEN_CHUNK_LINES` lines, each just before its reads, under the VN
+        each line holds; nothing a read does changes a written line's
+        ciphertext, binding, MAC or VN. Each read then does its accounting,
+        resolves its VN, compares its tag and walks the tree on a cold VN
+        fetch (`read_opened`). A never-written line is materialized only
+        when its read comes, so a fault leaves the totals, cache, store and
+        tree that the per-line reads would have. An address outside the
+        region raises ValueError before any read of its batch."""
+        out = []
+        pas = iter(pas)
+        while chunk_pas := list(islice(pas, OPEN_CHUNK_LINES)):
+            chunk = [self.line_index(pa) for pa in chunk_pas]
+            tags, plains = self.opened(chunk)[:2]
+            for pa, idx, tag, plain in zip(chunk_pas, chunk, tags, plains):
+                self.read_opened(pa, idx, tag)
+                # a line opened as never-written was materialized by its own
+                # read or an earlier one of this call, so it reads as zeros
+                out.append(_ZERO_LINE if plain is None else plain)
+            del tags, plains     # before the next batch is opened
+        return out
+
+    def read_opened(self, pa: int, idx: int, tag: Optional[int]) -> None:
+        """One read of line `idx` at `pa` whose tag, as `opened` gave it, is
+        `tag`: the accounting, VN resolution and tag check, then the tree
+        walk on a cold VN fetch. With `tag` None (a line opened before it was
+        written) a never-written line is materialized instead of checked."""
         t = self.totals
-        macs = self._macs
-        for k, (pa, idx) in enumerate(zip(pas, idxs)):
-            t["reads"] += 1
-            t["data_rd"] += LINE_BYTES
-            vn, cold = self.resolve_vn(pa, t)
-            t["cycles"] += AES_CYCLES + MAC_CYCLES
-            t["mac_rd"] += LINE_BYTES
-            if plains[k] is not None:
-                if tags[k] != macs[idx]:
-                    raise IntegrityFault("mac_mismatch", f"pa={pa:#x}")
-            else:
-                if not written[idx]:
-                    self._materialize((idx,))
-                # materialized by this call, so it opens to zeros under the
-                # tag just made
-                plains[k] = _ZERO_LINE
-            if cold:
-                self.walk_tree(pa, t)
-        return plains
+        t["reads"] += 1
+        t["data_rd"] += LINE_BYTES
+        _, cold = self.resolve_vn(pa, t)
+        t["cycles"] += AES_CYCLES + MAC_CYCLES
+        t["mac_rd"] += LINE_BYTES
+        if tag is None:
+            if not self._written[idx]:
+                self._materialize((idx,))
+        elif tag != self._macs[idx]:
+            raise IntegrityFault("mac_mismatch", f"pa={pa:#x}")
+        if cold:
+            self.walk_tree(pa, t)
 
     def write_line(self, pa: int, plain, *, vn: Optional[int] = None,
-                   binding: Optional[CounterBinding] = None,
+                   code: Optional[int] = None,
                    covered: bool = False, tag_sink: Optional[list] = None,
                    collect: bool = False):
-        """Re-encrypt under VN+1 (or an explicit supplied VN), recompute the
-        MAC, store all three off-chip, and update the tree path. VN-line and
-        tree-node drain coalesces through the metadata cache; the MAC region
-        is uncached and drains per write, except for tensor-covered writes
+        """Re-encrypt under VN+1 (or an explicit supplied VN) and binding
+        code `code` (by default the line's own), recompute the MAC, store
+        all three off-chip, and update the tree path. VN-line and tree-node
+        drain coalesces through the metadata cache; the MAC region is
+        uncached and drains per write, except for tensor-covered writes
         whose integrity root is the entry's aggregate MAC. The encryption and
         MAC wait for the next `seal()`, which appends the line's fresh tag to
         `tag_sink` if one is given."""
@@ -405,8 +431,8 @@ class ProtectedMemory:
             # a pending write that feeds a tag sink is sealed before its
             # line is overwritten, so the sink still receives its tag
             self.seal()
-        if binding is not None:
-            self._codes[idx] = binding._code
+        if code is not None:
+            self._codes[idx] = code
         t["cycles"] += AES_CYCLES + MAC_CYCLES
         t["data_wr"] += LINE_BYTES
         t["mac_wr"] += LINE_BYTES
@@ -455,6 +481,80 @@ class ProtectedMemory:
                 tree_bytes=(t["tree_wr"] - t0[3]) + (t["tree_rd"] - t0[6]),
                 cycles=t["cycles"] - t0[4])
         return None
+
+    def write_lines(self, pas, plains, *, vn: Optional[int] = None,
+                    codes=None, covered: bool = False,
+                    tag_sink: Optional[list] = None) -> None:
+        """`write_line` of each line of `pas` in order, with the plaintext
+        and (if `codes` is given) the binding code at its position, and the
+        other arguments alike. Each line resolves its VN and walks the tree
+        (unless `vn` is given), stores its state and makes its metadata-cache
+        puts in turn; the counters are charged as sums, committed also when a
+        cold walk faults, so that a fault leaves the state of the per-line
+        writes before it. A line whose VN-line is the cache's `last_write`,
+        set by the line before it in this call, skips its puts and its tree
+        update too: they would evict nothing, and the leaf is already
+        pending. An address outside the region, or a plaintext that is not
+        one line, raises ValueError before any write."""
+        idxs = [self.line_index(pa) for pa in pas]
+        plains = [p.to_bytes(LINE_BYTES, "little") if isinstance(p, int) else p
+                  for p in plains]
+        if len(plains) != len(idxs) or any(len(p) != LINE_BYTES for p in plains):
+            raise ValueError(f"a line is {LINE_BYTES} bytes, one per address")
+        if codes is None:
+            codes = [None] * len(idxs)
+        t, cache, tree, key = self.totals, self.cache, self.tree, self.key
+        ct, vns, written, pending = self._ct, self._vns, self._written, self._pending
+        fixed_vn = None if vn is None else vn & MASK56
+        depth = tree.depth
+        started = done = 0
+        prev_li = None
+        try:
+            for pa, idx, plain, code in zip(pas, idxs, plains, codes):
+                started += 1
+                if fixed_vn is None:
+                    old_vn, cold = self.resolve_vn(pa, t)
+                    if cold:
+                        self.walk_tree(pa, t)
+                    new_vn = (old_vn + 1) & MASK56
+                else:
+                    new_vn = fixed_vn
+                if pending.get(idx) is not None:
+                    self.seal()
+                if code is not None:
+                    self._codes[idx] = code
+                o = idx * LINE_BYTES
+                ct[o:o + LINE_BYTES] = plain
+                written[idx] = 1
+                vns[idx] = new_vn
+                if key.null:
+                    tag = self._macs[idx] = line_tag(key, self._codes[idx], new_vn, plain)
+                    if tag_sink is not None:
+                        tag_sink.append(tag)
+                else:
+                    pending[idx] = tag_sink
+                li = idx // VNS_PER_LINE
+                vkey = ("vn", li)
+                if cache.last_write != vkey:
+                    keys = tree.update_path(li)
+                    for k in keys:
+                        self._charge_drain(cache.put(("tn",) + k, (), dirty=True))
+                    self._charge_drain(cache.put(vkey, True, dirty=True))
+                    if cache.capacity > len(keys):
+                        cache.last_write = vkey
+                elif li != prev_li:
+                    # `last_write` was left by an earlier call, after which
+                    # the tree may have flushed the leaf
+                    tree.update_path(li)
+                prev_li = li
+                done += 1
+        finally:
+            t["writes"] += started
+            t["cycles"] += (AES_CYCLES + MAC_CYCLES + HASH_CYCLES * (depth + 1)) * done
+            t["tree_wr"] += LINE_BYTES * depth * done
+            for k in ("data_wr", "mac_wr", "vn_wr") if covered else \
+                    ("data_wr", "mac_wr", "vn_wr", "mac_wb"):
+                t[k] += LINE_BYTES * done
 
     def line_mac(self, pa: int) -> int:
         return self.macs[self.line_index(pa)]
@@ -549,3 +649,12 @@ class PlainMemory:
         t["data_wr"] += LINE_BYTES
         self.blocks[self.line_index(pa)] = plain
         return CostReport("W", pa, data_bytes=LINE_BYTES) if collect else None
+
+    def write_lines(self, pas, plains) -> None:
+        """`write_line` of each of `pas` in order, without the per-line call."""
+        t = self.totals
+        blocks = self.blocks
+        for pa, plain in zip(pas, plains):
+            t["writes"] += 1
+            t["data_wr"] += LINE_BYTES
+            blocks[self.line_index(pa)] = plain

@@ -273,6 +273,14 @@ def pa_binding_codes(base_pa: int, n: int) -> np.ndarray:
     return _mix_lines(pas ^ np.uint64(mix64(0)))
 
 
+def tensor_binding_codes(tensor_id: int, offsets) -> np.ndarray:
+    """The codes of the tensor-logical bindings of tensor `tensor_id` at the
+    byte `offsets`, as `CounterBinding.__post_init__` computes them."""
+    offs = _mix_lines(np.array(offsets, dtype=np.uint64))
+    return _mix_lines(offs ^ np.uint64(
+        (tensor_id ^ (int(BindingMode.TENSOR_LOGICAL) << 62)) & MASK64))
+
+
 def keystream_lines(key: KeyMaterial, codes, vns) -> np.ndarray:
     """(n, 8) uint64 pads for n lines with the given binding codes and VNs
     (one int VN applies to every line); row i equals

@@ -31,20 +31,27 @@ sweep reaches the tensor-MAC check.
 Bytes, cycles, stats and faults are those of doing it line by line, at the
 same reads. Under the null key (light mode) a covered read's pad is zero and
 a sweep folds the stored MACs, which its consumed tags equal on honest runs.
+
+`read_run` and `write_run` take a run of accesses at once, with the result
+of the per-line `on_read` and `on_write` loop: the bookkeeping stays per line
+and in order, while a read run opens its written lines in batches and a
+write run stores its in-update lines and its misses in segments.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from itertools import islice
 from operator import attrgetter
 from typing import Optional
 
+import numpy as np
+
 from .baseline import AES_CYCLES, MAC_CYCLES, ProtectedMemory
 from .crypto import (
-    KEYSTREAM_BATCH_MIN, LINE_BYTES, MASK56, BindingMode, CounterBinding,
-    IntegrityFault, keystream_lines, line_pad, line_tag, mac_xor_aggregate,
-    open_lines,
+    KEYSTREAM_BATCH_MIN, LINE_BYTES, MASK56, IntegrityFault, keystream_lines,
+    line_pad, line_tag, mac_xor_aggregate, open_lines, tensor_binding_codes,
 )
 # unused, but perfbench/tests' tracer test looks these names up here
 from .crypto import keystream, mac_block  # noqa: F401
@@ -55,6 +62,7 @@ FILTER_WINDOW_BYTES = 4096             # max delta the filter will chain across;
 MAX_SWEEP_RUNS = 16                    # concurrent sequential read cursors per entry
 SWEEP_FOLD_LINES = 1024                # consumed lines a sweep run keeps before MACing them
 _TOUCHED = attrgetter("touched")
+_ZERO_LINE = bytes(LINE_BYTES)
 # what `context_switch` saves and restores per enclave
 _PER_ENCLAVE = ("entries", "_cover", "boundary", "filter", "pending_hints")
 
@@ -214,8 +222,6 @@ class TenAnalyzer:
         }
         self._enclaves: dict[int, ProtectedMemory] = {}
         self._saved: dict[int, dict] = {}
-        # (tensor id, byte offset) -> the tensor-logical binding of that line
-        self._tensor_bindings: dict[tuple[int, int], CounterBinding] = {}
 
     # -- small helpers -------------------------------------------------------
 
@@ -309,7 +315,8 @@ class TenAnalyzer:
 
         e = self.entry_at(va)
         if e is not None:
-            return self._read_hit_in(e, va)
+            plain, vn = self._read_hit_in(e, va)
+            return plain, ReadOutcome(HIT_IN, vn=vn)
 
         b = self.boundary.get(va)
         if b is not None and b.valid and b.uf == 0:
@@ -322,7 +329,47 @@ class TenAnalyzer:
         self.filter_collect(va, mem.vn_of(va), mem.macs[idx])
         return plain, ReadOutcome(MISS)
 
-    def _read_hit_in(self, e: MetaTableEntry, va: int):
+    def read_run(self, vas) -> list[bytes]:
+        """`[on_read(va)[0] for va in vas]`, with the crypto in batches: every
+        read's bookkeeping (stats, stamps, sweep runs, VN resolution, tree
+        walks, the filter) runs in record order, as `on_read` would do it,
+        while the tags and plaintexts of the written lines are opened under
+        their stored state in batches of at most `SWEEP_FOLD_LINES` lines,
+        each just before its reads. A covered read whose VN is not the stored
+        one, a read of a line never written when its batch was opened, and a
+        run with `en_tmf` off take the per-line path. An address outside the
+        region raises ValueError before any read of its batch."""
+        if not self.en_tmf:
+            return [self.on_read(va)[0] for va in vas]
+        mem = self.mem
+        stats, boundary = self.stats, self.boundary
+        out = []
+        vas = iter(vas)
+        while chunk_vas := list(islice(vas, SWEEP_FOLD_LINES)):
+            chunk = [mem.line_index(va) for va in chunk_vas]
+            tags, plains, vns = mem.opened(chunk)
+            # a line never written when its batch was opened has no tag,
+            # plaintext or VN there, and its read takes the per-line path
+            for va, idx, tag, plain, vn in zip(chunk_vas, chunk, tags, plains, vns):
+                if (e := self._cover[idx]) is not None:
+                    plain = self._read_hit_in(
+                        e, va, None if plain is None else (tag, plain, vn))[0]
+                elif (b := boundary.get(va)) is not None and b.valid and b.uf == 0:
+                    plain = self._read_hit_boundary(b, va, tag, plain)[0]
+                else:
+                    stats["r_miss"] += 1
+                    mem.read_opened(va, idx, tag)
+                    if plain is None:
+                        plain, vn = _ZERO_LINE, mem.vn_of(va)
+                    self.filter_collect(va, vn, mem.macs[idx])
+                out.append(plain)
+            del tags, plains, vns     # before the next batch is opened
+        return out
+
+    def _read_hit_in(self, e: MetaTableEntry, va: int, opened=None):
+        """A covered read. `opened` is the line's (tag, plaintext, VN) from a
+        batch open under its stored state (`read_run`); they stand for the
+        line's own crypto when the read's VN is the stored one."""
         mem = self.mem
         t = mem.totals
         self.stats["r_hit_in"] += 1
@@ -336,6 +383,10 @@ class TenAnalyzer:
         else:
             vn_eff = e.vn
         idx = mem.line_index(va)
+        if opened is not None and opened[2] == vn_eff:
+            tag, plain = opened[0], opened[1]
+            self._hit_in_mac(e, k, idx, None, None, vn_eff, t, tag)
+            return plain, vn_eff
         ct, code = mem.line(idx)
         if mem.key.null:
             # the null pad is 0; its batch made a light criterion-4 iteration 8-16% slower
@@ -344,7 +395,7 @@ class TenAnalyzer:
             plain = (int.from_bytes(ct, "little") ^ self._pad(e, k, code, vn_eff)
                      ).to_bytes(LINE_BYTES, "little")
         self._hit_in_mac(e, k, idx, ct, code, vn_eff, t)
-        return plain, ReadOutcome(HIT_IN, vn=vn_eff)
+        return plain, vn_eff
 
     def _pad(self, e: MetaTableEntry, k: int, code: int, vn: int) -> int:
         """`line_pad(key, code, vn)` for covered line `k`. The pads depend on
@@ -364,11 +415,13 @@ class TenAnalyzer:
         e.pad_codes = self.mem.codes(e.addresses())
         e.pads = keystream_lines(self.mem.key, e.pad_codes, e.vn).tobytes()
 
-    def _hit_in_mac(self, e, k, idx, ct, code, vn_eff, t) -> None:
+    def _hit_in_mac(self, e, k, idx, ct, code, vn_eff, t, tag=None) -> None:
         """Sequential covered reads accumulate toward a free whole-tensor MAC
-        check; anything else verifies the line against its off-chip MAC."""
+        check; anything else verifies the line against its off-chip MAC.
+        A `tag` from a batch open is the line's tag, so a sweep folds it at
+        once instead of keeping the consumed ciphertext."""
         if e.uf:
-            self._per_line_mac(idx, ct, code, vn_eff, t)
+            self._per_line_mac(idx, ct, code, vn_eff, t, tag)
             return
         run_start = e.runs_by_next.pop(k, None)
         if run_start is not None:
@@ -377,13 +430,15 @@ class TenAnalyzer:
             run = e.runs[k] = [k, 0, []]
             run_start = k
         else:
-            self._per_line_mac(idx, ct, code, vn_eff, t)
+            self._per_line_mac(idx, ct, code, vn_eff, t, tag)
             return
         t["cycles"] += MAC_CYCLES
         mem = self.mem
         if mem.key.null:
             # the null tag is the stored MAC; MACing made criterion 4 16-18% slower
             run[1] ^= mem.macs[idx]
+        elif tag is not None:
+            run[1] ^= tag
         else:
             self._sweep_take(run, ct, code, vn_eff)
         run[0] = k + 1
@@ -426,14 +481,19 @@ class TenAnalyzer:
                 return False
         return True
 
-    def _per_line_mac(self, idx, ct, code, vn_eff, t) -> None:
+    def _per_line_mac(self, idx, ct, code, vn_eff, t, tag=None) -> None:
         mem = self.mem
         t["mac_rd"] += LINE_BYTES
         t["cycles"] += MAC_CYCLES
-        if line_tag(mem.key, code, vn_eff, ct) != mem.macs[idx]:
+        if tag is None:
+            tag = line_tag(mem.key, code, vn_eff, ct)
+        if tag != mem.macs[idx]:
             raise IntegrityFault("mac_mismatch", f"line {idx}")
 
-    def _read_hit_boundary(self, e: MetaTableEntry, va: int):
+    def _read_hit_boundary(self, e: MetaTableEntry, va: int, tag=None, plain=None):
+        """A read one step past `e`'s end. `tag` and `plain`, from a batch
+        open (`read_run`), are the line's tag and plaintext under its stored
+        state, which the read confirms against."""
         mem = self.mem
         t = mem.totals
         self.stats["r_hit_boundary"] += 1
@@ -446,11 +506,14 @@ class TenAnalyzer:
         if cold:
             mem.walk_tree(va, t)
         idx = mem.line_index(va)
-        ct, code = mem.line(idx)
+        ct = code = None
+        if plain is None:
+            ct, code = mem.line(idx)
         # the line's stored MAC rides along with the VN confirmation
-        self._per_line_mac(idx, ct, code, vn_true, t)
-        plain = (int.from_bytes(ct, "little") ^ line_pad(mem.key, code, vn_true)
-                 ).to_bytes(LINE_BYTES, "little")
+        self._per_line_mac(idx, ct, code, vn_true, t, tag)
+        if plain is None:
+            plain = (int.from_bytes(ct, "little") ^ line_pad(mem.key, code, vn_true)
+                     ).to_bytes(LINE_BYTES, "little")
         if vn_true == e.vn:
             self._extend(e, va, mem.macs[idx])
             return plain, ReadOutcome(HIT_BOUNDARY, vn=speculative, confirmed=True)
@@ -667,21 +730,86 @@ class TenAnalyzer:
         self.stats["w_hit_in"] += 1
         return WriteOutcome(WRITE_HIT_IN)
 
-    def _write_covered(self, e: MetaTableEntry, va: int, plain, k: int) -> None:
+    def write_run(self, vas, plains) -> None:
+        """`on_write(va, plain)` of each line of `vas` and plaintext of
+        `plains`, in order. Consecutive in-update writes (`w_hit_in`) to one
+        entry are kept as one segment, with each line's protocol state and
+        stats updated at its turn, and consecutive misses as another; a
+        segment is stored with one `ProtectedMemory.write_lines` before the
+        next write of another kind. Edge writes, invalidating writes and
+        misses the tensor filter holds go through `on_write` at their
+        position."""
+        if not self.en_tmf:
+            self._write_misses(vas, plains)
+            return
+        # only reads change which addresses the filter holds
+        held = {a for f in self.filter for a, _, _ in f.addrs}
+        # an entry's tensor id and geometry stay fixed while it updates
+        codes: dict[MetaTableEntry, np.ndarray] = {}
+        seg_e, seg = None, []    # the open segment's entry (None: misses)
+        for va, plain in zip(vas, plains):
+            e = self.entry_at(va)
+            if e is None:
+                if va not in held:
+                    if seg_e is not None:
+                        self._write_segment(seg_e, seg, codes)
+                        seg_e, seg = None, []
+                    seg.append((va, plain, None))
+                    continue
+            elif e.uf and va != e.last_addr:
+                k = e.ordinal(va)
+                if not e.written[k]:
+                    if seg_e is not e:
+                        self._write_segment(seg_e, seg, codes)
+                        seg_e, seg = e, []
+                    e.written[k] = 1
+                    e.update_count += 1
+                    self.stats["w_hit_in"] += 1
+                    seg.append((va, plain, k))
+                    continue
+            self._write_segment(seg_e, seg, codes)
+            seg_e, seg = None, []
+            self.on_write(va, plain)
+        self._write_segment(seg_e, seg, codes)
+
+    def _write_segment(self, e: Optional[MetaTableEntry], seg: list,
+                       codes: dict) -> None:
+        """Store one `write_run` segment of (va, plaintext, ordinal): misses,
+        or in-update lines of entry `e` under its next VN and, for a tensor,
+        their tensor-logical bindings."""
+        if not seg:
+            return
+        vas, plains, ks = zip(*seg)
+        if e is None:
+            self._write_misses(vas, plains)
+            return
+        line_codes = None
+        if e.tensor_id is not None:
+            if e not in codes:
+                codes[e] = tensor_binding_codes(
+                    e.tensor_id, np.arange(e.line_count, dtype=np.uint64) * LINE_BYTES)
+            line_codes = codes[e][list(ks)].tolist()
+        self.mem.write_lines(vas, plains, vn=(e.vn + 1) & MASK56, codes=line_codes,
+                             covered=True, tag_sink=e.write_tags)
+
+    def _write_misses(self, vas, plains) -> None:
         mem = self.mem
+        w0 = mem.totals["writes"]
+        try:
+            mem.write_lines(vas, plains)
+        except IntegrityFault:
+            # the write whose cold walk faulted counts in `writes`, not as a miss
+            self.stats["w_miss"] += mem.totals["writes"] - w0 - 1
+            raise
+        self.stats["w_miss"] += len(vas)
+
+    def _write_covered(self, e: MetaTableEntry, va: int, plain, k: int) -> None:
         e.written[k] = 1
         e.update_count += 1
-        new_vn = (e.vn + 1) & MASK56
-        if e.tensor_id is not None:
-            where = (e.tensor_id, k * LINE_BYTES)
-            binding = self._tensor_bindings.get(where)
-            if binding is None:
-                binding = self._tensor_bindings[where] = CounterBinding(
-                    BindingMode.TENSOR_LOGICAL, *where)
-        else:
-            binding = None
-        mem.write_line(va, plain, vn=new_vn, binding=binding, covered=True,
-                       tag_sink=e.write_tags)
+        code = None if e.tensor_id is None else \
+            int(tensor_binding_codes(e.tensor_id, (k * LINE_BYTES,))[0])
+        self.mem.write_line(va, plain, vn=(e.vn + 1) & MASK56, code=code,
+                            covered=True, tag_sink=e.write_tags)
 
     def _finish_update(self, e: MetaTableEntry) -> WriteOutcome:
         # Assert2 held, so every covered line was written exactly once in

@@ -16,11 +16,13 @@ import struct
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
+import numpy as np
+
 from .baseline import ProtectedMemory
 from .crypto import (
     LINE_BYTES, MASK56, BindingMode, CipherBlock, CounterBinding,
     IntegrityFault, KeyMaterial, decrypt_block, encrypt_block, mac_block, mix64,
-    mac_xor_aggregate, open_blocks, seal_lines,
+    mac_xor_aggregate, open_blocks, seal_lines, tensor_binding_codes,
 )
 from .engine import Engine
 from .nputee import NpuDevice
@@ -269,15 +271,18 @@ def baseline_transfer(session: SessionState, engine: Engine, *,
         _, link_done = engine.reserve("link", size, at_tick=stage_done)
         rep.bytes_link += size
         plains_rx = _open_staging(staging, tensor_id, session, rep)
+        # the receiver installs the whole tensor in one run; after a fault
+        # the run aborts, so its engine reservations need not follow the
+        # writes
+        pas = [cpu_base + i * LINE_BYTES for i in range(n_lines)]
         done = link_done
-        for i, plain in enumerate(plains_rx):
-            pa = cpu_base + i * LINE_BYTES
+        for pa in pas:
             ch = (pa // LINE_BYTES) % nch
             _, sdec = engine.reserve(f"cpu_aes{ch}", LINE_BYTES, at_tick=link_done)
             _, eenc = engine.reserve(f"cpu_aes{ch}", LINE_BYTES, at_tick=sdec)
             _, wr = engine.reserve(f"cpu_dram{ch}", LINE_BYTES, at_tick=eenc)
-            cpu_mem.write_line(pa, plain)
             done = max(done, wr)
+        cpu_mem.write_lines(pas, plains_rx)
         rep.bytes_aes += 2 * size
         rep.done_tick = done
     else:
@@ -341,15 +346,18 @@ def direct_transfer(session: SessionState, engine: Engine, *,
         if n == 0:
             return rep
         mem = analyzer.mem
+        vas = sorted(e.addresses())
+        want = tensor_binding_codes(tensor_id, np.arange(n, dtype=np.uint64)
+                                    * LINE_BYTES).tolist()
         lines = []
-        for i, va in enumerate(sorted(e.addresses())):
-            ct, code = mem.line(mem.line_index(va))
-            binding = CounterBinding(BindingMode.TENSOR_LOGICAL, tensor_id,
-                                     i * LINE_BYTES)
-            if code != binding._code:
+        for i, (va, code) in enumerate(zip(vas, want)):
+            ct, stored = mem.line(mem.line_index(va))
+            if stored != code:
                 raise ProtocolError(f"line {va:#x} is not bound to tensor "
                                     f"{tensor_id}; direct transfer needs "
                                     f"tensor-logical ciphertext")
+            binding = CounterBinding(BindingMode.TENSOR_LOGICAL, tensor_id,
+                                     i * LINE_BYTES)
             lines.append(CipherBlock(int.from_bytes(ct, "little"), binding, e.vn))
         base_rx = npu_base if npu_base is not None else \
             0x4000_0000 + tensor_id * 0x100_0000

@@ -18,8 +18,8 @@ from __future__ import annotations
 import gzip
 import random
 from dataclasses import dataclass, field
-from itertools import groupby
-from operator import itemgetter
+from itertools import groupby, islice
+from operator import attrgetter, itemgetter
 from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
@@ -45,6 +45,8 @@ FLOATS_PER_LINE = LINE_BYTES // 4
 
 # a replay keeps the cost reports of at most this many memory accesses
 COST_SAMPLE_LIMIT = 1000
+# a replay hands the front door runs of at most this many records
+REPLAY_RUN_LINES = 4096
 
 _PHASE = itemgetter(0)   # of an adam access: 'R' or 'W'
 
@@ -304,31 +306,39 @@ def build_cpu_side(cfg: SimConfig, mode: str, n_lines: int, base: int,
                             merge_window=c.merge_window)
 
 
+def _line_data(va: int) -> bytes:
+    return (va & 0xFF).to_bytes(1, "little") * LINE_BYTES
+
+
 def replay_trace(front, records: Iterable[TraceRecord],
                  cost_sample: Optional[list] = None) -> None:
     """Drive R/W records through a CPU front door: a TenAnalyzer, a
-    ProtectedMemory or a PlainMemory. Write data is a cheap deterministic
-    pattern: the address's low byte in every byte of the line. A memory's
-    (not a TenAnalyzer's) accesses append their CostReports to
-    `cost_sample` while it holds fewer than COST_SAMPLE_LIMIT."""
+    ProtectedMemory or a PlainMemory, in runs of same-kind records
+    (`read_run`/`write_run`, or a memory's `read_lines`/`write_lines`) of at
+    most REPLAY_RUN_LINES. Write data is a cheap deterministic pattern: the
+    address's low byte in every byte of the line. A memory's (not a
+    TenAnalyzer's) accesses go one at a time, appending their CostReports to
+    `cost_sample`, while it holds fewer than COST_SAMPLE_LIMIT."""
     if isinstance(front, TenAnalyzer):
-        read, write = front.on_read, front.on_write
+        read_run, write_run = front.read_run, front.write_run
         cost_sample = None
     else:
-        read, write = front.read_line, front.write_line
-    for r in records:
-        sample = cost_sample is not None and len(cost_sample) < COST_SAMPLE_LIMIT
-        if r.kind == "R":
-            if sample:
-                cost_sample.append(read(r.va, collect=True)[1])
+        read_run, write_run = front.read_lines, front.write_lines
+    for kind, recs in groupby(records, key=attrgetter("kind")):
+        if kind not in ("R", "W"):
+            continue
+        while vas := [r.va for r in islice(recs, REPLAY_RUN_LINES)]:
+            if cost_sample is not None and len(cost_sample) < COST_SAMPLE_LIMIT:
+                head = vas[:COST_SAMPLE_LIMIT - len(cost_sample)]
+                vas = vas[len(head):]
+                for va in head:
+                    cost_sample.append(
+                        front.read_line(va, collect=True)[1] if kind == "R" else
+                        front.write_line(va, _line_data(va), collect=True))
+            if kind == "R":
+                read_run(vas)
             else:
-                read(r.va)
-        elif r.kind == "W":
-            data = (r.va & 0xFF).to_bytes(1, "little") * LINE_BYTES
-            if sample:
-                cost_sample.append(write(r.va, data, collect=True))
-            else:
-                write(r.va, data)
+                write_run(vas, [_line_data(va) for va in vas])
 
 
 # -- offloaded training loop -----------------------------------------------------------
@@ -418,11 +428,12 @@ class ZeroOffloadRunner:
 
     # -- CPU data plane -----------------------------------------------------------
 
-    def _cpu_write(self, va: int, data) -> None:
+    def _cpu_write(self, vas: list, plains: list) -> None:
+        """Write lines `vas` in order through the mode's write path."""
         if self.analyzer is not None:
-            self.analyzer.on_write(va, data)
+            self.analyzer.write_run(vas, plains)
         else:
-            self.cpu_mem.write_line(va, data)
+            self.cpu_mem.write_lines(vas, plains)
 
     def _reserve_cpu_phase(self, data_bytes: int, meta_bytes: int, at: int) -> int:
         """Charge a CPU access phase to the DRAM channels and AES engines."""
@@ -517,9 +528,9 @@ class ZeroOffloadRunner:
             if self.mode == "nonsecure":
                 _, end = eng.reserve("link", lay.n_lines * LINE_BYTES,
                                      at_tick=ready)
-                for j in range(lay.n_lines):
-                    self.cpu_mem.write_line(lay.g_base + j * LINE_BYTES,
-                                            _to_line(gvals, j))
+                self.cpu_mem.write_lines(
+                    [lay.g_base + j * LINE_BYTES for j in range(lay.n_lines)],
+                    [_to_line(gvals, j) for j in range(lay.n_lines)])
             elif self.mode == "sgx_mgx":
                 rep = baseline_transfer(self.session, eng, tensor_id=tid,
                                         direction="npu_to_cpu",
@@ -566,23 +577,22 @@ class ZeroOffloadRunner:
             data_keys = ("data_rd", "data_wr")
             snap_meta = sum(t_totals[k] for k in meta_keys)
             snap_data = sum(t_totals[k] for k in data_keys)
-            # each run of reads is one read run of the memory; the writes
-            # that follow store the step computed from what was read
+            # each run of reads is one read run; the writes that follow
+            # store the step computed from what was read, as one write run
             for phase, recs in groupby(adam_access_sequence(
                     lay, self.threads, self.burst), key=_PHASE):
+                recs = list(recs)
+                vas = [bases[s] + j * LINE_BYTES for _, s, _, j in recs]
                 if phase == "R":
-                    recs = list(recs)
-                    vas = [bases[s] + j * LINE_BYTES for _, s, _, j in recs]
                     if self.analyzer is None:
                         plains = self.cpu_mem.read_lines(vas)
                     else:
-                        plains = [self.analyzer.on_read(va)[0] for va in vas]
+                        plains = self.analyzer.read_run(vas)
                     for (_, s, _, j), plain in zip(recs, plains):
                         bufs[s][j] = plain
                 else:
                     new = self._adam_math(bufs, it)
-                    for _, s, _, j in recs:
-                        self._cpu_write(bases[s] + j * LINE_BYTES, new[s][j])
+                    self._cpu_write(vas, [new[s][j] for _, s, _, j in recs])
             meta = sum(t_totals[k] for k in meta_keys) - snap_meta
             data = sum(t_totals[k] for k in data_keys) - snap_data
             done = max(done, self._reserve_cpu_phase(data, meta, at))
@@ -598,13 +608,14 @@ class ZeroOffloadRunner:
             for t, lay in enumerate(self.layouts):
                 self.analyzer.install_hint(lay.w_base, lay.n_lines,
                                            tensor_id=self.WEIGHT_TID + t)
-        zero = np.zeros(self.n_lines * FLOATS_PER_LINE, dtype=np.float32)
+        zero = bytes(LINE_BYTES)
         for t, lay in enumerate(self.layouts):
+            vas, plains = [], []
             for j in range(lay.n_lines):
-                self._cpu_write(lay.w_base + j * LINE_BYTES,
-                                _to_line(self.init_weights[t], j))
-                self._cpu_write(lay.m_base + j * LINE_BYTES, _to_line(zero, j))
-                self._cpu_write(lay.v_base + j * LINE_BYTES, _to_line(zero, j))
+                vas += (lay.w_base + j * LINE_BYTES, lay.m_base + j * LINE_BYTES,
+                        lay.v_base + j * LINE_BYTES)
+                plains += (_to_line(self.init_weights[t], j), zero, zero)
+            self._cpu_write(vas, plains)
 
     def run(self) -> ZeroOffloadReport:
         self.setup_state()

@@ -1,9 +1,10 @@
 """Baseline (SGX-like) protected-memory tests: itemized cost accounting,
 metadata-cache behavior, attack detection, functional equivalence against a
 plain dict oracle, deferred sealing against an eager reference, and run
-reads and the write fast path against a per-line reference."""
+reads, run writes and the write fast path against per-line references."""
 
 import random
+import sys
 import tracemalloc
 
 import pytest
@@ -11,11 +12,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from teesim.baseline import (
-    AES_CYCLES, MAC_CYCLES, CostReport, MetadataCache, ProtectedMemory,
+    AES_CYCLES, MAC_CYCLES, OPEN_CHUNK_LINES, CostReport, MetadataCache,
+    ProtectedMemory,
 )
 from teesim.crypto import (
     OPEN_BATCH_MIN, SEAL_BATCH_MIN, BindingMode, CipherBlock, CounterBinding,
     IntegrityFault, KeyMaterial, LINE_BYTES, VnTree, line_pad, line_tag,
+    tensor_binding_codes,
 )
 from teesim.tenanalyzer import HIT_IN, TenAnalyzer
 
@@ -169,8 +172,8 @@ def test_materialize_matches_per_line_zero_blocks(n, crypto_on):
     def build():
         mem = make_mem(64, crypto_on=crypto_on)
         mem.write_line(BASE + LINE_BYTES, b"\x07" * LINE_BYTES)   # pending seal
-        mem.write_line(BASE + 2 * LINE_BYTES, b"\x08" * LINE_BYTES, binding=
-                       CounterBinding(BindingMode.TENSOR_LOGICAL, 9, 0))
+        mem.write_line(BASE + 2 * LINE_BYTES, b"\x08" * LINE_BYTES, code=
+                       CounterBinding(BindingMode.TENSOR_LOGICAL, 9, 0)._code)
         mem.seal()
         mem.write_line(BASE + 2 * LINE_BYTES, b"\x09" * LINE_BYTES)
         mem._vns[0] = 5        # a never-written line with a VN
@@ -573,6 +576,10 @@ def _run_ops(n_lines):
     line = st.integers(0, 15) | st.integers(0, n_lines - 1)
     return st.lists(st.one_of(
         st.tuples(st.just("write"), line),
+        # lines, an explicit VN, tensor-logical codes, covered, a tag sink
+        st.tuples(st.just("write_lines"), st.lists(line, min_size=1, max_size=20),
+                  st.sampled_from([None, 3]), st.booleans(), st.booleans(),
+                  st.booleans()),
         st.tuples(st.just("burst"), line, st.integers(1, 20)),
         # a write run with a read of one other line after each write
         st.tuples(st.just("interleave"), line, st.integers(1, 6), line),
@@ -591,11 +598,21 @@ def _cache_state(mem):
             dict(mem.totals))
 
 
-def _drive(mems, ops, n_lines):
+def _full_state(mem):
+    """`_cache_state`, the cache's `last_write` and the writes waiting to be
+    sealed, each with what its tag sink holds."""
+    return (_cache_state(mem), mem.cache.last_write,
+            [(idx, sink if sink is None else list(sink))
+             for idx, sink in mem._pending.items()])
+
+
+def _drive(mems, ops, n_lines, state=_cache_state):
     """Apply `ops` to every memory of `mems` alike. After each call, what it
-    returned (plaintexts, or a fault's kind and detail), the cache and the
-    totals must be equal."""
+    returned (plaintexts, or a fault's kind and detail) and `state` (by
+    default the cache and the totals) must be equal."""
     serial = 0
+    for m in mems:
+        m.sink = []
 
     def both(fn):
         out = []
@@ -605,7 +622,7 @@ def _drive(mems, ops, n_lines):
             except IntegrityFault as e:
                 out.append(("fault", e.kind, e.detail))
         assert out[0] == out[1], op
-        a, b = (_cache_state(m) for m in mems)
+        a, b = (state(m) for m in mems)
         assert a == b, op
         return out
 
@@ -623,6 +640,15 @@ def _drive(mems, ops, n_lines):
         kind = op[0]
         if kind == "write":
             write(op[1])
+        elif kind == "write_lines":
+            _, lines, vn, coded, covered, sink = op
+            pas = [BASE + i * LINE_BYTES for i in lines]
+            data = [(serial + j).to_bytes(4, "little") * 16 for j in range(len(lines))]
+            serial += len(lines)
+            codes = (tensor_binding_codes(9, [i * LINE_BYTES for i in lines]).tolist()
+                     if coded else None)
+            both(lambda m: m.write_lines(pas, data, vn=vn, codes=codes, covered=covered,
+                                         tag_sink=m.sink if sink else None))
         elif kind == "burst":
             for j in range(op[2]):
                 write((op[1] + j) % n_lines)
@@ -666,6 +692,84 @@ def test_run_reads_and_write_fast_path_match_per_line_reference(
             for cls in (ProtectedMemory, PerLineProtectedMemory)]
     _drive(mems, data.draw(_run_ops(n_lines)), n_lines)
     fast, ref = mems
-    assert _store(fast) == _store(ref)
+    assert _store(fast) == _store(ref) and fast.sink == ref.sink
     if crypto_on:
         assert fast.tree.root == ref.tree.root
+
+
+class LoopProtectedMemory(ProtectedMemory):
+    """The reference for the run methods: `read_lines` and `write_lines` as
+    loops of one-line calls."""
+
+    def read_lines(self, pas):
+        return [ProtectedMemory.read_lines(self, [pa])[0] for pa in pas]
+
+    def write_lines(self, pas, plains, *, vn=None, codes=None, covered=False,
+                    tag_sink=None):
+        for i, (pa, plain) in enumerate(zip(pas, plains)):
+            self.write_line(pa, plain, vn=vn, code=None if codes is None else codes[i],
+                            covered=covered, tag_sink=tag_sink)
+
+
+@pytest.mark.parametrize("crypto_on", [True, False])
+@pytest.mark.parametrize("n_lines, cache_bytes", [(64, 512), (512, 192), (68, 512)])
+@given(data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_run_methods_match_one_line_calls(crypto_on, n_lines, cache_bytes, data):
+    # also the cache's `last_write` and the pending writes and their sinks,
+    # after every call, faulting or not
+    mems = [cls(BASE, n_lines, KEY, metadata_cache_bytes=cache_bytes,
+                crypto_on=crypto_on)
+            for cls in (ProtectedMemory, LoopProtectedMemory)]
+    _drive(mems, data.draw(_run_ops(n_lines)), n_lines, state=_full_state)
+    run, ref = mems
+    assert _store(run) == _store(ref) and run.sink == ref.sink
+    assert run.tree.root == ref.tree.root
+
+
+def test_write_lines_keeps_the_totals_of_the_lines_before_a_fault():
+    # a replayed VN-line faults the cold walk of the third write
+    mems = [cls(BASE, 64, KEY) for cls in (ProtectedMemory, LoopProtectedMemory)]
+    for m in mems:
+        m.write_line(BASE + 16 * LINE_BYTES, b"\x01" * LINE_BYTES)
+        snap = m.snapshot_triple(BASE + 16 * LINE_BYTES)
+        m.write_line(BASE + 16 * LINE_BYTES, b"\x02" * LINE_BYTES)
+        m.inject_attack("replay", BASE + 16 * LINE_BYTES, snapshot=snap)
+        m.flush_metadata_cache()
+    pas = [BASE, BASE + LINE_BYTES, BASE + 17 * LINE_BYTES, BASE + 2 * LINE_BYTES]
+    seen = []
+    for m in mems:
+        with pytest.raises(IntegrityFault) as f:
+            m.write_lines(pas, [bytes([i]) * LINE_BYTES for i in range(4)])
+        seen.append((f.value.kind, _full_state(m), _store(m)))
+    assert seen[0] == seen[1]
+    assert mems[0].totals["writes"] == 2 + 3 and mems[0].totals["data_wr"] == 4 * LINE_BYTES
+
+
+@pytest.mark.parametrize("crypto_on", [True, False])
+def test_read_lines_opens_in_bounded_chunks(crypto_on):
+    # the transient peak of a long run read is that of one chunk plus the
+    # plaintexts it returns
+    n = 4 * OPEN_CHUNK_LINES
+    # a cache that holds every VN-line and node-line, so that no read walks
+    # the tree and refills it
+    mem = make_mem(n, cache_bytes=n * LINE_BYTES, crypto_on=crypto_on)
+    pas = [BASE + i * LINE_BYTES for i in range(n)]
+    for pa in pas:
+        mem.write_line(pa, bytes(range(LINE_BYTES)))
+    mem.seal()
+    mem.read_lines(pas)
+
+    def peak(k):
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            out = mem.read_lines(pas[:k])
+            return tracemalloc.get_traced_memory()[1] - start, out
+        finally:
+            tracemalloc.stop()
+
+    one_chunk, _ = peak(OPEN_CHUNK_LINES)
+    whole, out = peak(n)
+    returned = n * (len(out) and sys.getsizeof(out[0]) + 8)
+    assert whole <= one_chunk + returned, (whole, one_chunk, returned)

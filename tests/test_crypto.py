@@ -21,7 +21,7 @@ from teesim.crypto import (
     _node_hash, binding_codes, decrypt_block, encrypt_block, keystream,
     keystream_lines, line_pad, line_tag, line_words, mac_block, mac_lines,
     mac_xor_aggregate, mix64, open_blocks, pa_binding_codes, seal_into, seal_lines,
-    words_to_bytes, words_to_ints,
+    tensor_binding_codes, words_to_bytes, words_to_ints,
 )
 
 KEY = KeyMaterial.from_seed(0x5EED)
@@ -339,6 +339,16 @@ def test_pa_binding_codes_are_the_physical_bindings_codes(line, n):
     assert pa_binding_codes(base, n).tolist() == [
         CounterBinding(BindingMode.PHYSICAL_ADDR, base + i * LINE_BYTES).code()
         for i in range(n)]
+
+
+@given(st.integers(0, MASK64),
+       st.lists(st.integers(0, (1 << 40) - 1), min_size=0, max_size=40))
+@settings(max_examples=100, deadline=None)
+def test_tensor_binding_codes_are_the_tensor_bindings_codes(tensor_id, lines):
+    offsets = [line * LINE_BYTES for line in lines]
+    assert tensor_binding_codes(tensor_id, offsets).tolist() == [
+        CounterBinding(BindingMode.TENSOR_LOGICAL, tensor_id, off).code()
+        for off in offsets]
 
 
 def test_counter_binding_code_not_compared():

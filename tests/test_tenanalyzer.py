@@ -1,7 +1,8 @@
 """Meta Table / Tensor Filter / update protocol tests, including the spec'd
 read and write dataflow cases, merging, hints, context switching, the
-consistency/transparency invariants, the analyzer's footprint, and the
-batched covered-read path against a per-line reference."""
+consistency/transparency invariants, the analyzer's footprint, the batched
+covered-read path against a per-line reference, and the run methods against
+per-line loops."""
 
 import random
 import tracemalloc
@@ -19,6 +20,9 @@ from teesim.crypto import (
 from teesim.tenanalyzer import (
     EDGE_FINISH, EDGE_START, HIT_BOUNDARY, HIT_IN, INVALIDATE, MISS,
     SWEEP_FOLD_LINES, WRITE_HIT_IN, MetaTableEntry, TenAnalyzer,
+)
+from teesim.workloads import (
+    explicit_adam_layouts, gen_fuzz_trace, gen_gemm_trace, iter_adam_trace,
 )
 
 KEY = KeyMaterial.from_seed(0x7E57)
@@ -710,3 +714,161 @@ def _diff_run(ops, crypto_on):
             active = 3 - active
         elif op[0] == "update":
             serial += _DIFF_LINES
+
+
+# -- run methods against per-line loops ------------------------------------------
+
+_RUN_BASE = 0x20000
+_RUN_LINES = 600
+
+
+def _run_trace(name: str) -> tuple[list, int]:
+    """(is_read, va) records of a small adam, gemm or fuzz trace, all in a
+    `_RUN_LINES`-line region at `_RUN_BASE`, and the line count of its
+    first tensor (adam's first weights, gemm's A)."""
+    if name == "adam":
+        layouts = explicit_adam_layouts([32 * LINE_BYTES] * 2, _RUN_BASE)
+        recs = iter_adam_trace(layouts, threads=2, burst_lines=8, iterations=3)
+        first = 32
+    elif name == "gemm":
+        recs = gen_gemm_trace(32, 32, 32, 16, a_base=_RUN_BASE) * 2
+        first = 64
+    else:
+        recs = gen_fuzz_trace(700, 160, seed=5, base=_RUN_BASE)
+        first = 48
+    return [(r.kind == "R", r.va) for r in recs], first
+
+
+_RUN_TRACES = {name: _run_trace(name) for name in ("adam", "gemm", "fuzz")}
+
+
+def _folded_runs(e: MetaTableEntry, key) -> dict:
+    """An entry's sweep runs with every consumed line's tag folded in: a
+    per-line read keeps the ciphertext it consumed, a run read its tag."""
+    out = {}
+    for start, (nxt, acc, consumed) in e.runs.items():
+        for ct, code, vn in consumed:
+            acc ^= line_tag(key, code, vn, ct)
+        out[start] = (nxt, acc)
+    return out
+
+
+def _analyzer_state(ta: TenAnalyzer) -> tuple:
+    """What a run must leave exactly as its per-line loop does: the stats,
+    stamp, entries (with their sweep and update state), coverage, boundary
+    map and filter, and the memory's totals, metadata cache, pending writes,
+    store and tree root."""
+    mem = ta.mem
+    entries = [(e.dump(), e.lru, e.touched, e.mac, e.tensor_id,
+                _folded_runs(e, mem.key), dict(e.runs_by_next),
+                None if e.written is None else bytes(e.written), e.update_count,
+                list(e.write_tags))
+               for e in ta.entries]
+    cache = mem.cache
+    pending = [(idx, sink if sink is None else list(sink))
+               for idx, sink in mem._pending.items()]
+    return (dict(ta.stats), ta._stamp, entries,
+            [None if e is None else e.base for e in ta._cover],
+            sorted((va, e.base) for va, e in ta.boundary.items()),
+            [(f.addrs, f.delta, f.stamp) for f in ta.filter],
+            list(ta.pending_hints), dict(mem.totals),
+            list(cache._d.items()), cache.hits, cache.misses, cache.last_write,
+            pending, bytes(mem._ct), list(mem.macs), list(mem._vns),
+            list(mem._codes), bytes(mem._written), mem.tree.root)
+
+
+def _run_attempt(fn, *args):
+    try:
+        return "ok", fn(*args)
+    except IntegrityFault as f:
+        return "fault", f.kind, f.detail
+
+
+def _split_runs(records, cuts):
+    """Maximal same-kind runs of `records`, each cut further into pieces of
+    the lengths `cuts` gives in turn."""
+    runs, cut = [], 0
+    for rec in records:
+        if not runs or runs[-1][0][0] != rec[0] or len(runs[-1]) >= cuts[cut % len(cuts)]:
+            if runs and runs[-1][0][0] == rec[0]:
+                cut += 1
+            runs.append([])
+        runs[-1].append(rec)
+    return runs
+
+
+@pytest.mark.parametrize("trace", ["adam", "gemm", "fuzz"])
+@pytest.mark.parametrize("crypto_on", [True, False])
+@given(cuts=st.lists(st.integers(1, 80), min_size=1, max_size=6),
+       hint=st.sampled_from([None, "offchip", 5]),
+       # (after run, attack, line, source line, bit); the lines are picks
+       # among the lines the trace touches
+       tamper=st.one_of(st.none(), st.tuples(
+           st.integers(0, 40), st.sampled_from(["bitflip", "mac_tamper", "vn_tamper", "replay"]),
+           st.integers(0, 1 << 16), st.integers(0, 1 << 16), st.integers(0, 511))),
+       fold=st.sampled_from([SWEEP_FOLD_LINES, 5]))
+@settings(max_examples=25, deadline=None)
+# a VN tamper of a covered line, read again in the next read run
+@example(cuts=[80], hint="offchip", tamper=(1, "vn_tamper", 3, 0, 0), fold=5)
+# a replayed line whose VN-line the next miss write walks
+@example(cuts=[7, 3], hint=None, tamper=(4, "replay", 40, 41, 0), fold=SWEEP_FOLD_LINES)
+def test_run_methods_match_per_line_loops(trace, crypto_on, cuts, hint, tamper, fold):
+    with mock.patch.object(tenanalyzer, "SWEEP_FOLD_LINES", fold):
+        records, first = _RUN_TRACES[trace]
+        _diff_runs(records, crypto_on, cuts, hint and (first, hint), tamper)
+
+
+def _diff_runs(records, crypto_on, cuts, hint, tamper):
+    """Replay `records` through `read_run`/`write_run` on one analyzer and
+    through `on_read`/`on_write` on another, in runs cut at `cuts`; after
+    every run, and at a fault, what the core saw and the state must be
+    equal. `hint` = (lines, VN) first installs a tensor hint over that many
+    lines at the region's base, under the off-chip VN ("offchip") or the
+    one given, which the lines do not hold; `tamper` = (after run, attack,
+    line, source line, bit) attacks both memories once between runs."""
+    sides = []
+    for _ in range(2):
+        mem = ProtectedMemory(_RUN_BASE, _RUN_LINES, KEY, metadata_cache_bytes=1024,
+                              crypto_on=crypto_on)
+        ta = TenAnalyzer(mem)
+        if hint:
+            n, vn = hint
+            ta.install_hint(_RUN_BASE, n, tensor_id=7,
+                            vn=mem.vn_of(_RUN_BASE) if vn == "offchip" else vn)
+        sides.append(ta)
+    run_ta, ref = sides
+    touched = sorted({va for _, va in records})
+    serial = 0
+    for n, run in enumerate(_split_runs(records, cuts)):
+        vas = [va for _, va in run]
+        plains = [(serial + i).to_bytes(8, "little") * 8 for i in range(len(run))]
+        serial += len(run)
+        if run[0][0]:
+            got = _run_attempt(run_ta.read_run, vas)
+            want = [], None
+            for va in vas:
+                out = _run_attempt(ref.on_read, va)
+                if out[0] == "fault":
+                    want = out
+                    break
+                want[0].append(out[1][0])
+            want = want if want[0] == "fault" else ("ok", want[0])
+        else:
+            got = _run_attempt(run_ta.write_run, vas, plains)
+            want = ("ok", None)
+            for va, plain in zip(vas, plains):
+                out = _run_attempt(ref.on_write, va, plain)
+                if out[0] == "fault":
+                    want = out
+                    break
+        assert got == want, n
+        assert _analyzer_state(run_ta) == _analyzer_state(ref), n
+        if got[0] == "fault":
+            return
+        run_ta.check_disjoint()
+        if tamper is not None and tamper[0] == n and crypto_on:
+            _, attack, line, src, bit = tamper
+            for ta in sides:
+                snap = ta.mem.snapshot_triple(touched[src % len(touched)])
+                ta.mem.inject_attack(attack, touched[line % len(touched)], bit=bit,
+                                     snapshot=snap)
