@@ -346,13 +346,13 @@ class ProtectedMemory:
 
     def read_line(self, pa: int, collect: bool = False):
         """Fetch + decrypt one line, verifying MAC and (when the VN came from
-        off-chip) the VN tree: `read_lines([pa])`. Returns (plaintext,
-        CostReport|None)."""
+        off-chip) the VN tree: what `read_lines([pa])` does, without its
+        loop. Returns (plaintext, CostReport|None)."""
         if not collect:
-            return self.read_lines([pa])[0], None
+            return self._read_one(pa), None
         t = self.totals
         t0 = (t["data_rd"], t["vn_rd"], t["mac_rd"], t["tree_rd"], t["cycles"])
-        plain, = self.read_lines([pa])
+        plain = self._read_one(pa)
         return plain, CostReport(
             "R", pa,
             data_bytes=t["data_rd"] - t0[0], vn_bytes=t["vn_rd"] - t0[1],
@@ -383,6 +383,12 @@ class ProtectedMemory:
                 out.append(_ZERO_LINE if plain is None else plain)
             del tags, plains     # before the next batch is opened
         return out
+
+    def _read_one(self, pa: int) -> bytes:
+        idx = self.line_index(pa)
+        (tag,), (plain,), _ = self.opened([idx])
+        self.read_opened(pa, idx, tag)
+        return _ZERO_LINE if plain is None else plain
 
     def read_opened(self, pa: int, idx: int, tag: Optional[int]) -> None:
         """One read of line `idx` at `pa` whose tag, as `opened` gave it, is

@@ -699,10 +699,10 @@ def test_run_reads_and_write_fast_path_match_per_line_reference(
 
 class LoopProtectedMemory(ProtectedMemory):
     """The reference for the run methods: `read_lines` and `write_lines` as
-    loops of one-line calls."""
+    loops of `read_line` and `write_line`."""
 
     def read_lines(self, pas):
-        return [ProtectedMemory.read_lines(self, [pa])[0] for pa in pas]
+        return [self.read_line(pa)[0] for pa in pas]
 
     def write_lines(self, pas, plains, *, vn=None, codes=None, covered=False,
                     tag_sink=None):
