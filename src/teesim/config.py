@@ -108,17 +108,22 @@ class SimConfig:
         if self.mode not in MODES:
             raise ConfigError(f"mode must be one of {MODES}, got {self.mode!r}")
         # rates, clocks and counts the engine divides by: a bad one would
-        # otherwise surface as a simulator error from build_engine
+        # otherwise surface as a simulator error from build_engine; and
+        # latencies, which a grant adds to its start, so a negative one would
+        # finish a grant before it starts
         for section in ("cpu", "npu", "link"):
             for f in dataclasses.fields(getattr(self, section)):
                 name = f.name
-                if not (name.endswith(("bytes_per_s", "_hz"))
-                        or name in ("dram_channels", "compute_cycles_per_line")):
-                    continue
                 v = getattr(getattr(self, section), name)
-                if type(v) is not int or v <= 0:
-                    raise ConfigError(f"{section}.{name} must be a positive "
-                                      f"integer, got {v!r}")
+                if name.endswith("latency_cycles"):
+                    if type(v) is not int or v < 0:
+                        raise ConfigError(f"{section}.{name} must be a non-negative "
+                                          f"integer, got {v!r}")
+                elif name.endswith(("bytes_per_s", "_hz")) \
+                        or name in ("dram_channels", "compute_cycles_per_line"):
+                    if type(v) is not int or v <= 0:
+                        raise ConfigError(f"{section}.{name} must be a positive "
+                                          f"integer, got {v!r}")
         g = self.npu.mac_granularity
         if not (64 <= g <= 4096 and g & (g - 1) == 0):
             raise ConfigError("npu.mac_granularity must be a power of two in [64, 4096]")

@@ -528,21 +528,32 @@ class VnTree:
         self._is_pending = bytearray(self.n_leaves)
         if self.key.null:
             return 0
-        hashes = []
-        for i in range(self.n_leaves):
-            vns = leaf_lines[i] if i < len(leaf_lines) else (0,) * TREE_ARITY
-            hashes.append(_leaf_hash(self.key, i, vns))
-        self._levels = [hashes]
+        mk = self.key.mac_key
+        lines = np.zeros((self.n_leaves, TREE_ARITY), dtype=np.uint64)
+        if len(leaf_lines):
+            lines[:len(leaf_lines)] = np.array(
+                [[v & MASK56 for v in vns] for vns in leaf_lines], dtype=np.uint64)
+        # `_leaf_hash` of every leaf, then `_node_hash` of every node-line of
+        # each level, a level at a time
+        x = np.arange(self.n_leaves, dtype=np.uint64) ^ np.uint64(
+            (mk & MASK64) ^ 0x6C656166)
         level = 0
-        while len(hashes) > TREE_ARITY:
+        while True:
+            for c in range(TREE_ARITY):
+                x = _mix_lines(x)
+                x ^= lines[:, c]
+            hashes = _mix_lines(x)
+            if level:
+                self._levels.append(hashes.tolist())
+            else:
+                self._levels = [hashes.tolist()]
+            if len(hashes) <= TREE_ARITY:
+                break
             level += 1
-            parents = []
-            for j in range(0, len(hashes), TREE_ARITY):
-                parents.append(_node_hash(self.key, level, j // TREE_ARITY,
-                                          hashes[j:j + TREE_ARITY]))
-            self._levels.append(parents)
-            hashes = parents
-        self._root = _node_hash(self.key, self.depth, 0, hashes)
+            lines = hashes.reshape(-1, TREE_ARITY)
+            x = np.arange(len(lines), dtype=np.uint64) ^ np.uint64(
+                (mk >> 64) ^ (level << 32))
+        self._root = _node_hash(self.key, self.depth, 0, self._levels[-1])
         return self._root
 
     def node_line(self, level: int, line_idx: int) -> tuple[int, ...]:

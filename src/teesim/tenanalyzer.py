@@ -33,17 +33,21 @@ same reads. Under the null key (light mode) a covered read's pad is zero and
 a sweep folds the stored MACs, which its consumed tags equal on honest runs.
 
 `read_run` and `write_run` take a run of accesses at once, with the result
-of the per-line `on_read` and `on_write` loop: the bookkeeping stays per line
-and in order, while a read run opens its written lines in batches and a
-write run stores its in-update lines and its misses in segments.
+of the per-line `on_read` and `on_write` loop, faults included. A read run
+opens its lines in batches, and takes each maximal span of reads whose
+per-line steps only add (covered reads continuing one sweep run, boundary
+reads extending one entry) in one step; a write run takes each span of
+in-update writes in one step and stores its in-update lines and its misses
+in segments. Any other access takes the per-line step at its position.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import reduce
 from itertools import islice
-from operator import attrgetter
+from operator import attrgetter, xor
 from typing import Optional
 
 import numpy as np
@@ -177,6 +181,36 @@ class MetaTableEntry:
         return {"base": self.base, "dims": [self.nx, self.ny, self.planes],
                 "stride": self.stride, "vn": self.vn, "uf": self.uf,
                 "bs": self.bs, "valid": self.valid}
+
+
+def _run_ends(vas: list) -> list[int]:
+    """For each position of `vas`, the position after the run of
+    consecutive lines it belongs to."""
+    n = len(vas)
+    ends, end = [n] * n, n
+    for i in range(n - 2, -1, -1):
+        if vas[i + 1] - vas[i] != LINE_BYTES:
+            end = i + 1
+        ends[i] = end
+    return ends
+
+
+class _Span:
+    """One entry's reads in a `TenAnalyzer._read_segment`: covered reads
+    (`chain` False) or boundary reads (`chain` True) of the lines `lo` to
+    `hi` - 1, and the stamps of the last read. A covered span also keeps
+    the ordinal `k` of its last read, the ordinal `limit` it must stay
+    below, the ordinal `close_at` whose read closes the sweep (or -1), the
+    start of the run it continues (None: it starts one at its first
+    ordinal), the XOR `acc` of its batch tags and, once applied, its `run`."""
+
+    __slots__ = ("e", "chain", "lo", "hi", "k", "limit", "close_at", "start",
+                 "acc", "lru", "touched", "run")
+
+    def __init__(self, e, chain, lo, k, limit, close_at, start):
+        self.e, self.chain, self.lo, self.hi = e, chain, lo, lo
+        self.k, self.limit, self.close_at, self.start = k, limit, close_at, start
+        self.acc = 0
 
 
 class _FilterEntry:
@@ -330,41 +364,252 @@ class TenAnalyzer:
         return plain, ReadOutcome(MISS)
 
     def read_run(self, vas) -> list[bytes]:
-        """`[on_read(va)[0] for va in vas]`, with the crypto in batches: every
-        read's bookkeeping (stats, stamps, sweep runs, VN resolution, tree
-        walks, the filter) runs in record order, as `on_read` would do it,
-        while the tags and plaintexts of the written lines are opened under
-        their stored state in batches of at most `SWEEP_FOLD_LINES` lines,
-        each just before its reads. A covered read whose VN is not the stored
-        one, a read of a line never written when its batch was opened, and a
-        run with `en_tmf` off take the per-line path. An address outside the
-        region raises ValueError before any read of its batch."""
+        """`[on_read(va)[0] for va in vas]`, with the crypto in batches and
+        the bookkeeping in spans. The tags and plaintexts of the lines are
+        opened under their stored state in batches of at most
+        `SWEEP_FOLD_LINES` lines, each just before its reads; a never-written
+        line opens as the zeros it will be materialized with. Then the
+        batch's reads are taken in record order, in segments (`_read_segment`)
+        where the reads of each entry form one span whose per-line steps
+        only add, and one at a time, as `on_read` does it, where they do not.
+        An address outside the region raises ValueError before any read of
+        its batch."""
         if not self.en_tmf:
             return [self.on_read(va)[0] for va in vas]
         mem = self.mem
-        stats, boundary = self.stats, self.boundary
         out = []
         vas = iter(vas)
         while chunk_vas := list(islice(vas, SWEEP_FOLD_LINES)):
-            chunk = [mem.line_index(va) for va in chunk_vas]
+            chunk = mem.line_indices(chunk_vas)
             tags, plains, vns = mem.opened(chunk)
-            # a line never written when its batch was opened has no tag,
-            # plaintext or VN there, and its read takes the per-line path
-            for va, idx, tag, plain, vn in zip(chunk_vas, chunk, tags, plains, vns):
-                if (e := self._cover[idx]) is not None:
-                    plain = self._read_hit_in(
-                        e, va, None if plain is None else (tag, plain, vn))[0]
-                elif (b := boundary.get(va)) is not None and b.valid and b.uf == 0:
-                    plain = self._read_hit_boundary(b, va, tag, plain)[0]
-                else:
-                    stats["r_miss"] += 1
-                    mem.read_opened(va, idx, tag)
-                    if plain is None:
-                        plain, vn = _ZERO_LINE, mem.vn_of(va)
-                    self.filter_collect(va, vn, mem.macs[idx])
-                out.append(plain)
-            del tags, plains, vns     # before the next batch is opened
+            # a line never written when its batch was opened gets the tag,
+            # zeros and VN it materializes with, for the spans; a per-line
+            # read of it materializes it itself, as `on_read` would
+            fresh = {}
+            if None in tags:
+                ks = [k for k, tag in enumerate(tags) if tag is None]
+                for k, sealed in zip(ks, mem.sealed_zeros([chunk[k] for k in ks])):
+                    fresh[chunk[k]] = sealed
+                    tags[k], vns[k], plains[k] = sealed[1], sealed[2], _ZERO_LINE
+            p, n = 0, len(chunk)
+            while p < n:
+                q = self._read_segment(chunk_vas, chunk, tags, vns, fresh, p)
+                if q > p:
+                    out += plains[p:q]
+                    p = q
+                    continue
+                va, idx = chunk_vas[p], chunk[p]
+                out.append(self._read_one(va, idx, *(
+                    (None, None, None) if idx in fresh else (tags[p], plains[p], vns[p]))))
+                p += 1
+            del tags, plains, vns, fresh     # before the next batch is opened
         return out
+
+    def _read_one(self, va: int, idx: int, tag, plain, vn) -> bytes:
+        """`on_read(va)[0]` for line `idx`, given its tag, plaintext and VN
+        from a batch open, or None for a line not written when it was
+        opened, whose read then takes the per-line path."""
+        if (e := self._cover[idx]) is not None:
+            return self._read_hit_in(e, va, None if plain is None else (tag, plain, vn))[0]
+        b = self.boundary.get(va)
+        if b is not None and b.valid and b.uf == 0:
+            return self._read_hit_boundary(b, va, tag, plain)[0]
+        mem = self.mem
+        self.stats["r_miss"] += 1
+        mem.read_opened(va, idx, tag)
+        if plain is None:
+            plain, vn = _ZERO_LINE, mem.vn_of(va)
+        self.filter_collect(va, vn, mem.macs[idx])
+        return plain
+
+    def _read_segment(self, vas, idxs, tags, vns, fresh: dict, p: int) -> int:
+        """Take the reads from position `p` of a batch on, as far as each
+        falls in a span, as one step per span, and return the position after
+        the last read taken (`p` if none was). A span is one entry's reads
+        in the segment, of one of two kinds:
+
+        - covered reads of a quiescent entry, at ordinals ascending by one,
+          each line opened under the entry's VN, that continue one sweep run
+          (or start an unclaimed one) and reach no other run's start or end
+          before their last read;
+        - boundary reads extending a single-row entry line by line, each
+          line holding the entry's VN and its batch tag as its stored MAC
+          (or never written), each VN-line already in the metadata cache.
+
+        Each read's steps then only add, or touch state of its own entry
+        that no other span of the segment touches, so the spans are applied
+        after the scan, with the stamps each read would have taken. A read
+        that would close an entry's sweep ends the segment, so its check,
+        which may fault, comes after every earlier read, as on the per-line
+        path."""
+        mem = self.mem
+        cover, boundary, peek = self._cover, self.boundary, mem.cache.peek
+        macs = mem.macs
+        spans: dict[MetaTableEntry, _Span] = {}
+        chains: dict[int, _Span] = {}    # the next line of each boundary span
+        gets: dict[int, None] = {}       # VN-lines, in the order of their last get
+        last_li = -1
+        stamp = self._stamp
+        closing = None
+        q, end = p, len(idxs)
+        while q < end:
+            idx = idxs[q]
+            e = cover[idx]
+            if e is not None:
+                s = spans.get(e)
+                if s is None:
+                    if e.uf or vns[q] != e.vn or (s := self._covered_span(e, vas[q], idx)) is None:
+                        break
+                    spans[e] = s
+                elif s.chain or idx != s.hi or s.k + 1 >= s.limit or vns[q] != e.vn:
+                    break
+                else:
+                    s.k += 1
+                s.hi = idx + 1
+                s.acc ^= tags[q]
+                stamp += 1
+                s.lru = stamp
+                if s.k == s.close_at:
+                    closing = s
+                    q += 1
+                    break
+            else:
+                s = chains.pop(idx, None)
+                if s is None:
+                    va = vas[q]
+                    b = boundary.get(va)
+                    if b is None or b in spans or not b.valid or b.uf or b.ny != 1 \
+                            or b.last_addr + LINE_BYTES != va \
+                            or (b.nx == 1 and b.stride != LINE_BYTES):
+                        break
+                    s = _Span(b, True, idx, 0, 0, -1, None)
+                if vns[q] != s.e.vn or (tags[q] != macs[idx] and idx not in fresh):
+                    break
+                li = idx >> 3
+                if li != last_li:
+                    if li not in gets:
+                        if peek(("vn", li)) is None:
+                            break
+                    else:
+                        del gets[li]
+                    gets[li] = None
+                    last_li = li
+                s.hi = idx + 1
+                chains[s.hi] = spans[s.e] = s
+                stamp += 2
+                s.lru, s.touched = stamp - 1, stamp
+            q += 1
+        if q == p:
+            return p
+        self._commit_segment(spans, list(gets), fresh, q - p, stamp)
+        if closing is not None:
+            self._close_sweep(closing.e, closing.run)
+        return q
+
+    def _covered_span(self, e: MetaTableEntry, va: int, idx: int) -> Optional["_Span"]:
+        """A span of covered reads of quiescent entry `e` from line `idx` at
+        `va` on, or None if that read's sweep step is not one a span may
+        take: one that neither continues a run nor starts an unclaimed one."""
+        k = e.ordinal(va)
+        start = e.runs_by_next.get(k)
+        if start is None and (len(e.runs) >= MAX_SWEEP_RUNS
+                              or not self._ordinal_unclaimed(e, k)):
+            return None
+        # the span stops before any other run's start or end, whose steps
+        # would coalesce or overwrite
+        n = e.line_count
+        limit = min((o for o in (*e.runs, *e.runs_by_next) if o > k), default=n)
+        close_at = -1
+        if (k if start is None else start) == 0:
+            if limit == n:
+                close_at = n - 1
+            elif limit in e.runs and e.runs[limit][0] == n:
+                close_at = limit - 1
+        return _Span(e, False, idx, k, limit, close_at, start)
+
+    def _commit_segment(self, spans: dict, gets: list, fresh: dict, n: int,
+                        stamp: int) -> None:
+        """Apply a segment of `n` reads from `_read_segment`: its spans, the
+        metadata-cache gets of its boundary reads (all hits, of the VN-lines
+        `gets` lists in the order of their last get), and `stamp`, the
+        stamp after its last read."""
+        mem = self.mem
+        t, stats = mem.totals, self.stats
+        null = mem.key.null
+        n_b = 0
+        for e, s in spans.items():
+            lo, hi = s.lo, s.hi
+            if fresh:
+                mem.materialize_sealed(range(lo, hi), fresh)
+            if s.chain:
+                n_b += hi - lo
+                self._extend_span(e, s)
+                continue
+            e.lru = s.lru
+            k0 = s.k - (hi - lo - 1)
+            if s.start is None:
+                run = e.runs[k0] = [k0, 0, []]
+                start = k0
+            else:
+                start = s.start
+                del e.runs_by_next[k0]
+                run = e.runs[start]
+            # the null tag is the stored MAC, as in `_hit_in_mac`
+            run[1] ^= reduce(xor, mem.macs[lo:hi]) if null else s.acc
+            run[0] = s.k + 1
+            nxt = e.runs.pop(run[0], None)
+            if nxt is not None:
+                run[0] = nxt[0]
+                run[1] ^= nxt[1]
+                run[2] += nxt[2]
+                e.runs_by_next.pop(nxt[0], None)
+            e.runs_by_next[run[0]] = start
+            s.run = run
+        stats["r_hit_in"] += n - n_b
+        stats["r_hit_boundary"] += n_b
+        t["reads"] += n
+        t["data_rd"] += LINE_BYTES * n
+        t["mac_rd"] += LINE_BYTES * n_b
+        t["cycles"] += (AES_CYCLES + MAC_CYCLES) * n
+        if gets:
+            mem.cache.hit_run([("vn", li) for li in gets], n_b)
+        self._stamp = stamp
+
+    def _extend_span(self, e: MetaTableEntry, s: "_Span") -> None:
+        """`_extend` of each line of a boundary span, in one step."""
+        lo, hi = s.lo, s.hi
+        n = hi - lo
+        first = self.mem.base_pa + lo * LINE_BYTES
+        last = first + (n - 1) * LINE_BYTES
+        boundary = self.boundary
+        # each line's extension points the boundary at the next line, whose
+        # own extension then deletes it
+        for va in range(first, last + 1, LINE_BYTES):
+            boundary.pop(va, None)
+        line_macs = reduce(xor, self.mem.macs[lo:hi])
+        old_n = e.nx
+        e.nx += n
+        e.last_addr = last
+        e.mac ^= line_macs
+        self._cover[lo:hi] = [e] * n
+        if self.entry_at(last + LINE_BYTES) is None:
+            boundary[last + LINE_BYTES] = e
+        e.lru, e.touched = s.lru, s.touched
+        run_start = e.runs_by_next.pop(old_n, None)
+        if run_start is not None:
+            run = e.runs[run_start]
+            run[0] = old_n + n
+            run[1] ^= line_macs
+            e.runs_by_next[run[0]] = run_start
+
+    def _close_sweep(self, e: MetaTableEntry, run: list) -> None:
+        """Check a sweep run that covers the whole entry against its MAC."""
+        self._sweep_fold(run)
+        acc = run[1]
+        e.reset_sweep()
+        if acc != e.mac:
+            raise IntegrityFault("tensor_mac", f"entry base={e.base:#x}")
+        self.stats["sweep_verifies"] += 1
 
     def _read_hit_in(self, e: MetaTableEntry, va: int, opened=None):
         """A covered read. `opened` is the line's (tag, plaintext, VN) from a
@@ -451,12 +696,7 @@ class TenAnalyzer:
             e.runs_by_next.pop(nxt[0], None)
         e.runs_by_next[run[0]] = run_start
         if run_start == 0 and run[0] == e.line_count:
-            self._sweep_fold(run)
-            acc = run[1]
-            e.reset_sweep()
-            if acc != e.mac:
-                raise IntegrityFault("tensor_mac", f"entry base={e.base:#x}")
-            self.stats["sweep_verifies"] += 1
+            self._close_sweep(e, run)
 
     def _sweep_take(self, run: list, ct: bytes, code: int, vn: int) -> None:
         """Add a line the core consumed to a sweep run. Its tag is computed
@@ -732,54 +972,76 @@ class TenAnalyzer:
 
     def write_run(self, vas, plains) -> None:
         """`on_write(va, plain)` of each line of `vas` and plaintext of
-        `plains`, in order. Consecutive in-update writes (`w_hit_in`) to one
-        entry are kept as one segment, with each line's protocol state and
-        stats updated at its turn, and consecutive misses as another; a
-        segment is stored with one `ProtectedMemory.write_lines` before the
-        next write of another kind. Edge writes, invalidating writes and
-        misses the tensor filter holds go through `on_write` at their
-        position."""
+        `plains`, in order. In-update writes (`w_hit_in`) to consecutive
+        unwritten lines of one row of an updating entry, short of its last
+        address, form one span, whose written flags, `update_count` and
+        stats are set in one step; consecutive spans of one entry form one
+        segment, and consecutive misses another. A segment is stored with
+        one `ProtectedMemory.write_lines` before the next write of another
+        kind. Edge writes, invalidating writes and misses the tensor filter
+        holds go through `on_write` at their position."""
         if not self.en_tmf:
             self._write_misses(vas, plains)
             return
+        vas, plains = list(vas), list(plains)
         # only reads change which addresses the filter holds
         held = {a for f in self.filter for a, _, _ in f.addrs}
         # an entry's tensor id and geometry stay fixed while it updates
-        codes: dict[MetaTableEntry, np.ndarray] = {}
-        seg_e, seg = None, []    # the open segment's entry (None: misses)
-        for va, plain in zip(vas, plains):
+        codes: dict[MetaTableEntry, list] = {}
+        # the position after the run of consecutive lines each write is in
+        ends = _run_ends(vas)
+        stats = self.stats
+        # the open segment: its entry (None: misses), lines, plaintexts, ordinals
+        seg_e, seg_vas, seg_plains, ks = None, [], [], []
+        i, n = 0, len(vas)
+        while i < n:
+            va = vas[i]
             e = self.entry_at(va)
             if e is None:
                 if va not in held:
                     if seg_e is not None:
-                        self._write_segment(seg_e, seg, codes)
-                        seg_e, seg = None, []
-                    seg.append((va, plain, None))
+                        self._write_segment(seg_e, seg_vas, seg_plains, ks, codes)
+                        seg_e, seg_vas, seg_plains, ks = None, [], [], []
+                    seg_vas.append(va)
+                    seg_plains.append(plains[i])
+                    i += 1
                     continue
             elif e.uf and va != e.last_addr:
                 k = e.ordinal(va)
-                if not e.written[k]:
+                written = e.written
+                if not written[k]:
                     if seg_e is not e:
-                        self._write_segment(seg_e, seg, codes)
-                        seg_e, seg = e, []
-                    e.written[k] = 1
-                    e.update_count += 1
-                    self.stats["w_hit_in"] += 1
-                    seg.append((va, plain, k))
+                        self._write_segment(seg_e, seg_vas, seg_plains, ks, codes)
+                        seg_e, seg_vas, seg_plains, ks = e, [], [], []
+                    # the span: consecutive lines of k's row, short of the
+                    # last address and of the next line already written
+                    m = ends[i] - i
+                    if m > 1:
+                        m = min(m, e.nx - k % e.nx, e.line_count - 1 - k)
+                        w = written.find(1, k + 1, k + m)
+                        if w >= 0:
+                            m = w - k
+                    written[k:k + m] = b"\x01" * m
+                    e.update_count += m
+                    stats["w_hit_in"] += m
+                    seg_vas += vas[i:i + m]
+                    seg_plains += plains[i:i + m]
+                    ks += range(k, k + m)
+                    i += m
                     continue
-            self._write_segment(seg_e, seg, codes)
-            seg_e, seg = None, []
-            self.on_write(va, plain)
-        self._write_segment(seg_e, seg, codes)
+            self._write_segment(seg_e, seg_vas, seg_plains, ks, codes)
+            seg_e, seg_vas, seg_plains, ks = None, [], [], []
+            self.on_write(va, plains[i])
+            i += 1
+        self._write_segment(seg_e, seg_vas, seg_plains, ks, codes)
 
-    def _write_segment(self, e: Optional[MetaTableEntry], seg: list,
-                       codes: dict) -> None:
-        """Store one `write_run` segment of (va, plaintext, ordinal): misses,
-        or in-update lines of entry `e` under its next VN and, for a tensor,
-        their tensor-logical bindings."""
-        if not seg:
+    def _write_segment(self, e: Optional[MetaTableEntry], vas: list, plains: list,
+                       ks: list, codes: dict) -> None:
+        """Store one `write_run` segment of lines `vas` with `plains`:
+        misses, or in-update lines of entry `e`, at its ordinals `ks`, under
+        its next VN and, for a tensor, their tensor-logical bindings."""
+        if not vas:
             return
-        vas, plains, ks = zip(*seg)
         if e is None:
             self._write_misses(vas, plains)
             return
@@ -787,8 +1049,10 @@ class TenAnalyzer:
         if e.tensor_id is not None:
             if e not in codes:
                 codes[e] = tensor_binding_codes(
-                    e.tensor_id, np.arange(e.line_count, dtype=np.uint64) * LINE_BYTES)
-            line_codes = codes[e][list(ks)].tolist()
+                    e.tensor_id, np.arange(e.line_count, dtype=np.uint64) * LINE_BYTES
+                ).tolist()
+            entry_codes = codes[e]
+            line_codes = [entry_codes[k] for k in ks]
         self.mem.write_lines(vas, plains, vn=(e.vn + 1) & MASK56, codes=line_codes,
                              covered=True, tag_sink=e.write_tags)
 

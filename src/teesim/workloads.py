@@ -368,8 +368,10 @@ class ZeroOffloadReport:
     npu_rows: list = field(default_factory=list)
 
 
-def _to_line(arr: np.ndarray, j: int) -> bytes:
-    return arr[j * FLOATS_PER_LINE:(j + 1) * FLOATS_PER_LINE].tobytes()
+def _to_lines(arr: np.ndarray) -> list[bytes]:
+    """The 64 B lines of a float32 array."""
+    raw = arr.tobytes()
+    return [raw[o:o + LINE_BYTES] for o in range(0, len(raw), LINE_BYTES)]
 
 
 def _lines_to_array(lines: list[bytes]) -> np.ndarray:
@@ -513,7 +515,7 @@ class ZeroOffloadRunner:
                     self.npu.register_tensor(self.GRAD_TID + t,
                                              0x5000_0000 + t * 0x0100_0000,
                                              lay.n_lines)
-                lines = [_to_line(gvals, j) for j in range(lay.n_lines)]
+                lines = _to_lines(gvals)
                 srep = self.npu.store_tensor_stream(rec, lines, at_tick=seg_end)
                 grad_ready.append((t, srep.done_tick, gvals))
             seg_start = seg_end
@@ -530,7 +532,7 @@ class ZeroOffloadRunner:
                                      at_tick=ready)
                 self.cpu_mem.write_lines(
                     [lay.g_base + j * LINE_BYTES for j in range(lay.n_lines)],
-                    [_to_line(gvals, j) for j in range(lay.n_lines)])
+                    _to_lines(gvals))
             elif self.mode == "sgx_mgx":
                 rep = baseline_transfer(self.session, eng, tensor_id=tid,
                                         direction="npu_to_cpu",
@@ -562,8 +564,7 @@ class ZeroOffloadRunner:
         mhat = m / (np.float32(1) - ADAM_BETA1 ** tstep)
         vhat = v / (np.float32(1) - ADAM_BETA2 ** tstep)
         w = (w - ADAM_LR * mhat / (np.sqrt(vhat) + ADAM_EPS)).astype(np.float32)
-        return {s: [_to_line(arr, j) for j in range(len(w) // FLOATS_PER_LINE)]
-                for s, arr in (("w", w), ("m", m), ("v", v))}
+        return {"w": _to_lines(w), "m": _to_lines(m), "v": _to_lines(v)}
 
     def _cpu_adam(self, at: int, it: int) -> int:
         t_totals = self.cpu_mem.totals
@@ -611,10 +612,10 @@ class ZeroOffloadRunner:
         zero = bytes(LINE_BYTES)
         for t, lay in enumerate(self.layouts):
             vas, plains = [], []
-            for j in range(lay.n_lines):
+            for j, w in enumerate(_to_lines(self.init_weights[t])):
                 vas += (lay.w_base + j * LINE_BYTES, lay.m_base + j * LINE_BYTES,
                         lay.v_base + j * LINE_BYTES)
-                plains += (_to_line(self.init_weights[t], j), zero, zero)
+                plains += (w, zero, zero)
             self._cpu_write(vas, plains)
 
     def run(self) -> ZeroOffloadReport:

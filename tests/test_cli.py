@@ -7,6 +7,7 @@ import pytest
 
 from teesim import cli
 from teesim.cli import main
+from teesim.config import load_config
 from teesim.engine import SimError
 from teesim.nputee import HaltError
 from teesim.transfer import ProtocolError
@@ -61,6 +62,26 @@ def test_run_non_positive_rate_exits_2(tmp_path, capsys, section, field, value):
     assert main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
     assert f"config error: {section}.{field} must be a positive integer" in \
         capsys.readouterr().err
+
+
+@pytest.mark.parametrize("section,field,value", [
+    ("npu", "aes_latency_cycles", -1000),
+    ("cpu", "dram_latency_cycles", -1),
+    ("link", "latency_cycles", 2.5),
+    ("npu", "gddr_latency_cycles", "40"),
+    ("cpu", "mac_latency_cycles", True),
+])
+def test_run_bad_latency_exits_2(tmp_path, capsys, section, field, value):
+    cfg = write_cfg(tmp_path, {**SMALL_ADAM, section: {field: value}})
+    assert main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    assert f"config error: {section}.{field} must be a non-negative integer" in \
+        capsys.readouterr().err
+
+
+def test_zero_latency_is_accepted():
+    cfg = load_config({"npu": {"aes_latency_cycles": 0},
+                       "link": {"latency_cycles": 0}})
+    assert cfg.npu.aes_latency_cycles == 0 and cfg.link.latency_cycles == 0
 
 
 def test_run_unknown_workload_field_exits_2(tmp_path):

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from teesim.cli import GOLDEN_VECTOR_INPUTS
 from teesim.crypto import (
-    KEYSTREAM_BATCH_MIN, LINE_BYTES, MAC_BATCH_MIN, MASK56, MASK64,
+    KEYSTREAM_BATCH_MIN, LINE_BYTES, MAC_BATCH_MIN, MASK56, MASK64, NULL_KEY,
     OPEN_BATCH_MIN, SEAL_BATCH_MIN, TREE_ARITY, BindingMode,
     CipherBlock, CounterBinding, IntegrityFault, KeyMaterial, VnTree, _leaf_hash,
     _node_hash, binding_codes, decrypt_block, encrypt_block, keystream,
@@ -310,6 +310,31 @@ class EagerVnTree:
             idx = j
         self.root = h
         return written
+
+
+_VN_LINE = st.tuples(*[st.integers(0, MASK64)] * TREE_ARITY)
+
+
+@given(st.sampled_from([1, 8, 9, 64, 65, 513]), st.data(), st.integers(0, MASK64))
+@settings(max_examples=30, deadline=None)
+def test_tree_build_matches_the_eager_reference(n_leaves, data, seed):
+    """The batch build of every level equals the per-node hashes, with
+    random 64-bit VNs (masked to 56 bits) in a drawn number of the first
+    leaves and all-zero lines in the rest."""
+    key = KeyMaterial.from_seed(seed)
+    lines = data.draw(st.lists(_VN_LINE, max_size=n_leaves))
+    tree = VnTree(n_leaves, key, lambda li: ())
+    ref = EagerVnTree(n_leaves, key)
+    assert tree.build(lines) == ref.build(lines) == tree.root
+    assert tree.levels == ref.levels
+    assert all(type(h) is int for level in tree.levels for h in level)
+
+
+def test_tree_build_under_the_null_key_hashes_nothing():
+    tree = VnTree(65, NULL_KEY, lambda li: (7,) * TREE_ARITY)
+    assert tree.build([(1,) * TREE_ARITY]) == 0
+    assert tree.levels == [] and tree.root == 0
+    assert tree.verify_path(64, (9,) * TREE_ARITY) == [(0, 8), (1, 1), (2, 0)]
 
 
 _BINDINGS = st.builds(

@@ -22,7 +22,8 @@ from teesim.tenanalyzer import (
     SWEEP_FOLD_LINES, WRITE_HIT_IN, MetaTableEntry, TenAnalyzer,
 )
 from teesim.workloads import (
-    explicit_adam_layouts, gen_fuzz_trace, gen_gemm_trace, iter_adam_trace,
+    adam_region_lines, explicit_adam_layouts, gen_fuzz_trace, gen_gemm_trace,
+    iter_adam_trace,
 )
 
 KEY = KeyMaterial.from_seed(0x7E57)
@@ -409,6 +410,11 @@ def test_access_off_the_region_reaches_no_entry(va):
         ta.on_read(va)
     with pytest.raises(ValueError):
         ta.on_write(va, payload(1))
+    # a read run raises before any read of its batch
+    stats = dict(ta.stats)
+    with pytest.raises(ValueError, match="outside the region"):
+        ta.read_run([BASE, BASE + LINE_BYTES, va])
+    assert ta.stats == stats
     assert ta.dump_table() == table
     assert ta.stats["r_hit_in"] == ta.stats["w_invalidate"] == 0
 
@@ -722,24 +728,31 @@ _RUN_BASE = 0x20000
 _RUN_LINES = 600
 
 
-def _run_trace(name: str) -> tuple[list, int]:
-    """(is_read, va) records of a small adam, gemm or fuzz trace, all in a
-    `_RUN_LINES`-line region at `_RUN_BASE`, and the line count of its
-    first tensor (adam's first weights, gemm's A)."""
+def _run_trace(name: str) -> tuple[list, int, int]:
+    """(is_read, va) records of a small adam, gemm or fuzz trace, or of the
+    zero-offload optimizer's shape (one tensor of 1,024-line w, g, m and v
+    streams, 8 threads of 32-line bursts, 2 iterations), in a region at
+    `_RUN_BASE`; the line count of its first tensor (adam's first weights,
+    gemm's A); and the region's line count."""
+    lines = _RUN_LINES
     if name == "adam":
         layouts = explicit_adam_layouts([32 * LINE_BYTES] * 2, _RUN_BASE)
         recs = iter_adam_trace(layouts, threads=2, burst_lines=8, iterations=3)
         first = 32
+    elif name == "zero":
+        layouts = explicit_adam_layouts([1024 * LINE_BYTES], _RUN_BASE)
+        recs = iter_adam_trace(layouts, threads=8, burst_lines=32, iterations=2)
+        first, lines = 1024, adam_region_lines(layouts, _RUN_BASE)
     elif name == "gemm":
         recs = gen_gemm_trace(32, 32, 32, 16, a_base=_RUN_BASE) * 2
         first = 64
     else:
         recs = gen_fuzz_trace(700, 160, seed=5, base=_RUN_BASE)
         first = 48
-    return [(r.kind == "R", r.va) for r in recs], first
+    return [(r.kind == "R", r.va) for r in recs], first, lines
 
 
-_RUN_TRACES = {name: _run_trace(name) for name in ("adam", "gemm", "fuzz")}
+_RUN_TRACES = {name: _run_trace(name) for name in ("adam", "zero", "gemm", "fuzz")}
 
 
 def _folded_runs(e: MetaTableEntry, key) -> dict:
@@ -797,7 +810,7 @@ def _split_runs(records, cuts):
     return runs
 
 
-@pytest.mark.parametrize("trace", ["adam", "gemm", "fuzz"])
+@pytest.mark.parametrize("trace", ["adam", "zero", "gemm", "fuzz"])
 @pytest.mark.parametrize("crypto_on", [True, False])
 @given(cuts=st.lists(st.integers(1, 80), min_size=1, max_size=6),
        hint=st.sampled_from([None, "offchip", 5]),
@@ -813,28 +826,108 @@ def _split_runs(records, cuts):
 # a replayed line whose VN-line the next miss write walks
 @example(cuts=[7, 3], hint=None, tamper=(4, "replay", 40, 41, 0), fold=SWEEP_FOLD_LINES)
 def test_run_methods_match_per_line_loops(trace, crypto_on, cuts, hint, tamper, fold):
+    records, first, lines = _RUN_TRACES[trace]
+    if trace == "zero":
+        # runs as long as the optimizer's: a burst of four streams, or more
+        cuts = [c * 64 for c in cuts]
     with mock.patch.object(tenanalyzer, "SWEEP_FOLD_LINES", fold):
-        records, first = _RUN_TRACES[trace]
-        _diff_runs(records, crypto_on, cuts, hint and (first, hint), tamper)
+        _diff_runs(records, crypto_on, cuts, hint and [(0, first, hint)], tamper, lines)
 
 
-def _diff_runs(records, crypto_on, cuts, hint, tamper):
+def _lines_of(is_read: bool, lo: int, hi: int) -> list:
+    return [(is_read, _RUN_BASE + i * LINE_BYTES) for i in range(lo, hi)]
+
+
+def _reads(lo: int, hi: int) -> list:
+    return _lines_of(True, lo, hi)
+
+
+def _writes(lo: int, hi: int) -> list:
+    return _lines_of(False, lo, hi)
+
+
+# Each case: records, run cuts, hints (first line, lines, VN or "offchip"[,
+# MAC]) and a tamper (after run, attack, line, source line, bit), the lines
+# picked among the touched lines in address order, as above.
+_SPAN_EDGES = {
+    # a span stops before another run's start and coalesces with it; the
+    # claimed lines after it verify per line, then a span continues the run
+    "span_reaches_another_run": (
+        _reads(40, 48) + _reads(0, 64), [8, 64], [(0, 64, "offchip")], None),
+    # a span closes the sweep, which passes; then a tamper of a line ahead
+    # makes the next span's close fault
+    "span_closes_the_sweep": (
+        _reads(0, 64) + _reads(0, 11) + _reads(11, 64), [64, 11, 53],
+        [(0, 64, "offchip")], (1, "bitflip", 50, 0, 3)),
+    # a line whose VN was tampered ends a span and reads per line
+    "tampered_vn_mid_span": (
+        _reads(0, 11) + _reads(11, 64), [11, 53], [(0, 64, "offchip")],
+        (0, "vn_tamper", 40, 0, 0)),
+    # covered lines never written (a hint that carried a MAC materializes
+    # nothing), opened as the zeros they materialize to
+    "never_written_lines_in_a_span": (
+        _reads(0, 30) + _reads(30, 64), [30, 34], [(0, 64, 0, 0x1234)], None),
+    # boundary extensions over lines never written and lines written
+    "never_written_lines_in_a_chain": (
+        _writes(210, 212) + _reads(200, 204) + _reads(204, 230), [80],
+        [], None),
+    # in-update spans stop short of the last address, which finishes the
+    # update; a second update, an incomplete one and a double write follow
+    "write_span_ends_at_last_address": (
+        _reads(0, 64) + _writes(0, 64) + _reads(0, 64) + _writes(0, 64)
+        + _writes(0, 30) + _writes(63, 64) + _reads(64, 72)
+        + _writes(64, 72) + _writes(66, 68),
+        [200], [(0, 64, "offchip"), (64, 8, "offchip")], None),
+    # an in-update span stops before a line this update already wrote,
+    # whose second write invalidates the entry
+    "write_span_stops_before_a_written_line": (
+        _writes(0, 1) + _writes(20, 30) + _writes(1, 40) + _reads(0, 64), [80],
+        [(0, 64, "offchip")], None),
+    # a write run cut inside a VN-line: the next run's span starts in the
+    # VN-line the last write of the run before left in the cache, after the
+    # state check flushed the tree
+    "write_span_resumes_a_vn_line": (
+        _writes(0, 64) + _reads(0, 64), [4, 60], [(0, 64, "offchip")], None),
+    # a chain crosses into a cached VN-line and a cold one, meets the next
+    # entry (whose covered reads follow), and that entry's chain goes on
+    "chain_crosses_vn_lines_and_meets_an_entry": (
+        _reads(12, 13) + _reads(0, 4) + _reads(4, 31), [1, 4, 80],
+        [(16, 8, "offchip")], None),
+    # two covered spans and a chain interleaved line by line, as the
+    # optimizer reads its streams
+    "interleaved_spans_and_a_chain": (
+        [rec for j in range(40) for rec in
+         _reads(j, j + 1) + _reads(100 + j, 101 + j) + _reads(200 + j, 201 + j)],
+        [120], [(0, 64, "offchip"), (100, 64, "offchip")], None),
+}
+
+
+@pytest.mark.parametrize("case", list(_SPAN_EDGES))
+@pytest.mark.parametrize("crypto_on", [True, False])
+def test_run_methods_match_per_line_loops_at_span_edges(case, crypto_on):
+    records, cuts, hints, tamper = _SPAN_EDGES[case]
+    _diff_runs(records, crypto_on, cuts, hints, tamper)
+
+
+def _diff_runs(records, crypto_on, cuts, hints, tamper, n_lines=_RUN_LINES):
     """Replay `records` through `read_run`/`write_run` on one analyzer and
     through `on_read`/`on_write` on another, in runs cut at `cuts`; after
     every run, and at a fault, what the core saw and the state must be
-    equal. `hint` = (lines, VN) first installs a tensor hint over that many
-    lines at the region's base, under the off-chip VN ("offchip") or the
-    one given, which the lines do not hold; `tamper` = (after run, attack,
-    line, source line, bit) attacks both memories once between runs."""
+    equal. `hints` = [(first line, lines, VN[, MAC])] first installs tensor
+    hints there, under the off-chip VN ("offchip") or the one given, which
+    the lines need not hold, and with the MAC given, if one is (which
+    materializes nothing); `tamper` = (after run, attack, line, source
+    line, bit) attacks both memories once between runs."""
     sides = []
     for _ in range(2):
-        mem = ProtectedMemory(_RUN_BASE, _RUN_LINES, KEY, metadata_cache_bytes=1024,
+        mem = ProtectedMemory(_RUN_BASE, n_lines, KEY, metadata_cache_bytes=1024,
                               crypto_on=crypto_on)
         ta = TenAnalyzer(mem)
-        if hint:
-            n, vn = hint
-            ta.install_hint(_RUN_BASE, n, tensor_id=7,
-                            vn=mem.vn_of(_RUN_BASE) if vn == "offchip" else vn)
+        for first, n, vn, *mac in hints or ():
+            base = _RUN_BASE + first * LINE_BYTES
+            ta.install_hint(base, n, tensor_id=7 + first,
+                            vn=mem.vn_of(base) if vn == "offchip" else vn,
+                            mac=mac[0] if mac else None)
         sides.append(ta)
     run_ta, ref = sides
     touched = sorted({va for _, va in records})
