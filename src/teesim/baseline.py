@@ -121,15 +121,16 @@ class MetadataCache:
         slot = self._d.get(key)
         return None if slot is None else slot[0]
 
-    def put(self, key, value, dirty: bool = False) -> list:
+    def put(self, key, value, dirty: bool = False):
         """Insert/refresh; returns the dirty keys evicted to make room."""
         self.last_write = None
         slot = self._d.get(key)
         if slot is not None:
             slot[0] = value
-            slot[1] = slot[1] or dirty
+            if dirty:
+                slot[1] = True
             self._d.move_to_end(key)
-            return []
+            return ()
         self._d[key] = [value, dirty]
         evicted = []
         while len(self._d) > self.capacity:
@@ -237,19 +238,6 @@ class ProtectedMemory:
         if off % LINE_BYTES or not (0 <= off < self.n_lines * LINE_BYTES):
             raise ValueError(f"pa {pa:#x} outside the region or unaligned")
         return off // LINE_BYTES
-
-    def line_indices(self, pas: list) -> list[int]:
-        """`line_index` of each of `pas`, in one numpy pass, which pays off
-        for a long list such as a read run's batch."""
-        try:
-            off = np.array(pas, dtype=np.int64) - self.base_pa
-        except OverflowError:
-            off = None
-        if off is None or ((off % LINE_BYTES != 0) | (off < 0)
-                           | (off >= self.n_lines * LINE_BYTES)).any():
-            # raises at the first address outside the region or unaligned
-            return [self.line_index(pa) for pa in pas]
-        return (off // LINE_BYTES).tolist()
 
     def vn_of(self, pa: int) -> int:
         """Oracle view of the off-chip VN; no cost accounting."""

@@ -531,28 +531,23 @@ class VnTree:
         mk = self.key.mac_key
         lines = np.zeros((self.n_leaves, TREE_ARITY), dtype=np.uint64)
         if len(leaf_lines):
-            lines[:len(leaf_lines)] = np.array(
-                [[v & MASK56 for v in vns] for vns in leaf_lines], dtype=np.uint64)
+            lines[:len(leaf_lines)] = np.array(leaf_lines, dtype=np.uint64) & np.uint64(MASK56)
         # `_leaf_hash` of every leaf, then `_node_hash` of every node-line of
-        # each level, a level at a time
-        x = np.arange(self.n_leaves, dtype=np.uint64) ^ np.uint64(
-            (mk & MASK64) ^ 0x6C656166)
+        # each level below the root, a level at a time
+        x = np.arange(self.n_leaves, dtype=np.uint64) ^ np.uint64((mk & MASK64) ^ 0x6C656166)
+        self._levels = []
         level = 0
         while True:
             for c in range(TREE_ARITY):
                 x = _mix_lines(x)
                 x ^= lines[:, c]
             hashes = _mix_lines(x)
-            if level:
-                self._levels.append(hashes.tolist())
-            else:
-                self._levels = [hashes.tolist()]
+            self._levels.append(hashes.tolist())
             if len(hashes) <= TREE_ARITY:
                 break
             level += 1
             lines = hashes.reshape(-1, TREE_ARITY)
-            x = np.arange(len(lines), dtype=np.uint64) ^ np.uint64(
-                (mk >> 64) ^ (level << 32))
+            x = np.arange(len(lines), dtype=np.uint64) ^ np.uint64((mk >> 64) ^ (level << 32))
         self._root = _node_hash(self.key, self.depth, 0, self._levels[-1])
         return self._root
 

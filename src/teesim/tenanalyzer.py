@@ -380,7 +380,7 @@ class TenAnalyzer:
         out = []
         vas = iter(vas)
         while chunk_vas := list(islice(vas, SWEEP_FOLD_LINES)):
-            chunk = mem.line_indices(chunk_vas)
+            chunk = [mem.line_index(va) for va in chunk_vas]
             tags, plains, vns = mem.opened(chunk)
             # a line never written when its batch was opened gets the tag,
             # zeros and VN it materializes with, for the spans; a per-line
