@@ -27,9 +27,9 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .crypto import (
-    LINE_BYTES, MASK56, NULL_KEY, OPEN_BATCH_MIN, CipherBlock, IntegrityFault,
-    KeyMaterial, VnTree, keystream_lines, line_tag, open_lines,
-    pa_binding_codes, seal_into, words_to_bytes,
+    LINE_BYTES, MASK56, NULL_KEY, OPEN_BATCH_MIN, IntegrityFault, KeyMaterial,
+    VnTree, keystream_lines, line_tag, open_lines, pa_binding_codes, seal_into,
+    words_to_bytes,
 )
 # unused, but perfbench/tests' tracer test looks these names up here
 from .crypto import decrypt_block, encrypt_block, mac_block  # noqa: F401
@@ -163,7 +163,7 @@ class ProtectedMemory:
     (a line's physical address until a write names another binding) and a
     written mask. A never-written line holds zeros until a read or the
     adversary harness materializes it. Other modules go through `line`,
-    `codes`, `install_lines` and `plaintexts`.
+    `codes`, `export_lines`, `install_lines` and `plaintexts`.
 
     Without functional crypto the memory runs under the null cipher
     (`crypto.NULL_KEY`): the same protocol and checks, with data-independent
@@ -258,20 +258,29 @@ class ProtectedMemory:
         """The binding code of each line of `pas`."""
         return [self._codes[idx] for idx in map(self.line_index, pas)]
 
-    def install_lines(self, base_pa: int, blocks: Sequence[CipherBlock],
+    def export_lines(self, pas) -> tuple[array, bytes]:
+        """The binding codes and the ciphertext, joined, of the lines `pas`,
+        with no cost accounting; never-written lines are materialized first."""
+        idxs = [self.line_index(pa) for pa in pas]
+        self._materialize(idxs)
+        at = np.array(idxs, dtype=np.intp)
+        return (array("Q", np.asarray(self._codes)[at].tobytes()),
+                self._words[at].tobytes())
+
+    def install_lines(self, base_pa: int, codes: Sequence[int], cts,
                       tags: Sequence[int], vn: int) -> None:
-        """Seal, then store lines sealed elsewhere verbatim, with their tags,
-        as the lines from `base_pa` on, each under VN `vn`. Each costs a data,
-        VN and MAC write and a tree-path update, with no metadata-cache
-        traffic: cached node-lines are refreshed when the tree flushes."""
-        n = len(blocks)
+        """Seal, then store lines sealed elsewhere verbatim, with binding
+        `codes`, ciphertext `cts` (their bytes, joined) and `tags`, as the
+        lines from `base_pa` on, each under VN `vn`. Each costs a data, VN
+        and MAC write and a tree-path update, with no metadata-cache traffic:
+        cached node-lines are refreshed when the tree flushes."""
+        n = len(codes)
         lo = self.line_index(base_pa)
         hi = self.line_index(base_pa + (n - 1) * LINE_BYTES) + 1
         self.seal()
-        self._ct[lo * LINE_BYTES:hi * LINE_BYTES] = \
-            b"".join([blk.to_bytes() for blk in blocks])
+        self._ct[lo * LINE_BYTES:hi * LINE_BYTES] = cts
         self._written[lo:hi] = b"\x01" * n
-        self._codes[lo:hi] = array("Q", [blk.binding._code for blk in blocks])
+        self._codes[lo:hi] = array("Q", codes)
         self._macs[lo:hi] = array("Q", tags)
         self._vns[lo:hi] = array("Q", (vn,)) * n
         # each line's tree update records its leaf once

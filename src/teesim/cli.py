@@ -204,8 +204,7 @@ def run_attack_campaign(cfg: SimConfig, kind: str, trials: int) -> dict:
         mem.flush_metadata_cache()
         mem.write_line(pa, rng.randbytes(LINE_BYTES))
     return {"workload": f"attack_{kind}", "mode": cfg.mode, "trials": trials,
-            "detected": detected,
-            "detection_rate": detected / trials if trials else 1.0}
+            "detected": detected, "detection_rate": detected / trials}
 
 
 RUNNERS = {"adam": run_adam, "gemm": run_gemm, "zero": run_zero,
@@ -497,6 +496,10 @@ def make_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = make_parser().parse_args(argv)
     try:
+        for flag, least in (("trials", 1), ("ops", 1), ("limit", 0)):
+            if getattr(args, flag, least) < least:
+                raise ConfigError(f"--{flag} must be at least {least}, "
+                                  f"got {getattr(args, flag)}")
         return args.func(args)
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)

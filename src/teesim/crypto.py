@@ -20,9 +20,10 @@ Cachelines are 64 bytes. The per-line kernels `line_pad` and `line_tag` take
 a binding code and a VN; a pad is a 512-bit int, so that XOR en/decryption is
 a single big-int op, and a tag reads its ciphertext from any 64-byte buffer.
 `keystream`, `mac_block` and `CipherBlock` (ciphertext as a 512-bit int) wrap
-them for the NPU and the transfers. Paths that seal or open a whole tensor
-at once use the numpy batch kernels `keystream_lines` and `mac_lines`, which
-compute the same pads and tags over an (n, 8) array of 64-bit words.
+them for the channel messages and the NPU code lines. Paths that seal or
+open many lines at once (`seal_into`, `open_lines`) use the numpy batch
+kernels `keystream_lines` and `mac_lines`, which compute the same pads and
+tags over an (n, 8) array of 64-bit words.
 """
 
 from __future__ import annotations
@@ -281,6 +282,13 @@ def tensor_binding_codes(tensor_id: int, offsets) -> np.ndarray:
         (tensor_id ^ (int(BindingMode.TENSOR_LOGICAL) << 62)) & MASK64))
 
 
+def tensor_line_codes(tensor_id: int, n: int) -> array:
+    """`tensor_binding_codes` of lines 0 to n - 1 of tensor `tensor_id`, as
+    an array('Q')."""
+    return array("Q", tensor_binding_codes(
+        tensor_id, np.arange(n, dtype=np.uint64) * np.uint64(LINE_BYTES)).tobytes())
+
+
 def keystream_lines(key: KeyMaterial, codes, vns) -> np.ndarray:
     """(n, 8) uint64 pads for n lines with the given binding codes and VNs
     (one int VN applies to every line); row i equals
@@ -317,7 +325,9 @@ def mac_lines(key: KeyMaterial, codes, words: np.ndarray, vns) -> np.ndarray:
     return _mix_lines(x) & np.uint64(MASK56)
 
 
-def _line_bytes(x) -> bytes:
+def line_bytes(x) -> bytes:
+    """A 64 B line given as bytes, as a bytes-like object or as an int (read
+    modulo 2^512, as `mac_block` reads ciphertext)."""
     if isinstance(x, bytes):
         return x
     if isinstance(x, int):
@@ -329,7 +339,7 @@ def line_words(lines: Iterable) -> np.ndarray:
     """(n, 8) uint64 words of n 64 B lines, each given as bytes or as an int
     (an int is read modulo 2^512, as `mac_block` reads ciphertext)."""
     lines = list(lines)
-    raw = b"".join(map(_line_bytes, lines))
+    raw = b"".join(map(line_bytes, lines))
     if len(raw) != LINE_BYTES * len(lines):
         raise ValueError("every line must be 64 bytes")
     return np.frombuffer(raw, dtype=_U64).reshape(-1, 8).astype(np.uint64, copy=False)
@@ -345,42 +355,31 @@ def words_to_ints(words: np.ndarray) -> list[int]:
 
 
 def seal_into(key: KeyMaterial, buf: bytearray, idxs: Sequence[int],
-              codes: Sequence[int], vns: Sequence[int]) -> list[int]:
+              codes: Sequence[int], vns) -> list[int]:
     """Encrypt in place the plaintext lines `idxs` of `buf` (line i being
     its bytes i * 64 to i * 64 + 64), line i under binding code `codes[i]`
-    and VN `vns[i]`, and return their tags, in the order of `idxs`: what
-    `line_pad` then `line_tag` give line by line. Fewer than
-    `SEAL_BATCH_MIN` lines go through those per-line kernels, the rest
-    through one batch."""
+    and VN `vns[i]` (one int VN applies to every line), and return their
+    tags, in the order of `idxs`: what `line_pad` then `line_tag` give line
+    by line. Fewer than `SEAL_BATCH_MIN` lines go through those per-line
+    kernels, the rest through one batch."""
     n = len(idxs)
+    one_vn = isinstance(vns, int)
     if n < SEAL_BATCH_MIN:
         tags = []
         for i in idxs:
-            c, v, o = codes[i], vns[i], i * LINE_BYTES
+            c, v, o = codes[i], vns if one_vn else vns[i], i * LINE_BYTES
             p = int.from_bytes(buf[o:o + LINE_BYTES], "little") ^ line_pad(key, c, v)
             buf[o:o + LINE_BYTES] = p.to_bytes(LINE_BYTES, "little")
             tags.append(line_tag(key, c, v, buf, o))
         return tags
     at = np.fromiter(idxs, dtype=np.intp, count=n)
     codes = np.asarray(codes, dtype=np.uint64)[at]
-    vns = np.asarray(vns, dtype=np.uint64)[at]
+    if not one_vn:
+        vns = np.asarray(vns, dtype=np.uint64)[at]
     words = np.frombuffer(buf, dtype=_U64).reshape(-1, 8)
     ct = words[at] ^ keystream_lines(key, codes, vns)
     words[at] = ct
     return mac_lines(key, codes, ct, vns).tolist()
-
-
-def seal_lines(key: KeyMaterial, plains: Sequence, bindings: Sequence[CounterBinding],
-               vns) -> tuple[list[int], list[int]]:
-    """Ciphertexts (512-bit ints) and tags of n plaintext lines: `seal_into`
-    of line i under binding i and VN i (one int VN applies to every line)."""
-    n = len(bindings)
-    buf = bytearray(b"".join(map(_line_bytes, plains)))
-    if len(buf) != LINE_BYTES * n:
-        raise ValueError("every line must be 64 bytes")
-    tags = seal_into(key, buf, range(n), [b._code for b in bindings],
-                     [vns] * n if isinstance(vns, int) else vns)
-    return words_to_ints(np.frombuffer(buf, dtype=_U64).reshape(n, 8)), tags
 
 
 def open_lines(key: KeyMaterial, codes: Sequence[int], cts, vns, *,
@@ -402,7 +401,7 @@ def open_lines(key: KeyMaterial, codes: Sequence[int], cts, vns, *,
                 p = int.from_bytes(cts[o:o + LINE_BYTES], "little") ^ line_pad(key, c, v)
                 plains.append(p.to_bytes(LINE_BYTES, "little"))
         return tags, plains if decrypt else None
-    codes = np.fromiter(codes, dtype=np.uint64, count=n)
+    codes = np.asarray(codes, dtype=np.uint64)
     ct = np.frombuffer(cts, dtype=_U64).reshape(n, 8)
     tags = mac_lines(key, codes, ct, vns).tolist()
     if not decrypt:
@@ -410,17 +409,6 @@ def open_lines(key: KeyMaterial, codes: Sequence[int], cts, vns, *,
     pads = keystream_lines(key, codes, vns)
     pads ^= ct
     return tags, words_to_bytes(pads)
-
-
-def open_blocks(key: KeyMaterial, blocks: Sequence[CipherBlock], vns=None, *,
-                decrypt: bool = True) -> tuple[list[int], Optional[list[bytes]]]:
-    """`open_lines` of sealed blocks, under `vns` when given, else under each
-    block's own VN."""
-    if vns is None:
-        vns = [b.vn for b in blocks]
-    return open_lines(key, [b.binding._code for b in blocks],
-                      b"".join([_line_bytes(b.data) for b in blocks]), vns,
-                      decrypt=decrypt)
 
 
 def mac_xor_aggregate(tags: Iterable[int]) -> int:

@@ -10,10 +10,12 @@ line until its whole G-byte block is fetched and its block MAC verified,
 which is the pipeline-bubble baseline. A block with no sealed MAC at G fails
 verification.
 
-Tensor streams encrypt, MAC and decrypt the whole tensor in one batch; the
-engine reservations stay per line and in line order. A device built without
-functional crypto runs the same dataflow under the null cipher
-(`crypto.NULL_KEY`).
+Each tensor record holds its lines in GDDR as one flat store: the
+ciphertext, the binding codes and a stored and a taint byte per line, all
+under the record's one VN. Tensor streams encrypt, MAC and decrypt the whole
+tensor in one batch, in place; the engine reservations stay per line and in
+line order. A device built without functional crypto runs the same dataflow
+under the null cipher (`crypto.NULL_KEY`).
 
 Tampered bytes are tracked out-of-band as provenance taint (ground truth for
 the escape-proofing checks); the poison-bit machinery is the mechanism under
@@ -22,13 +24,16 @@ test and must always cover the taint.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from functools import reduce
+from operator import xor
+from typing import Optional, Sequence
 
 from .crypto import (
     LINE_BYTES, MASK56, NULL_KEY, BindingMode, CipherBlock, CounterBinding,
-    IntegrityFault, KeyMaterial, decrypt_block, encrypt_block, mac_block,
-    mac_xor_aggregate, open_blocks, seal_lines,
+    IntegrityFault, KeyMaterial, decrypt_block, encrypt_block, line_bytes,
+    mac_block, mac_xor_aggregate, open_lines, seal_into, tensor_line_codes,
 )
 from .engine import Engine
 
@@ -54,20 +59,25 @@ class VerifyMode:
 
 class TensorRecord:
     """Per-tensor on-chip state: VN, stored aggregate MAC, poison bit, and the
-    running XOR for an in-flight load verification."""
+    running XOR for an in-flight load verification; and the tensor's lines in
+    GDDR, from `base` on: their ciphertext `ct`, binding `codes`, and a
+    `stored` byte (0: never stored, or discarded) and a `taint` byte each."""
 
     __slots__ = ("tensor_id", "base", "n_lines", "vn", "stored_mac", "poison",
-                 "pending", "running_xor", "deps", "verify_done_tick",
-                 "tainted", "failed")
+                 "running_xor", "deps", "verify_done_tick",
+                 "tainted", "failed", "ct", "codes", "stored", "taint")
 
     def __init__(self, tensor_id: int, base: int, n_lines: int):
         self.tensor_id = tensor_id
         self.base = base
         self.n_lines = n_lines
+        self.ct = bytearray(n_lines * LINE_BYTES)
+        self.codes = array("Q", bytes(8 * n_lines))
+        self.stored = bytearray(n_lines)
+        self.taint = bytearray(n_lines)
         self.vn = 0
         self.stored_mac = 0
         self.poison = 0            # own pending/failed verification
-        self.pending = None
         self.running_xor = 0
         self.deps: tuple = ()      # producing kernel's input records
         self.verify_done_tick = 0
@@ -101,8 +111,7 @@ class StreamReport:
     faults: int = 0
 
     def csv_row(self) -> str:
-        stall = self.stall_ticks
-        return (f"{self.tensor_id},{self.mode},{self.lines},{stall},"
+        return (f"{self.tensor_id},{self.mode},{self.lines},{self.stall_ticks},"
                 f"{self.verify_cycles},{self.faults}")
 
     @staticmethod
@@ -137,15 +146,14 @@ class NpuDevice:
         self.engine = engine
         self.mac_granularity = mac_granularity
         self.records: dict[int, TensorRecord] = {}
-        self.gddr: dict[int, CipherBlock] = {}        # addr -> line
-        self.taint: set[int] = set()                   # addrs with tampered bytes
         # tensor base -> (granularity, one tag per block); one layout at a time
         self.block_macs: dict[int, tuple[int, list[int]]] = {}
         self.code: dict[int, tuple[CipherBlock, int]] = {}  # pa -> (line, mac)
         self.faults = FaultCounter(threshold=fault_threshold)
         self.retransfer_requests: list[int] = []
-        self.delayed_queue_log: list[tuple[int, bool]] = []  # (addr, is_inst)
-        self.link_log: list[dict] = []
+        # one (base, lines, is_inst) per stream through the delayed queue
+        self.delayed_queue_log: list[tuple[int, int, bool]] = []
+        self.link_log: list[dict] = []      # one per transfer (`log_link`)
         self.reports: list[StreamReport] = []
 
     # -- registration and stores ------------------------------------------------
@@ -156,26 +164,17 @@ class NpuDevice:
         return rec
 
     def install_transferred(self, tensor_id: int, base: int, n_lines: int,
-                            vn: int, mac: int,
-                            lines: Sequence[CipherBlock],
-                            tainted: Iterable[bool] | None = None) -> TensorRecord:
-        """Accept ciphertext moved verbatim from the peer enclave; verification
-        is lazy (first use runs the delayed dataflow)."""
-        rec = self.records.get(tensor_id) or self.register_tensor(tensor_id, base, n_lines)
+                            vn: int, mac: int, cts, codes) -> TensorRecord:
+        """Accept ciphertext moved verbatim from the peer enclave: the n_lines
+        lines' bytes `cts` and binding `codes`. Verification is lazy (first
+        use runs the delayed dataflow)."""
+        rec = self.records.get(tensor_id) or self.register_tensor(tensor_id, base, 0)
         rec.base, rec.n_lines = base, n_lines
-        rec.vn = vn
-        rec.stored_mac = mac
+        rec.ct, rec.codes = bytearray(cts), array("Q", codes)
+        rec.stored, rec.taint = bytearray(b"\x01") * n_lines, bytearray(n_lines)
+        rec.vn, rec.stored_mac = vn, mac
         rec.poison = 1            # unverified until first-use stream passes
-        rec.failed = False
-        taint_flags = list(tainted) if tainted is not None else [False] * n_lines
-        rec.tainted = any(taint_flags)
-        for i, blk in enumerate(lines):
-            addr = base + i * LINE_BYTES
-            self.gddr[addr] = blk
-            if taint_flags[i]:
-                self.taint.add(addr)
-            else:
-                self.taint.discard(addr)
+        rec.failed = rec.tainted = False
         return rec
 
     def store_tensor_stream(self, record: TensorRecord,
@@ -184,40 +183,70 @@ class NpuDevice:
                             order: Optional[Sequence[int]] = None) -> StreamReport:
         """Write back one tensor: VN+1 once, every line encrypted under the
         tensor-logical binding at the new VN, stored MAC = XOR of line MACs
-        (so any tile-permuted write order yields the same tag), and block
+        (so any tile-permuted write `order` yields the same tag), and block
         MACs resealed at the device's MAC granularity."""
         eng = self.engine
         t0 = eng.now if at_tick is None else at_tick
-        vn = record.vn = (record.vn + 1) & MASK56
         n = len(plain_lines)
-        bindings = [CounterBinding(BindingMode.TENSOR_LOGICAL, record.tensor_id,
-                                   i * LINE_BYTES) for i in range(n)]
-        data, tags = seal_lines(self.key, plain_lines, bindings, vn)
-        acc = 0
+        raw = b"".join(map(line_bytes, plain_lines))
+        if n > record.n_lines or len(raw) != n * LINE_BYTES or \
+                (order is not None and sorted(order) != list(range(n))):
+            raise ValueError("a store writes 64 B lines of the record, in some order")
+        vn = record.vn = (record.vn + 1) & MASK56
+        record.ct[:n * LINE_BYTES] = raw
+        record.codes[:n] = tensor_line_codes(record.tensor_id, n)
+        tags = seal_into(self.key, record.ct, range(n), record.codes, vn)
+        record.stored[:n], record.taint[:n] = b"\x01" * n, bytes([tainted]) * n
         done = t0
-        sequence = order if order is not None else range(n)
-        for i in sequence:
-            addr = record.base + i * LINE_BYTES
-            self.gddr[addr] = CipherBlock(data[i], bindings[i], vn)
-            if tainted:
-                self.taint.add(addr)
-            else:
-                self.taint.discard(addr)
-            acc ^= tags[i]
+        for _ in range(n):
             _, aes_done = eng.reserve("npu_aes", LINE_BYTES, at_tick=t0)
             _, wr_done = eng.reserve("npu_gddr", LINE_BYTES, at_tick=aes_done)
             _, mac_done = eng.reserve("npu_mac", LINE_BYTES, at_tick=aes_done)
             done = max(done, wr_done, mac_done)
-        record.stored_mac = acc
+        record.stored_mac = reduce(xor, tags, 0)
         self.block_macs[record.base] = (self.mac_granularity,
                                         _fold_blocks(tags, self.mac_granularity))
         record.tainted = tainted
         record.poison = 0          # freshly produced on-chip data is verified
         record.failed = False
-        rep = StreamReport(record.tensor_id, "store", len(plain_lines),
+        rep = StreamReport(record.tensor_id, "store", n,
                            start_tick=t0, done_tick=done)
         self.reports.append(rep)
         return rep
+
+    def export_lines(self, record: TensorRecord, n: Optional[int] = None):
+        """The binding codes and the ciphertext of the record's first n lines
+        (all by default), with no cost accounting. A line never stored, or
+        discarded, is first stored as zeros sealed at the record's VN."""
+        n = record.n_lines if n is None else n
+        if record.stored.find(0, 0, n) >= 0:
+            missing = [i for i in range(n) if not record.stored[i]]
+            want = tensor_line_codes(record.tensor_id, n)
+            for i in missing:
+                record.ct[i * LINE_BYTES:(i + 1) * LINE_BYTES] = bytes(LINE_BYTES)
+                record.codes[i], record.stored[i] = want[i], 1
+            seal_into(self.key, record.ct, missing, record.codes, record.vn)
+        return record.codes[:n], memoryview(record.ct)[:n * LINE_BYTES]
+
+    def log_link(self, record: TensorRecord, n: int, protocol: str) -> None:
+        """Log a transfer of the record's first n lines: how many are tainted."""
+        self.link_log.append({"tensor_id": record.tensor_id, "lines": n,
+                              "tainted": record.taint.count(1, 0, n),
+                              "protocol": protocol})
+
+    def tamper_line(self, addr: int, bit: int = 0) -> None:
+        """Adversary: flip bit `bit` of the GDDR line at `addr`, in the store
+        of the last registered record that holds it, and taint the line."""
+        for rec in reversed(self.records.values()):
+            i, off = divmod(addr - rec.base, LINE_BYTES)
+            if 0 <= i < rec.n_lines and not off:
+                break
+        else:
+            raise KeyError(f"no tensor line at {addr:#x}")
+        self.export_lines(rec)
+        bit %= LINE_BYTES * 8
+        rec.ct[i * LINE_BYTES + bit // 8] ^= 1 << (bit % 8)
+        rec.taint[i] = 1
 
     # -- loads -------------------------------------------------------------------
 
@@ -232,61 +261,41 @@ class NpuDevice:
             return self._load_delayed(record, at_tick)
         return self._load_blocking(record, mode.granularity, at_tick)
 
-    def _fetch_line(self, record: TensorRecord, i: int):
-        addr = record.base + i * LINE_BYTES
-        blk = self.gddr.get(addr)
-        if blk is None:
-            binding = CounterBinding(BindingMode.TENSOR_LOGICAL,
-                                     record.tensor_id, i * LINE_BYTES)
-            blk = self.gddr[addr] = encrypt_block(bytes(LINE_BYTES), binding,
-                                                  record.vn, self.key)
-        return addr, blk
-
-    def _fetch_lines(self, record: TensorRecord) -> list[tuple[int, CipherBlock]]:
-        return [self._fetch_line(record, i) for i in range(record.n_lines)]
-
     def _load_delayed(self, record: TensorRecord, at_tick):
         eng = self.engine
         t0 = eng.now if at_tick is None else at_tick
         record.poison = 1
-        record.pending = "verify"
-        lines = self._fetch_lines(record)
+        n = record.n_lines
         # every line's tag and plaintext under the tensor's VN, in one batch
-        tags, plains = open_blocks(self.key, [blk for _, blk in lines], record.vn)
+        tags, plains = open_lines(self.key, *self.export_lines(record), record.vn)
+        self.delayed_queue_log.append((record.base, n, False))
         compute_done = t0
         mac_done = t0
-        running_xor = 0
-        for (addr, _), tag in zip(lines, tags):
-            self.delayed_queue_log.append((addr, False))
+        for _ in range(n):
             _, fetch_done = eng.reserve("npu_gddr", LINE_BYTES, at_tick=t0)
             _, aes_done = eng.reserve("npu_aes", LINE_BYTES, at_tick=fetch_done)
             # line released to compute immediately; MAC regeneration parallels it
             start = max(aes_done, compute_done)
             _, compute_done = eng.reserve("npu_compute", LINE_BYTES, at_tick=start)
             _, mac_done = eng.reserve("npu_mac", LINE_BYTES, at_tick=aes_done)
-            running_xor ^= tag
-        record.running_xor = running_xor
-        tainted = any(addr in self.taint for addr, _ in lines)
+        record.running_xor = reduce(xor, tags, 0)
         verify_done = mac_done  # final compare is a few cycles, folded in
         done = max(compute_done, verify_done)
-        rep = StreamReport(record.tensor_id, "delayed", record.n_lines,
+        rep = StreamReport(record.tensor_id, "delayed", n,
                            start_tick=t0, done_tick=done,
                            compute_done_tick=compute_done,
                            verify_done_tick=verify_done,
-                           verify_cycles=record.n_lines)
+                           verify_cycles=n)
         record.verify_done_tick = verify_done
-        record.pending = None
+        self.reports.append(rep)
         if record.running_xor == record.stored_mac:
             record.poison = 0
             record.failed = False
-            record.tainted = tainted or record.tainted
-            self.reports.append(rep)
+            record.tainted = record.tainted or 1 in record.taint
             return plains, rep
         rep.faults = 1
-        record.failed = True
-        record.poison = 1
-        self.reports.append(rep)
-        self._discard(record)
+        record.failed = True       # and the poison stays set
+        record.stored, record.taint = bytearray(n), bytearray(n)   # discarded
         self.retransfer_requests.append(record.tensor_id)
         self.faults.record_failure()
         raise IntegrityFault("tensor_mac", f"tensor {record.tensor_id}")
@@ -295,22 +304,17 @@ class NpuDevice:
         eng = self.engine
         t0 = eng.now if at_tick is None else at_tick
         lines_per_block = max(1, granularity // LINE_BYTES)
-        plains = []
         compute_done = t0
         stall = 0
-        faults = 0
         n = record.n_lines
-        tags, plain_lines = open_blocks(
-            self.key, [blk for _, blk in self._fetch_lines(record)], record.vn)
+        tags, plains = open_lines(self.key, *self.export_lines(record), record.vn)
         g, sealed = self.block_macs.get(record.base, (None, ()))
         if g != granularity:
             sealed = ()
         for b0 in range(0, n, lines_per_block):
             blk_lines = range(b0, min(b0 + lines_per_block, n))
             acc = 0
-            aes_done = t0
             first_line_ready = None
-            mac_done = t0
             for i in blk_lines:
                 _, fetch_done = eng.reserve("npu_gddr", LINE_BYTES, at_tick=t0)
                 _, aes_done = eng.reserve("npu_aes", LINE_BYTES, at_tick=fetch_done)
@@ -323,7 +327,6 @@ class NpuDevice:
             # fail closed: a block with no MAC sealed at this granularity
             # cannot verify
             if k >= len(sealed) or sealed[k] != acc:
-                faults += 1
                 record.failed = True
                 self.faults.record_failure()
                 raise IntegrityFault(
@@ -338,22 +341,15 @@ class NpuDevice:
                 start = max(verify_done, compute_done)
                 _, compute_done = eng.reserve("npu_compute", LINE_BYTES,
                                               at_tick=start)
-                plains.append(plain_lines[i])
         rep = StreamReport(record.tensor_id, f"blocking{granularity}", n,
                            start_tick=t0, done_tick=compute_done,
                            compute_done_tick=compute_done,
                            verify_done_tick=compute_done,
-                           stall_ticks=stall, faults=faults)
+                           stall_ticks=stall)
         record.verify_done_tick = compute_done
         record.poison = 0
         self.reports.append(rep)
         return plains, rep
-
-    def _discard(self, record: TensorRecord) -> None:
-        for i in range(record.n_lines):
-            addr = record.base + i * LINE_BYTES
-            self.gddr.pop(addr, None)
-            self.taint.discard(addr)
 
     def mac_storage_bytes(self, mode: VerifyMode) -> int:
         """Off-chip MAC footprint: 7 B per tensor (delayed) versus 7 B per
@@ -431,7 +427,6 @@ class NpuDevice:
     def tamper_code_line(self, pa: int, bit: int = 0) -> None:
         blk, tag = self.code[pa]
         blk.data ^= 1 << bit
-        self.taint.add(pa)
 
     def fetch_code_line(self, pa: int, *, at_tick: Optional[int] = None):
         """is_inst requests take the normal non-delayed path: per-line MAC

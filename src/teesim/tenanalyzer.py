@@ -50,12 +50,11 @@ from itertools import islice
 from operator import attrgetter, xor
 from typing import Optional
 
-import numpy as np
-
 from .baseline import AES_CYCLES, MAC_CYCLES, ProtectedMemory
 from .crypto import (
     KEYSTREAM_BATCH_MIN, LINE_BYTES, MASK56, IntegrityFault, keystream_lines,
     line_pad, line_tag, mac_xor_aggregate, open_lines, tensor_binding_codes,
+    tensor_line_codes,
 )
 # unused, but perfbench/tests' tracer test looks these names up here
 from .crypto import keystream, mac_block  # noqa: F401
@@ -68,7 +67,8 @@ SWEEP_FOLD_LINES = 1024                # consumed lines a sweep run keeps before
 _TOUCHED = attrgetter("touched")
 _ZERO_LINE = bytes(LINE_BYTES)
 # what `context_switch` saves and restores per enclave
-_PER_ENCLAVE = ("entries", "_cover", "boundary", "filter", "pending_hints")
+_PER_ENCLAVE = ("entries", "_recent", "_cover", "boundary", "filter",
+                "pending_hints")
 
 HIT_IN = "hit_in"
 HIT_BOUNDARY = "hit_boundary"
@@ -240,6 +240,8 @@ class TenAnalyzer:
         self.merge_window = merge_window
 
         self.entries: list[MetaTableEntry] = []
+        # the entries of the table in ascending `touched` order (`_touch`)
+        self._recent: dict[MetaTableEntry, None] = {}
         # the entry covering each line of the region, by line index; read
         # through `entry_at`
         self._cover: list[Optional[MetaTableEntry]] = [None] * mem.n_lines
@@ -262,6 +264,21 @@ class TenAnalyzer:
     def _tick(self) -> int:
         self._stamp += 1
         return self._stamp
+
+    def _touch(self, e: MetaTableEntry, stamp: Optional[int] = None) -> int:
+        """Set and return `e.touched`: `stamp`, by default a new tick; and
+        move `e` to the end of `_recent`. Every stamp exceeds those already
+        taken, so `_recent` stays in `touched` order."""
+        e.touched = self._tick() if stamp is None else stamp
+        self._recent.pop(e, None)
+        self._recent[e] = None
+        return e.touched
+
+    def _drop(self, e: MetaTableEntry) -> None:
+        """Take `e` out of the table and out of `_recent`."""
+        if e in self.entries:
+            self.entries.remove(e)
+        self._recent.pop(e, None)
 
     def entry_at(self, va: int) -> Optional[MetaTableEntry]:
         """The entry covering line `va`, or None, also for an unaligned `va`
@@ -300,8 +317,7 @@ class TenAnalyzer:
         e.uf = 0
         e.written = None
         e.reset_sweep()
-        if e in self.entries:
-            self.entries.remove(e)
+        self._drop(e)
         self.stats["w_invalidate"] += 1
         self.stats[f"inval_{reason}"] = self.stats.get(f"inval_{reason}", 0) + 1
         # falling back to cacheline protection: regenerate the range's
@@ -322,7 +338,7 @@ class TenAnalyzer:
             return False  # everything mid-update; caller drops the insert
         self._unindex_entry(victim)
         victim.valid = False
-        self.entries.remove(victim)
+        self._drop(victim)
         self.stats["evictions"] += 1
         return True
 
@@ -331,8 +347,8 @@ class TenAnalyzer:
             return None  # range disjointness: refuse overlapping insert
         if not self._evict_for_space():
             return None
-        e.lru = e.touched = self._tick()
         self.entries.append(e)
+        e.lru = self._touch(e)
         self._index_entry(e)
         e.bs = 0
         return e
@@ -573,6 +589,9 @@ class TenAnalyzer:
         t["cycles"] += (AES_CYCLES + MAC_CYCLES) * n
         if gets:
             mem.cache.hit_run([("vn", li) for li in gets], n_b)
+        # boundary spans touch their entries, in the order of their stamps
+        for s in sorted((s for s in spans.values() if s.chain), key=_TOUCHED):
+            self._touch(s.e, s.touched)
         self._stamp = stamp
 
     def _extend_span(self, e: MetaTableEntry, s: "_Span") -> None:
@@ -594,7 +613,7 @@ class TenAnalyzer:
         self._cover[lo:hi] = [e] * n
         if self.entry_at(last + LINE_BYTES) is None:
             boundary[last + LINE_BYTES] = e
-        e.lru, e.touched = s.lru, s.touched
+        e.lru = s.lru
         run_start = e.runs_by_next.pop(old_n, None)
         if run_start is not None:
             run = e.runs[run_start]
@@ -777,7 +796,7 @@ class TenAnalyzer:
         nxt = va + step
         if self.entry_at(nxt) is None:
             self.boundary[nxt] = e
-        e.touched = self._tick()
+        self._touch(e)
         # fold the verified line's stored tag into an adjacent sweep run if
         # one ends here
         run_start = e.runs_by_next.pop(new_ordinal, None)
@@ -855,12 +874,7 @@ class TenAnalyzer:
         merged = True
         while merged:
             merged = False
-            # the table is nearly in `touched` order, which a stable sort
-            # takes in linear time and `heapq.nlargest` in its slowest case
-            recent = sorted([c for c in self.entries
-                             if c is not e and c.valid and c.uf == 0],
-                            key=_TOUCHED, reverse=True)[: self.merge_window]
-            for c in recent:
+            for c in self.merge_candidates(e):
                 if c.vn != e.vn or c.tensor_id != e.tensor_id or c.bs != e.bs:
                     continue
                 geom = self._merge_geometry(c, e)
@@ -869,18 +883,25 @@ class TenAnalyzer:
                 base, nx, ny, stride = geom
                 self._unindex_entry(c)
                 self._unindex_entry(e)
-                self.entries.remove(c)
+                self._drop(c)
                 c.valid = False
                 e.base, e.nx, e.ny, e.stride = base, nx, ny, stride
                 e.last_addr = base + (ny - 1) * stride + (nx - 1) * LINE_BYTES
                 e.mac ^= c.mac
                 e.reset_sweep()
-                e.touched = e.lru = self._tick()
+                e.lru = self._touch(e)
                 self._index_entry(e)
                 self.stats["merges"] += 1
                 merged = True
                 break
         return e
+
+    def merge_candidates(self, e: MetaTableEntry) -> list[MetaTableEntry]:
+        """The `merge_window` most recently touched valid entries other than
+        `e` that are not mid-update, the most recent first."""
+        return list(islice((c for c in reversed(self._recent)
+                            if c is not e and c.valid and c.uf == 0),
+                           self.merge_window))
 
     @staticmethod
     def _merge_geometry(a: MetaTableEntry, b: MetaTableEntry):
@@ -948,7 +969,7 @@ class TenAnalyzer:
             if e.line_count == 1:
                 return self._finish_update(e)
             self.stats["w_edge_start"] += 1
-            e.touched = self._tick()
+            self._touch(e)
             return WriteOutcome(EDGE_START)
 
         k = e.ordinal(va)
@@ -1048,9 +1069,7 @@ class TenAnalyzer:
         line_codes = None
         if e.tensor_id is not None:
             if e not in codes:
-                codes[e] = tensor_binding_codes(
-                    e.tensor_id, np.arange(e.line_count, dtype=np.uint64) * LINE_BYTES
-                ).tolist()
+                codes[e] = tensor_line_codes(e.tensor_id, e.line_count)
             entry_codes = codes[e]
             line_codes = [entry_codes[k] for k in ks]
         self.mem.write_lines(vas, plains, vn=(e.vn + 1) & MASK56, codes=line_codes,
@@ -1088,7 +1107,7 @@ class TenAnalyzer:
         e.write_tags = []
         e.update_count = 0
         e.reset_sweep()
-        e.touched = e.lru = self._tick()
+        e.lru = self._touch(e)
         self.stats["w_edge_finish"] += 1
         self._retry_pending_hints()
         return WriteOutcome(EDGE_FINISH, vn=e.vn)
@@ -1155,8 +1174,7 @@ class TenAnalyzer:
         for o in overlapped:
             self._unindex_entry(o)
             o.valid = False
-            if o in self.entries:
-                self.entries.remove(o)
+            self._drop(o)
         entry = MetaTableEntry(base, nx, ny, stride_b, vn & MASK56, mac,
                                tensor_id=tensor_id)
         if self._insert_entry(entry) is None:
@@ -1186,8 +1204,8 @@ class TenAnalyzer:
         if enclave_id in self._enclaves:
             self.mem = self._enclaves[enclave_id]
         snap = self._saved.get(enclave_id) or {
-            "entries": [], "_cover": [None] * self.mem.n_lines, "boundary": {},
-            "filter": [], "pending_hints": []}
+            "entries": [], "_recent": {}, "_cover": [None] * self.mem.n_lines,
+            "boundary": {}, "filter": [], "pending_hints": []}
         for k in _PER_ENCLAVE:
             setattr(self, k, snap[k])
 

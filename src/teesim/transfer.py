@@ -13,16 +13,15 @@ touches the link and the trusted channel.
 from __future__ import annotations
 
 import struct
+from array import array
 from dataclasses import dataclass
 from typing import Optional, Sequence
-
-import numpy as np
 
 from .baseline import ProtectedMemory
 from .crypto import (
     LINE_BYTES, MASK56, BindingMode, CipherBlock, CounterBinding,
     IntegrityFault, KeyMaterial, decrypt_block, encrypt_block, mac_block, mix64,
-    mac_xor_aggregate, open_blocks, seal_lines, tensor_binding_codes,
+    mac_xor_aggregate, open_lines, seal_into, tensor_line_codes,
 )
 from .engine import Engine
 from .nputee import NpuDevice
@@ -197,14 +196,16 @@ def _cpu_channels(engine: Engine) -> int:
 # -- relay baseline ---------------------------------------------------------------
 
 class StagingRegion:
-    """Non-secure relay memory: session-encrypted blocks plus session MACs."""
+    """Non-secure relay memory: session-encrypted lines (`ct`), their binding
+    codes and their session MACs."""
 
     def __init__(self):
-        self.blocks: list[CipherBlock] = []
+        self.ct = bytearray()
+        self.codes = array("Q")
         self.macs: list[int] = []
 
     def tamper(self, index: int, bit: int = 0) -> None:
-        self.blocks[index].data ^= 1 << bit
+        self.ct[index * LINE_BYTES + bit // 8] ^= 1 << (bit % 8)
 
 
 def baseline_transfer(session: SessionState, engine: Engine, *,
@@ -254,13 +255,10 @@ def baseline_transfer(session: SessionState, engine: Engine, *,
         rep.done_tick = srep.done_tick
     elif direction == "npu_to_cpu":
         rec = npu.records[tensor_id]
-        addrs = [rec.base + i * LINE_BYTES for i in range(n_lines)]
-        _, plains = open_blocks(npu.key, [npu.gddr[addr] for addr in addrs], rec.vn)
+        _, plains = open_lines(npu.key, *npu.export_lines(rec, n_lines), rec.vn)
+        npu.log_link(rec, n_lines, "baseline")
         stage_done = t0
-        for addr in addrs:
-            npu.link_log.append({"tensor_id": tensor_id,
-                                 "tainted": addr in npu.taint,
-                                 "protocol": "baseline"})
+        for _ in range(n_lines):
             _, rd = engine.reserve("npu_gddr", LINE_BYTES, at_tick=t0)
             _, dec = engine.reserve("npu_aes", LINE_BYTES, at_tick=rd)
             _, enc = engine.reserve("npu_aes", LINE_BYTES, at_tick=dec)
@@ -297,16 +295,17 @@ def baseline_transfer(session: SessionState, engine: Engine, *,
 def _seal_staging(staging: StagingRegion, plains: Sequence, tensor_id: int,
                   session: SessionState) -> None:
     """Session-encrypt and MAC the whole tensor into the staging region."""
-    bindings = [CounterBinding(BindingMode.TENSOR_LOGICAL, tensor_id,
-                               i * LINE_BYTES) for i in range(len(plains))]
-    data, staging.macs = seal_lines(session.shared_key, plains, bindings, 0)
-    staging.blocks = [CipherBlock(d, b, 0) for d, b in zip(data, bindings)]
+    n = len(plains)
+    staging.ct = bytearray(b"".join(plains))
+    staging.codes = tensor_line_codes(tensor_id, n)
+    staging.macs = seal_into(session.shared_key, staging.ct, range(n),
+                             staging.codes, 0)
 
 
 def _open_staging(staging: StagingRegion, tensor_id: int,
                   session: SessionState, rep: TransferReport):
     """Check every staged line's session MAC, then decrypt the tensor."""
-    tags, plains = open_blocks(session.shared_key, staging.blocks)
+    tags, plains = open_lines(session.shared_key, staging.codes, staging.ct, 0)
     for i, (tag, stored) in enumerate(zip(tags, staging.macs)):
         if tag != stored:
             rep.faults += 1
@@ -345,20 +344,13 @@ def direct_transfer(session: SessionState, engine: Engine, *,
         rep = TransferReport("direct", tensor_id, start_tick=t0, done_tick=t0)
         if n == 0:
             return rep
-        mem = analyzer.mem
         vas = sorted(e.addresses())
-        want = tensor_binding_codes(tensor_id, np.arange(n, dtype=np.uint64)
-                                    * LINE_BYTES).tolist()
-        lines = []
-        for i, (va, code) in enumerate(zip(vas, want)):
-            ct, stored = mem.line(mem.line_index(va))
-            if stored != code:
-                raise ProtocolError(f"line {va:#x} is not bound to tensor "
-                                    f"{tensor_id}; direct transfer needs "
-                                    f"tensor-logical ciphertext")
-            binding = CounterBinding(BindingMode.TENSOR_LOGICAL, tensor_id,
-                                     i * LINE_BYTES)
-            lines.append(CipherBlock(int.from_bytes(ct, "little"), binding, e.vn))
+        codes, cts = analyzer.mem.export_lines(vas)
+        want = tensor_line_codes(tensor_id, n)
+        if codes != want:
+            va = next(va for va, c, w in zip(vas, codes, want) if c != w)
+            raise ProtocolError(f"line {va:#x} is not bound to tensor {tensor_id}; "
+                                f"direct transfer needs tensor-logical ciphertext")
         base_rx = npu_base if npu_base is not None else \
             0x4000_0000 + tensor_id * 0x100_0000
         msg = MetadataMessage(tensor_id, base_rx, n, e.stride, e.vn, e.mac)
@@ -367,7 +359,7 @@ def direct_transfer(session: SessionState, engine: Engine, *,
         _, link_done = engine.reserve("link", n * LINE_BYTES, at_tick=t0)
         rx = decode_metadata(wire, session)
         npu.install_transferred(rx.tensor_id, rx.base, rx.n_lines, rx.vn,
-                                rx.mac, lines)
+                                rx.mac, cts, codes)
         rep.bytes_link = n * LINE_BYTES + MSG_WIRE_BYTES
         rep.done_tick = max(chan_done, link_done) + SYNC_TICKS
     elif direction == "npu_to_cpu":
@@ -385,17 +377,11 @@ def direct_transfer(session: SessionState, engine: Engine, *,
         _, chan_done = engine.reserve("trusted_channel", MSG_WIRE_BYTES,
                                       at_tick=tstart)
         _, link_done = engine.reserve("link", n * LINE_BYTES, at_tick=tstart)
-        lines = []
-        for i in range(n):
-            addr = rec.base + i * LINE_BYTES
-            blk = npu.gddr[addr]
-            npu.link_log.append({"tensor_id": tensor_id,
-                                 "tainted": addr in npu.taint,
-                                 "protocol": "direct"})
-            lines.append(CipherBlock(blk.data, blk.binding, blk.vn))
+        codes, cts = npu.export_lines(rec, n)
+        npu.log_link(rec, n, "direct")
         rx = decode_metadata(wire, session)
         arrived = max(chan_done, link_done) + SYNC_TICKS
-        done = _install_on_cpu(rx, lines, analyzer, engine, arrived, rep,
+        done = _install_on_cpu(rx, codes, cts, analyzer, engine, arrived, rep,
                                pipeline_from=tstart)
         rep.bytes_link = n * LINE_BYTES + MSG_WIRE_BYTES
         rep.done_tick = done
@@ -408,26 +394,27 @@ def direct_transfer(session: SessionState, engine: Engine, *,
     return rep
 
 
-def _install_on_cpu(msg: MetadataMessage, lines, analyzer: TenAnalyzer,
+def _install_on_cpu(msg: MetadataMessage, codes, cts, analyzer: TenAnalyzer,
                     engine: Engine, at: int, rep: TransferReport,
                     pipeline_from: Optional[int] = None) -> int:
-    """Eager aggregate-MAC verification (pipelined behind the link DMA), then
-    verbatim ciphertext install and the Meta Table structure hint."""
+    """Eager aggregate-MAC verification (pipelined behind the link DMA) of
+    the lines with binding `codes` and ciphertext `cts`, then verbatim
+    ciphertext install and the Meta Table structure hint."""
     mem = analyzer.mem
     size = msg.n_lines * LINE_BYTES
     _, mac_end = engine.reserve("cpu_mac", size,
                                 at_tick=at if pipeline_from is None
                                 else pipeline_from)
     verify_done = max(at, mac_end)
-    tags, _ = open_blocks(mem.key, lines, decrypt=False)
+    tags, _ = open_lines(mem.key, codes, cts, msg.vn, decrypt=False)
     if mac_xor_aggregate(tags) != msg.mac:
         rep.faults += 1
         raise IntegrityFault("tensor_mac",
                              f"direct transfer tensor {msg.tensor_id}")
-    mem.install_lines(msg.base, lines, tags, msg.vn)
+    mem.install_lines(msg.base, codes, cts, tags, msg.vn)
     nch = _cpu_channels(engine)
     done = verify_done
-    for i in range(len(lines)):
+    for i in range(msg.n_lines):
         pa = msg.base + i * LINE_BYTES
         ch = (pa // LINE_BYTES) % nch
         # the DMA drain runs in parallel with the aggregate verification

@@ -97,8 +97,7 @@ def test_criterion_1_tamper_detection_complete():
         data = [rng.randbytes(LINE_BYTES) for _ in range(32)]
         dev.store_tensor_stream(rec, data)
         addr = rec.base + rng.randrange(32) * LINE_BYTES
-        dev.gddr[addr].data ^= 1 << rng.randrange(512)
-        dev.taint.add(addr)
+        dev.tamper_line(addr, rng.randrange(512))
         stream_fault = barrier_fault = False
         try:
             dev.load_tensor_stream(rec, VerifyMode("delayed"))
@@ -427,8 +426,7 @@ def test_criterion_10_escape_proofing():
         tampered = rng.random() < 0.5
         if tampered:
             addr = rec.base + rng.randrange(n) * LINE_BYTES
-            dev.gddr[addr].data ^= 1 << rng.randrange(512)
-            dev.taint.add(addr)
+            dev.tamper_line(addr, rng.randrange(512))
         try:
             dev.load_tensor_stream(rec, VerifyMode("delayed"))
         except IntegrityFault:
@@ -447,7 +445,7 @@ def test_criterion_10_escape_proofing():
             blocked += 1
             assert tampered
     tainted_crossings = sum(1 for x in dev.link_log if x["tainted"])
-    code_in_delayed = sum(1 for _, is_inst in dev.delayed_queue_log if is_inst)
+    code_in_delayed = sum(1 for *_, is_inst in dev.delayed_queue_log if is_inst)
     ok = tainted_crossings == 0 and code_in_delayed == 0 and blocked > 0 \
         and transfers_ok > 0
     _report(10, "zero tainted bytes ever cross the link; no is_inst fetch in "

@@ -16,7 +16,7 @@ from teesim.baseline import (
     ProtectedMemory,
 )
 from teesim.crypto import (
-    OPEN_BATCH_MIN, SEAL_BATCH_MIN, BindingMode, CipherBlock, CounterBinding,
+    OPEN_BATCH_MIN, SEAL_BATCH_MIN, BindingMode, CounterBinding,
     IntegrityFault, KeyMaterial, LINE_BYTES, VnTree, line_pad, line_tag,
     tensor_binding_codes,
 )
@@ -477,9 +477,9 @@ def test_overwritten_pending_write_still_feeds_its_tag_sink():
         mem.write_line(BASE, b"\x01" * LINE_BYTES, tag_sink=sink)
         mem.write_line(BASE, b"\x02" * LINE_BYTES)
         mem.write_line(BASE + LINE_BYTES, b"\x03" * LINE_BYTES, tag_sink=sink)
-        mem.install_lines(BASE + LINE_BYTES, [CipherBlock(
-            0, CounterBinding(BindingMode.PHYSICAL_ADDR, BASE + LINE_BYTES), 7)],
-            [0], 7)
+        mem.install_lines(BASE + LINE_BYTES, [CounterBinding(
+            BindingMode.PHYSICAL_ADDR, BASE + LINE_BYTES).code()],
+            bytes(LINE_BYTES), [0], 7)
         mem.seal()
         sinks.append(sink)
     assert len(sinks[0]) == 2 and sinks[0] == sinks[1]

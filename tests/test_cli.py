@@ -189,3 +189,24 @@ def test_selftest_passes(capsys):
     ran = out.count("[PASS]")
     assert ran >= 6 and f"{ran}/{ran} checks passed" in out
     assert "FAIL" not in out
+
+
+@pytest.mark.parametrize("argv,flag,least", [
+    (["run", "--attack", "bitflip", "--trials", "-3"], "--trials", 1),
+    (["run", "--attack", "bitflip", "--trials", "0"], "--trials", 1),
+    (["trace-dump", "--workload", "fuzz", "--ops", "-5"], "--ops", 1),
+    (["trace-dump", "--workload", "fuzz", "--ops", "0"], "--ops", 1),
+    (["trace-dump", "--workload", "fuzz", "--limit", "-1"], "--limit", 0),
+])
+def test_a_count_below_its_floor_exits_2(tmp_path, capsys, argv, flag, least):
+    out = tmp_path / "o"
+    assert main(argv + ["--out", str(out)] if argv[0] == "run" else argv) == 2
+    printed = capsys.readouterr()
+    assert printed.out == "" and not out.exists()
+    assert printed.err.splitlines() == [
+        f"config error: {flag} must be at least {least}, got {argv[-1]}"]
+
+
+def test_a_zero_limit_prints_no_records(capsys):
+    assert main(["trace-dump", "--workload", "fuzz", "--ops", "5", "--limit", "0"]) == 0
+    assert capsys.readouterr().out == ""

@@ -19,8 +19,8 @@ from teesim.crypto import (
     OPEN_BATCH_MIN, SEAL_BATCH_MIN, TREE_ARITY, BindingMode,
     CipherBlock, CounterBinding, IntegrityFault, KeyMaterial, VnTree, _leaf_hash,
     _node_hash, binding_codes, decrypt_block, encrypt_block, keystream,
-    keystream_lines, line_pad, line_tag, line_words, mac_block, mac_lines,
-    mac_xor_aggregate, mix64, open_blocks, pa_binding_codes, seal_into, seal_lines,
+    keystream_lines, line_bytes, line_pad, line_tag, line_words, mac_block,
+    mac_lines, mac_xor_aggregate, mix64, open_lines, pa_binding_codes, seal_into,
     tensor_binding_codes, words_to_bytes, words_to_ints,
 )
 
@@ -515,30 +515,22 @@ def test_batch_kernels_match_scalar_by_size(n):
     _assert_batch_matches_scalar(key, bindings, vns, data)
     assert words_to_bytes(line_words(data)) == \
         [d if isinstance(d, bytes) else d.to_bytes(LINE_BYTES, "little") for d in data]
-    # seal_lines below SEAL_BATCH_MIN, and open_blocks below OPEN_BATCH_MIN
+    # seal_into below SEAL_BATCH_MIN, and open_lines below OPEN_BATCH_MIN
     # (MAC_BATCH_MIN without decryption), take the per-line kernels, and
-    # numpy from there on; both give these results
-    blocks = [encrypt_block(d, b, v, key) for d, b, v in zip(data, bindings, vns)]
-    tags = [mac_block(blk, key) for blk in blocks]
-    assert seal_lines(key, data, bindings, vns) == ([blk.data for blk in blocks], tags)
-    plains = [decrypt_block(blk, key) for blk in blocks]
-    assert open_blocks(key, blocks) == (tags, plains)
-    assert open_blocks(key, blocks, decrypt=False) == (tags, None)
-    if n:
-        one = [encrypt_block(d, b, vns[0], key) for d, b in zip(data, bindings)]
-        assert seal_lines(key, data, bindings, vns[0]) == \
-            ([blk.data for blk in one], [mac_block(blk, key) for blk in one])
-        # an open under one VN overrides each block's own
-        at_vn = [CipherBlock(blk.data, blk.binding, vns[0]) for blk in blocks]
-        at_vn_tags = [mac_block(blk, key) for blk in at_vn]
-        assert open_blocks(key, blocks, vns[0]) == \
-            (at_vn_tags, [decrypt_block(blk, key) for blk in at_vn])
-        assert open_blocks(key, blocks, vns[0], decrypt=False) == (at_vn_tags, None)
-        # and one VN per line overrides each block's own
-        shifted = [CipherBlock(blk.data, blk.binding, v + 1)
-                   for blk, v in zip(blocks, vns)]
-        assert open_blocks(key, shifted, vns) == (tags, plains)
-        assert open_blocks(key, shifted, vns, decrypt=False) == (tags, None)
+    # numpy from there on; both give these results, under one VN per line
+    # or one int VN for every line
+    codes = array("Q", binding_codes(bindings).tobytes())
+    for vn_arg in [vns, *vns[:1]]:
+        per_line = vn_arg if isinstance(vn_arg, list) else [vn_arg] * n
+        blocks = [encrypt_block(d, b, v, key)
+                  for d, b, v in zip(data, bindings, per_line)]
+        tags = [mac_block(blk, key) for blk in blocks]
+        buf = bytearray(b"".join(line_bytes(d) for d in data))
+        assert seal_into(key, buf, range(n), codes, vn_arg) == tags
+        assert buf == b"".join(blk.to_bytes() for blk in blocks)
+        plains = [decrypt_block(blk, key) for blk in blocks]
+        assert open_lines(key, codes, buf, vn_arg) == (tags, plains)
+        assert open_lines(key, codes, buf, vn_arg, decrypt=False) == (tags, None)
 
 
 @pytest.mark.parametrize("n", [1, SEAL_BATCH_MIN - 1, SEAL_BATCH_MIN, 40])

@@ -124,8 +124,8 @@ def fuzz_snapshot(mode: str, functional: bool = True) -> dict:
 
 
 def _ciphertext_sha256(dev: NpuDevice, rec) -> str:
-    return _sha256(dev.gddr[rec.base + i * LINE_BYTES].to_bytes()
-                   for i in range(rec.n_lines))
+    _, ct = dev.export_lines(rec)
+    return _sha256([ct])
 
 
 def npu_stream_snapshot(granularity: str, functional: bool = True) -> dict:

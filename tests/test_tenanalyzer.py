@@ -965,3 +965,46 @@ def _diff_runs(records, crypto_on, cuts, hints, tamper, n_lines=_RUN_LINES):
                 snap = ta.mem.snapshot_triple(touched[src % len(touched)])
                 ta.mem.inject_attack(attack, touched[line % len(touched)], bit=bit,
                                      snapshot=snap)
+
+
+# -- merge candidates ------------------------------------------------------------
+
+def _merge_reference(ta: TenAnalyzer, e: MetaTableEntry) -> list:
+    """`try_merge`'s candidates as a stable sort of the whole table gives them."""
+    return sorted([c for c in ta.entries if c is not e and c.valid and c.uf == 0],
+                  key=lambda c: c.touched, reverse=True)[:ta.merge_window]
+
+
+@given(trace=st.sampled_from(["adam", "gemm", "fuzz"]),
+       cuts=st.lists(st.integers(1, 80), min_size=1, max_size=6),
+       window=st.integers(1, 8), runs=st.booleans())
+@settings(max_examples=40, deadline=None)
+def test_merge_candidates_match_a_stable_sort_of_the_table(trace, cuts, window, runs):
+    records, _, n_lines = _RUN_TRACES[trace]
+    ta = TenAnalyzer(ProtectedMemory(_RUN_BASE, n_lines, KEY, crypto_on=False),
+                     merge_window=window)
+    candidates = ta.merge_candidates
+
+    def checked(e):
+        got = candidates(e)
+        assert got == _merge_reference(ta, e)
+        return got
+
+    ta.merge_candidates = checked
+    for run in _split_runs(records, cuts):
+        vas = [va for _, va in run]
+        is_read = run[0][0]
+        if not runs:
+            for va in vas:
+                if is_read:
+                    ta.on_read(va)
+                else:
+                    ta.on_write(va, bytes(LINE_BYTES))
+        elif is_read:
+            ta.read_run(vas)
+        else:
+            ta.write_run(vas, [bytes(LINE_BYTES)] * len(vas))
+        for e in ta.entries:
+            assert candidates(e) == _merge_reference(ta, e)
+    # every stamp is taken once, so no two entries tie
+    assert len({e.touched for e in ta.entries}) == len(ta.entries)

@@ -241,8 +241,7 @@ def test_direct_tampered_tensor_never_crosses_link():
     rec = dev.register_tensor(8, 0x50000000, n)
     dev.store_tensor_stream(rec, lines(n, 4))
     addr = rec.base + 5 * LINE_BYTES
-    dev.gddr[addr].data ^= 1 << 3
-    dev.taint.add(addr)
+    dev.tamper_line(addr, 3)
     with pytest.raises(IntegrityFault):
         dev.load_tensor_stream(rec, VerifyMode("delayed"))
     with pytest.raises(IntegrityFault):
@@ -261,8 +260,8 @@ def test_secrecy_no_plaintext_in_staging_or_link():
     baseline_transfer(session, eng, tensor_id=1, direction="cpu_to_npu",
                       cpu_mem=mem, npu=dev, cpu_base=CPU_BASE, n_lines=n,
                       staging=staging)
-    for blk in staging.blocks:
-        assert marker not in blk.to_bytes()
+    for i in range(n):
+        assert marker not in staging.ct[i * LINE_BYTES:(i + 1) * LINE_BYTES]
     for i in range(n):
         ct, _ = mem.line(mem.line_index(CPU_BASE + i * LINE_BYTES))
         assert marker not in ct

@@ -6,7 +6,7 @@ import pytest
 
 from teesim.baseline import ProtectedMemory
 from teesim.config import SimConfig, WorkloadConfig
-from teesim.crypto import IntegrityFault, KeyMaterial, LINE_BYTES
+from teesim.crypto import CounterBinding, IntegrityFault, KeyMaterial, LINE_BYTES
 from teesim.tenanalyzer import TenAnalyzer
 from teesim.workloads import (
     ZeroOffloadRunner, adam_layouts, adam_region_lines, gen_adam_trace,
@@ -213,6 +213,24 @@ def test_zero_offload_sgx_mgx_verifies_npu_blocks():
     npu = runner.npu
     assert npu.mac_granularity == 1024
     rec = npu.records[runner.WEIGHT_TID]
-    npu.gddr[rec.base + 3 * LINE_BYTES].data ^= 1 << 9
+    npu.tamper_line(rec.base + 3 * LINE_BYTES, 9)
     with pytest.raises(IntegrityFault):
         npu.load_tensor_stream(rec, runner.verify_mode)
+
+
+@pytest.mark.parametrize("mode", ["sgx_mgx", "tensortee"])
+def test_zero_offload_builds_no_binding_per_line(mode, monkeypatch):
+    # the NPU store and the transfers move flat buffers and code arrays; only
+    # a direct transfer's channel message builds bindings, one each to
+    # encode and decode it
+    built = []
+    post_init = CounterBinding.__post_init__
+
+    def counting(self):
+        built.append(self.mode)
+        post_init(self)
+
+    monkeypatch.setattr(CounterBinding, "__post_init__", counting)
+    rep = run_zero_offload(zcfg(mode))
+    assert rep.transfers
+    assert len(built) <= 2 * len(rep.transfers)
