@@ -8,7 +8,9 @@ import tracemalloc
 import pytest
 
 from teesim.config import SimConfig, build_engine
-from teesim.crypto import IntegrityFault, KeyMaterial, LINE_BYTES
+from teesim.crypto import (
+    IntegrityFault, KeyMaterial, LINE_BYTES, seal_into, tensor_line_codes,
+)
 from teesim.nputee import HaltError, NpuDevice, VerifyMode
 
 KEY = KeyMaterial.from_seed(0x0909)
@@ -274,6 +276,27 @@ def test_store_seals_block_macs_at_the_device_granularity():
     assert plains == data
     with pytest.raises(IntegrityFault):
         dev.load_tensor_stream(rec, VerifyMode("blocking", 512))
+
+
+def test_never_stored_and_discarded_lines_read_as_sealed_zeros():
+    dev, _ = make_dev()
+    n, tid = 16, 3
+
+    def sealed_zeros(vn):
+        buf = bytearray(n * LINE_BYTES)
+        seal_into(KEY, buf, range(n), tensor_line_codes(tid, n), vn)
+        return bytes(buf)
+
+    rec = dev.register_tensor(tid, DEV_BASE, n)
+    codes, ct = dev.export_lines(rec)
+    assert bytes(ct) == sealed_zeros(0) and codes == tensor_line_codes(tid, n)
+    dev.store_tensor_stream(rec, lines(n))
+    dev.tamper_line(rec.base + 2 * LINE_BYTES, 9)
+    with pytest.raises(IntegrityFault):
+        dev.load_tensor_stream(rec, VerifyMode("delayed"))
+    # the failed verification discarded the tensor, taint and all
+    assert bytes(dev.export_lines(rec)[1]) == sealed_zeros(rec.vn)
+    assert not any(rec.taint)
 
 
 def test_store_footprint_per_line():

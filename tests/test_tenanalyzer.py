@@ -1008,3 +1008,19 @@ def test_merge_candidates_match_a_stable_sort_of_the_table(trace, cuts, window, 
             assert candidates(e) == _merge_reference(ta, e)
     # every stamp is taken once, so no two entries tie
     assert len({e.touched for e in ta.entries}) == len(ta.entries)
+
+
+def test_boundary_spans_touch_their_entries_in_stamp_order():
+    # one read-run segment extends two entries, the first one last; the
+    # second's lines are written twice, so that the two do not merge
+    ta, mem = make(64)
+    for i in (*range(48), *range(32, 48)):
+        mem.write_line(BASE + i * LINE_BYTES, payload(i))
+    for first in (0, 32):
+        for i in range(first, first + 4):
+            ta.on_read(BASE + i * LINE_BYTES)
+    a, b = ta.entry_at(BASE), ta.entry_at(BASE + 32 * LINE_BYTES)
+    assert a is not None and b is not None
+    ta.read_run([BASE + 4 * LINE_BYTES, BASE + 36 * LINE_BYTES, BASE + 5 * LINE_BYTES])
+    assert ta.stats["r_hit_boundary"] == 3
+    assert a.touched > b.touched and list(ta._recent)[-2:] == [b, a]

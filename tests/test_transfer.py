@@ -292,3 +292,16 @@ def test_direct_overlaps_compute_where_baseline_cannot():
 
     assert comm_added_latency("direct") == 0
     assert comm_added_latency("baseline") > 0
+
+
+def test_direct_export_checks_every_lines_binding():
+    session, eng, mem, ta, dev = rig()
+    prep_cpu_tensor(session, mem, ta, 5, 16)
+    # a replay gives line 9 the ciphertext and address binding of another line
+    other, bad = CPU_BASE + 100 * LINE_BYTES, CPU_BASE + 9 * LINE_BYTES
+    mem.write_line(other, lines(1, 7)[0])
+    mem.inject_attack("replay", bad, snapshot=mem.snapshot_triple(other))
+    with pytest.raises(ProtocolError, match=f"line {bad:#x} is not bound to tensor 5"):
+        direct_transfer(session, eng, tensor_id=5, direction="cpu_to_npu",
+                        analyzer=ta, npu=dev, cpu_base=CPU_BASE)
+    assert session.tx_seq == 0 and 5 not in dev.records
