@@ -13,7 +13,9 @@ operation additionally returns an itemized CostReport row.
 A write's encryption and MAC are deferred until the line is next observed,
 so that a run of writes is sealed in one batch, and a run of reads opens its
 lines in batches (see `ProtectedMemory`); `read_lines` and `write_lines`
-take a run of accesses with the result of the per-line calls.
+take a run of accesses with the result of one-line calls. `write_line` is
+`write_lines` of one line, and `read_line` does what `read_lines` of one
+line does.
 """
 
 from __future__ import annotations
@@ -85,7 +87,7 @@ class MetadataCache:
     which is what coalesces the per-write VN/tree traffic.
 
     `last_write` is the VN-line key whose write made the cache's last
-    operation (`ProtectedMemory.write_line` sets it), or None. Any other
+    operation (`ProtectedMemory.write_lines` sets it), or None. Any other
     operation except a `get` of that same key clears it. While it is set,
     that write's keys sit at the MRU end, dirty and in write order."""
 
@@ -154,6 +156,17 @@ class MetadataCache:
         return dirty
 
 
+def as_line(plain) -> bytes:
+    """A plaintext line, given as 64 bytes or as an int, as bytes. Raises
+    ValueError for bytes of another length and OverflowError for an int
+    that does not fit in 64 bytes."""
+    if isinstance(plain, int):
+        return plain.to_bytes(LINE_BYTES, "little")
+    if len(plain) != LINE_BYTES:
+        raise ValueError(f"a line is {LINE_BYTES} bytes, got {len(plain)}")
+    return plain
+
+
 class ProtectedMemory:
     """One enclave's protected DRAM region at cacheline granularity.
 
@@ -163,7 +176,7 @@ class ProtectedMemory:
     (a line's physical address until a write names another binding) and a
     written mask. A never-written line holds zeros until a read or the
     adversary harness materializes it. Other modules go through `line`,
-    `codes`, `export_lines`, `install_lines` and `plaintexts`.
+    `export_lines`, `install_lines` and `plaintexts`.
 
     Without functional crypto the memory runs under the null cipher
     (`crypto.NULL_KEY`): the same protocol and checks, with data-independent
@@ -253,10 +266,6 @@ class ProtectedMemory:
             self._materialize((idx,))
         o = idx * LINE_BYTES
         return bytes(self._ct[o:o + LINE_BYTES]), self._codes[idx]
-
-    def codes(self, pas) -> list[int]:
-        """The binding code of each line of `pas`."""
-        return [self._codes[idx] for idx in map(self.line_index, pas)]
 
     def export_lines(self, pas) -> tuple[array, bytes]:
         """The binding codes and the ciphertext, joined, of the lines `pas`,
@@ -469,125 +478,80 @@ class ProtectedMemory:
                    collect: bool = False):
         """Re-encrypt under VN+1 (or an explicit supplied VN) and binding
         code `code` (by default the line's own), recompute the MAC, store
-        all three off-chip, and update the tree path. VN-line and tree-node
-        drain coalesces through the metadata cache; the MAC region is
-        uncached and drains per write, except for tensor-covered writes
-        whose integrity root is the entry's aggregate MAC. The encryption and
-        MAC wait for the next `seal()`, which appends the line's fresh tag to
-        `tag_sink` if one is given."""
+        all three off-chip, and update the tree path: `write_lines` of the
+        one line. Returns a CostReport with collect=True, else None."""
         t = self.totals
-        t["writes"] += 1
-        t0 = (t["data_wr"], t["vn_wr"], t["mac_wr"], t["tree_wr"], t["cycles"],
-              t["vn_rd"], t["tree_rd"]) if collect else None
-        idx = self.line_index(pa)
-        if vn is None:
-            old_vn, cold = self.resolve_vn(pa, t)
-            if cold:
-                self.walk_tree(pa, t)
-            new_vn = (old_vn + 1) & MASK56
-        else:
-            new_vn = vn & MASK56
-        if self._pending.get(idx) is not None:
-            # a pending write that feeds a tag sink is sealed before its
-            # line is overwritten, so the sink still receives its tag
-            self.seal()
-        if code is not None:
-            self._codes[idx] = code
-        t["cycles"] += AES_CYCLES + MAC_CYCLES
-        t["data_wr"] += LINE_BYTES
-        t["mac_wr"] += LINE_BYTES
-        t["vn_wr"] += LINE_BYTES
-        if not covered:
-            t["mac_wb"] += LINE_BYTES
-        if isinstance(plain, int):
-            plain = plain.to_bytes(LINE_BYTES, "little")
-        elif len(plain) != LINE_BYTES:
-            raise ValueError(f"a line is {LINE_BYTES} bytes, got {len(plain)}")
-        o = idx * LINE_BYTES
-        self._ct[o:o + LINE_BYTES] = plain
-        self._written[idx] = 1
-        self._vns[idx] = new_vn
-        if self.key.null:
-            # stored at once: deferring made a light criterion-4 iteration 6-10% slower
-            tag = self._macs[idx] = line_tag(self.key, self._codes[idx], new_vn, plain)
-            if tag_sink is not None:
-                tag_sink.append(tag)
-        else:
-            self._pending[idx] = tag_sink
-        li = idx // VNS_PER_LINE
-        written = self.tree.update_path(li)
-        t["tree_wr"] += LINE_BYTES * len(written)
-        t["cycles"] += HASH_CYCLES * (len(written) + 1)
-        # a dirtied node-line is cached with empty contents; the tree's next
-        # flush, which precedes any walk that could read it, fills them in.
-        # When the cache's last operation was a write of this same VN-line,
-        # these puts would hit keys already at the MRU end, dirty and in
-        # this order, and evict nothing, so they are skipped
-        cache = self.cache
-        vkey = ("vn", li)
-        if cache.last_write != vkey:
-            for key in written:
-                self._charge_drain(cache.put(("tn",) + key, (), dirty=True))
-            self._charge_drain(cache.put(vkey, True, dirty=True))
-            # a write whose keys do not all fit may have evicted its own
-            if cache.capacity > len(written):
-                cache.last_write = vkey
-        if collect:
-            return CostReport(
-                "W", pa,
-                data_bytes=t["data_wr"] - t0[0], vn_bytes=(t["vn_wr"] - t0[1]) +
-                (t["vn_rd"] - t0[5]),
-                mac_bytes=t["mac_wr"] - t0[2],
-                tree_bytes=(t["tree_wr"] - t0[3]) + (t["tree_rd"] - t0[6]),
-                cycles=t["cycles"] - t0[4])
-        return None
+        t0 = dict(t) if collect else None
+        # by position: by keyword, the call made a one-line write 6% slower
+        self.write_lines((pa,), (plain,), vn, None if code is None else (code,),
+                         covered, tag_sink)
+        if not collect:
+            return None
+        return CostReport(
+            "W", pa, data_bytes=t["data_wr"] - t0["data_wr"],
+            vn_bytes=t["vn_wr"] - t0["vn_wr"] + t["vn_rd"] - t0["vn_rd"],
+            mac_bytes=t["mac_wr"] - t0["mac_wr"],
+            tree_bytes=t["tree_wr"] - t0["tree_wr"] + t["tree_rd"] - t0["tree_rd"],
+            cycles=t["cycles"] - t0["cycles"])
 
-    def write_lines(self, pas, plains, *, vn: Optional[int] = None,
+    def write_lines(self, pas, plains, vn: Optional[int] = None,
                     codes=None, covered: bool = False,
                     tag_sink: Optional[list] = None) -> None:
-        """`write_line` of each line of `pas` in order, with the plaintext
-        and (if `codes` is given) the binding code at its position, and the
-        other arguments alike. Each line resolves its VN and walks the tree
-        (unless `vn` is given), stores its state and makes its metadata-cache
-        puts in turn; the counters are charged as sums, committed also when a
-        cold walk faults, so that a fault leaves the state of the per-line
-        writes before it. A line whose VN-line is the cache's `last_write`,
-        set by the line before it in this call, skips its puts and its tree
-        update too: they would evict nothing, and the leaf is already
-        pending. An address outside the region, or a plaintext that is not
-        one line, raises ValueError before any write."""
-        idxs = [self.line_index(pa) for pa in pas]
-        plains = [p.to_bytes(LINE_BYTES, "little") if isinstance(p, int) else p
-                  for p in plains]
-        if len(plains) != len(idxs) or any(map(LINE_BYTES.__ne__, map(len, plains))):
-            raise ValueError(f"a line is {LINE_BYTES} bytes, one per address")
+        """Write each line of `pas` in order with the plaintext (`as_line`)
+        and, if `codes` is given, the binding code at its position: encrypt
+        it under its VN + 1 (or `vn`), MAC it, store both and the VN off-chip
+        and update its tree path. Each line resolves its VN and walks the
+        tree on a cold fetch (unless `vn` is given), stores its state and
+        makes its metadata-cache puts in turn; the counters are charged as
+        sums, also when a cold walk faults, so that a fault leaves the state
+        of the writes before it. VN-line and tree-node drain coalesces
+        through the metadata cache; the MAC region drains per write, except
+        for `covered` (tensor-covered) writes, whose integrity root is the
+        entry's aggregate MAC. The encryption and MAC wait for the next
+        `seal()`, which appends each fresh tag to `tag_sink` if one is
+        given. A line whose VN-line is the cache's `last_write` skips its
+        puts, which would evict nothing, and, set by the line before it in
+        this call, its tree update, since the leaf is already pending. An
+        address outside the region, or a plaintext that is not one line,
+        raises before any write."""
+        if len(pas) == 1 == len(plains):   # the maps made a one-line write 12% slower
+            idxs, plains = [self.line_index(pas[0])], [as_line(plains[0])]
+        else:
+            idxs = list(map(self.line_index, pas))
+            plains = list(map(as_line, plains))
+        n = len(idxs)
+        if len(plains) != n:
+            raise ValueError("one plaintext per address")
         t, cache, tree, key = self.totals, self.cache, self.tree, self.key
         ct, vns, written, pending = self._ct, self._vns, self._written, self._pending
         fixed_vn = None if vn is None else vn & MASK56
-        depth = tree.depth
-        n = len(idxs)
         started = done = 0
         try:
             if fixed_vn is not None and n >= WRITE_SLICE_MIN \
-                    and cache.capacity > depth and idxs[-1] - idxs[0] == n - 1 \
+                    and cache.capacity > tree.depth and idxs[-1] - idxs[0] == n - 1 \
                     and idxs == list(range(idxs[0], idxs[0] + n)) \
                     and not (pending and any(pending.get(i) is not None for i in idxs)):
                 self._write_slice(idxs[0], plains, fixed_vn, codes, tag_sink)
                 started = done = n
                 return
             if codes is None:
-                codes = [None] * n
+                codes = (None,) * n
             prev_li = None
             for pa, idx, plain, code in zip(pas, idxs, plains, codes):
                 started += 1
+                li = idx // VNS_PER_LINE
+                vkey = ("vn", li)
                 if fixed_vn is None:
-                    old_vn, cold = self.resolve_vn(pa, t)
-                    if cold:
+                    # `resolve_vn`, then the walk of a cold fetch
+                    if cache.get(vkey) is None:
+                        t["vn_rd"] += LINE_BYTES
                         self.walk_tree(pa, t)
-                    new_vn = (old_vn + 1) & MASK56
+                    new_vn = (vns[idx] + 1) & MASK56
                 else:
                     new_vn = fixed_vn
                 if pending.get(idx) is not None:
+                    # a pending write that feeds a tag sink is sealed before
+                    # its line is overwritten, so the sink still gets its tag
                     self.seal()
                 if code is not None:
                     self._codes[idx] = code
@@ -596,20 +560,24 @@ class ProtectedMemory:
                 written[idx] = 1
                 vns[idx] = new_vn
                 if key.null:
+                    # stored at once: deferring made a light criterion-4
+                    # iteration 6-10% slower
                     tag = self._macs[idx] = line_tag(key, self._codes[idx], new_vn, plain)
                     if tag_sink is not None:
                         tag_sink.append(tag)
                 else:
                     pending[idx] = tag_sink
-                li = idx // VNS_PER_LINE
-                vkey = ("vn", li)
                 if cache.last_write != vkey:
+                    # a dirtied node-line is cached with empty contents; the
+                    # tree's next flush, which precedes any walk that could
+                    # read it, fills them in
                     keys = tree.update_path(li)
                     for k in keys:
                         if evicted := cache.put(("tn",) + k, (), dirty=True):
                             self._charge_drain(evicted)
                     if evicted := cache.put(vkey, True, dirty=True):
                         self._charge_drain(evicted)
+                    # a write whose keys do not all fit may have evicted its own
                     if cache.capacity > len(keys):
                         cache.last_write = vkey
                 elif li != prev_li:
@@ -619,14 +587,21 @@ class ProtectedMemory:
                 prev_li = li
                 done += 1
         finally:
-            t["writes"] += started
-            t["cycles"] += (AES_CYCLES + MAC_CYCLES + HASH_CYCLES * (depth + 1)) * done
-            t["tree_wr"] += LINE_BYTES * depth * done
-            t["data_wr"] += LINE_BYTES * done
-            t["mac_wr"] += LINE_BYTES * done
-            t["vn_wr"] += LINE_BYTES * done
-            if not covered:
-                t["mac_wb"] += LINE_BYTES * done
+            self._charge_writes(started, done, covered)
+
+    def _charge_writes(self, started: int, done: int, covered: bool) -> None:
+        """Charge `started` writes, `done` of which stored their line. Under
+        tracemalloc, which scans a function's line table per allocation,
+        these sums at the end of `write_lines` doubled a one-line write."""
+        t, depth = self.totals, self.tree.depth
+        t["writes"] += started
+        t["cycles"] += (AES_CYCLES + MAC_CYCLES + HASH_CYCLES * (depth + 1)) * done
+        t["tree_wr"] += LINE_BYTES * depth * done
+        t["data_wr"] += LINE_BYTES * done
+        t["mac_wr"] += LINE_BYTES * done
+        t["vn_wr"] += LINE_BYTES * done
+        if not covered:
+            t["mac_wb"] += LINE_BYTES * done
 
     def _write_slice(self, lo: int, plains: list, vn: int, codes, tag_sink) -> None:
         """The stores and metadata-cache puts of `write_lines` of the lines

@@ -174,8 +174,8 @@ def run_attack_campaign(cfg: SimConfig, kind: str, trials: int) -> dict:
     n = 512
     base = 0x1000_0000
     mem = ProtectedMemory(base, n, key)
-    for i in range(n):
-        mem.write_line(base + i * LINE_BYTES, rng.randbytes(LINE_BYTES))
+    mem.write_lines([base + i * LINE_BYTES for i in range(n)],
+                    [rng.randbytes(LINE_BYTES) for _ in range(n)])
     kinds = ([kind] if kind != "mixed"
              else ["bitflip", "vn_tamper", "mac_tamper", "replay"])
     detected = 0

@@ -55,7 +55,6 @@ _WORDS8 = struct.Struct("<8Q")   # a 64 B line as eight little-endian words
 # 11-14; both, as in a seal, 7-8; both, as in a decrypting open, 8-9 (the
 # per-line open of one line takes about 17 us, the batch about 120 us at
 # any size up to 13 lines).
-KEYSTREAM_BATCH_MIN = 6
 MAC_BATCH_MIN = 14
 SEAL_BATCH_MIN = 8
 OPEN_BATCH_MIN = 9

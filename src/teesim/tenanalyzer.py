@@ -21,17 +21,9 @@ when a complete write sweep finishes, and checked (for free) whenever
 sequential reads cover the whole entry. Out-of-order covered reads, and reads
 of an entry mid-update, fall back to per-line MAC fetch+verify.
 
-A covered read's pad and its place in a sweep depend only on on-chip state
-(the entry's VN and geometry), so the host does that crypto per tensor, not
-per line. The first covered read of an entry at its VN computes every line's
-pad in one batch; a line whose VN or binding differs from what the batch
-assumed gets its own. A sweep keeps the ciphertext each read consumed and
-MACs it in batches of up to `SWEEP_FOLD_LINES` lines, the last when the
-sweep reaches the tensor-MAC check.
-Bytes, cycles, stats and faults are those of doing it line by line, at the
-same reads. Under the null key (light mode) a covered read's pad is zero and
-a sweep folds the stored MACs, which its consumed tags equal on honest runs.
-
+Each access has one per-line step. A covered or boundary read takes its tag
+and plaintext from its run's batch open, or else from a one-line open under
+its effective VN, and a sweep folds that tag into its accumulator at once.
 `read_run` and `write_run` take a run of accesses at once, with the result
 of the per-line `on_read` and `on_write` loop, faults included. A read run
 opens its lines in batches, and takes each maximal span of reads whose
@@ -50,11 +42,10 @@ from itertools import islice
 from operator import attrgetter, xor
 from typing import Optional
 
-from .baseline import AES_CYCLES, MAC_CYCLES, ProtectedMemory
+from .baseline import AES_CYCLES, MAC_CYCLES, OPEN_CHUNK_LINES, ProtectedMemory, as_line
 from .crypto import (
-    KEYSTREAM_BATCH_MIN, LINE_BYTES, MASK56, IntegrityFault, keystream_lines,
-    line_pad, line_tag, mac_xor_aggregate, open_lines, tensor_binding_codes,
-    tensor_line_codes,
+    LINE_BYTES, MASK56, IntegrityFault, mac_xor_aggregate, open_lines,
+    tensor_binding_codes, tensor_line_codes,
 )
 # unused, but perfbench/tests' tracer test looks these names up here
 from .crypto import keystream, mac_block  # noqa: F401
@@ -63,7 +54,6 @@ MAX_STRIDE_BYTES = 1024 * LINE_BYTES   # 10-bit line-stride semantics, stored wi
 FILTER_WINDOW_BYTES = 4096             # max delta the filter will chain across;
                                        # larger strides come from entry merging
 MAX_SWEEP_RUNS = 16                    # concurrent sequential read cursors per entry
-SWEEP_FOLD_LINES = 1024                # consumed lines a sweep run keeps before MACing them
 _TOUCHED = attrgetter("touched")
 _ZERO_LINE = bytes(LINE_BYTES)
 # what `context_switch` saves and restores per enclave
@@ -105,7 +95,7 @@ class MetaTableEntry:
     __slots__ = ("base", "nx", "ny", "planes", "stride", "vn", "mac",
                  "uf", "bs", "valid", "tensor_id", "last_addr",
                  "update_count", "written", "write_tags", "runs", "runs_by_next",
-                 "pads", "pad_codes", "lru", "touched")
+                 "lru", "touched")
 
     def __init__(self, base, nx, ny, stride, vn, mac, tensor_id=None):
         self.base = base
@@ -125,14 +115,9 @@ class MetaTableEntry:
         # fresh tags of the lines written in the current update, appended
         # on-chip as they are sealed
         self.write_tags: list[int] = []
-        # run_start -> [next_ordinal, acc, consumed (ciphertext, binding
-        # code, VN) not yet folded into acc]
+        # run_start -> [next_ordinal, XOR of the tags of the lines read]
         self.runs: dict[int, list] = {}
         self.runs_by_next: dict[int, int] = {}
-        # pads of every line under `vn`, 64 B per ordinal, and the binding
-        # codes they were made for; None until the first covered read
-        self.pads: Optional[bytes] = None
-        self.pad_codes: list[int] = []
         self.lru = 0
         self.touched = 0
 
@@ -174,8 +159,6 @@ class MetaTableEntry:
     def reset_sweep(self) -> None:
         self.runs.clear()
         self.runs_by_next.clear()
-        self.pads = None
-        self.pad_codes = []
 
     def dump(self) -> dict:
         return {"base": self.base, "dims": [self.nx, self.ny, self.planes],
@@ -355,39 +338,42 @@ class TenAnalyzer:
 
     # -- read dataflow --------------------------------------------------------
 
-    def on_read(self, va: int):
-        """Resolve one cacheline read. Returns (plaintext, ReadOutcome)."""
+    def on_read(self, va: int, opened=None):
+        """Resolve one cacheline read. Returns (plaintext, ReadOutcome).
+        `opened` is the line's (tag, plaintext, VN) from a batch open under
+        its stored state (`read_run`), or None: the read opens it itself."""
         mem = self.mem
         if not self.en_tmf:
             plain, _ = mem.read_line(va)
             self.stats["r_miss"] += 1
             return plain, ReadOutcome(MISS)
-
         e = self.entry_at(va)
         if e is not None:
-            plain, vn = self._read_hit_in(e, va)
+            plain, vn = self._read_hit_in(e, va, opened)
             return plain, ReadOutcome(HIT_IN, vn=vn)
-
         b = self.boundary.get(va)
         if b is not None and b.valid and b.uf == 0:
-            return self._read_hit_boundary(b, va)
-
+            return self._read_hit_boundary(b, va, opened)
         # miss: full baseline path, then pattern collection
         self.stats["r_miss"] += 1
-        plain, _ = mem.read_line(va)
-        idx = mem.line_index(va)
-        self.filter_collect(va, mem.vn_of(va), mem.macs[idx])
+        if opened is None:
+            plain, _ = mem.read_line(va)
+            vn = mem.vn_of(va)
+        else:
+            tag, plain, vn = opened
+            mem.read_opened(va, mem.line_index(va), tag)
+        self.filter_collect(va, vn, mem.line_mac(va))
         return plain, ReadOutcome(MISS)
 
     def read_run(self, vas) -> list[bytes]:
         """`[on_read(va)[0] for va in vas]`, with the crypto in batches and
         the bookkeeping in spans. The tags and plaintexts of the lines are
         opened under their stored state in batches of at most
-        `SWEEP_FOLD_LINES` lines, each just before its reads; a never-written
+        `OPEN_CHUNK_LINES` lines, each just before its reads; a never-written
         line opens as the zeros it will be materialized with. Then the
         batch's reads are taken in record order, in segments (`_read_segment`)
         where the reads of each entry form one span whose per-line steps
-        only add, and one at a time, as `on_read` does it, where they do not.
+        only add, and one at a time (`on_read`) where they do not.
         An address outside the region raises ValueError before any read of
         its batch."""
         if not self.en_tmf:
@@ -395,12 +381,12 @@ class TenAnalyzer:
         mem = self.mem
         out = []
         vas = iter(vas)
-        while chunk_vas := list(islice(vas, SWEEP_FOLD_LINES)):
+        while chunk_vas := list(islice(vas, OPEN_CHUNK_LINES)):
             chunk = [mem.line_index(va) for va in chunk_vas]
             tags, plains, vns = mem.opened(chunk)
             # a line never written when its batch was opened gets the tag,
             # zeros and VN it materializes with, for the spans; a per-line
-            # read of it materializes it itself, as `on_read` would
+            # read of it opens it itself
             fresh = {}
             if None in tags:
                 ks = [k for k, tag in enumerate(tags) if tag is None]
@@ -414,29 +400,11 @@ class TenAnalyzer:
                     out += plains[p:q]
                     p = q
                     continue
-                va, idx = chunk_vas[p], chunk[p]
-                out.append(self._read_one(va, idx, *(
-                    (None, None, None) if idx in fresh else (tags[p], plains[p], vns[p]))))
+                out.append(self.on_read(chunk_vas[p], None if chunk[p] in fresh
+                                        else (tags[p], plains[p], vns[p]))[0])
                 p += 1
             del tags, plains, vns, fresh     # before the next batch is opened
         return out
-
-    def _read_one(self, va: int, idx: int, tag, plain, vn) -> bytes:
-        """`on_read(va)[0]` for line `idx`, given its tag, plaintext and VN
-        from a batch open, or None for a line not written when it was
-        opened, whose read then takes the per-line path."""
-        if (e := self._cover[idx]) is not None:
-            return self._read_hit_in(e, va, None if plain is None else (tag, plain, vn))[0]
-        b = self.boundary.get(va)
-        if b is not None and b.valid and b.uf == 0:
-            return self._read_hit_boundary(b, va, tag, plain)[0]
-        mem = self.mem
-        self.stats["r_miss"] += 1
-        mem.read_opened(va, idx, tag)
-        if plain is None:
-            plain, vn = _ZERO_LINE, mem.vn_of(va)
-        self.filter_collect(va, vn, mem.macs[idx])
-        return plain
 
     def _read_segment(self, vas, idxs, tags, vns, fresh: dict, p: int) -> int:
         """Take the reads from position `p` of a batch on, as far as each
@@ -551,7 +519,6 @@ class TenAnalyzer:
         stamp after its last read."""
         mem = self.mem
         t, stats = mem.totals, self.stats
-        null = mem.key.null
         n_b = 0
         for e, s in spans.items():
             lo, hi = s.lo, s.hi
@@ -564,20 +531,18 @@ class TenAnalyzer:
             e.lru = s.lru
             k0 = s.k - (hi - lo - 1)
             if s.start is None:
-                run = e.runs[k0] = [k0, 0, []]
+                run = e.runs[k0] = [k0, 0]
                 start = k0
             else:
                 start = s.start
                 del e.runs_by_next[k0]
                 run = e.runs[start]
-            # the null tag is the stored MAC, as in `_hit_in_mac`
-            run[1] ^= reduce(xor, mem.macs[lo:hi]) if null else s.acc
+            run[1] ^= s.acc
             run[0] = s.k + 1
             nxt = e.runs.pop(run[0], None)
             if nxt is not None:
                 run[0] = nxt[0]
                 run[1] ^= nxt[1]
-                run[2] += nxt[2]
                 e.runs_by_next.pop(nxt[0], None)
             e.runs_by_next[run[0]] = start
             s.run = run
@@ -623,17 +588,23 @@ class TenAnalyzer:
 
     def _close_sweep(self, e: MetaTableEntry, run: list) -> None:
         """Check a sweep run that covers the whole entry against its MAC."""
-        self._sweep_fold(run)
         acc = run[1]
         e.reset_sweep()
         if acc != e.mac:
             raise IntegrityFault("tensor_mac", f"entry base={e.base:#x}")
         self.stats["sweep_verifies"] += 1
 
+    def _open_line(self, idx: int, vn: int) -> tuple[int, bytes]:
+        """The tag and plaintext of line `idx` under VN `vn`, opened alone;
+        a never-written line is materialized first."""
+        ct, code = self.mem.line(idx)
+        (tag,), (plain,) = open_lines(self.mem.key, (code,), ct, vn)
+        return tag, plain
+
     def _read_hit_in(self, e: MetaTableEntry, va: int, opened=None):
         """A covered read. `opened` is the line's (tag, plaintext, VN) from a
         batch open under its stored state (`read_run`); they stand for the
-        line's own crypto when the read's VN is the stored one."""
+        line's own open when the read's VN is the stored one."""
         mem = self.mem
         t = mem.totals
         self.stats["r_hit_in"] += 1
@@ -649,90 +620,39 @@ class TenAnalyzer:
         idx = mem.line_index(va)
         if opened is not None and opened[2] == vn_eff:
             tag, plain = opened[0], opened[1]
-            self._hit_in_mac(e, k, idx, None, None, vn_eff, t, tag)
-            return plain, vn_eff
-        ct, code = mem.line(idx)
-        if mem.key.null:
-            # the null pad is 0; its batch made a light criterion-4 iteration 8-16% slower
-            plain = ct
         else:
-            plain = (int.from_bytes(ct, "little") ^ self._pad(e, k, code, vn_eff)
-                     ).to_bytes(LINE_BYTES, "little")
-        self._hit_in_mac(e, k, idx, ct, code, vn_eff, t)
+            tag, plain = self._open_line(idx, vn_eff)
+        self._hit_in_mac(e, k, idx, tag, t)
         return plain, vn_eff
 
-    def _pad(self, e: MetaTableEntry, k: int, code: int, vn: int) -> int:
-        """`line_pad(key, code, vn)` for covered line `k`. The pads depend on
-        on-chip state only, so the first read of an entry at its VN computes
-        every line's pad in one batch; a line whose VN or binding differs
-        from what the batch assumed, or that the entry gained since, gets its
-        own."""
-        if vn == e.vn:
-            if e.pads is None and e.line_count >= KEYSTREAM_BATCH_MIN:
-                self._fill_pads(e)
-            if k < len(e.pad_codes) and e.pad_codes[k] == code:
-                return int.from_bytes(e.pads[k * LINE_BYTES:(k + 1) * LINE_BYTES],
-                                      "little")
-        return line_pad(self.mem.key, code, vn)
-
-    def _fill_pads(self, e: MetaTableEntry) -> None:
-        e.pad_codes = self.mem.codes(e.addresses())
-        e.pads = keystream_lines(self.mem.key, e.pad_codes, e.vn).tobytes()
-
-    def _hit_in_mac(self, e, k, idx, ct, code, vn_eff, t, tag=None) -> None:
-        """Sequential covered reads accumulate toward a free whole-tensor MAC
-        check; anything else verifies the line against its off-chip MAC.
-        A `tag` from a batch open is the line's tag, so a sweep folds it at
-        once instead of keeping the consumed ciphertext."""
+    def _hit_in_mac(self, e, k, idx, tag, t) -> None:
+        """Sequential covered reads fold their tags toward a free
+        whole-tensor MAC check; anything else verifies the line's tag
+        against its off-chip MAC."""
         if e.uf:
-            self._per_line_mac(idx, ct, code, vn_eff, t, tag)
+            self._per_line_mac(idx, tag, t)
             return
         run_start = e.runs_by_next.pop(k, None)
         if run_start is not None:
             run = e.runs[run_start]
         elif self._ordinal_unclaimed(e, k) and len(e.runs) < MAX_SWEEP_RUNS:
-            run = e.runs[k] = [k, 0, []]
+            run = e.runs[k] = [k, 0]
             run_start = k
         else:
-            self._per_line_mac(idx, ct, code, vn_eff, t, tag)
+            self._per_line_mac(idx, tag, t)
             return
         t["cycles"] += MAC_CYCLES
-        mem = self.mem
-        if mem.key.null:
-            # the null tag is the stored MAC; MACing made criterion 4 16-18% slower
-            run[1] ^= mem.macs[idx]
-        elif tag is not None:
-            run[1] ^= tag
-        else:
-            self._sweep_take(run, ct, code, vn_eff)
+        run[1] ^= tag
         run[0] = k + 1
         # coalesce with a run starting right after
         nxt = e.runs.pop(k + 1, None)
         if nxt is not None:
             run[0] = nxt[0]
             run[1] ^= nxt[1]
-            run[2] += nxt[2]
             e.runs_by_next.pop(nxt[0], None)
         e.runs_by_next[run[0]] = run_start
         if run_start == 0 and run[0] == e.line_count:
             self._close_sweep(e, run)
-
-    def _sweep_take(self, run: list, ct: bytes, code: int, vn: int) -> None:
-        """Add a line the core consumed to a sweep run. Its tag is computed
-        in one batch with the run's other lines, when the run closes or has
-        kept `SWEEP_FOLD_LINES` lines, from the ciphertext the core consumed,
-        not from what is stored by then."""
-        run[2].append((ct, code, vn))
-        if len(run[2]) >= SWEEP_FOLD_LINES:
-            self._sweep_fold(run)
-
-    def _sweep_fold(self, run: list) -> None:
-        if run[2]:
-            cts, codes, vns = zip(*run[2])
-            tags, _ = open_lines(self.mem.key, codes, b"".join(cts), vns,
-                                 decrypt=False)
-            run[1] ^= mac_xor_aggregate(tags)
-            run[2] = []
 
     def _ordinal_unclaimed(self, e, k: int) -> bool:
         for start, run in e.runs.items():
@@ -740,18 +660,15 @@ class TenAnalyzer:
                 return False
         return True
 
-    def _per_line_mac(self, idx, ct, code, vn_eff, t, tag=None) -> None:
-        mem = self.mem
+    def _per_line_mac(self, idx, tag, t) -> None:
         t["mac_rd"] += LINE_BYTES
         t["cycles"] += MAC_CYCLES
-        if tag is None:
-            tag = line_tag(mem.key, code, vn_eff, ct)
-        if tag != mem.macs[idx]:
+        if tag != self.mem.macs[idx]:
             raise IntegrityFault("mac_mismatch", f"line {idx}")
 
-    def _read_hit_boundary(self, e: MetaTableEntry, va: int, tag=None, plain=None):
-        """A read one step past `e`'s end. `tag` and `plain`, from a batch
-        open (`read_run`), are the line's tag and plaintext under its stored
+    def _read_hit_boundary(self, e: MetaTableEntry, va: int, opened=None):
+        """A read one step past `e`'s end. `opened`, from a batch open
+        (`read_run`), is the line's (tag, plaintext, VN) under its stored
         state, which the read confirms against."""
         mem = self.mem
         t = mem.totals
@@ -765,14 +682,9 @@ class TenAnalyzer:
         if cold:
             mem.walk_tree(va, t)
         idx = mem.line_index(va)
-        ct = code = None
-        if plain is None:
-            ct, code = mem.line(idx)
+        tag, plain = opened[:2] if opened is not None else self._open_line(idx, vn_true)
         # the line's stored MAC rides along with the VN confirmation
-        self._per_line_mac(idx, ct, code, vn_true, t, tag)
-        if plain is None:
-            plain = (int.from_bytes(ct, "little") ^ line_pad(mem.key, code, vn_true)
-                     ).to_bytes(LINE_BYTES, "little")
+        self._per_line_mac(idx, tag, t)
         if vn_true == e.vn:
             self._extend(e, va, mem.macs[idx])
             return plain, ReadOutcome(HIT_BOUNDARY, vn=speculative, confirmed=True)
@@ -937,8 +849,10 @@ class TenAnalyzer:
     def on_write(self, va: int, plain) -> WriteOutcome:
         """LLC-filtered write-back. Covered writes run the update protocol and
         are encrypted under the entry's next VN; misses update off-chip state
-        only."""
+        only. A plaintext that is not one line (`as_line`) raises before
+        anything changes."""
         mem = self.mem
+        plain = as_line(plain)
         if not self.en_tmf:
             mem.write_line(va, plain)
             self.stats["w_miss"] += 1
@@ -1000,11 +914,20 @@ class TenAnalyzer:
         segment, and consecutive misses another. A segment is stored with
         one `ProtectedMemory.write_lines` before the next write of another
         kind. Edge writes, invalidating writes and misses the tensor filter
-        holds go through `on_write` at their position."""
+        holds go through `on_write` at their position. The run ends at a
+        plaintext that is not one line, whose `on_write` then raises."""
+        vas, lines = list(vas), []
+        try:
+            for plain in islice(plains, len(vas)):
+                lines.append(as_line(plain))
+        except (ValueError, OverflowError):
+            stop = len(lines)
+            self.write_run(vas[:stop], lines)
+            self.on_write(vas[stop], plain)     # raises, as `as_line` did
+        plains = lines
         if not self.en_tmf:
             self._write_misses(vas, plains)
             return
-        vas, plains = list(vas), list(plains)
         # only reads change which addresses the filter holds
         held = {a for f in self.filter for a, _, _ in f.addrs}
         # an entry's tensor id and geometry stay fixed while it updates

@@ -463,11 +463,21 @@ def test_writes_wait_for_one_batch_seal():
 
 
 def test_write_rejects_a_plaintext_that_is_not_one_line():
+    # before it charges or changes anything
     mem = make_mem(16)
+
+    def state():
+        return (_cache_state(mem), list(mem._vns), mem.tree.root, _store(mem))
+
+    before = state()
     with pytest.raises(ValueError, match="64 bytes"):
         mem.write_line(BASE, b"\x01" * 32)
+    assert state() == before
     with pytest.raises(OverflowError):
         mem.write_line(BASE, 1 << 512)
+    with pytest.raises(ValueError, match="64 bytes"):
+        mem.write_lines([BASE, BASE + LINE_BYTES], [bytes(LINE_BYTES), b"short"])
+    assert state() == before
 
 
 def test_overwritten_pending_write_still_feeds_its_tag_sink():
@@ -699,16 +709,17 @@ def test_run_reads_and_write_fast_path_match_per_line_reference(
 
 class LoopProtectedMemory(ProtectedMemory):
     """The reference for the run methods: `read_lines` and `write_lines` as
-    loops of `read_line` and `write_line`."""
+    loops of one-line calls."""
 
     def read_lines(self, pas):
         return [self.read_line(pa)[0] for pa in pas]
 
-    def write_lines(self, pas, plains, *, vn=None, codes=None, covered=False,
+    def write_lines(self, pas, plains, vn=None, codes=None, covered=False,
                     tag_sink=None):
         for i, (pa, plain) in enumerate(zip(pas, plains)):
-            self.write_line(pa, plain, vn=vn, code=None if codes is None else codes[i],
-                            covered=covered, tag_sink=tag_sink)
+            super().write_lines((pa,), (plain,), vn=vn,
+                                codes=None if codes is None else (codes[i],),
+                                covered=covered, tag_sink=tag_sink)
 
 
 @pytest.mark.parametrize("crypto_on", [True, False])
