@@ -22,8 +22,8 @@ a single big-int op, and a tag reads its ciphertext from any 64-byte buffer.
 `keystream`, `mac_block` and `CipherBlock` (ciphertext as a 512-bit int) wrap
 them for the channel messages and the NPU code lines. Paths that seal or
 open many lines at once (`seal_into`, `open_lines`) use the numpy batch
-kernels `keystream_lines` and `mac_lines`, which compute the same pads and
-tags over an (n, 8) array of 64-bit words.
+kernels `keystream_lines` and `mac_lines`, which compute the same pad and
+tag of each line over an (n, 8) array of 64-bit words.
 """
 
 from __future__ import annotations
@@ -49,9 +49,9 @@ _M2 = 0x94D049BB133111EB
 _LANES = tuple(i * _GOLDEN & MASK64 for i in range(8))
 _WORDS8 = struct.Struct("<8Q")   # a 64 B line as eight little-endian words
 # Below these line counts the per-line kernels beat the numpy batch, whose
-# ufunc dispatches cost the same whatever its size (about 30 for pads, 60 for
-# tags). Crossovers measured with numpy 2.4 on a 2-core x86 host: pads
-# (`keystream_lines`, then one int per line) 5-6 lines; tags (`mac_lines`)
+# ufunc dispatches cost the same whatever its size (about 30 for a pad batch,
+# 60 for tags). Crossovers measured with numpy 2.4 on a 2-core x86 host: pad
+# batches (`keystream_lines`, then one int per line) 5-6 lines; tags (`mac_lines`)
 # 11-14; both, as in a seal, 7-8; both, as in a decrypting open, 8-9 (the
 # per-line open of one line takes about 17 us, the batch about 120 us at
 # any size up to 13 lines).
@@ -132,7 +132,7 @@ class KeyMaterial:
 
 
 class NullKey(KeyMaterial):
-    """The null cipher's key: zero pads, data-independent tags."""
+    """The null cipher's key: a zero pad, data-independent tags."""
 
     null = True
 
@@ -289,7 +289,7 @@ def tensor_line_codes(tensor_id: int, n: int) -> array:
 
 
 def keystream_lines(key: KeyMaterial, codes, vns) -> np.ndarray:
-    """(n, 8) uint64 pads for n lines with the given binding codes and VNs
+    """(n, 8) uint64 pad words for n lines with the given binding codes and VNs
     (one int VN applies to every line); row i equals
     `keystream(key, binding_i, vn_i)` as eight little-endian words."""
     if key.null:
@@ -405,9 +405,9 @@ def open_lines(key: KeyMaterial, codes: Sequence[int], cts, vns, *,
     tags = mac_lines(key, codes, ct, vns).tolist()
     if not decrypt:
         return tags, None
-    pads = keystream_lines(key, codes, vns)
-    pads ^= ct
-    return tags, words_to_bytes(pads)
+    words = keystream_lines(key, codes, vns)
+    words ^= ct
+    return tags, words_to_bytes(words)
 
 
 def mac_xor_aggregate(tags: Iterable[int]) -> int:

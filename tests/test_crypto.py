@@ -500,7 +500,7 @@ def test_batch_kernels_match_scalar(lines, seed):
             [keystream(key, b, vn) for b in bindings]
 
 
-# 5 and 6 lines straddle the pads-alone crossover noted at teesim.crypto's cutoffs
+# 5 and 6 lines straddle the pad-batch crossover noted at teesim.crypto's cutoffs
 @pytest.mark.parametrize("n", sorted({
     0, 1, 1200, *(m + d for m in (6, SEAL_BATCH_MIN, MAC_BATCH_MIN, OPEN_BATCH_MIN)
                   for d in (-1, 0))}))
