@@ -482,9 +482,9 @@ class ProtectedMemory:
         one line. Returns a CostReport with collect=True, else None."""
         t = self.totals
         t0 = dict(t) if collect else None
-        # by position: by keyword, the call made a one-line write 6% slower
-        self.write_lines((pa,), (plain,), vn, None if code is None else (code,),
-                         covered, tag_sink)
+        self.write_lines((pa,), (plain,), vn=vn,
+                         codes=None if code is None else (code,),
+                         covered=covered, tag_sink=tag_sink)
         if not collect:
             return None
         return CostReport(
@@ -494,7 +494,7 @@ class ProtectedMemory:
             tree_bytes=t["tree_wr"] - t0["tree_wr"] + t["tree_rd"] - t0["tree_rd"],
             cycles=t["cycles"] - t0["cycles"])
 
-    def write_lines(self, pas, plains, vn: Optional[int] = None,
+    def write_lines(self, pas, plains, *, vn: Optional[int] = None,
                     codes=None, covered: bool = False,
                     tag_sink: Optional[list] = None) -> None:
         """Write each line of `pas` in order with the plaintext (`as_line`)
@@ -514,21 +514,19 @@ class ProtectedMemory:
         this call, its tree update, since the leaf is already pending. An
         address outside the region, or a plaintext that is not one line,
         raises before any write."""
-        if len(pas) == 1 == len(plains):   # the maps made a one-line write 12% slower
-            idxs, plains = [self.line_index(pas[0])], [as_line(plains[0])]
-        else:
-            idxs = list(map(self.line_index, pas))
-            plains = list(map(as_line, plains))
+        idxs = list(map(self.line_index, pas))
+        plains = list(map(as_line, plains))
         n = len(idxs)
         if len(plains) != n:
             raise ValueError("one plaintext per address")
         t, cache, tree, key = self.totals, self.cache, self.tree, self.key
         ct, vns, written, pending = self._ct, self._vns, self._written, self._pending
         fixed_vn = None if vn is None else vn & MASK56
+        depth = tree.depth
         started = done = 0
         try:
             if fixed_vn is not None and n >= WRITE_SLICE_MIN \
-                    and cache.capacity > tree.depth and idxs[-1] - idxs[0] == n - 1 \
+                    and cache.capacity > depth and idxs[-1] - idxs[0] == n - 1 \
                     and idxs == list(range(idxs[0], idxs[0] + n)) \
                     and not (pending and any(pending.get(i) is not None for i in idxs)):
                 self._write_slice(idxs[0], plains, fixed_vn, codes, tag_sink)
@@ -539,14 +537,11 @@ class ProtectedMemory:
             prev_li = None
             for pa, idx, plain, code in zip(pas, idxs, plains, codes):
                 started += 1
-                li = idx // VNS_PER_LINE
-                vkey = ("vn", li)
                 if fixed_vn is None:
-                    # `resolve_vn`, then the walk of a cold fetch
-                    if cache.get(vkey) is None:
-                        t["vn_rd"] += LINE_BYTES
+                    old_vn, cold = self.resolve_vn(pa, t)
+                    if cold:
                         self.walk_tree(pa, t)
-                    new_vn = (vns[idx] + 1) & MASK56
+                    new_vn = (old_vn + 1) & MASK56
                 else:
                     new_vn = fixed_vn
                 if pending.get(idx) is not None:
@@ -567,6 +562,8 @@ class ProtectedMemory:
                         tag_sink.append(tag)
                 else:
                     pending[idx] = tag_sink
+                li = idx // VNS_PER_LINE
+                vkey = ("vn", li)
                 if cache.last_write != vkey:
                     # a dirtied node-line is cached with empty contents; the
                     # tree's next flush, which precedes any walk that could
@@ -587,21 +584,14 @@ class ProtectedMemory:
                 prev_li = li
                 done += 1
         finally:
-            self._charge_writes(started, done, covered)
-
-    def _charge_writes(self, started: int, done: int, covered: bool) -> None:
-        """Charge `started` writes, `done` of which stored their line. Under
-        tracemalloc, which scans a function's line table per allocation,
-        these sums at the end of `write_lines` doubled a one-line write."""
-        t, depth = self.totals, self.tree.depth
-        t["writes"] += started
-        t["cycles"] += (AES_CYCLES + MAC_CYCLES + HASH_CYCLES * (depth + 1)) * done
-        t["tree_wr"] += LINE_BYTES * depth * done
-        t["data_wr"] += LINE_BYTES * done
-        t["mac_wr"] += LINE_BYTES * done
-        t["vn_wr"] += LINE_BYTES * done
-        if not covered:
-            t["mac_wb"] += LINE_BYTES * done
+            t["writes"] += started
+            t["cycles"] += (AES_CYCLES + MAC_CYCLES + HASH_CYCLES * (depth + 1)) * done
+            t["tree_wr"] += LINE_BYTES * depth * done
+            t["data_wr"] += LINE_BYTES * done
+            t["mac_wr"] += LINE_BYTES * done
+            t["vn_wr"] += LINE_BYTES * done
+            if not covered:
+                t["mac_wb"] += LINE_BYTES * done
 
     def _write_slice(self, lo: int, plains: list, vn: int, codes, tag_sink) -> None:
         """The stores and metadata-cache puts of `write_lines` of the lines

@@ -44,7 +44,7 @@ from typing import Optional
 
 from .baseline import AES_CYCLES, MAC_CYCLES, OPEN_CHUNK_LINES, ProtectedMemory, as_line
 from .crypto import (
-    LINE_BYTES, MASK56, IntegrityFault, mac_xor_aggregate, open_lines,
+    LINE_BYTES, MASK56, IntegrityFault, line_pad, line_tag, mac_xor_aggregate,
     tensor_binding_codes, tensor_line_codes,
 )
 # unused, but perfbench/tests' tracer test looks these names up here
@@ -338,10 +338,15 @@ class TenAnalyzer:
 
     # -- read dataflow --------------------------------------------------------
 
-    def on_read(self, va: int, opened=None):
-        """Resolve one cacheline read. Returns (plaintext, ReadOutcome).
-        `opened` is the line's (tag, plaintext, VN) from a batch open under
-        its stored state (`read_run`), or None: the read opens it itself."""
+    def on_read(self, va: int):
+        """Resolve one cacheline read. Returns (plaintext, ReadOutcome)."""
+        return self._on_read(va, None)
+
+    def _on_read(self, va: int, opened):
+        """`on_read(va)`. `opened` is None, or the line's (tag, plaintext,
+        VN) from a batch open under its stored state (`read_run`), each None
+        for a line not written when it was opened; a read without them opens
+        the line itself."""
         mem = self.mem
         if not self.en_tmf:
             plain, _ = mem.read_line(va)
@@ -362,6 +367,8 @@ class TenAnalyzer:
         else:
             tag, plain, vn = opened
             mem.read_opened(va, mem.line_index(va), tag)
+            if plain is None:   # materialized by this read or an earlier one
+                plain, vn = _ZERO_LINE, mem.vn_of(va)
         self.filter_collect(va, vn, mem.line_mac(va))
         return plain, ReadOutcome(MISS)
 
@@ -373,7 +380,7 @@ class TenAnalyzer:
         line opens as the zeros it will be materialized with. Then the
         batch's reads are taken in record order, in segments (`_read_segment`)
         where the reads of each entry form one span whose per-line steps
-        only add, and one at a time (`on_read`) where they do not.
+        only add, and one at a time (`_on_read`) where they do not.
         An address outside the region raises ValueError before any read of
         its batch."""
         if not self.en_tmf:
@@ -386,7 +393,7 @@ class TenAnalyzer:
             tags, plains, vns = mem.opened(chunk)
             # a line never written when its batch was opened gets the tag,
             # zeros and VN it materializes with, for the spans; a per-line
-            # read of it opens it itself
+            # read of it materializes it itself
             fresh = {}
             if None in tags:
                 ks = [k for k, tag in enumerate(tags) if tag is None]
@@ -400,8 +407,9 @@ class TenAnalyzer:
                     out += plains[p:q]
                     p = q
                     continue
-                out.append(self.on_read(chunk_vas[p], None if chunk[p] in fresh
-                                        else (tags[p], plains[p], vns[p]))[0])
+                out.append(self._on_read(chunk_vas[p], (None, None, None)
+                                         if chunk[p] in fresh
+                                         else (tags[p], plains[p], vns[p]))[0])
                 p += 1
             del tags, plains, vns, fresh     # before the next batch is opened
         return out
@@ -594,17 +602,23 @@ class TenAnalyzer:
             raise IntegrityFault("tensor_mac", f"entry base={e.base:#x}")
         self.stats["sweep_verifies"] += 1
 
-    def _open_line(self, idx: int, vn: int) -> tuple[int, bytes]:
-        """The tag and plaintext of line `idx` under VN `vn`, opened alone;
-        a never-written line is materialized first."""
-        ct, code = self.mem.line(idx)
-        (tag,), (plain,) = open_lines(self.mem.key, (code,), ct, vn)
-        return tag, plain
+    def _open_line(self, idx: int, vn: int, opened) -> tuple[int, bytes]:
+        """The tag and plaintext of line `idx` under VN `vn`: `opened`'s (as
+        `_on_read` takes it) if the line was opened under `vn`, else from the
+        per-line kernels, a never-written line being materialized first."""
+        if opened is not None and opened[2] == vn:
+            return opened[0], opened[1]
+        # the kernels, not a one-line `open_lines`: fuzz-attack TensorTEE
+        # lines/s read 1.026x with them (7 of 10 rounds, BENCH_13.json)
+        mem = self.mem
+        ct, code = mem.line(idx)
+        key = mem.key
+        pad = line_pad(key, code, vn)
+        return (line_tag(key, code, vn, ct),
+                (int.from_bytes(ct, "little") ^ pad).to_bytes(LINE_BYTES, "little"))
 
-    def _read_hit_in(self, e: MetaTableEntry, va: int, opened=None):
-        """A covered read. `opened` is the line's (tag, plaintext, VN) from a
-        batch open under its stored state (`read_run`); they stand for the
-        line's own open when the read's VN is the stored one."""
+    def _read_hit_in(self, e: MetaTableEntry, va: int, opened):
+        """A covered read; `opened` is as `_on_read` takes it."""
         mem = self.mem
         t = mem.totals
         self.stats["r_hit_in"] += 1
@@ -618,10 +632,7 @@ class TenAnalyzer:
         else:
             vn_eff = e.vn
         idx = mem.line_index(va)
-        if opened is not None and opened[2] == vn_eff:
-            tag, plain = opened[0], opened[1]
-        else:
-            tag, plain = self._open_line(idx, vn_eff)
+        tag, plain = self._open_line(idx, vn_eff, opened)
         self._hit_in_mac(e, k, idx, tag, t)
         return plain, vn_eff
 
@@ -666,10 +677,9 @@ class TenAnalyzer:
         if tag != self.mem.macs[idx]:
             raise IntegrityFault("mac_mismatch", f"line {idx}")
 
-    def _read_hit_boundary(self, e: MetaTableEntry, va: int, opened=None):
-        """A read one step past `e`'s end. `opened`, from a batch open
-        (`read_run`), is the line's (tag, plaintext, VN) under its stored
-        state, which the read confirms against."""
+    def _read_hit_boundary(self, e: MetaTableEntry, va: int, opened):
+        """A read one step past `e`'s end; `opened` is as `_on_read` takes
+        it. The read confirms the line's stored state against the entry's."""
         mem = self.mem
         t = mem.totals
         self.stats["r_hit_boundary"] += 1
@@ -682,7 +692,7 @@ class TenAnalyzer:
         if cold:
             mem.walk_tree(va, t)
         idx = mem.line_index(va)
-        tag, plain = opened[:2] if opened is not None else self._open_line(idx, vn_true)
+        tag, plain = self._open_line(idx, vn_true, opened)
         # the line's stored MAC rides along with the VN confirmation
         self._per_line_mac(idx, tag, t)
         if vn_true == e.vn:

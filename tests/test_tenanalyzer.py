@@ -447,10 +447,7 @@ def test_access_off_the_region_reaches_no_entry(va):
 @pytest.mark.parametrize("crypto_on", [True, False])
 def test_analyzer_holds_at_most_24_bytes_a_covered_line(crypto_on):
     # one hinted entry over the whole region, one full update and one full
-    # sweep: what the analyzer keeps per line is its coverage index slot.
-    # The sweep is one read run, which keeps the state the per-line reads
-    # keep: each per-line read opens its line alone, and under tracemalloc
-    # 65,536 of them took about 45 s more than the run
+    # sweep: what the analyzer keeps per line is its coverage index slot
     n = 1 << 16
     ta_file = tenanalyzer.__file__
     _, mem = make(n_lines=n, crypto_on=crypto_on)
@@ -461,7 +458,8 @@ def test_analyzer_holds_at_most_24_bytes_a_covered_line(crypto_on):
         assert ta.install_hint(BASE, n) == "installed"
         for i in range(n):
             ta.on_write(BASE + i * LINE_BYTES, payload(i))
-        ta.read_run([BASE + i * LINE_BYTES for i in range(n)])
+        for i in range(n):
+            ta.on_read(BASE + i * LINE_BYTES)
         end = tracemalloc.take_snapshot()
     finally:
         tracemalloc.stop()
@@ -732,14 +730,18 @@ def test_batched_covered_reads_match_per_line_reference(ops, crypto_on):
         seen = [_diff_op(t, runs, op, serial, active, crypto_on)
                 for t, runs in ((ta, True), (ref, False))]
         assert seen[0] == seen[1], op
-        assert _analyzer_state(ta) == _analyzer_state(ref), op
+        # what can be read without sealing pending writes or flushing the
+        # tree, so that the next op starts from the state the op left
+        assert ta.stats == ref.stats and ta.dump_table() == ref.dump_table(), op
         ta.check_disjoint()
         for eid in keys:
             assert mems[eid].totals == ref_mems[eid].totals
+            assert list(mems[eid]._pending) == list(ref_mems[eid]._pending)
         if op[0] == "switch":
             active = 3 - active
         elif op[0] == "update":
             serial += _DIFF_LINES
+    assert _analyzer_state(ta) == _analyzer_state(ref)
 
 
 # -- run methods against per-line loops ------------------------------------------
