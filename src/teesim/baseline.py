@@ -30,8 +30,8 @@ import numpy as np
 
 from .crypto import (
     LINE_BYTES, MASK56, NULL_KEY, OPEN_BATCH_MIN, IntegrityFault, KeyMaterial,
-    VnTree, keystream_lines, line_tag, open_lines, pa_binding_codes, seal_into,
-    words_to_bytes,
+    VnTree, keystream_lines, line_pad, line_tag, open_lines, pa_binding_codes,
+    seal_into, words_to_bytes,
 )
 # unused, but perfbench/tests' tracer test looks these names up here
 from .crypto import decrypt_block, encrypt_block, mac_block  # noqa: F401
@@ -312,6 +312,25 @@ class ProtectedMemory:
         words[np.frombuffer(self._written, dtype=np.uint8)[at] == 0] = 0
         return words_to_bytes(words)
 
+    def open_line(self, idx: int, vn: int) -> tuple[int, bytes]:
+        """Line `idx`'s tag and plaintext under its stored binding and VN
+        `vn`, from the per-line kernels, with no cost accounting and no
+        check; a pending write is sealed and a never-written line
+        materialized first (`line`)."""
+        if not self._written[idx]:
+            self._materialize((idx,))
+            # zeros just sealed under `vn` open as themselves
+            if vn == self._vns[idx]:
+                return self._macs[idx], _ZERO_LINE
+        # the kernels, not a one-line `open_lines`, whose generic loop cost
+        # about 5 us more a line (fuzz-attack TensorTEE lines/s read 1.026x
+        # with them, 7 of 10 rounds, BENCH_13.json)
+        ct, code = self.line(idx)
+        key = self.key
+        pad = line_pad(key, code, vn)
+        return (line_tag(key, code, vn, ct),
+                (int.from_bytes(ct, "little") ^ pad).to_bytes(LINE_BYTES, "little"))
+
     def opened(self, idxs) -> tuple[list, list, list]:
         """Seal; then, at each position of `idxs` whose line is written, the
         line's tag, plaintext and VN under the binding and VN it holds, all
@@ -449,9 +468,9 @@ class ProtectedMemory:
 
     def _read_one(self, pa: int) -> bytes:
         idx = self.line_index(pa)
-        (tag,), (plain,), _ = self.opened([idx])
+        tag, plain = self.open_line(idx, self._vns[idx])
         self.read_opened(pa, idx, tag)
-        return _ZERO_LINE if plain is None else plain
+        return plain
 
     def read_opened(self, pa: int, idx: int, tag: Optional[int]) -> None:
         """One read of line `idx` at `pa` whose tag, as `opened` gave it, is
@@ -563,20 +582,8 @@ class ProtectedMemory:
                 else:
                     pending[idx] = tag_sink
                 li = idx // VNS_PER_LINE
-                vkey = ("vn", li)
-                if cache.last_write != vkey:
-                    # a dirtied node-line is cached with empty contents; the
-                    # tree's next flush, which precedes any walk that could
-                    # read it, fills them in
-                    keys = tree.update_path(li)
-                    for k in keys:
-                        if evicted := cache.put(("tn",) + k, (), dirty=True):
-                            self._charge_drain(evicted)
-                    if evicted := cache.put(vkey, True, dirty=True):
-                        self._charge_drain(evicted)
-                    # a write whose keys do not all fit may have evicted its own
-                    if cache.capacity > len(keys):
-                        cache.last_write = vkey
+                if cache.last_write != ("vn", li):
+                    self._put_write_keys(li)
                 elif li != prev_li:
                     # `last_write` was left by an earlier call, after which
                     # the tree may have flushed the leaf
@@ -620,16 +627,27 @@ class ProtectedMemory:
         # later lines skip them, the first leaving `last_write` set
         cache = self.cache
         for li in range(lo // VNS_PER_LINE, (hi - 1) // VNS_PER_LINE + 1):
-            vkey = ("vn", li)
-            if cache.last_write != vkey:
-                for k in self.tree.update_path(li):
-                    if evicted := cache.put(("tn",) + k, (), dirty=True):
-                        self._charge_drain(evicted)
-                if evicted := cache.put(vkey, True, dirty=True):
-                    self._charge_drain(evicted)
-                cache.last_write = vkey
+            if cache.last_write != ("vn", li):
+                self._put_write_keys(li)
             else:
                 self.tree.update_path(li)
+
+    def _put_write_keys(self, li: int) -> None:
+        """A write's tree-path update of VN-line `li` and its metadata-cache
+        puts: each dirtied node-line, cached with empty contents that the
+        tree's next flush (which precedes any walk that could read it) fills
+        in, then the VN-line, which becomes the cache's `last_write` unless a
+        write's keys do not all fit, when it may have evicted its own."""
+        cache = self.cache
+        keys = self.tree.update_path(li)
+        for k in keys:
+            if evicted := cache.put(("tn",) + k, (), dirty=True):
+                self._charge_drain(evicted)
+        vkey = ("vn", li)
+        if evicted := cache.put(vkey, True, dirty=True):
+            self._charge_drain(evicted)
+        if cache.capacity > len(keys):
+            cache.last_write = vkey
 
     def line_mac(self, pa: int) -> int:
         return self.macs[self.line_index(pa)]

@@ -426,6 +426,7 @@ class NpuDevice:
 
     def tamper_code_line(self, pa: int, bit: int = 0) -> None:
         blk, tag = self.code[pa]
+        bit %= LINE_BYTES * 8
         blk.data ^= 1 << bit
 
     def fetch_code_line(self, pa: int, *, at_tick: Optional[int] = None):

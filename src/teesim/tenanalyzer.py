@@ -44,8 +44,8 @@ from typing import Optional
 
 from .baseline import AES_CYCLES, MAC_CYCLES, OPEN_CHUNK_LINES, ProtectedMemory, as_line
 from .crypto import (
-    LINE_BYTES, MASK56, IntegrityFault, line_pad, line_tag, mac_xor_aggregate,
-    tensor_binding_codes, tensor_line_codes,
+    LINE_BYTES, MASK56, IntegrityFault, mac_xor_aggregate, tensor_binding_codes,
+    tensor_line_codes,
 )
 # unused, but perfbench/tests' tracer test looks these names up here
 from .crypto import keystream, mac_block  # noqa: F401
@@ -184,8 +184,8 @@ class _Span:
     `hi` - 1, and the stamps of the last read. A covered span also keeps
     the ordinal `k` of its last read, the ordinal `limit` it must stay
     below, the ordinal `close_at` whose read closes the sweep (or -1), the
-    start of the run it continues (None: it starts one at its first
-    ordinal), the XOR `acc` of its batch tags and, once applied, its `run`."""
+    start of the run it continues (its first ordinal: the run it starts),
+    the XOR `acc` of its batch tags and, once applied, its `run`."""
 
     __slots__ = ("e", "chain", "lo", "hi", "k", "limit", "close_at", "start",
                  "acc", "lru", "touched", "run")
@@ -504,15 +504,16 @@ class TenAnalyzer:
         take: one that neither continues a run nor starts an unclaimed one."""
         k = e.ordinal(va)
         start = e.runs_by_next.get(k)
-        if start is None and (len(e.runs) >= MAX_SWEEP_RUNS
-                              or not self._ordinal_unclaimed(e, k)):
-            return None
+        if start is None:
+            if not self._may_start_run(e, k):
+                return None
+            start = k
         # the span stops before any other run's start or end, whose steps
         # would coalesce or overwrite
         n = e.line_count
         limit = min((o for o in (*e.runs, *e.runs_by_next) if o > k), default=n)
         close_at = -1
-        if (k if start is None else start) == 0:
+        if start == 0:
             if limit == n:
                 close_at = n - 1
             elif limit in e.runs and e.runs[limit][0] == n:
@@ -532,28 +533,12 @@ class TenAnalyzer:
             lo, hi = s.lo, s.hi
             if fresh:
                 mem.materialize_sealed(range(lo, hi), fresh)
+            e.lru = s.lru
             if s.chain:
                 n_b += hi - lo
-                self._extend_span(e, s)
+                self._extend(e, lo, hi - lo)
                 continue
-            e.lru = s.lru
-            k0 = s.k - (hi - lo - 1)
-            if s.start is None:
-                run = e.runs[k0] = [k0, 0]
-                start = k0
-            else:
-                start = s.start
-                del e.runs_by_next[k0]
-                run = e.runs[start]
-            run[1] ^= s.acc
-            run[0] = s.k + 1
-            nxt = e.runs.pop(run[0], None)
-            if nxt is not None:
-                run[0] = nxt[0]
-                run[1] ^= nxt[1]
-                e.runs_by_next.pop(nxt[0], None)
-            e.runs_by_next[run[0]] = start
-            s.run = run
+            s.run = self._fold_run(e, s.start, s.k - (hi - lo - 1), hi - lo, s.acc)
         stats["r_hit_in"] += n - n_b
         stats["r_hit_boundary"] += n_b
         t["reads"] += n
@@ -567,33 +552,6 @@ class TenAnalyzer:
             self._touch(s.e, s.touched)
         self._stamp = stamp
 
-    def _extend_span(self, e: MetaTableEntry, s: "_Span") -> None:
-        """`_extend` of each line of a boundary span, in one step."""
-        lo, hi = s.lo, s.hi
-        n = hi - lo
-        first = self.mem.base_pa + lo * LINE_BYTES
-        last = first + (n - 1) * LINE_BYTES
-        boundary = self.boundary
-        # each line's extension points the boundary at the next line, whose
-        # own extension then deletes it
-        for va in range(first, last + 1, LINE_BYTES):
-            boundary.pop(va, None)
-        line_macs = reduce(xor, self.mem.macs[lo:hi])
-        old_n = e.nx
-        e.nx += n
-        e.last_addr = last
-        e.mac ^= line_macs
-        self._cover[lo:hi] = [e] * n
-        if self.entry_at(last + LINE_BYTES) is None:
-            boundary[last + LINE_BYTES] = e
-        e.lru = s.lru
-        run_start = e.runs_by_next.pop(old_n, None)
-        if run_start is not None:
-            run = e.runs[run_start]
-            run[0] = old_n + n
-            run[1] ^= line_macs
-            e.runs_by_next[run[0]] = run_start
-
     def _close_sweep(self, e: MetaTableEntry, run: list) -> None:
         """Check a sweep run that covers the whole entry against its MAC."""
         acc = run[1]
@@ -602,20 +560,42 @@ class TenAnalyzer:
             raise IntegrityFault("tensor_mac", f"entry base={e.base:#x}")
         self.stats["sweep_verifies"] += 1
 
+    @staticmethod
+    def _fold_run(e: MetaTableEntry, start: int, k: int, n: int, acc: int) -> list:
+        """Fold the `n` reads from ordinal `k` on, whose tags XOR to `acc`,
+        into `e`'s sweep run from `start`, which ends at `k` (or which they
+        start, if `start` is `k`); then coalesce it with a run that starts
+        where it now ends. Returns the run."""
+        runs, runs_by_next = e.runs, e.runs_by_next
+        if start == k:
+            run = runs[k] = [k, 0]
+        else:
+            del runs_by_next[k]
+            run = runs[start]
+        run[0] = k + n
+        run[1] ^= acc
+        nxt = runs.pop(run[0], None)
+        if nxt is not None:
+            run[0] = nxt[0]
+            run[1] ^= nxt[1]
+            runs_by_next.pop(nxt[0], None)
+        runs_by_next[run[0]] = start
+        return run
+
+    @staticmethod
+    def _may_start_run(e: MetaTableEntry, k: int) -> bool:
+        """Whether a read of ordinal `k` may start a sweep run of `e`: the
+        entry has room for one more, and no run has read `k`."""
+        return len(e.runs) < MAX_SWEEP_RUNS and \
+            not any(start <= k < run[0] for start, run in e.runs.items())
+
     def _open_line(self, idx: int, vn: int, opened) -> tuple[int, bytes]:
         """The tag and plaintext of line `idx` under VN `vn`: `opened`'s (as
-        `_on_read` takes it) if the line was opened under `vn`, else from the
-        per-line kernels, a never-written line being materialized first."""
+        `_on_read` takes it) if the line was opened under `vn`, else
+        `ProtectedMemory.open_line`'s."""
         if opened is not None and opened[2] == vn:
             return opened[0], opened[1]
-        # the kernels, not a one-line `open_lines`: fuzz-attack TensorTEE
-        # lines/s read 1.026x with them (7 of 10 rounds, BENCH_13.json)
-        mem = self.mem
-        ct, code = mem.line(idx)
-        key = mem.key
-        pad = line_pad(key, code, vn)
-        return (line_tag(key, code, vn, ct),
-                (int.from_bytes(ct, "little") ^ pad).to_bytes(LINE_BYTES, "little"))
+        return self.mem.open_line(idx, vn)
 
     def _read_hit_in(self, e: MetaTableEntry, va: int, opened):
         """A covered read; `opened` is as `_on_read` takes it."""
@@ -643,33 +623,16 @@ class TenAnalyzer:
         if e.uf:
             self._per_line_mac(idx, tag, t)
             return
-        run_start = e.runs_by_next.pop(k, None)
-        if run_start is not None:
-            run = e.runs[run_start]
-        elif self._ordinal_unclaimed(e, k) and len(e.runs) < MAX_SWEEP_RUNS:
-            run = e.runs[k] = [k, 0]
-            run_start = k
-        else:
-            self._per_line_mac(idx, tag, t)
-            return
+        start = e.runs_by_next.get(k)
+        if start is None:
+            if not self._may_start_run(e, k):
+                self._per_line_mac(idx, tag, t)
+                return
+            start = k
         t["cycles"] += MAC_CYCLES
-        run[1] ^= tag
-        run[0] = k + 1
-        # coalesce with a run starting right after
-        nxt = e.runs.pop(k + 1, None)
-        if nxt is not None:
-            run[0] = nxt[0]
-            run[1] ^= nxt[1]
-            e.runs_by_next.pop(nxt[0], None)
-        e.runs_by_next[run[0]] = run_start
-        if run_start == 0 and run[0] == e.line_count:
+        run = self._fold_run(e, start, k, 1, tag)
+        if start == 0 and run[0] == e.line_count:
             self._close_sweep(e, run)
-
-    def _ordinal_unclaimed(self, e, k: int) -> bool:
-        for start, run in e.runs.items():
-            if start <= k < run[0]:
-                return False
-        return True
 
     def _per_line_mac(self, idx, tag, t) -> None:
         t["mac_rd"] += LINE_BYTES
@@ -696,37 +659,41 @@ class TenAnalyzer:
         # the line's stored MAC rides along with the VN confirmation
         self._per_line_mac(idx, tag, t)
         if vn_true == e.vn:
-            self._extend(e, va, mem.macs[idx])
+            self._extend(e, idx, 1)
+            self._touch(e)
             return plain, ReadOutcome(HIT_BOUNDARY, vn=speculative, confirmed=True)
         self.stats["r_boundary_mispredict"] += 1
         t["cycles"] += AES_CYCLES      # re-issued decrypt with the fetched VN
         return plain, ReadOutcome(HIT_BOUNDARY, vn=speculative, confirmed=False)
 
-    def _extend(self, e: MetaTableEntry, va: int, line_mac: int) -> None:
+    def _extend(self, e: MetaTableEntry, lo: int, n: int) -> None:
+        """Grow `e` by the `n` lines from line `lo` on, whose stored MACs are
+        verified: one line (a column or a row) one step past its end, or
+        consecutive lines past the end of a single-row entry. Their MACs
+        fold into the entry MAC and into a sweep run that ends where they
+        start. The stamps are the caller's."""
         step = e.run_step()
-        old_next = e.last_addr + step
-        if self.boundary.get(old_next) is e:
-            del self.boundary[old_next]
-        new_ordinal = e.line_count
+        first = self.mem.base_pa + lo * LINE_BYTES
+        last = first + (n - 1) * step
+        boundary = self.boundary
+        # each line's extension points the boundary at the next line, whose
+        # own extension then deletes it
+        for va in range(first, last + 1, step):
+            boundary.pop(va, None)
+        line_macs = reduce(xor, self.mem.macs[lo:lo + n])
+        k = e.line_count
         if e.ny == 1:
-            e.nx += 1
+            e.nx += n
         else:
-            e.ny += 1
-        e.last_addr = va
-        e.mac ^= line_mac
-        self._cover[self.mem.line_index(va)] = e
-        nxt = va + step
-        if self.entry_at(nxt) is None:
-            self.boundary[nxt] = e
-        self._touch(e)
-        # fold the verified line's stored tag into an adjacent sweep run if
-        # one ends here
-        run_start = e.runs_by_next.pop(new_ordinal, None)
-        if run_start is not None:
-            run = e.runs[run_start]
-            run[0] = new_ordinal + 1
-            run[1] ^= line_mac
-            e.runs_by_next[run[0]] = run_start
+            e.ny += n
+        e.last_addr = last
+        e.mac ^= line_macs
+        self._cover[lo:lo + n] = [e] * n
+        if self.entry_at(last + step) is None:
+            boundary[last + step] = e
+        start = e.runs_by_next.get(k)
+        if start is not None:
+            self._fold_run(e, start, k, n, line_macs)
 
     # -- tensor filter ---------------------------------------------------------
 

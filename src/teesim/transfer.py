@@ -205,6 +205,7 @@ class StagingRegion:
         self.macs: list[int] = []
 
     def tamper(self, index: int, bit: int = 0) -> None:
+        bit %= LINE_BYTES * 8
         self.ct[index * LINE_BYTES + bit // 8] ^= 1 << (bit % 8)
 
 
@@ -396,15 +397,14 @@ def direct_transfer(session: SessionState, engine: Engine, *,
 
 def _install_on_cpu(msg: MetadataMessage, codes, cts, analyzer: TenAnalyzer,
                     engine: Engine, at: int, rep: TransferReport,
-                    pipeline_from: Optional[int] = None) -> int:
-    """Eager aggregate-MAC verification (pipelined behind the link DMA) of
-    the lines with binding `codes` and ciphertext `cts`, then verbatim
-    ciphertext install and the Meta Table structure hint."""
+                    pipeline_from: int) -> int:
+    """Eager aggregate-MAC verification, pipelined behind the link DMA from
+    tick `pipeline_from`, of the lines with binding `codes` and ciphertext
+    `cts` that arrive at tick `at`, then verbatim ciphertext install and the
+    Meta Table structure hint."""
     mem = analyzer.mem
     size = msg.n_lines * LINE_BYTES
-    _, mac_end = engine.reserve("cpu_mac", size,
-                                at_tick=at if pipeline_from is None
-                                else pipeline_from)
+    _, mac_end = engine.reserve("cpu_mac", size, at_tick=pipeline_from)
     verify_done = max(at, mac_end)
     tags, _ = open_lines(mem.key, codes, cts, msg.vn, decrypt=False)
     if mac_xor_aggregate(tags) != msg.mac:

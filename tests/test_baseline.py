@@ -191,6 +191,34 @@ def test_materialize_matches_per_line_zero_blocks(n, crypto_on):
 
 
 @pytest.mark.parametrize("crypto_on", [True, False])
+def test_open_line_opens_one_line_under_any_vn(crypto_on):
+    data = bytes(range(LINE_BYTES))
+    mem, twin = make_mem(64, crypto_on=crypto_on), make_mem(64, crypto_on=crypto_on)
+    for m in (mem, twin):
+        m.write_line(BASE + LINE_BYTES, data)
+        m._vns[2] = 5        # a never-written line with a VN
+    # a written line opens as a batch open does, its pending write sealed first
+    assert list(mem._pending) == ([1] if crypto_on else [])
+    tag, plain = mem.open_line(1, mem._vns[1])
+    assert not mem._pending
+    tags, plains, _ = twin.opened([1])
+    assert (tag, plain) == (tags[0], plains[0]) == (mem._macs[1], data)
+    # a never-written line is materialized first, as `materialize` does it
+    tag, plain = mem.open_line(2, 5)
+    twin.materialize([BASE + 2 * LINE_BYTES])
+    assert (tag, plain) == (twin._macs[2], bytes(LINE_BYTES))
+    assert _store(mem) == _store(twin)
+    # under another VN: the per-line kernels at that VN, over the stored line
+    for idx in (1, 2):
+        ct, code = mem.line(idx)
+        tag, plain = mem.open_line(idx, 9)
+        assert tag == line_tag(mem.key, code, 9, ct) != mem._macs[idx]
+        pad = line_pad(mem.key, code, 9)
+        assert plain == (int.from_bytes(ct, "little") ^ pad).to_bytes(LINE_BYTES, "little")
+    assert _store(mem) == _store(twin)
+
+
+@pytest.mark.parametrize("crypto_on", [True, False])
 def test_a_partial_last_vn_line_reads_and_writes(crypto_on):
     """12 lines end in a VN-line that holds four: its tree leaf still hashes
     eight VNs, as the tree was built."""

@@ -213,14 +213,16 @@ def test_barrier_blocks_poisoned_dependents():
 
 
 def test_code_fetch_clean_and_tampered():
-    dev, _ = make_dev()
-    dev.install_code_line(0x100, b"\x90" * LINE_BYTES)
-    plain, _ = dev.fetch_code_line(0x100)
-    assert plain == b"\x90" * LINE_BYTES
-    dev.tamper_code_line(0x100, bit=3)
-    with pytest.raises(IntegrityFault) as ei:
-        dev.fetch_code_line(0x100)
-    assert ei.value.kind == "code_tamper"
+    # a bit index past the line wraps into it, as `tamper_line`'s does
+    for bit in (3, 515, 600):
+        dev, _ = make_dev()
+        dev.install_code_line(0x100, b"\x90" * LINE_BYTES)
+        plain, _ = dev.fetch_code_line(0x100)
+        assert plain == b"\x90" * LINE_BYTES
+        dev.tamper_code_line(0x100, bit=bit)
+        with pytest.raises(IntegrityFault) as ei:
+            dev.fetch_code_line(0x100)
+        assert ei.value.kind == "code_tamper"
 
 
 def test_code_fetches_never_enter_delayed_queue():

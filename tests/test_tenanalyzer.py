@@ -336,6 +336,31 @@ def test_sweep_detects_tampered_line_at_completion():
     assert ei.value.kind == "tensor_mac"
 
 
+@pytest.mark.parametrize("runs", [True, False])
+def test_boundary_reads_extend_a_sweep_run_that_reaches_the_end(runs):
+    # lines 4-7 start a run that reaches the entry's end; the boundary reads
+    # of lines 8-10 extend the entry and the run, so that the run from line
+    # 0 closes the sweep at line 3
+    ta, mem = make(64)
+    for i in range(16):
+        mem.write_line(BASE + i * LINE_BYTES, payload(i))
+    ta.install_hint(BASE, 8)
+    e = ta.entry_at(BASE)
+    vas = [BASE + i * LINE_BYTES for i in range(11)]
+    read = ta.read_run if runs else (lambda vas: [ta.on_read(va) for va in vas])
+    read(vas[4:8])
+    read(vas[8:])
+    assert e.line_count == 11 and ta.stats["r_hit_boundary"] == 3
+    acc = 0
+    for i in range(4, 11):
+        acc ^= mem.macs[i]
+    assert e.runs == {4: [11, acc]}
+    mac_rd = mem.totals["mac_rd"]
+    read(vas[:4])
+    assert ta.stats["sweep_verifies"] == 1 and not e.runs
+    assert mem.totals["mac_rd"] == mac_rd
+
+
 @pytest.mark.parametrize("crypto_on", [True, False])
 @pytest.mark.parametrize("runs", [True, False])
 def test_sweep_under_a_hint_vn_the_lines_do_not_hold_faults(crypto_on, runs):

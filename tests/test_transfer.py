@@ -116,21 +116,23 @@ def test_baseline_zero_length_noop():
 
 
 def test_baseline_staging_tamper_detected():
-    session, eng, mem, ta, dev = rig()
-    n = 8
-    for i in range(n):
-        mem.write_line(CPU_BASE + i * LINE_BYTES, lines(1, i)[0])
-    staging = StagingRegion()
-    # run once to fill the relay region, then re-open with a flipped bit
-    rep = baseline_transfer(session, eng, tensor_id=1, direction="cpu_to_npu",
-                            cpu_mem=mem, npu=dev, cpu_base=CPU_BASE,
-                            n_lines=n, staging=staging)
-    assert rep.faults == 0
-    staging.tamper(3, bit=11)
     from teesim.transfer import _open_staging, TransferReport
-    with pytest.raises(IntegrityFault) as ei:
-        _open_staging(staging, 1, session, TransferReport("baseline", 1))
-    assert ei.value.kind == "staging_tamper"
+    # a bit index past the line wraps into it, as `tamper_line`'s does
+    for line, bit in ((3, 11), (7, 515), (7, 600)):
+        session, eng, mem, ta, dev = rig()
+        n = 8
+        for i in range(n):
+            mem.write_line(CPU_BASE + i * LINE_BYTES, lines(1, i)[0])
+        staging = StagingRegion()
+        # run once to fill the relay region, then re-open with a flipped bit
+        rep = baseline_transfer(session, eng, tensor_id=1, direction="cpu_to_npu",
+                                cpu_mem=mem, npu=dev, cpu_base=CPU_BASE,
+                                n_lines=n, staging=staging)
+        assert rep.faults == 0
+        staging.tamper(line, bit=bit)
+        with pytest.raises(IntegrityFault) as ei:
+            _open_staging(staging, 1, session, TransferReport("baseline", 1))
+        assert ei.value.kind == "staging_tamper"
 
 
 def test_baseline_serializes_behind_compute_on_npu_aes():
