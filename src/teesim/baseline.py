@@ -30,8 +30,8 @@ import numpy as np
 
 from .crypto import (
     LINE_BYTES, MASK56, NULL_KEY, OPEN_BATCH_MIN, IntegrityFault, KeyMaterial,
-    VnTree, keystream_lines, line_pad, line_tag, open_lines, pa_binding_codes,
-    seal_into, words_to_bytes,
+    VnTree, keystream_lines, line_pad, line_tag, mac_lines, open_lines,
+    pa_binding_codes, seal_into, words_to_bytes,
 )
 # unused, but perfbench/tests' tracer test looks these names up here
 from .crypto import decrypt_block, encrypt_block, mac_block  # noqa: F401
@@ -40,8 +40,8 @@ VNS_PER_LINE = 8
 AES_CYCLES = 40
 MAC_CYCLES = 40
 HASH_CYCLES = 40
-# a read run opens at most this many lines in one batch, which bounds its
-# transient arrays
+# a read run opens, and a new memory seals, at most this many lines in one
+# batch, which bounds their transient arrays
 OPEN_CHUNK_LINES = 1024
 # `write_lines` stores a run of at least this many consecutive lines under an
 # explicit VN by slices, and shorter runs line by line. Slices against the
@@ -49,7 +49,6 @@ OPEN_CHUNK_LINES = 1024
 # of 25 interleaved rounds): 0.75x at 1 line, 0.98x at 6, 1.06x at 8, 1.34x
 # at 32 (functional); 0.73x, 1.03x, 1.09x and 1.44x under the null key
 WRITE_SLICE_MIN = 8
-_ZERO_LINE = bytes(LINE_BYTES)
 
 COST_FIELDS = ("op", "pa", "data_bytes", "vn_bytes", "mac_bytes", "tree_bytes", "cycles")
 # the byte/cycle books of a CPU memory: *_wr counters track state updates
@@ -172,11 +171,12 @@ class ProtectedMemory:
 
     The off-chip state is one flat array per field, indexed by line: the
     ciphertext (`_ct`, with `_words` its (n, 8) uint64 view for batches), the
-    MACs, the VNs (eight to a VN-line, the tree's leaves), the binding codes
-    (a line's physical address until a write names another binding) and a
-    written mask. A never-written line holds zeros until a read or the
-    adversary harness materializes it. Other modules go through `line`,
-    `export_lines`, `install_lines` and `plaintexts`.
+    MACs, the VNs (eight to a VN-line, the tree's leaves) and the binding
+    codes (a line's physical address until a write names another binding).
+    A new memory holds every line as zeros sealed under VN 0 and its
+    physical-address binding, so each line is sealed from the start. Other
+    modules go through `line`, `export_lines`, `install_lines` and
+    `plaintexts`.
 
     Without functional crypto the memory runs under the null cipher
     (`crypto.NULL_KEY`): the same protocol and checks, with data-independent
@@ -203,8 +203,15 @@ class ProtectedMemory:
         self._macs = array("Q", bytes(8 * n_lines))
         # padded to whole VN-lines: every tree leaf hashes eight VNs
         self._vns = array("Q", bytes(8 * VNS_PER_LINE * n_vn_lines))
-        self._codes = array("Q", pa_binding_codes(base_pa, n_lines).tobytes())
-        self._written = bytearray(n_lines)
+        codes = pa_binding_codes(base_pa, n_lines)
+        self._codes = array("Q", codes.tobytes())
+        # zeros sealed under VN 0: each line's ciphertext is its pad
+        macs = np.frombuffer(self._macs, dtype=np.uint64)
+        for lo in range(0, n_lines, OPEN_CHUNK_LINES):
+            hi = lo + OPEN_CHUNK_LINES
+            pads = keystream_lines(self.key, codes[lo:hi], 0)
+            self._words[lo:hi] = pads
+            macs[lo:hi] = mac_lines(self.key, codes[lo:hi], pads, 0)
         # idx -> tag sink (or None) of a line written but not yet sealed
         self._pending: dict[int, Optional[list]] = {}
         self.cache = MetadataCache(metadata_cache_bytes)
@@ -235,15 +242,6 @@ class ProtectedMemory:
                 sink.append(tag)
         pending.clear()
 
-    def _materialize(self, idxs) -> None:
-        """Seal, with the never-written lines of `idxs` (zeros) pending."""
-        written, pending = self._written, self._pending
-        for idx in idxs:
-            if not written[idx]:
-                written[idx] = 1
-                pending[idx] = None
-        self.seal()
-
     # -- addressing --------------------------------------------------------
 
     def line_index(self, pa: int) -> int:
@@ -259,20 +257,16 @@ class ProtectedMemory:
     # -- the store, for the other modules ---------------------------------------
 
     def line(self, idx: int) -> tuple[bytes, int]:
-        """Line `idx`'s ciphertext and binding code, with no cost accounting;
-        a never-written line is materialized first."""
+        """Line `idx`'s ciphertext and binding code, with no cost accounting."""
         self.seal()
-        if not self._written[idx]:
-            self._materialize((idx,))
         o = idx * LINE_BYTES
         return bytes(self._ct[o:o + LINE_BYTES]), self._codes[idx]
 
     def export_lines(self, pas) -> tuple[array, bytes]:
         """The binding codes and the ciphertext, joined, of the lines `pas`,
-        with no cost accounting; never-written lines are materialized first."""
-        idxs = [self.line_index(pa) for pa in pas]
-        self._materialize(idxs)
-        at = np.array(idxs, dtype=np.intp)
+        with no cost accounting."""
+        at = np.array([self.line_index(pa) for pa in pas], dtype=np.intp)
+        self.seal()
         return (array("Q", np.asarray(self._codes)[at].tobytes()),
                 self._words[at].tobytes())
 
@@ -288,7 +282,6 @@ class ProtectedMemory:
         hi = self.line_index(base_pa + (n - 1) * LINE_BYTES) + 1
         self.seal()
         self._ct[lo * LINE_BYTES:hi * LINE_BYTES] = cts
-        self._written[lo:hi] = b"\x01" * n
         self._codes[lo:hi] = array("Q", codes)
         self._macs[lo:hi] = array("Q", tags)
         self._vns[lo:hi] = array("Q", (vn,)) * n
@@ -302,26 +295,18 @@ class ProtectedMemory:
 
     def plaintexts(self, pas) -> list[bytes]:
         """Oracle: the plaintext of each line of `pas` under its stored
-        binding and VN, with no cost accounting and no check. A never-written
-        line reads as zeros."""
+        binding and VN, with no cost accounting and no check."""
         self.seal()
         at = np.array([self.line_index(pa) for pa in pas], dtype=np.intp)
         words = keystream_lines(self.key, np.asarray(self._codes)[at],
                                 np.asarray(self._vns)[at])
         words ^= self._words[at]
-        words[np.frombuffer(self._written, dtype=np.uint8)[at] == 0] = 0
         return words_to_bytes(words)
 
     def open_line(self, idx: int, vn: int) -> tuple[int, bytes]:
         """Line `idx`'s tag and plaintext under its stored binding and VN
         `vn`, from the per-line kernels, with no cost accounting and no
-        check; a pending write is sealed and a never-written line
-        materialized first (`line`)."""
-        if not self._written[idx]:
-            self._materialize((idx,))
-            # zeros just sealed under `vn` open as themselves
-            if vn == self._vns[idx]:
-                return self._macs[idx], _ZERO_LINE
+        check; a pending write is sealed first (`line`)."""
         # the kernels, not a one-line `open_lines`, whose generic loop cost
         # about 5 us more a line (fuzz-attack TensorTEE lines/s read 1.026x
         # with them, 7 of 10 rounds, BENCH_13.json)
@@ -332,53 +317,17 @@ class ProtectedMemory:
                 (int.from_bytes(ct, "little") ^ pad).to_bytes(LINE_BYTES, "little"))
 
     def opened(self, idxs) -> tuple[list, list, list]:
-        """Seal; then, at each position of `idxs` whose line is written, the
-        line's tag, plaintext and VN under the binding and VN it holds, all
-        opened in one batch, and None at the other positions. No cost
+        """Seal; then the tag, plaintext and VN of each line of `idxs` under
+        the binding and VN it holds, all opened in one batch. No cost
         accounting and no check."""
         self.seal()
-        n = len(idxs)
-        written = self._written
-        ks = [k for k, idx in enumerate(idxs) if written[idx]]
-        at = idxs if len(ks) == n else [idxs[k] for k in ks]
-        vns = [self._vns[i] for i in at]
-        ct = self._ct
-        cts = (b"".join([ct[i * LINE_BYTES:(i + 1) * LINE_BYTES] for i in at])
-               if len(at) < OPEN_BATCH_MIN
-               else self._words[np.array(at, dtype=np.intp)].tobytes())
-        tags, plains = open_lines(self.key, [self._codes[i] for i in at], cts, vns)
-        if len(ks) == n:
-            return tags, plains, vns
-        out = [None] * n, [None] * n, [None] * n
-        for k, tag, plain, vn in zip(ks, tags, plains, vns):
-            out[0][k], out[1][k], out[2][k] = tag, plain, vn
-        return out
-
-    def sealed_zeros(self, idxs) -> list[tuple[bytes, int, int]]:
-        """The ciphertext, tag and VN that each never-written line of `idxs`
-        would be materialized with now: zeros sealed under its stored
-        binding and VN. Nothing is stored and nothing is charged."""
-        n = len(idxs)
-        buf = bytearray(n * LINE_BYTES)
         vns = [self._vns[i] for i in idxs]
-        tags = seal_into(self.key, buf, range(n), [self._codes[i] for i in idxs], vns)
-        return [(bytes(buf[o:o + LINE_BYTES]), tag, vn)
-                for o, tag, vn in zip(range(0, n * LINE_BYTES, LINE_BYTES), tags, vns)]
-
-    def materialize_sealed(self, idxs, sealed: dict) -> None:
-        """Materialize each line of `idxs` that `sealed` holds and that is
-        still never written, with the ciphertext and tag `sealed_zeros` gave
-        for it (`sealed` maps a line to them), as `_materialize` would."""
-        written = self._written
-        todo = [idx for idx in idxs if not written[idx] and idx in sealed]
-        if not todo:
-            return
-        self.seal()
-        ct, macs = self._ct, self._macs
-        for idx in todo:
-            written[idx] = 1
-            o = idx * LINE_BYTES
-            ct[o:o + LINE_BYTES], macs[idx] = sealed[idx][:2]
+        ct = self._ct
+        cts = (b"".join([ct[i * LINE_BYTES:(i + 1) * LINE_BYTES] for i in idxs])
+               if len(idxs) < OPEN_BATCH_MIN
+               else self._words[np.array(idxs, dtype=np.intp)].tobytes())
+        tags, plains = open_lines(self.key, [self._codes[i] for i in idxs], cts, vns)
+        return tags, plains, vns
 
     def _vn_line(self, li: int) -> array:
         return self._vns[li * VNS_PER_LINE:(li + 1) * VNS_PER_LINE]
@@ -444,25 +393,22 @@ class ProtectedMemory:
     def read_lines(self, pas) -> list:
         """Read the lines `pas` in order, exactly as that many `read_line`
         calls would, and return their plaintexts. The tags and plaintexts of
-        the lines already written are opened in batches of at most
-        `OPEN_CHUNK_LINES` lines, each just before its reads, under the VN
-        each line holds; nothing a read does changes a written line's
-        ciphertext, binding, MAC or VN. Each read then does its accounting,
-        resolves its VN, compares its tag and walks the tree on a cold VN
-        fetch (`read_opened`). A never-written line is materialized only
-        when its read comes, so a fault leaves the totals, cache, store and
-        tree that the per-line reads would have. An address outside the
-        region raises ValueError before any read of its batch."""
+        the lines are opened in batches of at most `OPEN_CHUNK_LINES` lines,
+        each just before its reads, under the VN each line holds; nothing a
+        read does changes a line's ciphertext, binding, MAC or VN. Each read
+        then does its accounting, resolves its VN, compares its tag and
+        walks the tree on a cold VN fetch (`read_opened`), so a fault leaves
+        the totals, cache, store and tree that the per-line reads would
+        have. An address outside the region raises ValueError before any
+        read of its batch."""
         out = []
         pas = iter(pas)
         while chunk_pas := list(islice(pas, OPEN_CHUNK_LINES)):
             chunk = [self.line_index(pa) for pa in chunk_pas]
             tags, plains = self.opened(chunk)[:2]
-            for pa, idx, tag, plain in zip(chunk_pas, chunk, tags, plains):
+            for pa, idx, tag in zip(chunk_pas, chunk, tags):
                 self.read_opened(pa, idx, tag)
-                # a line opened as never-written was materialized by its own
-                # read or an earlier one of this call, so it reads as zeros
-                out.append(_ZERO_LINE if plain is None else plain)
+            out += plains
             del tags, plains     # before the next batch is opened
         return out
 
@@ -472,21 +418,17 @@ class ProtectedMemory:
         self.read_opened(pa, idx, tag)
         return plain
 
-    def read_opened(self, pa: int, idx: int, tag: Optional[int]) -> None:
+    def read_opened(self, pa: int, idx: int, tag: int) -> None:
         """One read of line `idx` at `pa` whose tag, as `opened` gave it, is
         `tag`: the accounting, VN resolution and tag check, then the tree
-        walk on a cold VN fetch. With `tag` None (a line opened before it was
-        written) a never-written line is materialized instead of checked."""
+        walk on a cold VN fetch."""
         t = self.totals
         t["reads"] += 1
         t["data_rd"] += LINE_BYTES
         _, cold = self.resolve_vn(pa, t)
         t["cycles"] += AES_CYCLES + MAC_CYCLES
         t["mac_rd"] += LINE_BYTES
-        if tag is None:
-            if not self._written[idx]:
-                self._materialize((idx,))
-        elif tag != self._macs[idx]:
+        if tag != self._macs[idx]:
             raise IntegrityFault("mac_mismatch", f"pa={pa:#x}")
         if cold:
             self.walk_tree(pa, t)
@@ -539,7 +481,7 @@ class ProtectedMemory:
         if len(plains) != n:
             raise ValueError("one plaintext per address")
         t, cache, tree, key = self.totals, self.cache, self.tree, self.key
-        ct, vns, written, pending = self._ct, self._vns, self._written, self._pending
+        ct, vns, pending = self._ct, self._vns, self._pending
         fixed_vn = None if vn is None else vn & MASK56
         depth = tree.depth
         started = done = 0
@@ -571,7 +513,6 @@ class ProtectedMemory:
                     self._codes[idx] = code
                 o = idx * LINE_BYTES
                 ct[o:o + LINE_BYTES] = plain
-                written[idx] = 1
                 vns[idx] = new_vn
                 if key.null:
                     # stored at once: deferring made a light criterion-4
@@ -610,7 +551,6 @@ class ProtectedMemory:
         if codes is not None:
             self._codes[lo:hi] = array("Q", codes)
         self._ct[lo * LINE_BYTES:hi * LINE_BYTES] = b"".join(plains)
-        self._written[lo:hi] = b"\x01" * n
         self._vns[lo:hi] = array("Q", (vn,)) * n
         key = self.key
         if key.null:
@@ -654,16 +594,6 @@ class ProtectedMemory:
 
     # -- adversary harness ---------------------------------------------------
 
-    def materialize(self, pas: list[int]) -> list[int]:
-        """Seal, then give every never-written line among `pas` its zero
-        ciphertext and MAC under its current VN, sealing them in one batch.
-        Returns the indices of the lines `pas`. The adversary harness goes
-        through here, so a tamper of a never-written line is not undone by a
-        later first read."""
-        idxs = [self.line_index(pa) for pa in pas]
-        self._materialize(idxs)
-        return idxs
-
     def snapshot_triple(self, pa: int):
         """Capture ((ciphertext, binding code), VN, MAC) for a later replay
         injection."""
@@ -676,7 +606,10 @@ class ProtectedMemory:
         metadata are inside the TCB and stay intact."""
         if self.key.null:
             raise RuntimeError("attacks need crypto_on=True to be observable")
-        idx, = self.materialize([pa])
+        idx = self.line_index(pa)
+        # a pending write is sealed first, so the attack alters what was
+        # sealed and a later seal does not undo it
+        self.seal()
         # the tree reads pending leaves from `_vns` when it flushes, so it
         # hashes them now, before an attack can change them
         self.tree.flush()
@@ -709,7 +642,7 @@ class PlainMemory:
     def __init__(self, base_pa: int, n_lines: int):
         self.base_pa = base_pa
         self.n_lines = n_lines
-        self.blocks: list = [None] * n_lines
+        self.blocks: list = [bytes(LINE_BYTES)] * n_lines
         self.totals: dict[str, int] = dict.fromkeys(TOTALS_KEYS, 0)
 
     line_index = ProtectedMemory.line_index
@@ -722,8 +655,7 @@ class PlainMemory:
         for pa in pas:
             t["reads"] += 1
             t["data_rd"] += LINE_BYTES
-            plain = blocks[self.line_index(pa)]
-            out.append(b"\x00" * LINE_BYTES if plain is None else plain)
+            out.append(blocks[self.line_index(pa)])
         return out
 
     def read_line(self, pa: int, collect: bool = False):
@@ -731,8 +663,6 @@ class PlainMemory:
         t["reads"] += 1
         t["data_rd"] += LINE_BYTES
         plain = self.blocks[self.line_index(pa)]
-        if plain is None:
-            plain = b"\x00" * LINE_BYTES
         rep = CostReport("R", pa, data_bytes=LINE_BYTES) if collect else None
         return plain, rep
 

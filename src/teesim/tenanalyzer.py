@@ -55,7 +55,6 @@ FILTER_WINDOW_BYTES = 4096             # max delta the filter will chain across;
                                        # larger strides come from entry merging
 MAX_SWEEP_RUNS = 16                    # concurrent sequential read cursors per entry
 _TOUCHED = attrgetter("touched")
-_ZERO_LINE = bytes(LINE_BYTES)
 # what `context_switch` saves and restores per enclave
 _PER_ENCLAVE = ("entries", "_recent", "_cover", "boundary", "filter",
                 "pending_hints")
@@ -344,9 +343,8 @@ class TenAnalyzer:
 
     def _on_read(self, va: int, opened):
         """`on_read(va)`. `opened` is None, or the line's (tag, plaintext,
-        VN) from a batch open under its stored state (`read_run`), each None
-        for a line not written when it was opened; a read without them opens
-        the line itself."""
+        VN) from a batch open under its stored state (`read_run`); a read
+        without them opens the line itself."""
         mem = self.mem
         if not self.en_tmf:
             plain, _ = mem.read_line(va)
@@ -367,8 +365,6 @@ class TenAnalyzer:
         else:
             tag, plain, vn = opened
             mem.read_opened(va, mem.line_index(va), tag)
-            if plain is None:   # materialized by this read or an earlier one
-                plain, vn = _ZERO_LINE, mem.vn_of(va)
         self.filter_collect(va, vn, mem.line_mac(va))
         return plain, ReadOutcome(MISS)
 
@@ -376,8 +372,7 @@ class TenAnalyzer:
         """`[on_read(va)[0] for va in vas]`, with the crypto in batches and
         the bookkeeping in spans. The tags and plaintexts of the lines are
         opened under their stored state in batches of at most
-        `OPEN_CHUNK_LINES` lines, each just before its reads; a never-written
-        line opens as the zeros it will be materialized with. Then the
+        `OPEN_CHUNK_LINES` lines, each just before its reads. Then the
         batch's reads are taken in record order, in segments (`_read_segment`)
         where the reads of each entry form one span whose per-line steps
         only add, and one at a time (`_on_read`) where they do not.
@@ -391,30 +386,19 @@ class TenAnalyzer:
         while chunk_vas := list(islice(vas, OPEN_CHUNK_LINES)):
             chunk = [mem.line_index(va) for va in chunk_vas]
             tags, plains, vns = mem.opened(chunk)
-            # a line never written when its batch was opened gets the tag,
-            # zeros and VN it materializes with, for the spans; a per-line
-            # read of it materializes it itself
-            fresh = {}
-            if None in tags:
-                ks = [k for k, tag in enumerate(tags) if tag is None]
-                for k, sealed in zip(ks, mem.sealed_zeros([chunk[k] for k in ks])):
-                    fresh[chunk[k]] = sealed
-                    tags[k], vns[k], plains[k] = sealed[1], sealed[2], _ZERO_LINE
             p, n = 0, len(chunk)
             while p < n:
-                q = self._read_segment(chunk_vas, chunk, tags, vns, fresh, p)
+                q = self._read_segment(chunk_vas, chunk, tags, vns, p)
                 if q > p:
                     out += plains[p:q]
                     p = q
                     continue
-                out.append(self._on_read(chunk_vas[p], (None, None, None)
-                                         if chunk[p] in fresh
-                                         else (tags[p], plains[p], vns[p]))[0])
+                out.append(self._on_read(chunk_vas[p], (tags[p], plains[p], vns[p]))[0])
                 p += 1
-            del tags, plains, vns, fresh     # before the next batch is opened
+            del tags, plains, vns     # before the next batch is opened
         return out
 
-    def _read_segment(self, vas, idxs, tags, vns, fresh: dict, p: int) -> int:
+    def _read_segment(self, vas, idxs, tags, vns, p: int) -> int:
         """Take the reads from position `p` of a batch on, as far as each
         falls in a span, as one step per span, and return the position after
         the last read taken (`p` if none was). A span is one entry's reads
@@ -425,8 +409,8 @@ class TenAnalyzer:
           (or start an unclaimed one) and reach no other run's start or end
           before their last read;
         - boundary reads extending a single-row entry line by line, each
-          line holding the entry's VN and its batch tag as its stored MAC
-          (or never written), each VN-line already in the metadata cache.
+          line holding the entry's VN and its batch tag as its stored MAC,
+          each VN-line already in the metadata cache.
 
         Each read's steps then only add, or touch state of its own entry
         that no other span of the segment touches, so the spans are applied
@@ -475,7 +459,7 @@ class TenAnalyzer:
                             or (b.nx == 1 and b.stride != LINE_BYTES):
                         break
                     s = _Span(b, True, idx, 0, 0, -1, None)
-                if vns[q] != s.e.vn or (tags[q] != macs[idx] and idx not in fresh):
+                if vns[q] != s.e.vn or tags[q] != macs[idx]:
                     break
                 li = idx >> 3
                 if li != last_li:
@@ -493,7 +477,7 @@ class TenAnalyzer:
             q += 1
         if q == p:
             return p
-        self._commit_segment(spans, list(gets), fresh, q - p, stamp)
+        self._commit_segment(spans, list(gets), q - p, stamp)
         if closing is not None:
             self._close_sweep(closing.e, closing.run)
         return q
@@ -520,8 +504,7 @@ class TenAnalyzer:
                 close_at = limit - 1
         return _Span(e, False, idx, k, limit, close_at, start)
 
-    def _commit_segment(self, spans: dict, gets: list, fresh: dict, n: int,
-                        stamp: int) -> None:
+    def _commit_segment(self, spans: dict, gets: list, n: int, stamp: int) -> None:
         """Apply a segment of `n` reads from `_read_segment`: its spans, the
         metadata-cache gets of its boundary reads (all hits, of the VN-lines
         `gets` lists in the order of their last get), and `stamp`, the
@@ -531,8 +514,6 @@ class TenAnalyzer:
         n_b = 0
         for e, s in spans.items():
             lo, hi = s.lo, s.hi
-            if fresh:
-                mem.materialize_sealed(range(lo, hi), fresh)
             e.lru = s.lru
             if s.chain:
                 n_b += hi - lo
@@ -1021,20 +1002,21 @@ class TenAnalyzer:
         requests. Overlapping smaller entries are absorbed; a descriptor that
         overlaps a mid-update entry is deferred until that update completes.
         Raises ValueError, before any state change, for a descriptor that is
-        unaligned, empty, has rows that overlap, or reaches outside the
-        region."""
+        unaligned, empty, not a whole number of rows, has rows that overlap,
+        or reaches outside the region."""
         if row_lines is None or stride is None or row_lines == n_lines:
             nx, ny, stride_b = n_lines, 1, LINE_BYTES
         else:
             nx, ny, stride_b = row_lines, n_lines // (row_lines or 1), stride
         probe = MetaTableEntry(base, nx, ny, stride_b, 0, 0)
         mem = self.mem
-        if base % LINE_BYTES or nx < 1 or ny < 1 or stride_b % LINE_BYTES \
-                or (ny > 1 and stride_b < nx * LINE_BYTES) or base < mem.base_pa \
+        if base % LINE_BYTES or nx < 1 or ny < 1 or nx * ny != n_lines \
+                or stride_b % LINE_BYTES or (ny > 1 and stride_b < nx * LINE_BYTES) \
+                or base < mem.base_pa \
                 or probe.last_addr >= mem.base_pa + mem.n_lines * LINE_BYTES:
             raise ValueError(f"hint of {n_lines} lines at {base:#x} (rows of {nx}, "
-                             f"stride {stride_b}) is unaligned, empty, overlaps "
-                             f"itself or reaches outside the region")
+                             f"stride {stride_b}) is unaligned, empty, not whole "
+                             f"rows, overlaps itself or reaches outside the region")
         overlapped = [o for o in dict.fromkeys(
             o for rows in self._rows(probe) for o in self._cover[rows])
             if o is not None]
@@ -1062,15 +1044,12 @@ class TenAnalyzer:
             if cold:
                 mem.walk_tree(base, t)
         if mac is None:
-            # aggregate the stored per-line MACs once (8 tags per 64 B line);
-            # untouched lines materialize first so the fold matches what
-            # subsequent reads will accumulate
+            # aggregate the stored per-line MACs once (8 tags per 64 B line)
             t["mac_rd"] += LINE_BYTES * (-(-n_lines // 8))
-            lines = mem.materialize(list(probe.addresses()))
             macs = mem.macs
             mac = 0
-            for idx in lines:
-                mac ^= macs[idx]
+            for va in probe.addresses():
+                mac ^= macs[mem.line_index(va)]
         for o in overlapped:
             self._unindex_entry(o)
             o.valid = False

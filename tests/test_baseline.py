@@ -36,11 +36,10 @@ def _plaintexts(mem):
 
 
 def _store(mem):
-    """Every field the store keeps, sealed: ciphertexts, MACs, VNs, binding
-    codes and the written mask."""
+    """Every field the store keeps, sealed: ciphertexts, MACs, VNs and
+    binding codes."""
     macs = list(mem.macs)
-    return (bytes(mem._ct), macs, list(mem._vns), list(mem._codes),
-            bytes(mem._written))
+    return bytes(mem._ct), macs, list(mem._vns), list(mem._codes)
 
 
 def test_cold_read_cost_with_three_level_tree():
@@ -157,8 +156,8 @@ def test_mac_region_tamper_detected():
 
 
 def test_mac_tamper_of_a_never_written_line_detected():
-    # the tamper materializes the line first, so its first read does not
-    # overwrite the tampered MAC with a fresh one
+    # a never-written line holds the zeros sealed when the memory was built,
+    # so its tamper alters that MAC and its first read checks against it
     mem = ProtectedMemory(0x1000, 64, KEY)
     mem.inject_attack("mac_tamper", 0x10C0)
     mem.flush_metadata_cache()
@@ -167,27 +166,18 @@ def test_mac_tamper_of_a_never_written_line_detected():
 
 
 @pytest.mark.parametrize("crypto_on", [True, False])
-@pytest.mark.parametrize("n", [3, 2 * SEAL_BATCH_MIN])
-def test_materialize_matches_per_line_zero_blocks(n, crypto_on):
-    def build():
-        mem = make_mem(64, crypto_on=crypto_on)
-        mem.write_line(BASE + LINE_BYTES, b"\x07" * LINE_BYTES)   # pending seal
-        mem.write_line(BASE + 2 * LINE_BYTES, b"\x08" * LINE_BYTES, code=
-                       CounterBinding(BindingMode.TENSOR_LOGICAL, 9, 0)._code)
-        mem.seal()
-        mem.write_line(BASE + 2 * LINE_BYTES, b"\x09" * LINE_BYTES)
-        mem._vns[0] = 5        # a never-written line with a VN
-        return mem
-
-    pas = [BASE + i * LINE_BYTES for i in range(n)]
-    batch, per_line = build(), build()
-    assert batch.materialize(pas) == [per_line.line_index(pa) for pa in pas]
-    # the reference: seal, then encrypt and MAC each never-written line alone
-    per_line.seal()
-    for pa in pas:
-        per_line.line(per_line.line_index(pa))
-    assert _store(batch) == _store(per_line)
-    assert batch._written[n - 1] and not batch._written[n]
+def test_a_new_memory_holds_zeros_sealed_under_vn_0(crypto_on):
+    # more lines than one construction chunk, so a chunk edge is crossed
+    n = OPEN_CHUNK_LINES + 3
+    mem = make_mem(n, crypto_on=crypto_on)
+    assert not mem._pending and not any(mem._vns)
+    for idx in range(n):
+        ct, code = mem.line(idx)
+        pa = BASE + idx * LINE_BYTES
+        assert code == CounterBinding(BindingMode.PHYSICAL_ADDR, pa)._code
+        assert ct == line_pad(mem.key, code, 0).to_bytes(LINE_BYTES, "little")
+        assert mem._macs[idx] == line_tag(mem.key, code, 0, ct)
+    assert _plaintexts(mem) == [bytes(LINE_BYTES)] * n
 
 
 @pytest.mark.parametrize("crypto_on", [True, False])
@@ -196,17 +186,12 @@ def test_open_line_opens_one_line_under_any_vn(crypto_on):
     mem, twin = make_mem(64, crypto_on=crypto_on), make_mem(64, crypto_on=crypto_on)
     for m in (mem, twin):
         m.write_line(BASE + LINE_BYTES, data)
-        m._vns[2] = 5        # a never-written line with a VN
     # a written line opens as a batch open does, its pending write sealed first
     assert list(mem._pending) == ([1] if crypto_on else [])
     tag, plain = mem.open_line(1, mem._vns[1])
     assert not mem._pending
     tags, plains, _ = twin.opened([1])
     assert (tag, plain) == (tags[0], plains[0]) == (mem._macs[1], data)
-    # a never-written line is materialized first, as `materialize` does it
-    tag, plain = mem.open_line(2, 5)
-    twin.materialize([BASE + 2 * LINE_BYTES])
-    assert (tag, plain) == (twin._macs[2], bytes(LINE_BYTES))
     assert _store(mem) == _store(twin)
     # under another VN: the per-line kernels at that VN, over the stored line
     for idx in (1, 2):
@@ -343,8 +328,8 @@ def test_light_mode_same_metadata_traffic():
                                            (True, 1), (False, 1)],
                          ids=["True", "False", "True-vn1", "False-vn1"])
 def test_written_and_sealed_store_holds_at_most_128_bytes_a_line(crypto_on, vn):
-    # the flat store is 89 B a line (64 ciphertext, three 8 B fields, one
-    # written byte); the rest is the tree, its pending leaves and the cache.
+    # the flat store is 88 B a line (64 ciphertext, three 8 B fields); the
+    # rest is the tree, its pending leaves and the cache.
     # Explicit-VN writes, as covered writes are, walk no tree path, so every
     # leaf they dirty stays pending
     n = 1 << 16
@@ -479,13 +464,15 @@ def test_writes_wait_for_one_batch_seal():
     mem = make_mem(256)
     n = 2 * SEAL_BATCH_MIN
     data = [bytes([i]) * LINE_BYTES for i in range(n)]
+    built = list(mem._macs[:n])
     for i in range(n):
         mem.write_line(BASE + i * LINE_BYTES, data[i])
-    # each plaintext waits in the ciphertext array, with no MAC yet
-    assert list(mem._pending) == list(range(n)) and not any(mem._macs[:n])
+    # each plaintext waits in the ciphertext array, its MAC not yet updated
+    assert list(mem._pending) == list(range(n)) and list(mem._macs[:n]) == built
     assert bytes(mem._ct[:n * LINE_BYTES]) == b"".join(data)
     plain, _ = mem.read_line(BASE + 5 * LINE_BYTES)
-    assert plain == data[5] and not mem._pending and all(mem._macs[:n])
+    assert plain == data[5] and not mem._pending
+    assert all(mac != old for mac, old in zip(mem._macs[:n], built))
     assert bytes(mem._ct[:LINE_BYTES]) != data[0]
     assert [mem.read_line(BASE + i * LINE_BYTES)[0] for i in range(n)] == data
 

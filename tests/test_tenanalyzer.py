@@ -34,17 +34,19 @@ def make(n_lines=8192, crypto_on=True, **kw):
 
 
 def seed_entry(ta, base, nx, ny=1, stride=LINE_BYTES, vn=0):
-    """Plant a table entry directly (unit-test shortcut)."""
-    mac = 0
+    """Plant a table entry directly (unit-test shortcut), its lines zeros
+    sealed again under `vn`."""
     probe = MetaTableEntry(base, nx, ny, stride, vn, 0)
     mem = ta.mem
-    for va in probe.addresses():
-        idx = mem.line_index(va)
-        li = idx // 8
+    idxs = [mem.line_index(va) for va in probe.addresses()]
+    for idx in idxs:
         mem._vns[idx] = vn
-        mem.tree.update_path(li)
-        mem._written[idx] = 0
-        mem.line(idx)      # zeros, sealed under vn
+        mem.tree.update_path(idx // 8)
+        mem._ct[idx * LINE_BYTES:(idx + 1) * LINE_BYTES] = bytes(LINE_BYTES)
+        mem._pending[idx] = None
+    mem.seal()
+    mac = 0
+    for idx in idxs:
         mac ^= mem.macs[idx]
     e = MetaTableEntry(base, nx, ny, stride, vn, mac)
     assert ta._insert_entry(e) is not None
@@ -432,8 +434,9 @@ _N_HINT = 64
     (BASE, 16, {"row_lines": 4, "stride": 0x108}),      # stride not in lines
     (BASE, 16, {"row_lines": 8, "stride": 0x100}),      # rows overlap
     (BASE, 20, {"row_lines": 4, "stride": 0x400}),      # last row past the end
+    (BASE, 7, {"row_lines": 2, "stride": 0x100}),       # a partial last row
 ], ids=["below", "past", "unaligned", "empty", "stride_unaligned",
-        "stride_short", "rows_past"])
+        "stride_short", "rows_past", "partial_row"])
 def test_install_hint_rejects_a_bad_range_before_any_change(base, n_lines, kw):
     ta, mem = make(n_lines=_N_HINT)
     # entries on the region's first and last lines, which a range that
@@ -823,7 +826,7 @@ def _analyzer_state(ta: TenAnalyzer) -> tuple:
             list(ta.pending_hints), dict(mem.totals),
             list(cache._d.items()), cache.hits, cache.misses, cache.last_write,
             pending, bytes(mem._ct), list(mem.macs), list(mem._vns),
-            list(mem._codes), bytes(mem._written), mem.tree.root)
+            list(mem._codes), mem.tree.root)
 
 
 def _run_attempt(fn, *args):
@@ -902,8 +905,8 @@ _SPAN_EDGES = {
     "tampered_vn_mid_span": (
         _reads(0, 11) + _reads(11, 64), [11, 53], [(0, 64, "offchip")],
         (0, "vn_tamper", 40, 0, 0)),
-    # covered lines never written (a hint that carried a MAC materializes
-    # nothing), opened as the zeros they materialize to
+    # covered lines never written, under a hint that carried a MAC: they
+    # hold the zeros sealed when the memory was built
     "never_written_lines_in_a_span": (
         _reads(0, 30) + _reads(30, 64), [30, 34], [(0, 64, 0, 0x1234)], None),
     # boundary extensions over lines never written and lines written
@@ -962,8 +965,8 @@ def _diff_runs(records, crypto_on, cuts, hints, tamper, n_lines=_RUN_LINES):
     every run, and at a fault or a rejected write, what the core saw and
     the state must be equal. A write record may carry its plaintext. `hints` = [(first line, lines, VN[, MAC])] first installs tensor
     hints there, under the off-chip VN ("offchip") or the one given, which
-    the lines need not hold, and with the MAC given, if one is (which
-    materializes nothing); `tamper` = (after run, attack, line, source
+    the lines need not hold, and with the MAC given, if one is;
+    `tamper` = (after run, attack, line, source
     line, bit) attacks both memories once between runs."""
     sides = []
     for _ in range(2):
