@@ -13,9 +13,11 @@ operation additionally returns an itemized CostReport row.
 A write's encryption and MAC are deferred until the line is next observed,
 so that a run of writes is sealed in one batch, and a run of reads opens its
 lines in batches (see `ProtectedMemory`); `read_lines` and `write_lines`
-take a run of accesses with the result of one-line calls. `write_line` is
-`write_lines` of one line, and `read_line` does what `read_lines` of one
-line does.
+take a run of accesses with the result of one-line calls. Each line of a
+`write_lines` call names its VN source, so one call may mix misses and
+covered writes, and the metadata-cache touches of a call are batched (see
+`MetadataCache`). `write_line` is `write_lines` of one line, and
+`read_line` does what `read_lines` of one line does.
 """
 
 from __future__ import annotations
@@ -23,7 +25,9 @@ from __future__ import annotations
 from array import array
 from collections import OrderedDict
 from dataclasses import dataclass
-from itertools import islice
+from functools import reduce
+from itertools import compress, count, islice, takewhile
+from operator import ne, or_
 from typing import Optional, Sequence
 
 import numpy as np
@@ -43,8 +47,8 @@ HASH_CYCLES = 40
 # a read run opens, and a new memory seals, at most this many lines in one
 # batch, which bounds their transient arrays
 OPEN_CHUNK_LINES = 1024
-# `write_lines` stores a run of at least this many consecutive lines under an
-# explicit VN by slices, and shorter runs line by line. Slices against the
+# `write_lines` stores a run of at least this many consecutive lines under one
+# explicit VN and tag sink by slices, and shorter runs line by line. Slices against the
 # loop, covered writes of n lines (numpy 2.4, a shared 2-core x86 host, median
 # of 25 interleaved rounds): 0.75x at 1 line, 0.98x at 6, 1.06x at 8, 1.34x
 # at 32 (functional); 0.73x, 1.03x, 1.09x and 1.44x under the null key
@@ -88,7 +92,21 @@ class MetadataCache:
     `last_write` is the VN-line key whose write made the cache's last
     operation (`ProtectedMemory.write_lines` sets it), or None. Any other
     operation except a `get` of that same key clears it. While it is set,
-    that write's keys sit at the MRU end, dirty and in write order."""
+    that write's keys sit at the MRU end, dirty and in write order.
+
+    A run of writes touches the cache in a batch (`batch_get`,
+    `batch_holds`, `batch_put`, `end_batch`), with the result of the loop
+    in which each write gets its VN-line if it looks its VN up, then puts
+    the node-lines its tree update dirties and the VN-line, dirty, unless
+    the VN-line is `last_write`. A VN-line's first write in the batch puts
+    each of its keys the batch has not touched. Every key the batch touched
+    then sits after every key it did not, as in the loop, so each eviction
+    takes the key the loop's would: the oldest key the batch has not
+    touched, as long as the batch's distinct keys do not exceed
+    `capacity`. A later write of that VN-line only records its touch: its
+    lookup hits without a `get`. `end_batch` moves the batch's keys to the
+    MRU end in the order of their last touch. No other operation may come
+    between a batch's first touch and its end."""
 
     def __init__(self, capacity_bytes: int):
         self.capacity = max(1, capacity_bytes // LINE_BYTES)
@@ -96,6 +114,11 @@ class MetadataCache:
         self.hits = 0
         self.misses = 0
         self.last_write = None
+        # the open batch: each VN-line key it touched -> the (level, line)
+        # node-lines of its write, in the order of their last touch; and the
+        # node-lines it touched
+        self._batch: dict = {}
+        self._batch_nodes: set = set()
 
     def get(self, key):
         if self.last_write is not None and key != self.last_write:
@@ -117,6 +140,86 @@ class MetadataCache:
                 self.last_write = None
             d.move_to_end(key)
         self.hits += n
+
+    def batch_holds(self, vkey) -> bool:
+        """Whether the open batch holds VN-line `vkey`; if it does, a write
+        of it records its touch: its lookup hits without a `get` (the
+        caller counts the hit), and it makes no put."""
+        batch = self._batch
+        path = batch.pop(vkey, None)
+        if path is None:
+            return False
+        batch[vkey] = path
+        return True
+
+    def batch_get(self, vkey) -> bool:
+        """A write's `get` of VN-line `vkey`, which the open batch does not
+        hold: whether it hit. A lookup that misses ends the batch first,
+        since a tree walk follows it."""
+        if self._batch and vkey not in self._d:
+            self.end_batch()
+        return self.get(vkey) is not None
+
+    def batch_put(self, vkey, path: list) -> list:
+        """The puts of a write of VN-line `vkey`, which the open batch does
+        not hold, whose tree update dirties the (level, line) node-lines
+        `path`, leaf level first, each cached under ("tn", level, line)
+        with empty contents: a put of each key the batch has not touched.
+        Those node-lines are a leaf-level prefix of `path`, since a write
+        that touched a node-line touched every one above it. The batch ends
+        first if the write's keys could take its distinct keys past
+        `capacity`. Returns the dirty keys evicted."""
+        batch, nodes = self._batch, self._batch_nodes
+        n = len(path) + 1
+        if len(batch) + len(nodes) + n > self.capacity:
+            self.end_batch()
+        fresh = path
+        if nodes:
+            fresh = []
+            for node in path:
+                if node in nodes:
+                    break
+                fresh.append(node)
+        evicted = []
+        if self.last_write != vkey:
+            put = self.put
+            for node in fresh:
+                if out := put(("tn", *node), (), dirty=True):
+                    evicted += out
+            evicted += put(vkey, True, dirty=True)
+        # a write whose keys do not all fit may evict its own, so it is
+        # not held: the next write of its VN-line makes its own puts
+        if n <= self.capacity:
+            batch[vkey] = path
+            nodes.update(fresh)
+        return evicted
+
+    def end_batch(self) -> None:
+        """End the open batch: move its keys to the MRU end in the order of
+        their last touch, and leave its last write's VN-line `last_write`."""
+        batch = self._batch
+        if not batch:
+            return
+        if len(batch) > 1:
+            # each key once, where its last touch puts it: walking the
+            # writes from the last, the node-lines of a write that no later
+            # write touched are a leaf-level prefix of its path
+            seen, keys = set(), []
+            for vkey, path in reversed(batch.items()):
+                keys.append(vkey)
+                fresh = []
+                for node in path:
+                    if node in seen:
+                        break
+                    fresh.append(node)
+                seen.update(fresh)
+                keys += [("tn", *node) for node in reversed(fresh)]
+            move = self._d.move_to_end
+            for key in reversed(keys):
+                move(key)
+        self.last_write = next(reversed(batch))
+        batch.clear()
+        self._batch_nodes.clear()
 
     def peek(self, key):
         slot = self._d.get(key)
@@ -164,6 +267,33 @@ def as_line(plain) -> bytes:
     if len(plain) != LINE_BYTES:
         raise ValueError(f"a line is {LINE_BYTES} bytes, got {len(plain)}")
     return plain
+
+
+def consecutive_run(idxs: list, i: int, m: int) -> int:
+    """How many of the line indices from position `i` of `idxs` on, at most
+    `m` of them, run consecutively. The lines are compared in C, in windows
+    that double, so the cost follows the run, not `m`."""
+    idx, done, step = idxs[i], 1, 16
+    while done < m:
+        hi = min(m, done + step)
+        want = range(idx + done, idx + hi)
+        if idxs[i + hi - 1] - idx != hi - 1 or idxs[i + done:i + hi] != list(want):
+            # the first position of the window at which the run breaks
+            return done + next(compress(count(), map(ne, idxs[i + done:i + hi], want)))
+        done, step = hi, 2 * step
+    return m
+
+
+def _slice_end(idxs: list, sources, i: int) -> int:
+    """The position after the run of writes from position `i` on of
+    consecutive lines under the VN and tag sink of write `i`."""
+    vn, _, sink = sources[i]
+    end = i + consecutive_run(idxs, i, len(idxs) - i)
+    for j in range(i + 1, end):
+        src = sources[j]
+        if src is None or src[0] != vn or src[2] is not sink:
+            return j
+    return end
 
 
 class ProtectedMemory:
@@ -249,6 +379,15 @@ class ProtectedMemory:
         if off % LINE_BYTES or not (0 <= off < self.n_lines * LINE_BYTES):
             raise ValueError(f"pa {pa:#x} outside the region or unaligned")
         return off // LINE_BYTES
+
+    def line_indices(self, pas: list) -> list[int]:
+        """`line_index` of each address of `pas`, up to the first that is
+        outside the region or unaligned."""
+        base, size = self.base_pa, self.n_lines * LINE_BYTES
+        offs = [pa - base for pa in pas]
+        if offs and (min(offs) < 0 or max(offs) >= size or reduce(or_, offs) % LINE_BYTES):
+            offs = list(takewhile(lambda off: 0 <= off < size and not off % LINE_BYTES, offs))
+        return [off // LINE_BYTES for off in offs]
 
     def vn_of(self, pa: int) -> int:
         """Oracle view of the off-chip VN; no cost accounting."""
@@ -363,7 +502,10 @@ class ProtectedMemory:
     def walk_tree(self, pa: int, t: dict) -> None:
         """Verify the (cold-fetched) VN-line against the on-chip root, then
         cache the line and every node-line the walk touched."""
-        li = self.line_index(pa) // VNS_PER_LINE
+        self._walk(self.line_index(pa) // VNS_PER_LINE, t)
+
+    def _walk(self, li: int, t: dict) -> None:
+        """`walk_tree` of VN-line `li`."""
         fetched = self.tree.verify_path(li, self._vn_line(li),
                                         self._tree_cache_lookup)
         t["tree_rd"] += LINE_BYTES * len(fetched)
@@ -404,7 +546,9 @@ class ProtectedMemory:
         out = []
         pas = iter(pas)
         while chunk_pas := list(islice(pas, OPEN_CHUNK_LINES)):
-            chunk = [self.line_index(pa) for pa in chunk_pas]
+            chunk = self.line_indices(chunk_pas)
+            if len(chunk) < len(chunk_pas):
+                self.line_index(chunk_pas[len(chunk)])      # raises
             tags, plains = self.opened(chunk)[:2]
             for pa, idx, tag in zip(chunk_pas, chunk, tags):
                 self.read_opened(pa, idx, tag)
@@ -434,18 +578,20 @@ class ProtectedMemory:
             self.walk_tree(pa, t)
 
     def write_line(self, pa: int, plain, *, vn: Optional[int] = None,
-                   code: Optional[int] = None,
-                   covered: bool = False, tag_sink: Optional[list] = None,
+                   code: Optional[int] = None, tag_sink: Optional[list] = None,
                    collect: bool = False):
         """Re-encrypt under VN+1 (or an explicit supplied VN) and binding
         code `code` (by default the line's own), recompute the MAC, store
         all three off-chip, and update the tree path: `write_lines` of the
-        one line. Returns a CostReport with collect=True, else None."""
+        one line, whose source is None without `vn`, else `(vn, code,
+        tag_sink)`. A code or a tag sink without `vn` raises ValueError.
+        Returns a CostReport with collect=True, else None."""
+        if vn is None and (code is not None or tag_sink is not None):
+            raise ValueError("a binding code or a tag sink needs an explicit VN")
         t = self.totals
         t0 = dict(t) if collect else None
-        self.write_lines((pa,), (plain,), vn=vn,
-                         codes=None if code is None else (code,),
-                         covered=covered, tag_sink=tag_sink)
+        self.write_indexed([self.line_index(pa)], [as_line(plain)],
+                          None if vn is None else ((vn, code, tag_sink),))
         if not collect:
             return None
         return CostReport(
@@ -455,101 +601,140 @@ class ProtectedMemory:
             tree_bytes=t["tree_wr"] - t0["tree_wr"] + t["tree_rd"] - t0["tree_rd"],
             cycles=t["cycles"] - t0["cycles"])
 
-    def write_lines(self, pas, plains, *, vn: Optional[int] = None,
-                    codes=None, covered: bool = False,
-                    tag_sink: Optional[list] = None) -> None:
+    def write_lines(self, pas, plains, sources=None) -> None:
         """Write each line of `pas` in order with the plaintext (`as_line`)
-        and, if `codes` is given, the binding code at its position: encrypt
-        it under its VN + 1 (or `vn`), MAC it, store both and the VN off-chip
-        and update its tree path. Each line resolves its VN and walks the
-        tree on a cold fetch (unless `vn` is given), stores its state and
-        makes its metadata-cache puts in turn; the counters are charged as
-        sums, also when a cold walk faults, so that a fault leaves the state
-        of the writes before it. VN-line and tree-node drain coalesces
-        through the metadata cache; the MAC region drains per write, except
-        for `covered` (tensor-covered) writes, whose integrity root is the
-        entry's aggregate MAC. The encryption and MAC wait for the next
-        `seal()`, which appends each fresh tag to `tag_sink` if one is
-        given. A line whose VN-line is the cache's `last_write` skips its
-        puts, which would evict nothing, and, set by the line before it in
-        this call, its tree update, since the leaf is already pending. An
-        address outside the region, or a plaintext that is not one line,
-        raises before any write."""
+        at its position, under the VN source at its position of `sources`
+        (by default, None for every line). A source of None resolves the
+        line's VN, walks the tree on a cold fetch and writes under VN + 1;
+        a source `(vn, code, sink)` writes under `vn` and binding code
+        `code` (None: the line's own), and is a covered (tensor-covered)
+        write if it names a tag sink `sink`. Each write encrypts the line,
+        MACs it, stores both and the VN off-chip and updates its tree path,
+        in turn; the counters are charged as sums, also when a cold walk
+        faults, so that a fault leaves the state of the writes before it.
+        VN-line and tree-node drain coalesces through the metadata cache;
+        the MAC region drains per write, except for covered writes, whose
+        integrity root is the entry's aggregate MAC. The encryption and MAC
+        wait for the next `seal()`, which appends each covered write's
+        fresh tag to its sink. The metadata-cache touches are batched (see
+        `MetadataCache`). An address outside the region, or a plaintext
+        that is not one line, raises before any write."""
         idxs = list(map(self.line_index, pas))
         plains = list(map(as_line, plains))
         n = len(idxs)
-        if len(plains) != n:
-            raise ValueError("one plaintext per address")
-        t, cache, tree, key = self.totals, self.cache, self.tree, self.key
-        ct, vns, pending = self._ct, self._vns, self._pending
-        fixed_vn = None if vn is None else vn & MASK56
-        depth = tree.depth
-        started = done = 0
+        if len(plains) != n or (sources is not None and len(sources) != n):
+            raise ValueError("one plaintext and one source per address")
+        self.write_indexed(idxs, plains, sources)
+
+    def write_indexed(self, idxs: list, plains: list, sources) -> None:
+        """`write_lines` of the lines `idxs`, by index (`line_index`), with
+        plaintexts `plains` that are lines already (`as_line`), each a list,
+        and `sources` None or a sequence. Each run of `WRITE_SLICE_MIN` or
+        more consecutive lines under one explicit VN and tag sink is stored
+        by slices (`_write_slice`) when the cache holds a write's keys."""
+        t, cache, key = self.totals, self.cache, self.key
+        ct, vns, pending, line_codes = self._ct, self._vns, self._pending, self._codes
+        depth = self.tree.depth
+        n = len(idxs)
+        # whether the batch holds a write's keys: then the VN-line of the
+        # write before, which the batch holds as its last touch, needs no
+        # touch, and a run of explicit-VN writes may be sliced from position
+        # `slice_from` on
+        batching = cache.capacity > depth
+        slice_from = 0 if sources is not None and batching else n
+        prev_li = -1
+        started = done = wb = 0
+        i = 0
         try:
-            if fixed_vn is not None and n >= WRITE_SLICE_MIN \
-                    and cache.capacity > depth and idxs[-1] - idxs[0] == n - 1 \
-                    and idxs == list(range(idxs[0], idxs[0] + n)) \
-                    and not (pending and any(pending.get(i) is not None for i in idxs)):
-                self._write_slice(idxs[0], plains, fixed_vn, codes, tag_sink)
-                started = done = n
-                return
-            if codes is None:
-                codes = (None,) * n
-            prev_li = None
-            for pa, idx, plain, code in zip(pas, idxs, plains, codes):
-                started += 1
-                if fixed_vn is None:
-                    old_vn, cold = self.resolve_vn(pa, t)
-                    if cold:
-                        self.walk_tree(pa, t)
-                    new_vn = (old_vn + 1) & MASK56
+            while i < n:
+                idx = idxs[i]
+                src = None if sources is None else sources[i]
+                li = idx // VNS_PER_LINE
+                again = li == prev_li and batching
+                if not again:
+                    vkey = ("vn", li)
+                    held = cache.batch_holds(vkey)
+                if src is None:
+                    started += 1
+                    if again or held:
+                        cache.hits += 1
+                    elif not cache.batch_get(vkey):
+                        t["vn_rd"] += LINE_BYTES
+                        self._walk(li, t)
+                    new_vn = (vns[idx] + 1) & MASK56
+                    code = sink = None
                 else:
-                    new_vn = fixed_vn
+                    new_vn, code, sink = src
+                    new_vn &= MASK56
+                    if i >= slice_from and n - i >= WRITE_SLICE_MIN \
+                            and idxs[i + WRITE_SLICE_MIN - 1] - idx == WRITE_SLICE_MIN - 1:
+                        j = _slice_end(idxs, sources, i)
+                        m = j - i
+                        span = range(idx, idx + m)
+                        if m >= WRITE_SLICE_MIN and (pending.keys().isdisjoint(span) or all(
+                                pending.get(k) is None for k in span)):
+                            self._write_slice(idx, plains[i:j], new_vn,
+                                              [s[1] for s in sources[i:j]], sink)
+                            started += m
+                            done += m
+                            if sink is None:
+                                wb += m
+                            prev_li = (idx + m - 1) // VNS_PER_LINE
+                            i = j
+                            continue
+                        slice_from = j
+                    started += 1
                 if pending.get(idx) is not None:
                     # a pending write that feeds a tag sink is sealed before
                     # its line is overwritten, so the sink still gets its tag
                     self.seal()
                 if code is not None:
-                    self._codes[idx] = code
+                    line_codes[idx] = code
                 o = idx * LINE_BYTES
+                plain = plains[i]
                 ct[o:o + LINE_BYTES] = plain
                 vns[idx] = new_vn
                 if key.null:
                     # stored at once: deferring made a light criterion-4
                     # iteration 6-10% slower
-                    tag = self._macs[idx] = line_tag(key, self._codes[idx], new_vn, plain)
-                    if tag_sink is not None:
-                        tag_sink.append(tag)
+                    tag = self._macs[idx] = line_tag(key, line_codes[idx], new_vn, plain)
+                    if sink is not None:
+                        sink.append(tag)
                 else:
-                    pending[idx] = tag_sink
-                li = idx // VNS_PER_LINE
-                if cache.last_write != ("vn", li):
-                    self._put_write_keys(li)
-                elif li != prev_li:
-                    # `last_write` was left by an earlier call, after which
-                    # the tree may have flushed the leaf
-                    tree.update_path(li)
-                prev_li = li
+                    pending[idx] = sink
+                if not again:
+                    if not held:
+                        self._put_write_keys(li, vkey)
+                    prev_li = li
+                if sink is None:
+                    wb += 1
                 done += 1
+                i += 1
         finally:
+            cache.end_batch()
             t["writes"] += started
             t["cycles"] += (AES_CYCLES + MAC_CYCLES + HASH_CYCLES * (depth + 1)) * done
             t["tree_wr"] += LINE_BYTES * depth * done
             t["data_wr"] += LINE_BYTES * done
             t["mac_wr"] += LINE_BYTES * done
             t["vn_wr"] += LINE_BYTES * done
-            if not covered:
-                t["mac_wb"] += LINE_BYTES * done
+            t["mac_wb"] += LINE_BYTES * wb
 
-    def _write_slice(self, lo: int, plains: list, vn: int, codes, tag_sink) -> None:
-        """The stores and metadata-cache puts of `write_lines` of the lines
-        from `lo` on, under explicit VN `vn`, by slices: what its loop does
-        when no line feeds a pending tag sink and the cache holds a write's
-        keys, so that each VN-line's later lines skip their puts."""
+    def _write_slice(self, lo: int, plains: list, vn: int, codes: list, sink) -> None:
+        """The stores and metadata-cache touches of `write_indexed` of the
+        lines from `lo` on, under explicit VN `vn`, binding codes `codes`
+        (None: the line's own) and tag sink `sink`, by slices: what its
+        loop does when no line feeds a pending tag sink and the cache
+        holds a write's keys, so that each VN-line's later lines make no
+        puts."""
         n = len(plains)
         hi = lo + n
-        if codes is not None:
+        if None not in codes:
             self._codes[lo:hi] = array("Q", codes)
+        elif codes.count(None) < n:
+            for i, code in enumerate(codes, lo):
+                if code is not None:
+                    self._codes[i] = code
         self._ct[lo * LINE_BYTES:hi * LINE_BYTES] = b"".join(plains)
         self._vns[lo:hi] = array("Q", (vn,)) * n
         key = self.key
@@ -559,35 +744,24 @@ class ProtectedMemory:
                               memoryview(self._ct)[lo * LINE_BYTES:hi * LINE_BYTES], vn,
                               decrypt=False)[0]
             self._macs[lo:hi] = array("Q", tags)
-            if tag_sink is not None:
-                tag_sink += tags
+            if sink is not None:
+                sink += tags
         else:
-            self._pending.update(dict.fromkeys(range(lo, hi), tag_sink))
-        # each VN-line's first line makes the puts of the loop, and its
-        # later lines skip them, the first leaving `last_write` set
+            self._pending.update(dict.fromkeys(range(lo, hi), sink))
         cache = self.cache
         for li in range(lo // VNS_PER_LINE, (hi - 1) // VNS_PER_LINE + 1):
-            if cache.last_write != ("vn", li):
-                self._put_write_keys(li)
-            else:
-                self.tree.update_path(li)
+            vkey = ("vn", li)
+            if not cache.batch_holds(vkey):
+                self._put_write_keys(li, vkey)
 
-    def _put_write_keys(self, li: int) -> None:
-        """A write's tree-path update of VN-line `li` and its metadata-cache
-        puts: each dirtied node-line, cached with empty contents that the
-        tree's next flush (which precedes any walk that could read it) fills
-        in, then the VN-line, which becomes the cache's `last_write` unless a
-        write's keys do not all fit, when it may have evicted its own."""
-        cache = self.cache
-        keys = self.tree.update_path(li)
-        for k in keys:
-            if evicted := cache.put(("tn",) + k, (), dirty=True):
-                self._charge_drain(evicted)
-        vkey = ("vn", li)
-        if evicted := cache.put(vkey, True, dirty=True):
+    def _put_write_keys(self, li: int, vkey) -> None:
+        """The tree-path update of a write of VN-line `li`, whose cache key
+        is `vkey`, and its metadata-cache puts (`MetadataCache.batch_put`):
+        each dirtied node-line, cached with empty contents that the tree's
+        next flush (which precedes any walk that could read it) fills in,
+        then the VN-line."""
+        if evicted := self.cache.batch_put(vkey, self.tree.update_path(li)):
             self._charge_drain(evicted)
-        if cache.capacity > len(keys):
-            cache.last_write = vkey
 
     def line_mac(self, pa: int) -> int:
         return self.macs[self.line_index(pa)]

@@ -84,6 +84,12 @@ def mix64(x: int) -> int:
     return x ^ (x >> 31)
 
 
+def binding_code(mode: int, pa_or_tensor_id: int, offset_bytes: int = 0) -> int:
+    """The injective 64-bit code of a counter binding (`CounterBinding`),
+    which keystream and MAC folding take in its place."""
+    return mix64((pa_or_tensor_id ^ mix64(offset_bytes)) ^ (int(mode) << 62))
+
+
 @dataclass(frozen=True, slots=True)
 class CounterBinding:
     """Address half of the encryption counter.
@@ -102,10 +108,9 @@ class CounterBinding:
     def __post_init__(self):
         if self.mode == BindingMode.TENSOR_LOGICAL and self.offset_bytes % LINE_BYTES:
             raise ValueError("tensor-logical offset must be 64-byte aligned")
-        # injective 64-bit encoding used by keystream/mac folding; a binding
-        # is immutable, so it is computed once
-        object.__setattr__(self, "_code", mix64(
-            (self.pa_or_tensor_id ^ mix64(self.offset_bytes)) ^ (int(self.mode) << 62)))
+        # a binding is immutable, so its code is computed once
+        object.__setattr__(self, "_code", binding_code(
+            self.mode, self.pa_or_tensor_id, self.offset_bytes))
 
     def code(self) -> int:
         return self._code

@@ -30,21 +30,25 @@ opens its lines in batches, and takes each maximal span of reads whose
 per-line steps only add (covered reads continuing one sweep run, boundary
 reads extending one entry) in one step; a write run takes each span of
 in-update writes in one step and stores its in-update lines and its misses
-in segments. Any other access takes the per-line step at its position.
+with one memory write between two per-line steps, each line under its own
+VN source. Any other access takes the per-line step at its position.
 """
 
 from __future__ import annotations
 
 import json
+from array import array
 from dataclasses import dataclass
 from functools import reduce
 from itertools import islice
 from operator import attrgetter, xor
 from typing import Optional
 
-from .baseline import AES_CYCLES, MAC_CYCLES, OPEN_CHUNK_LINES, ProtectedMemory, as_line
+from .baseline import (
+    AES_CYCLES, MAC_CYCLES, OPEN_CHUNK_LINES, ProtectedMemory, as_line, consecutive_run,
+)
 from .crypto import (
-    LINE_BYTES, MASK56, IntegrityFault, mac_xor_aggregate, tensor_binding_codes,
+    LINE_BYTES, MASK56, BindingMode, IntegrityFault, binding_code, mac_xor_aggregate,
     tensor_line_codes,
 )
 # unused, but perfbench/tests' tracer test looks these names up here
@@ -163,18 +167,6 @@ class MetaTableEntry:
         return {"base": self.base, "dims": [self.nx, self.ny, self.planes],
                 "stride": self.stride, "vn": self.vn, "uf": self.uf,
                 "bs": self.bs, "valid": self.valid}
-
-
-def _run_ends(vas: list) -> list[int]:
-    """For each position of `vas`, the position after the run of
-    consecutive lines it belongs to."""
-    n = len(vas)
-    ends, end = [n] * n, n
-    for i in range(n - 2, -1, -1):
-        if vas[i + 1] - vas[i] != LINE_BYTES:
-            end = i + 1
-        ends[i] = end
-    return ends
 
 
 class _Span:
@@ -384,7 +376,9 @@ class TenAnalyzer:
         out = []
         vas = iter(vas)
         while chunk_vas := list(islice(vas, OPEN_CHUNK_LINES)):
-            chunk = [mem.line_index(va) for va in chunk_vas]
+            chunk = mem.line_indices(chunk_vas)
+            if len(chunk) < len(chunk_vas):
+                mem.line_index(chunk_vas[len(chunk)])       # raises
             tags, plains, vns = mem.opened(chunk)
             p, n = 0, len(chunk)
             while p < n:
@@ -865,15 +859,18 @@ class TenAnalyzer:
 
     def write_run(self, vas, plains) -> None:
         """`on_write(va, plain)` of each line of `vas` and plaintext of
-        `plains`, in order. In-update writes (`w_hit_in`) to consecutive
-        unwritten lines of one row of an updating entry, short of its last
-        address, form one span, whose written flags, `update_count` and
-        stats are set in one step; consecutive spans of one entry form one
-        segment, and consecutive misses another. A segment is stored with
-        one `ProtectedMemory.write_lines` before the next write of another
-        kind. Edge writes, invalidating writes and misses the tensor filter
-        holds go through `on_write` at their position. The run ends at a
-        plaintext that is not one line, whose `on_write` then raises."""
+        `plains`, in order. Misses and in-update writes (`w_hit_in`) are
+        gathered, in order, into one `ProtectedMemory` write of their lines,
+        each under its VN source: None for a miss, and for an in-update
+        write its entry's next VN, its tensor-logical binding for a tensor
+        and its entry's tag sink. In-update writes to consecutive unwritten
+        lines of one row of an updating entry, short of its last address,
+        form one span, whose written flags, `update_count` and stats are
+        set in one step. The gathered writes are stored before each write
+        that goes through `on_write` at its position (edge writes,
+        invalidating writes and misses the tensor filter holds) and at the
+        end. The run ends at a plaintext that is not one line, or an
+        address outside the region, whose `on_write` then raises."""
         vas, lines = list(vas), []
         try:
             for plain in islice(plains, len(vas)):
@@ -882,98 +879,100 @@ class TenAnalyzer:
             stop = len(lines)
             self.write_run(vas[:stop], lines)
             self.on_write(vas[stop], plain)     # raises, as `as_line` did
+        idxs = self.mem.line_indices(vas)
+        if len(idxs) < len(vas):
+            stop = len(idxs)
+            self.write_run(vas[:stop], lines)
+            self.on_write(vas[stop], lines[stop])   # raises, as `line_index` does
         plains = lines
         if not self.en_tmf:
-            self._write_misses(vas, plains)
+            self._store_run(idxs, plains, None, [])
             return
         # only reads change which addresses the filter holds
         held = {a for f in self.filter for a, _, _ in f.addrs}
         # an entry's tensor id and geometry stay fixed while it updates
-        codes: dict[MetaTableEntry, list] = {}
-        # the position after the run of consecutive lines each write is in
-        ends = _run_ends(vas)
-        stats = self.stats
-        # the open segment: its entry (None: misses), lines, plaintexts, ordinals
-        seg_e, seg_vas, seg_plains, ks = None, [], [], []
+        codes: dict[MetaTableEntry, array] = {}
+        cover, stats = self._cover, self.stats
+        # the gathered writes: lines, plaintexts, VN sources, and the spans
+        # (entry, first ordinal, lines, position)
+        run_idxs, run_plains, sources, spans = [], [], [], []
         i, n = 0, len(vas)
         while i < n:
-            va = vas[i]
-            e = self.entry_at(va)
+            idx = idxs[i]
+            e = cover[idx]
             if e is None:
-                if va not in held:
-                    if seg_e is not None:
-                        self._write_segment(seg_e, seg_vas, seg_plains, ks, codes)
-                        seg_e, seg_vas, seg_plains, ks = None, [], [], []
-                    seg_vas.append(va)
-                    seg_plains.append(plains[i])
+                if vas[i] not in held:
+                    run_idxs.append(idx)
+                    run_plains.append(plains[i])
+                    sources.append(None)
                     i += 1
                     continue
-            elif e.uf and va != e.last_addr:
-                k = e.ordinal(va)
+            elif e.uf and vas[i] != e.last_addr:
+                k = e.ordinal(vas[i])
                 written = e.written
                 if not written[k]:
-                    if seg_e is not e:
-                        self._write_segment(seg_e, seg_vas, seg_plains, ks, codes)
-                        seg_e, seg_vas, seg_plains, ks = e, [], [], []
                     # the span: consecutive lines of k's row, short of the
                     # last address and of the next line already written
-                    m = ends[i] - i
-                    if m > 1:
-                        m = min(m, e.nx - k % e.nx, e.line_count - 1 - k)
+                    m = 1
+                    if i + 1 < n and idxs[i + 1] == idx + 1:
+                        m = consecutive_run(
+                            idxs, i, min(n - i, e.nx - k % e.nx, e.line_count - 1 - k))
                         w = written.find(1, k + 1, k + m)
                         if w >= 0:
                             m = w - k
                     written[k:k + m] = b"\x01" * m
                     e.update_count += m
                     stats["w_hit_in"] += m
-                    seg_vas += vas[i:i + m]
-                    seg_plains += plains[i:i + m]
-                    ks += range(k, k + m)
+                    spans.append((e, k, m, len(sources)))
+                    vn, sink = (e.vn + 1) & MASK56, e.write_tags
+                    if e.tensor_id is None:
+                        sources += [(vn, None, sink)] * m
+                    else:
+                        if e not in codes:
+                            codes[e] = tensor_line_codes(e.tensor_id, e.line_count)
+                        sources += [(vn, code, sink) for code in codes[e][k:k + m]]
+                    run_idxs += idxs[i:i + m]
+                    run_plains += plains[i:i + m]
                     i += m
                     continue
-            self._write_segment(seg_e, seg_vas, seg_plains, ks, codes)
-            seg_e, seg_vas, seg_plains, ks = None, [], [], []
-            self.on_write(va, plains[i])
+            if sources:
+                self._store_run(run_idxs, run_plains, sources, spans)
+                run_idxs, run_plains, sources, spans = [], [], [], []
+            self.on_write(vas[i], plains[i])
             i += 1
-        self._write_segment(seg_e, seg_vas, seg_plains, ks, codes)
+        if sources:
+            self._store_run(run_idxs, run_plains, sources, spans)
 
-    def _write_segment(self, e: Optional[MetaTableEntry], vas: list, plains: list,
-                       ks: list, codes: dict) -> None:
-        """Store one `write_run` segment of lines `vas` with `plains`:
-        misses, or in-update lines of entry `e`, at its ordinals `ks`, under
-        its next VN and, for a tensor, their tensor-logical bindings."""
-        if not vas:
-            return
-        if e is None:
-            self._write_misses(vas, plains)
-            return
-        line_codes = None
-        if e.tensor_id is not None:
-            if e not in codes:
-                codes[e] = tensor_line_codes(e.tensor_id, e.line_count)
-            entry_codes = codes[e]
-            line_codes = [entry_codes[k] for k in ks]
-        self.mem.write_lines(vas, plains, vn=(e.vn + 1) & MASK56, codes=line_codes,
-                             covered=True, tag_sink=e.write_tags)
-
-    def _write_misses(self, vas, plains) -> None:
+    def _store_run(self, idxs: list, plains: list, sources, spans: list) -> None:
+        """Store the writes `write_run` gathered: lines `idxs` with
+        `plains` under their VN `sources` (None: all misses). `spans` lists
+        the in-update spans among them as (entry, first ordinal, lines,
+        position). A miss whose cold walk faults undoes the written flags,
+        `update_count` and stats of the spans after it, and counts the
+        misses before it."""
         mem = self.mem
         w0 = mem.totals["writes"]
         try:
-            mem.write_lines(vas, plains)
+            mem.write_indexed(idxs, plains, sources)
         except IntegrityFault:
             # the write whose cold walk faulted counts in `writes`, not as a miss
-            self.stats["w_miss"] += mem.totals["writes"] - w0 - 1
+            f = mem.totals["writes"] - w0 - 1
+            self.stats["w_miss"] += f if sources is None else sources[:f].count(None)
+            for e, k, m, at in spans:
+                if at > f:
+                    e.written[k:k + m] = bytes(m)
+                    e.update_count -= m
+                    self.stats["w_hit_in"] -= m
             raise
-        self.stats["w_miss"] += len(vas)
+        self.stats["w_miss"] += len(idxs) if sources is None else sources.count(None)
 
     def _write_covered(self, e: MetaTableEntry, va: int, plain, k: int) -> None:
         e.written[k] = 1
         e.update_count += 1
         code = None if e.tensor_id is None else \
-            int(tensor_binding_codes(e.tensor_id, (k * LINE_BYTES,))[0])
+            binding_code(BindingMode.TENSOR_LOGICAL, e.tensor_id, k * LINE_BYTES)
         self.mem.write_line(va, plain, vn=(e.vn + 1) & MASK56, code=code,
-                            covered=True, tag_sink=e.write_tags)
+                            tag_sink=e.write_tags)
 
     def _finish_update(self, e: MetaTableEntry) -> WriteOutcome:
         # Assert2 held, so every covered line was written exactly once in

@@ -13,12 +13,12 @@ from hypothesis import strategies as st
 
 from teesim.baseline import (
     AES_CYCLES, MAC_CYCLES, OPEN_CHUNK_LINES, CostReport, MetadataCache,
-    ProtectedMemory,
+    ProtectedMemory, consecutive_run,
 )
 from teesim.crypto import (
     OPEN_BATCH_MIN, SEAL_BATCH_MIN, BindingMode, CounterBinding,
-    IntegrityFault, KeyMaterial, LINE_BYTES, VnTree, line_pad, line_tag,
-    tensor_binding_codes,
+    IntegrityFault, KeyMaterial, LINE_BYTES, VnTree, binding_code, line_pad,
+    line_tag,
 )
 from teesim.tenanalyzer import HIT_IN, TenAnalyzer
 
@@ -499,9 +499,9 @@ def test_overwritten_pending_write_still_feeds_its_tag_sink():
     sinks = []
     for mem in (make_mem(64), EagerProtectedMemory(BASE, 64, KEY)):
         sink = []
-        mem.write_line(BASE, b"\x01" * LINE_BYTES, tag_sink=sink)
+        mem.write_line(BASE, b"\x01" * LINE_BYTES, vn=1, tag_sink=sink)
         mem.write_line(BASE, b"\x02" * LINE_BYTES)
-        mem.write_line(BASE + LINE_BYTES, b"\x03" * LINE_BYTES, tag_sink=sink)
+        mem.write_line(BASE + LINE_BYTES, b"\x03" * LINE_BYTES, vn=1, tag_sink=sink)
         mem.install_lines(BASE + LINE_BYTES, [CounterBinding(
             BindingMode.PHYSICAL_ADDR, BASE + LINE_BYTES).code()],
             bytes(LINE_BYTES), [0], 7)
@@ -565,10 +565,22 @@ class _EveryPutCache(MetadataCache):
         pass
 
 
-class PerLineProtectedMemory(ProtectedMemory):
+class LoopProtectedMemory(ProtectedMemory):
+    """The reference for the run methods: `read_lines` and `write_lines` as
+    loops of one-line calls."""
+
+    def read_lines(self, pas):
+        return [self.read_line(pa)[0] for pa in pas]
+
+    def write_lines(self, pas, plains, sources=None):
+        for i, (pa, plain) in enumerate(zip(pas, plains)):
+            super().write_lines((pa,), (plain,), None if sources is None else (sources[i],))
+
+
+class PerLineProtectedMemory(LoopProtectedMemory):
     """The reference: every read decrypted and verified alone by the scalar
-    kernels, with no batch, and every write making all of its
-    metadata-cache puts."""
+    kernels, with no batch, and every write a call of its own, making all
+    of its metadata-cache puts."""
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
@@ -592,8 +604,17 @@ class PerLineProtectedMemory(ProtectedMemory):
             self.walk_tree(pa, t)
         return plain, None
 
-    def read_lines(self, pas):
-        return [self.read_line(pa)[0] for pa in pas]
+
+_SOURCE = st.none() | st.tuples(st.booleans(), st.sampled_from([None, 0, 1]))
+
+
+def _sources(m, lines, sources):
+    """The VN sources `write_lines` takes on memory `m` for the lines
+    `lines` and the drawn `sources`: VN 3 for an explicit one."""
+    return [None if src is None else
+            (3, binding_code(BindingMode.TENSOR_LOGICAL, 9, i * LINE_BYTES) if src[0] else None,
+             None if src[1] is None else m.sinks[src[1]])
+            for i, src in zip(lines, sources)]
 
 
 def _run_ops(n_lines):
@@ -601,10 +622,14 @@ def _run_ops(n_lines):
     line = st.integers(0, 15) | st.integers(0, n_lines - 1)
     return st.lists(st.one_of(
         st.tuples(st.just("write"), line),
-        # lines, an explicit VN, tensor-logical codes, covered, a tag sink
-        st.tuples(st.just("write_lines"), st.lists(line, min_size=1, max_size=20),
-                  st.sampled_from([None, 3]), st.booleans(), st.booleans(),
-                  st.booleans()),
+        # each line with its source: None, or an explicit VN with or
+        # without a tensor-logical code and with one of two tag sinks or none
+        st.tuples(st.just("write_lines"),
+                  st.lists(st.tuples(line, _SOURCE), min_size=1, max_size=20)),
+        # consecutive lines from a first one under one explicit source, then
+        # misses: one call that may store by slices
+        st.tuples(st.just("write_span"), line, st.integers(1, 24), _SOURCE.filter(bool),
+                  st.lists(line, max_size=4)),
         st.tuples(st.just("burst"), line, st.integers(1, 20)),
         # a write run with a read of one other line after each write
         st.tuples(st.just("interleave"), line, st.integers(1, 6), line),
@@ -637,7 +662,7 @@ def _drive(mems, ops, n_lines, state=_cache_state):
     default the cache and the totals) must be equal."""
     serial = 0
     for m in mems:
-        m.sink = []
+        m.sinks = [], []
 
     def both(fn):
         out = []
@@ -665,15 +690,17 @@ def _drive(mems, ops, n_lines, state=_cache_state):
         kind = op[0]
         if kind == "write":
             write(op[1])
-        elif kind == "write_lines":
-            _, lines, vn, coded, covered, sink = op
+        elif kind in ("write_lines", "write_span"):
+            if kind == "write_lines":
+                lines, sources = zip(*op[1])
+            else:
+                _, first, count, src, misses = op
+                lines = [*range(first, min(first + count, n_lines)), *misses]
+                sources = [src] * (len(lines) - len(misses)) + [None] * len(misses)
             pas = [BASE + i * LINE_BYTES for i in lines]
             data = [(serial + j).to_bytes(4, "little") * 16 for j in range(len(lines))]
             serial += len(lines)
-            codes = (tensor_binding_codes(9, [i * LINE_BYTES for i in lines]).tolist()
-                     if coded else None)
-            both(lambda m: m.write_lines(pas, data, vn=vn, codes=codes, covered=covered,
-                                         tag_sink=m.sink if sink else None))
+            both(lambda m: m.write_lines(pas, data, _sources(m, lines, sources)))
         elif kind == "burst":
             for j in range(op[2]):
                 write((op[1] + j) % n_lines)
@@ -717,24 +744,9 @@ def test_run_reads_and_write_fast_path_match_per_line_reference(
             for cls in (ProtectedMemory, PerLineProtectedMemory)]
     _drive(mems, data.draw(_run_ops(n_lines)), n_lines)
     fast, ref = mems
-    assert _store(fast) == _store(ref) and fast.sink == ref.sink
+    assert _store(fast) == _store(ref) and fast.sinks == ref.sinks
     if crypto_on:
         assert fast.tree.root == ref.tree.root
-
-
-class LoopProtectedMemory(ProtectedMemory):
-    """The reference for the run methods: `read_lines` and `write_lines` as
-    loops of one-line calls."""
-
-    def read_lines(self, pas):
-        return [self.read_line(pa)[0] for pa in pas]
-
-    def write_lines(self, pas, plains, vn=None, codes=None, covered=False,
-                    tag_sink=None):
-        for i, (pa, plain) in enumerate(zip(pas, plains)):
-            super().write_lines((pa,), (plain,), vn=vn,
-                                codes=None if codes is None else (codes[i],),
-                                covered=covered, tag_sink=tag_sink)
 
 
 @pytest.mark.parametrize("crypto_on", [True, False])
@@ -749,7 +761,7 @@ def test_run_methods_match_one_line_calls(crypto_on, n_lines, cache_bytes, data)
             for cls in (ProtectedMemory, LoopProtectedMemory)]
     _drive(mems, data.draw(_run_ops(n_lines)), n_lines, state=_full_state)
     run, ref = mems
-    assert _store(run) == _store(ref) and run.sink == ref.sink
+    assert _store(run) == _store(ref) and run.sinks == ref.sinks
     assert run.tree.root == ref.tree.root
 
 
@@ -799,3 +811,183 @@ def test_read_lines_opens_in_bounded_chunks(crypto_on):
     whole, out = peak(n)
     returned = n * (len(out) and sys.getsizeof(out[0]) + 8)
     assert whole <= one_chunk + returned, (whole, one_chunk, returned)
+
+
+# -- batched metadata-cache touches ------------------------------------------------
+
+_DEPTH = 2
+
+
+def _node_path(li):
+    """The (level, line) node-lines a write of VN-line `li` dirties, in a
+    tree of `_DEPTH` levels."""
+    return [(level, li >> 3 * (level + 1)) for level in range(_DEPTH)]
+
+
+def _walk_puts(cache, li, drained):
+    """What a cold walk of VN-line `li` caches: its node-lines, clean and
+    with contents, then the VN-line."""
+    for level, j in _node_path(li):
+        drained += cache.put(("tn", level, j), (level, j))
+    drained += cache.put(("vn", li), True)
+
+
+def _touch_loop(cache, writes, drained):
+    """The reference: each write of VN-line `li` (looking its VN up first if
+    `lookup`) makes every `get` and `put` of the per-write loop."""
+    for li, lookup in writes:
+        vkey = ("vn", li)
+        if lookup and cache.get(vkey) is None:
+            _walk_puts(cache, li, drained)
+        if cache.last_write != vkey:
+            for level, j in _node_path(li):
+                drained += cache.put(("tn", level, j), (), dirty=True)
+            drained += cache.put(vkey, True, dirty=True)
+            if cache.capacity > _DEPTH:
+                cache.last_write = vkey
+
+
+class _CountingCache(MetadataCache):
+    """Counts the batches it ends and checks, at each batched touch, that a
+    batch never holds more distinct keys than the cache does."""
+
+    ends = 0
+
+    def _check(self):
+        assert len(self._batch) + len(self._batch_nodes) <= self.capacity
+
+    def end_batch(self):
+        self.ends += bool(self._batch)
+        super().end_batch()
+
+    def batch_put(self, vkey, path):
+        out = super().batch_put(vkey, path)
+        self._check()
+        return out
+
+
+def _touch_batch(cache, writes, drained):
+    """The same writes as one batch, as `ProtectedMemory.write_indexed`
+    touches the cache."""
+    for li, lookup in writes:
+        vkey = ("vn", li)
+        held = cache.batch_holds(vkey)
+        if lookup:
+            if held:
+                cache.hits += 1
+            elif not cache.batch_get(vkey):
+                _walk_puts(cache, li, drained)
+        if not held:
+            drained += cache.batch_put(vkey, _node_path(li))
+    cache.end_batch()
+
+
+def _cache_view(cache, drained):
+    return (list(cache._d.items()), drained, cache.hits, cache.misses, cache.last_write)
+
+
+@pytest.mark.parametrize("span", [2, 9, 20])
+@pytest.mark.parametrize("capacity", [2, 12])
+@given(data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_batched_touches_match_the_put_and_get_loop(span, capacity, data):
+    # 12 keys hold the 2 + 1 + 1 distinct keys of two VN-lines, exactly the
+    # 9 + 2 + 1 of nine, and not the 20 + 3 + 1 of twenty; 2 keys hold no
+    # write's 3
+    write = st.tuples(st.integers(0, span - 1), st.booleans())
+    calls = data.draw(st.lists(st.tuples(
+        st.lists(write, max_size=3 * span),
+        # what other operations do between two calls: get or put of a key
+        # of another VN-line, or of one of these
+        st.lists(st.tuples(st.booleans(), st.integers(0, 2 * span)), max_size=3)),
+        min_size=1, max_size=4))
+    caches = [MetadataCache(capacity * LINE_BYTES), _CountingCache(capacity * LINE_BYTES)]
+    drained = [[], []]
+    for writes, between in calls:
+        _touch_loop(caches[0], writes, drained[0])
+        _touch_batch(caches[1], writes, drained[1])
+        assert _cache_view(caches[0], drained[0]) == _cache_view(caches[1], drained[1])
+        for is_get, li in between:
+            for cache, out in zip(caches, drained):
+                if is_get:
+                    cache.get(("vn", li))
+                else:
+                    out += cache.put(("vn", li), True)
+
+
+def test_a_batch_ends_before_its_keys_exceed_the_cache():
+    # twenty VN-lines' writes touch 24 distinct keys, twelve fit: the batch
+    # ends early and still leaves what the loop does
+    writes = [(li, False) for li in range(20)] + [(3, True), (17, False)]
+    caches = [MetadataCache(12 * LINE_BYTES), _CountingCache(12 * LINE_BYTES)]
+    drained = [[], []]
+    _touch_loop(caches[0], writes, drained[0])
+    _touch_batch(caches[1], writes, drained[1])
+    assert _cache_view(caches[0], drained[0]) == _cache_view(caches[1], drained[1])
+    assert caches[1].ends >= 2 and drained[0]
+
+
+def _three_streams(n):
+    """A set-up's writes of three streams of `n` lines each, interleaved
+    line by line: w at line 0 under explicit VN 1, its tensor-logical code
+    and a tag sink, then m and v after it, which look their VNs up."""
+    lines, sources = [], []
+    for j in range(n):
+        lines += (j, n + j, 2 * n + j)
+        sources += (("w", j), None, None)
+    return lines, sources
+
+
+@pytest.mark.parametrize("crypto_on, fault", [(True, False), (True, True), (False, False)])
+@pytest.mark.parametrize("cache_bytes", [1024, 32 * 1024])
+def test_interleaved_streams_in_one_write_lines_call_match_one_line_calls(
+        crypto_on, fault, cache_bytes):
+    # with `fault`, the VN-line of m's line 40 is replayed: the cold walk of
+    # its first write faults mid-call
+    n = 64
+    mems = [cls(BASE, 3 * n + 8, KEY, metadata_cache_bytes=cache_bytes, crypto_on=crypto_on)
+            for cls in (ProtectedMemory, LoopProtectedMemory)]
+    lines, kinds = _three_streams(n)
+    seen = []
+    for m in mems:
+        m.sinks = [], []
+        if fault:
+            pa = BASE + (n + 40) * LINE_BYTES
+            m.write_line(pa, b"\x01" * LINE_BYTES)
+            snap = m.snapshot_triple(pa)
+            m.write_line(pa, b"\x02" * LINE_BYTES)
+            m.inject_attack("replay", pa, snapshot=snap)
+            m.flush_metadata_cache()
+        sources = [None if kind is None else
+                   (1, binding_code(BindingMode.TENSOR_LOGICAL, 5, kind[1] * LINE_BYTES),
+                    m.sinks[0])
+                   for kind in kinds]
+        data = [bytes([i % 251]) * LINE_BYTES for i in range(len(lines))]
+        try:
+            m.write_lines([BASE + i * LINE_BYTES for i in lines], data, sources)
+            got = "ok"
+        except IntegrityFault as f:
+            got = f.kind, f.detail
+        seen.append((got, _full_state(m), _store(m), m.tree.root, m.sinks))
+    assert seen[0] == seen[1]
+    assert seen[0][0] == (("replay_or_tamper", seen[0][0][1]) if fault else "ok")
+    if fault:
+        # the writes before the fault are stored: w, m and v of lines 0-39
+        # and w of line 40
+        assert mems[0].totals["writes"] == 2 + 3 * 40 + 2
+
+
+@given(st.lists(st.integers(0, 3), min_size=1, max_size=200), st.data())
+@settings(max_examples=200, deadline=None)
+def test_consecutive_run_matches_a_loop(steps, data):
+    # line indices that mostly step by one, so that runs cross the
+    # doubling windows
+    idxs = [0]
+    for step in steps[1:]:
+        idxs.append(idxs[-1] + (1 if step else 5))
+    i = data.draw(st.integers(0, len(idxs) - 1))
+    m = data.draw(st.integers(1, len(idxs) - i))
+    want = 1
+    while want < m and idxs[i + want] == idxs[i] + want:
+        want += 1
+    assert consecutive_run(idxs, i, m) == want

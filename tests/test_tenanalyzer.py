@@ -14,7 +14,9 @@ from hypothesis import strategies as st
 
 from teesim import tenanalyzer
 from teesim.baseline import OPEN_CHUNK_LINES, ProtectedMemory
-from teesim.crypto import IntegrityFault, KeyMaterial, LINE_BYTES
+from teesim.crypto import (
+    BindingMode, IntegrityFault, KeyMaterial, LINE_BYTES, binding_code, tensor_line_codes,
+)
 from teesim.tenanalyzer import (
     EDGE_FINISH, EDGE_START, HIT_BOUNDARY, HIT_IN, INVALIDATE, MISS,
     WRITE_HIT_IN, MetaTableEntry, TenAnalyzer,
@@ -941,6 +943,13 @@ _SPAN_EDGES = {
         [rec for j in range(40) for rec in
          _reads(j, j + 1) + _reads(100 + j, 101 + j) + _reads(200 + j, 201 + j)],
         [120], [(0, 64, "offchip"), (100, 64, "offchip")], None),
+    # an address outside the region mid-run, after in-update writes and
+    # misses: the writes before it are stored, it is rejected, and the rest
+    # of its run is not written
+    "address_outside_the_region_ends_a_write_run": (
+        _writes(0, 20) + _writes(100, 104)
+        + [(False, _RUN_BASE + _RUN_LINES * LINE_BYTES)] + _writes(20, 64) + _reads(0, 64),
+        [80], [(0, 64, "offchip")], None),
     # a plaintext that is not one line, at an update's first line and then
     # mid-update, is rejected before its write changes anything; the
     # update then completes and the sweep after it passes
@@ -1076,3 +1085,80 @@ def test_boundary_spans_touch_their_entries_in_stamp_order():
     ta.read_run([BASE + 4 * LINE_BYTES, BASE + 36 * LINE_BYTES, BASE + 5 * LINE_BYTES])
     assert ta.stats["r_hit_boundary"] == 3
     assert a.touched > b.touched and list(ta._recent)[-2:] == [b, a]
+
+
+# -- set-up-shaped write runs ------------------------------------------------------
+
+@pytest.mark.parametrize("tensor_id", [0, 7, 1 << 62, (1 << 63) + 12345, (1 << 64) - 1])
+def test_per_line_covered_writes_bind_the_tensor_line_codes(tensor_id):
+    # each covered write of an update binds its line to the tensor-logical
+    # code `tensor_line_codes` gives the whole tensor
+    ta, mem = make(64, crypto_on=False)
+    assert ta.install_hint(BASE, 16, tensor_id=tensor_id) == "installed"
+    for k in (0, 9, 5, *range(1, 5), *range(6, 9), *range(10, 16)):
+        ta.on_write(BASE + k * LINE_BYTES, payload(k))
+    assert ta.stats["w_edge_finish"] == 1
+    assert list(mem._codes[:16]) == list(tensor_line_codes(tensor_id, 16))
+    for k in (0, 1, 9, 15):
+        assert binding_code(BindingMode.TENSOR_LOGICAL, tensor_id, k * LINE_BYTES) == \
+            tensor_line_codes(tensor_id, 16)[k]
+
+
+_SETUP_LINES = 64
+
+
+def _setup_records() -> list:
+    """A set-up's writes: w (hinted), m and v, interleaved line by line, as
+    `ZeroOffloadRunner.setup_state` writes them."""
+    n = _SETUP_LINES
+    return [(False, _RUN_BASE + (s * n + j) * LINE_BYTES) for j in range(n) for s in range(3)]
+
+
+@pytest.mark.parametrize("crypto_on, fault", [(True, False), (True, True), (False, False)])
+@pytest.mark.parametrize("cache_bytes", [1024, 32 * 1024])
+def test_set_up_shaped_write_run_matches_on_write_loop(crypto_on, fault, cache_bytes):
+    # one write run of three interleaved streams against `on_write` a line;
+    # with `fault`, m's line 40 holds a replayed VN-line whose cold walk
+    # faults mid-run, after w's line 40 is written
+    n = _SETUP_LINES
+    sides = []
+    for _ in range(2):
+        mem = ProtectedMemory(_RUN_BASE, 3 * n + 8, KEY, metadata_cache_bytes=cache_bytes,
+                              crypto_on=crypto_on)
+        ta = TenAnalyzer(mem)
+        assert ta.install_hint(_RUN_BASE, n, tensor_id=9) == "installed"
+        if fault:
+            pa = _RUN_BASE + (n + 40) * LINE_BYTES
+            mem.write_line(pa, b"\x01" * LINE_BYTES)
+            snap = mem.snapshot_triple(pa)
+            mem.write_line(pa, b"\x02" * LINE_BYTES)
+            mem.inject_attack("replay", pa, snapshot=snap)
+            mem.flush_metadata_cache()
+        sides.append(ta)
+    records = _setup_records()
+    vas = [va for _, va in records]
+    plains = [(i + 1).to_bytes(8, "little") * 8 for i in range(len(vas))]
+    calls = []
+    store = sides[0].mem.write_indexed
+
+    def counted(idxs, plains, sources):
+        calls.append(len(idxs))
+        store(idxs, plains, sources)
+
+    with mock.patch.object(sides[0].mem, "write_indexed", counted):
+        got = _run_attempt(sides[0].write_run, vas, plains)
+    want = ("ok", None)
+    for va, plain in zip(vas, plains):
+        out = _run_attempt(sides[1].on_write, va, plain)
+        if out[0] != "ok":
+            want = out
+            break
+    assert got == want
+    assert got[0] == ("fault" if fault else "ok")
+    assert _analyzer_state(sides[0]) == _analyzer_state(sides[1])
+    if not fault:
+        sides[0].check_vn_consistency()
+        assert sides[0].stats["w_edge_finish"] == 1
+        # w's first and last lines go through `on_write` (start and finish);
+        # every other write is stored by one call before or after them
+        assert calls == [1, 3 * n - 4, 1, 2]
