@@ -26,8 +26,8 @@ from array import array
 from collections import OrderedDict
 from dataclasses import dataclass
 from functools import reduce
-from itertools import compress, count, islice, takewhile
-from operator import ne, or_
+from itertools import islice, takewhile
+from operator import or_
 from typing import Optional, Sequence
 
 import numpy as np
@@ -103,10 +103,11 @@ class MetadataCache:
     then sits after every key it did not, as in the loop, so each eviction
     takes the key the loop's would: the oldest key the batch has not
     touched, as long as the batch's distinct keys do not exceed
-    `capacity`. A later write of that VN-line only records its touch: its
-    lookup hits without a `get`. `end_batch` moves the batch's keys to the
-    MRU end in the order of their last touch. No other operation may come
-    between a batch's first touch and its end."""
+    `capacity`; the batch ends before a write's touches, its `get` too,
+    could take them past it. A later write of that VN-line only records
+    its touch: its lookup hits without a `get`. `end_batch` moves the
+    batch's keys to the MRU end in the order of their last touch. No other
+    operation may come between a batch's first touch and its end."""
 
     def __init__(self, capacity_bytes: int):
         self.capacity = max(1, capacity_bytes // LINE_BYTES)
@@ -152,11 +153,16 @@ class MetadataCache:
         batch[vkey] = path
         return True
 
-    def batch_get(self, vkey) -> bool:
+    def batch_get(self, vkey, n: int) -> bool:
         """A write's `get` of VN-line `vkey`, which the open batch does not
-        hold: whether it hit. A lookup that misses ends the batch first,
-        since a tree walk follows it."""
-        if self._batch and vkey not in self._d:
+        hold, before the `batch_put` of its `n` keys: whether it hit. The
+        batch ends first if the lookup misses, since a tree walk follows
+        it, or if `batch_put` would end it: ended after the `get`, the
+        batch would move its keys after `vkey`, where the loop has `vkey`
+        after them."""
+        batch = self._batch
+        if batch and (vkey not in self._d
+                      or len(batch) + len(self._batch_nodes) + n > self.capacity):
             self.end_batch()
         return self.get(vkey) is not None
 
@@ -168,7 +174,8 @@ class MetadataCache:
         Those node-lines are a leaf-level prefix of `path`, since a write
         that touched a node-line touched every one above it. The batch ends
         first if the write's keys could take its distinct keys past
-        `capacity`. Returns the dirty keys evicted."""
+        `capacity`; for a write that looks its VN up, `batch_get` ended it
+        already. Returns the dirty keys evicted."""
         batch, nodes = self._batch, self._batch_nodes
         n = len(path) + 1
         if len(batch) + len(nodes) + n > self.capacity:
@@ -269,31 +276,16 @@ def as_line(plain) -> bytes:
     return plain
 
 
-def consecutive_run(idxs: list, i: int, m: int) -> int:
-    """How many of the line indices from position `i` of `idxs` on, at most
-    `m` of them, run consecutively. The lines are compared in C, in windows
-    that double, so the cost follows the run, not `m`."""
-    idx, done, step = idxs[i], 1, 16
-    while done < m:
-        hi = min(m, done + step)
-        want = range(idx + done, idx + hi)
-        if idxs[i + hi - 1] - idx != hi - 1 or idxs[i + done:i + hi] != list(want):
-            # the first position of the window at which the run breaks
-            return done + next(compress(count(), map(ne, idxs[i + done:i + hi], want)))
-        done, step = hi, 2 * step
-    return m
-
-
 def _slice_end(idxs: list, sources, i: int) -> int:
     """The position after the run of writes from position `i` on of
     consecutive lines under the VN and tag sink of write `i`."""
+    off = idxs[i] - i
     vn, _, sink = sources[i]
-    end = i + consecutive_run(idxs, i, len(idxs) - i)
-    for j in range(i + 1, end):
+    for j in range(i + 1, len(idxs)):
         src = sources[j]
-        if src is None or src[0] != vn or src[2] is not sink:
+        if idxs[j] - j != off or src is None or src[0] != vn or src[2] is not sink:
             return j
-    return end
+    return len(idxs)
 
 
 class ProtectedMemory:
@@ -636,13 +628,9 @@ class ProtectedMemory:
         ct, vns, pending, line_codes = self._ct, self._vns, self._pending, self._codes
         depth = self.tree.depth
         n = len(idxs)
-        # whether the batch holds a write's keys: then the VN-line of the
-        # write before, which the batch holds as its last touch, needs no
-        # touch, and a run of explicit-VN writes may be sliced from position
-        # `slice_from` on
-        batching = cache.capacity > depth
-        slice_from = 0 if sources is not None and batching else n
-        prev_li = -1
+        # a run of explicit-VN writes may be sliced from position
+        # `slice_from` on if the batch holds a write's keys
+        slice_from = 0 if sources is not None and cache.capacity > depth else n
         started = done = wb = 0
         i = 0
         try:
@@ -650,15 +638,13 @@ class ProtectedMemory:
                 idx = idxs[i]
                 src = None if sources is None else sources[i]
                 li = idx // VNS_PER_LINE
-                again = li == prev_li and batching
-                if not again:
-                    vkey = ("vn", li)
-                    held = cache.batch_holds(vkey)
+                vkey = ("vn", li)
+                held = cache.batch_holds(vkey)
                 if src is None:
                     started += 1
-                    if again or held:
+                    if held:
                         cache.hits += 1
-                    elif not cache.batch_get(vkey):
+                    elif not cache.batch_get(vkey, depth + 1):
                         t["vn_rd"] += LINE_BYTES
                         self._walk(li, t)
                     new_vn = (vns[idx] + 1) & MASK56
@@ -679,7 +665,6 @@ class ProtectedMemory:
                             done += m
                             if sink is None:
                                 wb += m
-                            prev_li = (idx + m - 1) // VNS_PER_LINE
                             i = j
                             continue
                         slice_from = j
@@ -702,10 +687,8 @@ class ProtectedMemory:
                         sink.append(tag)
                 else:
                     pending[idx] = sink
-                if not again:
-                    if not held:
-                        self._put_write_keys(li, vkey)
-                    prev_li = li
+                if not held:
+                    self._put_write_keys(li, vkey)
                 if sink is None:
                     wb += 1
                 done += 1

@@ -45,7 +45,7 @@ from operator import attrgetter, xor
 from typing import Optional
 
 from .baseline import (
-    AES_CYCLES, MAC_CYCLES, OPEN_CHUNK_LINES, ProtectedMemory, as_line, consecutive_run,
+    AES_CYCLES, MAC_CYCLES, OPEN_CHUNK_LINES, ProtectedMemory, as_line,
 )
 from .crypto import (
     LINE_BYTES, MASK56, BindingMode, IntegrityFault, binding_code, mac_xor_aggregate,
@@ -913,13 +913,12 @@ class TenAnalyzer:
                 if not written[k]:
                     # the span: consecutive lines of k's row, short of the
                     # last address and of the next line already written
-                    m = 1
-                    if i + 1 < n and idxs[i + 1] == idx + 1:
-                        m = consecutive_run(
-                            idxs, i, min(n - i, e.nx - k % e.nx, e.line_count - 1 - k))
-                        w = written.find(1, k + 1, k + m)
-                        if w >= 0:
-                            m = w - k
+                    m, top = 1, min(n - i, e.nx - k % e.nx, e.line_count - 1 - k)
+                    while m < top and idxs[i + m] == idx + m:
+                        m += 1
+                    w = written.find(1, k + 1, k + m)
+                    if w >= 0:
+                        m = w - k
                     written[k:k + m] = b"\x01" * m
                     e.update_count += m
                     stats["w_hit_in"] += m

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from teesim.baseline import (
     AES_CYCLES, MAC_CYCLES, OPEN_CHUNK_LINES, CostReport, MetadataCache,
-    ProtectedMemory, consecutive_run,
+    ProtectedMemory,
 )
 from teesim.crypto import (
     OPEN_BATCH_MIN, SEAL_BATCH_MIN, BindingMode, CounterBinding,
@@ -875,7 +875,7 @@ def _touch_batch(cache, writes, drained):
         if lookup:
             if held:
                 cache.hits += 1
-            elif not cache.batch_get(vkey):
+            elif not cache.batch_get(vkey, _DEPTH + 1):
                 _walk_puts(cache, li, drained)
         if not held:
             drained += cache.batch_put(vkey, _node_path(li))
@@ -927,6 +927,24 @@ def test_a_batch_ends_before_its_keys_exceed_the_cache():
     assert caches[1].ends >= 2 and drained[0]
 
 
+@pytest.mark.parametrize("looked_up", [False, True])
+def test_a_lookup_that_would_overfill_the_batch_ends_it_first(looked_up):
+    # VN-line 16 is cached, not in the batch of the second call, when its
+    # lookup comes: the eight writes before it hold 8 + 2 + 1 keys, so its
+    # 3 would pass the 12 the cache holds. Ending the batch after the get
+    # would move those keys after 16, whose put would then evict 16 itself
+    # and drain it as well
+    calls = [[(16, looked_up)],
+             [(li, False) for li in range(8, 15)] + [(0, False), (16, True)]]
+    caches = [MetadataCache(12 * LINE_BYTES), _CountingCache(12 * LINE_BYTES)]
+    drained = [[], []]
+    for writes in calls:
+        _touch_loop(caches[0], writes, drained[0])
+        _touch_batch(caches[1], writes, drained[1])
+        assert _cache_view(caches[0], drained[0]) == _cache_view(caches[1], drained[1])
+    assert drained[1] == [("tn", 0, 2), ("vn", 8)]
+
+
 def _three_streams(n):
     """A set-up's writes of three streams of `n` lines each, interleaved
     line by line: w at line 0 under explicit VN 1, its tensor-logical code
@@ -975,19 +993,3 @@ def test_interleaved_streams_in_one_write_lines_call_match_one_line_calls(
         # the writes before the fault are stored: w, m and v of lines 0-39
         # and w of line 40
         assert mems[0].totals["writes"] == 2 + 3 * 40 + 2
-
-
-@given(st.lists(st.integers(0, 3), min_size=1, max_size=200), st.data())
-@settings(max_examples=200, deadline=None)
-def test_consecutive_run_matches_a_loop(steps, data):
-    # line indices that mostly step by one, so that runs cross the
-    # doubling windows
-    idxs = [0]
-    for step in steps[1:]:
-        idxs.append(idxs[-1] + (1 if step else 5))
-    i = data.draw(st.integers(0, len(idxs) - 1))
-    m = data.draw(st.integers(1, len(idxs) - i))
-    want = 1
-    while want < m and idxs[i + want] == idxs[i] + want:
-        want += 1
-    assert consecutive_run(idxs, i, m) == want
