@@ -14,7 +14,7 @@ from .config import (
     WorkloadConfig, build_engine, load_config, load_config_file,
 )
 from .engine import Engine, Resource, SimError
-from .nputee import FaultCounter, HaltError, NpuDevice, TensorRecord, VerifyMode
+from .nputee import FaultCounter, HaltError, NpuDevice, TensorRecord
 from .tenanalyzer import MetaTableEntry, ReadOutcome, TenAnalyzer, WriteOutcome
 from .transfer import (
     AttestationFailure, Enclave, MetadataMessage, ProtocolError, SessionState,
@@ -34,7 +34,7 @@ __all__ = [
     "NpuConfig", "NpuDevice", "PlainMemory", "ProtectedMemory",
     "ProtocolError", "ReadOutcome", "Resource", "SessionState", "SimConfig",
     "SimError", "TenAnalyzer", "TensorRecord", "TraceRecord",
-    "TransferReport", "VerifyMode", "VnTree", "WorkloadConfig",
+    "TransferReport", "VnTree", "WorkloadConfig",
     "WriteOutcome", "ZeroOffloadReport", "attest_and_exchange",
     "baseline_transfer", "build_engine", "decode_metadata", "decrypt_block",
     "direct_transfer", "encode_metadata", "encrypt_block", "gen_adam_trace",

@@ -7,8 +7,8 @@ a streaming scan amortizes to 1/8 of a VN-line per read; the MAC region is
 read on every access and never cached, which is the conservative model this
 baseline is meant to expose.
 
-The byte/cycle books are kept in `totals`; passing collect=True to an
-operation additionally returns an itemized CostReport row.
+The byte/cycle books are kept in `totals`; `CostReport.between` itemizes
+one access as the change in them.
 
 A write's encryption and MAC are deferred until the line is next observed,
 so that a run of writes is sealed in one batch, and a run of reads opens its
@@ -34,7 +34,7 @@ import numpy as np
 
 from .crypto import (
     LINE_BYTES, MASK56, NULL_KEY, OPEN_BATCH_MIN, IntegrityFault, KeyMaterial,
-    VnTree, keystream_lines, line_pad, line_tag, mac_lines, open_lines,
+    VnTree, as_line, keystream_lines, line_pad, line_tag, mac_lines, open_lines,
     pa_binding_codes, seal_into, words_to_bytes,
 )
 # unused, but perfbench/tests' tracer test looks these names up here
@@ -81,6 +81,17 @@ class CostReport:
     @staticmethod
     def csv_header() -> str:
         return ",".join(COST_FIELDS)
+
+    @classmethod
+    def between(cls, op: str, pa: int, before: dict, after: dict) -> "CostReport":
+        """The cost of one access `op` at `pa`: the change in a memory's
+        `totals` from `before` to `after` it, each kind's reads and writes
+        summed."""
+        d = {k: after[k] - before[k] for k in TOTALS_KEYS}
+        return cls(op, pa, data_bytes=d["data_rd"] + d["data_wr"],
+                   vn_bytes=d["vn_rd"] + d["vn_wr"],
+                   mac_bytes=d["mac_rd"] + d["mac_wr"],
+                   tree_bytes=d["tree_rd"] + d["tree_wr"], cycles=d["cycles"])
 
 
 class MetadataCache:
@@ -263,17 +274,6 @@ class MetadataCache:
         dirty = [k for k, (v, d) in self._d.items() if d]
         self._d.clear()
         return dirty
-
-
-def as_line(plain) -> bytes:
-    """A plaintext line, given as 64 bytes or as an int, as bytes. Raises
-    ValueError for bytes of another length and OverflowError for an int
-    that does not fit in 64 bytes."""
-    if isinstance(plain, int):
-        return plain.to_bytes(LINE_BYTES, "little")
-    if len(plain) != LINE_BYTES:
-        raise ValueError(f"a line is {LINE_BYTES} bytes, got {len(plain)}")
-    return plain
 
 
 def _slice_end(idxs: list, sources, i: int) -> int:
@@ -475,7 +475,7 @@ class ProtectedMemory:
         for (level, j), line in lines.items():
             update(("tn", level, j), line)
 
-    def resolve_vn(self, pa: int, t: dict) -> tuple[int, bool]:
+    def resolve_vn(self, pa: int) -> tuple[int, bool]:
         """Serve the line's VN from the metadata cache, else fetch the VN-line
         from DRAM. Returns (vn, fetched_cold); a cold fetch still owes a tree
         walk (walk_tree) before the VN-line may be cached as verified."""
@@ -483,7 +483,7 @@ class ProtectedMemory:
         cached = self.cache.get(("vn", idx // VNS_PER_LINE))
         if cached is not None:
             return self._vns[idx], False
-        t["vn_rd"] += LINE_BYTES
+        self.totals["vn_rd"] += LINE_BYTES
         return self._vns[idx], True
 
     def _charge_drain(self, keys) -> None:
@@ -491,15 +491,16 @@ class ProtectedMemory:
         for k in keys:   # VN-lines and tree node-lines; MACs are never cached
             t["vn_wb" if k[0] == "vn" else "tree_wb"] += LINE_BYTES
 
-    def walk_tree(self, pa: int, t: dict) -> None:
+    def walk_tree(self, pa: int) -> None:
         """Verify the (cold-fetched) VN-line against the on-chip root, then
         cache the line and every node-line the walk touched."""
-        self._walk(self.line_index(pa) // VNS_PER_LINE, t)
+        self._walk(self.line_index(pa) // VNS_PER_LINE)
 
-    def _walk(self, li: int, t: dict) -> None:
+    def _walk(self, li: int) -> None:
         """`walk_tree` of VN-line `li`."""
         fetched = self.tree.verify_path(li, self._vn_line(li),
                                         self._tree_cache_lookup)
+        t = self.totals
         t["tree_rd"] += LINE_BYTES * len(fetched)
         t["cycles"] += HASH_CYCLES * (len(fetched) + 1)
         for (level, j) in fetched:
@@ -509,20 +510,14 @@ class ProtectedMemory:
 
     # -- data path ----------------------------------------------------------
 
-    def read_line(self, pa: int, collect: bool = False):
+    def read_line(self, pa: int):
         """Fetch + decrypt one line, verifying MAC and (when the VN came from
         off-chip) the VN tree: what `read_lines([pa])` does, without its
-        loop. Returns (plaintext, CostReport|None)."""
-        if not collect:
-            return self._read_one(pa), None
-        t = self.totals
-        t0 = (t["data_rd"], t["vn_rd"], t["mac_rd"], t["tree_rd"], t["cycles"])
-        plain = self._read_one(pa)
-        return plain, CostReport(
-            "R", pa,
-            data_bytes=t["data_rd"] - t0[0], vn_bytes=t["vn_rd"] - t0[1],
-            mac_bytes=t["mac_rd"] - t0[2], tree_bytes=t["tree_rd"] - t0[3],
-            cycles=t["cycles"] - t0[4])
+        loop. Returns (plaintext, None)."""
+        idx = self.line_index(pa)
+        tag, plain = self.open_line(idx, self._vns[idx])
+        self.read_opened(pa, idx, tag)
+        return plain, None
 
     def read_lines(self, pas) -> list:
         """Read the lines `pas` in order, exactly as that many `read_line`
@@ -548,12 +543,6 @@ class ProtectedMemory:
             del tags, plains     # before the next batch is opened
         return out
 
-    def _read_one(self, pa: int) -> bytes:
-        idx = self.line_index(pa)
-        tag, plain = self.open_line(idx, self._vns[idx])
-        self.read_opened(pa, idx, tag)
-        return plain
-
     def read_opened(self, pa: int, idx: int, tag: int) -> None:
         """One read of line `idx` at `pa` whose tag, as `opened` gave it, is
         `tag`: the accounting, VN resolution and tag check, then the tree
@@ -561,37 +550,25 @@ class ProtectedMemory:
         t = self.totals
         t["reads"] += 1
         t["data_rd"] += LINE_BYTES
-        _, cold = self.resolve_vn(pa, t)
+        _, cold = self.resolve_vn(pa)
         t["cycles"] += AES_CYCLES + MAC_CYCLES
         t["mac_rd"] += LINE_BYTES
         if tag != self._macs[idx]:
             raise IntegrityFault("mac_mismatch", f"pa={pa:#x}")
         if cold:
-            self.walk_tree(pa, t)
+            self.walk_tree(pa)
 
     def write_line(self, pa: int, plain, *, vn: Optional[int] = None,
-                   code: Optional[int] = None, tag_sink: Optional[list] = None,
-                   collect: bool = False):
+                   code: Optional[int] = None, tag_sink: Optional[list] = None) -> None:
         """Re-encrypt under VN+1 (or an explicit supplied VN) and binding
         code `code` (by default the line's own), recompute the MAC, store
         all three off-chip, and update the tree path: `write_lines` of the
         one line, whose source is None without `vn`, else `(vn, code,
-        tag_sink)`. A code or a tag sink without `vn` raises ValueError.
-        Returns a CostReport with collect=True, else None."""
+        tag_sink)`. A code or a tag sink without `vn` raises ValueError."""
         if vn is None and (code is not None or tag_sink is not None):
             raise ValueError("a binding code or a tag sink needs an explicit VN")
-        t = self.totals
-        t0 = dict(t) if collect else None
         self.write_indexed([self.line_index(pa)], [as_line(plain)],
                           None if vn is None else ((vn, code, tag_sink),))
-        if not collect:
-            return None
-        return CostReport(
-            "W", pa, data_bytes=t["data_wr"] - t0["data_wr"],
-            vn_bytes=t["vn_wr"] - t0["vn_wr"] + t["vn_rd"] - t0["vn_rd"],
-            mac_bytes=t["mac_wr"] - t0["mac_wr"],
-            tree_bytes=t["tree_wr"] - t0["tree_wr"] + t["tree_rd"] - t0["tree_rd"],
-            cycles=t["cycles"] - t0["cycles"])
 
     def write_lines(self, pas, plains, sources=None) -> None:
         """Write each line of `pas` in order with the plaintext (`as_line`)
@@ -646,7 +623,7 @@ class ProtectedMemory:
                         cache.hits += 1
                     elif not cache.batch_get(vkey, depth + 1):
                         t["vn_rd"] += LINE_BYTES
-                        self._walk(li, t)
+                        self._walk(li)
                     new_vn = (vns[idx] + 1) & MASK56
                     code = sink = None
                 else:
@@ -815,20 +792,17 @@ class PlainMemory:
             out.append(blocks[self.line_index(pa)])
         return out
 
-    def read_line(self, pa: int, collect: bool = False):
+    def read_line(self, pa: int):
         t = self.totals
         t["reads"] += 1
         t["data_rd"] += LINE_BYTES
-        plain = self.blocks[self.line_index(pa)]
-        rep = CostReport("R", pa, data_bytes=LINE_BYTES) if collect else None
-        return plain, rep
+        return self.blocks[self.line_index(pa)], None
 
-    def write_line(self, pa: int, plain, *, collect: bool = False):
+    def write_line(self, pa: int, plain) -> None:
         t = self.totals
         t["writes"] += 1
         t["data_wr"] += LINE_BYTES
         self.blocks[self.line_index(pa)] = plain
-        return CostReport("W", pa, data_bytes=LINE_BYTES) if collect else None
 
     def write_lines(self, pas, plains) -> None:
         """`write_line` of each of `pas` in order, without the per-line call."""

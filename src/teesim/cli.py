@@ -22,9 +22,7 @@ from .config import (
 )
 from .crypto import IntegrityFault, KeyMaterial, LINE_BYTES
 from .engine import SimError
-from .nputee import (
-    HaltError, NpuDevice, StreamReport, VerifyMode, unprotected_stream,
-)
+from .nputee import HaltError, NpuDevice, StreamReport, unprotected_stream
 from .transfer import AttestationFailure, ProtocolError, TransferReport
 from .workloads import (
     adam_layouts, adam_region_lines, build_cpu_side, gen_adam_trace,
@@ -139,7 +137,7 @@ def run_npu_stream(cfg: SimConfig) -> dict:
 
     results["noprotect_ticks"] = unprotected_stream(build_engine(cfg), n, 0)
 
-    def run_mode(vm: VerifyMode):
+    def run_mode(mode: str):
         e = build_engine(cfg)
         dev = NpuDevice(key, e, crypto_on=cfg.crypto.functional,
                         mac_granularity=cfg.npu.mac_granularity)
@@ -148,17 +146,16 @@ def run_npu_stream(cfg: SimConfig) -> dict:
         dev.store_tensor_stream(rec, data)   # seals the block MACs too
         for r in e.resources.values():   # staging must not occupy the ledger
             r.busy_until = 0
-        _, rep = dev.load_tensor_stream(rec, vm, at_tick=0)
+        _, rep = dev.load_tensor_stream(rec, mode, at_tick=0)
         return rep, dev
 
-    rep_d, dev_d = run_mode(VerifyMode("delayed"))
+    rep_d, dev_d = run_mode("delayed")
     results["delayed_ticks"] = rep_d.done_tick - rep_d.start_tick
-    results["delayed_mac_storage"] = dev_d.mac_storage_bytes(VerifyMode("delayed"))
-    vm = VerifyMode("blocking", cfg.npu.mac_granularity)
-    rep_b, dev_b = run_mode(vm)
+    results["delayed_mac_storage"] = dev_d.mac_storage_bytes("delayed")
+    rep_b, dev_b = run_mode("blocking")
     results["blocking_ticks"] = rep_b.done_tick - rep_b.start_tick
     results["blocking_stall_ticks"] = rep_b.stall_ticks
-    results["blocking_mac_storage"] = dev_b.mac_storage_bytes(vm)
+    results["blocking_mac_storage"] = dev_b.mac_storage_bytes("blocking")
     results["mac_granularity"] = cfg.npu.mac_granularity
     base = results["noprotect_ticks"]
     results["delayed_overhead"] = results["delayed_ticks"] / base - 1.0

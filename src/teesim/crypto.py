@@ -329,23 +329,20 @@ def mac_lines(key: KeyMaterial, codes, words: np.ndarray, vns) -> np.ndarray:
     return _mix_lines(x) & np.uint64(MASK56)
 
 
-def line_bytes(x) -> bytes:
-    """A 64 B line given as bytes, as a bytes-like object or as an int (read
-    modulo 2^512, as `mac_block` reads ciphertext)."""
-    if isinstance(x, bytes):
-        return x
-    if isinstance(x, int):
-        return (x & _MASK512).to_bytes(LINE_BYTES, "little")
-    return bytes(x)
+def as_line(plain) -> bytes:
+    """A plaintext line, given as 64 bytes or as an int, as bytes. Raises
+    ValueError for bytes of another length and OverflowError for an int
+    that does not fit in 64 bytes."""
+    if isinstance(plain, int):
+        return plain.to_bytes(LINE_BYTES, "little")
+    if len(plain) != LINE_BYTES:
+        raise ValueError(f"a line is {LINE_BYTES} bytes, got {len(plain)}")
+    return plain
 
 
 def line_words(lines: Iterable) -> np.ndarray:
-    """(n, 8) uint64 words of n 64 B lines, each given as bytes or as an int
-    (an int is read modulo 2^512, as `mac_block` reads ciphertext)."""
-    lines = list(lines)
-    raw = b"".join(map(line_bytes, lines))
-    if len(raw) != LINE_BYTES * len(lines):
-        raise ValueError("every line must be 64 bytes")
+    """(n, 8) uint64 words of n 64 B lines, each given as `as_line` takes it."""
+    raw = b"".join(map(as_line, lines))
     return np.frombuffer(raw, dtype=_U64).reshape(-1, 8).astype(np.uint64, copy=False)
 
 

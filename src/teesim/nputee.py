@@ -5,10 +5,10 @@ non-delayed code-fetch path.
 Two verify modes. DelayedTensor releases each decrypted line to compute
 immediately while a running XOR of per-line MACs accumulates; the single
 comparison against the stored tensor MAC happens after the last line, so a
-clean stream has no verification stalls. Blocking(G) holds compute on any
-line until its whole G-byte block is fetched and its block MAC verified,
-which is the pipeline-bubble baseline. A block with no sealed MAC at G fails
-verification.
+clean stream has no verification stalls. Blocking holds compute on any line
+until its whole block of the device's MAC granularity is fetched and its
+block MAC verified, which is the pipeline-bubble baseline. A block with no
+sealed MAC (its tensor was never stored on the device) fails verification.
 
 Each tensor record holds its lines in GDDR as one flat store: the
 ciphertext, the binding codes and a stored and a taint byte per line, all
@@ -32,7 +32,7 @@ from typing import Optional, Sequence
 
 from .crypto import (
     LINE_BYTES, MASK56, NULL_KEY, BindingMode, CipherBlock, CounterBinding,
-    IntegrityFault, KeyMaterial, decrypt_block, encrypt_block, line_bytes,
+    IntegrityFault, KeyMaterial, as_line, decrypt_block, encrypt_block,
     mac_block, mac_xor_aggregate, open_lines, seal_into, tensor_line_codes,
 )
 from .engine import Engine
@@ -42,19 +42,6 @@ MAC_TAG_BYTES = 7  # 56-bit tags as stored
 
 class HaltError(Exception):
     """Fault counter exceeded its threshold; execution halts."""
-
-
-@dataclass
-class VerifyMode:
-    mode: str                  # "delayed" | "blocking"
-    granularity: int = 512     # bytes, blocking only
-
-    def __post_init__(self):
-        if self.mode not in ("delayed", "blocking"):
-            raise ValueError("mode must be 'delayed' or 'blocking'")
-        g = self.granularity
-        if self.mode == "blocking" and not (64 <= g <= 4096 and g & (g - 1) == 0):
-            raise ValueError("blocking granularity must be a power of two in [64B, 4KiB]")
 
 
 class TensorRecord:
@@ -131,23 +118,27 @@ def unprotected_stream(engine: Engine, n_lines: int, at: int) -> int:
 
 def _fold_blocks(tags: list[int], granularity: int) -> list[int]:
     """XOR-fold per-line tags into one tag per `granularity`-byte block."""
-    per = max(1, granularity // LINE_BYTES)
+    per = granularity // LINE_BYTES
     return [mac_xor_aggregate(tags[b0:b0 + per]) for b0 in range(0, len(tags), per)]
 
 
 class NpuDevice:
     """Modeled GDDR plus the protection engine in front of it. Stores seal
-    one block MAC per `mac_granularity` bytes for blocking-mode loads."""
+    one block MAC per `mac_granularity` bytes, which blocking-mode loads
+    verify."""
 
     def __init__(self, key: KeyMaterial, engine: Engine, *,
                  fault_threshold: int = 3, crypto_on: bool = True,
                  mac_granularity: int = 512):
+        g = mac_granularity
+        if not (64 <= g <= 4096 and g & (g - 1) == 0):
+            raise ValueError("mac_granularity must be a power of two in [64B, 4KiB]")
         self.key = key if crypto_on else NULL_KEY
         self.engine = engine
         self.mac_granularity = mac_granularity
         self.records: dict[int, TensorRecord] = {}
-        # tensor base -> (granularity, one tag per block); one layout at a time
-        self.block_macs: dict[int, tuple[int, list[int]]] = {}
+        # tensor base -> one tag per `mac_granularity`-byte block
+        self.block_macs: dict[int, list[int]] = {}
         self.code: dict[int, tuple[CipherBlock, int]] = {}  # pa -> (line, mac)
         self.faults = FaultCounter(threshold=fault_threshold)
         self.retransfer_requests: list[int] = []
@@ -179,19 +170,18 @@ class NpuDevice:
 
     def store_tensor_stream(self, record: TensorRecord,
                             plain_lines: Sequence, *, at_tick: Optional[int] = None,
-                            tainted: bool = False,
-                            order: Optional[Sequence[int]] = None) -> StreamReport:
+                            tainted: bool = False) -> StreamReport:
         """Write back one tensor: VN+1 once, every line encrypted under the
-        tensor-logical binding at the new VN, stored MAC = XOR of line MACs
-        (so any tile-permuted write `order` yields the same tag), and block
-        MACs resealed at the device's MAC granularity."""
+        tensor-logical binding at the new VN, stored MAC = XOR of line MACs,
+        and block MACs resealed at the device's MAC granularity. A line
+        `as_line` rejects, or more lines than the record holds, raises
+        before any change."""
         eng = self.engine
         t0 = eng.now if at_tick is None else at_tick
         n = len(plain_lines)
-        raw = b"".join(map(line_bytes, plain_lines))
-        if n > record.n_lines or len(raw) != n * LINE_BYTES or \
-                (order is not None and sorted(order) != list(range(n))):
-            raise ValueError("a store writes 64 B lines of the record, in some order")
+        raw = b"".join(map(as_line, plain_lines))
+        if n > record.n_lines:
+            raise ValueError(f"a store writes at most the record's {record.n_lines} lines")
         vn = record.vn = (record.vn + 1) & MASK56
         record.ct[:n * LINE_BYTES] = raw
         record.codes[:n] = tensor_line_codes(record.tensor_id, n)
@@ -204,8 +194,7 @@ class NpuDevice:
             _, mac_done = eng.reserve("npu_mac", LINE_BYTES, at_tick=aes_done)
             done = max(done, wr_done, mac_done)
         record.stored_mac = reduce(xor, tags, 0)
-        self.block_macs[record.base] = (self.mac_granularity,
-                                        _fold_blocks(tags, self.mac_granularity))
+        self.block_macs[record.base] = _fold_blocks(tags, self.mac_granularity)
         record.tainted = tainted
         record.poison = 0          # freshly produced on-chip data is verified
         record.failed = False
@@ -250,16 +239,19 @@ class NpuDevice:
 
     # -- loads -------------------------------------------------------------------
 
-    def load_tensor_stream(self, record: TensorRecord, mode: VerifyMode, *,
+    def load_tensor_stream(self, record: TensorRecord, mode: str, *,
                            at_tick: Optional[int] = None):
-        """Stream one tensor to compute under the given verify mode. Returns
+        """Stream one tensor to compute under verify mode `mode`, "delayed"
+        or "blocking" (at the device's MAC granularity). Returns
         (plain_lines, StreamReport). DelayedTensor: per-line release, tensor
         MAC compared at stream end; mismatch discards the tensor, emits a
         re-transfer request and raises IntegrityFault (HaltError past the
         fault-counter threshold)."""
-        if mode.mode == "delayed":
+        if mode == "delayed":
             return self._load_delayed(record, at_tick)
-        return self._load_blocking(record, mode.granularity, at_tick)
+        if mode == "blocking":
+            return self._load_blocking(record, at_tick)
+        raise ValueError(f"mode must be 'delayed' or 'blocking', got {mode!r}")
 
     def _load_delayed(self, record: TensorRecord, at_tick):
         eng = self.engine
@@ -300,17 +292,16 @@ class NpuDevice:
         self.faults.record_failure()
         raise IntegrityFault("tensor_mac", f"tensor {record.tensor_id}")
 
-    def _load_blocking(self, record: TensorRecord, granularity: int, at_tick):
+    def _load_blocking(self, record: TensorRecord, at_tick):
         eng = self.engine
         t0 = eng.now if at_tick is None else at_tick
-        lines_per_block = max(1, granularity // LINE_BYTES)
+        granularity = self.mac_granularity
+        lines_per_block = granularity // LINE_BYTES
         compute_done = t0
         stall = 0
         n = record.n_lines
         tags, plains = open_lines(self.key, *self.export_lines(record), record.vn)
-        g, sealed = self.block_macs.get(record.base, (None, ()))
-        if g != granularity:
-            sealed = ()
+        sealed = self.block_macs.get(record.base, ())
         for b0 in range(0, n, lines_per_block):
             blk_lines = range(b0, min(b0 + lines_per_block, n))
             acc = 0
@@ -324,8 +315,7 @@ class NpuDevice:
                 acc ^= tags[i]
             verify_done = mac_done  # block compare folds into the last line tag
             k = b0 // lines_per_block
-            # fail closed: a block with no MAC sealed at this granularity
-            # cannot verify
+            # fail closed: a block with no sealed MAC cannot verify
             if k >= len(sealed) or sealed[k] != acc:
                 record.failed = True
                 self.faults.record_failure()
@@ -351,16 +341,17 @@ class NpuDevice:
         self.reports.append(rep)
         return plains, rep
 
-    def mac_storage_bytes(self, mode: VerifyMode) -> int:
-        """Off-chip MAC footprint: 7 B per tensor (delayed) versus 7 B per
-        G-byte block (blocking)."""
-        if mode.mode == "delayed":
+    def mac_storage_bytes(self, mode: str) -> int:
+        """Off-chip MAC footprint under verify mode `mode`: 7 B per tensor
+        ("delayed") versus 7 B per `mac_granularity`-byte block
+        ("blocking")."""
+        if mode == "delayed":
             return MAC_TAG_BYTES * len(self.records)
-        total = 0
-        for rec in self.records.values():
-            blocks = -(-rec.n_lines * LINE_BYTES // mode.granularity)
-            total += MAC_TAG_BYTES * blocks
-        return total
+        if mode != "blocking":
+            raise ValueError(f"mode must be 'delayed' or 'blocking', got {mode!r}")
+        g = self.mac_granularity
+        return sum(MAC_TAG_BYTES * -(-rec.n_lines * LINE_BYTES // g)
+                   for rec in self.records.values())
 
     # -- poison tracing and barriers ----------------------------------------------
 
@@ -372,18 +363,22 @@ class NpuDevice:
         output.deps = tuple(inputs)
         output.tainted = output.tainted or any(r.tainted for r in inputs)
 
-    def effective_poison(self, record: TensorRecord, _seen=None) -> int:
-        if _seen is None:
-            _seen = set()
-        if record.tensor_id in _seen:
-            return record.poison
-        _seen.add(record.tensor_id)
-        if record.poison:
-            return 1
-        for dep in record.deps:
-            if self.effective_poison(dep, _seen):
-                return 1
-        return 0
+    @staticmethod
+    def _closure(record: TensorRecord) -> list[TensorRecord]:
+        """`record` and every record its `deps` reach, transitively: one per
+        tensor id, the first a depth-first walk meets."""
+        seen, out, stack = set(), [], [record]
+        while stack:
+            rec = stack.pop()
+            if rec.tensor_id not in seen:
+                seen.add(rec.tensor_id)
+                out.append(rec)
+                stack += reversed(rec.deps)
+        return out
+
+    def effective_poison(self, record: TensorRecord) -> int:
+        """1 if the record or anything it depends on is still poisoned."""
+        return int(any(r.poison for r in self._closure(record)))
 
     def verification_barrier(self, tensor_ids: Sequence[int]) -> int:
         """Block until every listed tensor's (transitive) poison clears;
@@ -392,30 +387,16 @@ class NpuDevice:
         ready = self.engine.now
         for tid in tensor_ids:
             rec = self.records[tid]
-            if rec.failed or self._any_failed(rec):
+            closure = self._closure(rec)
+            if any(r.failed for r in closure):
                 raise IntegrityFault("tensor_mac",
                                      f"barrier: tensor {tid} failed verification")
-            if self.effective_poison(rec):
+            if any(r.poison for r in closure):
                 raise IntegrityFault(
                     "tensor_mac",
                     f"barrier: tensor {tid} still unverified (poison set)")
             ready = max(ready, rec.verify_done_tick)
         return ready
-
-    def _any_failed(self, record: TensorRecord, _seen=None) -> bool:
-        if _seen is None:
-            _seen = set()
-        if record.tensor_id in _seen:
-            return False
-        _seen.add(record.tensor_id)
-        if record.failed:
-            return True
-        return any(self._any_failed(d, _seen) for d in record.deps)
-
-    def barrier_wait_ticks(self, tensor_ids: Sequence[int]) -> int:
-        """Added latency of a barrier issued now (0 when everything is clean
-        and already verified)."""
-        return max(0, self.verification_barrier(tensor_ids) - self.engine.now)
 
     # -- code path -------------------------------------------------------------------
 

@@ -44,12 +44,10 @@ from itertools import islice
 from operator import attrgetter, xor
 from typing import Optional
 
-from .baseline import (
-    AES_CYCLES, MAC_CYCLES, OPEN_CHUNK_LINES, ProtectedMemory, as_line,
-)
+from .baseline import AES_CYCLES, MAC_CYCLES, OPEN_CHUNK_LINES, ProtectedMemory
 from .crypto import (
-    LINE_BYTES, MASK56, BindingMode, IntegrityFault, binding_code, mac_xor_aggregate,
-    tensor_line_codes,
+    LINE_BYTES, MASK56, BindingMode, IntegrityFault, as_line, binding_code,
+    mac_xor_aggregate, tensor_line_codes,
 )
 # unused, but perfbench/tests' tracer test looks these names up here
 from .crypto import keystream, mac_block  # noqa: F401
@@ -588,28 +586,29 @@ class TenAnalyzer:
             vn_eff = e.vn
         idx = mem.line_index(va)
         tag, plain = self._open_line(idx, vn_eff, opened)
-        self._hit_in_mac(e, k, idx, tag, t)
+        self._hit_in_mac(e, k, idx, tag)
         return plain, vn_eff
 
-    def _hit_in_mac(self, e, k, idx, tag, t) -> None:
+    def _hit_in_mac(self, e, k, idx, tag) -> None:
         """Sequential covered reads fold their tags toward a free
         whole-tensor MAC check; anything else verifies the line's tag
         against its off-chip MAC."""
         if e.uf:
-            self._per_line_mac(idx, tag, t)
+            self._per_line_mac(idx, tag)
             return
         start = e.runs_by_next.get(k)
         if start is None:
             if not self._may_start_run(e, k):
-                self._per_line_mac(idx, tag, t)
+                self._per_line_mac(idx, tag)
                 return
             start = k
-        t["cycles"] += MAC_CYCLES
+        self.mem.totals["cycles"] += MAC_CYCLES
         run = self._fold_run(e, start, k, 1, tag)
         if start == 0 and run[0] == e.line_count:
             self._close_sweep(e, run)
 
-    def _per_line_mac(self, idx, tag, t) -> None:
+    def _per_line_mac(self, idx, tag) -> None:
+        t = self.mem.totals
         t["mac_rd"] += LINE_BYTES
         t["cycles"] += MAC_CYCLES
         if tag != self.mem.macs[idx]:
@@ -626,13 +625,13 @@ class TenAnalyzer:
         t["reads"] += 1
         t["data_rd"] += LINE_BYTES
         t["cycles"] += AES_CYCLES      # speculative decrypt under the entry VN
-        vn_true, cold = mem.resolve_vn(va, t)
+        vn_true, cold = mem.resolve_vn(va)
         if cold:
-            mem.walk_tree(va, t)
+            mem.walk_tree(va)
         idx = mem.line_index(va)
         tag, plain = self._open_line(idx, vn_true, opened)
         # the line's stored MAC rides along with the VN confirmation
-        self._per_line_mac(idx, tag, t)
+        self._per_line_mac(idx, tag)
         if vn_true == e.vn:
             self._extend(e, idx, 1)
             self._touch(e)
@@ -1038,9 +1037,9 @@ class TenAnalyzer:
                 return "noop"
         t = mem.totals
         if vn is None:
-            vn, cold = mem.resolve_vn(base, t)
+            vn, cold = mem.resolve_vn(base)
             if cold:
-                mem.walk_tree(base, t)
+                mem.walk_tree(base)
         if mac is None:
             # aggregate the stored per-line MACs once (8 tags per 64 B line)
             t["mac_rd"] += LINE_BYTES * (-(-n_lines // 8))

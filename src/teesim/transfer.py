@@ -320,9 +320,7 @@ def _open_staging(staging: StagingRegion, tensor_id: int,
 def direct_transfer(session: SessionState, engine: Engine, *,
                     tensor_id: int, direction: str,
                     analyzer: Optional[TenAnalyzer], npu: NpuDevice,
-                    cpu_base: int, npu_base: Optional[int] = None,
-                    n_lines: Optional[int] = None,
-                    at_tick: Optional[int] = None) -> TransferReport:
+                    cpu_base: int, at_tick: Optional[int] = None) -> TransferReport:
     """Unified-granularity protocol: the tensor's VN/MAC/address go over the
     trusted channel while ciphertext lines move verbatim on the direct
     channel; the two run in parallel and join at completion. No payload AES
@@ -352,9 +350,8 @@ def direct_transfer(session: SessionState, engine: Engine, *,
             va = next(va for va, c, w in zip(vas, codes, want) if c != w)
             raise ProtocolError(f"line {va:#x} is not bound to tensor {tensor_id}; "
                                 f"direct transfer needs tensor-logical ciphertext")
-        base_rx = npu_base if npu_base is not None else \
-            0x4000_0000 + tensor_id * 0x100_0000
-        msg = MetadataMessage(tensor_id, base_rx, n, e.stride, e.vn, e.mac)
+        msg = MetadataMessage(tensor_id, 0x4000_0000 + tensor_id * 0x100_0000, n,
+                              e.stride, e.vn, e.mac)
         wire = encode_metadata(msg, session)
         _, chan_done = engine.reserve("trusted_channel", MSG_WIRE_BYTES, at_tick=t0)
         _, link_done = engine.reserve("link", n * LINE_BYTES, at_tick=t0)
@@ -365,7 +362,7 @@ def direct_transfer(session: SessionState, engine: Engine, *,
         rep.done_tick = max(chan_done, link_done) + SYNC_TICKS
     elif direction == "npu_to_cpu":
         rec = npu.records[tensor_id]
-        n = rec.n_lines if n_lines is None else n_lines
+        n = rec.n_lines
         rep = TransferReport("direct", tensor_id, start_tick=t0, done_tick=t0)
         if n == 0:
             return rep

@@ -24,12 +24,12 @@ from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
-from .baseline import PlainMemory, ProtectedMemory
+from .baseline import CostReport, PlainMemory, ProtectedMemory
 from .config import SimConfig, build_engine
 from .crypto import LINE_BYTES, KeyMaterial
 # unused, but perfbench/tests' tracer test looks this name up here
 from .crypto import decrypt_block  # noqa: F401
-from .nputee import NpuDevice, VerifyMode, unprotected_stream
+from .nputee import NpuDevice, unprotected_stream
 from .tenanalyzer import TenAnalyzer
 from .transfer import (
     Enclave, TransferReport, attest_and_exchange, baseline_transfer,
@@ -317,8 +317,9 @@ def replay_trace(front, records: Iterable[TraceRecord],
     (`read_run`/`write_run`, or a memory's `read_lines`/`write_lines`) of at
     most REPLAY_RUN_LINES. Write data is a cheap deterministic pattern: the
     address's low byte in every byte of the line. A memory's (not a
-    TenAnalyzer's) accesses go one at a time, appending their CostReports to
-    `cost_sample`, while it holds fewer than COST_SAMPLE_LIMIT."""
+    TenAnalyzer's) accesses go one at a time, appending their CostReports
+    (`CostReport.between`) to `cost_sample`, while it holds fewer than
+    COST_SAMPLE_LIMIT."""
     if isinstance(front, TenAnalyzer):
         read_run, write_run = front.read_run, front.write_run
         cost_sample = None
@@ -332,9 +333,12 @@ def replay_trace(front, records: Iterable[TraceRecord],
                 head = vas[:COST_SAMPLE_LIMIT - len(cost_sample)]
                 vas = vas[len(head):]
                 for va in head:
-                    cost_sample.append(
-                        front.read_line(va, collect=True)[1] if kind == "R" else
-                        front.write_line(va, _line_data(va), collect=True))
+                    before = dict(front.totals)
+                    if kind == "R":
+                        front.read_line(va)
+                    else:
+                        front.write_line(va, _line_data(va))
+                    cost_sample.append(CostReport.between(kind, va, before, front.totals))
             if kind == "R":
                 read_run(vas)
             else:
@@ -424,8 +428,7 @@ class ZeroOffloadRunner:
         self.init_weights = [rng.standard_normal(n_floats, dtype=np.float32)
                              for _ in range(self.n_tensors)]
         self.report = ZeroOffloadReport(mode=self.mode)
-        self.verify_mode = (VerifyMode("delayed") if self.mode == "tensortee"
-                            else VerifyMode("blocking", cfg.npu.mac_granularity))
+        self.verify_mode = "delayed" if self.mode == "tensortee" else "blocking"
         self._nch = cfg.cpu.dram_channels
 
     # -- CPU data plane -----------------------------------------------------------

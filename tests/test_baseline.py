@@ -42,10 +42,21 @@ def _store(mem):
     return bytes(mem._ct), macs, list(mem._vns), list(mem._codes)
 
 
+def _cost(mem, op, pa, plain=None):
+    """One read ("R") or write ("W") of line `pa`, and its CostReport: the
+    change in `mem.totals` (`CostReport.between`)."""
+    before = dict(mem.totals)
+    if op == "R":
+        mem.read_line(pa)
+    else:
+        mem.write_line(pa, plain)
+    return CostReport.between(op, pa, before, mem.totals)
+
+
 def test_cold_read_cost_with_three_level_tree():
     mem = make_mem(4096)  # 512 VN-lines -> depth 3
     assert mem.tree.depth == 3
-    _, rep = mem.read_line(BASE, collect=True)
+    rep = _cost(mem, "R", BASE)
     assert rep.data_bytes == LINE_BYTES
     assert rep.vn_bytes == LINE_BYTES
     assert rep.mac_bytes == LINE_BYTES
@@ -55,7 +66,7 @@ def test_cold_read_cost_with_three_level_tree():
 def test_second_read_hits_metadata_cache():
     mem = make_mem()
     mem.read_line(BASE)
-    _, rep = mem.read_line(BASE, collect=True)
+    rep = _cost(mem, "R", BASE)
     assert rep.vn_bytes == 0
     assert rep.tree_bytes == 0
     assert rep.mac_bytes == LINE_BYTES  # MAC region never cached
@@ -82,8 +93,9 @@ def test_n_writes_increment_vn_by_n():
 def test_write_updates_depth_many_tree_nodes():
     mem = make_mem(4096)
     mem.read_line(BASE)  # warm the VN path so the write owes no walk reads
-    rep = mem.write_line(BASE, b"\x01" * LINE_BYTES, collect=True)
+    rep = _cost(mem, "W", BASE, b"\x01" * LINE_BYTES)
     assert rep.tree_bytes == mem.tree.depth * LINE_BYTES
+    assert (rep.data_bytes, rep.vn_bytes, rep.mac_bytes) == (LINE_BYTES,) * 3
 
 
 def test_bitflip_detected_on_next_read():
@@ -258,7 +270,7 @@ def test_cached_node_lines_match_tree_after_deferred_rehash():
 
 def test_cold_metadata_ratio_at_least_two_lines():
     mem = make_mem(4096)
-    _, rep = mem.read_line(BASE + 2048 * LINE_BYTES, collect=True)
+    rep = _cost(mem, "R", BASE + 2048 * LINE_BYTES)
     assert (rep.vn_bytes + rep.mac_bytes) >= 2 * LINE_BYTES
 
 
@@ -586,13 +598,13 @@ class PerLineProtectedMemory(LoopProtectedMemory):
         super().__init__(*args, **kwargs)
         self.cache = _EveryPutCache(self.cache.capacity * LINE_BYTES)
 
-    def read_line(self, pa, collect=False):
+    def read_line(self, pa):
         self.seal()
         t = self.totals
         t["reads"] += 1
         idx = self.line_index(pa)
         t["data_rd"] += LINE_BYTES
-        vn, cold = self.resolve_vn(pa, t)
+        vn, cold = self.resolve_vn(pa)
         ct, code = self.line(idx)
         t["cycles"] += AES_CYCLES + MAC_CYCLES
         t["mac_rd"] += LINE_BYTES
@@ -601,7 +613,7 @@ class PerLineProtectedMemory(LoopProtectedMemory):
         if line_tag(self.key, code, vn, ct) != self._macs[idx]:
             raise IntegrityFault("mac_mismatch", f"pa={pa:#x}")
         if cold:
-            self.walk_tree(pa, t)
+            self.walk_tree(pa)
         return plain, None
 
 

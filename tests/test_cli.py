@@ -6,6 +6,7 @@ import json
 import pytest
 
 from teesim import cli
+from teesim.baseline import CostReport
 from teesim.cli import main
 from teesim.config import load_config
 from teesim.engine import SimError
@@ -35,6 +36,24 @@ def test_run_adam_writes_metrics(tmp_path):
     assert m["workload"] == "adam" and m["mode"] == "tensortee"
     assert "hit_in" in m["hit_rates"]
     assert (out / "meta_table.json").exists()
+
+
+@pytest.mark.parametrize("mode", ["sgx_mgx", "tensortee"])
+def test_costs_csv_holds_the_cost_sample_of_a_memory_run(tmp_path, mode):
+    # the sample itemizes a memory's accesses; a Meta Table run has none
+    cfg = write_cfg(tmp_path, {
+        "mode": mode, "crypto": {"functional": False},
+        "workload": {"name": "gemm", "gemm_m": 64, "gemm_n": 64, "gemm_k": 64,
+                     "gemm_tile": 16}})
+    out = tmp_path / "out"
+    assert main(["run", "--config", cfg, "--out", str(out)]) == 0
+    sample = json.loads((out / "metrics.json").read_text())["cost_sample"]
+    if mode == "tensortee":
+        assert sample == [] and not (out / "costs.csv").exists()
+        return
+    header, *rows = (out / "costs.csv").read_text().splitlines()
+    assert header == CostReport.csv_header()
+    assert rows == sample and {r.split(",")[0] for r in rows} == {"R", "W"}
 
 
 def test_run_bad_config_exits_2(tmp_path, capsys):

@@ -18,8 +18,8 @@ from teesim.crypto import (
     LINE_BYTES, MAC_BATCH_MIN, MASK56, MASK64, NULL_KEY,
     OPEN_BATCH_MIN, SEAL_BATCH_MIN, TREE_ARITY, BindingMode,
     CipherBlock, CounterBinding, IntegrityFault, KeyMaterial, VnTree, _leaf_hash,
-    _node_hash, binding_codes, decrypt_block, encrypt_block, keystream,
-    keystream_lines, line_bytes, line_pad, line_tag, line_words, mac_block,
+    _node_hash, as_line, binding_codes, decrypt_block, encrypt_block, keystream,
+    keystream_lines, line_pad, line_tag, line_words, mac_block,
     mac_lines, mac_xor_aggregate, mix64, open_lines, pa_binding_codes, seal_into,
     tensor_binding_codes, words_to_bytes, words_to_ints,
 )
@@ -525,7 +525,7 @@ def test_batch_kernels_match_scalar_by_size(n):
         blocks = [encrypt_block(d, b, v, key)
                   for d, b, v in zip(data, bindings, per_line)]
         tags = [mac_block(blk, key) for blk in blocks]
-        buf = bytearray(b"".join(line_bytes(d) for d in data))
+        buf = bytearray(b"".join(map(as_line, data)))
         assert seal_into(key, buf, range(n), codes, vn_arg) == tags
         assert buf == b"".join(blk.to_bytes() for blk in blocks)
         plains = [decrypt_block(blk, key) for blk in blocks]

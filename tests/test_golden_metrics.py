@@ -23,7 +23,7 @@ from teesim.baseline import ProtectedMemory
 from teesim.cli import main, run_npu_stream
 from teesim.config import SEED_ENV_VAR, SimConfig, build_engine
 from teesim.crypto import LINE_BYTES, KeyMaterial
-from teesim.nputee import NpuDevice, VerifyMode
+from teesim.nputee import NpuDevice
 from teesim.tenanalyzer import TenAnalyzer
 from teesim.transfer import (
     Enclave, attest_and_exchange, baseline_transfer, direct_transfer,
@@ -138,11 +138,9 @@ def npu_stream_snapshot(granularity: str, functional: bool = True) -> dict:
                     mac_granularity=cfg.npu.mac_granularity,
                     crypto_on=functional)
     rec = dev.register_tensor(7, 0x4000_0000, NPU_LINES)
-    order = list(range(NPU_LINES))
-    random.Random(SEED).shuffle(order)
-    dev.store_tensor_stream(rec, _lines(NPU_LINES, 1), order=order)
-    blocking, _ = dev.load_tensor_stream(rec, VerifyMode("blocking", int(granularity)))
-    delayed, _ = dev.load_tensor_stream(rec, VerifyMode("delayed"))
+    dev.store_tensor_stream(rec, _lines(NPU_LINES, 1))
+    blocking, _ = dev.load_tensor_stream(rec, "blocking")
+    delayed, _ = dev.load_tensor_stream(rec, "delayed")
     return {
         "npu_stream": ticks,
         "stored_mac": rec.stored_mac,
@@ -189,14 +187,14 @@ def transfer_snapshot(protocol: str, functional: bool = True) -> dict:
             ta.on_write(CPU_BASE + i * LINE_BYTES, line)
         reps = [direct_transfer(session, eng, tensor_id=5, direction="cpu_to_npu",
                                 analyzer=ta, npu=dev, cpu_base=CPU_BASE)]
-        dev.load_tensor_stream(grad, VerifyMode("delayed"))
+        dev.load_tensor_stream(grad, "delayed")
         eng.advance(grad.verify_done_tick)
         reps.append(direct_transfer(session, eng, tensor_id=9,
                                     direction="npu_to_cpu", analyzer=ta, npu=dev,
                                     cpu_base=back_base))
         read = ta.on_read
     sent = dev.records[5]
-    on_npu, _ = dev.load_tensor_stream(sent, VerifyMode("delayed"))
+    on_npu, _ = dev.load_tensor_stream(sent, "delayed")
     on_cpu = [read(back_base + i * LINE_BYTES)[0] for i in range(n)]
     return {
         "transfer_rows": [r.csv_row() for r in reps],

@@ -9,7 +9,7 @@ import pytest
 from teesim.baseline import ProtectedMemory
 from teesim.config import SimConfig, build_engine
 from teesim.crypto import IntegrityFault, LINE_BYTES
-from teesim.nputee import NpuDevice, VerifyMode
+from teesim.nputee import NpuDevice
 from teesim.tenanalyzer import TenAnalyzer
 from teesim.transfer import (
     MSG_WIRE_BYTES, AttestationFailure, Enclave, MetadataMessage,
@@ -104,7 +104,7 @@ def test_baseline_aes_bytes_four_times_payload():
     assert rep.bytes_link == n * LINE_BYTES
     # payload arrived intact under the NPU enclave key
     rec = dev.records[1]
-    plains, _ = dev.load_tensor_stream(rec, VerifyMode("delayed"))
+    plains, _ = dev.load_tensor_stream(rec, "delayed")
     assert plains[5] == bytes([5]) * LINE_BYTES
 
 
@@ -170,7 +170,7 @@ def test_direct_zero_payload_aes_and_exact_link_bytes():
     assert rep.bytes_link == n * LINE_BYTES + MSG_WIRE_BYTES
     # ciphertext decrypts on the NPU under the shared key + logical binding
     rec = dev.records[5]
-    plains, _ = dev.load_tensor_stream(rec, VerifyMode("delayed"))
+    plains, _ = dev.load_tensor_stream(rec, "delayed")
     assert plains == data
     assert rec.poison == 0
 
@@ -181,7 +181,7 @@ def test_direct_roundtrip_back_to_cpu():
     rec = dev.register_tensor(6, 0x50000000, n)
     data = lines(n, 9)
     dev.store_tensor_stream(rec, data)
-    dev.load_tensor_stream(rec, VerifyMode("delayed"))
+    dev.load_tensor_stream(rec, "delayed")
     eng.advance(rec.verify_done_tick)
     grad_base = CPU_BASE + 0x20000
     rep = direct_transfer(session, eng, tensor_id=6, direction="npu_to_cpu",
@@ -204,7 +204,7 @@ def test_direct_install_overrides_writes_still_waiting_to_be_sealed():
     rec = dev.register_tensor(6, 0x50000000, n)
     data = lines(n, 9)
     dev.store_tensor_stream(rec, data)
-    dev.load_tensor_stream(rec, VerifyMode("delayed"))
+    dev.load_tensor_stream(rec, "delayed")
     eng.advance(rec.verify_done_tick)
     direct_transfer(session, eng, tensor_id=6, direction="npu_to_cpu",
                     analyzer=ta, npu=dev, cpu_base=grad_base)
@@ -245,7 +245,7 @@ def test_direct_tampered_tensor_never_crosses_link():
     addr = rec.base + 5 * LINE_BYTES
     dev.tamper_line(addr, 3)
     with pytest.raises(IntegrityFault):
-        dev.load_tensor_stream(rec, VerifyMode("delayed"))
+        dev.load_tensor_stream(rec, "delayed")
     with pytest.raises(IntegrityFault):
         direct_transfer(session, eng, tensor_id=8, direction="npu_to_cpu",
                         analyzer=ta, npu=dev, cpu_base=CPU_BASE + 0x40000)
@@ -276,7 +276,7 @@ def test_direct_overlaps_compute_where_baseline_cannot():
         # long-running compute stream holding npu_aes and npu_compute
         rec = dev.register_tensor(50, 0x60000000, 2048)
         dev.store_tensor_stream(rec, lines(2048, 7))
-        dev.load_tensor_stream(rec, VerifyMode("delayed"), at_tick=0)
+        dev.load_tensor_stream(rec, "delayed", at_tick=0)
         compute_end = eng.resources["npu_compute"].busy_until
         if protocol == "direct":
             prep_cpu_tensor(session, mem, ta, 5, n)

@@ -212,6 +212,8 @@ def test_zero_offload_sgx_mgx_verifies_npu_blocks():
     runner.run()
     npu = runner.npu
     assert npu.mac_granularity == 1024
+    loads = [r for r in npu.reports if r.mode != "store"]
+    assert loads and all(r.mode == "blocking1024" for r in loads)
     rec = npu.records[runner.WEIGHT_TID]
     npu.tamper_line(rec.base + 3 * LINE_BYTES, 9)
     with pytest.raises(IntegrityFault):
