@@ -407,7 +407,8 @@ class ProtectedMemory:
         `codes`, ciphertext `cts` (their bytes, joined) and `tags`, as the
         lines from `base_pa` on, each under VN `vn`. Each costs a data, VN
         and MAC write and a tree-path update, with no metadata-cache traffic:
-        cached node-lines are refreshed when the tree flushes."""
+        the update marks the node-lines stale, and the tree refreshes a
+        cached copy when it cleans its line, before any walk reads it."""
         n = len(codes)
         lo = self.line_index(base_pa)
         hi = self.line_index(base_pa + (n - 1) * LINE_BYTES) + 1
@@ -469,8 +470,10 @@ class ProtectedMemory:
         return self.cache.peek(("tn", level, j))
 
     def _refresh_cached_nodes(self, lines: dict) -> None:
-        """VnTree flush hook: each recomputed node-line replaces its verified
-        cached copy, if one is cached."""
+        """VnTree flush hook: each node-line the tree cleaned replaces its
+        verified cached copy, if one is cached. The tree cleans a line
+        before a walk reads its copy, so a copy is current once its line is
+        clean."""
         update = self.cache.update_if_present
         for (level, j), line in lines.items():
             update(("tn", level, j), line)
@@ -717,9 +720,9 @@ class ProtectedMemory:
     def _put_write_keys(self, li: int, vkey) -> None:
         """The tree-path update of a write of VN-line `li`, whose cache key
         is `vkey`, and its metadata-cache puts (`MetadataCache.batch_put`):
-        each dirtied node-line, cached with empty contents that the tree's
-        next flush (which precedes any walk that could read it) fills in,
-        then the VN-line."""
+        each dirtied node-line, cached with empty contents that the tree
+        fills in when it cleans the line (before any walk reads it), then
+        the VN-line."""
         if evicted := self.cache.batch_put(vkey, self.tree.update_path(li)):
             self._charge_drain(evicted)
 
@@ -744,8 +747,8 @@ class ProtectedMemory:
         # a pending write is sealed first, so the attack alters what was
         # sealed and a later seal does not undo it
         self.seal()
-        # the tree reads pending leaves from `_vns` when it flushes, so it
-        # hashes them now, before an attack can change them
+        # the tree reads stale leaves from `_vns` when it cleans them, so
+        # it hashes every one now, before an attack can change them
         self.tree.flush()
         o = idx * LINE_BYTES
         if kind == "bitflip":

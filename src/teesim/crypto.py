@@ -448,29 +448,44 @@ def _node_hash(key: KeyMaterial, level: int, index: int, children: Sequence[int]
     return x ^ (x >> 31)
 
 
+# the set slots of each 8-bit mask of stale entries, lowest first
+_SLOTS = tuple(tuple(s for s in range(TREE_ARITY) if m >> s & 1) for m in range(256))
+
+
 class VnTree:
     """8-ary hash tree protecting version-number lines.
 
     Leaf i is one 64 B VN-line holding 8 packed VNs. Stored hash levels live
     off-chip in `levels` (an adversary may mutate them); only `root` is
-    on-chip. A verification walk fetches one 64 B node-line (8 sibling
-    hashes) per stored level, or stops early at a node-line the caller has
-    already verified and cached.
+    on-chip. Entry i of level 0 is leaf i's hash; entry i of level l > 0 is
+    the hash of node-line (l - 1, i), entries 8i to 8i + 7 of level l - 1;
+    the root is the hash of the top node-line. A verification walk fetches
+    one 64 B node-line (8 sibling hashes) per stored level, or stops early
+    at a node-line the caller has already verified and cached.
 
-    Rehashing is deferred to verification points, the observation behind
-    Bonsai Merkle Trees (Rogers et al., MICRO 2007): `update_path` only
-    records the leaf as pending and returns the node-lines the write
-    dirties, so per-write byte and cycle accounting is unchanged. `flush()`
-    reads each pending leaf's VN-line through `read_leaf`, rehashes the union
-    of pending paths bottom-up, each node once, and passes the recomputed
-    node-lines to `on_flush` so that verified cached copies can be
-    refreshed. Invariants: nothing observes stored or on-chip state while
-    updates are pending, because every observer flushes first:
-    `verify_path`, `node_line`, and the `levels` and `root` properties; and
-    a pending leaf's VN-line changes only by writes that update its path, so
-    whoever changes VNs otherwise (an adversary) flushes first. So a reader,
-    or an adversary tampering with `levels` or the VNs, sees exactly the tree
-    that eager per-write rehashing would have left.
+    Rehashing is lazy, one node-line at a time. A walk verifies only up to
+    the first cached ancestor, as in Bonsai Merkle Trees (Rogers et al.,
+    MICRO 2007) and SGX's MEE (Gueron, 2016), so only the node-lines it
+    reads need to be current. `update_path` marks the leaf's entry stale,
+    and each ancestor entry up to the first one already marked, and returns
+    the node-lines the write dirties, so per-write byte and cycle accounting
+    is unchanged. Cleaning node-line (l, j) recomputes only its stale
+    entries: a leaf from the VN-line `read_leaf` gives then, a node entry
+    from the node-line below it, cleaned first. Every recomputed node-line
+    goes to `on_flush` as {(level, line): contents}, so that its verified
+    cached copy is refreshed. A walk cleans each node-line it visits before
+    it compares against the line's cached copy or hashes its stored entries,
+    and recomputes the root only when it reaches it. `node_line` cleans its
+    own line; `levels`, `root` and `flush()` clean everything.
+
+    Invariants: a stale entry's parent entry is stale, and so is the root.
+    A node-line's contents change only when it is cleaned, which reports
+    them, so a cached copy is current once its line is clean. And a stale
+    leaf's VN-line changes only by writes that mark it, so whoever changes
+    VNs otherwise (an adversary) flushes first. So each walk fetches the
+    node-lines, and reaches the outcome, that eager per-write rehashing
+    would give, and a reader, or an adversary tampering with `levels` or
+    the VNs, sees exactly the tree that it would have left.
 
     Under the null key the tree holds no hashes: a walk and an update return
     the same node-lines, a walk stops at the same cached node-line, and
@@ -494,10 +509,10 @@ class VnTree:
         self.on_flush = on_flush
         self._levels: list[list[int]] = []
         self._root: int = 0
-        # leaves updated since the last flush, each once, in an array rather
-        # than a set so that pending leaves hold no int objects
-        self._pending = array("L")
-        self._is_pending = bytearray(self.n_leaves)
+        # per level, one mask of its stale entries per node-line, and
+        # whether the root is stale, which it is whenever any entry is
+        self._stale = [bytearray(self.n_leaves // d) for _, d in self._divisors]
+        self._root_stale = False
 
     @property
     def levels(self) -> list[list[int]]:
@@ -510,11 +525,11 @@ class VnTree:
         return self._root
 
     def build(self, leaf_lines: Sequence[Sequence[int]]) -> int:
-        """Hash every level from the given VN-lines, dropping any pending
-        updates; returns (and stores) the on-chip root. Missing leaves hash
+        """Hash every level from the given VN-lines, clearing every stale
+        mark; returns (and stores) the on-chip root. Missing leaves hash
         as all-zero lines."""
-        del self._pending[:]
-        self._is_pending = bytearray(self.n_leaves)
+        self._stale = [bytearray(len(stale)) for stale in self._stale]
+        self._root_stale = False
         if self.key.null:
             return 0
         mk = self.key.mac_key
@@ -541,26 +556,31 @@ class VnTree:
         return self._root
 
     def node_line(self, level: int, line_idx: int) -> tuple[int, ...]:
+        """Node-line (level, line_idx), cleaned first."""
         if self.key.null:
             return ()
-        self.flush()
+        if self._stale[level][line_idx]:
+            self._clean_line(level, line_idx)
         lo = line_idx * TREE_ARITY
         return tuple(self._levels[level][lo:lo + TREE_ARITY])
 
     def verify_path(self, leaf_index: int, leaf_vns: Sequence[int],
                     cache_lookup=None) -> list[tuple[int, int]]:
         """Walk leaf->root, comparing against the on-chip root or the first
-        cached verified node-line. Returns the (level, line) node-lines that
-        had to be fetched from off-chip storage; raises IntegrityFault on any
-        mismatch (replayed or tampered VN state)."""
-        self.flush()
+        cached verified node-line, each node-line cleaned before the walk
+        reads its cached copy or its stored entries. Returns the (level,
+        line) node-lines that had to be fetched from off-chip storage;
+        raises IntegrityFault on any mismatch (replayed or tampered VN
+        state)."""
         null = self.key.null
-        # under the null key h stays 0, the root's value
+        # under the null key h stays 0, the root's value, and nothing is stale
         h = 0 if null else _leaf_hash(self.key, leaf_index, leaf_vns)
         idx = leaf_index
         fetched: list[tuple[int, int]] = []
-        for level in range(self.depth):
+        for level, stale in enumerate(self._stale):
             j, slot = divmod(idx, TREE_ARITY)
+            if stale[j]:
+                self._clean_line(level, j)
             cached = cache_lookup(level, j) if cache_lookup is not None else None
             if cached is not None:
                 if not null and cached[slot] != h:
@@ -574,48 +594,69 @@ class VnTree:
                 stored[slot] = h
                 h = _node_hash(self.key, level + 1, j, stored)
             idx = j
+        self.flush()
         if h != self._root:
             raise IntegrityFault("replay_or_tamper", f"leaf {leaf_index} vs root")
         return fetched
 
     def update_path(self, leaf_index: int) -> list[tuple[int, int]]:
-        """Record a change of leaf `leaf_index`'s VN-line. Returns the (level,
-        line) keys of the `depth` node-lines the write dirties, leaf level
-        first; their new contents and the new root are computed at the next
-        flush, from the VN-line `read_leaf` gives then."""
-        if not self.key.null and not self._is_pending[leaf_index]:
-            self._is_pending[leaf_index] = 1
-            self._pending.append(leaf_index)
+        """Record a change of leaf `leaf_index`'s VN-line: mark its entry
+        stale, and each ancestor entry up to the first one already marked.
+        Returns the (level, line) keys of the `depth` node-lines the write
+        dirties, leaf level first; their new contents are computed when
+        each is cleaned, from the VN-line `read_leaf` gives then."""
+        if not self.key.null:
+            idx = leaf_index
+            for stale in self._stale:
+                j, slot = divmod(idx, TREE_ARITY)
+                bit = 1 << slot
+                if stale[j] & bit:
+                    break
+                stale[j] |= bit
+                idx = j
+            else:
+                self._root_stale = True
         return [(level, leaf_index // d) for level, d in self._divisors]
 
     def flush(self) -> None:
-        """Rehash the pending paths bottom-up, each node once, and report the
-        recomputed node-lines to `on_flush` as {(level, line): contents}."""
-        pending = self._pending
-        if not pending:
+        """Clean every stale entry and the root, reporting the recomputed
+        node-lines to `on_flush`."""
+        if not self._root_stale:
             return
-        key = self.key
-        levels = self._levels
-        leaves = levels[0]
-        read_leaf, is_pending = self.read_leaf, self._is_pending
-        for i in pending:
-            leaves[i] = _leaf_hash(key, i, read_leaf(i))
-            is_pending[i] = 0
-        touched = set(pending)
-        del pending[:]
+        top = self.depth - 1
+        if self._stale[top][0]:
+            self._clean_line(top, 0)
+        self._root = _node_hash(self.key, self.depth, 0, self._levels[top])
+        self._root_stale = False
+
+    def _clean_line(self, level: int, j: int) -> None:
+        """Clean node-line (level, j) and report the recomputed node-lines
+        to `on_flush`."""
         recomputed: dict[tuple[int, int], tuple[int, ...]] = {}
-        for level in range(self.depth):
-            cur = levels[level]
-            above = levels[level + 1] if level + 1 < self.depth else None
-            touched = {i // TREE_ARITY for i in touched}
-            for j in touched:
-                lo = j * TREE_ARITY
-                line = tuple(cur[lo:lo + TREE_ARITY])
-                recomputed[(level, j)] = line
-                h = _node_hash(key, level + 1, j, line)
-                if above is None:
-                    self._root = h
-                else:
-                    above[j] = h
+        self._clean(level, j, recomputed)
         if self.on_flush is not None:
             self.on_flush(recomputed)
+
+    def _clean(self, level: int, j: int, recomputed: dict) -> None:
+        """Recompute the stale entries of node-line (level, j), cleaning
+        the node-line below each node entry first, and record each
+        recomputed node-line's contents in `recomputed`."""
+        stale = self._stale[level]
+        slots = _SLOTS[stale[j]]
+        stale[j] = 0
+        key = self.key
+        cur = self._levels[level]
+        lo = j * TREE_ARITY
+        if level == 0:
+            read_leaf = self.read_leaf
+            for s in slots:
+                cur[lo + s] = _leaf_hash(key, lo + s, read_leaf(lo + s))
+        else:
+            below, below_stale = self._levels[level - 1], self._stale[level - 1]
+            for s in slots:
+                i = lo + s
+                if below_stale[i]:
+                    self._clean(level - 1, i, recomputed)
+                b = i * TREE_ARITY
+                cur[i] = _node_hash(key, level, i, below[b:b + TREE_ARITY])
+        recomputed[(level, j)] = tuple(cur[lo:lo + TREE_ARITY])

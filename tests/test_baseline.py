@@ -146,7 +146,7 @@ def test_attack_on_a_pending_tree_leaf_faults_the_tree_walk(attack):
     mem.write_line(pa, b"\x01" * LINE_BYTES, vn=1)
     snap = mem.snapshot_triple(pa)
     mem.write_line(pa, b"\x02" * LINE_BYTES, vn=2)
-    assert mem.tree._pending
+    assert mem.tree._root_stale
     mem.inject_attack(attack, pa, snapshot=snap, delta=-1)
     mem.flush_metadata_cache()
     with pytest.raises(IntegrityFault) as ei:
@@ -255,17 +255,97 @@ def test_streaming_scan_amortized_metadata_traffic():
 def test_cached_node_lines_match_tree_after_deferred_rehash():
     # two write sweeps (the second hits every VN-line in the metadata cache,
     # so nothing verifies and the tree's rehashing stays pending), then a
-    # cold read whose walk flushes: every cached node-line copy is current
+    # cold read whose walk stops at the cached level-2 node-line, cleaning
+    # it and every stale node-line below it: every cached copy is current
     mem = make_mem(4096)
     for _ in range(2):
         for i in range(256):
             mem.write_line(BASE + i * LINE_BYTES, bytes([i % 251]) * LINE_BYTES)
-    assert mem.tree._pending
+    assert mem.tree._root_stale
     mem.read_line(BASE + 4000 * LINE_BYTES)
     cached = [(k, v) for k, v in mem.cache._d.items() if k[0] == "tn"]
     assert len(cached) > mem.tree.depth
     for (_, level, j), (line, _) in cached:
         assert line == mem.tree.node_line(level, j)
+
+
+def _tree_of(mem):
+    """A fresh `VnTree.build` of the memory's VN-lines."""
+    ref = VnTree(mem.tree.n_leaves, KEY, mem._vn_line)
+    ref.build([mem._vn_line(li) for li in range(len(mem._vns) // 8)])
+    return ref
+
+
+def _vn_line_pa(li):
+    return BASE + li * 8 * LINE_BYTES
+
+
+# explicit-VN writes, as covered writes are, walk no tree path, so they
+# leave their leaves' entries and ancestors stale; VN-lines 2, 20 and 300
+# sit under level-0 node-lines 0, 2 and 37 and level-1 node-lines 0, 0 and 4
+_PENDING_WRITES = (2, 20, 300)
+
+
+@pytest.mark.parametrize("stop_level, vn_line", [(0, 1), (1, 8), (2, 64), (3, 64)])
+def test_cached_node_walks_stop_at_each_level_as_the_eager_tree(stop_level, vn_line):
+    """A cold read of VN-line `vn_line` whose walk stops at a cached
+    node-line of `stop_level` (3: the root), with writes pending in this
+    and other subtrees, charges what it charges after a full flush, and
+    leaves the root and cached node-lines of a fresh build."""
+    mems = [make_mem(4096, cache_bytes=16 * LINE_BYTES) for _ in range(2)]
+    for mem in mems:
+        # the cold walk of VN-line 0 caches node-lines (0, 0), (1, 0), (2, 0)
+        mem.read_line(_vn_line_pa(0))
+        for li in _PENDING_WRITES:
+            mem.write_line(_vn_line_pa(li), b"\x07" * LINE_BYTES, vn=5)
+        if stop_level == 3:
+            mem.flush_metadata_cache()
+    lazy, eager = mems
+    eager.tree.flush()
+    assert lazy.tree._root_stale and not eager.tree._root_stale
+    before = dict(lazy.totals)
+    for mem in mems:
+        mem.read_line(_vn_line_pa(vn_line))
+    assert lazy.totals["tree_rd"] - before["tree_rd"] == stop_level * LINE_BYTES
+    assert lazy.totals == eager.totals
+    # the walk cleaned only what it read: other writes are still pending
+    assert lazy.tree._root_stale == (stop_level < 3)
+    ref = _tree_of(lazy)
+    assert lazy.tree.root == eager.tree.root == ref.root
+    cached = [(k, v) for k, v in lazy.cache._d.items() if k[0] == "tn"]
+    assert cached == [(k, v) for k, v in eager.cache._d.items() if k[0] == "tn"]
+    for (_, level, j), (line, _) in cached:
+        assert line == ref.node_line(level, j)
+
+
+@pytest.mark.parametrize("attack", ["replay", "vn_tamper"])
+@pytest.mark.parametrize("warm, later, stop_level", [(8, (20, 300), 1), (64, (100, 300), 2)])
+def test_attack_faults_a_walk_at_a_cached_node_line_with_stale_entries(
+        attack, warm, later, stop_level):
+    """An attack on VN-line 0 faults the walk that stops at a cached
+    interior node-line (`stop_level`, warmed by a cold read of VN-line
+    `warm`) that holds stale entries from `later` writes of other leaves.
+    A replay restores a matching MAC, so a read takes the walk; after a VN
+    tamper a read faults on the MAC first, so a write takes it."""
+    mem = make_mem(4096, cache_bytes=16 * LINE_BYTES)
+    pa = BASE + 3 * LINE_BYTES
+    mem.write_line(pa, b"\x01" * LINE_BYTES, vn=1)
+    snap = mem.snapshot_triple(pa)
+    mem.write_line(pa, b"\x02" * LINE_BYTES, vn=2)
+    mem.inject_attack(attack, pa, snapshot=snap, delta=-1)
+    mem.flush_metadata_cache()
+    mem.read_line(_vn_line_pa(warm))
+    for li in later:
+        mem.write_line(_vn_line_pa(li), b"\x07" * LINE_BYTES, vn=5)
+    assert mem.cache.peek(("tn", stop_level, 0)) == ()
+    assert mem.tree._stale[stop_level][0]
+    with pytest.raises(IntegrityFault) as ei:
+        if attack == "replay":
+            mem.read_line(pa)
+        else:
+            mem.write_line(pa, b"\x03" * LINE_BYTES)
+    assert ei.value.kind == "replay_or_tamper"
+    assert f"cached node L{stop_level}/0" in str(ei.value)
 
 
 def test_cold_metadata_ratio_at_least_two_lines():

@@ -201,9 +201,9 @@ def test_tree_update_writes_depth_node_lines():
 
 
 # -- reference implementations --------------------------------------------------
-# The production kernels inline the splitmix64 finalizer and the tree defers
-# its rehashing; these are the call-per-mix kernels and the eager per-write
-# tree they must stay bit-identical to.
+# The production kernels inline the splitmix64 finalizer and the tree rehashes
+# lazily; these are the call-per-mix kernels and the eager per-write tree
+# they must stay bit-identical to.
 
 _GOLDEN_RATIO = 0x9E3779B97F4A7C15
 
@@ -385,10 +385,13 @@ def test_counter_binding_code_not_compared():
 
 
 _N_TREE_LEAVES = 70          # depth 3 (512 leaf slots); ops touch 0..79
+# a verify's lookup sees no cached copy, every one, or those of one level
+# only, so that walks stop at each level with updates pending elsewhere
+_LOOKUP_LEVELS = st.sampled_from([None, (0, 1, 2), (0,), (1,), (2,)])
 _TREE_OPS = st.lists(st.one_of(
     st.tuples(st.just("update"), st.integers(0, 79), st.integers(0, 7),
               st.integers(0, MASK56)),
-    st.tuples(st.just("verify"), st.integers(0, 79), st.booleans(),
+    st.tuples(st.just("verify"), st.integers(0, 79), _LOOKUP_LEVELS,
               st.sampled_from([0, 0, 0, 1])),
     st.tuples(st.just("node_line"), st.integers(0, 2), st.integers(0, 63)),
     st.tuples(st.just("root"),),
@@ -402,8 +405,9 @@ _TREE_OPS = st.lists(st.one_of(
 def test_lazy_tree_matches_eager_reference(ops):
     lines = [[0] * TREE_ARITY for _ in range(80)]
     # verified node-line copies, as ProtectedMemory's metadata cache keeps
-    # them: the eager tree refreshes a copy from update_path's result, the
-    # lazy one from its flush hook
+    # them: a write caches each node-line it dirties, the eager tree's with
+    # its new contents, the lazy one's empty until its flush hook refreshes
+    # it when the line is cleaned
     lazy_cache, eager_cache = {}, {}
 
     def refresh(recomputed):
@@ -425,12 +429,13 @@ def test_lazy_tree_matches_eager_reference(ops):
                 lazy_cache[k] = ()
             eager_cache.update(eager_written)
         elif op[0] == "verify":
-            _, leaf, use_cache, delta = op
+            _, leaf, lookup_levels, delta = op
             vns = list(lines[leaf])
             vns[0] = (vns[0] + delta) & MASK56
             outcomes = []
             for tree, cache in ((lazy, lazy_cache), (eager, eager_cache)):
-                lookup = (lambda lvl, j, c=cache: c.get((lvl, j))) if use_cache else None
+                lookup = None if lookup_levels is None else (
+                    lambda lvl, j, c=cache: c.get((lvl, j)) if lvl in lookup_levels else None)
                 try:
                     fetched = tree.verify_path(leaf, vns, lookup)
                 except IntegrityFault as e:
@@ -440,20 +445,27 @@ def test_lazy_tree_matches_eager_reference(ops):
                 for k in fetched:
                     cache[k] = tree.node_line(*k)
             assert outcomes[0] == outcomes[1]
-            assert lazy_cache == eager_cache
         elif op[0] == "node_line":
             _, level, j = op
             j %= len(eager.levels[level]) // TREE_ARITY
             assert lazy.node_line(level, j) == eager.node_line(level, j)
         elif op[0] == "root":
             assert lazy.root == eager.root
+            # a full flush cleaned every line, so every copy is current
+            assert lazy_cache == eager_cache
         else:
             _, level, idx, bit = op
             idx %= len(eager.levels[level])
             lazy.levels[level][idx] ^= 1 << bit
             eager.levels[level][idx] ^= 1 << bit
+        # the copy of a node-line that holds no stale entry is current
+        assert lazy_cache.keys() == eager_cache.keys()
+        for (level, j), line in lazy_cache.items():
+            if not lazy._stale[level][j]:
+                assert line == eager_cache[(level, j)]
     assert lazy.levels == eager.levels
     assert lazy.root == eager.root
+    assert lazy_cache == eager_cache
 
 
 def test_update_path_defers_hashing_until_observed():
@@ -464,6 +476,29 @@ def test_update_path_defers_hashing_until_observed():
     assert tree._root == root0 and tree._levels[0][300] == leaf0
     assert tree.root != root0
     assert tree.levels[0][300] == _ref_leaf_hash(KEY, 300, lines[300])
+
+
+def test_tree_walk_rehashes_only_the_node_lines_it_reads():
+    tree, lines = _fresh_tree()
+    cache = {}
+    tree.on_flush = lambda recomputed: cache.update(
+        (k, v) for k, v in recomputed.items() if k in cache)
+    for k in tree.verify_path(100, lines[100]):
+        cache[k] = tree.node_line(*k)
+    root0, leaf300 = tree._root, tree._levels[0][300]
+    for leaf in (101, 102, 300):
+        lines[leaf][0] = 9
+        for k in tree.update_path(leaf):
+            cache[k] = ()
+    # the walk stops at cached node-line (0, 12): that line is cleaned, both
+    # of its stale leaves, and its copy refreshed; nothing above it is
+    assert tree.verify_path(101, lines[101], lambda lvl, j: cache.get((lvl, j))) == []
+    assert cache[(0, 12)] == tuple(_ref_leaf_hash(KEY, i, lines[i]) for i in range(96, 104))
+    assert cache[(1, 1)] == cache[(2, 0)] == ()
+    assert tree._root == root0 and tree._levels[0][300] == leaf300
+    assert tree._stale[1][1] and tree._stale[0][37] and tree._root_stale
+    assert tree.root != root0 and tree._levels[0][300] == _ref_leaf_hash(KEY, 300, lines[300])
+    assert cache[(1, 1)] == tree.node_line(1, 1) and cache[(2, 0)] == tree.node_line(2, 0)
 
 
 # -- batch kernels against the scalar ones -------------------------------------
