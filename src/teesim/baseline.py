@@ -15,9 +15,9 @@ so that a run of writes is sealed in one batch, and a run of reads opens its
 lines in batches (see `ProtectedMemory`); `read_lines` and `write_lines`
 take a run of accesses with the result of one-line calls. Each line of a
 `write_lines` call names its VN source, so one call may mix misses and
-covered writes, and the metadata-cache touches of a call are batched (see
-`MetadataCache`). `write_line` is `write_lines` of one line, and
-`read_line` does what `read_lines` of one line does.
+covered writes, and the metadata-cache touches of consecutive writes are
+batched, across calls (see `MetadataCache`). `write_line` is `write_lines`
+of one line, and `read_line` does what `read_lines` of one line does.
 """
 
 from __future__ import annotations
@@ -100,32 +100,26 @@ class MetadataCache:
     dirty their cached lines; the DRAM drain happens at eviction (write-back),
     which is what coalesces the per-write VN/tree traffic.
 
-    `last_write` is the VN-line key whose write made the cache's last
-    operation (`ProtectedMemory.write_lines` sets it), or None. Any other
-    operation except a `get` of that same key clears it. While it is set,
-    that write's keys sit at the MRU end, dirty and in write order.
-
-    A run of writes touches the cache in a batch (`batch_get`,
-    `batch_holds`, `batch_put`, `end_batch`), with the result of the loop
-    in which each write gets its VN-line if it looks its VN up, then puts
-    the node-lines its tree update dirties and the VN-line, dirty, unless
-    the VN-line is `last_write`. A VN-line's first write in the batch puts
-    each of its keys the batch has not touched. Every key the batch touched
-    then sits after every key it did not, as in the loop, so each eviction
-    takes the key the loop's would: the oldest key the batch has not
-    touched, as long as the batch's distinct keys do not exceed
+    Writes touch the cache in a batch (`batch_get`, `batch_holds`,
+    `batch_put`), with the result of the loop in which each write gets its
+    VN-line if it looks its VN up, then puts the node-lines its tree update
+    dirties and the VN-line, dirty. A VN-line's first write in the batch
+    puts each of its keys the batch has not touched. Every key the batch
+    touched then sits after every key it did not, as in the loop, so each
+    eviction takes the key the loop's would: the oldest key the batch has
+    not touched, as long as the batch's distinct keys do not exceed
     `capacity`; the batch ends before a write's touches, its `get` too,
     could take them past it. A later write of that VN-line only records
-    its touch: its lookup hits without a `get`. `end_batch` moves the
-    batch's keys to the MRU end in the order of their last touch. No other
-    operation may come between a batch's first touch and its end."""
+    its touch: its lookup hits without a `get`. Ending the batch moves its
+    keys to the MRU end in the order of their last touch. The batch stays
+    open across write calls; every other operation ends it first, so none
+    comes between a batch's first touch and its end."""
 
     def __init__(self, capacity_bytes: int):
         self.capacity = max(1, capacity_bytes // LINE_BYTES)
         self._d: OrderedDict = OrderedDict()   # key -> [value, dirty]
         self.hits = 0
         self.misses = 0
-        self.last_write = None
         # the open batch: each VN-line key it touched -> the (level, line)
         # node-lines of its write, in the order of their last touch; and the
         # node-lines it touched
@@ -133,8 +127,8 @@ class MetadataCache:
         self._batch_nodes: set = set()
 
     def get(self, key):
-        if self.last_write is not None and key != self.last_write:
-            self.last_write = None
+        if self._batch:
+            self.end_batch()
         slot = self._d.get(key)
         if slot is None:
             self.misses += 1
@@ -146,11 +140,9 @@ class MetadataCache:
     def hit_run(self, keys, n: int) -> None:
         """`n` `get`s, each of a cached key: `keys` lists each key they got
         once, in the order of its last get."""
-        d = self._d
+        self.end_batch()
         for key in keys:
-            if self.last_write is not None and key != self.last_write:
-                self.last_write = None
-            d.move_to_end(key)
+            self._d.move_to_end(key)
         self.hits += n
 
     def batch_holds(self, vkey) -> bool:
@@ -171,11 +163,16 @@ class MetadataCache:
         it, or if `batch_put` would end it: ended after the `get`, the
         batch would move its keys after `vkey`, where the loop has `vkey`
         after them."""
-        batch = self._batch
-        if batch and (vkey not in self._d
-                      or len(batch) + len(self._batch_nodes) + n > self.capacity):
+        slot = self._d.get(vkey)
+        if self._batch and (slot is None or n + len(self._batch)
+                            + len(self._batch_nodes) > self.capacity):
             self.end_batch()
-        return self.get(vkey) is not None
+        if slot is None:
+            self.misses += 1
+            return False
+        self._d.move_to_end(vkey)
+        self.hits += 1
+        return True
 
     def batch_put(self, vkey, path: list) -> list:
         """The puts of a write of VN-line `vkey`, which the open batch does
@@ -199,12 +196,10 @@ class MetadataCache:
                     break
                 fresh.append(node)
         evicted = []
-        if self.last_write != vkey:
-            put = self.put
-            for node in fresh:
-                if out := put(("tn", *node), (), dirty=True):
-                    evicted += out
-            evicted += put(vkey, True, dirty=True)
+        for node in fresh:
+            if out := self._put(("tn", *node), (), True):
+                evicted += out
+        evicted += self._put(vkey, True, True)
         # a write whose keys do not all fit may evict its own, so it is
         # not held: the next write of its VN-line makes its own puts
         if n <= self.capacity:
@@ -214,10 +209,8 @@ class MetadataCache:
 
     def end_batch(self) -> None:
         """End the open batch: move its keys to the MRU end in the order of
-        their last touch, and leave its last write's VN-line `last_write`."""
+        their last touch."""
         batch = self._batch
-        if not batch:
-            return
         if len(batch) > 1:
             # each key once, where its last touch puts it: walking the
             # writes from the last, the node-lines of a write that no later
@@ -235,17 +228,22 @@ class MetadataCache:
             move = self._d.move_to_end
             for key in reversed(keys):
                 move(key)
-        self.last_write = next(reversed(batch))
         batch.clear()
         self._batch_nodes.clear()
 
     def peek(self, key):
+        if self._batch:
+            self.end_batch()
         slot = self._d.get(key)
         return None if slot is None else slot[0]
 
     def put(self, key, value, dirty: bool = False):
         """Insert/refresh; returns the dirty keys evicted to make room."""
-        self.last_write = None
+        if self._batch:
+            self.end_batch()
+        return self._put(key, value, dirty)
+
+    def _put(self, key, value, dirty: bool):
         slot = self._d.get(key)
         if slot is not None:
             slot[0] = value
@@ -262,15 +260,15 @@ class MetadataCache:
         return evicted
 
     def update_if_present(self, key, value) -> None:
-        # a write that skipped its puts would not reset this value to ()
-        self.last_write = None
+        if self._batch:
+            self.end_batch()
         slot = self._d.get(key)
         if slot is not None:
             slot[0] = value
 
     def flush(self) -> list:
         """Drop everything; returns the dirty keys that had to drain."""
-        self.last_write = None
+        self.end_batch()
         dirty = [k for k, (v, d) in self._d.items() if d]
         self._d.clear()
         return dirty
@@ -603,7 +601,9 @@ class ProtectedMemory:
         plaintexts `plains` that are lines already (`as_line`), each a list,
         and `sources` None or a sequence. Each run of `WRITE_SLICE_MIN` or
         more consecutive lines under one explicit VN and tag sink is stored
-        by slices (`_write_slice`) when the cache holds a write's keys."""
+        by slices (`_write_slice`) when the cache holds a write's keys. The
+        cache's write batch stays open after the call, for the next write
+        or the next other cache operation to end (`MetadataCache`)."""
         t, cache, key = self.totals, self.cache, self.key
         ct, vns, pending, line_codes = self._ct, self._vns, self._pending, self._codes
         depth = self.tree.depth
@@ -674,7 +674,6 @@ class ProtectedMemory:
                 done += 1
                 i += 1
         finally:
-            cache.end_batch()
             t["writes"] += started
             t["cycles"] += (AES_CYCLES + MAC_CYCLES + HASH_CYCLES * (depth + 1)) * done
             t["tree_wr"] += LINE_BYTES * depth * done

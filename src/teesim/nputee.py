@@ -45,13 +45,14 @@ class HaltError(Exception):
 
 
 class TensorRecord:
-    """Per-tensor on-chip state: VN, stored aggregate MAC, poison bit, and the
-    running XOR for an in-flight load verification; and the tensor's lines in
-    GDDR, from `base` on: their ciphertext `ct`, binding `codes`, and a
-    `stored` byte (0: never stored, or discarded) and a `taint` byte each."""
+    """Per-tensor on-chip state: VN, stored aggregate MAC, block tags (one
+    per device MAC block, from its last store) and poison bit; and the
+    tensor's lines in GDDR, from `base` on: their ciphertext `ct`, binding
+    `codes`, and a `stored` byte (0: never stored, or discarded) and a
+    `taint` byte each."""
 
-    __slots__ = ("tensor_id", "base", "n_lines", "vn", "stored_mac", "poison",
-                 "running_xor", "deps", "verify_done_tick",
+    __slots__ = ("tensor_id", "base", "n_lines", "vn", "stored_mac", "block_tags",
+                 "poison", "deps", "verify_done_tick",
                  "tainted", "failed", "ct", "codes", "stored", "taint")
 
     def __init__(self, tensor_id: int, base: int, n_lines: int):
@@ -64,8 +65,8 @@ class TensorRecord:
         self.taint = bytearray(n_lines)
         self.vn = 0
         self.stored_mac = 0
+        self.block_tags: list[int] = []
         self.poison = 0            # own pending/failed verification
-        self.running_xor = 0
         self.deps: tuple = ()      # producing kernel's input records
         self.verify_done_tick = 0
         self.tainted = False       # provenance ground truth, not the mechanism
@@ -124,8 +125,8 @@ def _fold_blocks(tags: list[int], granularity: int) -> list[int]:
 
 class NpuDevice:
     """Modeled GDDR plus the protection engine in front of it. Stores seal
-    one block MAC per `mac_granularity` bytes, which blocking-mode loads
-    verify."""
+    one block tag per `mac_granularity` bytes, which blocking-mode loads and
+    the relay verify."""
 
     def __init__(self, key: KeyMaterial, engine: Engine, *,
                  fault_threshold: int = 3, crypto_on: bool = True,
@@ -137,8 +138,6 @@ class NpuDevice:
         self.engine = engine
         self.mac_granularity = mac_granularity
         self.records: dict[int, TensorRecord] = {}
-        # tensor base -> one tag per `mac_granularity`-byte block
-        self.block_macs: dict[int, list[int]] = {}
         self.code: dict[int, tuple[CipherBlock, int]] = {}  # pa -> (line, mac)
         self.faults = FaultCounter(threshold=fault_threshold)
         self.retransfer_requests: list[int] = []
@@ -157,13 +156,13 @@ class NpuDevice:
     def install_transferred(self, tensor_id: int, base: int, n_lines: int,
                             vn: int, mac: int, cts, codes) -> TensorRecord:
         """Accept ciphertext moved verbatim from the peer enclave: the n_lines
-        lines' bytes `cts` and binding `codes`. Verification is lazy (first
-        use runs the delayed dataflow)."""
+        lines' bytes `cts` and binding `codes`, with no block tags.
+        Verification is lazy (first use runs the delayed dataflow)."""
         rec = self.records.get(tensor_id) or self.register_tensor(tensor_id, base, 0)
         rec.base, rec.n_lines = base, n_lines
         rec.ct, rec.codes = bytearray(cts), array("Q", codes)
         rec.stored, rec.taint = bytearray(b"\x01") * n_lines, bytearray(n_lines)
-        rec.vn, rec.stored_mac = vn, mac
+        rec.vn, rec.stored_mac, rec.block_tags = vn, mac, []
         rec.poison = 1            # unverified until first-use stream passes
         rec.failed = rec.tainted = False
         return rec
@@ -194,7 +193,7 @@ class NpuDevice:
             _, mac_done = eng.reserve("npu_mac", LINE_BYTES, at_tick=aes_done)
             done = max(done, wr_done, mac_done)
         record.stored_mac = reduce(xor, tags, 0)
-        self.block_macs[record.base] = _fold_blocks(tags, self.mac_granularity)
+        record.block_tags = _fold_blocks(tags, self.mac_granularity)
         record.tainted = tainted
         record.poison = 0          # freshly produced on-chip data is verified
         record.failed = False
@@ -270,7 +269,6 @@ class NpuDevice:
             start = max(aes_done, compute_done)
             _, compute_done = eng.reserve("npu_compute", LINE_BYTES, at_tick=start)
             _, mac_done = eng.reserve("npu_mac", LINE_BYTES, at_tick=aes_done)
-        record.running_xor = reduce(xor, tags, 0)
         verify_done = mac_done  # final compare is a few cycles, folded in
         done = max(compute_done, verify_done)
         rep = StreamReport(record.tensor_id, "delayed", n,
@@ -280,7 +278,7 @@ class NpuDevice:
                            verify_cycles=n)
         record.verify_done_tick = verify_done
         self.reports.append(rep)
-        if record.running_xor == record.stored_mac:
+        if reduce(xor, tags, 0) == record.stored_mac:
             record.poison = 0
             record.failed = False
             record.tainted = record.tainted or 1 in record.taint
@@ -301,10 +299,8 @@ class NpuDevice:
         stall = 0
         n = record.n_lines
         tags, plains = open_lines(self.key, *self.export_lines(record), record.vn)
-        sealed = self.block_macs.get(record.base, ())
         for b0 in range(0, n, lines_per_block):
             blk_lines = range(b0, min(b0 + lines_per_block, n))
-            acc = 0
             first_line_ready = None
             for i in blk_lines:
                 _, fetch_done = eng.reserve("npu_gddr", LINE_BYTES, at_tick=t0)
@@ -312,17 +308,8 @@ class NpuDevice:
                 _, mac_done = eng.reserve("npu_mac", LINE_BYTES, at_tick=aes_done)
                 if first_line_ready is None:
                     first_line_ready = aes_done
-                acc ^= tags[i]
             verify_done = mac_done  # block compare folds into the last line tag
-            k = b0 // lines_per_block
-            # fail closed: a block with no sealed MAC cannot verify
-            if k >= len(sealed) or sealed[k] != acc:
-                record.failed = True
-                self.faults.record_failure()
-                raise IntegrityFault(
-                    "mac_mismatch", f"tensor {record.tensor_id} block {k}"
-                    + ("" if k < len(sealed) else
-                       f": no block MAC sealed at {granularity} B"))
+            self.verify_blocks(record, tags[b0:b0 + lines_per_block], b0 // lines_per_block)
             # compute on any line of the block stalls until the whole block is
             # fetched and its MAC verified: the bubble is the wait past the
             # point the first line was already decrypted and compute was free
@@ -340,6 +327,20 @@ class NpuDevice:
         record.poison = 0
         self.reports.append(rep)
         return plains, rep
+
+    def verify_blocks(self, record: TensorRecord, tags: Sequence[int], first: int = 0) -> None:
+        """Fail closed, as `record` failed, unless each block of the line
+        `tags`, from block `first` on, XORs to the record's tag for it; a
+        block with no tag cannot verify. No cost accounting."""
+        sealed = record.block_tags
+        for k, acc in enumerate(_fold_blocks(tags, self.mac_granularity), first):
+            if k >= len(sealed) or sealed[k] != acc:
+                record.failed = True
+                self.faults.record_failure()
+                raise IntegrityFault(
+                    "mac_mismatch", f"tensor {record.tensor_id} block {k}"
+                    + ("" if k < len(sealed) else
+                       f": no block MAC sealed at {self.mac_granularity} B"))
 
     def mac_storage_bytes(self, mode: str) -> int:
         """Off-chip MAC footprint under verify mode `mode`: 7 B per tensor

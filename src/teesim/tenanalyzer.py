@@ -87,16 +87,16 @@ class WriteOutcome:
 class MetaTableEntry:
     """One on-chip tensor descriptor: address range as (lines-per-row, rows)
     with a byte stride between rows, shared VN and aggregate MAC, the
-    updating flag / bit-state pair, and the last covered address.
+    updating flag / bit-state pair, and the last covered address. An entry
+    is live exactly while it is in its table's `entries`.
 
     While an update runs (`uf` = 1), `written` holds one flag per covered
     line, by ordinal, set when the line is written in this update (where the
     paper's bitmap bit would differ from `bs`). It is None between updates."""
 
     __slots__ = ("base", "nx", "ny", "planes", "stride", "vn", "mac",
-                 "uf", "bs", "valid", "tensor_id", "last_addr",
-                 "update_count", "written", "write_tags", "runs", "runs_by_next",
-                 "lru", "touched")
+                 "uf", "bs", "tensor_id", "last_addr", "written", "write_tags",
+                 "runs", "runs_by_next", "lru", "touched")
 
     def __init__(self, base, nx, ny, stride, vn, mac, tensor_id=None):
         self.base = base
@@ -108,10 +108,8 @@ class MetaTableEntry:
         self.mac = mac
         self.uf = 0
         self.bs = 0
-        self.valid = True
         self.tensor_id = tensor_id
         self.last_addr = base + (ny - 1) * stride + (nx - 1) * LINE_BYTES
-        self.update_count = 0
         self.written: Optional[bytearray] = None
         # fresh tags of the lines written in the current update, appended
         # on-chip as they are sealed
@@ -164,7 +162,7 @@ class MetaTableEntry:
     def dump(self) -> dict:
         return {"base": self.base, "dims": [self.nx, self.ny, self.planes],
                 "stride": self.stride, "vn": self.vn, "uf": self.uf,
-                "bs": self.bs, "valid": self.valid}
+                "bs": self.bs, "valid": True}
 
 
 class _Span:
@@ -247,10 +245,11 @@ class TenAnalyzer:
         return e.touched
 
     def _drop(self, e: MetaTableEntry) -> None:
-        """Take `e` out of the table and out of `_recent`."""
-        if e in self.entries:
-            self.entries.remove(e)
-        self._recent.pop(e, None)
+        """Unindex `e` (`_unindex_entry`), then take it out of the table and
+        out of `_recent`."""
+        self._unindex_entry(e)
+        self.entries.remove(e)
+        del self._recent[e]
 
     def entry_at(self, va: int) -> Optional[MetaTableEntry]:
         """The entry covering line `va`, or None, also for an unaligned `va`
@@ -284,12 +283,10 @@ class TenAnalyzer:
             del self.boundary[e.last_addr + step]
 
     def _invalidate(self, e: MetaTableEntry, reason: str) -> None:
-        self._unindex_entry(e)
-        e.valid = False
+        self._drop(e)
         e.uf = 0
         e.written = None
         e.reset_sweep()
-        self._drop(e)
         self.stats["w_invalidate"] += 1
         self.stats[f"inval_{reason}"] = self.stats.get(f"inval_{reason}", 0) + 1
         # falling back to cacheline protection: regenerate the range's
@@ -308,8 +305,6 @@ class TenAnalyzer:
                 victim = e
         if victim is None:
             return False  # everything mid-update; caller drops the insert
-        self._unindex_entry(victim)
-        victim.valid = False
         self._drop(victim)
         self.stats["evictions"] += 1
         return True
@@ -345,7 +340,7 @@ class TenAnalyzer:
             plain, vn = self._read_hit_in(e, va, opened)
             return plain, ReadOutcome(HIT_IN, vn=vn)
         b = self.boundary.get(va)
-        if b is not None and b.valid and b.uf == 0:
+        if b is not None and b.uf == 0:
             return self._read_hit_boundary(b, va, opened)
         # miss: full baseline path, then pattern collection
         self.stats["r_miss"] += 1
@@ -446,7 +441,7 @@ class TenAnalyzer:
                 if s is None:
                     va = vas[q]
                     b = boundary.get(va)
-                    if b is None or b in spans or not b.valid or b.uf or b.ny != 1 \
+                    if b is None or b in spans or b.uf or b.ny != 1 \
                             or b.last_addr + LINE_BYTES != va \
                             or (b.nx == 1 and b.stride != LINE_BYTES):
                         break
@@ -744,10 +739,8 @@ class TenAnalyzer:
                 if geom is None:
                     continue
                 base, nx, ny, stride = geom
-                self._unindex_entry(c)
-                self._unindex_entry(e)
                 self._drop(c)
-                c.valid = False
+                self._unindex_entry(e)
                 e.base, e.nx, e.ny, e.stride = base, nx, ny, stride
                 e.last_addr = base + (ny - 1) * stride + (nx - 1) * LINE_BYTES
                 e.mac ^= c.mac
@@ -760,10 +753,10 @@ class TenAnalyzer:
         return e
 
     def merge_candidates(self, e: MetaTableEntry) -> list[MetaTableEntry]:
-        """The `merge_window` most recently touched valid entries other than
-        `e` that are not mid-update, the most recent first."""
+        """The `merge_window` most recently touched entries other than `e`
+        that are not mid-update, the most recent first."""
         return list(islice((c for c in reversed(self._recent)
-                            if c is not e and c.valid and c.uf == 0),
+                            if c is not e and c.uf == 0),
                            self.merge_window))
 
     @staticmethod
@@ -826,7 +819,6 @@ class TenAnalyzer:
                 self._retry_pending_hints()
                 return WriteOutcome(INVALIDATE, reason="early_update")
             e.uf = 1
-            e.update_count = 0
             e.written = bytearray(e.line_count)
             e.write_tags = []
             e.reset_sweep()
@@ -846,9 +838,9 @@ class TenAnalyzer:
         self._write_covered(e, va, plain, k)
         if last:
             # Assert2: every covered line updated exactly once by finish time;
-            # a line written twice invalidated the entry, so a count of
-            # every line means each was written once
-            if e.update_count == e.line_count:
+            # a line written twice invalidated the entry, so no unwritten
+            # flag means each was written once
+            if e.written.find(0) < 0:
                 return self._finish_update(e)
             self._invalidate(e, "incomplete_update")
             self._retry_pending_hints()
@@ -864,12 +856,12 @@ class TenAnalyzer:
         write its entry's next VN, its tensor-logical binding for a tensor
         and its entry's tag sink. In-update writes to consecutive unwritten
         lines of one row of an updating entry, short of its last address,
-        form one span, whose written flags, `update_count` and stats are
-        set in one step. The gathered writes are stored before each write
-        that goes through `on_write` at its position (edge writes,
-        invalidating writes and misses the tensor filter holds) and at the
-        end. The run ends at a plaintext that is not one line, or an
-        address outside the region, whose `on_write` then raises."""
+        form one span, whose written flags and stats are set in one step.
+        The gathered writes are stored before each write that goes through
+        `on_write` at its position (edge writes, invalidating writes and
+        misses the tensor filter holds) and at the end. The run ends at a
+        plaintext that is not one line, or an address outside the region,
+        whose `on_write` then raises."""
         vas, lines = list(vas), []
         try:
             for plain in islice(plains, len(vas)):
@@ -919,7 +911,6 @@ class TenAnalyzer:
                     if w >= 0:
                         m = w - k
                     written[k:k + m] = b"\x01" * m
-                    e.update_count += m
                     stats["w_hit_in"] += m
                     spans.append((e, k, m, len(sources)))
                     vn, sink = (e.vn + 1) & MASK56, e.write_tags
@@ -945,9 +936,8 @@ class TenAnalyzer:
         """Store the writes `write_run` gathered: lines `idxs` with
         `plains` under their VN `sources` (None: all misses). `spans` lists
         the in-update spans among them as (entry, first ordinal, lines,
-        position). A miss whose cold walk faults undoes the written flags,
-        `update_count` and stats of the spans after it, and counts the
-        misses before it."""
+        position). A miss whose cold walk faults undoes the written flags
+        and stats of the spans after it, and counts the misses before it."""
         mem = self.mem
         w0 = mem.totals["writes"]
         try:
@@ -959,14 +949,12 @@ class TenAnalyzer:
             for e, k, m, at in spans:
                 if at > f:
                     e.written[k:k + m] = bytes(m)
-                    e.update_count -= m
                     self.stats["w_hit_in"] -= m
             raise
         self.stats["w_miss"] += len(idxs) if sources is None else sources.count(None)
 
     def _write_covered(self, e: MetaTableEntry, va: int, plain, k: int) -> None:
         e.written[k] = 1
-        e.update_count += 1
         code = None if e.tensor_id is None else \
             binding_code(BindingMode.TENSOR_LOGICAL, e.tensor_id, k * LINE_BYTES)
         self.mem.write_line(va, plain, vn=(e.vn + 1) & MASK56, code=code,
@@ -983,7 +971,6 @@ class TenAnalyzer:
         e.written = None
         e.mac = mac_xor_aggregate(e.write_tags)
         e.write_tags = []
-        e.update_count = 0
         e.reset_sweep()
         e.lru = self._touch(e)
         self.stats["w_edge_finish"] += 1
@@ -1048,8 +1035,6 @@ class TenAnalyzer:
             for va in probe.addresses():
                 mac ^= macs[mem.line_index(va)]
         for o in overlapped:
-            self._unindex_entry(o)
-            o.valid = False
             self._drop(o)
         entry = MetaTableEntry(base, nx, ny, stride_b, vn & MASK56, mac,
                                tensor_id=tensor_id)
@@ -1088,11 +1073,13 @@ class TenAnalyzer:
     # -- invariants and debugging -----------------------------------------------
 
     def check_disjoint(self) -> None:
-        """Valid entries cover disjoint lines of the region, and the coverage
-        index maps exactly those lines, each to its entry."""
+        """The entries cover disjoint lines of the region, the coverage
+        index maps exactly those lines, each to its entry, and every
+        boundary key names an entry of the table one `run_step` past its
+        last address."""
         want: list[Optional[MetaTableEntry]] = [None] * self.mem.n_lines
         for e in self.entries:
-            for va in e.addresses() if e.valid else ():
+            for va in e.addresses():
                 k = self.mem.line_index(va)
                 if want[k] is not None:
                     raise AssertionError(
@@ -1104,12 +1091,16 @@ class TenAnalyzer:
                       if w is not c), len(want))
             raise AssertionError(f"coverage index is wrong at line {k} "
                                  f"({len(self._cover)} slots, {len(want)} lines)")
+        live = set(self.entries)
+        for va, e in self.boundary.items():
+            if e not in live or e.run_step() is None or e.last_addr + e.run_step() != va:
+                raise AssertionError(f"boundary key {va:#x} names no entry one step past its end")
 
     def check_vn_consistency(self) -> None:
         """At quiescent points every covered line's off-chip VN must equal the
         entry VN (acceptance sweep)."""
         for e in self.entries:
-            if not e.valid or e.uf:
+            if e.uf:
                 continue
             for va in e.addresses():
                 off = self.mem.vn_of(va)
@@ -1142,4 +1133,4 @@ class TenAnalyzer:
         return rates
 
     def dump_table(self) -> str:
-        return json.dumps([e.dump() for e in self.entries if e.valid])
+        return json.dumps([e.dump() for e in self.entries])

@@ -218,7 +218,8 @@ def baseline_transfer(session: SessionState, engine: Engine, *,
     """Relay protocol: sender enclave-decrypt, session re-encrypt into
     non-secure staging, link DMA, receiver session-decrypt + enclave
     re-encrypt. Four AES passes over the payload, all through the shared
-    engines."""
+    engines. An NPU sender first checks its whole record's block tags
+    (`NpuDevice.verify_blocks`, not charged) before anything else."""
     session.require_established()
     t0 = engine.now if at_tick is None else at_tick
     rep = TransferReport("baseline", tensor_id, start_tick=t0, done_tick=t0)
@@ -256,7 +257,13 @@ def baseline_transfer(session: SessionState, engine: Engine, *,
         rep.done_tick = srep.done_tick
     elif direction == "npu_to_cpu":
         rec = npu.records[tensor_id]
-        _, plains = open_lines(npu.key, *npu.export_lines(rec, n_lines), rec.vn)
+        tags, plains = open_lines(npu.key, *npu.export_lines(rec), rec.vn)
+        try:
+            npu.verify_blocks(rec, tags)
+        except IntegrityFault:
+            rep.faults += 1
+            raise
+        plains = plains[:n_lines]
         npu.log_link(rec, n_lines, "baseline")
         stage_done = t0
         for _ in range(n_lines):

@@ -3,6 +3,7 @@ metadata-cache behavior, attack detection, functional equivalence against a
 plain dict oracle, deferred sealing against an eager reference, and run
 reads, run writes and the write fast path against per-line references."""
 
+import copy
 import random
 import sys
 import tracemalloc
@@ -646,15 +647,21 @@ def test_tamper_during_a_tensor_update_matches_eager_sealing(attack, k):
 # -- run reads and the write fast path -------------------------------------------
 
 class _EveryPutCache(MetadataCache):
-    """A metadata cache that never offers the write fast path."""
+    """A metadata cache that never batches: each write makes its `get` and
+    every one of its puts."""
 
-    @property
-    def last_write(self):
-        return None
+    def batch_holds(self, vkey):
+        return False
 
-    @last_write.setter
-    def last_write(self, key):
-        pass
+    def batch_get(self, vkey, n):
+        return self.get(vkey) is not None
+
+    def batch_put(self, vkey, path):
+        evicted = []
+        for level, j in path:
+            evicted += self.put(("tn", level, j), (), dirty=True)
+        evicted += self.put(vkey, True, dirty=True)
+        return evicted
 
 
 class LoopProtectedMemory(ProtectedMemory):
@@ -735,15 +742,24 @@ def _run_ops(n_lines):
     ), max_size=25)
 
 
+def _settled(cache):
+    """A copy of `cache` as ending its open write batch would leave it; the
+    batch of `cache` itself stays open."""
+    out = copy.copy(cache)
+    out._d, out._batch, out._batch_nodes = cache._d.copy(), dict(cache._batch), set()
+    out.end_batch()
+    return out
+
+
 def _cache_state(mem):
-    return (list(mem.cache._d.items()), mem.cache.hits, mem.cache.misses,
-            dict(mem.totals))
+    cache = _settled(mem.cache)
+    return list(cache._d.items()), cache.hits, cache.misses, dict(mem.totals)
 
 
 def _full_state(mem):
-    """`_cache_state`, the cache's `last_write` and the writes waiting to be
-    sealed, each with what its tag sink holds."""
-    return (_cache_state(mem), mem.cache.last_write,
+    """`_cache_state` and the writes waiting to be sealed, each with what
+    its tag sink holds."""
+    return (_cache_state(mem),
             [(idx, sink if sink is None else list(sink))
              for idx, sink in mem._pending.items()])
 
@@ -846,8 +862,8 @@ def test_run_reads_and_write_fast_path_match_per_line_reference(
 @given(data=st.data())
 @settings(max_examples=60, deadline=None)
 def test_run_methods_match_one_line_calls(crypto_on, n_lines, cache_bytes, data):
-    # also the cache's `last_write` and the pending writes and their sinks,
-    # after every call, faulting or not
+    # also the pending writes and their sinks, after every call, faulting
+    # or not
     mems = [cls(BASE, n_lines, KEY, metadata_cache_bytes=cache_bytes,
                 crypto_on=crypto_on)
             for cls in (ProtectedMemory, LoopProtectedMemory)]
@@ -855,6 +871,22 @@ def test_run_methods_match_one_line_calls(crypto_on, n_lines, cache_bytes, data)
     run, ref = mems
     assert _store(run) == _store(ref) and run.sinks == ref.sinks
     assert run.tree.root == ref.tree.root
+
+
+@pytest.mark.parametrize("cache_bytes", [192, 512])
+def test_a_per_line_write_sweep_across_two_vn_lines_matches_the_every_put_loop(cache_bytes):
+    # with both VN-lines cached, the batch stays open across the one-line
+    # calls when the cache holds both VN-lines' keys (512 B), so each
+    # VN-line's later writes make no puts; 192 B hold one write's keys, and
+    # the batch ends at VN-line 1
+    mems = [cls(BASE, 512, KEY, metadata_cache_bytes=cache_bytes)
+            for cls in (ProtectedMemory, PerLineProtectedMemory)]
+    _drive(mems, [("read", 0), ("read", 8)] + [("write", i) for i in range(16)], 512)
+    held = [("vn", 0), ("vn", 1)] if cache_bytes == 512 else [("vn", 1)]
+    assert list(mems[0].cache._batch) == held
+    _drive(mems, [("read", 3)], 512)
+    assert not mems[0].cache._batch
+    assert _store(mems[0]) == _store(mems[1])
 
 
 def test_write_lines_keeps_the_totals_of_the_lines_before_a_fault():
@@ -931,12 +963,9 @@ def _touch_loop(cache, writes, drained):
         vkey = ("vn", li)
         if lookup and cache.get(vkey) is None:
             _walk_puts(cache, li, drained)
-        if cache.last_write != vkey:
-            for level, j in _node_path(li):
-                drained += cache.put(("tn", level, j), (), dirty=True)
-            drained += cache.put(vkey, True, dirty=True)
-            if cache.capacity > _DEPTH:
-                cache.last_write = vkey
+        for level, j in _node_path(li):
+            drained += cache.put(("tn", level, j), (), dirty=True)
+        drained += cache.put(vkey, True, dirty=True)
 
 
 class _CountingCache(MetadataCache):
@@ -959,8 +988,8 @@ class _CountingCache(MetadataCache):
 
 
 def _touch_batch(cache, writes, drained):
-    """The same writes as one batch, as `ProtectedMemory.write_indexed`
-    touches the cache."""
+    """The same writes in the open batch, as `ProtectedMemory.write_indexed`
+    touches the cache; the batch stays open."""
     for li, lookup in writes:
         vkey = ("vn", li)
         held = cache.batch_holds(vkey)
@@ -971,11 +1000,11 @@ def _touch_batch(cache, writes, drained):
                 _walk_puts(cache, li, drained)
         if not held:
             drained += cache.batch_put(vkey, _node_path(li))
-    cache.end_batch()
 
 
 def _cache_view(cache, drained):
-    return (list(cache._d.items()), drained, cache.hits, cache.misses, cache.last_write)
+    cache = _settled(cache)
+    return list(cache._d.items()), drained, cache.hits, cache.misses
 
 
 @pytest.mark.parametrize("span", [2, 9, 20])
@@ -1021,11 +1050,12 @@ def test_a_batch_ends_before_its_keys_exceed_the_cache():
 
 @pytest.mark.parametrize("looked_up", [False, True])
 def test_a_lookup_that_would_overfill_the_batch_ends_it_first(looked_up):
-    # VN-line 16 is cached, not in the batch of the second call, when its
-    # lookup comes: the eight writes before it hold 8 + 2 + 1 keys, so its
-    # 3 would pass the 12 the cache holds. Ending the batch after the get
-    # would move those keys after 16, whose put would then evict 16 itself
-    # and drain it as well
+    # VN-line 16 is cached, not in the batch of the second call (a peek,
+    # which changes nothing else, ended the first call's), when its lookup
+    # comes: the eight writes before it hold 8 + 2 + 1 keys, so its 3 would
+    # pass the 12 the cache holds. Ending the batch after the get would
+    # move those keys after 16, whose put would then evict 16 itself and
+    # drain it as well
     calls = [[(16, looked_up)],
              [(li, False) for li in range(8, 15)] + [(0, False), (16, True)]]
     caches = [MetadataCache(12 * LINE_BYTES), _CountingCache(12 * LINE_BYTES)]
@@ -1034,7 +1064,35 @@ def test_a_lookup_that_would_overfill_the_batch_ends_it_first(looked_up):
         _touch_loop(caches[0], writes, drained[0])
         _touch_batch(caches[1], writes, drained[1])
         assert _cache_view(caches[0], drained[0]) == _cache_view(caches[1], drained[1])
-    assert drained[1] == [("tn", 0, 2), ("vn", 8)]
+        for cache in caches:
+            cache.peek(("vn", 16))
+    # the batch ends at each peek and at the lookup of 16
+    assert drained[1] == [("tn", 0, 2), ("vn", 8)] and caches[1].ends == 3
+
+
+_OTHER_OPS = {
+    "get": (("vn", 9),),
+    "peek": (("tn", 0, 1),),
+    "hit_run": ([("vn", 0)], 1),
+    "put": (("vn", 30), True),
+    "update_if_present": (("tn", 0, 0), (1,)),
+    "flush": (),
+}
+
+
+@pytest.mark.parametrize("op", sorted(_OTHER_OPS))
+def test_each_other_cache_operation_ends_an_open_batch(op):
+    # the batch's keys are not yet in the loop's order, so the operation
+    # must see them as ending the batch first leaves them
+    cache = MetadataCache(12 * LINE_BYTES)
+    _touch_batch(cache, [(0, False), (9, False), (0, False)], [])
+    assert list(cache._batch) == [("vn", 9), ("vn", 0)]
+    ref = _settled(cache)
+    assert list(ref._d) != list(cache._d)
+    args = _OTHER_OPS[op]
+    assert getattr(cache, op)(*args) == getattr(ref, op)(*args)
+    assert not cache._batch and not cache._batch_nodes
+    assert _cache_view(cache, []) == _cache_view(ref, [])
 
 
 def _three_streams(n):

@@ -275,7 +275,7 @@ def test_store_seals_block_macs_at_the_device_granularity():
     rec = dev.register_tensor(1, DEV_BASE, 128)
     data = lines(128, 4)
     dev.store_tensor_stream(rec, data)
-    assert len(dev.block_macs[rec.base]) == 2
+    assert len(rec.block_tags) == 2
     plains, rep = dev.load_tensor_stream(rec, "blocking")
     assert plains == data and rep.mode == "blocking4096"
 
@@ -287,7 +287,7 @@ def test_cpu_and_npu_stores_reject_a_line_that_is_not_64_bytes_before_any_change
     dev, eng = make_dev()
     rec, _ = stored_tensor(dev, n=4)
     npu_state = lambda: (rec.vn, rec.stored_mac, bytes(rec.ct), list(rec.codes),
-                         bytes(rec.stored), list(dev.block_macs[rec.base]),
+                         bytes(rec.stored), list(rec.block_tags),
                          len(dev.reports), {n: r.busy_until for n, r in eng.resources.items()})
     before = npu_state()
     with pytest.raises(error):

@@ -4,6 +4,7 @@ consistency/transparency invariants, the analyzer's footprint, the batched
 covered-read path against a per-line reference, and the run methods against
 per-line loops."""
 
+import copy
 import random
 import tracemalloc
 from unittest import mock
@@ -160,7 +161,7 @@ def test_two_rows_merge_into_2d():
     b = MetaTableEntry(BASE + 0x400, 4, 1, LINE_BYTES, 7, 0)
     assert ta._insert_entry(b) is not None
     merged = ta.try_merge(b)
-    assert merged.valid and not a.valid
+    assert merged in ta.entries and a not in ta.entries
     assert (merged.base, merged.nx, merged.ny, merged.stride) == (BASE, 4, 2, 0x400)
 
 
@@ -169,7 +170,7 @@ def test_vn_mismatch_blocks_merge():
     a = seed_entry(ta, BASE, 4, vn=5)
     b = seed_entry(ta, BASE + 0x400, 4, vn=6)
     ta.try_merge(b)
-    assert a.valid and b.valid  # both stay: no merge
+    assert ta.entries == [a, b]  # both stay: no merge
 
 
 def test_adjacent_runs_concatenate():
@@ -236,7 +237,7 @@ def test_double_update_invalidates():
     ta.on_write(BASE + LINE_BYTES, payload(1))
     out = ta.on_write(BASE + LINE_BYTES, payload(2))
     assert out.kind == INVALIDATE and out.reason == "double_update"
-    assert not e.valid
+    assert e not in ta.entries
 
 
 def test_incomplete_update_invalidates():
@@ -246,7 +247,7 @@ def test_incomplete_update_invalidates():
     ta.on_write(BASE + LINE_BYTES, payload(1))
     out = ta.on_write(BASE + 3 * LINE_BYTES, payload(3))  # skip line 2, hit last
     assert out.kind == INVALIDATE and out.reason == "incomplete_update"
-    assert not e.valid
+    assert e not in ta.entries
 
 
 def test_early_update_invalidates():
@@ -254,7 +255,7 @@ def test_early_update_invalidates():
     e = seed_entry(ta, BASE, 4, vn=0)
     out = ta.on_write(BASE + 2 * LINE_BYTES, payload(2))  # before start
     assert out.kind == INVALIDATE and out.reason == "early_update"
-    assert not e.valid
+    assert e not in ta.entries
 
 
 @pytest.mark.parametrize("written", [0, 5])
@@ -422,7 +423,7 @@ def test_install_hint_defers_during_update():
     for i in range(1, 4):
         ta.on_write(BASE + i * LINE_BYTES, payload(i))
     # finish applied the pending hint
-    assert any(x.valid and x.line_count == 64 for x in ta.entries)
+    assert any(x.line_count == 64 for x in ta.entries)
 
 
 _N_HINT = 64
@@ -564,6 +565,31 @@ def test_range_disjointness_after_mutations():
     ta.check_disjoint()
 
 
+def test_boundary_keys_name_live_entries_through_every_drop():
+    # an entry is live while it is in the table, and each drop unindexes it
+    # first, so no boundary key names a dropped entry
+    ta, _ = make(table_entries=3)
+    a = seed_entry(ta, BASE, 4, vn=1)
+    b = seed_entry(ta, BASE + 4 * LINE_BYTES, 4, vn=1)
+    assert ta.boundary[BASE + 4 * LINE_BYTES] is a
+    ta.try_merge(b)
+    assert ta.entries == [b] and BASE + 4 * LINE_BYTES not in ta.boundary
+    ta.check_disjoint()
+    seed_entry(ta, BASE + 0x1000, 4)
+    assert ta.on_write(BASE + 0x1000 + LINE_BYTES, payload(1)).kind == INVALIDATE
+    assert ta.entries == [b]
+    ta.check_disjoint()
+    seed_entry(ta, BASE + 0x2000, 4)
+    seed_entry(ta, BASE + 0x2000 + 4 * LINE_BYTES, 4)
+    assert ta.install_hint(BASE + 0x2000, 16) == "installed"
+    assert len(ta.entries) == 2
+    ta.check_disjoint()
+    seed_entry(ta, BASE + 0x3000, 4)
+    seed_entry(ta, BASE + 0x4000, 4)
+    assert b not in ta.entries and ta.stats["evictions"] == 1
+    ta.check_disjoint()
+
+
 def test_functional_transparency_en_tmf_on_off():
     rng = random.Random(11)
     ops = []
@@ -611,7 +637,7 @@ def test_quiescent_vn_consistency_after_mixed_ops():
     for i in range(256):
         ta.on_read(BASE + i * LINE_BYTES)
     for e in list(ta.entries):
-        if e.valid:
+        if e in ta.entries:
             for va in sorted(e.addresses()):
                 ta.on_write(va, rng.randbytes(LINE_BYTES))
     ta.check_vn_consistency()
@@ -654,7 +680,7 @@ _DIFF_OPS = st.lists(st.sampled_from(
 
 def _lines(ta: TenAnalyzer, where) -> list[int]:
     if where[0] == "entry":
-        entries = sorted((e for e in ta.entries if e.valid), key=lambda e: e.base)
+        entries = sorted(ta.entries, key=lambda e: e.base)
         return sorted(entries[where[1] % len(entries)].addresses()) if entries else []
     first, n = where
     return [BASE + (first + i) * LINE_BYTES for i in range(min(n, _DIFF_LINES - first))]
@@ -815,10 +841,13 @@ def _analyzer_state(ta: TenAnalyzer) -> tuple:
     mem = ta.mem
     entries = [(e.dump(), e.lru, e.touched, e.mac, e.tensor_id,
                 {start: tuple(run) for start, run in e.runs.items()}, dict(e.runs_by_next),
-                None if e.written is None else bytes(e.written), e.update_count,
-                list(e.write_tags))
+                None if e.written is None else bytes(e.written), list(e.write_tags))
                for e in ta.entries]
-    cache = mem.cache
+    # the cache as ending its open write batch would leave it, with the
+    # batch of `mem.cache` itself left open
+    cache = copy.copy(mem.cache)
+    cache._d, cache._batch, cache._batch_nodes = cache._d.copy(), dict(cache._batch), set()
+    cache.end_batch()
     pending = [(idx, sink if sink is None else list(sink))
                for idx, sink in mem._pending.items()]
     return (dict(ta.stats), ta._stamp, entries,
@@ -826,7 +855,7 @@ def _analyzer_state(ta: TenAnalyzer) -> tuple:
             sorted((va, e.base) for va, e in ta.boundary.items()),
             [(f.addrs, f.delta, f.stamp) for f in ta.filter],
             list(ta.pending_hints), dict(mem.totals),
-            list(cache._d.items()), cache.hits, cache.misses, cache.last_write,
+            list(cache._d.items()), cache.hits, cache.misses,
             pending, bytes(mem._ct), list(mem.macs), list(mem._vns),
             list(mem._codes), mem.tree.root)
 
@@ -1032,7 +1061,7 @@ def _diff_runs(records, crypto_on, cuts, hints, tamper, n_lines=_RUN_LINES):
 
 def _merge_reference(ta: TenAnalyzer, e: MetaTableEntry) -> list:
     """`try_merge`'s candidates as a stable sort of the whole table gives them."""
-    return sorted([c for c in ta.entries if c is not e and c.valid and c.uf == 0],
+    return sorted([c for c in ta.entries if c is not e and c.uf == 0],
                   key=lambda c: c.touched, reverse=True)[:ta.merge_window]
 
 

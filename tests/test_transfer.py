@@ -252,6 +252,30 @@ def test_direct_tampered_tensor_never_crosses_link():
     assert all(not x["tainted"] for x in dev.link_log)
 
 
+@pytest.mark.parametrize("stored", [True, False])
+def test_relay_from_the_npu_fails_closed_on_a_tampered_or_never_stored_record(stored):
+    # the record's block tags are checked before anything is staged,
+    # logged, reserved or written to the CPU
+    session, eng, mem, ta, dev = rig()
+    n = 16
+    rec = dev.register_tensor(9, 0x50000000, n)
+    if stored:
+        dev.store_tensor_stream(rec, lines(n, 3))
+        dev.tamper_line(rec.base + 3 * LINE_BYTES, 5)
+
+    def state():
+        return (bytes(mem._ct), list(mem.macs), list(mem._vns), dict(mem.totals),
+                list(dev.link_log), {k: r.busy_until for k, r in eng.resources.items()})
+
+    before = state()
+    with pytest.raises(IntegrityFault, match="block 0" if stored else "no block MAC") as ei:
+        baseline_transfer(session, eng, tensor_id=9, direction="npu_to_cpu",
+                          cpu_mem=mem, npu=dev, cpu_base=CPU_BASE + 0x20000,
+                          n_lines=n)
+    assert ei.value.kind == "mac_mismatch" and rec.failed and dev.faults.count == 1
+    assert state() == before
+
+
 def test_secrecy_no_plaintext_in_staging_or_link():
     session, eng, mem, ta, dev = rig()
     n = 16

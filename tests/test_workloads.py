@@ -90,10 +90,8 @@ def test_gemm_128_tile64_reconstructs_matrices():
     # A and B each coalesce into at most 2 entries after one full pass
     per_matrix = {}
     for e in ta.entries:
-        if e.valid:
-            per_matrix.setdefault(e.base & ~0xFFFFF, []).append(e)
-    read_entries = [e for e in ta.entries if e.valid]
-    a_entries = [e for e in read_entries if e.base < 0x2000_0000 + 128 * 512]
+        per_matrix.setdefault(e.base & ~0xFFFFF, []).append(e)
+    a_entries = [e for e in ta.entries if e.base < 0x2000_0000 + 128 * 512]
     assert len(a_entries) <= 2
 
 
