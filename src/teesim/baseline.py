@@ -783,6 +783,11 @@ class PlainMemory:
 
     line_index = ProtectedMemory.line_index
 
+    def plaintexts(self, pas) -> list:
+        """Oracle: the plaintext of each line of `pas`, with no cost
+        accounting."""
+        return [self.blocks[self.line_index(pa)] for pa in pas]
+
     def read_lines(self, pas) -> list:
         """`read_line` of each of `pas` in order, without the per-line call."""
         t = self.totals

@@ -663,12 +663,10 @@ class ZeroOffloadRunner:
         return self.report
 
     def _final_weights(self) -> list[np.ndarray]:
-        """Each weight tensor's plaintext. A protected tensor is read as an
-        oracle, without cost accounting."""
-        mem = self.cpu_mem
-        read = mem.read_lines if isinstance(mem, PlainMemory) else mem.plaintexts
-        return [_lines_to_array(read([lay.w_base + j * LINE_BYTES
-                                      for j in range(lay.n_lines)]))
+        """Each weight tensor's plaintext, read as an oracle, without cost
+        accounting."""
+        return [_lines_to_array(self.cpu_mem.plaintexts(
+                    [lay.w_base + j * LINE_BYTES for j in range(lay.n_lines)]))
                 for lay in self.layouts]
 
 

@@ -193,6 +193,15 @@ def test_zero_offload_secure_modes_cost_more_than_nonsecure():
     assert comm_share(tt) < comm_share(sgx)
 
 
+def test_zero_offload_nonsecure_reads_are_the_optimizer_reads():
+    # the final weights are an oracle read, not memory traffic
+    cfg = zcfg("nonsecure")
+    t = run_zero_offload(cfg).cpu_totals
+    wl = cfg.workload
+    adam_reads = wl.zero_tensors * (wl.zero_tensor_bytes // LINE_BYTES) * 4 * wl.iterations
+    assert t["reads"] == adam_reads and t["data_rd"] == adam_reads * LINE_BYTES
+
+
 def test_zero_offload_direct_transfers_have_no_payload_aes():
     rep = run_zero_offload(zcfg("tensortee"))
     directs = [t for t in rep.transfers if t.protocol == "direct"]
