@@ -446,18 +446,27 @@ class ProtectedMemory:
         return (line_tag(key, code, vn, ct),
                 (int.from_bytes(ct, "little") ^ pad).to_bytes(LINE_BYTES, "little"))
 
-    def opened(self, idxs) -> tuple[list, list, list]:
-        """Seal; then the tag, plaintext and VN of each line of `idxs` under
-        the binding and VN it holds, all opened in one batch. No cost
-        accounting and no check."""
-        self.seal()
-        vns = [self._vns[i] for i in idxs]
-        ct = self._ct
-        cts = (b"".join([ct[i * LINE_BYTES:(i + 1) * LINE_BYTES] for i in idxs])
-               if len(idxs) < OPEN_BATCH_MIN
-               else self._words[np.array(idxs, dtype=np.intp)].tobytes())
-        tags, plains = open_lines(self.key, [self._codes[i] for i in idxs], cts, vns)
-        return tags, plains, vns
+    def open_chunks(self, pas):
+        """Seal, then yield each chunk of at most `OPEN_CHUNK_LINES` of `pas`:
+        its addresses, line indices, and the tag, plaintext and VN of each
+        line under the binding and VN it holds, opened in one batch. No cost
+        accounting and no check; an address outside the region raises
+        ValueError before its chunk is yielded."""
+        pas = iter(pas)
+        while chunk_pas := list(islice(pas, OPEN_CHUNK_LINES)):
+            idxs = self.line_indices(chunk_pas)
+            if len(idxs) < len(chunk_pas):
+                self.line_index(chunk_pas[len(idxs)])      # raises
+            self.seal()
+            vns = [self._vns[i] for i in idxs]
+            ct = self._ct
+            tags, plains = open_lines(
+                self.key, [self._codes[i] for i in idxs],
+                b"".join([ct[i * LINE_BYTES:(i + 1) * LINE_BYTES] for i in idxs])
+                if len(idxs) < OPEN_BATCH_MIN
+                else self._words[np.array(idxs, dtype=np.intp)].tobytes(), vns)
+            yield chunk_pas, idxs, tags, plains, vns
+            del tags, plains, vns
 
     def _vn_line(self, li: int) -> array:
         return self._vns[li * VNS_PER_LINE:(li + 1) * VNS_PER_LINE]
@@ -522,32 +531,23 @@ class ProtectedMemory:
 
     def read_lines(self, pas) -> list:
         """Read the lines `pas` in order, exactly as that many `read_line`
-        calls would, and return their plaintexts. The tags and plaintexts of
-        the lines are opened in batches of at most `OPEN_CHUNK_LINES` lines,
-        each just before its reads, under the VN each line holds; nothing a
-        read does changes a line's ciphertext, binding, MAC or VN. Each read
-        then does its accounting, resolves its VN, compares its tag and
-        walks the tree on a cold VN fetch (`read_opened`), so a fault leaves
-        the totals, cache, store and tree that the per-line reads would
-        have. An address outside the region raises ValueError before any
-        read of its batch."""
+        calls would, and return their plaintexts. Each chunk of lines is
+        opened (`open_chunks`), since no read changes a line; then each read
+        does its accounting, VN resolution, tag check and cold-fetch tree
+        walk (`read_opened`), so a fault leaves the state the per-line
+        reads would."""
         out = []
-        pas = iter(pas)
-        while chunk_pas := list(islice(pas, OPEN_CHUNK_LINES)):
-            chunk = self.line_indices(chunk_pas)
-            if len(chunk) < len(chunk_pas):
-                self.line_index(chunk_pas[len(chunk)])      # raises
-            tags, plains = self.opened(chunk)[:2]
-            for pa, idx, tag in zip(chunk_pas, chunk, tags):
+        for chunk, idxs, tags, plains, _ in self.open_chunks(pas):
+            for pa, idx, tag in zip(chunk, idxs, tags):
                 self.read_opened(pa, idx, tag)
             out += plains
-            del tags, plains     # before the next batch is opened
+            del tags, plains
         return out
 
     def read_opened(self, pa: int, idx: int, tag: int) -> None:
-        """One read of line `idx` at `pa` whose tag, as `opened` gave it, is
-        `tag`: the accounting, VN resolution and tag check, then the tree
-        walk on a cold VN fetch."""
+        """One read of line `idx` at `pa` whose tag, as `open_chunks` gave
+        it, is `tag`: the accounting, VN resolution and tag check, then the
+        tree walk on a cold VN fetch."""
         t = self.totals
         t["reads"] += 1
         t["data_rd"] += LINE_BYTES

@@ -49,19 +49,13 @@ GOLDEN_VECTOR_INPUTS = (
 )
 
 
-def _cpu_side(cfg: SimConfig, n_lines: int, base: int):
-    """(memory, analyzer or None, CPU front door) of the configured mode."""
-    mem, analyzer = build_cpu_side(cfg, cfg.mode, n_lines, base,
-                                   KeyMaterial.from_seed(cfg.crypto.seed))
-    return mem, analyzer, mem if analyzer is None else analyzer
-
-
 def run_adam(cfg: SimConfig) -> dict:
     wl = cfg.workload
     base = 0x1000_0000
     layouts = adam_layouts(wl.tensors, wl.tensor_bytes_min,
                            wl.tensor_bytes_max, base)
-    mem, analyzer, front = _cpu_side(cfg, adam_region_lines(layouts, base), base)
+    mem, analyzer, front = build_cpu_side(cfg, cfg.mode, adam_region_lines(layouts, base),
+                                          base, KeyMaterial.from_seed(cfg.crypto.seed))
     cost_sample: list = []
     per_iter = []
     for it in range(wl.iterations):
@@ -89,8 +83,9 @@ def run_adam(cfg: SimConfig) -> dict:
 def run_gemm(cfg: SimConfig) -> dict:
     wl = cfg.workload
     base = 0x2000_0000
-    mem, analyzer, front = _cpu_side(
-        cfg, gemm_region_lines(wl.gemm_m, wl.gemm_n, wl.gemm_k), base)
+    mem, analyzer, front = build_cpu_side(
+        cfg, cfg.mode, gemm_region_lines(wl.gemm_m, wl.gemm_n, wl.gemm_k), base,
+        KeyMaterial.from_seed(cfg.crypto.seed))
     trace = gen_gemm_trace(wl.gemm_m, wl.gemm_n, wl.gemm_k, wl.gemm_tile,
                            a_base=base)
     cost_sample: list = []
@@ -216,12 +211,17 @@ SWEEP_AXES = {
 }
 
 
-def _apply_axis(cfg: SimConfig, axis: str, value):
-    section, field_name, _ = SWEEP_AXES[axis]
-    if section is None:
-        cfg.mode = value
-    else:
-        setattr(getattr(cfg, section), field_name, value)
+def _apply_axis(cfg: SimConfig, axis: str, raw: str):
+    """Set sweep axis `axis` of `cfg` to the value `raw` names, check the
+    config again and return the value."""
+    section, field_name, cast = SWEEP_AXES[axis]
+    try:
+        value = cast(raw)
+    except ValueError as e:
+        raise ConfigError(f"--sweep {axis} takes {cast.__name__} values, got {raw!r}") from e
+    setattr(cfg if section is None else getattr(cfg, section), field_name, value)
+    cfg.validate()
+    return value
 
 
 def _write_outputs(outdir: Path, metrics: dict) -> None:
@@ -279,13 +279,15 @@ def cmd_run(args) -> int:
         if axis not in SWEEP_AXES or not values:
             raise ConfigError(f"--sweep wants axis=v1,v2 with axis in "
                               f"{sorted(SWEEP_AXES)}")
-        cast = SWEEP_AXES[axis][2]
-        rows = []
+        # every point is checked before the first one runs
+        points = []
         for raw in values.split(","):
             point_cfg = _run_config(args)
-            _apply_axis(point_cfg, axis, cast(raw))
+            points.append((raw, _apply_axis(point_cfg, axis, raw), point_cfg))
+        rows = []
+        for raw, value, point_cfg in points:
             metrics = _run_workload(point_cfg)
-            metrics[axis] = cast(raw)
+            metrics[axis] = value
             rows.append(metrics)
             _write_outputs(outdir / f"{axis}_{raw}", metrics)
         keys = [axis] + sorted(k for k in rows[0]

@@ -18,12 +18,23 @@ import os
 from dataclasses import dataclass, field
 from typing import Any
 
+from .crypto import LINE_BYTES
 from .engine import Engine, make_tick_hz
 
 MODES = ("nonsecure", "sgx_mgx", "tensortee")
 MODE_LABELS = {"nonsecure": "NonSecure", "sgx_mgx": "SGX+MGX", "tensortee": "TensorTEE"}
 
 SEED_ENV_VAR = "TENSORTEE_SEED"
+
+# the least value and the step of each integer workload field: counts a run
+# loops over or divides by, tensor sizes in whole lines, and a GEMM tile
+# whose rows are whole lines of float32
+_WORKLOAD_INTS = {
+    "iterations": (0, 1), "gemm_tile": (LINE_BYTES // 4, LINE_BYTES // 4),
+    **dict.fromkeys(("tensors", "threads", "burst_lines", "zero_tensors",
+                     "gemm_m", "gemm_n", "gemm_k"), (1, 1)),
+    **dict.fromkeys(("tensor_bytes_min", "tensor_bytes_max", "zero_tensor_bytes"),
+                    (LINE_BYTES, LINE_BYTES))}
 
 
 class ConfigError(Exception):
@@ -48,7 +59,7 @@ class CpuConfig:
     filter_collect_limit: int = 4
     merge_window: int = 8
     bitmap_cache_bytes: int = 6 * 1024   # unused: bitmap traffic is not modeled
-    en_tmf: bool = True
+    en_tmf: bool = True      # False: TensorTEE without a Meta Table (build_cpu_side)
 
 
 @dataclass
@@ -105,6 +116,10 @@ class SimConfig:
     workload: WorkloadConfig = field(default_factory=WorkloadConfig)
 
     def __post_init__(self):
+        self.validate()
+
+    def validate(self) -> None:
+        """Raise ConfigError for a value no run can use; `--sweep` calls it again."""
         if self.mode not in MODES:
             raise ConfigError(f"mode must be one of {MODES}, got {self.mode!r}")
         # rates, clocks and counts the engine divides by: a bad one would
@@ -127,6 +142,17 @@ class SimConfig:
         g = self.npu.mac_granularity
         if not (64 <= g <= 4096 and g & (g - 1) == 0):
             raise ConfigError("npu.mac_granularity must be a power of two in [64, 4096]")
+        wl = self.workload
+        for name, (least, step) in _WORKLOAD_INTS.items():
+            v = getattr(wl, name)
+            if type(v) is not int or v < least or v % step:
+                also = f" and a multiple of {step}" if step > 1 else ""
+                raise ConfigError(f"workload.{name} must be an integer of at least "
+                                  f"{least}{also}, got {v!r}")
+        if wl.tensor_bytes_min > wl.tensor_bytes_max:
+            raise ConfigError("workload.tensor_bytes_min must not exceed tensor_bytes_max")
+        if wl.gemm_m % wl.gemm_tile or wl.gemm_n % wl.gemm_tile or wl.gemm_k % wl.gemm_tile:
+            raise ConfigError("workload.gemm_tile must divide gemm_m, gemm_n and gemm_k")
 
 
 _SECTIONS = {"cpu": CpuConfig, "npu": NpuConfig, "link": LinkConfig,

@@ -24,8 +24,9 @@ of an entry mid-update, fall back to per-line MAC fetch+verify.
 Each access has one per-line step. A covered or boundary read takes its tag
 and plaintext from its run's batch open, or else from a one-line open under
 its effective VN, and a sweep folds that tag into its accumulator at once.
-`read_run` and `write_run` take a run of accesses at once, with the result
-of the per-line `on_read` and `on_write` loop, faults included. A read run
+`read_lines` and `write_lines` take a run of accesses at once, with the
+result of the per-line `on_read` and `on_write` loop, faults included: the
+run surface of `ProtectedMemory` and `PlainMemory` too. A read run
 opens its lines in batches, and takes each maximal span of reads whose
 per-line steps only add (covered reads continuing one sweep run, boundary
 reads extending one entry) in one step; a write run takes each span of
@@ -44,7 +45,7 @@ from itertools import islice
 from operator import attrgetter, xor
 from typing import Optional
 
-from .baseline import AES_CYCLES, MAC_CYCLES, OPEN_CHUNK_LINES, ProtectedMemory
+from .baseline import AES_CYCLES, MAC_CYCLES, ProtectedMemory
 from .crypto import (
     LINE_BYTES, MASK56, BindingMode, IntegrityFault, as_line, binding_code,
     mac_xor_aggregate, tensor_line_codes,
@@ -94,15 +95,14 @@ class MetaTableEntry:
     line, by ordinal, set when the line is written in this update (where the
     paper's bitmap bit would differ from `bs`). It is None between updates."""
 
-    __slots__ = ("base", "nx", "ny", "planes", "stride", "vn", "mac",
-                 "uf", "bs", "tensor_id", "last_addr", "written", "write_tags",
-                 "runs", "runs_by_next", "lru", "touched")
+    __slots__ = ("base", "nx", "ny", "stride", "vn", "mac", "uf", "bs",
+                 "tensor_id", "last_addr", "written", "write_tags", "runs",
+                 "runs_by_next", "lru")
 
     def __init__(self, base, nx, ny, stride, vn, mac, tensor_id=None):
         self.base = base
         self.nx = nx
         self.ny = ny
-        self.planes = 1
         self.stride = stride
         self.vn = vn
         self.mac = mac
@@ -118,7 +118,6 @@ class MetaTableEntry:
         self.runs: dict[int, list] = {}
         self.runs_by_next: dict[int, int] = {}
         self.lru = 0
-        self.touched = 0
 
     @property
     def line_count(self) -> int:
@@ -160,7 +159,7 @@ class MetaTableEntry:
         self.runs_by_next.clear()
 
     def dump(self) -> dict:
-        return {"base": self.base, "dims": [self.nx, self.ny, self.planes],
+        return {"base": self.base, "dims": [self.nx, self.ny, 1],
                 "stride": self.stride, "vn": self.vn, "uf": self.uf,
                 "bs": self.bs, "valid": True}
 
@@ -195,22 +194,25 @@ class _FilterEntry:
 class TenAnalyzer:
     """Meta Table + Tensor Filter in front of one enclave's ProtectedMemory.
 
-    `bitmap_cache_bytes` is accepted and unused: update-bitmap traffic is not
-    modeled (module docstring)."""
+    A Meta Table that is off is no Meta Table: the bare `ProtectedMemory`
+    serves that path, so `en_tmf` must be True. `bitmap_cache_bytes` is
+    accepted and unused: update-bitmap traffic is not modeled (module
+    docstring)."""
 
     def __init__(self, mem: ProtectedMemory, *, en_tmf: bool = True,
                  table_entries: int = 512, filter_entries: int = 10,
                  collect_limit: int = 4, merge_window: int = 8,
                  bitmap_cache_bytes: int = 6 * 1024):
+        if not en_tmf:
+            raise ValueError("a Meta Table that is off is the bare ProtectedMemory")
         self.mem = mem
-        self.en_tmf = en_tmf
         self.table_entries = table_entries
         self.filter_entries = filter_entries
         self.collect_limit = collect_limit
         self.merge_window = merge_window
 
         self.entries: list[MetaTableEntry] = []
-        # the entries of the table in ascending `touched` order (`_touch`)
+        # the entries of the table, the least recently touched first (`_touch`)
         self._recent: dict[MetaTableEntry, None] = {}
         # the entry covering each line of the region, by line index; read
         # through `entry_at`
@@ -236,13 +238,12 @@ class TenAnalyzer:
         return self._stamp
 
     def _touch(self, e: MetaTableEntry, stamp: Optional[int] = None) -> int:
-        """Set and return `e.touched`: `stamp`, by default a new tick; and
-        move `e` to the end of `_recent`. Every stamp exceeds those already
-        taken, so `_recent` stays in `touched` order."""
-        e.touched = self._tick() if stamp is None else stamp
+        """Move `e` to the end of `_recent` and return the stamp of the
+        touch: `stamp`, by default a new tick. A caller touches its entries
+        in the order of their stamps, so `_recent` stays in stamp order."""
         self._recent.pop(e, None)
         self._recent[e] = None
-        return e.touched
+        return self._tick() if stamp is None else stamp
 
     def _drop(self, e: MetaTableEntry) -> None:
         """Unindex `e` (`_unindex_entry`), then take it out of the table and
@@ -328,13 +329,9 @@ class TenAnalyzer:
 
     def _on_read(self, va: int, opened):
         """`on_read(va)`. `opened` is None, or the line's (tag, plaintext,
-        VN) from a batch open under its stored state (`read_run`); a read
+        VN) from a batch open under its stored state (`read_lines`); a read
         without them opens the line itself."""
         mem = self.mem
-        if not self.en_tmf:
-            plain, _ = mem.read_line(va)
-            self.stats["r_miss"] += 1
-            return plain, ReadOutcome(MISS)
         e = self.entry_at(va)
         if e is not None:
             plain, vn = self._read_hit_in(e, va, opened)
@@ -353,36 +350,27 @@ class TenAnalyzer:
         self.filter_collect(va, vn, mem.line_mac(va))
         return plain, ReadOutcome(MISS)
 
-    def read_run(self, vas) -> list[bytes]:
+    def read_lines(self, vas) -> list[bytes]:
         """`[on_read(va)[0] for va in vas]`, with the crypto in batches and
-        the bookkeeping in spans. The tags and plaintexts of the lines are
-        opened under their stored state in batches of at most
-        `OPEN_CHUNK_LINES` lines, each just before its reads. Then the
-        batch's reads are taken in record order, in segments (`_read_segment`)
-        where the reads of each entry form one span whose per-line steps
-        only add, and one at a time (`_on_read`) where they do not.
-        An address outside the region raises ValueError before any read of
-        its batch."""
-        if not self.en_tmf:
-            return [self.on_read(va)[0] for va in vas]
-        mem = self.mem
+        the bookkeeping in spans. The lines are opened under their stored
+        state a chunk at a time (`ProtectedMemory.open_chunks`). Then each
+        chunk's reads are taken in record order, in segments
+        (`_read_segment`) where the reads of each entry form one span whose
+        per-line steps only add, and one at a time (`_on_read`) where they
+        do not. An address outside the region raises ValueError before any
+        read of its chunk."""
         out = []
-        vas = iter(vas)
-        while chunk_vas := list(islice(vas, OPEN_CHUNK_LINES)):
-            chunk = mem.line_indices(chunk_vas)
-            if len(chunk) < len(chunk_vas):
-                mem.line_index(chunk_vas[len(chunk)])       # raises
-            tags, plains, vns = mem.opened(chunk)
-            p, n = 0, len(chunk)
+        for chunk, idxs, tags, plains, vns in self.mem.open_chunks(vas):
+            p, n = 0, len(idxs)
             while p < n:
-                q = self._read_segment(chunk_vas, chunk, tags, vns, p)
+                q = self._read_segment(chunk, idxs, tags, vns, p)
                 if q > p:
                     out += plains[p:q]
                     p = q
                     continue
-                out.append(self._on_read(chunk_vas[p], (tags[p], plains[p], vns[p]))[0])
+                out.append(self._on_read(chunk[p], (tags[p], plains[p], vns[p]))[0])
                 p += 1
-            del tags, plains, vns     # before the next batch is opened
+            del tags, plains, vns
         return out
 
     def _read_segment(self, vas, idxs, tags, vns, p: int) -> int:
@@ -797,10 +785,6 @@ class TenAnalyzer:
         anything changes."""
         mem = self.mem
         plain = as_line(plain)
-        if not self.en_tmf:
-            mem.write_line(va, plain)
-            self.stats["w_miss"] += 1
-            return WriteOutcome(MISS)
         e = self.entry_at(va)
         if e is None:
             mem.write_line(va, plain)
@@ -848,7 +832,7 @@ class TenAnalyzer:
         self.stats["w_hit_in"] += 1
         return WriteOutcome(WRITE_HIT_IN)
 
-    def write_run(self, vas, plains) -> None:
+    def write_lines(self, vas, plains) -> None:
         """`on_write(va, plain)` of each line of `vas` and plaintext of
         `plains`, in order. Misses and in-update writes (`w_hit_in`) are
         gathered, in order, into one `ProtectedMemory` write of their lines,
@@ -868,17 +852,14 @@ class TenAnalyzer:
                 lines.append(as_line(plain))
         except (ValueError, OverflowError):
             stop = len(lines)
-            self.write_run(vas[:stop], lines)
+            self.write_lines(vas[:stop], lines)
             self.on_write(vas[stop], plain)     # raises, as `as_line` did
         idxs = self.mem.line_indices(vas)
         if len(idxs) < len(vas):
             stop = len(idxs)
-            self.write_run(vas[:stop], lines)
+            self.write_lines(vas[:stop], lines)
             self.on_write(vas[stop], lines[stop])   # raises, as `line_index` does
         plains = lines
-        if not self.en_tmf:
-            self._store_run(idxs, plains, None, [])
-            return
         # only reads change which addresses the filter holds
         held = {a for f in self.filter for a, _, _ in f.addrs}
         # an entry's tensor id and geometry stay fixed while it updates
@@ -932,9 +913,9 @@ class TenAnalyzer:
         if sources:
             self._store_run(run_idxs, run_plains, sources, spans)
 
-    def _store_run(self, idxs: list, plains: list, sources, spans: list) -> None:
-        """Store the writes `write_run` gathered: lines `idxs` with
-        `plains` under their VN `sources` (None: all misses). `spans` lists
+    def _store_run(self, idxs: list, plains: list, sources: list, spans: list) -> None:
+        """Store the writes `write_lines` gathered: lines `idxs` with
+        `plains` under their VN `sources` (None for a miss). `spans` lists
         the in-update spans among them as (entry, first ordinal, lines,
         position). A miss whose cold walk faults undoes the written flags
         and stats of the spans after it, and counts the misses before it."""
@@ -945,13 +926,13 @@ class TenAnalyzer:
         except IntegrityFault:
             # the write whose cold walk faulted counts in `writes`, not as a miss
             f = mem.totals["writes"] - w0 - 1
-            self.stats["w_miss"] += f if sources is None else sources[:f].count(None)
+            self.stats["w_miss"] += sources[:f].count(None)
             for e, k, m, at in spans:
                 if at > f:
                     e.written[k:k + m] = bytes(m)
                     self.stats["w_hit_in"] -= m
             raise
-        self.stats["w_miss"] += len(idxs) if sources is None else sources.count(None)
+        self.stats["w_miss"] += sources.count(None)
 
     def _write_covered(self, e: MetaTableEntry, va: int, plain, k: int) -> None:
         e.written[k] = 1

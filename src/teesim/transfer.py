@@ -335,11 +335,11 @@ def direct_transfer(session: SessionState, engine: Engine, *,
     delayed dataflow) and eager on the CPU (aggregate check before the
     structure hint installs)."""
     session.require_established()
+    if analyzer is None:
+        raise ProtocolError("direct transfer needs the Meta Table")
     t0 = engine.now if at_tick is None else at_tick
 
     if direction == "cpu_to_npu":
-        if analyzer is None:
-            raise ProtocolError("cpu_to_npu direct transfer needs the Meta Table")
         e = analyzer.entry_at(cpu_base)
         if e is None or e.tensor_id != tensor_id or e.base != cpu_base:
             raise ProtocolError(f"no Meta Table entry for tensor {tensor_id} "

@@ -288,22 +288,23 @@ def gen_fuzz_trace(n_ops: int, n_lines: int, seed: int,
 
 def build_cpu_side(cfg: SimConfig, mode: str, n_lines: int, base: int,
                    key: KeyMaterial):
-    """The CPU memory of one mode and its TenAnalyzer (None outside
-    TensorTEE): plain DRAM, the per-line baseline, or that baseline behind a
-    Meta Table."""
+    """(memory, TenAnalyzer or None, front door) of one mode: plain DRAM, the
+    per-line baseline, or, for TensorTEE with `cpu.en_tmf` on, that baseline
+    behind a Meta Table. Drivers read and write through the front door."""
     if mode == "nonsecure":
-        return PlainMemory(base, n_lines), None
+        mem = PlainMemory(base, n_lines)
+        return mem, None, mem
     c = cfg.cpu
     mem = ProtectedMemory(base, n_lines, key,
                           metadata_cache_bytes=c.metadata_cache_bytes,
                           crypto_on=cfg.crypto.functional)
-    if mode == "sgx_mgx":
-        return mem, None
-    return mem, TenAnalyzer(mem, en_tmf=c.en_tmf,
-                            table_entries=c.meta_table_entries,
-                            filter_entries=c.filter_entries,
-                            collect_limit=c.filter_collect_limit,
-                            merge_window=c.merge_window)
+    if mode == "sgx_mgx" or not c.en_tmf:
+        return mem, None, mem
+    ta = TenAnalyzer(mem, table_entries=c.meta_table_entries,
+                     filter_entries=c.filter_entries,
+                     collect_limit=c.filter_collect_limit,
+                     merge_window=c.merge_window)
+    return mem, ta, ta
 
 
 def _line_data(va: int) -> bytes:
@@ -312,19 +313,15 @@ def _line_data(va: int) -> bytes:
 
 def replay_trace(front, records: Iterable[TraceRecord],
                  cost_sample: Optional[list] = None) -> None:
-    """Drive R/W records through a CPU front door: a TenAnalyzer, a
-    ProtectedMemory or a PlainMemory, in runs of same-kind records
-    (`read_run`/`write_run`, or a memory's `read_lines`/`write_lines`) of at
-    most REPLAY_RUN_LINES. Write data is a cheap deterministic pattern: the
+    """Drive R/W records through a CPU front door (`build_cpu_side`), in
+    runs of same-kind records (`read_lines`/`write_lines`) of at most
+    REPLAY_RUN_LINES. Write data is a cheap deterministic pattern: the
     address's low byte in every byte of the line. A memory's (not a
     TenAnalyzer's) accesses go one at a time, appending their CostReports
     (`CostReport.between`) to `cost_sample`, while it holds fewer than
     COST_SAMPLE_LIMIT."""
     if isinstance(front, TenAnalyzer):
-        read_run, write_run = front.read_run, front.write_run
         cost_sample = None
-    else:
-        read_run, write_run = front.read_lines, front.write_lines
     for kind, recs in groupby(records, key=attrgetter("kind")):
         if kind not in ("R", "W"):
             continue
@@ -340,9 +337,9 @@ def replay_trace(front, records: Iterable[TraceRecord],
                         front.write_line(va, _line_data(va))
                     cost_sample.append(CostReport.between(kind, va, before, front.totals))
             if kind == "R":
-                read_run(vas)
+                front.read_lines(vas)
             else:
-                write_run(vas, [_line_data(va) for va in vas])
+                front.write_lines(vas, [_line_data(va) for va in vas])
 
 
 # -- offloaded training loop -----------------------------------------------------------
@@ -414,7 +411,7 @@ class ZeroOffloadRunner:
         # pre-unification (SGX+MGX), CPU and NPU keep distinct enclave keys
         cpu_key, npu_key = ((cpu_enc.key, npu_enc.key) if self.mode == "sgx_mgx"
                             else (self.session.shared_key,) * 2)
-        self.cpu_mem, self.analyzer = build_cpu_side(
+        self.cpu_mem, self.analyzer, self.front = build_cpu_side(
             cfg, self.mode, total_lines, self.region_base, cpu_key)
         self.npu: Optional[NpuDevice] = None
         if self.mode != "nonsecure":
@@ -432,13 +429,6 @@ class ZeroOffloadRunner:
         self._nch = cfg.cpu.dram_channels
 
     # -- CPU data plane -----------------------------------------------------------
-
-    def _cpu_write(self, vas: list, plains: list) -> None:
-        """Write lines `vas` in order through the mode's write path."""
-        if self.analyzer is not None:
-            self.analyzer.write_run(vas, plains)
-        else:
-            self.cpu_mem.write_lines(vas, plains)
 
     def _reserve_cpu_phase(self, data_bytes: int, meta_bytes: int, at: int) -> int:
         """Charge a CPU access phase to the DRAM channels and AES engines."""
@@ -588,15 +578,11 @@ class ZeroOffloadRunner:
                 recs = list(recs)
                 vas = [bases[s] + j * LINE_BYTES for _, s, _, j in recs]
                 if phase == "R":
-                    if self.analyzer is None:
-                        plains = self.cpu_mem.read_lines(vas)
-                    else:
-                        plains = self.analyzer.read_run(vas)
-                    for (_, s, _, j), plain in zip(recs, plains):
+                    for (_, s, _, j), plain in zip(recs, self.front.read_lines(vas)):
                         bufs[s][j] = plain
                 else:
                     new = self._adam_math(bufs, it)
-                    self._cpu_write(vas, [new[s][j] for _, s, _, j in recs])
+                    self.front.write_lines(vas, [new[s][j] for _, s, _, j in recs])
             meta = sum(t_totals[k] for k in meta_keys) - snap_meta
             data = sum(t_totals[k] for k in data_keys) - snap_data
             done = max(done, self._reserve_cpu_phase(data, meta, at))
@@ -605,7 +591,7 @@ class ZeroOffloadRunner:
     # -- top level -----------------------------------------------------------------------
 
     def setup_state(self) -> None:
-        """Write initial weights/moments through the mode's write path; in
+        """Write initial weights/moments through the front door; in
         unified mode the transferable weight tensors get structure hints first
         so their ciphertext is tensor-logical from the start."""
         if self.analyzer is not None:
@@ -619,7 +605,7 @@ class ZeroOffloadRunner:
                 vas += (lay.w_base + j * LINE_BYTES, lay.m_base + j * LINE_BYTES,
                         lay.v_base + j * LINE_BYTES)
                 plains += (w, zero, zero)
-            self._cpu_write(vas, plains)
+            self.front.write_lines(vas, plains)
 
     def run(self) -> ZeroOffloadReport:
         self.setup_state()

@@ -203,7 +203,7 @@ def test_open_line_opens_one_line_under_any_vn(crypto_on):
     assert list(mem._pending) == ([1] if crypto_on else [])
     tag, plain = mem.open_line(1, mem._vns[1])
     assert not mem._pending
-    tags, plains, _ = twin.opened([1])
+    _, _, tags, plains, _ = next(twin.open_chunks([BASE + LINE_BYTES]))
     assert (tag, plain) == (tags[0], plains[0]) == (mem._macs[1], data)
     assert _store(mem) == _store(twin)
     # under another VN: the per-line kernels at that VN, over the stored line

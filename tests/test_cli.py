@@ -147,6 +147,34 @@ def test_sweep_bad_axis_exits_2(tmp_path):
                  "--out", str(tmp_path / "s")]) == 2
 
 
+@pytest.mark.parametrize("workload,fields,sweep", [
+    ("adam", {"threads": 0}, None),
+    ("zero", {"threads": 0}, None),
+    ("zero", {}, "threads=0"),
+    ("adam", {}, "threads=2,0"),    # no point runs before every point is checked
+    ("adam", {}, "threads=two"),
+    ("adam", {"tensors": 0}, None),
+    ("zero", {"zero_tensors": 0}, None),
+    ("gemm", {"gemm_tile": 48}, None),
+    ("gemm", {"gemm_tile": 8, "gemm_m": 64, "gemm_n": 64, "gemm_k": 64}, None),
+    ("zero", {"zero_tensor_bytes": 0}, None),
+    ("adam", {"tensor_bytes_min": 8192, "tensor_bytes_max": 4096}, None),
+    ("adam", {"burst_lines": 0}, None),
+    ("npu_stream", {}, "mac_granularity=100"),
+    ("adam", {}, "mode=bogus"),
+])
+def test_a_bad_workload_input_exits_2_before_any_run(tmp_path, capsys, monkeypatch,
+                                                     workload, fields, sweep):
+    ran = []
+    monkeypatch.setitem(cli.RUNNERS, workload, ran.append)
+    cfg = write_cfg(tmp_path, {"workload": {"name": workload, **fields}})
+    out = tmp_path / "o"
+    argv = ["run", "--config", cfg, "--out", str(out)]
+    assert main(argv + ["--sweep", sweep] if sweep else argv) == 2
+    assert "config error: " in capsys.readouterr().err
+    assert not ran and not out.exists()
+
+
 def test_report_over_three_modes(tmp_path):
     root = tmp_path / "runs"
     for mode in ("nonsecure", "sgx_mgx", "tensortee"):

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from teesim import tenanalyzer
+from teesim import baseline, tenanalyzer
 from teesim.baseline import OPEN_CHUNK_LINES, ProtectedMemory
 from teesim.crypto import (
     BindingMode, IntegrityFault, KeyMaterial, LINE_BYTES, binding_code, tensor_line_codes,
@@ -352,7 +352,7 @@ def test_boundary_reads_extend_a_sweep_run_that_reaches_the_end(runs):
     ta.install_hint(BASE, 8)
     e = ta.entry_at(BASE)
     vas = [BASE + i * LINE_BYTES for i in range(11)]
-    read = ta.read_run if runs else (lambda vas: [ta.on_read(va) for va in vas])
+    read = ta.read_lines if runs else (lambda vas: [ta.on_read(va) for va in vas])
     read(vas[4:8])
     read(vas[8:])
     assert e.line_count == 11 and ta.stats["r_hit_boundary"] == 3
@@ -374,7 +374,7 @@ def test_sweep_under_a_hint_vn_the_lines_do_not_hold_faults(crypto_on, runs):
     ta.install_hint(BASE, 16, vn=5)
     vas = [BASE + i * LINE_BYTES for i in range(16)]
     with pytest.raises(IntegrityFault, match="tensor_mac"):
-        ta.read_run(vas) if runs else [ta.on_read(va) for va in vas]
+        ta.read_lines(vas) if runs else [ta.on_read(va) for va in vas]
 
 
 def test_out_of_order_covered_read_verifies_per_line():
@@ -469,7 +469,7 @@ def test_access_off_the_region_reaches_no_entry(va):
     # a read run raises before any read of its batch
     stats = dict(ta.stats)
     with pytest.raises(ValueError, match="outside the region"):
-        ta.read_run([BASE, BASE + LINE_BYTES, va])
+        ta.read_lines([BASE, BASE + LINE_BYTES, va])
     assert ta.stats == stats
     assert ta.dump_table() == table
     assert ta.stats["r_hit_in"] == ta.stats["w_invalidate"] == 0
@@ -591,6 +591,7 @@ def test_boundary_keys_name_live_entries_through_every_drop():
 
 
 def test_functional_transparency_en_tmf_on_off():
+    # with the table off, the bare memory is the front door
     rng = random.Random(11)
     ops = []
     for _ in range(600):
@@ -599,22 +600,25 @@ def test_functional_transparency_en_tmf_on_off():
             ops.append(("w", line, rng.randbytes(LINE_BYTES)))
         else:
             ops.append(("r", line, None))
+    ta, _ = make(n_lines=256)
+    bare = ProtectedMemory(BASE, 256, KEY)
     results = []
-    for en in (True, False):
-        ta, _ = make(n_lines=256, en_tmf=en)
+    for read, write in ((ta.on_read, ta.on_write), (bare.read_line, bare.write_line)):
         out = []
         for kind, line, data in ops:
             va = BASE + line * LINE_BYTES
             if kind == "w":
-                ta.on_write(va, data)
+                write(va, data)
             else:
                 try:
-                    plain, _ = ta.on_read(va)
+                    plain, _ = read(va)
                 except IntegrityFault as f:  # pragma: no cover
                     plain = f.kind
                 out.append(plain)
         results.append(out)
     assert results[0] == results[1]
+    with pytest.raises(ValueError, match="bare ProtectedMemory"):
+        make(n_lines=256, en_tmf=False)
 
 
 def test_monotone_hit_in_across_repeated_trace():
@@ -693,11 +697,11 @@ def _tamper(mem: ProtectedMemory, pa: int, attack: str, src: int, bit: int) -> N
 
 def _access(ta: TenAnalyzer, runs: bool, vas: list, plains=None):
     """Read `vas` (`plains` None) or write them with `plains`, through
-    `read_run`/`write_run` (`runs`) or one `on_read`/`on_write` a line;
+    `read_lines`/`write_lines` (`runs`) or one `on_read`/`on_write` a line;
     returns what the core saw: the plaintexts read, or the fault."""
     if runs:
-        return (_run_attempt(ta.read_run, vas) if plains is None
-                else _run_attempt(ta.write_run, vas, plains))
+        return (_run_attempt(ta.read_lines, vas) if plains is None
+                else _run_attempt(ta.write_lines, vas, plains))
 
     def per_line():
         if plains is None:
@@ -835,11 +839,11 @@ _RUN_TRACES = {name: _run_trace(name) for name in ("adam", "zero", "gemm", "fuzz
 
 def _analyzer_state(ta: TenAnalyzer) -> tuple:
     """What a run must leave exactly as its per-line loop does: the stats,
-    stamp, entries (with their sweep and update state), coverage, boundary
-    map and filter, and the memory's totals, metadata cache, pending writes,
-    store and tree root."""
+    stamp, entries (with their sweep and update state) and their recency
+    order, coverage, boundary map and filter, and the memory's totals,
+    metadata cache, pending writes, store and tree root."""
     mem = ta.mem
-    entries = [(e.dump(), e.lru, e.touched, e.mac, e.tensor_id,
+    entries = [(e.dump(), e.lru, e.mac, e.tensor_id,
                 {start: tuple(run) for start, run in e.runs.items()}, dict(e.runs_by_next),
                 None if e.written is None else bytes(e.written), list(e.write_tags))
                for e in ta.entries]
@@ -850,7 +854,7 @@ def _analyzer_state(ta: TenAnalyzer) -> tuple:
     cache.end_batch()
     pending = [(idx, sink if sink is None else list(sink))
                for idx, sink in mem._pending.items()]
-    return (dict(ta.stats), ta._stamp, entries,
+    return (dict(ta.stats), ta._stamp, entries, [e.base for e in ta._recent],
             [None if e is None else e.base for e in ta._cover],
             sorted((va, e.base) for va, e in ta.boundary.items()),
             [(f.addrs, f.delta, f.stamp) for f in ta.filter],
@@ -903,7 +907,7 @@ def test_run_methods_match_per_line_loops(trace, crypto_on, cuts, hint, tamper, 
     if trace == "zero":
         # runs as long as the optimizer's: a burst of four streams, or more
         cuts = [c * 64 for c in cuts]
-    with mock.patch.object(tenanalyzer, "OPEN_CHUNK_LINES", chunk):
+    with mock.patch.object(baseline, "OPEN_CHUNK_LINES", chunk):
         _diff_runs(records, crypto_on, cuts, hint and [(0, first, hint)], tamper, lines)
 
 
@@ -998,7 +1002,7 @@ def test_run_methods_match_per_line_loops_at_span_edges(case, crypto_on):
 
 
 def _diff_runs(records, crypto_on, cuts, hints, tamper, n_lines=_RUN_LINES):
-    """Replay `records` through `read_run`/`write_run` on one analyzer and
+    """Replay `records` through `read_lines`/`write_lines` on one analyzer and
     through `on_read`/`on_write` on another, in runs cut at `cuts`; after
     every run, and at a fault or a rejected write, what the core saw and
     the state must be equal. A write record may carry its plaintext. `hints` = [(first line, lines, VN[, MAC])] first installs tensor
@@ -1027,7 +1031,7 @@ def _diff_runs(records, crypto_on, cuts, hints, tamper, n_lines=_RUN_LINES):
                   for i, rec in enumerate(run)]
         serial += len(run)
         if run[0][0]:
-            got = _run_attempt(run_ta.read_run, vas)
+            got = _run_attempt(run_ta.read_lines, vas)
             want = [], None
             for va in vas:
                 out = _run_attempt(ref.on_read, va)
@@ -1037,7 +1041,7 @@ def _diff_runs(records, crypto_on, cuts, hints, tamper, n_lines=_RUN_LINES):
                 want[0].append(out[1][0])
             want = want if want[0] == "fault" else ("ok", want[0])
         else:
-            got = _run_attempt(run_ta.write_run, vas, plains)
+            got = _run_attempt(run_ta.write_lines, vas, plains)
             want = ("ok", None)
             for va, plain in zip(vas, plains):
                 out = _run_attempt(ref.on_write, va, plain)
@@ -1059,10 +1063,11 @@ def _diff_runs(records, crypto_on, cuts, hints, tamper, n_lines=_RUN_LINES):
 
 # -- merge candidates ------------------------------------------------------------
 
-def _merge_reference(ta: TenAnalyzer, e: MetaTableEntry) -> list:
-    """`try_merge`'s candidates as a stable sort of the whole table gives them."""
+def _merge_reference(ta: TenAnalyzer, e: MetaTableEntry, stamps: dict) -> list:
+    """`try_merge`'s candidates as a stable sort of the whole table by
+    `stamps`, the stamp of each entry's last touch, gives them."""
     return sorted([c for c in ta.entries if c is not e and c.uf == 0],
-                  key=lambda c: c.touched, reverse=True)[:ta.merge_window]
+                  key=stamps.__getitem__, reverse=True)[:ta.merge_window]
 
 
 @given(trace=st.sampled_from(["adam", "gemm", "fuzz"]),
@@ -1073,14 +1078,18 @@ def test_merge_candidates_match_a_stable_sort_of_the_table(trace, cuts, window, 
     records, _, n_lines = _RUN_TRACES[trace]
     ta = TenAnalyzer(ProtectedMemory(_RUN_BASE, n_lines, KEY, crypto_on=False),
                      merge_window=window)
-    candidates = ta.merge_candidates
+    candidates, touch, stamps = ta.merge_candidates, ta._touch, {}
 
     def checked(e):
         got = candidates(e)
-        assert got == _merge_reference(ta, e)
+        assert got == _merge_reference(ta, e, stamps)
         return got
 
-    ta.merge_candidates = checked
+    def recorded(e, stamp=None):
+        stamps[e] = touch(e, stamp)
+        return stamps[e]
+
+    ta.merge_candidates, ta._touch = checked, recorded
     for run in _split_runs(records, cuts):
         vas = [va for _, va in run]
         is_read = run[0][0]
@@ -1091,13 +1100,15 @@ def test_merge_candidates_match_a_stable_sort_of_the_table(trace, cuts, window, 
                 else:
                     ta.on_write(va, bytes(LINE_BYTES))
         elif is_read:
-            ta.read_run(vas)
+            ta.read_lines(vas)
         else:
-            ta.write_run(vas, [bytes(LINE_BYTES)] * len(vas))
+            ta.write_lines(vas, [bytes(LINE_BYTES)] * len(vas))
         for e in ta.entries:
-            assert candidates(e) == _merge_reference(ta, e)
-    # every stamp is taken once, so no two entries tie
-    assert len({e.touched for e in ta.entries}) == len(ta.entries)
+            assert candidates(e) == _merge_reference(ta, e, stamps)
+    # every stamp is taken once, so no two entries tie, and the table's
+    # recency order is that of their stamps
+    assert len({stamps[e] for e in ta.entries}) == len(ta.entries)
+    assert list(ta._recent) == sorted(ta.entries, key=stamps.__getitem__)
 
 
 def test_boundary_spans_touch_their_entries_in_stamp_order():
@@ -1111,9 +1122,9 @@ def test_boundary_spans_touch_their_entries_in_stamp_order():
             ta.on_read(BASE + i * LINE_BYTES)
     a, b = ta.entry_at(BASE), ta.entry_at(BASE + 32 * LINE_BYTES)
     assert a is not None and b is not None
-    ta.read_run([BASE + 4 * LINE_BYTES, BASE + 36 * LINE_BYTES, BASE + 5 * LINE_BYTES])
+    ta.read_lines([BASE + 4 * LINE_BYTES, BASE + 36 * LINE_BYTES, BASE + 5 * LINE_BYTES])
     assert ta.stats["r_hit_boundary"] == 3
-    assert a.touched > b.touched and list(ta._recent)[-2:] == [b, a]
+    assert list(ta._recent)[-2:] == [b, a]
 
 
 # -- set-up-shaped write runs ------------------------------------------------------
@@ -1175,7 +1186,7 @@ def test_set_up_shaped_write_run_matches_on_write_loop(crypto_on, fault, cache_b
         store(idxs, plains, sources)
 
     with mock.patch.object(sides[0].mem, "write_indexed", counted):
-        got = _run_attempt(sides[0].write_run, vas, plains)
+        got = _run_attempt(sides[0].write_lines, vas, plains)
     want = ("ok", None)
     for va, plain in zip(vas, plains):
         out = _run_attempt(sides[1].on_write, va, plain)

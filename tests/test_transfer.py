@@ -225,6 +225,21 @@ def test_direct_requires_tensor_logical_binding():
                         analyzer=ta, npu=dev, cpu_base=CPU_BASE)
 
 
+@pytest.mark.parametrize("direction", ["cpu_to_npu", "npu_to_cpu"])
+def test_direct_without_a_meta_table_moves_nothing(direction):
+    session, eng, mem, _, dev = rig(256)
+    rec = dev.register_tensor(6, 0x50000000, 16)
+    dev.store_tensor_stream(rec, lines(16, 9))
+    dev.load_tensor_stream(rec, "delayed")
+    eng.advance(rec.verify_done_tick)
+    totals = dict(mem.totals)
+    with pytest.raises(ProtocolError, match="needs the Meta Table"):
+        direct_transfer(session, eng, tensor_id=6, direction=direction,
+                        analyzer=None, npu=dev, cpu_base=CPU_BASE)
+    assert mem.totals == totals
+    assert eng.resources["link"].busy_ticks == eng.resources["trusted_channel"].busy_ticks == 0
+
+
 def test_direct_blocked_while_poisoned():
     session, eng, mem, ta, dev = rig()
     n = 32

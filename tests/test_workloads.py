@@ -88,11 +88,11 @@ def test_gemm_128_tile64_reconstructs_matrices():
     replay_trace(ta, gen_gemm_trace(m, n, k, 64))
     ta.check_disjoint()
     # A and B each coalesce into at most 2 entries after one full pass
-    per_matrix = {}
-    for e in ta.entries:
-        per_matrix.setdefault(e.base & ~0xFFFFF, []).append(e)
-    a_entries = [e for e in ta.entries if e.base < 0x2000_0000 + 128 * 512]
-    assert len(a_entries) <= 2
+    a_end = 0x2000_0000 + 128 * 512
+    b_end = a_end + LINE_BYTES + 128 * 512
+    a_entries = [e for e in ta.entries if e.base < a_end]
+    b_entries = [e for e in ta.entries if a_end <= e.base < b_end]
+    assert 1 <= len(a_entries) <= 2 and 1 <= len(b_entries) <= 2
 
 
 def test_adam_hit_in_trajectory_rises_toward_one():
