@@ -202,6 +202,17 @@ def run_attack_campaign(cfg: SimConfig, kind: str, trials: int) -> dict:
 RUNNERS = {"adam": run_adam, "gemm": run_gemm, "zero": run_zero,
            "npu_stream": run_npu_stream}
 
+# the workload fields each runner reads; sweeping any other field of the
+# section would run identical points
+RUNNER_FIELDS = {
+    "adam": {"tensors", "tensor_bytes_min", "tensor_bytes_max", "threads",
+             "burst_lines", "iterations"},
+    "gemm": {"gemm_m", "gemm_n", "gemm_k", "gemm_tile"},
+    "zero": {"zero_tensors", "zero_tensor_bytes", "threads", "burst_lines",
+             "iterations"},
+    "npu_stream": {"zero_tensor_bytes"},
+}
+
 SWEEP_AXES = {
     "mac_granularity": ("npu", "mac_granularity", int),
     "iterations": ("workload", "iterations", int),
@@ -213,8 +224,14 @@ SWEEP_AXES = {
 
 def _apply_axis(cfg: SimConfig, axis: str, raw: str):
     """Set sweep axis `axis` of `cfg` to the value `raw` names, check the
-    config again and return the value."""
+    config again and return the value. A workload axis must be a field that
+    the config's runner reads."""
     section, field_name, cast = SWEEP_AXES[axis]
+    if section == "workload":
+        _runner(cfg.workload.name)
+        if field_name not in RUNNER_FIELDS[cfg.workload.name]:
+            raise ConfigError(f"--sweep {axis}: the {cfg.workload.name} workload "
+                              f"does not read workload.{field_name}")
     try:
         value = cast(raw)
     except ValueError as e:
@@ -251,15 +268,19 @@ def _run_config(args) -> SimConfig:
         cfg.mode = args.mode
     if args.workload:
         cfg.workload.name = args.workload
+    cfg.validate()
     return cfg
 
 
-def _run_workload(cfg: SimConfig) -> dict:
-    name = cfg.workload.name
+def _runner(name: str):
     if name not in RUNNERS:
         raise ConfigError(f"unknown workload {name!r} (choose from "
                           f"{sorted(RUNNERS)})")
-    return RUNNERS[name](cfg)
+    return RUNNERS[name]
+
+
+def _run_workload(cfg: SimConfig) -> dict:
+    return _runner(cfg.workload.name)(cfg)
 
 
 def cmd_run(args) -> int:

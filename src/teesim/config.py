@@ -119,7 +119,9 @@ class SimConfig:
         self.validate()
 
     def validate(self) -> None:
-        """Raise ConfigError for a value no run can use; `--sweep` calls it again."""
+        """Raise ConfigError for a value, or a pair of values, no run can
+        use; the CLI calls it again after its overrides and at every
+        `--sweep` point."""
         if self.mode not in MODES:
             raise ConfigError(f"mode must be one of {MODES}, got {self.mode!r}")
         # rates, clocks and counts the engine divides by: a bad one would
@@ -153,6 +155,10 @@ class SimConfig:
             raise ConfigError("workload.tensor_bytes_min must not exceed tensor_bytes_max")
         if wl.gemm_m % wl.gemm_tile or wl.gemm_n % wl.gemm_tile or wl.gemm_k % wl.gemm_tile:
             raise ConfigError("workload.gemm_tile must divide gemm_m, gemm_n and gemm_k")
+        # zero-offload moves TensorTEE tensors only by the direct transfer
+        if self.mode == "tensortee" and wl.name == "zero" and not self.cpu.en_tmf:
+            raise ConfigError("TensorTEE zero-offload sends tensors by the direct "
+                              "transfer, which needs the Meta Table (cpu.en_tmf)")
 
 
 _SECTIONS = {"cpu": CpuConfig, "npu": NpuConfig, "link": LinkConfig,

@@ -19,6 +19,16 @@ checks pass on honest runs and cannot see a tamper.
 Cachelines are 64 bytes. The per-line kernels `line_pad` and `line_tag` take
 a binding code and a VN; a pad is a 512-bit int, so that XOR en/decryption is
 a single big-int op, and a tag reads its ciphertext from any 64-byte buffer.
+The eight words of a pad are independent mixes of one base word, so
+`line_pad` mixes them together, SIMD within a register (Fisher and Dietz,
+LCPC 1998): one 1024-bit int holds the eight 64-bit lanes at a 128-bit
+stride, in the order 0, 2, 4, 6, 1, 3, 5, 7, and each step of the splitmix64
+finalizer runs once over all of them. Every lane is masked back to 64 bits
+before each multiply, so that a 64 x 64-bit product fills its own 128-bit
+slot and no carry or shifted-in bit reaches the next lane. The lane order
+puts the even words at their pad positions and the odd words 448 bits
+above theirs, so that two masks and one shift lay out the pad. A tag is a
+serial chain of mixes and stays scalar.
 `keystream`, `mac_block` and `CipherBlock` (ciphertext as a 512-bit int) wrap
 them for the channel messages and the NPU code lines. Paths that seal or
 open many lines at once (`seal_into`, `open_lines`) use the numpy batch
@@ -48,16 +58,27 @@ _M1 = 0xBF58476D1CE4E5B9
 _M2 = 0x94D049BB133111EB
 _LANES = tuple(i * _GOLDEN & MASK64 for i in range(8))
 _WORDS8 = struct.Struct("<8Q")   # a 64 B line as eight little-endian words
+# `line_pad`'s wide int: eight 128-bit slots, slot k holding pad lane
+# _LANE_ORDER[k] in its low 64 bits. A 64-bit word times _REP is that word in
+# every slot.
+_LANE_ORDER = (0, 2, 4, 6, 1, 3, 5, 7)
+_REP = sum(1 << 128 * k for k in range(8))
+_MASK_W = MASK64 * _REP
+_GOLDEN_W = _GOLDEN * _REP
+_LANES_W = sum(_LANES[i] << 128 * k for k, i in enumerate(_LANE_ORDER))
+_EVEN_W = MASK64 * sum(1 << 128 * k for k in range(4))   # pad words 0, 2, 4, 6
+_ODD_W = _EVEN_W << 64                                   # pad words 1, 3, 5, 7
 # Below these line counts the per-line kernels beat the numpy batch, whose
 # ufunc dispatches cost the same whatever its size (about 30 for a pad batch,
-# 60 for tags). Crossovers measured with numpy 2.4 on a 2-core x86 host: pad
-# batches (`keystream_lines`, then one int per line) 5-6 lines; tags (`mac_lines`)
-# 11-14; both, as in a seal, 7-8; both, as in a decrypting open, 8-9 (the
-# per-line open of one line takes about 17 us, the batch about 120 us at
-# any size up to 13 lines).
-MAC_BATCH_MIN = 14
-SEAL_BATCH_MIN = 8
-OPEN_BATCH_MIN = 9
+# 60 for tags). Crossovers measured with numpy 2.4 and Python 3.11 on a
+# 2-core x86 host, three runs each, medians kept: pad batches
+# (`keystream_lines`, then one int per line) 12-18 lines; tags (`mac_lines`)
+# 11-12, and 12 inside `open_lines` without decryption; both, as in a seal,
+# 11-13; both, as in a decrypting open, 10-12 (the per-line open of one line
+# takes about 10 us, the batch 95-110 us at any size from 2 to 20 lines).
+MAC_BATCH_MIN = 12
+SEAL_BATCH_MIN = 11
+OPEN_BATCH_MIN = 11
 
 
 class BindingMode(IntEnum):
@@ -68,11 +89,13 @@ class BindingMode(IntEnum):
 class IntegrityFault(Exception):
     """Raised when a MAC or tree check fails. `kind` is one of
     'mac_mismatch', 'replay_or_tamper', 'tensor_mac', 'channel_tamper',
-    'code_tamper', 'staging_tamper'."""
+    'code_tamper', 'staging_tamper'. A fault that fails a transfer carries
+    that transfer's `TransferReport` as `report`; any other has None."""
 
     def __init__(self, kind: str, detail: str = ""):
         self.kind = kind
         self.detail = detail
+        self.report = None
         super().__init__(f"{kind}: {detail}" if detail else kind)
 
 
@@ -162,6 +185,16 @@ def line_pad(key: KeyMaterial, code: int, vn: int) -> int:
     vn): base = mix(mix(mix(k0 ^ code) ^ vn) ^ k1), and word i of the pad is
     mix(base ^ i * golden).
 
+    The eight word mixes run as one over a 1024-bit int: lane i at a 128-bit
+    stride, even lanes in slots 0-3 and odd lanes in slots 4-7. Each lane is
+    masked to 64 bits after the add and after each xor-shift, since the add
+    carries into bit 64 of its slot and a right shift brings the next
+    lane's low bits into the top of this slot; a masked lane times a 64-bit
+    constant then stays inside its 128-bit slot, and the mask after the
+    product drops its high half. The final xor-shift's stray bits fall in
+    the unused slot halves. The even pad words then sit at bits 128k, and
+    the odd ones at bits 128k + 512, 448 above their pad positions.
+
     Here and in the other per-line kernels below, the splitmix64 finalizer
     (`mix64`) is written out inline, because a Python call per mix would
     cost more than the mix itself."""
@@ -177,14 +210,11 @@ def line_pad(key: KeyMaterial, code: int, vn: int) -> int:
     x = (x + _GOLDEN) & MASK64
     x = ((x ^ (x >> 30)) * _M1) & MASK64
     x = ((x ^ (x >> 27)) * _M2) & MASK64
-    base = x ^ (x >> 31)
-    words = []
-    for lane in _LANES:
-        x = ((base ^ lane) + _GOLDEN) & MASK64
-        x = ((x ^ (x >> 30)) * _M1) & MASK64
-        x = ((x ^ (x >> 27)) * _M2) & MASK64
-        words.append(x ^ (x >> 31))
-    return int.from_bytes(_WORDS8.pack(*words), "little")
+    x = (((x ^ (x >> 31)) * _REP ^ _LANES_W) + _GOLDEN_W) & _MASK_W
+    x = ((x ^ (x >> 30)) & _MASK_W) * _M1 & _MASK_W
+    x = ((x ^ (x >> 27)) & _MASK_W) * _M2 & _MASK_W
+    x ^= x >> 31
+    return x & _EVEN_W | (x >> 448) & _ODD_W
 
 
 def line_tag(key: KeyMaterial, code: int, vn: int, buf, offset: int = 0) -> int:

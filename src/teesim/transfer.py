@@ -181,6 +181,14 @@ class TransferReport:
         return "protocol,bytes_link,bytes_aes,cycles_total,cycles_overlapped,faults"
 
 
+def _count_fault(rep: TransferReport, fault: IntegrityFault) -> IntegrityFault:
+    """Count `fault` in `rep` and attach `rep` to it as `fault.report`, so
+    that whoever catches the fault sees the failed transfer's report."""
+    rep.faults += 1
+    fault.report = rep
+    return fault
+
+
 def _overlap_with_compute(engine: Engine, start: int, done: int) -> int:
     busy = engine.resources["npu_compute"].busy_until
     return max(0, min(done, busy) - start)
@@ -260,8 +268,8 @@ def baseline_transfer(session: SessionState, engine: Engine, *,
         tags, plains = open_lines(npu.key, *npu.export_lines(rec), rec.vn)
         try:
             npu.verify_blocks(rec, tags)
-        except IntegrityFault:
-            rep.faults += 1
+        except IntegrityFault as fault:
+            _count_fault(rep, fault)
             raise
         plains = plains[:n_lines]
         npu.log_link(rec, n_lines, "baseline")
@@ -316,9 +324,8 @@ def _open_staging(staging: StagingRegion, tensor_id: int,
     tags, plains = open_lines(session.shared_key, staging.codes, staging.ct, 0)
     for i, (tag, stored) in enumerate(zip(tags, staging.macs)):
         if tag != stored:
-            rep.faults += 1
-            raise IntegrityFault("staging_tamper",
-                                 f"tensor {tensor_id} staged line {i}")
+            raise _count_fault(rep, IntegrityFault(
+                "staging_tamper", f"tensor {tensor_id} staged line {i}"))
     return plains
 
 
@@ -412,9 +419,8 @@ def _install_on_cpu(msg: MetadataMessage, codes, cts, analyzer: TenAnalyzer,
     verify_done = max(at, mac_end)
     tags, _ = open_lines(mem.key, codes, cts, msg.vn, decrypt=False)
     if mac_xor_aggregate(tags) != msg.mac:
-        rep.faults += 1
-        raise IntegrityFault("tensor_mac",
-                             f"direct transfer tensor {msg.tensor_id}")
+        raise _count_fault(rep, IntegrityFault(
+            "tensor_mac", f"direct transfer tensor {msg.tensor_id}"))
     mem.install_lines(msg.base, codes, cts, tags, msg.vn)
     nch = _cpu_channels(engine)
     done = verify_done

@@ -162,6 +162,11 @@ def test_sweep_bad_axis_exits_2(tmp_path):
     ("adam", {"burst_lines": 0}, None),
     ("npu_stream", {}, "mac_granularity=100"),
     ("adam", {}, "mode=bogus"),
+    # axes the workload's runner never reads
+    ("zero", {}, "tensors=1,4"),
+    ("gemm", {}, "threads=1,2"),
+    ("gemm", {}, "iterations=1,2"),
+    ("npu_stream", {}, "iterations=1,2"),
 ])
 def test_a_bad_workload_input_exits_2_before_any_run(tmp_path, capsys, monkeypatch,
                                                      workload, fields, sweep):
@@ -173,6 +178,38 @@ def test_a_bad_workload_input_exits_2_before_any_run(tmp_path, capsys, monkeypat
     assert main(argv + ["--sweep", sweep] if sweep else argv) == 2
     assert "config error: " in capsys.readouterr().err
     assert not ran and not out.exists()
+
+
+LIGHT_ZERO = {"mode": "tensortee", "crypto": {"functional": False},
+              "workload": {"name": "zero", "zero_tensors": 1,
+                           "zero_tensor_bytes": 4096, "threads": 1, "iterations": 1}}
+
+
+@pytest.mark.parametrize("config,flags", [
+    ({"cpu": {"en_tmf": False}}, []),
+    ({"mode": "sgx_mgx", "cpu": {"en_tmf": False}}, ["--mode", "tensortee"]),
+    ({"cpu": {"en_tmf": False}, "workload": {"name": "adam"}}, ["--workload", "zero"]),
+    ({"mode": "sgx_mgx", "cpu": {"en_tmf": False}}, ["--sweep", "mode=sgx_mgx,tensortee"]),
+])
+def test_tensortee_zero_without_a_meta_table_exits_2(tmp_path, capsys, config, flags):
+    # its tensors move only by the direct transfer, which needs the Meta
+    # Table; the pair is refused however it is put together
+    data = {**LIGHT_ZERO, **config,
+            "workload": {**LIGHT_ZERO["workload"], **config.get("workload", {})}}
+    out = tmp_path / "o"
+    assert main(["run", "--config", write_cfg(tmp_path, data), "--out", str(out),
+                 *flags]) == 2
+    assert "needs the Meta Table" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_a_sweep_of_a_field_the_runner_reads_runs_distinct_points(tmp_path):
+    out = tmp_path / "s"
+    assert main(["run", "--config", write_cfg(tmp_path, LIGHT_ZERO), "--out", str(out),
+                 "--sweep", "iterations=1,2"]) == 0
+    header, *rows = (out / "sweep.csv").read_text().splitlines()
+    ticks = [row.split(",")[header.split(",").index("total_ticks")] for row in rows]
+    assert len(ticks) == 2 and ticks[0] != ticks[1]
 
 
 def test_report_over_three_modes(tmp_path):

@@ -535,10 +535,25 @@ def test_batch_kernels_match_scalar(lines, seed):
             [keystream(key, b, vn) for b in bindings]
 
 
-# 5 and 6 lines straddle the pad-batch crossover noted at teesim.crypto's cutoffs
-@pytest.mark.parametrize("n", sorted({
-    0, 1, 1200, *(m + d for m in (6, SEAL_BATCH_MIN, MAC_BATCH_MIN, OPEN_BATCH_MIN)
-                  for d in (-1, 0))}))
+@given(st.one_of(st.integers(0, MASK64), st.sampled_from([0, 1, MASK64])),
+       st.one_of(st.sampled_from([0, MASK64]), st.integers(0, MASK64)),
+       st.one_of(st.integers(0, MASK64), st.integers(1 << 56, MASK64),
+                 st.sampled_from([MASK56, 1 << 56, MASK64])))
+@settings(max_examples=300)
+def test_pad_kernels_match_on_extreme_inputs(seed, code, vn):
+    # line_pad's eight lanes in one wide int against the batch kernel's
+    # eight uint64 columns, over the full 64-bit range of keys and codes and
+    # VNs that must be masked to 56 bits
+    key = KeyMaterial.from_seed(seed)
+    row = keystream_lines(key, [code], vn)[0]
+    assert line_pad(key, code, vn) == int.from_bytes(row.astype("<u8").tobytes(), "little")
+    assert line_pad(NULL_KEY, code, vn) == 0
+
+
+# every size below twice the largest cutoff, so both sides of each cutoff
+# and of the pad-batch crossover noted there, and one large batch
+@pytest.mark.parametrize("n", [
+    *range(2 * max(SEAL_BATCH_MIN, MAC_BATCH_MIN, OPEN_BATCH_MIN)), 1200])
 def test_batch_kernels_match_scalar_by_size(n):
     rng = random.Random(n)
     key = KeyMaterial.from_seed(rng.randrange(1 << 64))
@@ -568,7 +583,8 @@ def test_batch_kernels_match_scalar_by_size(n):
         assert open_lines(key, codes, buf, vn_arg, decrypt=False) == (tags, None)
 
 
-@pytest.mark.parametrize("n", [1, SEAL_BATCH_MIN - 1, SEAL_BATCH_MIN, 40])
+# every size that takes the per-line kernels, the first batch size and a batch
+@pytest.mark.parametrize("n", [*range(1, SEAL_BATCH_MIN + 1), 40])
 def test_seal_into_seals_only_the_given_lines_in_place(n):
     rng = random.Random(n)
     key = KeyMaterial.from_seed(n)

@@ -135,6 +135,44 @@ def test_baseline_staging_tamper_detected():
         assert ei.value.kind == "staging_tamper"
 
 
+def test_a_failed_transfer_keeps_its_report(monkeypatch):
+    # staging tampered between the sender's seal and the receiver's open
+    import teesim.transfer as transfer
+    seal = transfer._seal_staging
+
+    def seal_then_tamper(staging, *args):
+        seal(staging, *args)
+        staging.tamper(3, bit=11)
+
+    monkeypatch.setattr(transfer, "_seal_staging", seal_then_tamper)
+    session, eng, mem, ta, dev = rig()
+    n = 8
+    mem.write_lines([CPU_BASE + i * LINE_BYTES for i in range(n)], lines(n))
+    with pytest.raises(IntegrityFault) as ei:
+        baseline_transfer(session, eng, tensor_id=1, direction="cpu_to_npu",
+                          cpu_mem=mem, npu=dev, cpu_base=CPU_BASE, n_lines=n)
+    rep = ei.value.report
+    assert ei.value.kind == "staging_tamper"
+    assert (rep.protocol, rep.tensor_id, rep.faults) == ("baseline", 1, 1)
+
+
+def test_a_failed_direct_install_keeps_its_report():
+    # ciphertext changed in GDDR after the record was verified
+    session, eng, mem, ta, dev = rig()
+    n = 16
+    rec = dev.register_tensor(6, 0x50000000, n)
+    dev.store_tensor_stream(rec, lines(n, 9))
+    dev.load_tensor_stream(rec, "delayed")
+    eng.advance(rec.verify_done_tick)
+    rec.ct[5 * LINE_BYTES] ^= 1
+    with pytest.raises(IntegrityFault) as ei:
+        direct_transfer(session, eng, tensor_id=6, direction="npu_to_cpu",
+                        analyzer=ta, npu=dev, cpu_base=CPU_BASE + 0x20000)
+    rep = ei.value.report
+    assert ei.value.kind == "tensor_mac"
+    assert (rep.protocol, rep.tensor_id, rep.faults) == ("direct", 6, 1)
+
+
 def test_baseline_serializes_behind_compute_on_npu_aes():
     session, eng, mem, ta, dev = rig()
     n = 64
@@ -288,6 +326,7 @@ def test_relay_from_the_npu_fails_closed_on_a_tampered_or_never_stored_record(st
                           cpu_mem=mem, npu=dev, cpu_base=CPU_BASE + 0x20000,
                           n_lines=n)
     assert ei.value.kind == "mac_mismatch" and rec.failed and dev.faults.count == 1
+    assert ei.value.report.faults == 1
     assert state() == before
 
 
