@@ -782,6 +782,7 @@ class PlainMemory:
         self.totals: dict[str, int] = dict.fromkeys(TOTALS_KEYS, 0)
 
     line_index = ProtectedMemory.line_index
+    line_indices = ProtectedMemory.line_indices
 
     def plaintexts(self, pas) -> list:
         """Oracle: the plaintext of each line of `pas`, with no cost
@@ -789,33 +790,47 @@ class PlainMemory:
         return [self.blocks[self.line_index(pa)] for pa in pas]
 
     def read_lines(self, pas) -> list:
-        """`read_line` of each of `pas` in order, without the per-line call."""
+        """`read_line` of each of `pas` in order, without the per-line call:
+        the indices are found once (`line_indices`) and the counters charged
+        as sums. An address outside the region or unaligned raises
+        ValueError after the reads before it, as the per-line calls would."""
+        pas = list(pas)
+        idxs = self.line_indices(pas)
         t = self.totals
-        blocks = self.blocks
-        out = []
-        for pa in pas:
-            t["reads"] += 1
-            t["data_rd"] += LINE_BYTES
-            out.append(blocks[self.line_index(pa)])
-        return out
+        t["reads"] += len(idxs)
+        t["data_rd"] += LINE_BYTES * len(idxs)
+        if len(idxs) < len(pas):
+            self.line_index(pas[len(idxs)])      # raises
+        return list(map(self.blocks.__getitem__, idxs))
 
     def read_line(self, pa: int):
+        idx = self.line_index(pa)
         t = self.totals
         t["reads"] += 1
         t["data_rd"] += LINE_BYTES
-        return self.blocks[self.line_index(pa)], None
+        return self.blocks[idx], None
 
     def write_line(self, pa: int, plain) -> None:
+        idx = self.line_index(pa)
         t = self.totals
         t["writes"] += 1
         t["data_wr"] += LINE_BYTES
-        self.blocks[self.line_index(pa)] = plain
+        self.blocks[idx] = plain
 
     def write_lines(self, pas, plains) -> None:
-        """`write_line` of each of `pas` in order, without the per-line call."""
+        """`write_line` of each of `pas` in order with the plaintext at its
+        position, without the per-line call, as `read_lines` reads. A count
+        of plaintexts other than one per address raises ValueError before
+        any write."""
+        pas, plains = list(pas), list(plains)
+        if len(plains) != len(pas):
+            raise ValueError("one plaintext per address")
+        idxs = self.line_indices(pas)
         t = self.totals
+        t["writes"] += len(idxs)
+        t["data_wr"] += LINE_BYTES * len(idxs)
         blocks = self.blocks
-        for pa, plain in zip(pas, plains):
-            t["writes"] += 1
-            t["data_wr"] += LINE_BYTES
-            blocks[self.line_index(pa)] = plain
+        for idx, plain in zip(idxs, plains):
+            blocks[idx] = plain
+        if len(idxs) < len(pas):
+            self.line_index(pas[len(idxs)])      # raises

@@ -224,14 +224,20 @@ SWEEP_AXES = {
 
 def _apply_axis(cfg: SimConfig, axis: str, raw: str):
     """Set sweep axis `axis` of `cfg` to the value `raw` names, check the
-    config again and return the value. A workload axis must be a field that
-    the config's runner reads."""
+    config again and return the value. A workload or NPU axis must be a
+    field that the config's run reads."""
     section, field_name, cast = SWEEP_AXES[axis]
     if section == "workload":
         _runner(cfg.workload.name)
         if field_name not in RUNNER_FIELDS[cfg.workload.name]:
             raise ConfigError(f"--sweep {axis}: the {cfg.workload.name} workload "
                               f"does not read workload.{field_name}")
+    # only the blocking NPU loads and the relay's block check read the
+    # granularity: npu_stream, and SGX+MGX zero-offload
+    if section == "npu" and not (cfg.workload.name == "npu_stream" or (
+            cfg.workload.name == "zero" and cfg.mode == "sgx_mgx")):
+        raise ConfigError(f"--sweep {axis}: only npu_stream and SGX+MGX zero "
+                          f"runs read npu.{field_name}")
     try:
         value = cast(raw)
     except ValueError as e:

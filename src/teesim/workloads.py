@@ -19,7 +19,7 @@ import gzip
 import random
 from dataclasses import dataclass, field
 from itertools import groupby, islice
-from operator import attrgetter, itemgetter
+from operator import attrgetter
 from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
@@ -48,7 +48,7 @@ COST_SAMPLE_LIMIT = 1000
 # a replay hands the front door runs of at most this many records
 REPLAY_RUN_LINES = 4096
 
-_PHASE = itemgetter(0)   # of an adam access: 'R' or 'W'
+ADAM_STREAMS = ("w", "g", "m", "v")
 
 
 @dataclass
@@ -164,7 +164,7 @@ def adam_access_sequence(layout: AdamLayout, threads: int, burst_lines: int
     chunks = _thread_chunks(layout.n_lines, threads)
     for ci, span in _burst_schedule(chunks, burst_lines):
         for j in span:
-            for stream in ("w", "g", "m", "v"):
+            for stream in ADAM_STREAMS:
                 yield ("R", stream, ci, j)
     for stream in ("w", "m", "v"):
         for ci, span in _burst_schedule(chunks, burst_lines):
@@ -307,8 +307,8 @@ def build_cpu_side(cfg: SimConfig, mode: str, n_lines: int, base: int,
     return mem, ta, ta
 
 
-def _line_data(va: int) -> bytes:
-    return (va & 0xFF).to_bytes(1, "little") * LINE_BYTES
+# a replayed write's payload, by the low byte of its address
+_LINE_DATA = [bytes([b]) * LINE_BYTES for b in range(256)]
 
 
 def replay_trace(front, records: Iterable[TraceRecord],
@@ -334,12 +334,12 @@ def replay_trace(front, records: Iterable[TraceRecord],
                     if kind == "R":
                         front.read_line(va)
                     else:
-                        front.write_line(va, _line_data(va))
+                        front.write_line(va, _LINE_DATA[va & 0xFF])
                     cost_sample.append(CostReport.between(kind, va, before, front.totals))
             if kind == "R":
                 front.read_lines(vas)
             else:
-                front.write_lines(vas, [_line_data(va) for va in vas])
+                front.write_lines(vas, [_LINE_DATA[va & 0xFF] for va in vas])
 
 
 # -- offloaded training loop -----------------------------------------------------------
@@ -370,13 +370,18 @@ class ZeroOffloadReport:
 
 
 def _to_lines(arr: np.ndarray) -> list[bytes]:
-    """The 64 B lines of a float32 array."""
+    """The 64 B lines of an array's bytes."""
     raw = arr.tobytes()
     return [raw[o:o + LINE_BYTES] for o in range(0, len(raw), LINE_BYTES)]
 
 
 def _lines_to_array(lines: list[bytes]) -> np.ndarray:
     return np.frombuffer(b"".join(lines), dtype=np.float32).copy()
+
+
+def _stream_vas(base: int, n_lines: int) -> list[int]:
+    """The addresses of a stream's lines, in order."""
+    return list(range(base, base + n_lines * LINE_BYTES, LINE_BYTES))
 
 
 class ZeroOffloadRunner:
@@ -427,6 +432,7 @@ class ZeroOffloadRunner:
         self.report = ZeroOffloadReport(mode=self.mode)
         self.verify_mode = "delayed" if self.mode == "tensortee" else "blocking"
         self._nch = cfg.cpu.dram_channels
+        self._plans: dict[int, tuple] = {}
 
     # -- CPU data plane -----------------------------------------------------------
 
@@ -523,9 +529,8 @@ class ZeroOffloadRunner:
             if self.mode == "nonsecure":
                 _, end = eng.reserve("link", lay.n_lines * LINE_BYTES,
                                      at_tick=ready)
-                self.cpu_mem.write_lines(
-                    [lay.g_base + j * LINE_BYTES for j in range(lay.n_lines)],
-                    _to_lines(gvals))
+                self.cpu_mem.write_lines(_stream_vas(lay.g_base, lay.n_lines),
+                                         _to_lines(gvals))
             elif self.mode == "sgx_mgx":
                 rep = baseline_transfer(self.session, eng, tensor_id=tid,
                                         direction="npu_to_cpu",
@@ -546,43 +551,53 @@ class ZeroOffloadRunner:
 
     # -- optimizer update -------------------------------------------------------------
 
-    def _adam_math(self, bufs: dict, it: int) -> dict:
-        w = _lines_to_array(bufs["w"])
-        g = _lines_to_array(bufs["g"])
-        m = _lines_to_array(bufs["m"])
-        v = _lines_to_array(bufs["v"])
-        m = (ADAM_BETA1 * m + (np.float32(1) - ADAM_BETA1) * g).astype(np.float32)
-        v = (ADAM_BETA2 * v + (np.float32(1) - ADAM_BETA2) * (g * g)).astype(np.float32)
+    def _adam_math(self, w, g, m, v, it: int) -> None:
+        """One Adam step on a tensor's float32 arrays: w, m and v in place."""
+        m[:] = ADAM_BETA1 * m + (np.float32(1) - ADAM_BETA1) * g
+        v[:] = ADAM_BETA2 * v + (np.float32(1) - ADAM_BETA2) * (g * g)
         tstep = np.float32(it + 1)
         mhat = m / (np.float32(1) - ADAM_BETA1 ** tstep)
         vhat = v / (np.float32(1) - ADAM_BETA2 ** tstep)
-        w = (w - ADAM_LR * mhat / (np.sqrt(vhat) + ADAM_EPS)).astype(np.float32)
-        return {"w": _to_lines(w), "m": _to_lines(m), "v": _to_lines(v)}
+        w[:] = w - ADAM_LR * mhat / (np.sqrt(vhat) + ADAM_EPS)
+
+    def _step_plan(self, lay: AdamLayout) -> tuple:
+        """The optimizer step's read order and write order over a tensor of
+        `lay`'s size, as (stream, line) index arrays (stream 0-3 of
+        ADAM_STREAMS), from `adam_access_sequence`; derived once per size."""
+        plan = self._plans.get(lay.n_lines)
+        if plan is None:
+            seq = np.array([(phase == "W", ADAM_STREAMS.index(s), j)
+                            for phase, s, _, j in adam_access_sequence(
+                                lay, self.threads, self.burst)],
+                           dtype=np.int64)
+            plan = tuple((part[:, 1], part[:, 2])
+                         for part in (seq[seq[:, 0] == 0], seq[seq[:, 0] == 1]))
+            self._plans[lay.n_lines] = plan
+        return plan
 
     def _cpu_adam(self, at: int, it: int) -> int:
         t_totals = self.cpu_mem.totals
         done = at
         for lay in self.layouts:
-            bases = dict(lay.stream_bases())
-            bufs = {s: [None] * lay.n_lines for s in ("w", "g", "m", "v")}
+            n = lay.n_lines
+            bases = np.array([b for _, b in lay.stream_bases()], dtype=np.int64)
+            (r_s, r_j), (w_s, w_j) = self._step_plan(lay)
             # DRAM sees critical-path reads plus the coalesced dirty drain
             meta_keys = ("vn_rd", "mac_rd", "tree_rd", "vn_wb", "mac_wb",
                          "tree_wb", "rebuild_bytes")
             data_keys = ("data_rd", "data_wr")
             snap_meta = sum(t_totals[k] for k in meta_keys)
             snap_data = sum(t_totals[k] for k in data_keys)
-            # each run of reads is one read run; the writes that follow
-            # store the step computed from what was read, as one write run
-            for phase, recs in groupby(adam_access_sequence(
-                    lay, self.threads, self.burst), key=_PHASE):
-                recs = list(recs)
-                vas = [bases[s] + j * LINE_BYTES for _, s, _, j in recs]
-                if phase == "R":
-                    for (_, s, _, j), plain in zip(recs, self.front.read_lines(vas)):
-                        bufs[s][j] = plain
-                else:
-                    new = self._adam_math(bufs, it)
-                    self.front.write_lines(vas, [new[s][j] for _, s, _, j in recs])
+            # the reads are one read run, scattered by (stream, line) into one
+            # buffer; the writes store the step computed from it, in write
+            # order, as one write run
+            lines = np.empty((4 * n, LINE_BYTES), dtype=np.uint8)
+            lines[r_s * n + r_j] = np.frombuffer(b"".join(self.front.read_lines(
+                (bases[r_s] + r_j * LINE_BYTES).tolist())), dtype=np.uint8
+            ).reshape(-1, LINE_BYTES)
+            self._adam_math(*lines.reshape(4, -1).view(np.float32), it)
+            self.front.write_lines((bases[w_s] + w_j * LINE_BYTES).tolist(),
+                                   _to_lines(lines[w_s * n + w_j]))
             meta = sum(t_totals[k] for k in meta_keys) - snap_meta
             data = sum(t_totals[k] for k in data_keys) - snap_data
             done = max(done, self._reserve_cpu_phase(data, meta, at))
@@ -598,14 +613,13 @@ class ZeroOffloadRunner:
             for t, lay in enumerate(self.layouts):
                 self.analyzer.install_hint(lay.w_base, lay.n_lines,
                                            tensor_id=self.WEIGHT_TID + t)
-        zero = bytes(LINE_BYTES)
         for t, lay in enumerate(self.layouts):
-            vas, plains = [], []
-            for j, w in enumerate(_to_lines(self.init_weights[t])):
-                vas += (lay.w_base + j * LINE_BYTES, lay.m_base + j * LINE_BYTES,
-                        lay.v_base + j * LINE_BYTES)
-                plains += (w, zero, zero)
-            self.front.write_lines(vas, plains)
+            # (w_j, m_j, v_j) for each line j in turn; the moments start at 0
+            vas = (np.array([lay.w_base, lay.m_base, lay.v_base], dtype=np.int64)
+                   + np.arange(lay.n_lines, dtype=np.int64)[:, None] * LINE_BYTES)
+            plains = [bytes(LINE_BYTES)] * (3 * lay.n_lines)
+            plains[::3] = _to_lines(self.init_weights[t])
+            self.front.write_lines(vas.ravel().tolist(), plains)
 
     def run(self) -> ZeroOffloadReport:
         self.setup_state()
@@ -652,7 +666,7 @@ class ZeroOffloadRunner:
         """Each weight tensor's plaintext, read as an oracle, without cost
         accounting."""
         return [_lines_to_array(self.cpu_mem.plaintexts(
-                    [lay.w_base + j * LINE_BYTES for j in range(lay.n_lines)]))
+                    _stream_vas(lay.w_base, lay.n_lines)))
                 for lay in self.layouts]
 
 

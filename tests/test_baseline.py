@@ -1,7 +1,8 @@
 """Baseline (SGX-like) protected-memory tests: itemized cost accounting,
 metadata-cache behavior, attack detection, functional equivalence against a
 plain dict oracle, deferred sealing against an eager reference, and run
-reads, run writes and the write fast path against per-line references."""
+reads, run writes and the write fast path against per-line references, for
+the protected and the plain (NonSecure) memory."""
 
 import copy
 import random
@@ -14,7 +15,7 @@ from hypothesis import strategies as st
 
 from teesim.baseline import (
     AES_CYCLES, MAC_CYCLES, OPEN_CHUNK_LINES, CostReport, MetadataCache,
-    ProtectedMemory,
+    PlainMemory, ProtectedMemory,
 )
 from teesim.crypto import (
     OPEN_BATCH_MIN, SEAL_BATCH_MIN, BindingMode, CounterBinding,
@@ -1143,3 +1144,67 @@ def test_interleaved_streams_in_one_write_lines_call_match_one_line_calls(
         # the writes before the fault are stored: w, m and v of lines 0-39
         # and w of line 40
         assert mems[0].totals["writes"] == 2 + 3 * 40 + 2
+
+
+PLAIN_LINES = 8
+
+
+def _plain_pas(lines):
+    return [BASE + i * LINE_BYTES for i in lines]
+
+
+@given(data=st.data())
+@settings(max_examples=100, deadline=None)
+def test_plain_memory_run_methods_match_one_line_calls(data):
+    runs, lines = PlainMemory(BASE, PLAIN_LINES), PlainMemory(BASE, PLAIN_LINES)
+    serial = 0
+    for kind, idxs in data.draw(st.lists(st.tuples(
+            st.sampled_from("RW"),
+            st.lists(st.integers(0, PLAIN_LINES - 1), max_size=24)), max_size=6)):
+        pas = _plain_pas(idxs)
+        if kind == "R":
+            assert runs.read_lines(pas) == [lines.read_line(pa)[0] for pa in pas]
+        else:
+            plains = [(serial + k).to_bytes(LINE_BYTES, "little")
+                      for k in range(1, len(pas) + 1)]
+            serial += len(pas)
+            runs.write_lines(pas, plains)
+            for pa, plain in zip(pas, plains):
+                lines.write_line(pa, plain)
+        assert runs.blocks == lines.blocks and runs.totals == lines.totals
+
+
+@pytest.mark.parametrize("kind", ["R", "W"])
+@pytest.mark.parametrize("bad", [-LINE_BYTES, PLAIN_LINES * LINE_BYTES,
+                                 3 * LINE_BYTES + 1])
+@pytest.mark.parametrize("at", [0, 3])
+def test_plain_memory_run_methods_stop_at_a_bad_address_as_one_line_calls(
+        kind, bad, at):
+    # the address `at` of the run is outside the region or unaligned: the
+    # run leaves what the one-line calls before it leave, and neither it
+    # nor the rejected one-line call charges the rejected access
+    runs, lines = PlainMemory(BASE, PLAIN_LINES), PlainMemory(BASE, PLAIN_LINES)
+    pas = _plain_pas([5, 1, 5, 2, 7])
+    pas.insert(at, BASE + bad)
+    plains = [k.to_bytes(LINE_BYTES, "little") for k in range(1, len(pas) + 1)]
+    with pytest.raises(ValueError):
+        for pa, plain in zip(pas, plains):
+            if kind == "R":
+                lines.read_line(pa)
+            else:
+                lines.write_line(pa, plain)
+    with pytest.raises(ValueError):
+        if kind == "R":
+            runs.read_lines(pas)
+        else:
+            runs.write_lines(pas, plains)
+    assert runs.blocks == lines.blocks and runs.totals == lines.totals
+    count, data = ("reads", "data_rd") if kind == "R" else ("writes", "data_wr")
+    assert runs.totals[count] == at and runs.totals[data] == at * LINE_BYTES
+
+
+def test_plain_memory_write_lines_wants_one_plaintext_per_address():
+    mem = PlainMemory(BASE, PLAIN_LINES)
+    with pytest.raises(ValueError, match="one plaintext per address"):
+        mem.write_lines(_plain_pas([0, 1]), [bytes(LINE_BYTES)])
+    assert mem.totals["writes"] == 0 and mem.blocks == [bytes(LINE_BYTES)] * PLAIN_LINES

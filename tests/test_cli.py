@@ -167,6 +167,10 @@ def test_sweep_bad_axis_exits_2(tmp_path):
     ("gemm", {}, "threads=1,2"),
     ("gemm", {}, "iterations=1,2"),
     ("npu_stream", {}, "iterations=1,2"),
+    # no NPU, or delayed streams only: nothing reads the granularity
+    ("adam", {}, "mac_granularity=64,512"),
+    ("gemm", {}, "mac_granularity=64,512"),
+    ("zero", {}, "mac_granularity=64,512"),
 ])
 def test_a_bad_workload_input_exits_2_before_any_run(tmp_path, capsys, monkeypatch,
                                                      workload, fields, sweep):
@@ -207,6 +211,13 @@ def test_a_sweep_of_a_field_the_runner_reads_runs_distinct_points(tmp_path):
     out = tmp_path / "s"
     assert main(["run", "--config", write_cfg(tmp_path, LIGHT_ZERO), "--out", str(out),
                  "--sweep", "iterations=1,2"]) == 0
+    header, *rows = (out / "sweep.csv").read_text().splitlines()
+    ticks = [row.split(",")[header.split(",").index("total_ticks")] for row in rows]
+    assert len(ticks) == 2 and ticks[0] != ticks[1]
+    # SGX+MGX zero-offload's blocking loads and relays read the granularity
+    out = tmp_path / "g"
+    assert main(["run", "--config", write_cfg(tmp_path, {**LIGHT_ZERO, "mode": "sgx_mgx"}),
+                 "--out", str(out), "--sweep", "mac_granularity=64,4096"]) == 0
     header, *rows = (out / "sweep.csv").read_text().splitlines()
     ticks = [row.split(",")[header.split(",").index("total_ticks")] for row in rows]
     assert len(ticks) == 2 and ticks[0] != ticks[1]
