@@ -566,12 +566,12 @@ class ZeroOffloadRunner:
         ADAM_STREAMS), from `adam_access_sequence`; derived once per size."""
         plan = self._plans.get(lay.n_lines)
         if plan is None:
-            seq = np.array([(phase == "W", ADAM_STREAMS.index(s), j)
-                            for phase, s, _, j in adam_access_sequence(
-                                lay, self.threads, self.burst)],
-                           dtype=np.int64)
-            plan = tuple((part[:, 1], part[:, 2])
-                         for part in (seq[seq[:, 0] == 0], seq[seq[:, 0] == 1]))
+            seq = np.fromiter(((phase == "W", ADAM_STREAMS.index(s), j)
+                               for phase, s, _, j in adam_access_sequence(
+                                   lay, self.threads, self.burst)),
+                              dtype=[("write", "?"), ("stream", "i8"), ("line", "i8")])
+            plan = tuple((part["stream"], part["line"])
+                         for part in (seq[~seq["write"]], seq[seq["write"]]))
             self._plans[lay.n_lines] = plan
         return plan
 
