@@ -804,24 +804,24 @@ class PlainMemory:
         return list(map(self.blocks.__getitem__, idxs))
 
     def read_line(self, pa: int):
-        idx = self.line_index(pa)
         t = self.totals
+        line = self.blocks[self.line_index(pa)]
         t["reads"] += 1
         t["data_rd"] += LINE_BYTES
-        return self.blocks[idx], None
+        return line, None
 
     def write_line(self, pa: int, plain) -> None:
-        idx = self.line_index(pa)
         t = self.totals
+        idx = self.line_index(pa)
         t["writes"] += 1
         t["data_wr"] += LINE_BYTES
         self.blocks[idx] = plain
 
     def write_lines(self, pas, plains) -> None:
         """`write_line` of each of `pas` in order with the plaintext at its
-        position, without the per-line call, as `read_lines` reads. A count
-        of plaintexts other than one per address raises ValueError before
-        any write."""
+        position, without the per-line call, with indices, counters and a
+        bad address handled as in `read_lines`. A count of plaintexts other
+        than one per address raises ValueError before any write."""
         pas, plains = list(pas), list(plains)
         if len(plains) != len(pas):
             raise ValueError("one plaintext per address")

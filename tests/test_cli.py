@@ -208,19 +208,16 @@ def test_tensortee_zero_without_a_meta_table_exits_2(tmp_path, capsys, config, f
 
 
 def test_a_sweep_of_a_field_the_runner_reads_runs_distinct_points(tmp_path):
-    out = tmp_path / "s"
-    assert main(["run", "--config", write_cfg(tmp_path, LIGHT_ZERO), "--out", str(out),
-                 "--sweep", "iterations=1,2"]) == 0
-    header, *rows = (out / "sweep.csv").read_text().splitlines()
-    ticks = [row.split(",")[header.split(",").index("total_ticks")] for row in rows]
-    assert len(ticks) == 2 and ticks[0] != ticks[1]
     # SGX+MGX zero-offload's blocking loads and relays read the granularity
-    out = tmp_path / "g"
-    assert main(["run", "--config", write_cfg(tmp_path, {**LIGHT_ZERO, "mode": "sgx_mgx"}),
-                 "--out", str(out), "--sweep", "mac_granularity=64,4096"]) == 0
-    header, *rows = (out / "sweep.csv").read_text().splitlines()
-    ticks = [row.split(",")[header.split(",").index("total_ticks")] for row in rows]
-    assert len(ticks) == 2 and ticks[0] != ticks[1]
+    for name, data, sweep in [("s", LIGHT_ZERO, "iterations=1,2"),
+                              ("g", {**LIGHT_ZERO, "mode": "sgx_mgx"},
+                               "mac_granularity=64,4096")]:
+        out = tmp_path / name
+        assert main(["run", "--config", write_cfg(tmp_path, data, f"{name}.json"),
+                     "--out", str(out), "--sweep", sweep]) == 0
+        header, *rows = (out / "sweep.csv").read_text().splitlines()
+        ticks = [row.split(",")[header.split(",").index("total_ticks")] for row in rows]
+        assert len(ticks) == 2 and ticks[0] != ticks[1], sweep
 
 
 def test_report_over_three_modes(tmp_path):
