@@ -308,6 +308,18 @@ class ProtectedMemory:
     the state that sealing at every write would have left. A write may name
     a tag sink, to which its seal appends the fresh tag: an on-chip copy that
     a later tamper of the MAC region cannot reach.
+
+    Sealed lines: one byte a line (`_sealed`) is set while the line's stored
+    ciphertext, binding code, VN and MAC are exactly what this memory's own
+    sealing wrote, first when it was built and then in `seal()`. A line
+    whose byte is set, opened under the VN it holds, takes its stored MAC as
+    its tag, since recomputing it could only agree; every other open MACs
+    its line. `install_lines` and `inject_attack` are the only other writers
+    of that state, and each clears the byte of every line it changes;
+    `inject_attack` is the adversary's one way to change stored state. A
+    write leaves the byte alone: its line is pending until `seal()` sets the
+    byte, before anything observes the line, and under the null key a write
+    stores its own tag at once.
     """
 
     def __init__(self, base_pa: int, n_lines: int, key: KeyMaterial, *,
@@ -321,17 +333,24 @@ class ProtectedMemory:
         self._words = np.frombuffer(self._ct, dtype="<u8").reshape(n_lines, 8)
         n_vn_lines = -(-n_lines // VNS_PER_LINE)
         self._macs = array("Q", bytes(8 * n_lines))
+        self._macs_view = memoryview(self._macs).toreadonly()
+        # every line holds what the construction seal below writes
+        self._sealed = bytearray(b"\x01") * n_lines
         # padded to whole VN-lines: every tree leaf hashes eight VNs
         self._vns = array("Q", bytes(8 * VNS_PER_LINE * n_vn_lines))
         codes = pa_binding_codes(base_pa, n_lines)
         self._codes = array("Q", codes.tobytes())
+        # numpy views of the per-line fields, for batch gathers
+        self._macs_u = np.frombuffer(self._macs, dtype=np.uint64)
+        self._codes_u = np.frombuffer(self._codes, dtype=np.uint64)
+        self._vns_u = np.frombuffer(self._vns, dtype=np.uint64)
+        self._sealed_u = np.frombuffer(self._sealed, dtype=np.uint8)
         # zeros sealed under VN 0: each line's ciphertext is its pad
-        macs = np.frombuffer(self._macs, dtype=np.uint64)
         for lo in range(0, n_lines, OPEN_CHUNK_LINES):
             hi = lo + OPEN_CHUNK_LINES
             pads = keystream_lines(self.key, codes[lo:hi], 0)
             self._words[lo:hi] = pads
-            macs[lo:hi] = mac_lines(self.key, codes[lo:hi], pads, 0)
+            self._macs_u[lo:hi] = mac_lines(self.key, codes[lo:hi], pads, 0)
         # idx -> tag sink (or None) of a line written but not yet sealed
         self._pending: dict[int, Optional[list]] = {}
         self.cache = MetadataCache(metadata_cache_bytes)
@@ -343,21 +362,24 @@ class ProtectedMemory:
     # -- sealing ------------------------------------------------------------
 
     @property
-    def macs(self) -> array:
+    def macs(self) -> memoryview:
+        """The stored MACs, sealed, as a read-only view."""
         self.seal()
-        return self._macs
+        return self._macs_view
 
     def seal(self) -> None:
-        """Encrypt and MAC, in place, every line written since the last seal.
-        A write that named a tag sink has its fresh tag appended to it: that
-        copy is computed on-chip, unlike the off-chip MAC an adversary may
-        alter."""
+        """Encrypt and MAC, in place, every line written since the last seal,
+        and mark each sealed (`_sealed`). A write that named a tag sink has
+        its fresh tag appended to it: that copy is computed on-chip, unlike
+        the off-chip MAC an adversary may alter."""
         pending = self._pending
         if not pending:
             return
         tags = seal_into(self.key, self._ct, pending, self._codes, self._vns)
+        macs, sealed = self._macs, self._sealed
         for (idx, sink), tag in zip(pending.items(), tags):
-            self._macs[idx] = tag
+            macs[idx] = tag
+            sealed[idx] = 1
             if sink is not None:
                 sink.append(tag)
         pending.clear()
@@ -379,6 +401,14 @@ class ProtectedMemory:
             offs = list(takewhile(lambda off: 0 <= off < size and not off % LINE_BYTES, offs))
         return [off // LINE_BYTES for off in offs]
 
+    def all_line_indices(self, pas: Sequence[int]) -> list[int]:
+        """`line_indices` of every address of `pas`; the first that is
+        outside the region or unaligned raises ValueError (`line_index`)."""
+        idxs = self.line_indices(pas)
+        if len(idxs) < len(pas):
+            self.line_index(pas[len(idxs)])      # raises
+        return idxs
+
     def vn_of(self, pa: int) -> int:
         """Oracle view of the off-chip VN; no cost accounting."""
         return self._vns[self.line_index(pa)]
@@ -394,10 +424,9 @@ class ProtectedMemory:
     def export_lines(self, pas) -> tuple[array, bytes]:
         """The binding codes and the ciphertext, joined, of the lines `pas`,
         with no cost accounting."""
-        at = np.array([self.line_index(pa) for pa in pas], dtype=np.intp)
+        at = np.array(self.all_line_indices(pas), dtype=np.intp)
         self.seal()
-        return (array("Q", np.asarray(self._codes)[at].tobytes()),
-                self._words[at].tobytes())
+        return array("Q", self._codes_u[at].tobytes()), self._words[at].tobytes()
 
     def install_lines(self, base_pa: int, codes: Sequence[int], cts,
                       tags: Sequence[int], vn: int) -> None:
@@ -415,6 +444,8 @@ class ProtectedMemory:
         self._codes[lo:hi] = array("Q", codes)
         self._macs[lo:hi] = array("Q", tags)
         self._vns[lo:hi] = array("Q", (vn,)) * n
+        # sealed elsewhere: each open MACs these lines until they are written
+        self._sealed[lo:hi] = bytes(n)
         # each line's tree update records its leaf once
         for li in range(lo // VNS_PER_LINE, (hi - 1) // VNS_PER_LINE + 1):
             self.tree.update_path(li)
@@ -426,45 +457,56 @@ class ProtectedMemory:
     def plaintexts(self, pas) -> list[bytes]:
         """Oracle: the plaintext of each line of `pas` under its stored
         binding and VN, with no cost accounting and no check."""
+        at = np.array(self.all_line_indices(pas), dtype=np.intp)
         self.seal()
-        at = np.array([self.line_index(pa) for pa in pas], dtype=np.intp)
-        words = keystream_lines(self.key, np.asarray(self._codes)[at],
-                                np.asarray(self._vns)[at])
+        words = keystream_lines(self.key, self._codes_u[at], self._vns_u[at])
         words ^= self._words[at]
         return words_to_bytes(words)
 
     def open_line(self, idx: int, vn: int) -> tuple[int, bytes]:
         """Line `idx`'s tag and plaintext under its stored binding and VN
         `vn`, from the per-line kernels, with no cost accounting and no
-        check; a pending write is sealed first (`line`)."""
+        check; a pending write is sealed first (`line`). A sealed line
+        opened under the VN it holds takes its stored MAC as its tag."""
         # the kernels, not a one-line `open_lines`, whose generic loop cost
         # about 5 us more a line (fuzz-attack TensorTEE lines/s read 1.026x
         # with them, 7 of 10 rounds, BENCH_13.json)
         ct, code = self.line(idx)
         key = self.key
-        pad = line_pad(key, code, vn)
-        return (line_tag(key, code, vn, ct),
-                (int.from_bytes(ct, "little") ^ pad).to_bytes(LINE_BYTES, "little"))
+        plain = (int.from_bytes(ct, "little") ^ line_pad(key, code, vn)).to_bytes(
+            LINE_BYTES, "little")
+        if self._sealed[idx] and vn == self._vns[idx]:
+            return self._macs[idx], plain
+        return line_tag(key, code, vn, ct), plain
 
     def open_chunks(self, pas):
         """Seal, then yield each chunk of at most `OPEN_CHUNK_LINES` of `pas`:
         its addresses, line indices, and the tag, plaintext and VN of each
-        line under the binding and VN it holds, opened in one batch. No cost
-        accounting and no check; an address outside the region raises
-        ValueError before its chunk is yielded."""
+        line under the binding and VN it holds. A chunk of `OPEN_BATCH_MIN`
+        lines or more is opened in one batch, which MACs only the lines
+        that are not sealed (`_sealed`) and takes the stored MACs of the
+        rest; a shorter one line by line (`open_line`). No cost accounting
+        and no check; an address outside the region raises ValueError
+        before its chunk is yielded."""
         pas = iter(pas)
+        key = self.key
         while chunk_pas := list(islice(pas, OPEN_CHUNK_LINES)):
-            idxs = self.line_indices(chunk_pas)
-            if len(idxs) < len(chunk_pas):
-                self.line_index(chunk_pas[len(idxs)])      # raises
+            idxs = self.all_line_indices(chunk_pas)
             self.seal()
             vns = [self._vns[i] for i in idxs]
-            ct = self._ct
-            tags, plains = open_lines(
-                self.key, [self._codes[i] for i in idxs],
-                b"".join([ct[i * LINE_BYTES:(i + 1) * LINE_BYTES] for i in idxs])
-                if len(idxs) < OPEN_BATCH_MIN
-                else self._words[np.array(idxs, dtype=np.intp)].tobytes(), vns)
+            if len(idxs) < OPEN_BATCH_MIN:
+                tags, plains = map(list, zip(*map(self.open_line, idxs, vns)))
+            else:
+                at = np.array(idxs, dtype=np.intp)
+                words, codes, tags = self._words[at], self._codes_u[at], self._macs_u[at]
+                clear = np.flatnonzero(self._sealed_u[at] == 0)
+                if clear.size:
+                    tags[clear] = mac_lines(key, codes[clear], words[clear],
+                                            self._vns_u[at[clear]])
+                tags = tags.tolist()
+                words ^= keystream_lines(key, codes, self._vns_u[at])
+                plains = words_to_bytes(words)
+                del words, codes
             yield chunk_pas, idxs, tags, plains, vns
             del tags, plains, vns
 
@@ -589,7 +631,7 @@ class ProtectedMemory:
         fresh tag to its sink. The metadata-cache touches are batched (see
         `MetadataCache`). An address outside the region, or a plaintext
         that is not one line, raises before any write."""
-        idxs = list(map(self.line_index, pas))
+        idxs = self.all_line_indices(pas)
         plains = list(map(as_line, plains))
         n = len(idxs)
         if len(plains) != n or (sources is not None and len(sources) != n):
@@ -767,6 +809,7 @@ class ProtectedMemory:
             self._macs[idx] = mac
         else:
             raise ValueError(f"unknown attack kind: {kind}")
+        self._sealed[idx] = 0
 
     def flush_metadata_cache(self) -> None:
         self._charge_drain(self.cache.flush())
@@ -783,11 +826,12 @@ class PlainMemory:
 
     line_index = ProtectedMemory.line_index
     line_indices = ProtectedMemory.line_indices
+    all_line_indices = ProtectedMemory.all_line_indices
 
     def plaintexts(self, pas) -> list:
         """Oracle: the plaintext of each line of `pas`, with no cost
         accounting."""
-        return [self.blocks[self.line_index(pa)] for pa in pas]
+        return list(map(self.blocks.__getitem__, self.all_line_indices(pas)))
 
     def read_lines(self, pas) -> list:
         """`read_line` of each of `pas` in order, without the per-line call:

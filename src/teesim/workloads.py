@@ -51,7 +51,7 @@ REPLAY_RUN_LINES = 4096
 ADAM_STREAMS = ("w", "g", "m", "v")
 
 
-@dataclass
+@dataclass(slots=True)
 class TraceRecord:
     cycle_hint: int
     core_id: int

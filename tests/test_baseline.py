@@ -18,9 +18,9 @@ from teesim.baseline import (
     PlainMemory, ProtectedMemory,
 )
 from teesim.crypto import (
-    OPEN_BATCH_MIN, SEAL_BATCH_MIN, BindingMode, CounterBinding,
+    MASK56, OPEN_BATCH_MIN, SEAL_BATCH_MIN, BindingMode, CounterBinding,
     IntegrityFault, KeyMaterial, LINE_BYTES, VnTree, binding_code, line_pad,
-    line_tag,
+    line_tag, open_lines,
 )
 from teesim.tenanalyzer import HIT_IN, TenAnalyzer
 
@@ -422,8 +422,8 @@ def test_light_mode_same_metadata_traffic():
                                            (True, 1), (False, 1)],
                          ids=["True", "False", "True-vn1", "False-vn1"])
 def test_written_and_sealed_store_holds_at_most_128_bytes_a_line(crypto_on, vn):
-    # the flat store is 88 B a line (64 ciphertext, three 8 B fields); the
-    # rest is the tree, its pending leaves and the cache.
+    # the flat store is 89 B a line (64 ciphertext, three 8 B fields, the
+    # sealed byte); the rest is the tree, its pending leaves and the cache.
     # Explicit-VN writes, as covered writes are, walk no tree path, so every
     # leaf they dirty stays pending
     n = 1 << 16
@@ -717,9 +717,14 @@ def _sources(m, lines, sources):
             for i, src in zip(lines, sources)]
 
 
-def _run_ops(n_lines):
+def _line(n_lines):
     # mostly the first two VN-lines, so that ops meet the same lines often
-    line = st.integers(0, 15) | st.integers(0, n_lines - 1)
+    return st.integers(0, 15) | st.integers(0, n_lines - 1)
+
+
+def _run_ops(n_lines, *extra):
+    """Lists of the ops `_drive` applies, and of the `extra` ops drawn."""
+    line = _line(n_lines)
     return st.lists(st.one_of(
         st.tuples(st.just("write"), line),
         # each line with its source: None, or an explicit VN with or
@@ -740,6 +745,7 @@ def _run_ops(n_lines):
         st.tuples(st.just("tamper"),
                   st.sampled_from(["bitflip", "mac_tamper", "vn_tamper", "replay"]),
                   line, st.integers(0, 511)),
+        *extra,
     ), max_size=25)
 
 
@@ -825,6 +831,24 @@ def _drive(mems, ops, n_lines, state=_cache_state):
             both(lambda m: m.read_lines([BASE + i * LINE_BYTES for i in lines]))
         elif kind == "flush":
             both(lambda m: m.flush_metadata_cache())
+        elif kind == "install":
+            # lines sealed elsewhere under tensor-logical codes and one VN,
+            # the last one's tag altered if `bad`
+            _, first, count, bad = op
+            n = min(count, n_lines - first)
+            codes = [binding_code(BindingMode.TENSOR_LOGICAL, 11, i * LINE_BYTES)
+                     for i in range(n)]
+            cts = b"".join((serial + j).to_bytes(8, "little") * 8 for j in range(n))
+            vn = serial & 0xFF
+            serial += n
+            tags = open_lines(mems[0].key, codes, cts, vn, decrypt=False)[0]
+            if bad:
+                tags[-1] ^= 1
+            both(lambda m: m.install_lines(BASE + first * LINE_BYTES, codes, cts, tags, vn))
+        elif kind == "open":
+            # under the VN the line holds, or another
+            _, line, dv = op
+            both(lambda m: m.open_line(line, (m._vns[line] + dv) & MASK56))
         elif not mems[0].key.null:   # the null cipher cannot see a tamper
             _, attack, line, bit = op
             pa = BASE + line * LINE_BYTES
@@ -936,6 +960,167 @@ def test_read_lines_opens_in_bounded_chunks(crypto_on):
     whole, out = peak(n)
     returned = n * (len(out) and sys.getsizeof(out[0]) + 8)
     assert whole <= one_chunk + returned, (whole, one_chunk, returned)
+
+
+# -- sealed-line tags ----------------------------------------------------------------
+
+class RecomputingProtectedMemory(ProtectedMemory):
+    """The reference: every open MACs its lines, as opens did before a
+    sealed line took its stored MAC as its tag."""
+
+    def open_line(self, idx, vn):
+        ct, code = self.line(idx)
+        plain = (int.from_bytes(ct, "little") ^ line_pad(self.key, code, vn)).to_bytes(
+            LINE_BYTES, "little")
+        return line_tag(self.key, code, vn, ct), plain
+
+    def open_chunks(self, pas):
+        pas = list(pas)
+        for lo in range(0, len(pas), OPEN_CHUNK_LINES):
+            chunk = pas[lo:lo + OPEN_CHUNK_LINES]
+            idxs = self.all_line_indices(chunk)
+            self.seal()
+            vns = [self._vns[i] for i in idxs]
+            tags, plains = open_lines(self.key, [self._codes[i] for i in idxs],
+                                      b"".join(self.line(i)[0] for i in idxs), vns)
+            yield chunk, idxs, tags, plains, vns
+
+
+def _sealed_state(mem):
+    """`_full_state` and the stored MACs, none sealed for the look; each
+    line marked sealed and not pending must hold the MAC that MACing it
+    gives."""
+    for idx in range(mem.n_lines):
+        if mem._sealed[idx] and idx not in mem._pending:
+            assert mem._macs[idx] == line_tag(mem.key, mem._codes[idx], mem._vns[idx],
+                                              mem._ct, idx * LINE_BYTES), idx
+    return _full_state(mem), list(mem._macs)
+
+
+@pytest.mark.parametrize("crypto_on", [True, False])
+@pytest.mark.parametrize("n_lines, cache_bytes", [(64, 512), (512, 192)])
+@given(data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_sealed_tag_shortcut_matches_recomputed_tags(crypto_on, n_lines, cache_bytes, data):
+    # per-line and run reads and writes, installs (honest, or with an
+    # altered tag), each tamper, flushes and opens under the held VN or
+    # another, against opens that always MAC
+    line = _line(n_lines)
+    ops = data.draw(_run_ops(
+        n_lines,
+        st.tuples(st.just("install"), line, st.integers(1, 2 * OPEN_BATCH_MIN),
+                  st.booleans()),
+        st.tuples(st.just("open"), line, st.sampled_from([0, 0, 1, 7]))))
+    mems = [cls(BASE, n_lines, KEY, metadata_cache_bytes=cache_bytes, crypto_on=crypto_on)
+            for cls in (ProtectedMemory, RecomputingProtectedMemory)]
+    _drive(mems, ops, n_lines, state=_sealed_state)
+    fast, ref = mems
+    assert _store(fast) == _store(ref) and fast.sinks == ref.sinks
+    assert _sealed_state(fast) == _sealed_state(ref)
+
+
+_TA_LINES = 128
+_TA_ENTRY = 32
+
+
+@pytest.mark.parametrize("crypto_on", [True, False])
+@given(ops=st.lists(st.one_of(
+    st.tuples(st.just("read"), st.integers(0, 2 * _TA_ENTRY)),
+    st.tuples(st.just("read_lines"), st.integers(0, 2 * _TA_ENTRY),
+              st.integers(1, _TA_ENTRY + OPEN_BATCH_MIN)),
+    st.tuples(st.just("write"), st.integers(0, 2 * _TA_ENTRY)),
+    st.tuples(st.just("write_lines"), st.integers(0, 2 * _TA_ENTRY),
+              st.integers(1, _TA_ENTRY + 4)),
+    # a tamper of a line of the covered entry
+    st.tuples(st.just("tamper"),
+              st.sampled_from(["bitflip", "mac_tamper", "vn_tamper", "replay"]),
+              st.integers(0, _TA_ENTRY - 1), st.integers(0, 511)),
+    st.tuples(st.just("flush"),),
+), max_size=20), hint_vn=st.sampled_from([None, 3]))
+@settings(max_examples=80, deadline=None)
+def test_sealed_tag_shortcut_through_the_analyzer_matches_recomputed_tags(
+        crypto_on, ops, hint_vn):
+    # TenAnalyzer per-line reads and read runs over a covered entry of
+    # lines 0-31, its boundary and misses, against opens that always MAC.
+    # The entry's VN is the one its lines hold, or one they do not hold
+    sides = []
+    for cls in (ProtectedMemory, RecomputingProtectedMemory):
+        mem = cls(BASE, _TA_LINES, KEY, metadata_cache_bytes=1024, crypto_on=crypto_on)
+        ta = TenAnalyzer(mem)
+        assert ta.install_hint(BASE, _TA_ENTRY, tensor_id=7, vn=hint_vn) == "installed"
+        sides.append(ta)
+    serial = 0
+
+    def state(ta):
+        mem = ta.mem
+        return (dict(ta.stats), [(e.dump(), e.mac, e.lru) for e in ta.entries],
+                _sealed_state(mem))
+
+    def both(fn):
+        out = []
+        for ta in sides:
+            try:
+                out.append(fn(ta))
+            except IntegrityFault as e:
+                out.append(("fault", e.kind, e.detail))
+        assert out[0] == out[1], op
+        assert state(sides[0]) == state(sides[1]), op
+
+    def pas(first, count):
+        return [BASE + i * LINE_BYTES for i in range(first, min(first + count, _TA_LINES))]
+
+    def plains(n):
+        nonlocal serial
+        serial += n
+        return [(serial - j).to_bytes(8, "little") * 8 for j in range(n)]
+
+    for op in ops:
+        kind = op[0]
+        if kind == "read":
+            both(lambda ta: ta.on_read(BASE + op[1] * LINE_BYTES))
+        elif kind == "read_lines":
+            both(lambda ta: ta.read_lines(pas(op[1], op[2])))
+        elif kind == "write":
+            data, = plains(1)
+            both(lambda ta: ta.on_write(BASE + op[1] * LINE_BYTES, data))
+        elif kind == "write_lines":
+            vas = pas(op[1], op[2])
+            data = plains(len(vas))
+            both(lambda ta: ta.write_lines(vas, data))
+        elif kind == "flush":
+            both(lambda ta: ta.mem.flush_metadata_cache())
+        elif crypto_on:   # the null cipher cannot see a tamper
+            _, attack, line, bit = op
+            pa = BASE + line * LINE_BYTES
+            snaps = [ta.mem.snapshot_triple(pa) for ta in sides]
+            if attack == "replay":
+                data, = plains(1)
+                both(lambda ta: ta.on_write(pa, data))
+            for ta, snap in zip(sides, snaps):
+                ta.mem.inject_attack(attack, pa, bit=bit, snapshot=snap)
+            assert state(sides[0]) == state(sides[1]), op
+
+
+def test_sealed_tags_are_read_only_to_callers():
+    mem = make_mem(16)
+    mem.write_line(BASE, b"\x01" * LINE_BYTES)
+    macs = mem.macs
+    assert not mem._pending and macs[0] == mem._macs[0]
+    with pytest.raises(TypeError):
+        macs[0] = 1
+    assert macs is mem.macs
+
+
+@pytest.mark.parametrize("bad", [-LINE_BYTES, 16 * LINE_BYTES, 3 * LINE_BYTES + 1],
+                         ids=["below", "above", "unaligned"])
+@pytest.mark.parametrize("call", ["protected_plaintexts", "export_lines", "plain_plaintexts"])
+def test_oracle_and_export_paths_reject_a_bad_address(call, bad):
+    mem = PlainMemory(BASE, 16) if call == "plain_plaintexts" else make_mem(16)
+    fn = mem.export_lines if call == "export_lines" else mem.plaintexts
+    pas = [BASE, BASE + 5 * LINE_BYTES]
+    fn(pas)
+    with pytest.raises(ValueError, match="outside the region or unaligned"):
+        fn(pas + [BASE + bad, BASE + LINE_BYTES])
 
 
 # -- batched metadata-cache touches ------------------------------------------------
